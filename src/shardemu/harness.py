@@ -1,12 +1,16 @@
 """Run orchestration: wiring nodes together and driving them to completion.
 
-``Emulation`` owns a full run: it builds the partition map, loads or
-pre-fills the dataset, spawns one replica per (shard, node) plus the
-supervisor, schedules scripted faults, runs the event loop, and writes
-block files and reports.
+``build_nodes`` is the one wiring of a run, shared by both transports. It
+picks the brokers, builds the partition map, constructs the supervisor and
+one replica per (shard, node), opens the per-shard block files and
+pre-fills the pools. Each node talks through the network interface that
+``net_of(node id)`` gives it.
 
-``setup()`` and ``execute()`` are separate so callers can inspect pools
-and state between wiring and running.
+``Emulation`` runs the wired nodes over one deterministic ``SimNetwork``:
+it registers them, schedules scripted faults, runs the event loop and
+writes the reports. ``setup()`` and ``execute()`` are separate so callers
+can inspect pools and state between wiring and running. ``TcpRunner`` runs
+the same wiring over TCP, one driver thread per node.
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .config import ConfigError, MissingKey, RunConfig
 from .core import (
+    DERIVED_KINDS,
     Block,
     PartitionMap,
-    StateTree,
+    TxClass,
+    TxKind,
     block_from_json,
     block_to_json,
 )
@@ -36,6 +42,7 @@ from .pbft import Replica
 from .supervisor import Supervisor
 from .transport import (
     SUPERVISOR_ID,
+    BlockInfo,
     Envelope,
     SimNetwork,
     TcpMesh,
@@ -64,8 +71,97 @@ class RunResult:
     def root_logs(self) -> dict[str, list]:
         return {nid: list(r.root_log) for nid, r in self.replicas.items()}
 
-    def final_states(self) -> dict[str, StateTree]:
-        return {nid: r.state for nid, r in self.replicas.items()}
+
+# -- wiring --
+
+
+def build_nodes(
+    cfg: RunConfig, net_of: Callable[[str], Any]
+) -> tuple[Supervisor, dict[str, Replica], list]:
+    """The supervisor and the replicas (shard-major) of one run, plus the
+    open block files, which the runner closes once the nodes have stopped."""
+    brokers: list[bytes] = []
+    if cfg.mechanism == "broker":
+        brokers = (
+            top_active_accounts(cfg.dataset_path, cfg.brokers_top_k, cfg.dataset_limit)
+            if cfg.brokers_top_k is not None
+            else cfg.brokers
+        )
+    pmap = PartitionMap(
+        n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
+    )
+    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
+    supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
+
+    if cfg.output_dir is not None:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    crash_scheduled = {f.node for f in cfg.faults if f.kind == "crash"}
+    block_files = []
+    replicas: dict[str, Replica] = {}
+    for k in range(cfg.n_shards):
+        writer = _pick_writer(k, crash_scheduled)
+        sink = None
+        if cfg.output_dir is not None:
+            path = os.path.join(cfg.output_dir, f"blocks_shard{k}.jsonl")
+            block_files.append(open(path, "w", encoding="utf-8"))
+            sink = _block_sink(block_files[-1])
+        for i in range(cfg.nodes_per_shard):
+            nid = node_id(k, i)
+            replicas[nid] = Replica(
+                shard_id=k,
+                index=i,
+                n_nodes=cfg.nodes_per_shard,
+                theta=cfg.block_size,
+                block_interval_ms=cfg.block_interval_ms,
+                vc_timeout_ms=cfg.vc_timeout_ms,
+                pool=TxPool(k, policy=cfg.pool_policy),
+                pmap=pmap,
+                hooks=make_mechanism(cfg.mechanism),
+                net=net_of(nid),
+                block_sink=sink if nid == writer else None,
+            )
+
+    if cfg.injection.prefill:
+        per_shard = supervisor.prepare_prefill()
+        for replica in replicas.values():
+            replica.pool.preload(per_shard.get(replica.shard_id, []))
+    return supervisor, replicas, block_files
+
+
+def _pick_writer(shard: int, crash_scheduled: set[str]) -> str:
+    """Lowest-index node of the shard that is never scripted to crash
+    keeps the shard's chain on disk."""
+    i = 0
+    while node_id(shard, i) in crash_scheduled:
+        i += 1
+    return node_id(shard, i)
+
+
+def _block_sink(fh) -> Callable[[Block, int], None]:
+    def sink(block: Block, now: int) -> None:
+        fh.write(json.dumps(block_to_json(block, confirm_time=now)) + "\n")
+
+    return sink
+
+
+def _finish(
+    cfg: RunConfig, supervisor: Supervisor, replicas: dict[str, Replica], block_files: list
+) -> RunResult:
+    """Close the block files and write the reports of a stopped run."""
+    for fh in block_files:
+        fh.close()
+    if cfg.output_dir is not None:
+        exit_code, summary = supervisor.finalize(cfg.output_dir)
+    else:
+        exit_code = 3 if supervisor.ledger.degraded else 0
+        summary = supervisor.ledger.summary(cfg.echo())
+    return RunResult(
+        exit_code=exit_code,
+        summary=summary,
+        out_dir=cfg.output_dir,
+        supervisor=supervisor,
+        replicas=replicas,
+    )
 
 
 class Emulation:
@@ -80,91 +176,23 @@ class Emulation:
         self.net: Optional[SimNetwork] = None
         self.supervisor: Optional[Supervisor] = None
         self.replicas: dict[str, Replica] = {}
-        self._block_files: dict[int, Any] = {}
+        self._block_files: list = []
         self._ran = False
-
-    # -- wiring --
 
     def setup(self) -> None:
         cfg = self.cfg
-        brokers = self._effective_brokers()
-        pmap = PartitionMap(
-            n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
-        )
-        lat = cfg.sim.latency_ms
-        self.net = SimNetwork(latency_ms=lat, seed=cfg.sim.seed)
-        rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
-        self.supervisor = Supervisor(cfg, pmap, self.net, rows)
-        self.net.register(SUPERVISOR_ID, self.supervisor)
-
-        if cfg.output_dir is not None:
-            os.makedirs(cfg.output_dir, exist_ok=True)
-        crash_scheduled = {f.node for f in cfg.faults if f.kind == "crash"}
-        writers = {
-            k: self._pick_writer(k, crash_scheduled) for k in range(cfg.n_shards)
-        }
-        for k in range(cfg.n_shards):
-            for i in range(cfg.nodes_per_shard):
-                nid = node_id(k, i)
-                pool = TxPool(k, policy=cfg.pool_policy)
-                sink = self._make_sink(k) if cfg.output_dir and writers[k] == nid else None
-                replica = Replica(
-                    shard_id=k,
-                    index=i,
-                    n_nodes=cfg.nodes_per_shard,
-                    theta=cfg.block_size,
-                    block_interval_ms=cfg.block_interval_ms,
-                    vc_timeout_ms=cfg.vc_timeout_ms,
-                    pool=pool,
-                    pmap=pmap,
-                    hooks=make_mechanism(cfg.mechanism),
-                    net=self.net,
-                    block_sink=sink,
-                )
-                self.replicas[nid] = replica
-                self.net.register(nid, replica, shard=k)
-
+        net = self.net = SimNetwork(latency_ms=cfg.sim.latency_ms, seed=cfg.sim.seed)
+        self.supervisor, self.replicas, self._block_files = build_nodes(cfg, lambda _: net)
+        # Registration order is broadcast order, which decides the latency
+        # draws under jitter: supervisor first, then replicas shard-major.
+        net.register(SUPERVISOR_ID, self.supervisor)
+        for nid, replica in self.replicas.items():
+            net.register(nid, replica, shard=replica.shard_id)
         for fault in cfg.faults:
             if fault.kind == "crash":
-                self.net.schedule_crash(fault.node, fault.at_ms)
+                net.schedule_crash(fault.node, fault.at_ms)
             else:
                 self.replicas[fault.node].invalid_heights.add(fault.height)
-
-        if cfg.injection.prefill:
-            per_shard = self.supervisor.prepare_prefill()
-            for nid, replica in self.replicas.items():
-                replica.pool.preload(per_shard.get(replica.shard_id, []))
-
-    def _effective_brokers(self) -> list[bytes]:
-        cfg = self.cfg
-        if cfg.mechanism != "broker":
-            return []
-        if cfg.brokers_top_k is not None:
-            return top_active_accounts(
-                cfg.dataset_path, cfg.brokers_top_k, cfg.dataset_limit
-            )
-        return cfg.brokers
-
-    @staticmethod
-    def _pick_writer(shard: int, crash_scheduled: set[str]) -> str:
-        """Lowest-index node of the shard that is never scripted to crash
-        keeps the shard's chain on disk."""
-        i = 0
-        while node_id(shard, i) in crash_scheduled:
-            i += 1
-        return node_id(shard, i)
-
-    def _make_sink(self, shard: int):
-        path = os.path.join(self.cfg.output_dir, f"blocks_shard{shard}.jsonl")
-        fh = open(path, "w", encoding="utf-8")
-        self._block_files[shard] = fh
-
-        def sink(block: Block, now: int) -> None:
-            fh.write(json.dumps(block_to_json(block, confirm_time=now)) + "\n")
-
-        return sink
-
-    # -- running --
 
     def execute(self) -> RunResult:
         if self.net is None:
@@ -181,21 +209,7 @@ class Emulation:
             sup.ledger.notes.append(
                 f"virtual time cap {VIRTUAL_TIME_CAP_MS} ms hit before the run stopped"
             )
-        for fh in self._block_files.values():
-            fh.close()
-        self._block_files.clear()
-        if self.cfg.output_dir is not None:
-            exit_code, summary = sup.finalize(self.cfg.output_dir)
-        else:
-            exit_code = 3 if sup.ledger.degraded else 0
-            summary = sup.ledger.summary(self.cfg.echo())
-        return RunResult(
-            exit_code=exit_code,
-            summary=summary,
-            out_dir=self.cfg.output_dir,
-            supervisor=sup,
-            replicas=self.replicas,
-        )
+        return _finish(self.cfg, sup, self.replicas, self._block_files)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -216,7 +230,8 @@ def report_from_blocks(run_dir: str) -> dict:
     themselves: a whole transaction stands for its own original, halves
     point at theirs through the origin hash. Classification is therefore
     by commitment shape, and the outputs land in a ``recomputed``
-    subdirectory of the run directory.
+    subdirectory of the run directory. Every shard's block file must be
+    present; a missing one raises ``FileNotFoundError``.
     """
     summary_path = os.path.join(run_dir, "summary.json")
     with open(summary_path, "r", encoding="utf-8") as fh:
@@ -225,28 +240,18 @@ def report_from_blocks(run_dir: str) -> dict:
     n_shards = cfg_echo["n_shards"]
     ledger = MetricsLedger(n_shards, cfg_echo["epoch_ms"])
 
-    from .core import TxClass, TxKind
-
     blocks: list[tuple[dict, Block]] = []
     for k in range(n_shards):
         path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
-        if not os.path.exists(path):
-            continue
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 obj = json.loads(line)
                 blocks.append((obj, block_from_json(obj)))
     blocks.sort(key=lambda pair: (pair[0]["commit_time"] or 0, pair[1].shard_id))
 
-    split_kinds = {
-        TxKind.INTRA_RELAY,
-        TxKind.INTER_RELAY,
-        TxKind.BROKER_PAYER_HALF,
-        TxKind.BROKER_PAYEE_HALF,
-    }
     for obj, block in blocks:
         for tx in block.txs:
-            if tx.kind in split_kinds:
+            if tx.kind in DERIVED_KINDS:
                 ledger.record_injection(
                     tx.origin_hash,
                     TxKind.ORIGINAL_CTX.value,
@@ -265,22 +270,20 @@ def report_from_blocks(run_dir: str) -> dict:
                     tx.inject_time or 0,
                 )
 
-    class _Info:
-        __slots__ = ("shard", "height", "commit_time", "pool_size", "txs", "block_kind", "version")
-
     for obj, block in blocks:
-        info = _Info()
-        info.shard = block.shard_id
-        info.height = block.height
-        info.commit_time = obj["commit_time"] or block.timestamp
-        info.pool_size = 0
-        info.block_kind = block.block_kind.value
-        info.version = 0
-        info.txs = [
-            TxSummary(tx.hash, tx.kind.value, tx.origin_hash, tx.inject_time or 0)
-            for tx in block.txs
-        ]
-        ledger.record_block(info)
+        ledger.record_block(
+            BlockInfo(
+                shard=block.shard_id,
+                height=block.height,
+                commit_time=obj["commit_time"] or block.timestamp,
+                pool_size=0,
+                block_kind=block.block_kind.value,
+                txs=[
+                    TxSummary(tx.hash, tx.kind.value, tx.origin_hash, tx.inject_time or 0)
+                    for tx in block.txs
+                ],
+            )
+        )
 
     out_dir = os.path.join(run_dir, "recomputed")
     summary = ledger.write_reports(out_dir, cfg_echo)
@@ -298,9 +301,14 @@ class _TcpNodeDriver:
     over a TCP mesh and a monotonic millisecond clock.
     """
 
-    def __init__(self, nid: str, cfg: RunConfig, ip_table: dict[str, str], t0: float) -> None:
+    def __init__(
+        self,
+        nid: str,
+        ip_table: dict[str, str],
+        shard_members: dict[int, list[str]],
+        t0: float,
+    ) -> None:
         self.nid = nid
-        self.cfg = cfg
         self.ip_table = ip_table
         self.t0 = t0
         self.inbox: "queue.Queue[Envelope]" = queue.Queue()
@@ -309,7 +317,7 @@ class _TcpNodeDriver:
         self.node: Any = None  # Replica or Supervisor, set by TcpRunner
         self.mesh: Optional[TcpMesh] = None
         self.thread = threading.Thread(target=self._loop, name=f"node-{nid}", daemon=True)
-        self.shard_members: dict[int, list[str]] = {}
+        self.shard_members = shard_members
 
     # network interface used by the node logic
 
@@ -382,56 +390,15 @@ class TcpRunner:
 
     def execute(self) -> RunResult:
         cfg = self.cfg
-        brokers = []
-        if cfg.mechanism == "broker":
-            brokers = (
-                top_active_accounts(cfg.dataset_path, cfg.brokers_top_k, cfg.dataset_limit)
-                if cfg.brokers_top_k is not None
-                else cfg.brokers
-            )
-        pmap = PartitionMap(
-            n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
-        )
         t0 = time.monotonic()
         members = {
             k: [node_id(k, i) for i in range(cfg.nodes_per_shard)]
             for k in range(cfg.n_shards)
         }
-        drivers: dict[str, _TcpNodeDriver] = {}
-        for nid in list(self.ip_table):
-            drivers[nid] = _TcpNodeDriver(nid, cfg, self.ip_table, t0)
-            drivers[nid].shard_members = members
-
-        rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
-        sup_driver = drivers[SUPERVISOR_ID]
-        supervisor = Supervisor(cfg, pmap, sup_driver, rows)
-        sup_driver.node = supervisor
-
-        replicas: dict[str, Replica] = {}
-        for k in range(cfg.n_shards):
-            for i in range(cfg.nodes_per_shard):
-                nid = node_id(k, i)
-                driver = drivers[nid]
-                replica = Replica(
-                    shard_id=k,
-                    index=i,
-                    n_nodes=cfg.nodes_per_shard,
-                    theta=cfg.block_size,
-                    block_interval_ms=cfg.block_interval_ms,
-                    vc_timeout_ms=cfg.vc_timeout_ms,
-                    pool=TxPool(k, policy=cfg.pool_policy),
-                    pmap=pmap,
-                    hooks=make_mechanism(cfg.mechanism),
-                    net=driver,
-                    block_sink=None,
-                )
-                driver.node = replica
-                replicas[nid] = replica
-
-        if cfg.injection.prefill:
-            per_shard = supervisor.prepare_prefill()
-            for nid, replica in replicas.items():
-                replica.pool.preload(list(per_shard.get(replica.shard_id, [])))
+        drivers = {nid: _TcpNodeDriver(nid, self.ip_table, members, t0) for nid in self.ip_table}
+        supervisor, replicas, block_files = build_nodes(cfg, lambda nid: drivers[nid])
+        for nid, node in [(SUPERVISOR_ID, supervisor), *replicas.items()]:
+            drivers[nid].node = node
 
         for nid, driver in drivers.items():
             driver.mesh = TcpMesh(nid, self.ip_table, driver.inbox.put)
@@ -448,17 +415,4 @@ class TcpRunner:
             supervisor.ledger.notes.append(f"tcp nodes still running at teardown: {hung}")
         for driver in drivers.values():
             driver.mesh.close()
-
-        if cfg.output_dir is not None:
-            os.makedirs(cfg.output_dir, exist_ok=True)
-            exit_code, summary = supervisor.finalize(cfg.output_dir)
-        else:
-            exit_code = 3 if supervisor.ledger.degraded else 0
-            summary = supervisor.ledger.summary(cfg.echo())
-        return RunResult(
-            exit_code=exit_code,
-            summary=summary,
-            out_dir=cfg.output_dir,
-            supervisor=supervisor,
-            replicas=replicas,
-        )
+        return _finish(cfg, supervisor, replicas, block_files)

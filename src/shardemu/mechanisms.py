@@ -24,6 +24,7 @@ from typing import Any, Optional
 
 from .core import (
     CREDIT_KINDS,
+    INJECTED_KINDS,
     Block,
     BlockKind,
     PartitionMap,
@@ -34,11 +35,13 @@ from .core import (
     TxKind,
     address_to_shard,
     apply_block_to_state,
+    apply_migration,
     apply_txs,
     classify_transaction,
     compute_state_root,
     make_transaction,
     replace_tx_list,
+    tx_local_to_shard,
     verify_block,
 )
 from .transport import (
@@ -74,7 +77,7 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
     original through origin_hash. The debit half belongs in the payer's
     shard, the credit half in the payee's.
     """
-    if tx.kind not in (TxKind.REGULAR, TxKind.ORIGINAL_CTX):
+    if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
     origin = tx.hash
     intra = make_transaction(
@@ -146,17 +149,37 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     return payer_half, payee_half
 
 
-def exec_home_shard(tx: Transaction, pmap: PartitionMap) -> int:
-    """Shard where a queued transaction must execute under ``pmap``.
+def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
+    """Account whose shard executes a queued transaction.
 
     Credit halves execute where the payee lives; everything else where the
     payer lives, falling back to the payee when the payer is a broker.
     """
-    if tx.kind in CREDIT_KINDS:
-        return address_to_shard(tx.payee, pmap)
-    if tx.payer in pmap.brokers and tx.payee not in pmap.brokers:
-        return address_to_shard(tx.payee, pmap)
-    return address_to_shard(tx.payer, pmap)
+    if tx.kind in CREDIT_KINDS or (tx.payer in pmap.brokers and tx.payee not in pmap.brokers):
+        return tx.payee
+    return tx.payer
+
+
+def exec_home_shard(tx: Transaction, pmap: PartitionMap) -> int:
+    """Shard where a queued transaction must execute under ``pmap``."""
+    return address_to_shard(exec_home_account(tx, pmap), pmap)
+
+
+def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> list:
+    """Envelopes that hand transactions to other shards, in ascending shard
+    order. Credit halves ride ``relay_ctx``, where the receiver drops
+    duplicates by origin; everything else re-enters as ``inject_txs``."""
+    outs = []
+    for dest in sorted(by_dest):
+        relays = [t for t in by_dest[dest] if t.kind in CREDIT_KINDS]
+        raws = [t for t in by_dest[dest] if t.kind not in CREDIT_KINDS]
+        if relays:
+            body = RelayCtx(source_shard=node.shard_id, height=node.head.height, txs=relays)
+            outs.append((("shard_all", dest), Envelope("relay_ctx", node.nid, body)))
+        if raws:
+            env = Envelope("inject_txs", node.nid, InjectTxs(txs=raws))
+            outs.append((("shard_all", dest), env))
+    return outs
 
 
 # --- constrained label propagation ---
@@ -394,12 +417,7 @@ class MigrationController:
         for addr in sorted(self.outbound):
             bundle_for(self.outbound[addr], addr)
         for tx in self.extracted:
-            home = (
-                tx.payee
-                if tx.kind in CREDIT_KINDS
-                or (tx.payer in node.pmap.brokers and tx.payee not in node.pmap.brokers)
-                else tx.payer
-            )
+            home = exec_home_account(tx, node.pmap)
             target = self.new_shard_of(home, node.pmap)
             bundle_for(target, home).pending_txs.append(tx)
         outs = []
@@ -441,21 +459,7 @@ class MigrationController:
     def build_block(self, node: Any, now: int) -> Block:
         installs = [self.inbound_states[a] for a in sorted(self.inbound_states)]
         departures = sorted(self.outbound)
-        applied = apply_block_to_state(
-            node.state,
-            Block(
-                shard_id=node.shard_id,
-                height=node.next_height,
-                parent_hash=node.head.hash,
-                state_root=b"\x00" * 32,
-                proposer=node.nid,
-                block_kind=BlockKind.MIGRATION,
-                migration_installs=installs,
-                migration_departures=departures,
-                timestamp=now,
-                hash=b"\x00",
-            ),
-        )
+        applied = apply_migration(node.state, installs, departures)
         block = Block(
             shard_id=node.shard_id,
             height=node.next_height,
@@ -523,23 +527,14 @@ class BaseMechanism:
         if not packed:
             return None, outs
         chosen: list[Transaction] = []
-        forwards: dict[tuple[str, int], list[Transaction]] = {}
+        forwards: dict[int, list[Transaction]] = {}
         for tx in packed:
             keep, route = self._place(tx, node)
             if keep is not None:
                 chosen.append(keep)
             if route is not None:
-                forwards.setdefault(route[:2], []).append(route[2])
-        for (channel, dest), txs in sorted(forwards.items()):
-            if channel == "inject":
-                env = Envelope("inject_txs", node.nid, InjectTxs(txs=txs))
-            else:
-                env = Envelope(
-                    "relay_ctx",
-                    node.nid,
-                    RelayCtx(source_shard=node.shard_id, height=node.next_height, txs=txs),
-                )
-            outs.append((("shard_all", dest), env))
+                forwards.setdefault(route[0], []).append(route[1])
+        outs.extend(forward(node, forwards))
         if not chosen:
             return None, outs
         applied = apply_txs(node.state, chosen)
@@ -558,39 +553,25 @@ class BaseMechanism:
 
     def _place(
         self, tx: Transaction, node: Any
-    ) -> tuple[Optional[Transaction], Optional[tuple[str, int, Transaction]]]:
+    ) -> tuple[Optional[Transaction], Optional[tuple[int, Transaction]]]:
         """Decide what a packed pool entry becomes under the current map.
 
-        Returns (transaction to include in the block, forward route). A
-        migration can re-home accounts while entries wait, so locality is
-        re-derived at packing time rather than trusted from injection.
+        Returns (transaction to include in the block, (shard, transaction)
+        to forward). A migration can re-home accounts while entries wait, so
+        the execution home is re-derived at packing time: an entry another
+        shard executes is forwarded there, a local one is kept whole, and a
+        transfer that is cross-shard here is split by the mechanism.
         """
-        me = node.shard_id
-        pmap = node.pmap
-        if tx.kind in CREDIT_KINDS:
-            dest = address_to_shard(tx.payee, pmap)
-            if dest == me:
-                return tx, None
-            return None, ("relay", dest, tx)
-        if tx.kind is TxKind.BROKER_PAYER_HALF:
-            dest = address_to_shard(tx.payer, pmap)
-            if dest == me:
-                return tx, None
-            return None, ("inject", dest, tx)
-        payer_home = None if tx.payer in pmap.brokers else address_to_shard(tx.payer, pmap)
-        payee_home = None if tx.payee in pmap.brokers else address_to_shard(tx.payee, pmap)
-        if payer_home is not None and payer_home != me:
-            return None, ("inject", payer_home, tx)
-        if payer_home is None and payee_home is not None and payee_home != me:
-            return None, ("inject", payee_home, tx)
-        if tx.kind is TxKind.ORIGINAL_CTX:
-            return self._pack_cross(tx, node)
-        # Regular transfer; it may have turned cross-shard since injection.
-        if payee_home is None or payee_home == me:
+        home = exec_home_shard(tx, node.pmap)
+        if home != node.shard_id:
+            return None, (home, tx)
+        if tx_local_to_shard(tx, home, node.pmap):
             return tx, None
         return self._pack_cross(tx, node)
 
-    def _pack_cross(self, tx, node):
+    def _pack_cross(
+        self, tx: Transaction, node: Any
+    ) -> tuple[Transaction, Optional[tuple[int, Transaction]]]:
         raise NotImplementedError
 
     # - verification -
@@ -651,22 +632,7 @@ class BaseMechanism:
         node.pool.discard({t.hash for txs in gone.values() for t in txs})
         if not node.is_leader:
             return []
-        outs = []
-        for dest in sorted(gone):
-            relays = [t for t in gone[dest] if t.kind in CREDIT_KINDS]
-            raws = [t for t in gone[dest] if t.kind not in CREDIT_KINDS]
-            if relays:
-                env = Envelope(
-                    "relay_ctx",
-                    node.nid,
-                    RelayCtx(source_shard=node.shard_id, height=node.head.height, txs=relays),
-                )
-                outs.append((("shard_all", dest), env))
-            if raws:
-                outs.append(
-                    (("shard_all", dest), Envelope("inject_txs", node.nid, InjectTxs(txs=raws)))
-                )
-        return outs
+        return forward(node, gone)
 
     # - inter-shard dispatch -
 
@@ -689,7 +655,7 @@ class BaseMechanism:
         for tx in env.body.txs:
             if tx.origin_hash in node.relay_seen:
                 continue
-            home = address_to_shard(tx.payee, node.pmap)
+            home = exec_home_shard(tx, node.pmap)
             if home == node.shard_id:
                 node.relay_seen.add(tx.origin_hash)
                 accept.append(tx)
@@ -697,21 +663,10 @@ class BaseMechanism:
                 misrouted.setdefault(home, []).append(tx)
         if accept:
             node.pool.append_relays(replace_tx_list(accept), node.pmap)
-        outs = []
-        if misrouted and node.is_leader:
-            # A migration moved the payee while this batch was in flight.
-            for dest in sorted(misrouted):
-                fwd = Envelope(
-                    "relay_ctx",
-                    node.nid,
-                    RelayCtx(
-                        source_shard=node.shard_id,
-                        height=node.head.height,
-                        txs=misrouted[dest],
-                    ),
-                )
-                outs.append((("shard_all", dest), fwd))
-        return outs
+        if not node.is_leader:
+            return []
+        # A migration moved the payee while this batch was in flight.
+        return forward(node, misrouted)
 
 
 class RelayMechanism(BaseMechanism):
@@ -729,17 +684,8 @@ class RelayMechanism(BaseMechanism):
         for tx in block.txs:
             if tx.kind is TxKind.INTRA_RELAY:
                 inter = inter_from_intra(tx)
-                dest = address_to_shard(inter.payee, node.pmap)
-                batches.setdefault(dest, []).append(inter)
-        outs = []
-        for dest in sorted(batches):
-            env = Envelope(
-                "relay_ctx",
-                node.nid,
-                RelayCtx(source_shard=node.shard_id, height=block.height, txs=batches[dest]),
-            )
-            outs.append((("shard_all", dest), env))
-        return outs
+                batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
+        return forward(node, batches)
 
 
 class BrokerMechanism(BaseMechanism):
@@ -749,32 +695,9 @@ class BrokerMechanism(BaseMechanism):
 
     name = "broker"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._stray_payee_halves: dict[int, list[Transaction]] = {}
-
     def _pack_cross(self, tx, node):
         payer_half, payee_half = broker_transform(tx, node.pmap)
-        dest = address_to_shard(payee_half.payee, node.pmap)
-        self._stray_payee_halves.setdefault(dest, []).append(payee_half)
-        return payer_half, None
-
-    def op_mining(self, node: Any, now: int) -> tuple[Optional[Block], list]:
-        self._stray_payee_halves = {}
-        block, outs = super().op_mining(node, now)
-        for dest in sorted(self._stray_payee_halves):
-            env = Envelope(
-                "relay_ctx",
-                node.nid,
-                RelayCtx(
-                    source_shard=node.shard_id,
-                    height=node.next_height,
-                    txs=self._stray_payee_halves[dest],
-                ),
-            )
-            outs.append((("shard_all", dest), env))
-        self._stray_payee_halves = {}
-        return block, outs
+        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half)
 
 
 def make_mechanism(name: str) -> BaseMechanism:

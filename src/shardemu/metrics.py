@@ -26,19 +26,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import TxClass, TxKind
+from .core import CREDIT_KINDS, DEBIT_KINDS, DERIVED_KINDS, INJECTED_KINDS, TxClass
 
-CREDIT_PER_KIND = {
-    TxKind.REGULAR.value: 1.0,
-    TxKind.ORIGINAL_CTX.value: 1.0,
-    TxKind.INTRA_RELAY.value: 0.5,
-    TxKind.INTER_RELAY.value: 0.5,
-    TxKind.BROKER_PAYER_HALF.value: 0.5,
-    TxKind.BROKER_PAYEE_HALF.value: 0.5,
-}
-
-_DEBIT = {TxKind.INTRA_RELAY.value, TxKind.BROKER_PAYER_HALF.value}
-_CREDIT = {TxKind.INTER_RELAY.value, TxKind.BROKER_PAYEE_HALF.value}
+# Block summaries carry kinds by value; these mirror the core kind sets.
+CREDIT_PER_KIND = {k.value: 1.0 for k in INJECTED_KINDS}
+CREDIT_PER_KIND |= {k.value: 0.5 for k in DERIVED_KINDS}
+DEBIT_VALUES = frozenset(k.value for k in DEBIT_KINDS)
+CREDIT_VALUES = frozenset(k.value for k in CREDIT_KINDS)
 
 # An epoch gets a phase label when one family dominates its commits.
 PHASE_PURITY = 0.95
@@ -137,12 +131,12 @@ class MetricsLedger:
         return rec
 
     def _settle(self, ts, commit_ms: int) -> None:
-        if ts.kind in _DEBIT:
+        if ts.kind in DEBIT_VALUES:
             self.v += 1
             rec = self.originals.get(ts.origin_hash)
             if rec is not None and rec.debit_ms is None:
                 rec.debit_ms = commit_ms
-        elif ts.kind in _CREDIT:
+        elif ts.kind in CREDIT_VALUES:
             self.u += 1
             rec = self.originals.get(ts.origin_hash)
             if rec is not None and rec.credit_ms is None:
@@ -218,7 +212,7 @@ class MetricsLedger:
         total = sum(counts.values())
         if total == 0:
             return "empty"
-        whole_or_debit = sum(n for k, n in counts.items() if k not in _CREDIT)
+        whole_or_debit = sum(n for k, n in counts.items() if k not in CREDIT_VALUES)
         credit = total - whole_or_debit
         if whole_or_debit > PHASE_PURITY * total:
             return "intake"
@@ -243,7 +237,7 @@ class MetricsLedger:
             per_shard_last[rec.shard] = max(per_shard_last.get(rec.shard, 0), rec.commit_ms)
             if rec.block_kind != "tx":
                 continue
-            if any(k not in _CREDIT for k in rec.kind_counts):
+            if any(k not in CREDIT_VALUES for k in rec.kind_counts):
                 intake_end = max(intake_end, rec.commit_ms)
         return {
             "epoch_ms": self.epoch_ms,

@@ -15,6 +15,7 @@ serves relay and broker deployments.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -182,18 +183,8 @@ class Replica:
         if height in self.invalid_heights:
             # Scripted fault: advertise a root that no honest application
             # reproduces. Content is otherwise intact.
-            block = Block(
-                shard_id=block.shard_id,
-                height=block.height,
-                parent_hash=block.parent_hash,
-                state_root=bytes(b ^ 0xFF for b in block.state_root),
-                proposer=block.proposer,
-                block_kind=block.block_kind,
-                txs=block.txs,
-                migration_installs=block.migration_installs,
-                migration_departures=block.migration_departures,
-                timestamp=block.timestamp,
-            )
+            forged = bytes(b ^ 0xFF for b in block.state_root)
+            block = dataclasses.replace(block, state_root=forged, hash=b"")
         if applied is not None:
             self.applied_cache[block.hash] = applied
         self.proposed.add((height, self.view))

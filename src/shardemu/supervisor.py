@@ -23,8 +23,8 @@ from .core import (
     make_transaction,
 )
 from .dataset import DatasetRow
-from .mechanisms import AccountGraph, ClpaParams, broker_transform, clpa_partition
-from .metrics import MetricsLedger
+from .mechanisms import AccountGraph, ClpaParams, broker_transform, clpa_partition, exec_home_shard
+from .metrics import CREDIT_VALUES, MetricsLedger
 from .oracle import (
     MismatchedProtocol,
     expected_metrics,
@@ -74,12 +74,7 @@ class Supervisor:
         route the results to their execution shards, recording each original
         in the ledger. Used both for pool pre-fill and live batches."""
         per_shard: dict[int, list[Transaction]] = {}
-
-        def route(shard: int, tx: Transaction) -> None:
-            per_shard.setdefault(shard, []).append(tx)
-
         for row in rows:
-            payer_shard = address_to_shard(row.payer, self.pmap)
             probe = make_transaction(
                 row.payer, row.payee, row.value, row.nonce, inject_time=now
             )
@@ -94,20 +89,17 @@ class Supervisor:
                     row.payer, row.payee, now,
                 )
                 if self.cfg.mechanism == "broker":
-                    payer_half, payee_half = broker_transform(original, self.pmap)
-                    route(address_to_shard(payer_half.payer, self.pmap), payer_half)
-                    route(address_to_shard(payee_half.payee, self.pmap), payee_half)
+                    # Payer half first, then payee half.
+                    routed = broker_transform(original, self.pmap)
                 else:
-                    route(payer_shard, original)
+                    routed = (original,)
             else:
-                home = payer_shard
-                if tx_class is TxClass.BROKER_INVOLVED and row.payer in self.pmap.brokers:
-                    if row.payee not in self.pmap.brokers:
-                        home = address_to_shard(row.payee, self.pmap)
                 self.ledger.record_injection(
                     probe.hash, probe.kind.value, tx_class, row.payer, row.payee, now
                 )
-                route(home, probe)
+                routed = (probe,)
+            for tx in routed:
+                per_shard.setdefault(exec_home_shard(tx, self.pmap), []).append(tx)
         return per_shard
 
     def prepare_prefill(self) -> dict[int, list[Transaction]]:
@@ -168,7 +160,7 @@ class Supervisor:
         contributes exactly one edge however it committed.
         """
         for ts in info.txs:
-            if ts.kind in (TxKind.INTER_RELAY.value, TxKind.BROKER_PAYEE_HALF.value):
+            if ts.kind in CREDIT_VALUES:
                 continue
             key = ts.hash if ts.kind == TxKind.REGULAR.value else ts.origin_hash
             rec = self.ledger.originals.get(key)

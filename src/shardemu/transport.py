@@ -14,7 +14,7 @@ import json
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -23,26 +23,12 @@ from .core import (
     Transaction,
     account_from_json,
     account_to_json,
+    address_from_hex,
+    address_to_hex,
     block_from_json,
     block_to_json,
     tx_from_json,
     tx_to_json,
-)
-
-MSG_TYPES = frozenset(
-    {
-        "inject_txs",
-        "preprepare",
-        "prepare",
-        "commit",
-        "view_change",
-        "new_view",
-        "relay_ctx",
-        "partition_result",
-        "account_migrate",
-        "block_info",
-        "stop",
-    }
 )
 
 SUPERVISOR_ID = "supervisor"
@@ -127,7 +113,7 @@ class NewView:
 @dataclass(slots=True)
 class RelayCtx:
     source_shard: int
-    height: int
+    height: int  # sender's head height; informational, no receiver reads it
     txs: list[Transaction]
 
 
@@ -156,8 +142,8 @@ class TxSummary:
 
     hash: bytes
     kind: str
-    origin_hash: Optional[bytes]
-    inject_time: Optional[int]
+    origin_hash: Optional[bytes] = None
+    inject_time: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -166,9 +152,9 @@ class BlockInfo:
     height: int
     commit_time: int
     pool_size: int
-    txs: list[TxSummary]
     block_kind: str = "tx"
     version: int = 0
+    txs: list[TxSummary] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -183,140 +169,80 @@ class Envelope:
     body: Any
 
 
-def _addr_hex(addr: bytes) -> str:
-    return "0x" + addr.hex()
+# --- wire codec ---
 
 
-def _addr_unhex(text: str) -> bytes:
-    return bytes.fromhex(text[2:])
+def _record(cls, **codecs) -> tuple[Callable, Callable]:
+    """(encode, decode) for one payload dataclass. Fields go out as JSON
+    keys in declaration order; the fields named in ``codecs`` pass through
+    their own (encode, decode) pair, the rest are JSON scalars as is. A
+    field with a default may be missing on decode."""
+    plain = (lambda v: v, lambda v: v)
+    pairs = [(f.name, codecs.get(f.name, plain)) for f in fields(cls)]
+
+    def encode(obj: Any) -> dict:
+        return {n: enc(getattr(obj, n)) for n, (enc, _) in pairs}
+
+    def decode(obj: dict) -> Any:
+        return cls(**{n: dec(obj[n]) for n, (_, dec) in pairs if n in obj})
+
+    return encode, decode
 
 
-def _body_to_json(msg_type: str, body: Any) -> dict:
-    if msg_type == "inject_txs":
-        return {"txs": [tx_to_json(t) for t in body.txs]}
-    if msg_type == "preprepare":
-        return {"block": block_to_json(body.block)}
-    if msg_type in ("prepare", "commit"):
-        return {"height": body.height, "view": body.view, "block_hash": body.block_hash.hex()}
-    if msg_type in ("view_change", "new_view"):
-        return {"new_view": body.new_view, "height": body.height}
-    if msg_type == "relay_ctx":
-        return {
-            "source_shard": body.source_shard,
-            "height": body.height,
-            "txs": [tx_to_json(t) for t in body.txs],
-        }
-    if msg_type == "partition_result":
-        return {
-            "version": body.version,
-            "overrides": {_addr_hex(a): s for a, s in body.overrides.items()},
-            "brokers": [_addr_hex(a) for a in body.brokers],
-        }
-    if msg_type == "account_migrate":
-        return {
-            "version": body.version,
-            "accounts": [
-                {
-                    "state": account_to_json(m.state),
-                    "pending_txs": [tx_to_json(t) for t in m.pending_txs],
-                }
-                for m in body.accounts
-            ],
-        }
-    if msg_type == "block_info":
-        return {
-            "shard": body.shard,
-            "height": body.height,
-            "commit_time": body.commit_time,
-            "pool_size": body.pool_size,
-            "block_kind": body.block_kind,
-            "version": body.version,
-            "txs": [
-                {
-                    "hash": s.hash.hex(),
-                    "kind": s.kind,
-                    "origin_hash": s.origin_hash.hex() if s.origin_hash else None,
-                    "inject_time": s.inject_time,
-                }
-                for s in body.txs
-            ],
-        }
-    if msg_type == "stop":
-        return {}
-    raise UnknownType(msg_type)
+def _list(codec: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
+    encode, decode = codec
+    return (lambda xs: [encode(x) for x in xs]), (lambda xs: [decode(x) for x in xs])
 
 
-def _body_from_json(msg_type: str, obj: dict) -> Any:
-    if msg_type == "inject_txs":
-        return InjectTxs(txs=[tx_from_json(t) for t in obj["txs"]])
-    if msg_type == "preprepare":
-        return PrePrepare(block=block_from_json(obj["block"]))
-    if msg_type == "prepare":
-        return Prepare(obj["height"], obj["view"], bytes.fromhex(obj["block_hash"]))
-    if msg_type == "commit":
-        return Commit(obj["height"], obj["view"], bytes.fromhex(obj["block_hash"]))
-    if msg_type == "view_change":
-        return ViewChange(obj["new_view"], obj["height"])
-    if msg_type == "new_view":
-        return NewView(obj["new_view"], obj["height"])
-    if msg_type == "relay_ctx":
-        return RelayCtx(
-            obj["source_shard"], obj["height"], [tx_from_json(t) for t in obj["txs"]]
-        )
-    if msg_type == "partition_result":
-        return PartitionResult(
-            version=obj["version"],
-            overrides={_addr_unhex(a): s for a, s in obj["overrides"].items()},
-            brokers=[_addr_unhex(a) for a in obj["brokers"]],
-        )
-    if msg_type == "account_migrate":
-        return AccountMigrate(
-            version=obj["version"],
-            accounts=[
-                MigratedAccount(
-                    state=account_from_json(m["state"]),
-                    pending_txs=[tx_from_json(t) for t in m["pending_txs"]],
-                )
-                for m in obj["accounts"]
-            ],
-        )
-    if msg_type == "block_info":
-        return BlockInfo(
-            shard=obj["shard"],
-            height=obj["height"],
-            commit_time=obj["commit_time"],
-            pool_size=obj["pool_size"],
-            block_kind=obj.get("block_kind", "tx"),
-            version=obj.get("version", 0),
-            txs=[
-                TxSummary(
-                    hash=bytes.fromhex(t["hash"]),
-                    kind=t["kind"],
-                    origin_hash=bytes.fromhex(t["origin_hash"]) if t.get("origin_hash") else None,
-                    inject_time=t.get("inject_time"),
-                )
-                for t in obj["txs"]
-            ],
-        )
-    if msg_type == "stop":
-        return Stop()
-    raise UnknownType(msg_type)
+_HEX = (bytes.hex, bytes.fromhex)
+_OPT_HEX = ((lambda b: b.hex() if b else None), (lambda s: bytes.fromhex(s) if s else None))
+_ADDR = (address_to_hex, address_from_hex)
+_ADDR_MAP = (
+    lambda m: {address_to_hex(a): s for a, s in m.items()},
+    lambda m: {address_from_hex(a): s for a, s in m.items()},
+)
+_TXS = _list((tx_to_json, tx_from_json))
+
+# One entry per message type: the codec of its payload dataclass.
+_PAYLOADS = {
+    "inject_txs": _record(InjectTxs, txs=_TXS),
+    "preprepare": _record(PrePrepare, block=(block_to_json, block_from_json)),
+    "prepare": _record(Prepare, block_hash=_HEX),
+    "commit": _record(Commit, block_hash=_HEX),
+    "view_change": _record(ViewChange),
+    "new_view": _record(NewView),
+    "relay_ctx": _record(RelayCtx, txs=_TXS),
+    "partition_result": _record(PartitionResult, overrides=_ADDR_MAP, brokers=_list(_ADDR)),
+    "account_migrate": _record(
+        AccountMigrate,
+        accounts=_list(
+            _record(MigratedAccount, state=(account_to_json, account_from_json), pending_txs=_TXS)
+        ),
+    ),
+    "block_info": _record(
+        BlockInfo, txs=_list(_record(TxSummary, hash=_HEX, origin_hash=_OPT_HEX))
+    ),
+    "stop": _record(Stop),
+}
+
+MSG_TYPES = frozenset(_PAYLOADS)
 
 
 def encode_frame(env: Envelope) -> bytes:
     """Length-prefixed UTF-8 JSON for one envelope."""
     if env.msg_type not in MSG_TYPES:
         raise UnknownType(env.msg_type)
+    body = _PAYLOADS[env.msg_type][0](env.body)
     payload = json.dumps(
-        {"type": env.msg_type, "sender": env.sender, "body": _body_to_json(env.msg_type, env.body)},
-        separators=(",", ":"),
+        {"type": env.msg_type, "sender": env.sender, "body": body}, separators=(",", ":")
     ).encode("utf-8")
     return _LEN.pack(len(payload)) + payload
 
 
 def decode_frame(data: bytes) -> Envelope:
     """Parse one complete frame. Raises FrameTooShort on truncation, BadJson
-    on undecodable payload, UnknownType outside the message set."""
+    on an undecodable payload or a body that does not fit its type,
+    UnknownType outside the message set."""
     if len(data) < _LEN.size:
         raise FrameTooShort(f"{len(data)} bytes is shorter than the length prefix")
     (size,) = _LEN.unpack_from(data)
@@ -332,7 +258,11 @@ def decode_frame(data: bytes) -> Envelope:
     msg_type = obj["type"]
     if msg_type not in MSG_TYPES:
         raise UnknownType(str(msg_type))
-    return Envelope(msg_type=msg_type, sender=obj["sender"], body=_body_from_json(msg_type, obj["body"]))
+    try:
+        body = _PAYLOADS[msg_type][1](obj["body"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BadJson(f"{msg_type} body: {exc!r}") from None
+    return Envelope(msg_type=msg_type, sender=obj["sender"], body=body)
 
 
 # --- simulated backend ---

@@ -72,6 +72,20 @@ def test_degraded_run_returns_three(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("exit=3 ")
 
 
+def test_report_refuses_a_run_dir_missing_a_block_file(tmp_path, capsys):
+    dataset = tmp_path / "d.csv"
+    main(["gen-dataset", "--accounts", "20", "--txs", "60", "--out", str(dataset)])
+    run_dir = tmp_path / "run"
+    cfg_path = write_cfg(
+        tmp_path / "run.json", dataset_path=str(dataset), output_dir=str(run_dir)
+    )
+    assert main(["run", "--config", cfg_path]) == 0
+    (run_dir / "blocks_shard1.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 2
+    assert "blocks_shard1.jsonl" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv_builder", [
     lambda d: ["run", "--config", str(d / "missing.json")],
     lambda d: ["oracle", "--config", str(d / "missing.json")],

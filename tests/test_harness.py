@@ -8,7 +8,7 @@ from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu.core import block_from_json, compute_state_root
 from shardemu.dataset import gen_dataset
-from shardemu.harness import Emulation, report_from_blocks, run
+from shardemu.harness import Emulation, _pick_writer, report_from_blocks, run
 
 
 @pytest.fixture(scope="module")
@@ -185,9 +185,9 @@ def test_crashed_writer_is_replaced_on_disk(dataset, tmp_path):
 
 
 def test_pick_writer_skips_scripted_crashes():
-    assert Emulation._pick_writer(0, set()) == "0.0"
-    assert Emulation._pick_writer(0, {"0.0", "0.1"}) == "0.2"
-    assert Emulation._pick_writer(2, {"0.0"}) == "2.0"
+    assert _pick_writer(0, set()) == "0.0"
+    assert _pick_writer(0, {"0.0", "0.1"}) == "0.2"
+    assert _pick_writer(2, {"0.0"}) == "2.0"
 
 
 def test_setup_execute_are_separable(dataset):

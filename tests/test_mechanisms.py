@@ -6,6 +6,7 @@ import pytest
 
 from helpers import addr, regular_tx
 from shardemu.core import (
+    CREDIT_KINDS,
     PartitionMap,
     StateTree,
     TxKind,
@@ -537,7 +538,7 @@ def test_broker_mining_emits_payee_half_at_proposal():
     (payee_half,) = outs[0][1].body.txs
     assert payee_half.kind is TxKind.BROKER_PAYEE_HALF
     assert payee_half.origin_hash == cross.hash
-    assert mech._stray_payee_halves == {}, "the buffer drains every proposal"
+    assert mech.op_mining(node, now=11) == (None, []), "nothing is re-emitted later"
 
     # the payee half lands and commits locally on the other side
     target = FakeNode(1, pmap)
@@ -560,6 +561,36 @@ def test_broker_payer_half_follows_its_payer():
     assert block is None
     assert [d for d, _ in outs] == [("shard_all", 1)]
     assert outs[0][1].msg_type == "inject_txs"
+
+
+HOME_BROKER = addr("mech-home-broker", shard=0)
+HOME_PMAP = PartitionMap(n_shards=2, brokers=frozenset({HOME_BROKER}))
+
+
+def _half(payer, payee, kind):
+    return make_transaction(payer, payee, 3, 0, kind=kind, origin_hash=b"\x05" * 32)
+
+
+@pytest.mark.parametrize("mechanism", ["relay", "broker"])
+@pytest.mark.parametrize("tx", [
+    regular_tx(P1, Q0),                                     # remote payer
+    regular_tx(HOME_BROKER, P1),                            # broker payer: payee's shard
+    _half(P1, HOME_BROKER, TxKind.BROKER_PAYER_HALF),
+    _half(P1, Q0, TxKind.INTER_RELAY),
+    _half(HOME_BROKER, P1, TxKind.BROKER_PAYEE_HALF),
+], ids=["regular_remote_payer", "regular_broker_payer", "broker_payer_half",
+        "inter_relay", "broker_payee_half"])
+def test_mining_forwards_misplaced_entries_to_their_exec_home(mechanism, tx):
+    home = exec_home_shard(tx, HOME_PMAP)
+    node = FakeNode(1 - home, HOME_PMAP)
+    node.pool.preload([tx])
+    block, outs = make_mechanism(mechanism).op_mining(node, now=10)
+    assert block is None
+    ((dest, env),) = outs
+    assert dest == ("shard_all", home)
+    channel = "relay_ctx" if tx.kind in CREDIT_KINDS else "inject_txs"
+    assert env.msg_type == channel
+    assert [t.hash for t in env.body.txs] == [tx.hash]
 
 
 def test_mining_blocked_while_locked():

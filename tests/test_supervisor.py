@@ -1,5 +1,6 @@
 """Supervisor: injection routing, epoch control, stop rules, finalize."""
 
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from helpers import addr, build_cfg
 from shardemu.core import PartitionMap, TxKind
 from shardemu.dataset import DatasetRow
+from shardemu.mechanisms import exec_home_shard
 from shardemu.supervisor import QUIET_INTERVALS, Supervisor
 from shardemu.transport import BlockInfo, Envelope, TxSummary
 
@@ -88,6 +90,26 @@ def test_stamp_rows_broker_routing():
     assert halves0.origin_hash == halves1.origin_hash
     assert halves0.payee == broker and halves1.payer == broker
     assert sup.ledger.x == 3 and sup.ledger.ctx_injected == 1
+
+
+@pytest.mark.parametrize("mechanism", ["relay", "broker"])
+def test_stamp_rows_routes_every_tx_to_its_exec_home(mechanism):
+    brokers = [addr("sup-broker", shard=0), addr("sup-broker2", shard=1)]
+    accounts = [A0, B0, A1, B1]
+    over = {}
+    if mechanism == "broker":
+        accounts += brokers
+        over = {"mechanism": "broker", "brokers": [b.hex() for b in brokers]}
+    sup, _ = make_sup(**over)
+    rows = [
+        DatasetRow(p, q, 1, i)
+        for i, (p, q) in enumerate(itertools.permutations(accounts, 2))
+    ]
+    per_shard = sup.stamp_rows(rows, now=0)
+    assert sum(len(txs) for txs in per_shard.values()) >= len(rows)
+    for shard, txs in per_shard.items():
+        for tx in txs:
+            assert exec_home_shard(tx, sup.pmap) == shard
 
 
 def test_prepare_prefill_seeds_pool_samples():

@@ -6,23 +6,29 @@ import socket
 from helpers import cfg_dict
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset
-from shardemu.harness import run
+from shardemu.harness import report_from_blocks, run
 from shardemu.transport import SUPERVISOR_ID, node_id
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def _free_ports(n: int) -> list[int]:
+    """Distinct free ports: every socket stays bound until all are chosen,
+    so the kernel cannot hand out one port twice."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
 
 
 def test_single_shard_run_over_loopback(tmp_path):
     dataset = tmp_path / "transfers.csv"
     gen_dataset(str(dataset), accounts=30, txs=80, skew="uniform", seed=4)
 
-    table = {SUPERVISOR_ID: f"127.0.0.1:{_free_port()}"}
-    for i in range(4):
-        table[node_id(0, i)] = f"127.0.0.1:{_free_port()}"
+    nids = [SUPERVISOR_ID] + [node_id(0, i) for i in range(4)]
+    table = {nid: f"127.0.0.1:{port}" for nid, port in zip(nids, _free_ports(len(nids)))}
     ip_table = tmp_path / "ip_table.json"
     ip_table.write_text(json.dumps(table))
 
@@ -45,3 +51,5 @@ def test_single_shard_run_over_loopback(tmp_path):
     assert not result.summary["degraded"]
     assert (out / "summary.json").exists()
     assert (out / "tcl.csv").read_text().count("\n") == 81
+    # the block files alone rebuild the same counters
+    assert report_from_blocks(str(out))["counters"] == counters

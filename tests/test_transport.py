@@ -164,6 +164,11 @@ def test_decode_bad_json():
     payload = b"\xff\xfe\x00"
     with pytest.raises(BadJson):
         decode_frame(len(payload).to_bytes(4, "big") + payload)
+    # known type, body that does not fit it
+    for body in (b"{}", b"[]", b'{"height": 1, "view": 0, "block_hash": "zz"}'):
+        payload = b'{"type": "prepare", "sender": "0.1", "body": ' + body + b"}"
+        with pytest.raises(BadJson):
+            decode_frame(len(payload).to_bytes(4, "big") + payload)
 
 
 def test_unknown_type_both_directions():
