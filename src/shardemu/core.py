@@ -120,10 +120,11 @@ class Transaction:
     """A single transfer, possibly one half of a split cross-shard transfer.
 
     ``origin_hash`` links a derived half back to the original transaction it
-    was split from; injected kinds carry ``None``. ``inject_time`` and
-    ``confirm_time`` are virtual milliseconds, stamped by the pool and the
-    metrics pipeline respectively. ``fee`` only matters under the
-    fee-priority pool policy and defaults to zero.
+    was split from; injected kinds carry ``None``. ``inject_time`` is the
+    virtual millisecond at which the supervisor injected the original, and
+    derived halves copy it. ``fee`` only matters under the fee-priority pool
+    policy and defaults to zero. Nothing writes to a transaction after
+    construction, so nodes and blocks share one object.
     """
 
     payer: bytes
@@ -134,7 +135,6 @@ class Transaction:
     origin_hash: Optional[bytes] = None
     fee: int = 0
     inject_time: Optional[int] = None
-    confirm_time: Optional[int] = None
     hash: bytes = b""
 
     def __post_init__(self) -> None:
@@ -495,7 +495,7 @@ def tx_to_json(tx: Transaction, confirm_time: Optional[int] = None) -> dict:
         "origin_hash": tx.origin_hash.hex() if tx.origin_hash else None,
         "fee": tx.fee,
         "inject_time": tx.inject_time,
-        "confirm_time": confirm_time if confirm_time is not None else tx.confirm_time,
+        "confirm_time": confirm_time,
     }
 
 
@@ -509,7 +509,6 @@ def tx_from_json(obj: dict) -> Transaction:
         origin_hash=bytes.fromhex(obj["origin_hash"]) if obj.get("origin_hash") else None,
         fee=int(obj.get("fee", 0)),
         inject_time=obj.get("inject_time"),
-        confirm_time=obj.get("confirm_time"),
     )
     if tx.hash.hex() != obj["hash"]:
         raise ValueError("transaction hash mismatch in serialized form")
@@ -567,15 +566,7 @@ def block_from_json(obj: dict) -> Block:
     return block
 
 
-def replace_tx(tx: Transaction, **changes) -> Transaction:
-    """Copy with updated timing or fee fields; identity fields keep the hash."""
-    return replace(tx, **changes)
-
-
 def replace_tx_list(txs: Iterable[Transaction]) -> list[Transaction]:
-    """Fresh copies of shared transaction objects.
-
-    Nodes stamp arrival times on pool entries, so anything delivered to
-    several nodes at once must be copied before it is stamped.
-    """
+    """Fresh copies of transaction objects. The emulator itself never
+    copies a transaction, since none is written after construction."""
     return [replace(t) for t in txs]

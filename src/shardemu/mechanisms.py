@@ -40,7 +40,6 @@ from .core import (
     classify_transaction,
     compute_state_root,
     make_transaction,
-    replace_tx_list,
     tx_local_to_shard,
     verify_block,
 )
@@ -339,7 +338,6 @@ class MigrationController:
         self.inbound_expected: set[bytes] = set()
         self.inbound_states: dict[bytes, Any] = {}
         self.inbound_txs: dict[int, list[Transaction]] = {}
-        self.inbound_seen: set[bytes] = set()
         self.extracted: list[Transaction] = []
         self.early: dict[int, list[tuple[str, AccountMigrate]]] = {}
         self.stalled_since: Optional[int] = None
@@ -441,12 +439,9 @@ class MigrationController:
         txs = self.inbound_txs.setdefault(src, [])
         for acct in body.accounts:
             self.inbound_states[acct.state.address] = acct.state
-            for tx in acct.pending_txs:
-                # A leader change mid-session can ship the same entries
-                # twice; only the first copy is kept.
-                if tx.hash not in self.inbound_seen:
-                    self.inbound_seen.add(tx.hash)
-                    txs.append(tx)
+            # A leader change mid-session can ship the same entries twice;
+            # the pool queues a hash once.
+            txs.extend(acct.pending_txs)
         return []
 
     def ready(self, node: Any) -> bool:
@@ -481,7 +476,7 @@ class MigrationController:
         node.pmap = node.pmap.updated(pending.version, pending.assignments, pending.brokers)
         node.pool.unlock()
         for src in sorted(self.inbound_txs):
-            batch = replace_tx_list(self.inbound_txs[src])
+            batch = self.inbound_txs[src]
             node.pool.requeue(batch)
             for tx in batch:
                 # Register migrated credit halves so a straggling duplicate
@@ -496,7 +491,6 @@ class MigrationController:
         self.inbound_expected = set()
         self.inbound_states = {}
         self.inbound_txs = {}
-        self.inbound_seen = set()
         self.extracted = []
         self.stalled_since = None
         return outs
@@ -662,7 +656,7 @@ class BaseMechanism:
             else:
                 misrouted.setdefault(home, []).append(tx)
         if accept:
-            node.pool.append_relays(replace_tx_list(accept), node.pmap)
+            node.pool.append_relays(accept, node.pmap)
         if not node.is_leader:
             return []
         # A migration moved the payee while this batch was in flight.

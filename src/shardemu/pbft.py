@@ -20,14 +20,7 @@ import logging
 from enum import Enum
 from typing import Any, Callable, Optional
 
-from .core import (
-    Block,
-    BlockKind,
-    PartitionMap,
-    StateTree,
-    genesis_block,
-    replace_tx_list,
-)
+from .core import Block, PartitionMap, StateTree, genesis_block
 from .transport import (
     SUPERVISOR_ID,
     Commit,
@@ -157,7 +150,7 @@ class Replica:
         elif mt == "new_view":
             self._on_new_view(env, now)
         elif mt == "inject_txs":
-            self.pool.inject_batch(replace_tx_list(env.body.txs), now)
+            self.pool.preload(env.body.txs)
         elif mt in ("relay_ctx", "partition_result", "account_migrate"):
             self._emit(self.hooks.handle_inter_shard_msg(self, env, now))
         elif mt == "stop":
@@ -269,12 +262,12 @@ class Replica:
 
     def _commit_block(self, block: Block, now: int) -> None:
         applied = self.applied_cache.pop(block.hash, None)
-        if block.proposer != self.nid and block.block_kind is BlockKind.TX:
-            # Non-proposers still queue the injected original when the block
-            # carries a half derived from it, so prune by origin too.
-            hashes = {tx.hash for tx in block.txs}
-            hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
-            self.pool.remove_committed(hashes)
+        # Drop what the block executed on every replica: followers still
+        # queue its transactions, and the injected original of any half
+        # derived from one, so prune by origin too.
+        hashes = {tx.hash for tx in block.txs}
+        hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
+        self.pool.remove_committed(hashes)
         self.head = block
         new_state, outs = self.hooks.op_confirmation(self, block, applied, now)
         self.state = new_state

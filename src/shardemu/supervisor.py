@@ -72,7 +72,9 @@ class Supervisor:
     def stamp_rows(self, rows: list[DatasetRow], now: int) -> dict[int, list[Transaction]]:
         """Classify raw transfers, apply the mechanism transformation, and
         route the results to their execution shards, recording each original
-        in the ledger. Used both for pool pre-fill and live batches."""
+        in the ledger. Used both for pool pre-fill and live batches. This is
+        the only place ``inject_time`` is set: every transaction, and every
+        half later derived from it, carries ``now`` from here on."""
         per_shard: dict[int, list[Transaction]] = {}
         for row in rows:
             probe = make_transaction(

@@ -3,12 +3,13 @@
 Every node of a shard mirrors the same pool content (injections and relays
 are broadcast shard-wide), so any node that becomes leader can propose. The
 pool is unbounded; back-pressure is an explicit non-goal, queue growth is
-itself a measurement.
+itself a measurement. The pool never writes to a transaction: the
+supervisor stamps ``inject_time`` once, at injection.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 from typing import Iterable
 
 from .core import (
@@ -36,10 +37,12 @@ class WrongShard(PoolError):
 
 
 class TxPool:
-    """FIFO queue of pending transactions for one shard.
+    """Queue of pending transactions for one shard, keyed by hash.
 
-    ``policy`` selects packing order: "fifo" takes the queue head, "fee"
-    takes highest fee first with arrival order breaking ties. During a
+    The queue is an insertion-ordered dict, so a transaction is queued at
+    most once: adding a hash that is already queued does nothing and is not
+    counted. ``policy`` selects packing order: "fifo" takes the queue head,
+    "fee" takes highest fee first with queue order breaking ties. During a
     migration lock injection still lands (clients do not pause) but packing
     and extraction order is frozen until unlock.
     """
@@ -50,9 +53,7 @@ class TxPool:
         self.shard_id = shard_id
         self.policy = policy
         self.locked = False
-        self._queue: deque[Transaction] = deque()
-        self._arrival: dict[bytes, int] = {}
-        self._seq = 0
+        self._queue: dict[bytes, Transaction] = {}
         # Accounting counters; size must always equal
         # injected + appended - packed - extracted - removed.
         self.injected = 0
@@ -64,27 +65,24 @@ class TxPool:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def _push(self, tx: Transaction) -> None:
-        self._queue.append(tx)
-        self._arrival[tx.hash] = self._seq
-        self._seq += 1
-
-    def inject_batch(self, txs: Iterable[Transaction], now: int) -> int:
-        """Append client transactions and stamp their arrival time."""
-        n = 0
+    def _add(self, txs: Iterable[Transaction]) -> int:
+        queue = self._queue
+        before = len(queue)
         for tx in txs:
-            tx.inject_time = now
-            self._push(tx)
-            n += 1
-        self.injected += n
-        return n
+            queue.setdefault(tx.hash, tx)
+        return len(queue) - before
+
+    def _pop(self, hashes: Iterable[bytes]) -> int:
+        queue = self._queue
+        before = len(queue)
+        for h in hashes:
+            queue.pop(h, None)
+        return before - len(queue)
 
     def preload(self, txs: Iterable[Transaction]) -> int:
-        """Bulk load already-stamped transactions (prefill protocol)."""
-        n = 0
-        for tx in txs:
-            self._push(tx)
-            n += 1
+        """Queue client transactions as stamped by the supervisor, for the
+        prefill and for live injection batches."""
+        n = self._add(txs)
         self.injected += n
         return n
 
@@ -101,10 +99,9 @@ class TxPool:
                 raise WrongShard(
                     f"payee of {tx.hash.hex()[:8]} maps off shard {self.shard_id}"
                 )
-        for tx in relays:
-            self._push(tx)
-        self.appended += len(relays)
-        return len(relays)
+        n = self._add(relays)
+        self.appended += n
+        return n
 
     def requeue(self, txs: Iterable[Transaction]) -> int:
         """Re-admit transactions displaced by a migration, at the tail.
@@ -112,44 +109,26 @@ class TxPool:
         They keep their original inject_time; confirmation latency is
         measured from first injection.
         """
-        n = 0
-        for tx in txs:
-            self._push(tx)
-            n += 1
+        n = self._add(txs)
         self.appended += n
         return n
 
     def discard(self, hashes: set[bytes]) -> int:
         """Drop queued transactions that no longer belong to this shard."""
-        if not hashes:
-            return 0
-        before = len(self._queue)
-        self._queue = deque(t for t in self._queue if t.hash not in hashes)
-        for h in hashes:
-            self._arrival.pop(h, None)
-        gone = before - len(self._queue)
-        self.extracted += gone
-        return gone
+        n = self._pop(hashes)
+        self.extracted += n
+        return n
 
     def pack_block_txs(self, theta: int) -> list[Transaction]:
         """Remove and return up to ``theta`` transactions in policy order."""
         if self.locked:
             raise PoolLocked(f"pool of shard {self.shard_id} is locked")
-        take = min(theta, len(self._queue))
-        if take == 0:
-            return []
-        if self.policy == "fifo":
-            out = [self._queue.popleft() for _ in range(take)]
-        else:
-            ranked = sorted(
-                self._queue, key=lambda t: (-t.fee, self._arrival[t.hash])
-            )[:take]
-            chosen = {t.hash for t in ranked}
-            self._queue = deque(t for t in self._queue if t.hash not in chosen)
-            out = ranked
-        for tx in out:
-            self._arrival.pop(tx.hash, None)
-        self.packed += len(out)
+        queued = self._queue.values()
+        if self.policy == "fee":
+            # Stable, so equal fees keep queue order.
+            queued = sorted(queued, key=lambda t: -t.fee)
+        out = list(islice(queued, theta))
+        self.packed += self._pop(t.hash for t in out)
         return out
 
     def lock(self) -> None:
@@ -166,40 +145,16 @@ class TxPool:
         """
         if not self.locked:
             raise PoolNotLocked("extraction requires the migration lock")
-        moved = [t for t in self._queue if t.payer in dirty or t.payee in dirty]
-        if moved:
-            gone = {t.hash for t in moved}
-            self._queue = deque(t for t in self._queue if t.hash not in gone)
-            for h in gone:
-                self._arrival.pop(h, None)
-        self.extracted += len(moved)
+        moved = [t for t in self._queue.values() if t.payer in dirty or t.payee in dirty]
+        self.extracted += self._pop(t.hash for t in moved)
         return moved
 
     def remove_committed(self, hashes: set[bytes]) -> int:
-        """Drop transactions that a committed block just executed.
-
-        Mirrored pools see commits in queue order, so the common case is a
-        pure popleft run; a linear rebuild covers reordered arrivals.
-        """
-        if not hashes:
-            return 0
-        n = 0
-        remaining = set(hashes)
-        while self._queue and self._queue[0].hash in remaining:
-            tx = self._queue.popleft()
-            remaining.discard(tx.hash)
-            self._arrival.pop(tx.hash, None)
-            n += 1
-        if remaining and self._queue:
-            before = len(self._queue)
-            self._queue = deque(t for t in self._queue if t.hash not in remaining)
-            if len(self._queue) != before:
-                for h in remaining:
-                    self._arrival.pop(h, None)
-                n += before - len(self._queue)
+        """Drop transactions that a committed block just executed."""
+        n = self._pop(hashes)
         self.removed += n
         return n
 
     def snapshot(self) -> list[Transaction]:
         """Read-only view in queue order, for audits and tests."""
-        return list(self._queue)
+        return list(self._queue.values())

@@ -8,6 +8,7 @@ code under test.
 
 from __future__ import annotations
 
+import socket
 from typing import Optional
 
 from shardemu.config import RunConfig, parse_config
@@ -47,6 +48,19 @@ def regular_tx(payer: bytes, payee: bytes, value: int = 1, nonce: int = 0,
                fee: int = 0, inject_time: Optional[int] = 0) -> Transaction:
     return make_transaction(payer, payee, value, nonce, kind=TxKind.REGULAR,
                             fee=fee, inject_time=inject_time)
+
+
+def free_ports(n: int) -> list[int]:
+    """Distinct free loopback ports: every socket stays bound until all are
+    chosen, so the kernel cannot hand out one port twice."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
 
 
 def write_dataset(path, rows) -> str:

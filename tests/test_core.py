@@ -31,7 +31,6 @@ from shardemu.core import (
     digest,
     genesis_block,
     make_transaction,
-    replace_tx,
     replace_tx_list,
     tx_from_json,
     tx_local_to_shard,
@@ -104,13 +103,6 @@ def test_make_transaction_validation():
         make_transaction(A, B, 1, 0, kind=TxKind.INTER_RELAY)  # no origin
     with pytest.raises(ValueError):
         make_transaction(A, B, 1, 0, kind=TxKind.REGULAR, origin_hash=b"\x01" * 32)
-
-
-def test_replace_tx_keeps_hash():
-    tx = make_transaction(A, B, 3, 0)
-    stamped = replace_tx(tx, inject_time=123, confirm_time=456)
-    assert stamped.hash == tx.hash
-    assert stamped.inject_time == 123 and tx.inject_time is None
 
 
 def test_replace_tx_list_copies():
@@ -399,7 +391,6 @@ def test_tx_json_confirm_time_override():
     tx = regular_tx(A, B)
     obj = tx_to_json(tx, confirm_time=500)
     assert obj["confirm_time"] == 500
-    assert tx_from_json(obj).confirm_time == 500
 
 
 def test_block_json_round_trip():

@@ -169,6 +169,37 @@ def test_rate_injection_run_drains(dataset, tmp_path):
     assert result.summary["unconfirmed"] == 0
 
 
+def _tcl_by_hash(path):
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        return {
+            row[0]: (row[2], row[3]) for row in (line.rstrip("\n").split(",") for line in fh)
+        }
+
+
+def test_recomputed_latencies_match_live_under_migration(tmp_path):
+    """Block files carry the supervisor's injection stamp, so latencies
+    rebuilt from them equal the live ones, re-forwarded entries included."""
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
+    out = tmp_path / "clpa"
+    cfg = parse_config(cfg_dict(
+        dataset_path=str(dataset), output_dir=str(out),
+        block_size=50, block_interval_ms=100, epoch_ms=200, partition="clpa",
+        injection={"base_rate": 600, "batch_interval_ms": 50},
+    ))
+    assert run(cfg).exit_code == 0
+    migrations = sum(
+        1 for k in (0, 1) for obj, _ in _read_chain(out, k) if obj["block_kind"] == "migration"
+    )
+    assert migrations > 0, "the run must migrate accounts to exercise re-forwarding"
+    report_from_blocks(str(out))
+    live = _tcl_by_hash(out / "tcl.csv")
+    rebuilt = _tcl_by_hash(out / "recomputed" / "tcl.csv")
+    assert len(live) == 1500
+    assert rebuilt == live
+
+
 def test_crashed_writer_is_replaced_on_disk(dataset, tmp_path):
     out = tmp_path / "crash"
     cfg = parse_config(cfg_dict(

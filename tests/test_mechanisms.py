@@ -1,7 +1,5 @@
 """Cross-shard mechanisms: splits, brokers, label propagation, migration."""
 
-import itertools
-
 import pytest
 
 from helpers import addr, regular_tx
@@ -310,7 +308,7 @@ def test_source_shard_quiesces_and_leader_ships():
     displaced = regular_tx(P0, Q0, nonce=3)
     # neither endpoint of the staying entry is re-homed
     staying = regular_tx(Q0, addr("mech-r0", shard=0), nonce=0)
-    node.pool.inject_batch([displaced, staying], now=10)
+    node.pool.preload([displaced, staying])
     ctl = MigrationController()
 
     outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
@@ -330,7 +328,7 @@ def test_source_shard_quiesces_and_leader_ships():
 
 def test_followers_extract_but_never_ship():
     node = FakeNode(0, TWO, leader=False)
-    node.pool.inject_batch([regular_tx(P0, Q0)], now=10)
+    node.pool.preload([regular_tx(P0, Q0)])
     ctl = MigrationController()
     outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
     assert outs == [] and ctl.quiesced and not ctl.shipped
@@ -350,7 +348,8 @@ def test_quiesce_waits_for_idle_phase():
 
 def test_target_shard_waits_for_inbound_state():
     node = FakeNode(1, TWO)
-    ctl = MigrationController()
+    mech = RelayMechanism()
+    ctl = mech.migration
     assert ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0) == []
     assert node.pool.locked and ctl.quiesced and not ctl.ready(node)
 
@@ -361,8 +360,10 @@ def test_target_shard_waits_for_inbound_state():
     assert ctl.ready(node)
     # a new leader in the source shard may re-ship the same bundle
     ctl.on_account_migrate(node, "0.1", body, now=6)
-    queued = list(itertools.chain.from_iterable(ctl.inbound_txs.values()))
-    assert [tx.hash for tx in queued] == [pending.hash]
+    node.commit(mech, ctl.build_block(node, now=7), now=8)
+    assert not node.pool.locked
+    assert [tx.hash for tx in node.pool.snapshot()] == [pending.hash]
+    assert node.pool.appended == 1
 
 
 def test_early_transfer_is_stashed_then_replayed():
@@ -418,7 +419,7 @@ def test_commit_on_source_drops_departed_account_and_evicts():
 
     # arrives after the pool was quiesced, keyed to the departing account
     late = regular_tx(P0, Q0, nonce=5)
-    node.pool.inject_batch([late], now=3)
+    node.pool.preload([late])
     block = ctl.build_block(node, now=9)
     assert block.migration_departures == [P0]
 
@@ -439,7 +440,7 @@ def test_relay_mining_splits_cross_shard():
     mech = RelayMechanism()
     local = regular_tx(P0, Q0, nonce=0)
     cross = ctx_tx(Q0, P1, nonce=0)
-    node.pool.inject_batch([local, cross], now=0)
+    node.pool.preload([local, cross])
     block, outs = mech.op_mining(node, now=20)
     assert outs == [], "the relay rides the commit, not the proposal"
     kinds = [tx.kind for tx in block.txs]
@@ -459,7 +460,7 @@ def test_relay_delivery_queues_credit_exactly_once():
     source = FakeNode(0, TWO)
     target = FakeNode(1, TWO)
     mech = RelayMechanism()
-    source.pool.inject_batch([ctx_tx(Q0, P1)], now=0)
+    source.pool.preload([ctx_tx(Q0, P1)])
     block, _ = mech.op_mining(source, now=10)
     outs = source.commit(mech, block, now=15)
     env = next(e for _, e in outs if e.msg_type == "relay_ctx")
@@ -504,7 +505,7 @@ def test_regular_tx_with_foreign_payer_is_reinjected():
     node = FakeNode(0, TWO)
     mech = RelayMechanism()
     foreign = regular_tx(P1, Q1)  # both ends live on shard 1
-    node.pool.inject_batch([foreign], now=0)
+    node.pool.preload([foreign])
     block, outs = mech.op_mining(node, now=10)
     assert block is None
     assert [d for d, _ in outs] == [("shard_all", 1)]
@@ -516,7 +517,7 @@ def test_regular_tx_turned_cross_shard_is_split_at_packing():
     node = FakeNode(0, TWO)
     mech = RelayMechanism()
     was_local = regular_tx(P0, Q0)
-    node.pool.inject_batch([was_local], now=0)
+    node.pool.preload([was_local])
     node.pmap = TWO.updated(1, {Q0: 1})  # payee re-homed while queued
     block, _ = mech.op_mining(node, now=10)
     (half,) = block.txs
@@ -529,7 +530,7 @@ def test_broker_mining_emits_payee_half_at_proposal():
     node = FakeNode(0, pmap)
     mech = BrokerMechanism()
     cross = ctx_tx(P0, P1)
-    node.pool.inject_batch([cross], now=0)
+    node.pool.preload([cross])
     block, outs = mech.op_mining(node, now=10)
     (payer_half,) = block.txs
     assert payer_half.kind is TxKind.BROKER_PAYER_HALF
@@ -596,7 +597,7 @@ def test_mining_forwards_misplaced_entries_to_their_exec_home(mechanism, tx):
 def test_mining_blocked_while_locked():
     node = FakeNode(0, TWO)
     mech = RelayMechanism()
-    node.pool.inject_batch([regular_tx(P0, Q0)], now=0)
+    node.pool.preload([regular_tx(P0, Q0)])
     node.pool.lock()
     block, outs = mech.op_mining(node, now=10)
     assert block is None and outs == []

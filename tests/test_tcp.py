@@ -1,26 +1,12 @@
 """Whole-run smoke test over real loopback TCP."""
 
 import json
-import socket
 
-from helpers import cfg_dict
+from helpers import cfg_dict, free_ports
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset
 from shardemu.harness import report_from_blocks, run
 from shardemu.transport import SUPERVISOR_ID, node_id
-
-
-def _free_ports(n: int) -> list[int]:
-    """Distinct free ports: every socket stays bound until all are chosen,
-    so the kernel cannot hand out one port twice."""
-    socks = [socket.socket() for _ in range(n)]
-    try:
-        for s in socks:
-            s.bind(("127.0.0.1", 0))
-        return [s.getsockname()[1] for s in socks]
-    finally:
-        for s in socks:
-            s.close()
 
 
 def test_single_shard_run_over_loopback(tmp_path):
@@ -28,7 +14,7 @@ def test_single_shard_run_over_loopback(tmp_path):
     gen_dataset(str(dataset), accounts=30, txs=80, skew="uniform", seed=4)
 
     nids = [SUPERVISOR_ID] + [node_id(0, i) for i in range(4)]
-    table = {nid: f"127.0.0.1:{port}" for nid, port in zip(nids, _free_ports(len(nids)))}
+    table = {nid: f"127.0.0.1:{port}" for nid, port in zip(nids, free_ports(len(nids)))}
     ip_table = tmp_path / "ip_table.json"
     ip_table.write_text(json.dumps(table))
 

@@ -1,6 +1,5 @@
 """Wire codec and both network backends."""
 
-import socket
 import threading
 import time
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, regular_tx
+from helpers import addr, free_ports, regular_tx
 from shardemu.core import (
     AccountState,
     Block,
@@ -293,14 +292,9 @@ def test_sim_schedule_clamps_to_now():
 # --- TCP backend ---
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_tcp_mesh_round_trip():
-    table = {"0.0": f"127.0.0.1:{_free_port()}", "0.1": f"127.0.0.1:{_free_port()}"}
+    port_a, port_b = free_ports(2)
+    table = {"0.0": f"127.0.0.1:{port_a}", "0.1": f"127.0.0.1:{port_b}"}
     got = []
     done = threading.Event()
 
@@ -322,7 +316,8 @@ def test_tcp_mesh_round_trip():
 
 
 def test_tcp_mesh_keeps_connection_and_order():
-    table = {"0.0": f"127.0.0.1:{_free_port()}", "0.1": f"127.0.0.1:{_free_port()}"}
+    port_a, port_b = free_ports(2)
+    table = {"0.0": f"127.0.0.1:{port_a}", "0.1": f"127.0.0.1:{port_b}"}
     got = []
     lock = threading.Lock()
 

@@ -24,11 +24,11 @@ def _credit(payee, nonce=0):
     )
 
 
-def test_inject_stamps_and_orders_fifo():
+def test_preload_keeps_stamps_and_orders_fifo():
     pool = TxPool(0)
-    txs = _txs(5)
-    assert pool.inject_batch(txs, now=42) == 5
-    assert all(t.inject_time == 42 for t in txs)
+    txs = [regular_tx(A0, B0, nonce=i, inject_time=40 + i) for i in range(5)]
+    assert pool.preload(txs) == 5
+    assert [t.inject_time for t in pool.snapshot()] == [40, 41, 42, 43, 44]
     packed = pool.pack_block_txs(3)
     assert [t.hash for t in packed] == [t.hash for t in txs[:3]]
     assert len(pool) == 2
@@ -36,7 +36,7 @@ def test_inject_stamps_and_orders_fifo():
 
 def test_pack_caps_at_theta_and_empties():
     pool = TxPool(0)
-    pool.inject_batch(_txs(2), now=0)
+    pool.preload(_txs(2))
     assert len(pool.pack_block_txs(10)) == 2
     assert pool.pack_block_txs(10) == []
 
@@ -46,7 +46,7 @@ def test_fee_policy_orders_by_fee_then_arrival():
     cheap = regular_tx(A0, B0, nonce=0, fee=1)
     rich = regular_tx(A0, B0, nonce=1, fee=9)
     rich_later = regular_tx(A0, B0, nonce=2, fee=9)
-    pool.inject_batch([cheap, rich, rich_later], now=0)
+    pool.preload([cheap, rich, rich_later])
     packed = pool.pack_block_txs(2)
     assert [t.hash for t in packed] == [rich.hash, rich_later.hash]
     assert pool.pack_block_txs(1)[0].hash == cheap.hash
@@ -83,11 +83,11 @@ def test_append_relays_validates_kind_and_shard():
 
 def test_lock_blocks_packing_not_injection():
     pool = TxPool(0)
-    pool.inject_batch(_txs(2), now=0)
+    pool.preload(_txs(2))
     pool.lock()
     with pytest.raises(PoolLocked):
         pool.pack_block_txs(1)
-    pool.inject_batch(_txs(1), now=5)
+    pool.preload(_txs(1, payer=B0, payee=A0))
     assert len(pool) == 3
     pool.unlock()
     assert len(pool.pack_block_txs(10)) == 3
@@ -96,7 +96,7 @@ def test_lock_blocks_packing_not_injection():
 def test_extraction_requires_lock():
     pool = TxPool(0)
     txs = _txs(4)
-    pool.inject_batch(txs, now=0)
+    pool.preload(txs)
     with pytest.raises(PoolNotLocked):
         pool.extract_for_migration({A0})
     pool.lock()
@@ -110,7 +110,7 @@ def test_extraction_matches_either_endpoint():
     stay = regular_tx(B0, B0, nonce=0)
     as_payer = regular_tx(A0, B0, nonce=0)
     as_payee = regular_tx(B0, A0, nonce=1)
-    pool.inject_batch([stay, as_payer, as_payee], now=0)
+    pool.preload([stay, as_payer, as_payee])
     pool.lock()
     moved = pool.extract_for_migration({A0})
     assert {t.hash for t in moved} == {as_payer.hash, as_payee.hash}
@@ -119,7 +119,7 @@ def test_extraction_matches_either_endpoint():
 
 def test_requeue_appends_at_tail():
     pool = TxPool(0)
-    pool.inject_batch(_txs(2), now=0)
+    pool.preload(_txs(2))
     late = regular_tx(B0, A0, nonce=7)
     pool.requeue([late])
     assert pool.snapshot()[-1].hash == late.hash
@@ -129,11 +129,10 @@ def test_requeue_appends_at_tail():
 def test_discard_and_remove_committed():
     pool = TxPool(0)
     txs = _txs(5)
-    pool.inject_batch(txs, now=0)
+    pool.preload(txs)
     assert pool.discard({txs[1].hash}) == 1
-    # head run: first two remaining commit in order
     assert pool.remove_committed({txs[0].hash, txs[2].hash}) == 2
-    # out-of-order removal falls back to a rebuild
+    # removal by hash does not care where in the queue an entry sits
     assert pool.remove_committed({txs[4].hash}) == 1
     assert [t.hash for t in pool.snapshot()] == [txs[3].hash]
     assert pool.remove_committed(set()) == 0
@@ -143,7 +142,9 @@ def test_discard_and_remove_committed():
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.sampled_from(["inject", "append", "pack", "extract", "remove", "discard"]),
+        st.sampled_from(
+            ["inject", "append", "readd", "pack", "extract", "remove", "discard"]
+        ),
         min_size=1,
         max_size=40,
     ),
@@ -156,9 +157,7 @@ def test_accounting_invariant(ops, rng):
     for op in ops:
         if op == "inject":
             n = rng.randint(1, 4)
-            pool.inject_batch(
-                [regular_tx(A0, B0, nonce=nonce + i) for i in range(n)], now=0
-            )
+            pool.preload([regular_tx(A0, B0, nonce=nonce + i) for i in range(n)])
             nonce += n
         elif op == "append":
             half = make_transaction(
@@ -167,6 +166,12 @@ def test_accounting_invariant(ops, rng):
             )
             pool.append_relays([half], PartitionMap(n_shards=1))
             nonce += 1
+        elif op == "readd":
+            queued = pool.snapshot()
+            if queued:
+                before = len(pool)
+                pool.preload([rng.choice(queued)])
+                assert len(pool) == before
         elif op == "pack":
             if not pool.locked:
                 pool.pack_block_txs(rng.randint(1, 5))
