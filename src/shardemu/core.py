@@ -10,6 +10,7 @@ verification. Nothing in this module owns a clock, a socket, or a file.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
@@ -39,7 +40,13 @@ class TxKind(Enum):
 
     REGULAR and ORIGINAL_CTX are injected kinds; the other four are derived
     from an original cross-shard transaction and always carry ``origin_hash``.
+    Members hash by identity: the ``*_KINDS`` membership tests run per
+    transaction, and ``Enum.__hash__`` is a Python-level call. Nothing may
+    depend on the iteration order of a set of kinds, which therefore varies
+    between processes.
     """
+
+    __hash__ = object.__hash__
 
     REGULAR = "regular"
     ORIGINAL_CTX = "original_ctx"
@@ -274,9 +281,12 @@ def genesis_block(shard_id: int) -> Block:
 class StateTree:
     """Account states of one shard with a Merkle root over sorted entries.
 
-    Transition functions treat instances as immutable snapshots: they copy,
-    mutate the copy, and return it, so verification can run against the
-    pre-state while a candidate post-state is built.
+    Instances are immutable snapshots once shared: transition functions
+    copy, mutate the copy before anyone else sees it, and return it, so
+    verification can run against the pre-state while a candidate post-state
+    is built. A post-state is shared by every replica of its shard through
+    the post-state memo (see ``apply_block_to_state``), so nothing may write
+    to a tree after it has been returned.
     """
 
     __slots__ = ("entries", "_root")
@@ -291,9 +301,6 @@ class StateTree:
 
     def copy(self) -> "StateTree":
         return StateTree(dict(self.entries))
-
-    def invalidate(self) -> None:
-        self._root = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -362,15 +369,20 @@ def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
     return int.from_bytes(addr[-SHARD_SUFFIX_BYTES:], "big") % pmap.n_shards
 
 
+def classify_transfer(payer: bytes, payee: bytes, pmap: PartitionMap) -> TxClass:
+    """Classify a transfer between two accounts against ``pmap``."""
+    if payer in pmap.brokers or payee in pmap.brokers:
+        return TxClass.BROKER_INVOLVED
+    if address_to_shard(payer, pmap) == address_to_shard(payee, pmap):
+        return TxClass.REGULAR
+    return TxClass.CROSS_SHARD
+
+
 def classify_transaction(tx: Transaction, pmap: PartitionMap) -> TxClass:
     """Classify an injected transaction; derived kinds are already routed."""
     if tx.kind not in INJECTED_KINDS:
         raise ValueError(f"cannot classify derived kind {tx.kind.value}")
-    if tx.payer in pmap.brokers or tx.payee in pmap.brokers:
-        return TxClass.BROKER_INVOLVED
-    if address_to_shard(tx.payer, pmap) == address_to_shard(tx.payee, pmap):
-        return TxClass.REGULAR
-    return TxClass.CROSS_SHARD
+    return classify_transfer(tx.payer, tx.payee, pmap)
 
 
 def tx_local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
@@ -412,7 +424,6 @@ def apply_txs(state: StateTree, txs: Iterable[Transaction]) -> StateTree:
             entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
         else:
             raise ValueError(f"block carries unexecutable kind {kind.value}")
-    out.invalidate()
     return out
 
 
@@ -427,15 +438,51 @@ def apply_migration(
         out.entries[acct.address] = acct
     for addr in departures:
         out.entries.pop(addr, None)
-    out.invalidate()
     return out
 
 
+# Post-states by (pre-state root, block hash), shared by every replica in
+# the process. The key fixes the post-state's content, so a replica whose
+# pre-state differs never reuses another's post-state. Insertion-ordered;
+# the oldest entry goes first once the cap is reached.
+POST_STATE_MEMO_CAP = 32
+_post_states: dict[tuple[bytes, bytes], StateTree] = {}
+# TCP replicas run as threads of one process.
+_post_states_lock = threading.Lock()
+
+
+def _memoize(key: tuple[bytes, bytes], post: StateTree) -> StateTree:
+    with _post_states_lock:
+        kept = _post_states.setdefault(key, post)
+        while len(_post_states) > POST_STATE_MEMO_CAP:
+            del _post_states[next(iter(_post_states))]
+    return kept
+
+
+def remember_post_state(state: StateTree, block: Block, post: StateTree) -> StateTree:
+    """Record ``post`` as the result of applying ``block`` to ``state``, for
+    a proposer that built the block from a post-state it already holds.
+    Returns the memoized post-state, which is ``post`` unless another
+    thread stored one first."""
+    return _memoize((compute_state_root(state), block.hash), post)
+
+
 def apply_block_to_state(state: StateTree, block: Block) -> StateTree:
-    """Pure block application; the input snapshot is left untouched."""
+    """The post-state of ``block`` on ``state``; the input is left untouched.
+
+    The only producer of a block's post-state: memoized, so every replica
+    of a shard applies and roots a block once between them and shares the
+    resulting tree."""
+    key = (compute_state_root(state), block.hash)
+    with _post_states_lock:
+        post = _post_states.get(key)
+    if post is not None:
+        return post
     if block.block_kind is BlockKind.MIGRATION:
-        return apply_migration(state, block.migration_installs, block.migration_departures)
-    return apply_txs(state, block.txs)
+        post = apply_migration(state, block.migration_installs, block.migration_departures)
+    else:
+        post = apply_txs(state, block.txs)
+    return _memoize(key, post)
 
 
 def verify_block(
@@ -444,14 +491,13 @@ def verify_block(
     state: StateTree,
     pmap: PartitionMap,
     theta: int,
-    applied: Optional[StateTree] = None,
 ) -> Optional[RejectReason]:
     """Check a proposed block against the local chain head and pre-state.
 
-    Returns None when acceptable, otherwise the first failing reason.
-    ``applied`` lets the caller supply a precomputed post-state (needed for
-    migration blocks, whose application the mechanism layer extends); when
-    omitted the plain transition above is used.
+    Returns None when acceptable, otherwise the first failing reason. The
+    post-state comes from ``apply_block_to_state``, possibly applied by
+    another replica; its root is compared with ``block.state_root`` on every
+    call, so a forged root is rejected by every replica.
     """
     if block.shard_id != head.shard_id:
         return RejectReason.WRONG_SHARD
@@ -474,8 +520,7 @@ def verify_block(
                 return RejectReason.MALFORMED
             if not tx_local_to_shard(tx, block.shard_id, pmap):
                 return RejectReason.WRONG_SHARD
-    post = applied if applied is not None else apply_block_to_state(state, block)
-    if compute_state_root(post) != block.state_root:
+    if compute_state_root(apply_block_to_state(state, block)) != block.state_root:
         return RejectReason.BAD_STATE_ROOT
     return None
 

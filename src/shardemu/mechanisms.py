@@ -40,6 +40,7 @@ from .core import (
     classify_transaction,
     compute_state_root,
     make_transaction,
+    remember_post_state,
     tx_local_to_shard,
     verify_block,
 )
@@ -466,7 +467,7 @@ class MigrationController:
             migration_departures=departures,
             timestamp=now,
         )
-        node.applied_cache[block.hash] = applied
+        remember_post_state(node.state, block, applied)
         return block
 
     def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> list:
@@ -542,7 +543,7 @@ class BaseMechanism:
             txs=chosen,
             timestamp=now,
         )
-        node.applied_cache[block.hash] = applied
+        remember_post_state(node.state, block, applied)
         return block, outs
 
     def _place(
@@ -573,19 +574,12 @@ class BaseMechanism:
     def op_verification(self, node: Any, block: Block) -> Optional[RejectReason]:
         if block.block_kind is BlockKind.MIGRATION and not self.migration.active:
             return RejectReason.MALFORMED
-        applied = apply_block_to_state(node.state, block)
-        reason = verify_block(block, node.head, node.state, node.pmap, node.theta, applied=applied)
-        if reason is None:
-            node.applied_cache[block.hash] = applied
-        return reason
+        return verify_block(block, node.head, node.state, node.pmap, node.theta)
 
     # - confirmation -
 
-    def op_confirmation(
-        self, node: Any, block: Block, applied: Optional[StateTree], now: int
-    ) -> tuple[StateTree, list]:
-        if applied is None:
-            applied = apply_block_to_state(node.state, block)
+    def op_confirmation(self, node: Any, block: Block, now: int) -> tuple[StateTree, list]:
+        applied = apply_block_to_state(node.state, block)
         node.state = applied
         outs: list = []
         if block.block_kind is BlockKind.TX:

@@ -91,7 +91,6 @@ class Replica:
         self.preprepared: dict[tuple[int, bytes], Block] = {}
         self.verified: set[bytes] = set()
         self.verify_failed: set[bytes] = set()
-        self.applied_cache: dict[bytes, StateTree] = {}
         self.proposed: set[tuple[int, int]] = set()
         self.vc_votes: dict[int, set[str]] = {}
 
@@ -172,14 +171,11 @@ class Replica:
         self._emit(outs)
         if block is None:
             return
-        applied = self.applied_cache.pop(block.hash, None)
         if height in self.invalid_heights:
             # Scripted fault: advertise a root that no honest application
             # reproduces. Content is otherwise intact.
             forged = bytes(b ^ 0xFF for b in block.state_root)
             block = dataclasses.replace(block, state_root=forged, hash=b"")
-        if applied is not None:
-            self.applied_cache[block.hash] = applied
         self.proposed.add((height, self.view))
         self.preprepared[(height, block.hash)] = block
         self.verified.add(block.hash)
@@ -261,7 +257,6 @@ class Replica:
             self._commit_block(block, now)
 
     def _commit_block(self, block: Block, now: int) -> None:
-        applied = self.applied_cache.pop(block.hash, None)
         # Drop what the block executed on every replica: followers still
         # queue its transactions, and the injected original of any half
         # derived from one, so prune by origin too.
@@ -269,7 +264,7 @@ class Replica:
         hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
         self.pool.remove_committed(hashes)
         self.head = block
-        new_state, outs = self.hooks.op_confirmation(self, block, applied, now)
+        new_state, outs = self.hooks.op_confirmation(self, block, now)
         self.state = new_state
         self.root_log.append((block.height, block.state_root.hex(), now))
         if self.block_sink is not None:
@@ -292,7 +287,6 @@ class Replica:
             blk = self.preprepared.pop(k)
             self.verified.discard(blk.hash)
             self.verify_failed.discard(blk.hash)
-            self.applied_cache.pop(blk.hash, None)
 
     def _replay_buffered(self, now: int) -> None:
         """After a commit, messages for the new height may already be here."""

@@ -19,7 +19,7 @@ from .core import (
     TxClass,
     TxKind,
     address_to_shard,
-    classify_transaction,
+    classify_transfer,
     make_transaction,
 )
 from .dataset import DatasetRow
@@ -76,30 +76,19 @@ class Supervisor:
         the only place ``inject_time`` is set: every transaction, and every
         half later derived from it, carries ``now`` from here on."""
         per_shard: dict[int, list[Transaction]] = {}
+        broker = self.cfg.mechanism == "broker"
         for row in rows:
-            probe = make_transaction(
-                row.payer, row.payee, row.value, row.nonce, inject_time=now
+            tx_class = classify_transfer(row.payer, row.payee, self.pmap)
+            cross = tx_class is TxClass.CROSS_SHARD
+            original = make_transaction(
+                row.payer, row.payee, row.value, row.nonce,
+                kind=TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR, inject_time=now,
             )
-            tx_class = classify_transaction(probe, self.pmap)
-            if tx_class is TxClass.CROSS_SHARD:
-                original = make_transaction(
-                    row.payer, row.payee, row.value, row.nonce,
-                    kind=TxKind.ORIGINAL_CTX, inject_time=now,
-                )
-                self.ledger.record_injection(
-                    original.hash, original.kind.value, tx_class,
-                    row.payer, row.payee, now,
-                )
-                if self.cfg.mechanism == "broker":
-                    # Payer half first, then payee half.
-                    routed = broker_transform(original, self.pmap)
-                else:
-                    routed = (original,)
-            else:
-                self.ledger.record_injection(
-                    probe.hash, probe.kind.value, tx_class, row.payer, row.payee, now
-                )
-                routed = (probe,)
+            self.ledger.record_injection(
+                original.hash, original.kind.value, tx_class, row.payer, row.payee, now
+            )
+            # A brokered transfer leaves as its payer half, then its payee half.
+            routed = broker_transform(original, self.pmap) if cross and broker else (original,)
             for tx in routed:
                 per_shard.setdefault(exec_home_shard(tx, self.pmap), []).append(tx)
         return per_shard

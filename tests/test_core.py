@@ -1,10 +1,15 @@
 """Domain model: addresses, transactions, blocks, state, verification."""
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import addr, regular_tx
+from shardemu import core
 from shardemu.core import (
     ADDRESS_SIZE,
     EMPTY_TREE_ROOT,
@@ -31,6 +36,7 @@ from shardemu.core import (
     digest,
     genesis_block,
     make_transaction,
+    remember_post_state,
     replace_tx_list,
     tx_from_json,
     tx_local_to_shard,
@@ -343,8 +349,7 @@ def test_verify_block_malformed_mixtures():
         shard_id=0, height=1, parent_hash=head.hash, state_root=EMPTY_TREE_ROOT,
         proposer="0.0", block_kind=BlockKind.MIGRATION, txs=[regular_tx(A, B, 1)],
     )
-    assert verify_block(hybrid, head, state, pmap, theta=10, applied=StateTree()) \
-        is RejectReason.MALFORMED
+    assert verify_block(hybrid, head, state, pmap, theta=10) is RejectReason.MALFORMED
     tx_with_installs = Block(
         shard_id=0, height=1, parent_hash=head.hash, state_root=EMPTY_TREE_ROOT,
         proposer="0.0", block_kind=BlockKind.TX,
@@ -371,6 +376,99 @@ def test_apply_block_dispatches_by_kind():
     )
     post = apply_block_to_state(StateTree(), mig)
     assert post.get(C).balance == 3
+
+
+# --- post-state memo ---
+
+
+def _memo_case(tag):
+    """A pre-state and a block over it whose content no other test uses."""
+    payer, payee = addr(f"memo-{tag}-payer", shard=0), addr(f"memo-{tag}-payee", shard=0)
+    pre = StateTree({payer: AccountState(payer, balance=50)})
+    block, _ = _tx_block(pre, [regular_tx(payer, payee, 7)], genesis_block(0))
+    return pre, block
+
+
+def test_memo_returns_identical_post_state():
+    pre, block = _memo_case("same")
+    post = apply_block_to_state(pre, block)
+    twin = StateTree(dict(pre.entries))
+    assert apply_block_to_state(twin, block) is post
+    assert apply_block_to_state(pre, block) is post
+
+
+def test_memo_keys_on_pre_state():
+    pre, block = _memo_case("differ")
+    other = StateTree({**pre.entries, C: AccountState(C, balance=1)})
+    post = apply_block_to_state(pre, block)
+    post_other = apply_block_to_state(other, block)
+    assert post_other is not post
+    assert compute_state_root(post_other) != compute_state_root(post)
+    assert compute_state_root(post_other) == compute_state_root(apply_txs(other, block.txs))
+    assert verify_block(block, genesis_block(0), other, PartitionMap(n_shards=2), theta=10) \
+        is RejectReason.BAD_STATE_ROOT
+
+
+def test_memo_hands_proposer_state_to_follower():
+    pre, block = _memo_case("proposer")
+    applied = apply_txs(pre, block.txs)
+    assert remember_post_state(pre, block, applied) is applied
+    follower_pre = StateTree(dict(pre.entries))
+    assert apply_block_to_state(follower_pre, block) is applied
+    assert verify_block(block, genesis_block(0), follower_pre, PartitionMap(n_shards=2),
+                        theta=10) is None
+
+
+def test_memo_never_exceeds_cap():
+    cap = core.POST_STATE_MEMO_CAP
+    cases = [_memo_case(f"cap{i}") for i in range(cap + 5)]
+    posts = []
+    for pre, block in cases:
+        posts.append(apply_block_to_state(pre, block))
+        assert len(core._post_states) <= cap
+    oldest_pre, oldest_block = cases[0]
+    assert apply_block_to_state(oldest_pre, oldest_block) is not posts[0], "oldest evicted"
+    newest_pre, newest_block = cases[-1]
+    assert apply_block_to_state(newest_pre, newest_block) is posts[-1]
+
+
+def test_memo_is_shared_safely_between_threads(monkeypatch):
+    # TCP replicas run as threads: every thread applying one block to one
+    # pre-state must get the same tree, and the cap must hold throughout.
+    real_apply_txs = core.apply_txs
+
+    def slow_apply_txs(state, txs):
+        time.sleep(0.001)  # lets the other threads miss the same key meanwhile
+        return real_apply_txs(state, txs)
+
+    monkeypatch.setattr(core, "apply_txs", slow_apply_txs)
+    monkeypatch.setattr(core, "_post_states", {})
+    cases = [_memo_case(f"thread{i}") for i in range(core.POST_STATE_MEMO_CAP // 2)]
+    got = [[] for _ in range(8)]
+    oversize = []
+    start = threading.Barrier(len(got))
+
+    def worker(out):
+        start.wait(timeout=30)
+        for pre, block in cases:
+            out.append(apply_block_to_state(StateTree(dict(pre.entries)), block))
+            if len(core._post_states) > core.POST_STATE_MEMO_CAP:
+                oversize.append(len(core._post_states))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not oversize
+    for i in range(len(cases)):
+        assert len({id(out[i]) for out in got}) == 1
 
 
 # --- serialization ---

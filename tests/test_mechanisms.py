@@ -67,7 +67,6 @@ class FakeNode:
         self.pool = TxPool(shard_id)
         self.state = StateTree()
         self.head = genesis_block(shard_id)
-        self.applied_cache = {}
         self.relay_seen = set()
         self.phase = Phase.IDLE
 
@@ -76,8 +75,7 @@ class FakeNode:
         return self.head.height + 1
 
     def commit(self, mech, block, now=0):
-        applied = self.applied_cache.get(block.hash)
-        new_state, outs = mech.op_confirmation(self, block, applied, now)
+        new_state, outs = mech.op_confirmation(self, block, now)
         self.state = new_state
         self.head = block
         return outs

@@ -5,6 +5,7 @@ import logging
 import pytest
 
 from helpers import addr, attach_sink, build_shard, regular_tx
+from shardemu import core, mechanisms
 from shardemu.core import (
     Block,
     BlockKind,
@@ -259,6 +260,35 @@ def test_shard_commits_pool_in_paced_blocks():
     infos = [env.body for _, env in sink.envelopes if env.msg_type == "block_info"]
     assert len(infos) == 12, "every replica reports every commit"
     assert {(i.shard, i.height) for i in infos} == {(0, 1), (0, 2), (0, 3)}
+
+
+def test_shard_applies_each_block_once(monkeypatch):
+    applied = []
+    real_apply_txs = core.apply_txs
+
+    def counting_apply_txs(state, txs):
+        applied.append(len(txs))
+        return real_apply_txs(state, txs)
+
+    # The proposer calls it from mechanisms, every other replica through
+    # core.apply_block_to_state; a fresh memo keeps earlier tests out.
+    monkeypatch.setattr(core, "apply_txs", counting_apply_txs)
+    monkeypatch.setattr(mechanisms, "apply_txs", counting_apply_txs)
+    monkeypatch.setattr(core, "_post_states", {})
+    net = SimNetwork(latency_ms=5, seed=0)
+    replicas = build_shard(net, n_nodes=4, theta=5, delta=100, vc_timeout=1000)
+    attach_sink(net)
+    payer, payee = addr("pb-once-a"), addr("pb-once-b")
+    _prefill(replicas, [regular_tx(payer, payee, value=i + 1, nonce=i) for i in range(12)])
+    for replica in replicas.values():
+        replica.on_start(0)
+    net.run(until=900)
+
+    logs = [replica.root_log for replica in replicas.values()]
+    assert all(log == logs[0] for log in logs)
+    committed = len(logs[0])
+    assert committed == 3
+    assert len(applied) == committed, "one application per block, not one per replica"
 
 
 def test_block_sink_receives_committed_blocks():
