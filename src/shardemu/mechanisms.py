@@ -187,7 +187,10 @@ def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> list:
 
 @dataclass
 class ClpaParams:
-    """beta damps the pull of already-loaded shards; rho caps the rounds."""
+    """beta damps the pull of already-loaded shards; rho is the number of
+    rounds whose labelling ``clpa_partition`` returns, even though it stops
+    at the first repeat. When the labellings settle into a 2-cycle, as they
+    mostly do at beta 0.5, the parity of rho picks which of the two."""
 
     beta: float = 0.5
     rho: int = 100
@@ -275,6 +278,12 @@ def clpa_partition(
     and recomputed between rounds. Isolated vertices and brokers keep their
     current shard. Returns the bumped map and the dirty set: accounts whose
     label changed, mapped to their new shard.
+
+    A round is a pure function of the labelling it starts from, so once a
+    start-of-round labelling repeats, the rest of the ``rho`` rounds only
+    go round that cycle (a fixed point is a cycle of period 1). Propagation
+    stops at the first repeat and returns the labelling that ``rho`` rounds
+    reach on the cycle, the same result as running every round.
     """
     n = pmap.n_shards
     beta, rho = params.beta, params.rho
@@ -282,10 +291,17 @@ def clpa_partition(
     order = sorted(labels)
     total_weight = sum(graph.vertex_weight.values())
     mean = total_weight / n if total_weight else 1.0
-    for _ in range(rho):
+    seen: dict[tuple[int, ...], int] = {}  # start labelling -> its round
+    for r in range(rho):
+        start = tuple(labels[v] for v in order)
+        first = seen.setdefault(start, r)
+        if first != r:
+            final = list(seen)[first + (rho - first) % (r - first)]
+            for v, k in zip(order, final):
+                labels[v] = k
+            break
         loads = shard_loads(graph, labels, n)
         factors = [1.0 - beta * loads[k] / mean for k in range(n)]
-        changed = False
         for v in order:
             if v in pmap.brokers:
                 continue
@@ -301,11 +317,7 @@ def clpa_partition(
                 score = affinity[k] * factors[k]
                 if score > best_score or (score == best_score and k < best_k):
                     best_k, best_score = k, score
-            if best_k != labels[v]:
-                labels[v] = best_k
-                changed = True
-        if not changed:
-            break
+            labels[v] = best_k
     dirty = {v: k for v, k in labels.items() if k != address_to_shard(v, pmap)}
     new_map = pmap.updated(pmap.version + 1, dirty)
     return new_map, dirty

@@ -401,7 +401,8 @@ class TcpMesh:
     Each participant listens on its address from the ip table and dials
     peers lazily on first send, keeping the socket open afterwards.
     Inbound envelopes are decoded by reader threads and handed to a
-    callback; ordering is per-connection FIFO as TCP provides.
+    callback; ordering is per-connection FIFO as TCP provides. ``close``
+    closes every socket, the accepted ones included.
     """
 
     def __init__(self, nid: str, ip_table: dict[str, str], on_envelope: Callable[[Envelope], None]) -> None:
@@ -411,6 +412,7 @@ class TcpMesh:
         self.ip_table = dict(ip_table)
         self._on_envelope = on_envelope
         self._out: dict[str, socket.socket] = {}
+        self._in: set[socket.socket] = set()
         self._lock = threading.Lock()
         self._closing = False
         host, port = self._split(ip_table[nid])
@@ -432,6 +434,11 @@ class TcpMesh:
                 continue
             except OSError:
                 return
+            with self._lock:
+                if self._closing:
+                    conn.close()
+                    return
+                self._in.add(conn)
             threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
 
     def _read_loop(self, conn: socket.socket) -> None:
@@ -441,6 +448,10 @@ class TcpMesh:
                 self._on_envelope(env)
         except (ConnectionError, OSError):
             return
+        finally:
+            with self._lock:
+                self._in.discard(conn)
+            conn.close()
 
     def send(self, to: str, env: Envelope) -> None:
         if to not in self.ip_table:
@@ -477,3 +488,10 @@ class TcpMesh:
                 except OSError:
                     pass
             self._out.clear()
+            for conn in self._in:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes its blocked reader
+                except OSError:
+                    pass
+                conn.close()
+            self._in.clear()

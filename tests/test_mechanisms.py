@@ -1,5 +1,7 @@
 """Cross-shard mechanisms: splits, brokers, label propagation, migration."""
 
+import random
+
 import pytest
 
 from helpers import addr, regular_tx
@@ -14,6 +16,7 @@ from shardemu.core import (
     BlockKind,
     RejectReason,
 )
+from shardemu import mechanisms
 from shardemu.mechanisms import (
     AccountGraph,
     BrokerMechanism,
@@ -271,6 +274,122 @@ def test_clpa_respects_round_budget():
     assert none_allowed == {}, "zero rounds means zero moves"
     _, one_dirty = clpa_partition(g, TWO, ClpaParams(0.5, 1))
     assert one_dirty, "a single round already starts untangling the pairs"
+
+
+def _clpa_every_round(graph, pmap, params):
+    """Reference: label propagation that runs all ``rho`` rounds, stopping
+    only at a fixed point."""
+    n = pmap.n_shards
+    beta, rho = params.beta, params.rho
+    labels = {v: address_to_shard(v, pmap) for v in graph.vertex_weight}
+    order = sorted(labels)
+    total_weight = sum(graph.vertex_weight.values())
+    mean = total_weight / n if total_weight else 1.0
+    for _ in range(rho):
+        loads = shard_loads(graph, labels, n)
+        factors = [1.0 - beta * loads[k] / mean for k in range(n)]
+        changed = False
+        for v in order:
+            if v in pmap.brokers:
+                continue
+            row = graph.adj.get(v)
+            if not row:
+                continue
+            affinity = [0] * n
+            for u, w in row.items():
+                affinity[labels[u]] += w
+            best_k = labels[v]
+            best_score = affinity[best_k] * factors[best_k]
+            for k in range(n):
+                score = affinity[k] * factors[k]
+                if score > best_score or (score == best_score and k < best_k):
+                    best_k, best_score = k, score
+            if best_k != labels[v]:
+                labels[v] = best_k
+                changed = True
+        if not changed:
+            break
+    dirty = {v: k for v, k in labels.items() if k != address_to_shard(v, pmap)}
+    new_map = pmap.updated(pmap.version + 1, dirty)
+    return new_map, dirty
+
+
+def _assert_same_partition(graph, pmap, params):
+    got_map, got_dirty = clpa_partition(graph, pmap, params)
+    want_map, want_dirty = _clpa_every_round(graph, pmap, params)
+    assert list(got_dirty.items()) == list(want_dirty.items()), params
+    assert got_map == want_map
+    assert list(got_map.overrides.items()) == list(want_map.overrides.items())
+    return got_dirty
+
+
+def _cycle_start_and_period(graph, pmap, beta, limit=60):
+    """First round whose labelling recurs, and the recurrence period, read
+    off the reference's results for rho = 0, 1, 2, ..."""
+    seen = {}
+    for rho in range(limit):
+        _, dirty = _clpa_every_round(graph, pmap, ClpaParams(beta, rho))
+        key = tuple(sorted(dirty.items()))
+        if key in seen:
+            return seen[key], rho - seen[key]
+        seen[key] = rho
+    raise AssertionError("no repeated labelling within the limit")
+
+
+def _random_clpa_case(rng, n_shards, with_brokers, with_overrides):
+    vertices = [addr(f"clpa-eq:{rng.random()}") for _ in range(rng.randint(6, 24))]
+    graph = AccountGraph()
+    for _ in range(rng.randint(len(vertices), 3 * len(vertices))):
+        a, b = rng.sample(vertices, 2)
+        graph.add_edge(a, b, rng.randint(1, 4))
+    graph.add_vertex(addr(f"clpa-eq-loner:{rng.random()}"))
+    brokers = frozenset(rng.sample(vertices, 2)) if with_brokers else frozenset()
+    overrides = ({v: rng.randrange(n_shards) for v in rng.sample(vertices, 4)}
+                 if with_overrides else {})
+    return graph, PartitionMap(n_shards=n_shards, version=3, overrides=overrides,
+                               brokers=brokers)
+
+
+@pytest.mark.parametrize("n_shards", [2, 3, 4, 8])
+def test_clpa_matches_running_every_round(n_shards):
+    rng = random.Random(n_shards)
+    for with_brokers in (False, True):
+        for with_overrides in (False, True):
+            for beta in (0.0, 0.5, 1.0):
+                graph, pmap = _random_clpa_case(rng, n_shards, with_brokers, with_overrides)
+                mu, period = _cycle_start_and_period(graph, pmap, beta)
+                near_cycle = {mu - 1, mu, mu + 1, mu + period, mu + period + 1}
+                for rho in sorted({0, 1, 2, 3, 100, 101} | near_cycle):
+                    if rho >= 0:
+                        _assert_same_partition(graph, pmap, ClpaParams(beta, rho))
+
+
+def _two_triangle_oscillator():
+    """Two triangles sharing vertex 2; from this placement vertex 2 flips
+    shard every round from round 1 on."""
+    start = [1, 1, 0, 1, 0]
+    vs = [addr(f"clpa6-{i}", shard=start[i]) for i in range(5)]
+    g = AccountGraph()
+    for a, b, w in [(0, 1, 5), (0, 2, 2), (1, 2, 3), (2, 4, 4), (2, 3, 1), (3, 4, 3)]:
+        g.add_edge(vs[a], vs[b], w)
+    return g, vs
+
+
+def test_clpa_stops_at_the_first_repeated_labelling(monkeypatch):
+    g, vs = _two_triangle_oscillator()
+    rounds = []
+
+    def counting_loads(*args):
+        rounds.append(1)
+        return shard_loads(*args)
+
+    monkeypatch.setattr(mechanisms, "shard_loads", counting_loads)
+    even = _assert_same_partition(g, TWO, ClpaParams(0.5, 100))
+    assert len(rounds) < 10, "a 2-cycle must not be run out to rho"
+    odd = _assert_same_partition(g, TWO, ClpaParams(0.5, 101))
+    assert even != odd, "the two states of the cycle differ"
+    assert set(even) ^ set(odd) == {vs[2]}, "only the pivot vertex flips"
+    assert _assert_same_partition(g, TWO, ClpaParams(0.5, 102)) == even
 
 
 # --- migration controller ---

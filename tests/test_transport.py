@@ -342,6 +342,25 @@ def test_tcp_mesh_keeps_connection_and_order():
         mesh_b.close()
 
 
+def test_tcp_mesh_close_closes_accepted_sockets():
+    port_a, port_b = free_ports(2)
+    table = {"0.0": f"127.0.0.1:{port_a}", "0.1": f"127.0.0.1:{port_b}"}
+    done = threading.Event()
+    mesh_a = TcpMesh("0.0", table, lambda env: None)
+    mesh_b = TcpMesh("0.1", table, lambda env: done.set())
+    try:
+        mesh_a.send("0.1", Envelope("commit", "0.0", Commit(1, 0, b"\x03" * 32)))
+        assert done.wait(5.0), "frame never arrived"
+        accepted = list(mesh_b._in)
+        assert len(accepted) == 1
+        mesh_b.close()  # the peer still holds its end open
+        assert all(conn.fileno() == -1 for conn in accepted)
+        assert not mesh_b._in
+    finally:
+        mesh_a.close()
+        mesh_b.close()
+
+
 def test_tcp_mesh_requires_own_entry():
     with pytest.raises(UnknownPeer):
         TcpMesh("0.5", {"0.0": "127.0.0.1:1"}, lambda env: None)
