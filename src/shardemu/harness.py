@@ -40,15 +40,7 @@ from .mechanisms import make_mechanism
 from .metrics import MetricsLedger
 from .pbft import Replica
 from .supervisor import Supervisor
-from .transport import (
-    SUPERVISOR_ID,
-    BlockInfo,
-    Envelope,
-    SimNetwork,
-    TcpMesh,
-    TxSummary,
-    node_id,
-)
+from .transport import SUPERVISOR_ID, Envelope, SimNetwork, TcpMesh, node_id
 from .txpool import TxPool
 
 log = logging.getLogger(__name__)
@@ -254,7 +246,7 @@ def report_from_blocks(run_dir: str) -> dict:
             if tx.kind in DERIVED_KINDS:
                 ledger.record_injection(
                     tx.origin_hash,
-                    TxKind.ORIGINAL_CTX.value,
+                    TxKind.ORIGINAL_CTX,
                     TxClass.CROSS_SHARD,
                     tx.payer,
                     tx.payee,
@@ -263,7 +255,7 @@ def report_from_blocks(run_dir: str) -> dict:
             else:
                 ledger.record_injection(
                     tx.hash,
-                    tx.kind.value,
+                    tx.kind,
                     TxClass.REGULAR,
                     tx.payer,
                     tx.payee,
@@ -271,19 +263,7 @@ def report_from_blocks(run_dir: str) -> dict:
                 )
 
     for obj, block in blocks:
-        ledger.record_block(
-            BlockInfo(
-                shard=block.shard_id,
-                height=block.height,
-                commit_time=obj["commit_time"] or block.timestamp,
-                pool_size=0,
-                block_kind=block.block_kind.value,
-                txs=[
-                    TxSummary(tx.hash, tx.kind.value, tx.origin_hash, tx.inject_time or 0)
-                    for tx in block.txs
-                ],
-            )
-        )
+        ledger.record_block(block, obj["commit_time"] or block.timestamp, 0)
 
     out_dir = os.path.join(run_dir, "recomputed")
     summary = ledger.write_reports(out_dir, cfg_echo)

@@ -52,7 +52,6 @@ from .transport import (
     MigratedAccount,
     PartitionResult,
     RelayCtx,
-    TxSummary,
     shard_of,
 )
 
@@ -79,18 +78,12 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
     """
     if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
-    origin = tx.hash
     intra = make_transaction(
         tx.payer, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.INTRA_RELAY, origin_hash=origin, fee=tx.fee,
+        kind=TxKind.INTRA_RELAY, origin_hash=tx.hash, fee=tx.fee,
         inject_time=tx.inject_time,
     )
-    inter = make_transaction(
-        tx.payer, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.INTER_RELAY, origin_hash=origin, fee=tx.fee,
-        inject_time=tx.inject_time,
-    )
-    return intra, inter
+    return intra, inter_from_intra(intra)
 
 
 def inter_from_intra(intra: Transaction) -> Transaction:
@@ -240,29 +233,6 @@ def shard_loads(
     for v, w in graph.vertex_weight.items():
         loads[labels[v]] += w
     return loads
-
-
-def clpa_objective(
-    graph: AccountGraph, labels: dict[bytes, int], beta: float, n_shards: int
-) -> float:
-    """Total load-damped within-shard affinity the propagation maximizes."""
-    loads = shard_loads(graph, labels, n_shards)
-    mean = sum(loads) / n_shards if any(loads) else 1.0
-    total = 0.0
-    for v, row in graph.adj.items():
-        k = labels[v]
-        internal = sum(w for u, w in row.items() if labels[u] == k)
-        total += internal * (1.0 - beta * loads[k] / mean)
-    return total
-
-
-def cut_weight(graph: AccountGraph, labels: dict[bytes, int]) -> int:
-    cut = 0
-    for v, row in graph.adj.items():
-        for u, w in row.items():
-            if v < u and labels[v] != labels[u]:
-                cut += w
-    return cut
 
 
 def clpa_partition(
@@ -600,18 +570,7 @@ class BaseMechanism:
                 outs.extend(self.migration.quiesce(node, now))
         else:
             outs.extend(self.migration.on_commit(self, node, block, now))
-        info = BlockInfo(
-            shard=node.shard_id,
-            height=block.height,
-            commit_time=now,
-            pool_size=len(node.pool),
-            txs=[
-                TxSummary(tx.hash, tx.kind.value, tx.origin_hash, tx.inject_time)
-                for tx in block.txs
-            ],
-            block_kind=block.block_kind.value,
-            version=node.pmap.version,
-        )
+        info = BlockInfo(block, now, len(node.pool), node.pmap.version)
         outs.append((("supervisor",), Envelope("block_info", node.nid, info)))
         return applied, outs
 

@@ -1,7 +1,8 @@
 """Run accounting: counters, epoch throughput, latency, and report files.
 
-The supervisor feeds every injection and every committed block summary into
-a ``MetricsLedger``. Definitions used throughout:
+The supervisor feeds every injection and every committed block into a
+``MetricsLedger``; ``shardemu report`` feeds it the blocks read back from
+the block files. Definitions used throughout:
 
 * X: injected originals. A transfer split into halves before or during
   consensus still counts once, through its origin hash.
@@ -23,16 +24,23 @@ halves' commit times.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import CREDIT_KINDS, DEBIT_KINDS, DERIVED_KINDS, INJECTED_KINDS, TxClass
+from .core import (
+    CREDIT_KINDS,
+    DEBIT_KINDS,
+    DERIVED_KINDS,
+    INJECTED_KINDS,
+    Block,
+    BlockKind,
+    Transaction,
+    TxClass,
+    TxKind,
+)
 
-# Block summaries carry kinds by value; these mirror the core kind sets.
-CREDIT_PER_KIND = {k.value: 1.0 for k in INJECTED_KINDS}
-CREDIT_PER_KIND |= {k.value: 0.5 for k in DERIVED_KINDS}
-DEBIT_VALUES = frozenset(k.value for k in DEBIT_KINDS)
-CREDIT_VALUES = frozenset(k.value for k in CREDIT_KINDS)
+CREDIT_PER_KIND = {k: 1.0 for k in INJECTED_KINDS} | {k: 0.5 for k in DERIVED_KINDS}
 
 # An epoch gets a phase label when one family dominates its commits.
 PHASE_PURITY = 0.95
@@ -41,7 +49,7 @@ PHASE_PURITY = 0.95
 @dataclass(slots=True)
 class InjectionRecord:
     hash: bytes
-    kind: str
+    kind: TxKind
     tx_class: TxClass
     payer: bytes
     payee: bytes
@@ -65,8 +73,8 @@ class BlockRecord:
     height: int
     commit_ms: int
     pool_size: int
-    block_kind: str
-    kind_counts: dict[str, int] = field(default_factory=dict)
+    block_kind: BlockKind
+    kind_counts: dict[TxKind, int] = field(default_factory=dict)
     credit: float = 0.0
     n_txs: int = 0
 
@@ -93,7 +101,7 @@ class MetricsLedger:
     def record_injection(
         self,
         tx_hash: bytes,
-        kind: str,
+        kind: TxKind,
         tx_class: TxClass,
         payer: bytes,
         payee: bytes,
@@ -108,42 +116,42 @@ class MetricsLedger:
         if tx_class is TxClass.CROSS_SHARD:
             self.ctx_injected += 1
 
-    def record_block(self, info) -> Optional[BlockRecord]:
-        """Bank one block_info; duplicates (other replicas) return None."""
-        key = (info.shard, info.height)
+    def record_block(self, block: Block, commit_ms: int, pool_size: int) -> Optional[BlockRecord]:
+        """Bank one committed block; duplicates (other replicas) return None."""
+        key = (block.shard_id, block.height)
         if key in self.blocks:
             return None
         rec = BlockRecord(
-            shard=info.shard,
-            height=info.height,
-            commit_ms=info.commit_time,
-            pool_size=info.pool_size,
-            block_kind=info.block_kind,
+            shard=block.shard_id,
+            height=block.height,
+            commit_ms=commit_ms,
+            pool_size=pool_size,
+            block_kind=block.block_kind,
         )
-        for ts in info.txs:
-            rec.kind_counts[ts.kind] = rec.kind_counts.get(ts.kind, 0) + 1
-            rec.credit += CREDIT_PER_KIND[ts.kind]
+        for tx in block.txs:
+            rec.kind_counts[tx.kind] = rec.kind_counts.get(tx.kind, 0) + 1
+            rec.credit += CREDIT_PER_KIND[tx.kind]
             rec.n_txs += 1
-            self._settle(ts, info.commit_time)
+            self._settle(tx, commit_ms)
         self.blocks[key] = rec
-        self.pool_samples[(info.commit_time, info.shard)] = info.pool_size
-        self.last_commit_ms = max(self.last_commit_ms, info.commit_time)
+        self.pool_samples[(commit_ms, block.shard_id)] = pool_size
+        self.last_commit_ms = max(self.last_commit_ms, commit_ms)
         return rec
 
-    def _settle(self, ts, commit_ms: int) -> None:
-        if ts.kind in DEBIT_VALUES:
+    def _settle(self, tx: Transaction, commit_ms: int) -> None:
+        if tx.kind in DEBIT_KINDS:
             self.v += 1
-            rec = self.originals.get(ts.origin_hash)
+            rec = self.originals.get(tx.origin_hash)
             if rec is not None and rec.debit_ms is None:
                 rec.debit_ms = commit_ms
-        elif ts.kind in CREDIT_VALUES:
+        elif tx.kind in CREDIT_KINDS:
             self.u += 1
-            rec = self.originals.get(ts.origin_hash)
+            rec = self.originals.get(tx.origin_hash)
             if rec is not None and rec.credit_ms is None:
                 rec.credit_ms = commit_ms
         else:
             self.z += 1
-            rec = self.originals.get(ts.hash)
+            rec = self.originals.get(tx.hash)
             if rec is not None and rec.direct_ms is None:
                 rec.direct_ms = commit_ms
 
@@ -208,11 +216,11 @@ class MetricsLedger:
         return rows
 
     @staticmethod
-    def _phase_label(counts: dict[str, int]) -> str:
+    def _phase_label(counts: dict[TxKind, int]) -> str:
         total = sum(counts.values())
         if total == 0:
             return "empty"
-        whole_or_debit = sum(n for k, n in counts.items() if k not in CREDIT_VALUES)
+        whole_or_debit = sum(n for k, n in counts.items() if k not in CREDIT_KINDS)
         credit = total - whole_or_debit
         if whole_or_debit > PHASE_PURITY * total:
             return "intake"
@@ -235,9 +243,9 @@ class MetricsLedger:
         per_shard_last: dict[int, int] = {}
         for rec in self.blocks.values():
             per_shard_last[rec.shard] = max(per_shard_last.get(rec.shard, 0), rec.commit_ms)
-            if rec.block_kind != "tx":
+            if rec.block_kind is not BlockKind.TX:
                 continue
-            if any(k not in CREDIT_VALUES for k in rec.kind_counts):
+            if any(k not in CREDIT_KINDS for k in rec.kind_counts):
                 intake_end = max(intake_end, rec.commit_ms)
         return {
             "epoch_ms": self.epoch_ms,
@@ -253,7 +261,7 @@ class MetricsLedger:
                     "credit": r["credit"],
                     "tps": r["tps"],
                     "label": r["label"],
-                    "counts": r["counts"],
+                    "counts": {k.value: n for k, n in r["counts"].items()},
                 }
                 for r in rows
             ],
@@ -271,7 +279,7 @@ class MetricsLedger:
             out.append(
                 {
                     "tx_hash": rec.hash.hex(),
-                    "kind": rec.kind,
+                    "kind": rec.kind.value,
                     "inject_ms": rec.inject_ms,
                     "confirm_ms": confirm,
                     "tcl_ms": confirm - rec.inject_ms,
@@ -301,20 +309,27 @@ class MetricsLedger:
 
     # -- report files --
 
-    def write_reports(self, out_dir: str, config_echo: dict) -> dict:
-        import os
-
+    def write_reports(
+        self,
+        out_dir: str,
+        config_echo: dict,
+        oracle: Optional[Callable[[dict, list[dict]], dict]] = None,
+    ) -> dict:
+        """Write every report file once and return the summary. ``oracle``,
+        given the summary and the tcl rows, builds its "oracle" section."""
         os.makedirs(out_dir, exist_ok=True)
+        summary = self.summary(config_echo)
+        tcl = self.tcl_rows()
         with open(os.path.join(out_dir, "tps_epochs.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("epoch,start_ms,end_ms,credit,tps\n")
-            for row in self.epoch_rows():
+            for row in summary["phases"]["epochs"]:
                 fh.write(
                     f"{row['epoch']},{row['start_ms']},{row['end_ms']},"
                     f"{row['credit']:.1f},{row['tps']:.6f}\n"
                 )
         with open(os.path.join(out_dir, "tcl.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("tx_hash,kind,inject_ms,confirm_ms,tcl_ms\n")
-            for row in self.tcl_rows():
+            for row in tcl:
                 fh.write(
                     f"{row['tx_hash']},{row['kind']},{row['inject_ms']},"
                     f"{row['confirm_ms']},{row['tcl_ms']}\n"
@@ -327,7 +342,8 @@ class MetricsLedger:
             fh.write("shard,packed_txs,share\n")
             for row in self.workload_rows():
                 fh.write(f"{row['shard']},{row['packed_txs']},{row['share']:.6f}\n")
-        summary = self.summary(config_echo)
+        if oracle is not None:
+            summary["oracle"] = oracle(summary, tcl)
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -2,8 +2,8 @@
 
 One supervisor per run plays both control roles: it feeds dataset rows into
 shard pools (classifying each transfer and applying the mechanism-specific
-transformation up front), and it observes committed block summaries to
-drive metrics, the account graph, partition reconfiguration, and the stop
+transformation up front), and it observes committed blocks to drive
+metrics, the account graph, partition reconfiguration, and the stop
 decision. It participates in no consensus.
 """
 
@@ -14,6 +14,8 @@ from typing import Any, Iterator, Optional
 
 from .config import RunConfig
 from .core import (
+    CREDIT_KINDS,
+    BlockKind,
     PartitionMap,
     Transaction,
     TxClass,
@@ -24,14 +26,14 @@ from .core import (
 )
 from .dataset import DatasetRow
 from .mechanisms import AccountGraph, ClpaParams, broker_transform, clpa_partition, exec_home_shard
-from .metrics import CREDIT_VALUES, MetricsLedger
+from .metrics import MetricsLedger
 from .oracle import (
     MismatchedProtocol,
     expected_metrics,
     input_from_config,
     proximity_report,
 )
-from .transport import SUPERVISOR_ID, Envelope, InjectTxs, PartitionResult
+from .transport import SUPERVISOR_ID, BlockInfo, Envelope, InjectTxs, PartitionResult
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +87,7 @@ class Supervisor:
                 kind=TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR, inject_time=now,
             )
             self.ledger.record_injection(
-                original.hash, original.kind.value, tx_class, row.payer, row.payee, now
+                original.hash, original.kind, tx_class, row.payer, row.payee, now
             )
             # A brokered transfer leaves as its payer half, then its payee half.
             routed = broker_transform(original, self.pmap) if cross and broker else (original,)
@@ -135,25 +137,26 @@ class Supervisor:
     def on_envelope(self, env: Envelope, now: int) -> None:
         if env.msg_type != "block_info":
             raise ValueError(f"supervisor cannot handle {env.msg_type}")
-        rec = self.ledger.record_block(env.body)
+        info: BlockInfo = env.body
+        rec = self.ledger.record_block(info.block, info.commit_time, info.pool_size)
         if rec is None:
             return
         self.est_pool[rec.shard] = rec.pool_size
-        if rec.block_kind == "migration":
-            self._note_migration_block(rec.shard, env.body.version)
+        if rec.block_kind is BlockKind.MIGRATION:
+            self._note_migration_block(rec.shard, info.version)
         elif self.cfg.partition == "clpa":
-            self._fold(env.body)
+            self._fold(info)
 
-    def _fold(self, info: Any) -> None:
-        """Grow the transfer graph from a block summary.
+    def _fold(self, info: BlockInfo) -> None:
+        """Grow the transfer graph from a committed block.
 
         Only the debit side of a split transfer counts, so each original
         contributes exactly one edge however it committed.
         """
-        for ts in info.txs:
-            if ts.kind in CREDIT_VALUES:
+        for tx in info.block.txs:
+            if tx.kind in CREDIT_KINDS:
                 continue
-            key = ts.hash if ts.kind == TxKind.REGULAR.value else ts.origin_hash
+            key = tx.hash if tx.kind is TxKind.REGULAR else tx.origin_hash
             rec = self.ledger.originals.get(key)
             if rec is None:
                 continue
@@ -291,20 +294,16 @@ class Supervisor:
             self.ledger.notes.append(
                 f"{self.ledger.unconfirmed} originals unconfirmed at stop"
             )
-        summary = self.ledger.write_reports(out_dir, self.cfg.echo())
-        try:
-            if self.ledger.x:
-                exp = expected_metrics(input_from_config(self.cfg.echo(), self.ledger.x))
-                summary["oracle"] = proximity_report(summary, exp, self.ledger.tcl_rows())
-            else:
-                summary["oracle"] = {"skipped": "no transactions injected"}
-        except MismatchedProtocol as exc:
-            summary["oracle"] = {"skipped": f"protocol mismatch: {exc}"}
-        import json
-        import os
-
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        summary = self.ledger.write_reports(out_dir, self.cfg.echo(), self._oracle)
         exit_code = 3 if summary["degraded"] else 0
         return exit_code, summary
+
+    def _oracle(self, summary: dict, tcl_rows: list[dict]) -> dict:
+        """The summary's distance from the closed-form expectation."""
+        if not self.ledger.x:
+            return {"skipped": "no transactions injected"}
+        exp = expected_metrics(input_from_config(summary["config"], self.ledger.x))
+        try:
+            return proximity_report(summary, exp, tcl_rows)
+        except MismatchedProtocol as exc:
+            return {"skipped": f"protocol mismatch: {exc}"}

@@ -14,7 +14,7 @@ import json
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -137,24 +137,13 @@ class AccountMigrate:
 
 
 @dataclass(slots=True)
-class TxSummary:
-    """What the supervisor needs to know about one committed transaction."""
-
-    hash: bytes
-    kind: str
-    origin_hash: Optional[bytes] = None
-    inject_time: Optional[int] = None
-
-
-@dataclass(slots=True)
 class BlockInfo:
-    shard: int
-    height: int
+    """A replica's report of one committed block to the supervisor."""
+
+    block: Block
     commit_time: int
     pool_size: int
-    block_kind: str = "tx"
-    version: int = 0
-    txs: list[TxSummary] = field(default_factory=list)
+    version: int
 
 
 @dataclass(slots=True)
@@ -175,8 +164,7 @@ class Envelope:
 def _record(cls, **codecs) -> tuple[Callable, Callable]:
     """(encode, decode) for one payload dataclass. Fields go out as JSON
     keys in declaration order; the fields named in ``codecs`` pass through
-    their own (encode, decode) pair, the rest are JSON scalars as is. A
-    field with a default may be missing on decode."""
+    their own (encode, decode) pair, the rest are JSON scalars as is."""
     plain = (lambda v: v, lambda v: v)
     pairs = [(f.name, codecs.get(f.name, plain)) for f in fields(cls)]
 
@@ -184,7 +172,7 @@ def _record(cls, **codecs) -> tuple[Callable, Callable]:
         return {n: enc(getattr(obj, n)) for n, (enc, _) in pairs}
 
     def decode(obj: dict) -> Any:
-        return cls(**{n: dec(obj[n]) for n, (_, dec) in pairs if n in obj})
+        return cls(**{n: dec(obj[n]) for n, (_, dec) in pairs})
 
     return encode, decode
 
@@ -195,7 +183,6 @@ def _list(codec: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
 
 
 _HEX = (bytes.hex, bytes.fromhex)
-_OPT_HEX = ((lambda b: b.hex() if b else None), (lambda s: bytes.fromhex(s) if s else None))
 _ADDR = (address_to_hex, address_from_hex)
 _ADDR_MAP = (
     lambda m: {address_to_hex(a): s for a, s in m.items()},
@@ -204,9 +191,10 @@ _ADDR_MAP = (
 _TXS = _list((tx_to_json, tx_from_json))
 
 # One entry per message type: the codec of its payload dataclass.
+_BLOCK = (block_to_json, block_from_json)
 _PAYLOADS = {
     "inject_txs": _record(InjectTxs, txs=_TXS),
-    "preprepare": _record(PrePrepare, block=(block_to_json, block_from_json)),
+    "preprepare": _record(PrePrepare, block=_BLOCK),
     "prepare": _record(Prepare, block_hash=_HEX),
     "commit": _record(Commit, block_hash=_HEX),
     "view_change": _record(ViewChange),
@@ -219,9 +207,7 @@ _PAYLOADS = {
             _record(MigratedAccount, state=(account_to_json, account_from_json), pending_txs=_TXS)
         ),
     ),
-    "block_info": _record(
-        BlockInfo, txs=_list(_record(TxSummary, hash=_HEX, origin_hash=_OPT_HEX))
-    ),
+    "block_info": _record(BlockInfo, block=_BLOCK),
     "stop": _record(Stop),
 }
 

@@ -1,9 +1,10 @@
 """Shared builders for the test suite.
 
-Addresses pinned to specific shards, tiny CSV datasets, config dictionaries
-with sensible test defaults, and a four-node shard wired over the simulated
-network. Nothing here asserts; helpers stay dumb so failures point at the
-code under test.
+Addresses pinned to specific shards, transactions and committed blocks with
+preset hashes, tiny CSV datasets, config dictionaries with sensible test
+defaults, a four-node shard wired over the simulated network, and the CLPA
+objective and cut weight used as brute-force oracles. Nothing here asserts;
+helpers stay dumb so failures point at the code under test.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from shardemu.config import RunConfig, parse_config
 from shardemu.core import (
     ADDRESS_SIZE,
     SHARD_SUFFIX_BYTES,
+    ZERO_DIGEST,
+    Block,
+    BlockKind,
     PartitionMap,
     Transaction,
     TxKind,
@@ -22,7 +26,7 @@ from shardemu.core import (
     make_transaction,
 )
 from shardemu.dataset import HEADER
-from shardemu.mechanisms import make_mechanism
+from shardemu.mechanisms import AccountGraph, make_mechanism, shard_loads
 from shardemu.pbft import Replica
 from shardemu.transport import SUPERVISOR_ID, SimNetwork, node_id
 from shardemu.txpool import TxPool
@@ -48,6 +52,20 @@ def regular_tx(payer: bytes, payee: bytes, value: int = 1, nonce: int = 0,
                fee: int = 0, inject_time: Optional[int] = 0) -> Transaction:
     return make_transaction(payer, payee, value, nonce, kind=TxKind.REGULAR,
                             fee=fee, inject_time=inject_time)
+
+
+def hashed_tx(tx_hash: bytes, kind: TxKind, origin_hash: Optional[bytes] = None) -> Transaction:
+    """A transaction that carries ``tx_hash`` instead of its own digest."""
+    return Transaction(b"\x0a" * ADDRESS_SIZE, b"\x0b" * ADDRESS_SIZE, 1, 0, kind,
+                       origin_hash=origin_hash, inject_time=0, hash=tx_hash)
+
+
+def committed_block(shard: int, height: int, txs=(),
+                    kind: BlockKind = BlockKind.TX) -> Block:
+    """A block as a replica reports it; parent and root are placeholders."""
+    return Block(shard_id=shard, height=height, parent_hash=ZERO_DIGEST,
+                 state_root=ZERO_DIGEST, proposer=f"{shard}.0", block_kind=kind,
+                 txs=list(txs))
 
 
 def free_ports(n: int) -> list[int]:
@@ -146,3 +164,26 @@ def attach_sink(net: SimNetwork) -> SupervisorSink:
     sink = SupervisorSink()
     net.register(SUPERVISOR_ID, sink)
     return sink
+
+
+def clpa_objective(
+    graph: AccountGraph, labels: dict[bytes, int], beta: float, n_shards: int
+) -> float:
+    """Total load-damped within-shard affinity the propagation maximizes."""
+    loads = shard_loads(graph, labels, n_shards)
+    mean = sum(loads) / n_shards if any(loads) else 1.0
+    total = 0.0
+    for v, row in graph.adj.items():
+        k = labels[v]
+        internal = sum(w for u, w in row.items() if labels[u] == k)
+        total += internal * (1.0 - beta * loads[k] / mean)
+    return total
+
+
+def cut_weight(graph: AccountGraph, labels: dict[bytes, int]) -> int:
+    cut = 0
+    for v, row in graph.adj.items():
+        for u, w in row.items():
+            if v < u and labels[v] != labels[u]:
+                cut += w
+    return cut

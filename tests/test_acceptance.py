@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from helpers import clpa_objective, cut_weight
 from shardemu.config import parse_config
 from shardemu.core import (
     PartitionMap,
@@ -40,13 +41,7 @@ from shardemu.dataset import (
     top_active_accounts,
 )
 from shardemu.harness import Emulation, run
-from shardemu.mechanisms import (
-    AccountGraph,
-    ClpaParams,
-    clpa_objective,
-    clpa_partition,
-    cut_weight,
-)
+from shardemu.mechanisms import AccountGraph, ClpaParams, clpa_partition
 
 THETA = 200  # block capacity at desk scale
 DELTA_MS = 1000  # virtual block interval at desk scale

@@ -1,12 +1,14 @@
 """Command-line surface: the four subcommands and their exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from helpers import cfg_dict
+from shardemu import cli
 from shardemu.cli import main
 
 
@@ -118,9 +120,12 @@ def test_config_problems_exit_two(tmp_path, capsys):
 
 
 def test_module_is_executable():
+    # Run from the directory that holds the package, so the child finds it
+    # whether or not it is installed.
     proc = subprocess.run(
         [sys.executable, "-m", "shardemu.cli", "--help"],
         capture_output=True, text=True, timeout=30,
+        cwd=os.path.dirname(os.path.dirname(cli.__file__)),
     )
     assert proc.returncode == 0
     for sub in ("run", "oracle", "report", "gen-dataset"):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import addr, regular_tx
+from helpers import addr, clpa_objective, cut_weight, regular_tx
 from shardemu.core import (
     CREDIT_KINDS,
     PartitionMap,
@@ -26,9 +26,7 @@ from shardemu.mechanisms import (
     NotCrossShard,
     RelayMechanism,
     broker_transform,
-    clpa_objective,
     clpa_partition,
-    cut_weight,
     exec_home_shard,
     inter_from_intra,
     make_mechanism,
@@ -524,7 +522,7 @@ def test_migration_block_commit_switches_map_and_requeues():
     assert credit.origin_hash in node.relay_seen, \
         "migrated credit halves must still dedupe straggler relays"
     assert outs[-1][0] == ("supervisor",)
-    assert outs[-1][1].body.block_kind == "migration"
+    assert outs[-1][1].body.block.block_kind is BlockKind.MIGRATION
 
 
 def test_commit_on_source_drops_departed_account_and_evicts():

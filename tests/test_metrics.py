@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from helpers import addr
-from shardemu.core import TxClass, TxKind
+from helpers import addr, committed_block, hashed_tx
+from shardemu.core import BlockKind, TxClass, TxKind
 from shardemu.metrics import CREDIT_PER_KIND, MetricsLedger, PHASE_PURITY
-from shardemu.transport import BlockInfo, TxSummary
 
 PA = addr("met-a")
 PB = addr("met-b")
@@ -18,20 +17,17 @@ def _hash(i):
 
 
 def inject(ledger, i, *, cross=False, inject_ms=0):
-    kind = TxKind.ORIGINAL_CTX.value if cross else TxKind.REGULAR.value
+    kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
     klass = TxClass.CROSS_SHARD if cross else TxClass.REGULAR
     ledger.record_injection(_hash(i), kind, klass, PA, PB, inject_ms)
 
 
-def summary(i, kind, origin=None):
-    return TxSummary(hash=_hash(i), kind=kind.value, origin_hash=origin, inject_time=0)
+def tx(i, kind, origin=None):
+    return hashed_tx(_hash(i), kind, origin)
 
 
-def block(shard, height, commit_ms, txs, *, pool=0, block_kind="tx"):
-    return BlockInfo(
-        shard=shard, height=height, commit_time=commit_ms,
-        pool_size=pool, txs=txs, block_kind=block_kind,
-    )
+def commit(ledger, shard, height, commit_ms, txs, *, pool=0, block_kind=BlockKind.TX):
+    return ledger.record_block(committed_block(shard, height, txs, block_kind), commit_ms, pool)
 
 
 def test_counter_identities_on_mixed_run():
@@ -40,20 +36,20 @@ def test_counter_identities_on_mixed_run():
         inject(led, i)                      # 4 whole transfers
     for i in range(4, 7):
         inject(led, i, cross=True)          # 3 split transfers
-    led.record_block(block(0, 1, 500, [
-        summary(0, TxKind.REGULAR),
-        summary(1, TxKind.REGULAR),
-        summary(10, TxKind.INTRA_RELAY, origin=_hash(4)),
-        summary(11, TxKind.INTRA_RELAY, origin=_hash(5)),
-    ]))
-    led.record_block(block(1, 1, 600, [
-        summary(2, TxKind.REGULAR),
-        summary(3, TxKind.REGULAR),
-        summary(12, TxKind.INTER_RELAY, origin=_hash(4)),
-    ]))
-    led.record_block(block(1, 2, 1600, [
-        summary(13, TxKind.INTER_RELAY, origin=_hash(5)),
-    ]))
+    commit(led, 0, 1, 500, [
+        tx(0, TxKind.REGULAR),
+        tx(1, TxKind.REGULAR),
+        tx(10, TxKind.INTRA_RELAY, origin=_hash(4)),
+        tx(11, TxKind.INTRA_RELAY, origin=_hash(5)),
+    ])
+    commit(led, 1, 1, 600, [
+        tx(2, TxKind.REGULAR),
+        tx(3, TxKind.REGULAR),
+        tx(12, TxKind.INTER_RELAY, origin=_hash(4)),
+    ])
+    commit(led, 1, 2, 1600, [
+        tx(13, TxKind.INTER_RELAY, origin=_hash(5)),
+    ])
 
     counts = led.counters()
     assert counts == {"X": 7, "Y": 2, "Z": 4, "U": 2, "V": 2, "W": 8}
@@ -69,18 +65,18 @@ def test_duplicate_blocks_and_injections_ignored():
     inject(led, 1)
     inject(led, 1)
     assert led.x == 1
-    info = block(0, 1, 100, [summary(1, TxKind.REGULAR)])
-    assert led.record_block(info) is not None
-    assert led.record_block(info) is None, "replica echoes are dropped"
+    block = committed_block(0, 1, [tx(1, TxKind.REGULAR)])
+    assert led.record_block(block, 100, 0) is not None
+    assert led.record_block(block, 100, 0) is None, "replica echoes are dropped"
     assert led.z == 1
 
 
 def test_split_confirmation_is_the_later_half():
     led = MetricsLedger(n_shards=2, epoch_ms=1000)
     inject(led, 1, cross=True, inject_ms=100)
-    led.record_block(block(0, 1, 400, [summary(2, TxKind.INTRA_RELAY, origin=_hash(1))]))
+    commit(led, 0, 1, 400, [tx(2, TxKind.INTRA_RELAY, origin=_hash(1))])
     assert led.unconfirmed == 1, "debit alone does not confirm"
-    led.record_block(block(1, 1, 900, [summary(3, TxKind.INTER_RELAY, origin=_hash(1))]))
+    commit(led, 1, 1, 900, [tx(3, TxKind.INTER_RELAY, origin=_hash(1))])
     rec = led.originals[_hash(1)]
     assert rec.confirm_ms == 900
     (row,) = led.tcl_rows()
@@ -90,7 +86,7 @@ def test_split_confirmation_is_the_later_half():
 def test_epoch_bucketing_is_contiguous():
     led = MetricsLedger(n_shards=1, epoch_ms=5000)
     inject(led, 1)
-    led.record_block(block(0, 1, 12_300, [summary(1, TxKind.REGULAR)]))
+    commit(led, 0, 1, 12_300, [tx(1, TxKind.REGULAR)])
     rows = led.epoch_rows()
     assert [r["epoch"] for r in rows] == [0, 1, 2]
     assert rows[2]["start_ms"] == 10_000 and rows[2]["end_ms"] == 15_000
@@ -100,44 +96,44 @@ def test_epoch_bucketing_is_contiguous():
 
 
 def test_credit_weights_wholes_and_halves():
-    assert CREDIT_PER_KIND[TxKind.REGULAR.value] == 1.0
-    assert CREDIT_PER_KIND[TxKind.INTRA_RELAY.value] == 0.5
+    assert CREDIT_PER_KIND[TxKind.REGULAR] == 1.0
+    assert CREDIT_PER_KIND[TxKind.INTRA_RELAY] == 0.5
     led = MetricsLedger(n_shards=1, epoch_ms=1000)
-    led.record_block(block(0, 1, 100, [
-        summary(1, TxKind.REGULAR),
-        summary(2, TxKind.INTRA_RELAY, origin=_hash(9)),
-        summary(3, TxKind.INTER_RELAY, origin=_hash(9)),
-    ]))
+    commit(led, 0, 1, 100, [
+        tx(1, TxKind.REGULAR),
+        tx(2, TxKind.INTRA_RELAY, origin=_hash(9)),
+        tx(3, TxKind.INTER_RELAY, origin=_hash(9)),
+    ])
     assert led.epoch_rows()[0]["credit"] == pytest.approx(2.0)
     # migration blocks carry no transactions, hence no credit
-    led.record_block(block(0, 2, 200, [], block_kind="migration"))
+    commit(led, 0, 2, 200, [], block_kind=BlockKind.MIGRATION)
     assert led.epoch_rows()[0]["credit"] == pytest.approx(2.0)
 
 
 def test_phase_purity_is_strict():
     assert PHASE_PURITY == 0.95
     led = MetricsLedger(n_shards=1, epoch_ms=1000)
-    txs = [summary(i, TxKind.REGULAR) for i in range(19)]
-    txs.append(summary(40, TxKind.INTER_RELAY, origin=_hash(41)))
-    led.record_block(block(0, 1, 100, txs))
+    txs = [tx(i, TxKind.REGULAR) for i in range(19)]
+    txs.append(tx(40, TxKind.INTER_RELAY, origin=_hash(41)))
+    commit(led, 0, 1, 100, txs)
     assert led.epoch_rows()[0]["label"] == "mixed", "19 of 20 is exactly the bar, not past it"
 
     pure = MetricsLedger(n_shards=1, epoch_ms=1000)
-    txs = [summary(i, TxKind.REGULAR) for i in range(24)]
-    txs.append(summary(40, TxKind.INTER_RELAY, origin=_hash(41)))
-    pure.record_block(block(0, 1, 100, txs))
+    txs = [tx(i, TxKind.REGULAR) for i in range(24)]
+    txs.append(tx(40, TxKind.INTER_RELAY, origin=_hash(41)))
+    commit(pure, 0, 1, 100, txs)
     assert pure.epoch_rows()[0]["label"] == "intake", "24 of 25 clears it"
 
     settle = MetricsLedger(n_shards=1, epoch_ms=1000)
-    settle.record_block(block(0, 1, 100, [
-        summary(i, TxKind.INTER_RELAY, origin=_hash(50 + i)) for i in range(3)
-    ]))
+    commit(settle, 0, 1, 100, [
+        tx(i, TxKind.INTER_RELAY, origin=_hash(50 + i)) for i in range(3)
+    ])
     assert settle.epoch_rows()[0]["label"] == "settle"
 
 
 def test_pool_samples_prefer_commit_observations():
     led = MetricsLedger(n_shards=2, epoch_ms=1000)
-    led.record_block(block(0, 1, 100, [], pool=7))
+    commit(led, 0, 1, 100, [], pool=7)
     led.record_pool_size(100, 0, 99)  # loses: a commit already sampled that instant
     led.record_pool_size(100, 1, 3)
     led.record_pool_size(50, 0, 12)
@@ -150,8 +146,8 @@ def test_pool_samples_prefer_commit_observations():
 
 def test_workload_shares_sum_to_one():
     led = MetricsLedger(n_shards=3, epoch_ms=1000)
-    led.record_block(block(0, 1, 100, [summary(1, TxKind.REGULAR)]))
-    led.record_block(block(1, 1, 100, [summary(i, TxKind.REGULAR) for i in range(2, 5)]))
+    commit(led, 0, 1, 100, [tx(1, TxKind.REGULAR)])
+    commit(led, 1, 1, 100, [tx(i, TxKind.REGULAR) for i in range(2, 5)])
     rows = led.workload_rows()
     assert [r["packed_txs"] for r in rows] == [1, 3, 0]
     assert sum(r["share"] for r in rows) == pytest.approx(1.0)
@@ -160,8 +156,8 @@ def test_workload_shares_sum_to_one():
 def test_phase_stats_structure():
     led = MetricsLedger(n_shards=2, epoch_ms=1000)
     inject(led, 1, cross=True)
-    led.record_block(block(0, 1, 250, [summary(2, TxKind.INTRA_RELAY, origin=_hash(1))]))
-    led.record_block(block(1, 1, 900, [summary(3, TxKind.INTER_RELAY, origin=_hash(1))]))
+    commit(led, 0, 1, 250, [tx(2, TxKind.INTRA_RELAY, origin=_hash(1))])
+    commit(led, 1, 1, 900, [tx(3, TxKind.INTER_RELAY, origin=_hash(1))])
     stats = led.phase_stats()
     assert stats["intake_end_ms"] == 250, "credit-only commits do not extend intake"
     assert stats["last_commit_ms"] == 900
@@ -173,7 +169,7 @@ def test_phase_stats_structure():
 def test_write_reports_exact_formats(tmp_path):
     led = MetricsLedger(n_shards=2, epoch_ms=1000)
     inject(led, 1, inject_ms=10)
-    led.record_block(block(0, 1, 700, [summary(1, TxKind.REGULAR)], pool=4))
+    commit(led, 0, 1, 700, [tx(1, TxKind.REGULAR)], pool=4)
     echo = {"n_shards": 2}
     summary_dict = led.write_reports(str(tmp_path), echo)
 
@@ -212,10 +208,10 @@ def test_tcl_rows_keep_injection_order():
     led = MetricsLedger(n_shards=1, epoch_ms=1000)
     for i in (5, 3, 9):
         inject(led, i, inject_ms=i)
-    led.record_block(block(0, 1, 100, [
-        summary(9, TxKind.REGULAR),
-        summary(5, TxKind.REGULAR),
-    ]))
+    commit(led, 0, 1, 100, [
+        tx(9, TxKind.REGULAR),
+        tx(5, TxKind.REGULAR),
+    ])
     rows = led.tcl_rows()
     assert [r["inject_ms"] for r in rows] == [5, 9], "unconfirmed rows drop out"
     assert [r["tx_hash"] for r in rows] == [_hash(5).hex(), _hash(9).hex()]

@@ -152,7 +152,7 @@ def test_commit_quorum_advances_head():
     # commit reports to the supervisor
     assert [to for to, _ in net.sent] == ["supervisor"]
     info = net.sent[0][1].body
-    assert (info.shard, info.height, info.commit_time) == (0, 1, 13)
+    assert (info.block.shard_id, info.block.height, info.commit_time) == (0, 1, 13)
 
 
 def test_out_of_order_votes_buffer_until_preprepare():
@@ -259,7 +259,7 @@ def test_shard_commits_pool_in_paced_blocks():
 
     infos = [env.body for _, env in sink.envelopes if env.msg_type == "block_info"]
     assert len(infos) == 12, "every replica reports every commit"
-    assert {(i.shard, i.height) for i in infos} == {(0, 1), (0, 2), (0, 3)}
+    assert {(i.block.shard_id, i.block.height) for i in infos} == {(0, 1), (0, 2), (0, 3)}
 
 
 def test_shard_applies_each_block_once(monkeypatch):

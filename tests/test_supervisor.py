@@ -5,12 +5,12 @@ import json
 
 import pytest
 
-from helpers import addr, build_cfg
-from shardemu.core import PartitionMap, TxKind
+from helpers import addr, build_cfg, committed_block, hashed_tx
+from shardemu.core import BlockKind, PartitionMap, TxKind
 from shardemu.dataset import DatasetRow
 from shardemu.mechanisms import exec_home_shard
 from shardemu.supervisor import QUIET_INTERVALS, Supervisor
-from shardemu.transport import BlockInfo, Envelope, TxSummary
+from shardemu.transport import BlockInfo, Envelope
 
 A0 = addr("sup-a0", shard=0)
 B0 = addr("sup-b0", shard=0)
@@ -44,16 +44,9 @@ def make_sup(rows=(), **over):
     return Supervisor(cfg, pmap, net, iter(rows)), net
 
 
-def info(shard, height, commit_ms, txs=(), pool=0, kind="tx", version=0):
-    return Envelope("block_info", f"{shard}.0", BlockInfo(
-        shard=shard, height=height, commit_time=commit_ms,
-        pool_size=pool, txs=list(txs), block_kind=kind, version=version,
-    ))
-
-
-def regular_summary(tx):
-    return TxSummary(hash=tx.hash, kind=tx.kind.value,
-                     origin_hash=tx.origin_hash, inject_time=tx.inject_time)
+def info(shard, height, commit_ms, txs=(), pool=0, kind=BlockKind.TX, version=0):
+    block = committed_block(shard, height, txs, kind)
+    return Envelope("block_info", f"{shard}.0", BlockInfo(block, commit_ms, pool, version))
 
 
 # --- injection routing ---
@@ -165,10 +158,10 @@ def test_block_info_updates_pool_estimate_once():
     sup, _ = make_sup()
     tx_rows = sup.stamp_rows([DatasetRow(A0, B0, 5, 0)], now=0)
     (tx,) = tx_rows[0]
-    sup.on_envelope(info(0, 1, 120, [regular_summary(tx)], pool=7), 120)
+    sup.on_envelope(info(0, 1, 120, [tx], pool=7), 120)
     assert sup.est_pool[0] == 7
     # the same height reported by another replica changes nothing
-    sup.on_envelope(info(0, 1, 125, [regular_summary(tx)], pool=3), 125)
+    sup.on_envelope(info(0, 1, 125, [tx], pool=3), 125)
     assert sup.est_pool[0] == 7
     assert sup.ledger.z == 1
     with pytest.raises(ValueError):
@@ -184,22 +177,19 @@ def test_fold_counts_each_original_once():
     local = stamped[0][0]
     original = stamped[0][1]
     sup.on_envelope(info(0, 1, 100, [
-        regular_summary(local),
-        TxSummary(hash=b"\x01" * 32, kind=TxKind.INTRA_RELAY.value,
-                  origin_hash=original.hash, inject_time=0),
+        local,
+        hashed_tx(b"\x01" * 32, TxKind.INTRA_RELAY, original.hash),
     ]), 100)
     assert sup.graph.edge_count == 2
     before = sup.graph.adj[A0][B1]
     # the credit half of the same original must not add a second edge
     sup.on_envelope(info(1, 1, 200, [
-        TxSummary(hash=b"\x02" * 32, kind=TxKind.INTER_RELAY.value,
-                  origin_hash=original.hash, inject_time=0),
+        hashed_tx(b"\x02" * 32, TxKind.INTER_RELAY, original.hash),
     ]), 200)
     assert sup.graph.adj[A0][B1] == before
-    # summaries with no matching original are ignored
+    # transactions with no matching original are ignored
     sup.on_envelope(info(0, 2, 300, [
-        TxSummary(hash=b"\x03" * 32, kind=TxKind.REGULAR.value,
-                  origin_hash=None, inject_time=0),
+        hashed_tx(b"\x03" * 32, TxKind.REGULAR, None),
     ]), 300)
     assert sup.graph.edge_count == 2
 
@@ -207,7 +197,7 @@ def test_fold_counts_each_original_once():
 def test_static_partition_never_folds():
     sup, _ = make_sup()
     stamped = sup.stamp_rows([DatasetRow(A0, B0, 5, 0)], now=0)
-    sup.on_envelope(info(0, 1, 100, [regular_summary(stamped[0][0])]), 100)
+    sup.on_envelope(info(0, 1, 100, [stamped[0][0]]), 100)
     assert len(sup.graph) == 0
 
 
@@ -234,14 +224,12 @@ def _feed_graph(sup):
             if tx.kind is TxKind.REGULAR:
                 height[shard] += 1
                 sup.on_envelope(
-                    info(shard, height[shard], 100, [regular_summary(tx)]), 100
+                    info(shard, height[shard], 100, [tx]), 100
                 )
             else:
                 height[shard] += 1
-                sup.on_envelope(info(shard, height[shard], 100, [TxSummary(
-                    hash=b"\x07" * 32, kind=TxKind.INTRA_RELAY.value,
-                    origin_hash=tx.hash, inject_time=0,
-                )]), 100)
+                debit = hashed_tx(b"\x07" * 32, TxKind.INTRA_RELAY, tx.hash)
+                sup.on_envelope(info(shard, height[shard], 100, [debit]), 100)
 
 
 def test_epoch_tick_announces_partition_and_waits():
@@ -264,9 +252,9 @@ def test_epoch_tick_announces_partition_and_waits():
 
     waiting = set(sup.pending_migration["waiting"])
     assert waiting == {0, 1}
-    sup.on_envelope(info(0, 9, 1100, [], kind="migration", version=1), 1100)
+    sup.on_envelope(info(0, 9, 1100, [], kind=BlockKind.MIGRATION, version=1), 1100)
     assert sup.pending_migration is not None, "one shard is still migrating"
-    sup.on_envelope(info(1, 9, 1150, [], kind="migration", version=1), 1150)
+    sup.on_envelope(info(1, 9, 1150, [], kind=BlockKind.MIGRATION, version=1), 1150)
     assert sup.pending_migration is None
     assert sup.pmap.version == 1
 
@@ -287,7 +275,7 @@ def test_stale_migration_confirmations_ignored():
     sup, _ = make_sup(partition="clpa")
     _feed_graph(sup)
     sup.on_timer("epoch", None, 500)
-    sup.on_envelope(info(0, 9, 600, [], kind="migration", version=99), 600)
+    sup.on_envelope(info(0, 9, 600, [], kind=BlockKind.MIGRATION, version=99), 600)
     assert sup.pending_migration is not None
     assert set(sup.pending_migration["waiting"]) == {0, 1}
 
@@ -298,7 +286,7 @@ def test_stale_migration_confirmations_ignored():
 def test_drain_stop_needs_quiet_window():
     sup, net = make_sup([DatasetRow(A0, B0, 1, 0)])
     stamped = sup.prepare_prefill()
-    sup.on_envelope(info(0, 1, 1000, [regular_summary(stamped[0][0])], pool=0), 1000)
+    sup.on_envelope(info(0, 1, 1000, [stamped[0][0]], pool=0), 1000)
     quiet = QUIET_INTERVALS * sup.cfg.block_interval_ms
 
     sup.on_timer("stopcheck", None, 1000 + quiet - 1)
@@ -315,7 +303,7 @@ def test_drain_stop_waits_for_pools_and_injection():
     sup.on_timer("stopcheck", None, 10_000)
     assert not sup.stopped, "pool estimate is still nonzero"
 
-    sup.on_envelope(info(0, 1, 100, [regular_summary(stamped[0][0])], pool=0), 100)
+    sup.on_envelope(info(0, 1, 100, [stamped[0][0]], pool=0), 100)
     live, _ = make_sup(rows * 5, injection={"base_rate": 1, "batch_interval_ms": 250})
     live.on_timer("stopcheck", None, 10_000)
     assert not live.stopped, "injection has not finished"
@@ -366,8 +354,8 @@ def test_finalize_clean_run(tmp_path):
     rows = [DatasetRow(A0, B0, 1, 0), DatasetRow(A1, B1, 1, 0)]
     sup, _ = make_sup(rows)
     stamped = sup.prepare_prefill()
-    sup.on_envelope(info(0, 1, 150, [regular_summary(stamped[0][0])], pool=0), 150)
-    sup.on_envelope(info(1, 1, 160, [regular_summary(stamped[1][0])], pool=0), 160)
+    sup.on_envelope(info(0, 1, 150, [stamped[0][0]], pool=0), 150)
+    sup.on_envelope(info(1, 1, 160, [stamped[1][0]], pool=0), 160)
     code, summary = sup.finalize(str(tmp_path))
     assert code == 0
     assert summary["counters"] == {"X": 2, "Y": 0, "Z": 2, "U": 0, "V": 0, "W": 2}
@@ -401,7 +389,7 @@ def test_finalize_oracle_skips_other_protocols(tmp_path):
         [DatasetRow(A0, B0, 1, 0)], mechanism="broker", brokers=[broker.hex()]
     )
     stamped = sup.prepare_prefill()
-    sup.on_envelope(info(0, 1, 100, [regular_summary(stamped[0][0])], pool=0), 100)
+    sup.on_envelope(info(0, 1, 100, [stamped[0][0]], pool=0), 100)
     _, summary = sup.finalize(str(tmp_path))
     assert summary["oracle"]["skipped"].startswith("protocol mismatch")
 

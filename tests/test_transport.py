@@ -1,5 +1,6 @@
 """Wire codec and both network backends."""
 
+import json
 import threading
 import time
 
@@ -12,10 +13,12 @@ from shardemu.core import (
     AccountState,
     Block,
     BlockKind,
+    PartitionMap,
     genesis_block,
     make_transaction,
     TxKind,
 )
+from shardemu.mechanisms import relay_split
 from shardemu.transport import (
     AccountMigrate,
     BadJson,
@@ -33,7 +36,6 @@ from shardemu.transport import (
     SimNetwork,
     Stop,
     TcpMesh,
-    TxSummary,
     UnknownPeer,
     UnknownType,
     ViewChange,
@@ -45,6 +47,7 @@ from shardemu.transport import (
 
 A = addr("wa", shard=0)
 B = addr("wb", shard=1)
+C = addr("wc", shard=0)
 
 
 def test_node_ids():
@@ -55,6 +58,30 @@ def test_node_ids():
 
 def _round_trip(env: Envelope) -> Envelope:
     return decode_frame(encode_frame(env))
+
+
+def _relay_block() -> Block:
+    """Shard 0's view of two split transfers: one debit half leaving,
+    one credit half arriving, next to a whole transfer."""
+    out = make_transaction(A, B, 6, 0, kind=TxKind.ORIGINAL_CTX, inject_time=20)
+    inbound = make_transaction(B, A, 2, 1, kind=TxKind.ORIGINAL_CTX, inject_time=30)
+    two = PartitionMap(n_shards=2)
+    debit, _ = relay_split(out, two)
+    _, credit = relay_split(inbound, two)
+    return Block(
+        shard_id=0, height=5, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,
+        proposer="0.1", block_kind=BlockKind.TX,
+        txs=[regular_tx(A, C, 3), debit, credit], timestamp=400,
+    )
+
+
+def _migration_block() -> Block:
+    return Block(
+        shard_id=1, height=9, parent_hash=b"\x03" * 32, state_root=b"\x04" * 32,
+        proposer="1.2", block_kind=BlockKind.MIGRATION,
+        migration_installs=[AccountState(A, balance=-3, nonce=5)],
+        migration_departures=[B], timestamp=700,
+    )
 
 
 @pytest.mark.parametrize(
@@ -96,16 +123,9 @@ def _round_trip(env: Envelope) -> Envelope:
                 ],
             ),
         ),
-        Envelope(
-            "block_info",
-            "1.0",
-            BlockInfo(
-                shard=1, height=7, commit_time=9000, pool_size=42,
-                txs=[TxSummary(b"\x0a" * 32, "regular", None, 100)],
-                block_kind="tx", version=3,
-            ),
-        ),
+        Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, pool_size=3, version=2)),
         Envelope("stop", "supervisor", Stop()),
+        Envelope("block_info", "1.2", BlockInfo(_migration_block(), 800, pool_size=0, version=2)),
     ],
 )
 def test_codec_round_trip(env):
@@ -124,6 +144,19 @@ def test_codec_preprepare_block():
     )
     back = _round_trip(Envelope("preprepare", "0.0", PrePrepare(block=block)))
     assert back.body.block.hash == block.hash
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda blk: blk.update(timestamp=blk["timestamp"] + 1),
+    lambda blk: blk["txs"].pop(),
+], ids=["timestamp", "dropped_tx"])
+def test_codec_block_info_rejects_a_block_off_its_hash(tamper):
+    frame = encode_frame(Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)))
+    obj = json.loads(frame[4:])
+    tamper(obj["body"]["block"])
+    payload = json.dumps(obj).encode("utf-8")
+    with pytest.raises(BadJson):
+        decode_frame(len(payload).to_bytes(4, "big") + payload)
 
 
 def test_codec_large_frame():
