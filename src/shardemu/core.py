@@ -441,22 +441,44 @@ def apply_migration(
     return out
 
 
-# Post-states by (pre-state root, block hash), shared by every replica in
-# the process. The key fixes the post-state's content, so a replica whose
-# pre-state differs never reuses another's post-state. Insertion-ordered;
-# the oldest entry goes first once the cap is reached.
+class Memo:
+    """A small memo shared by every replica in the process.
+
+    Insertion-ordered and capped: once the cap is reached the oldest entry
+    goes first. Locked, because TCP replicas run as threads of one process.
+    A key must fix its value's content, so that any replica may use a value
+    that another one stored.
+    """
+
+    __slots__ = ("cap", "_entries", "_lock")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key, value):
+        """Store ``value`` under ``key`` and return the stored value, which
+        is ``value`` unless another thread stored one first."""
+        with self._lock:
+            kept = self._entries.setdefault(key, value)
+            while len(self._entries) > self.cap:
+                del self._entries[next(iter(self._entries))]
+        return kept
+
+
+# Post-states by (pre-state root, block hash). The key fixes the
+# post-state's content, so a replica whose pre-state differs never reuses
+# another's post-state.
 POST_STATE_MEMO_CAP = 32
-_post_states: dict[tuple[bytes, bytes], StateTree] = {}
-# TCP replicas run as threads of one process.
-_post_states_lock = threading.Lock()
-
-
-def _memoize(key: tuple[bytes, bytes], post: StateTree) -> StateTree:
-    with _post_states_lock:
-        kept = _post_states.setdefault(key, post)
-        while len(_post_states) > POST_STATE_MEMO_CAP:
-            del _post_states[next(iter(_post_states))]
-    return kept
+_post_states = Memo(POST_STATE_MEMO_CAP)
 
 
 def remember_post_state(state: StateTree, block: Block, post: StateTree) -> StateTree:
@@ -464,7 +486,7 @@ def remember_post_state(state: StateTree, block: Block, post: StateTree) -> Stat
     a proposer that built the block from a post-state it already holds.
     Returns the memoized post-state, which is ``post`` unless another
     thread stored one first."""
-    return _memoize((compute_state_root(state), block.hash), post)
+    return _post_states.put((compute_state_root(state), block.hash), post)
 
 
 def apply_block_to_state(state: StateTree, block: Block) -> StateTree:
@@ -474,15 +496,14 @@ def apply_block_to_state(state: StateTree, block: Block) -> StateTree:
     of a shard applies and roots a block once between them and shares the
     resulting tree."""
     key = (compute_state_root(state), block.hash)
-    with _post_states_lock:
-        post = _post_states.get(key)
+    post = _post_states.get(key)
     if post is not None:
         return post
     if block.block_kind is BlockKind.MIGRATION:
         post = apply_migration(state, block.migration_installs, block.migration_departures)
     else:
         post = apply_txs(state, block.txs)
-    return _memoize(key, post)
+    return _post_states.put(key, post)
 
 
 def verify_block(

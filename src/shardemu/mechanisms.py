@@ -27,6 +27,7 @@ from .core import (
     INJECTED_KINDS,
     Block,
     BlockKind,
+    Memo,
     PartitionMap,
     RejectReason,
     StateTree,
@@ -74,7 +75,9 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
 
     Both halves inherit value, nonce and inject_time and point back at the
     original through origin_hash. The debit half belongs in the payer's
-    shard, the credit half in the payee's.
+    shard, the credit half in the payee's. The proposer's split is the one
+    place a credit half is built: ``op_mining`` records it for the commit
+    (see ``credit_halves``).
     """
     if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
@@ -87,12 +90,37 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
 
 
 def inter_from_intra(intra: Transaction) -> Transaction:
-    """Reconstruct the credit half from a committed debit half."""
+    """The credit half of a debit half. ``relay_split`` builds it this way,
+    and ``credit_halves`` rebuilds it for a block whose split halves it
+    does not hold."""
     return make_transaction(
         intra.payer, intra.payee, intra.value, intra.nonce,
         kind=TxKind.INTER_RELAY, origin_hash=intra.origin_hash, fee=intra.fee,
         inject_time=intra.inject_time,
     )
+
+
+# Credit halves by block hash, shared by every replica in the process. The
+# halves are a pure function of the block's transactions: the hash fixes
+# their identity fields, and every replica holds the block as its proposer
+# sent it, timing fields included. Routing stays with each replica's map.
+CREDIT_HALF_MEMO_CAP = 32
+_credit_halves = Memo(CREDIT_HALF_MEMO_CAP)
+
+
+def credit_halves(block: Block) -> tuple[Transaction, ...]:
+    """The credit half of every debit half in ``block``, in block order.
+
+    ``op_mining`` records the halves that the proposer's split built, so
+    every replica of the shard commits from that one build. On a miss (a
+    block proposed in another process, one without halves, or one evicted
+    since) they are rebuilt from the debit halves and stored."""
+    halves = _credit_halves.get(block.hash)
+    if halves is None:
+        halves = _credit_halves.put(block.hash, tuple(
+            inter_from_intra(tx) for tx in block.txs if tx.kind is TxKind.INTRA_RELAY
+        ))
+    return halves
 
 
 def relay_validate(body: RelayCtx, sender: str) -> Optional[str]:
@@ -504,13 +532,16 @@ class BaseMechanism:
         if not packed:
             return None, outs
         chosen: list[Transaction] = []
+        halves: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
         for tx in packed:
-            keep, route = self._place(tx, node)
+            keep, route, half = self._place(tx, node)
             if keep is not None:
                 chosen.append(keep)
             if route is not None:
                 forwards.setdefault(route[0], []).append(route[1])
+            if half is not None:
+                halves.append(half)
         outs.extend(forward(node, forwards))
         if not chosen:
             return None, outs
@@ -526,29 +557,32 @@ class BaseMechanism:
             timestamp=now,
         )
         remember_post_state(node.state, block, applied)
+        if halves:
+            _credit_halves.put(block.hash, tuple(halves))
         return block, outs
 
-    def _place(
-        self, tx: Transaction, node: Any
-    ) -> tuple[Optional[Transaction], Optional[tuple[int, Transaction]]]:
+    def _place(self, tx: Transaction, node: Any) -> tuple[
+        Optional[Transaction], Optional[tuple[int, Transaction]], Optional[Transaction]
+    ]:
         """Decide what a packed pool entry becomes under the current map.
 
         Returns (transaction to include in the block, (shard, transaction)
-        to forward). A migration can re-home accounts while entries wait, so
-        the execution home is re-derived at packing time: an entry another
-        shard executes is forwarded there, a local one is kept whole, and a
-        transfer that is cross-shard here is split by the mechanism.
+        to forward now, credit half to emit when the block commits). A
+        migration can re-home accounts while entries wait, so the execution
+        home is re-derived at packing time: an entry another shard executes
+        is forwarded there, a local one is kept whole, and a transfer that
+        is cross-shard here is split by the mechanism.
         """
         home = exec_home_shard(tx, node.pmap)
         if home != node.shard_id:
-            return None, (home, tx)
+            return None, (home, tx), None
         if tx_local_to_shard(tx, home, node.pmap):
-            return tx, None
+            return tx, None, None
         return self._pack_cross(tx, node)
 
-    def _pack_cross(
-        self, tx: Transaction, node: Any
-    ) -> tuple[Transaction, Optional[tuple[int, Transaction]]]:
+    def _pack_cross(self, tx: Transaction, node: Any) -> tuple[
+        Transaction, Optional[tuple[int, Transaction]], Optional[Transaction]
+    ]:
         raise NotImplementedError
 
     # - verification -
@@ -635,15 +669,16 @@ class RelayMechanism(BaseMechanism):
     name = "relay"
 
     def _pack_cross(self, tx, node):
-        intra, _ = relay_split(tx, node.pmap)
-        return intra, None
+        intra, inter = relay_split(tx, node.pmap)
+        return intra, None, inter
 
     def _commit_emissions(self, node: Any, block: Block, now: int) -> list:
+        """Send the block's credit halves to their payees' shards. The
+        halves come from ``credit_halves``, built once per block; each
+        replica routes them under its own map."""
         batches: dict[int, list[Transaction]] = {}
-        for tx in block.txs:
-            if tx.kind is TxKind.INTRA_RELAY:
-                inter = inter_from_intra(tx)
-                batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
+        for inter in credit_halves(block):
+            batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
         return forward(node, batches)
 
 
@@ -656,7 +691,7 @@ class BrokerMechanism(BaseMechanism):
 
     def _pack_cross(self, tx, node):
         payer_half, payee_half = broker_transform(tx, node.pmap)
-        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half)
+        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half), None
 
 
 def make_mechanism(name: str) -> BaseMechanism:

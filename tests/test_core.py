@@ -442,7 +442,7 @@ def test_memo_is_shared_safely_between_threads(monkeypatch):
         return real_apply_txs(state, txs)
 
     monkeypatch.setattr(core, "apply_txs", slow_apply_txs)
-    monkeypatch.setattr(core, "_post_states", {})
+    monkeypatch.setattr(core, "_post_states", core.Memo(core.POST_STATE_MEMO_CAP))
     cases = [_memo_case(f"thread{i}") for i in range(core.POST_STATE_MEMO_CAP // 2)]
     got = [[] for _ in range(8)]
     oversize = []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import addr, clpa_objective, cut_weight, regular_tx
+from helpers import addr, build_cfg, clpa_objective, cut_weight, regular_tx
 from shardemu.core import (
     CREDIT_KINDS,
     PartitionMap,
@@ -17,6 +17,8 @@ from shardemu.core import (
     RejectReason,
 )
 from shardemu import mechanisms
+from shardemu.dataset import gen_dataset
+from shardemu.harness import run
 from shardemu.mechanisms import (
     AccountGraph,
     BrokerMechanism,
@@ -614,6 +616,110 @@ def test_leader_forwards_misrouted_relays():
     # followers drop the same batch silently
     follower = FakeNode(1, TWO.updated(1, {P1: 0}), index=2, leader=False)
     assert mech.handle_inter_shard_msg(follower, env, now=0) == []
+
+
+# --- credit halves: built once per block, routed per replica ---
+
+THREE = PartitionMap(n_shards=3)
+T0 = addr("mech-t0", shard=0, n_shards=3)
+T0B = addr("mech-t0b", shard=0, n_shards=3)
+T1 = addr("mech-t1", shard=1, n_shards=3)
+T2 = addr("mech-t2", shard=2, n_shards=3)
+
+
+def _relay_block(tag):
+    """A block mined on shard 0 with credit halves for shards 1 and 2."""
+    node = FakeNode(0, THREE)
+    node.pool.preload([
+        ctx_tx(T0, T2, value=1, nonce=0),
+        regular_tx(T0B, T0, value=2, nonce=0),
+        ctx_tx(T0, T1, value=3, nonce=1),
+        ctx_tx(T0B, T2, value=4, nonce=1),
+        ctx_tx(T0B, addr(tag, shard=1, n_shards=3), value=5, nonce=2),
+    ])
+    block, _ = RelayMechanism().op_mining(node, now=10)
+    return block
+
+
+def _emitted(node, block):
+    return [(dest, env.msg_type, [t.hash for t in env.body.txs])
+            for dest, env in RelayMechanism()._commit_emissions(node, block, now=20)]
+
+
+def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild(monkeypatch):
+    monkeypatch.setattr(mechanisms, "_credit_halves",
+                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
+    block = _relay_block("memo-same")
+    expected = [
+        (("shard_all", 1), "relay_ctx",
+         [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 1]),
+        (("shard_all", 2), "relay_ctx",
+         [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 2]),
+    ]
+    assert [len(h) for _, _, h in expected] == [2, 2]
+    replicas = [FakeNode(0, THREE, index=i, leader=i == 0) for i in range(4)]
+    seeded = mechanisms.credit_halves(block)
+    assert [_emitted(node, block) for node in replicas] == [expected] * 4
+    assert mechanisms.credit_halves(block) is seeded, "every replica read the split's halves"
+
+    # A cleared memo (a block this process did not propose) takes the
+    # rebuild path, which emits the same bytes and stores them.
+    monkeypatch.setattr(mechanisms, "_credit_halves",
+                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
+    assert [_emitted(node, block) for node in replicas] == [expected] * 4
+    rebuilt = mechanisms.credit_halves(block)
+    assert rebuilt is not seeded and len(mechanisms._credit_halves) == 1
+    assert [(t.hash, t.inject_time, t.fee) for t in rebuilt] == \
+        [(t.hash, t.inject_time, t.fee) for t in seeded]
+
+
+def test_replicas_route_shared_halves_under_their_own_map():
+    # Two maps at one version: a replica that dropped an announcement while
+    # a migration was active can hold a different map at the same version.
+    block = _relay_block("memo-route")
+    stale = THREE.updated(1, {})
+    moved = THREE.updated(1, {T1: 2})
+    assert stale.version == moved.version
+    a = _emitted(FakeNode(0, stale), block)
+    b = _emitted(FakeNode(0, moved, index=1, leader=False), block)
+    assert sorted(h for _, _, hs in a for h in hs) == sorted(h for _, _, hs in b for h in hs)
+    moved_half = next(t.hash for t in mechanisms.credit_halves(block) if t.payee == T1)
+    assert [d for d, _, hs in a if moved_half in hs] == [("shard_all", 1)]
+    assert [d for d, _, hs in b if moved_half in hs] == [("shard_all", 2)]
+
+
+def test_credit_half_memo_never_exceeds_cap(monkeypatch):
+    cap = mechanisms.CREDIT_HALF_MEMO_CAP
+    monkeypatch.setattr(mechanisms, "_credit_halves", mechanisms.Memo(cap))
+    blocks, halves = [], []
+    for i in range(cap + 5):
+        blocks.append(_relay_block(f"memo-cap{i}"))
+        halves.append(mechanisms.credit_halves(blocks[-1]))
+        assert len(mechanisms._credit_halves) <= cap
+    assert mechanisms.credit_halves(blocks[0]) is not halves[0], "oldest evicted"
+    assert mechanisms.credit_halves(blocks[-1]) is halves[-1]
+
+
+def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
+    built = {TxKind.INTRA_RELAY: 0, TxKind.INTER_RELAY: 0}
+    real_make = mechanisms.make_transaction
+
+    def counting_make(*args, **kwargs):
+        tx = real_make(*args, **kwargs)
+        if tx.kind in built:
+            built[tx.kind] += 1
+        return tx
+
+    monkeypatch.setattr(mechanisms, "make_transaction", counting_make)
+    monkeypatch.setattr(mechanisms, "_credit_halves",
+                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
+    data = tmp_path / "transfers.csv"
+    gen_dataset(str(data), accounts=40, txs=150, skew="uniform", seed=7)
+    result = run(build_cfg(dataset_path=str(data), output_dir=str(tmp_path / "out")))
+    assert result.exit_code == 0
+    splits = built[TxKind.INTRA_RELAY]
+    assert splits == result.summary["counters"]["V"] > 0
+    assert built[TxKind.INTER_RELAY] == splits, "no credit half is rebuilt at commit"
 
 
 def test_regular_tx_with_foreign_payer_is_reinjected():

@@ -274,7 +274,7 @@ def test_shard_applies_each_block_once(monkeypatch):
     # core.apply_block_to_state; a fresh memo keeps earlier tests out.
     monkeypatch.setattr(core, "apply_txs", counting_apply_txs)
     monkeypatch.setattr(mechanisms, "apply_txs", counting_apply_txs)
-    monkeypatch.setattr(core, "_post_states", {})
+    monkeypatch.setattr(core, "_post_states", core.Memo(core.POST_STATE_MEMO_CAP))
     net = SimNetwork(latency_ms=5, seed=0)
     replicas = build_shard(net, n_nodes=4, theta=5, delta=100, vc_timeout=1000)
     attach_sink(net)
