@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
@@ -29,6 +30,10 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 
 def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+# Bound once for the state-root loops, which hash per leaf and per node.
+_sha256 = hashlib.sha256
 
 
 # Root of a state tree with no accounts.
@@ -286,51 +291,133 @@ class StateTree:
     verification can run against the pre-state while a candidate post-state
     is built. A post-state is shared by every replica of its shard through
     the post-state memo (see ``apply_block_to_state``), so nothing may write
-    to a tree after it has been returned.
+    to a tree after it has been returned, except ``compute_state_root``.
+
+    Rooting sets, once, the root, the addresses in sorted order (``_keys``)
+    and every level of the Merkle tree (``_levels``, leaves first, each one
+    byte string of 32-byte digests, the last holding the root). A tree that
+    ``apply_txs`` or ``apply_migration`` derived from a rooted tree carries
+    that base and the addresses it wrote (``_delta``) until it is rooted
+    itself, which rehashes only what the base does not already hold and
+    then drops both. Nothing is written to a rooted tree.
     """
 
-    __slots__ = ("entries", "_root")
+    __slots__ = ("entries", "_root", "_keys", "_levels", "_delta")
 
     def __init__(self, entries: Optional[dict[bytes, AccountState]] = None) -> None:
         self.entries: dict[bytes, AccountState] = entries if entries is not None else {}
         self._root: Optional[bytes] = None
+        self._keys: list[bytes] = []
+        self._levels: list = []
+        self._delta: Optional[tuple[StateTree, set[bytes]]] = None
 
     def get(self, addr: bytes) -> AccountState:
         acct = self.entries.get(addr)
         return acct if acct is not None else AccountState(address=addr)
 
-    def copy(self) -> "StateTree":
-        return StateTree(dict(self.entries))
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
+def _derived(base: StateTree, entries: dict[bytes, AccountState],
+             written: set[bytes]) -> StateTree:
+    """A tree of ``entries``, which differ from ``base``'s only at
+    ``written``. It remembers a rooted base, so that rooting it reuses the
+    base's tree; a child of an unrooted tree is rooted from scratch."""
+    out = StateTree(entries)
+    if base._root is not None:
+        out._delta = (base, written)
+    return out
+
+
 def _leaf_hash(acct: AccountState) -> bytes:
-    return digest(
+    return _sha256(
         acct.address
         + acct.balance.to_bytes(BALANCE_BITS // 8, "big", signed=True)
         + acct.nonce.to_bytes(8, "big")
-    )
+    ).digest()
+
+
+def _merkle_levels(leaves) -> list:
+    """Every level of the tree over ``leaves``, leaves first: each node
+    hashes its two children, and a last, unpaired node is promoted
+    unchanged."""
+    levels = [leaves]
+    while len(levels[-1]) > DIGEST_SIZE:
+        below = memoryview(levels[-1])
+        end = len(below)
+        above = b"".join([_sha256(below[i:i + 2 * DIGEST_SIZE]).digest()
+                          for i in range(0, end - DIGEST_SIZE, 2 * DIGEST_SIZE)])
+        if end % (2 * DIGEST_SIZE):
+            above += below[end - DIGEST_SIZE:]
+        levels.append(above)
+    return levels
+
+
+def _splice(keys: list[bytes], leaves, added: list[bytes]) -> tuple[list[bytes], bytearray]:
+    """``keys`` with the sorted new addresses ``added`` inserted, and
+    ``leaves`` with a zero placeholder at each insertion, so that every
+    other leaf stays next to its key."""
+    out_keys: list[bytes] = []
+    out_leaves = bytearray()
+    view = memoryview(leaves)
+    prev = 0
+    for addr in added:
+        at = bisect_left(keys, addr, prev)
+        out_keys += keys[prev:at]
+        out_keys.append(addr)
+        out_leaves += view[prev * DIGEST_SIZE:at * DIGEST_SIZE]
+        out_leaves += ZERO_DIGEST
+        prev = at
+    out_keys += keys[prev:]
+    out_leaves += view[prev * DIGEST_SIZE:]
+    return out_keys, out_leaves
 
 
 def compute_state_root(state: StateTree) -> bytes:
     """Merkle root over entries sorted by address; an odd node is promoted
-    unchanged to the next level. The empty tree hashes the empty string."""
+    unchanged to the next level. The empty tree hashes the empty string.
+
+    A tree derived from a rooted base starts from the base's tree. If it
+    adds no address, it copies the base's levels and rehashes the written
+    leaves and their ancestors. If it does, the new addresses are inserted
+    into the base's keys and leaves, the written leaves are rehashed, and
+    the inner levels are rebuilt. Any other tree is hashed from scratch."""
     if state._root is not None:
         return state._root
-    level = [_leaf_hash(state.entries[a]) for a in sorted(state.entries)]
-    if not level:
-        state._root = EMPTY_TREE_ROOT
-        return state._root
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(digest(level[i] + level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    state._root = level[0]
+    entries = state.entries
+    delta = state._delta
+    if delta is None:
+        keys = sorted(entries)
+        levels = _merkle_levels(b"".join([_leaf_hash(entries[a]) for a in keys]))
+    else:
+        base, written = delta
+        added = sorted(a for a in written if a not in base.entries)
+        if added:
+            keys, leaves = _splice(base._keys, base._levels[0], added)
+            for addr in written:
+                at = bisect_left(keys, addr) * DIGEST_SIZE
+                leaves[at:at + DIGEST_SIZE] = _leaf_hash(entries[addr])
+            levels = _merkle_levels(leaves)
+        else:
+            keys = base._keys
+            levels = [bytearray(level) for level in base._levels]
+            dirty = sorted({bisect_left(keys, addr) for addr in written})
+            leaves = levels[0]
+            for i in dirty:
+                leaves[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] = _leaf_hash(entries[keys[i]])
+            for below, above in zip(levels, levels[1:]):
+                dirty = sorted({i >> 1 for i in dirty})
+                end = len(below)
+                for i in dirty:
+                    at = 2 * i * DIGEST_SIZE
+                    pair = below[at:at + 2 * DIGEST_SIZE]
+                    above[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] = (
+                        _sha256(pair).digest() if len(pair) > DIGEST_SIZE else pair)
+    state._keys = keys
+    state._levels = levels
+    state._root = bytes(levels[-1]) if keys else EMPTY_TREE_ROOT
+    state._delta = None
     return state._root
 
 
@@ -407,8 +494,8 @@ def apply_txs(state: StateTree, txs: Iterable[Transaction]) -> StateTree:
     the counterpart shard. No overdraft rule exists, balances may go
     negative.
     """
-    out = state.copy()
-    entries = out.entries
+    entries = dict(state.entries)
+    written: set[bytes] = set()
     for tx in txs:
         kind = tx.kind
         if kind is TxKind.REGULAR:
@@ -416,15 +503,19 @@ def apply_txs(state: StateTree, txs: Iterable[Transaction]) -> StateTree:
             entries[tx.payer] = AccountState(tx.payer, payer.balance - tx.value, payer.nonce + 1)
             payee = entries.get(tx.payee) or AccountState(address=tx.payee)
             entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
+            written.add(tx.payer)
+            written.add(tx.payee)
         elif kind in DEBIT_KINDS:
             payer = entries.get(tx.payer) or AccountState(address=tx.payer)
             entries[tx.payer] = AccountState(tx.payer, payer.balance - tx.value, payer.nonce + 1)
+            written.add(tx.payer)
         elif kind in CREDIT_KINDS:
             payee = entries.get(tx.payee) or AccountState(address=tx.payee)
             entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
+            written.add(tx.payee)
         else:
             raise ValueError(f"block carries unexecutable kind {kind.value}")
-    return out
+    return _derived(state, entries, written)
 
 
 def apply_migration(
@@ -432,13 +523,17 @@ def apply_migration(
     installs: Iterable[AccountState],
     departures: Iterable[bytes],
 ) -> StateTree:
-    """Install inbound account states verbatim and drop departing ones."""
-    out = state.copy()
+    """Install inbound account states verbatim and drop departing ones. A
+    post-state that lost an account is rooted from scratch."""
+    entries = dict(state.entries)
+    written: set[bytes] = set()
     for acct in installs:
-        out.entries[acct.address] = acct
-    for addr in departures:
-        out.entries.pop(addr, None)
-    return out
+        entries[acct.address] = acct
+        written.add(acct.address)
+    departed = [a for a in departures if entries.pop(a, None) is not None]
+    if departed:
+        return StateTree(entries)
+    return _derived(state, entries, written)
 
 
 class Memo:

@@ -1,5 +1,6 @@
 """Domain model: addresses, transactions, blocks, state, verification."""
 
+import random
 import sys
 import threading
 import time
@@ -277,6 +278,170 @@ def test_apply_migration_installs_and_departs():
     assert C in post.entries and post.get(C).balance == 9
     assert A not in post.entries and B in post.entries
     assert A in pre.entries, "input snapshot untouched"
+
+
+# --- incremental state root ---
+
+
+def _reference_root(state):
+    """The root hashed from scratch: every leaf in address order, paired
+    level by level, a last unpaired node promoted unchanged."""
+    level = [
+        digest(a.address + a.balance.to_bytes(32, "big", signed=True) + a.nonce.to_bytes(8, "big"))
+        for _, a in sorted(state.entries.items())
+    ]
+    if not level:
+        return digest(b"")
+    while len(level) > 1:
+        nxt = [digest(level[i] + level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
+EXECUTABLE_KINDS = (TxKind.REGULAR, TxKind.INTRA_RELAY, TxKind.BROKER_PAYER_HALF,
+                    TxKind.INTER_RELAY, TxKind.BROKER_PAYEE_HALF)
+
+
+def _random_txs(rng, state, n_txs, fresh_share):
+    """``n_txs`` transactions of every executable kind. Each endpoint is a
+    new account with probability ``fresh_share``, else one ``state`` holds."""
+    held = sorted(state.entries)
+
+    def account():
+        if held and rng.random() >= fresh_share:
+            return rng.choice(held)
+        return rng.randbytes(ADDRESS_SIZE)
+
+    txs = []
+    for _ in range(n_txs):
+        kind = rng.choice(EXECUTABLE_KINDS)
+        origin = None if kind is TxKind.REGULAR else rng.randbytes(32)
+        txs.append(make_transaction(account(), account(), rng.randrange(1, 1000),
+                                    rng.randrange(5), kind=kind, origin_hash=origin))
+    return txs
+
+
+def _rooted(entries=()):
+    tree = StateTree({a.address: a for a in entries})
+    compute_state_root(tree)
+    return tree
+
+
+def _credit(payee):
+    return make_transaction(A, payee, 1, 0, kind=TxKind.INTER_RELAY, origin_hash=b"\x07" * 32)
+
+
+def _snapshot(tree):
+    """Everything a rooted tree holds, by value."""
+    return (tree._root, list(tree._keys), [bytes(level) for level in tree._levels],
+            dict(tree.entries))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_root_matches_reference(seed):
+    # Chains of blocks that add no account, a few, or only new ones.
+    rng = random.Random(seed)
+    state = _rooted()
+    for _ in range(40):
+        txs = _random_txs(rng, state, rng.choice((0, 1, 3, 20, 60)),
+                          rng.choice((0.0, 0.0, 0.05, 0.5, 1.0)))
+        before = _snapshot(state)
+        child = apply_txs(state, txs)
+        assert compute_state_root(child) == _reference_root(child)
+        assert _snapshot(state) == before, "rooting a child leaves its parent as it was"
+        state = child
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_incremental_root_at_odd_and_even_sizes(size):
+    rng = random.Random(size)
+    base = _rooted(AccountState(rng.randbytes(ADDRESS_SIZE), balance=i) for i in range(size))
+    assert compute_state_root(base) == _reference_root(base)
+    children = [apply_txs(base, [_credit(key)]) for key in sorted(base.entries)]
+    children += [apply_txs(base, [_credit(new)]) for new in
+                 (b"\x00" * ADDRESS_SIZE, b"\xff" * ADDRESS_SIZE, rng.randbytes(ADDRESS_SIZE))]
+    children.append(apply_txs(base, []))
+    for child in children:
+        assert compute_state_root(child) == _reference_root(child), len(child)
+
+
+def test_incremental_root_after_migration():
+    rng = random.Random(11)
+    base = apply_txs(_rooted(), _random_txs(rng, StateTree(), 40, 1.0))
+    compute_state_root(base)
+    held = sorted(base.entries)
+    installs = [AccountState(held[0], balance=-3, nonce=9),
+                AccountState(held[-1], balance=5),
+                AccountState(rng.randbytes(ADDRESS_SIZE), balance=4, nonce=1)]
+    trees = [
+        apply_migration(base, installs, []),
+        apply_migration(base, installs, held[1:4]),
+        apply_migration(base, [], held[::2]),
+        apply_migration(base, installs, [rng.randbytes(ADDRESS_SIZE)]),  # nothing to depart
+        apply_migration(base, [], held),
+    ]
+    for tree in trees:
+        assert compute_state_root(tree) == _reference_root(tree)
+        child = apply_txs(tree, _random_txs(rng, tree, 10, 0.3))
+        assert compute_state_root(child) == _reference_root(child)
+
+
+def test_two_children_of_one_parent_root_independently():
+    rng = random.Random(3)
+    parent = apply_txs(_rooted(), _random_txs(rng, StateTree(), 50, 1.0))
+    compute_state_root(parent)
+    before = _snapshot(parent)
+    same_keys = apply_txs(parent, _random_txs(rng, parent, 15, 0.0))
+    more_keys = apply_txs(parent, _random_txs(rng, parent, 15, 0.5))
+    assert compute_state_root(more_keys) == _reference_root(more_keys)
+    assert compute_state_root(same_keys) == _reference_root(same_keys)
+    assert _snapshot(parent) == before
+    for child in (same_keys, more_keys):
+        grandchild = apply_txs(child, _random_txs(rng, child, 15, 0.2))
+        assert compute_state_root(grandchild) == _reference_root(grandchild)
+
+
+def test_children_of_one_parent_are_rooted_safely_between_threads():
+    # TCP replicas are threads that share memoized trees: they may root one
+    # child at once, derive from a child another thread is rooting, or root
+    # different children of one parent.
+    rng = random.Random(5)
+    parent = apply_txs(_rooted(), _random_txs(rng, StateTree(), 300, 1.0))
+    compute_state_root(parent)
+    before = _snapshot(parent)
+    blocks = [_random_txs(rng, parent, 30, share) for share in (0.0, 0.0, 0.1, 1.0) * 8]
+    shared = [apply_txs(parent, txs) for txs in blocks]
+    later = [_random_txs(rng, child, 10, 0.2) for child in shared]
+    expected = [
+        (_reference_root(child), _reference_root(apply_txs(child, txs)), _reference_root(child))
+        for child, txs in zip(shared, later)
+    ]
+    got = [[] for _ in range(8)]
+    start = threading.Barrier(len(got))
+
+    def worker(out):
+        start.wait(timeout=30)
+        for child, txs, more in zip(shared, blocks, later):
+            out.append((compute_state_root(child),
+                        compute_state_root(apply_txs(child, more)),
+                        compute_state_root(apply_txs(parent, txs))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in got:
+        assert out == expected
+    assert _snapshot(parent) == before
 
 
 # --- blocks and verification ---
