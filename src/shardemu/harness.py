@@ -2,15 +2,15 @@
 
 ``build_nodes`` is the one wiring of a run, shared by both transports. It
 picks the brokers, builds the partition map, constructs the supervisor and
-one replica per (shard, node), opens the per-shard block files and
-pre-fills the pools. Each node talks through the network interface that
-``net_of(node id)`` gives it.
+one replica per (shard, node), and pre-fills the pools. Each node talks
+through the network interface that ``net_of(node id)`` gives it.
 
 ``Emulation`` runs the wired nodes over one deterministic ``SimNetwork``:
-it registers them, schedules scripted faults, runs the event loop and
-writes the reports. ``setup()`` and ``execute()`` are separate so callers
-can inspect pools and state between wiring and running. ``TcpRunner`` runs
-the same wiring over TCP, one driver thread per node.
+it registers them, schedules scripted faults, runs the event loop and has
+the supervisor finalize the run. ``setup()`` and ``execute()`` are
+separate so callers can inspect pools and state between wiring and
+running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
+per node.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .core import (
     TxClass,
     TxKind,
     block_from_json,
-    block_to_json,
 )
 from .dataset import load_dataset, top_active_accounts
 from .mechanisms import make_mechanism
@@ -69,9 +68,8 @@ class RunResult:
 
 def build_nodes(
     cfg: RunConfig, net_of: Callable[[str], Any]
-) -> tuple[Supervisor, dict[str, Replica], list]:
-    """The supervisor and the replicas (shard-major) of one run, plus the
-    open block files, which the runner closes once the nodes have stopped."""
+) -> tuple[Supervisor, dict[str, Replica]]:
+    """The supervisor and the replicas (shard-major) of one run."""
     brokers: list[bytes] = []
     if cfg.mechanism == "broker":
         brokers = (
@@ -85,18 +83,8 @@ def build_nodes(
     rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
     supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
 
-    if cfg.output_dir is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    crash_scheduled = {f.node for f in cfg.faults if f.kind == "crash"}
-    block_files = []
     replicas: dict[str, Replica] = {}
     for k in range(cfg.n_shards):
-        writer = _pick_writer(k, crash_scheduled)
-        sink = None
-        if cfg.output_dir is not None:
-            path = os.path.join(cfg.output_dir, f"blocks_shard{k}.jsonl")
-            block_files.append(open(path, "w", encoding="utf-8"))
-            sink = _block_sink(block_files[-1])
         for i in range(cfg.nodes_per_shard):
             nid = node_id(k, i)
             replicas[nid] = Replica(
@@ -110,43 +98,19 @@ def build_nodes(
                 pmap=pmap,
                 hooks=make_mechanism(cfg.mechanism),
                 net=net_of(nid),
-                block_sink=sink if nid == writer else None,
             )
 
     if cfg.injection.prefill:
         per_shard = supervisor.prepare_prefill()
         for replica in replicas.values():
             replica.pool.preload(per_shard.get(replica.shard_id, []))
-    return supervisor, replicas, block_files
+    return supervisor, replicas
 
 
-def _pick_writer(shard: int, crash_scheduled: set[str]) -> str:
-    """Lowest-index node of the shard that is never scripted to crash
-    keeps the shard's chain on disk."""
-    i = 0
-    while node_id(shard, i) in crash_scheduled:
-        i += 1
-    return node_id(shard, i)
-
-
-def _block_sink(fh) -> Callable[[Block, int], None]:
-    def sink(block: Block, now: int) -> None:
-        fh.write(json.dumps(block_to_json(block, confirm_time=now)) + "\n")
-
-    return sink
-
-
-def _finish(
-    cfg: RunConfig, supervisor: Supervisor, replicas: dict[str, Replica], block_files: list
-) -> RunResult:
-    """Close the block files and write the reports of a stopped run."""
-    for fh in block_files:
-        fh.close()
-    if cfg.output_dir is not None:
-        exit_code, summary = supervisor.finalize(cfg.output_dir)
-    else:
-        exit_code = 3 if supervisor.ledger.degraded else 0
-        summary = supervisor.ledger.summary(cfg.echo())
+def _finish(cfg: RunConfig, supervisor: Supervisor, replicas: dict[str, Replica]) -> RunResult:
+    """The result of a stopped run. The supervisor closes its block files
+    and, when the run has an output directory, writes the reports there."""
+    exit_code, summary = supervisor.finalize(cfg.output_dir)
     return RunResult(
         exit_code=exit_code,
         summary=summary,
@@ -168,13 +132,12 @@ class Emulation:
         self.net: Optional[SimNetwork] = None
         self.supervisor: Optional[Supervisor] = None
         self.replicas: dict[str, Replica] = {}
-        self._block_files: list = []
         self._ran = False
 
     def setup(self) -> None:
         cfg = self.cfg
         net = self.net = SimNetwork(latency_ms=cfg.sim.latency_ms, seed=cfg.sim.seed)
-        self.supervisor, self.replicas, self._block_files = build_nodes(cfg, lambda _: net)
+        self.supervisor, self.replicas = build_nodes(cfg, lambda _: net)
         # Registration order is broadcast order, which decides the latency
         # draws under jitter: supervisor first, then replicas shard-major.
         net.register(SUPERVISOR_ID, self.supervisor)
@@ -201,7 +164,7 @@ class Emulation:
             sup.ledger.notes.append(
                 f"virtual time cap {VIRTUAL_TIME_CAP_MS} ms hit before the run stopped"
             )
-        return _finish(self.cfg, sup, self.replicas, self._block_files)
+        return _finish(self.cfg, sup, self.replicas)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -376,7 +339,7 @@ class TcpRunner:
             for k in range(cfg.n_shards)
         }
         drivers = {nid: _TcpNodeDriver(nid, self.ip_table, members, t0) for nid in self.ip_table}
-        supervisor, replicas, block_files = build_nodes(cfg, lambda nid: drivers[nid])
+        supervisor, replicas = build_nodes(cfg, lambda nid: drivers[nid])
         for nid, node in [(SUPERVISOR_ID, supervisor), *replicas.items()]:
             drivers[nid].node = node
 
@@ -395,4 +358,4 @@ class TcpRunner:
             supervisor.ledger.notes.append(f"tcp nodes still running at teardown: {hung}")
         for driver in drivers.values():
             driver.mesh.close()
-        return _finish(cfg, supervisor, replicas, block_files)
+        return _finish(cfg, supervisor, replicas)

@@ -195,7 +195,7 @@ def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> list:
         relays = [t for t in by_dest[dest] if t.kind in CREDIT_KINDS]
         raws = [t for t in by_dest[dest] if t.kind not in CREDIT_KINDS]
         if relays:
-            body = RelayCtx(source_shard=node.shard_id, height=node.head.height, txs=relays)
+            body = RelayCtx(source_shard=node.shard_id, txs=relays)
             outs.append((("shard_all", dest), Envelope("relay_ctx", node.nid, body)))
         if raws:
             env = Envelope("inject_txs", node.nid, InjectTxs(txs=raws))
@@ -351,7 +351,6 @@ class MigrationController:
         self.inbound_txs: dict[int, list[Transaction]] = {}
         self.extracted: list[Transaction] = []
         self.early: dict[int, list[tuple[str, AccountMigrate]]] = {}
-        self.stalled_since: Optional[int] = None
 
     @property
     def active(self) -> bool:
@@ -384,7 +383,6 @@ class MigrationController:
         self.pending = PendingPartition(body.version, dict(body.overrides), list(body.brokers))
         self.outbound = outbound
         self.inbound_expected = inbound
-        self.stalled_since = now
         node.pool.lock()
         for sender, early_body in self.early.pop(body.version, []):
             self.on_account_migrate(node, sender, early_body, now)
@@ -503,7 +501,6 @@ class MigrationController:
         self.inbound_states = {}
         self.inbound_txs = {}
         self.extracted = []
-        self.stalled_since = None
         return outs
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .core import Block, PartitionMap, StateTree, genesis_block
 from .transport import (
@@ -60,7 +60,6 @@ class Replica:
         pmap: PartitionMap,
         hooks: Any,
         net: Any,
-        block_sink: Optional[Callable[[Block, int], None]] = None,
     ) -> None:
         self.shard_id = shard_id
         self.index = index
@@ -74,7 +73,6 @@ class Replica:
         self.pmap = pmap
         self.hooks = hooks
         self.net = net
-        self.block_sink = block_sink
 
         self.view = 0
         self.phase = Phase.IDLE
@@ -267,8 +265,6 @@ class Replica:
         new_state, outs = self.hooks.op_confirmation(self, block, now)
         self.state = new_state
         self.root_log.append((block.height, block.state_root.hex(), now))
-        if self.block_sink is not None:
-            self.block_sink(block, now)
         self._prune_settled(block.height)
         self.phase = Phase.IDLE
         self.vc_deadline = now + self.vc_timeout
@@ -356,11 +352,7 @@ class Replica:
             return
         for dest, env in outs:
             kind = dest[0]
-            if kind == "node":
-                self.net.send(dest[1], env)
-            elif kind == "shard":
-                self.net.broadcast_shard(dest[1], env)
-            elif kind == "shard_all":
+            if kind == "shard_all":
                 self.net.broadcast_shard(dest[1], env, include_self=True)
             elif kind == "supervisor":
                 self.net.send(SUPERVISOR_ID, env)

@@ -5,11 +5,17 @@ shard pools (classifying each transfer and applying the mechanism-specific
 transformation up front), and it observes committed blocks to drive
 metrics, the account graph, partition reconfiguration, and the stop
 decision. It participates in no consensus.
+
+It is also the one writer of the block files: every (shard, height) the
+ledger accepts goes to ``blocks_shard<k>.jsonl`` with the commit time the
+ledger counted, so ``shardemu report`` rebuilds exactly the live reports.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import os
 from typing import Any, Iterator, Optional
 
 from .config import RunConfig
@@ -21,6 +27,7 @@ from .core import (
     TxClass,
     TxKind,
     address_to_shard,
+    block_to_json,
     classify_transfer,
     make_transaction,
 )
@@ -68,6 +75,13 @@ class Supervisor:
         self.pending_migration: Optional[dict] = None
         self._carry = 0.0
         self._staged_pmap: Optional[PartitionMap] = None
+        self.block_files: list = []
+        if cfg.output_dir is not None:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            self.block_files = [
+                open(os.path.join(cfg.output_dir, f"blocks_shard{k}.jsonl"), "w", encoding="utf-8")
+                for k in range(cfg.n_shards)
+            ]
 
     # -- injection --
 
@@ -141,6 +155,9 @@ class Supervisor:
         rec = self.ledger.record_block(info.block, info.commit_time, info.pool_size)
         if rec is None:
             return
+        if self.block_files:
+            line = json.dumps(block_to_json(info.block, confirm_time=info.commit_time))
+            self.block_files[rec.shard].write(line + "\n")
         self.est_pool[rec.shard] = rec.pool_size
         if rec.block_kind is BlockKind.MIGRATION:
             self._note_migration_block(rec.shard, info.version)
@@ -285,8 +302,11 @@ class Supervisor:
 
     # -- reports --
 
-    def finalize(self, out_dir: str) -> tuple[int, dict]:
-        """Write all report files; returns (exit code, summary dict)."""
+    def finalize(self, out_dir: Optional[str]) -> tuple[int, dict]:
+        """Close the block files and, given a directory, write all report
+        files there; returns (exit code, summary dict)."""
+        for fh in self.block_files:
+            fh.close()
         # Wall-only runs legitimately stop mid-stream; a drain run that
         # still has unconfirmed originals did not actually drain.
         if self.cfg.stop.drain and self.ledger.unconfirmed and not self.ledger.degraded:
@@ -294,7 +314,10 @@ class Supervisor:
             self.ledger.notes.append(
                 f"{self.ledger.unconfirmed} originals unconfirmed at stop"
             )
-        summary = self.ledger.write_reports(out_dir, self.cfg.echo(), self._oracle)
+        if out_dir is None:
+            summary = self.ledger.summary(self.cfg.echo())
+        else:
+            summary = self.ledger.write_reports(out_dir, self.cfg.echo(), self._oracle)
         exit_code = 3 if summary["degraded"] else 0
         return exit_code, summary
 

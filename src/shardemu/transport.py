@@ -113,7 +113,6 @@ class NewView:
 @dataclass(slots=True)
 class RelayCtx:
     source_shard: int
-    height: int  # sender's head height; informational, no receiver reads it
     txs: list[Transaction]
 
 

@@ -153,7 +153,6 @@ def build_shard(
             pmap=pmap,
             hooks=make_mechanism(mechanism),
             net=net,
-            block_sink=None,
         )
         replicas[nid] = replica
         net.register(nid, replica, shard=shard_id)

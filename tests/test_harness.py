@@ -8,7 +8,7 @@ from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu.core import block_from_json, compute_state_root
 from shardemu.dataset import gen_dataset
-from shardemu.harness import Emulation, _pick_writer, report_from_blocks, run
+from shardemu.harness import Emulation, report_from_blocks, run
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +63,19 @@ def test_report_files_and_headers(tiny_run):
     assert summary["config"]["n_shards"] == 2
 
 
+def _assert_linked(chain):
+    """Heights run 1, 2, ... and each block names the one before it."""
+    assert [blk.height for _, blk in chain] == list(range(1, len(chain) + 1))
+    for (_, parent), (_, child) in zip(chain, chain[1:]):
+        assert child.parent_hash == parent.hash
+
+
 def test_block_files_form_valid_chains(tiny_run):
     result, out = tiny_run
     for shard in (0, 1):
         chain = _read_chain(out, shard)
         assert chain, "every shard committed something"
-        heights = [blk.height for _, blk in chain]
-        assert heights == list(range(1, len(chain) + 1))
-        for (_, parent), (_, child) in zip(chain, chain[1:]):
-            assert child.parent_hash == parent.hash
+        _assert_linked(chain)
         confirms = [obj["commit_time"] for obj, _ in chain]
         assert confirms == sorted(confirms)
 
@@ -177,18 +181,23 @@ def _tcl_by_hash(path):
         }
 
 
+def _clpa_cfg(dataset, output_dir, latency_ms=5):
+    """A two-shard CLPA run with live injection that migrates accounts."""
+    return parse_config(cfg_dict(
+        dataset_path=str(dataset), output_dir=output_dir,
+        block_size=50, block_interval_ms=100, epoch_ms=200, partition="clpa",
+        injection={"base_rate": 600, "batch_interval_ms": 50},
+        transport={"sim": {"latency_ms": latency_ms, "seed": 0}},
+    ))
+
+
 def test_recomputed_latencies_match_live_under_migration(tmp_path):
     """Block files carry the supervisor's injection stamp, so latencies
     rebuilt from them equal the live ones, re-forwarded entries included."""
     dataset = tmp_path / "transfers.csv"
     gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
     out = tmp_path / "clpa"
-    cfg = parse_config(cfg_dict(
-        dataset_path=str(dataset), output_dir=str(out),
-        block_size=50, block_interval_ms=100, epoch_ms=200, partition="clpa",
-        injection={"base_rate": 600, "batch_interval_ms": 50},
-    ))
-    assert run(cfg).exit_code == 0
+    assert run(_clpa_cfg(dataset, str(out))).exit_code == 0
     migrations = sum(
         1 for k in (0, 1) for obj, _ in _read_chain(out, k) if obj["block_kind"] == "migration"
     )
@@ -198,6 +207,58 @@ def test_recomputed_latencies_match_live_under_migration(tmp_path):
     rebuilt = _tcl_by_hash(out / "recomputed" / "tcl.csv")
     assert len(live) == 1500
     assert rebuilt == live
+
+
+def test_recomputed_latencies_match_live_under_jitter_and_crash(tmp_path):
+    """Replicas commit a block at different times under jitter; the block
+    files carry the commit time the live ledger counted, so the rebuilt
+    latencies equal the live ones, across a crashed replica too."""
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=1500, skew="uniform", seed=3)
+    out = tmp_path / "jitter"
+    cfg = parse_config(cfg_dict(
+        dataset_path=str(dataset), output_dir=str(out), block_size=50,
+        transport={"sim": {"latency_ms": [1, 20], "seed": 0}},
+        faults=[{"kind": "crash", "node": "0.0", "at_ms": 300}],
+    ))
+    assert run(cfg).exit_code == 0
+    report_from_blocks(str(out))
+    live = _tcl_by_hash(out / "tcl.csv")
+    assert len(live) == 1500
+    assert _tcl_by_hash(out / "recomputed" / "tcl.csv") == live
+    for shard in (0, 1):
+        _assert_linked(_read_chain(out, shard))
+
+
+def test_wall_stopped_run_keeps_every_counted_block(tmp_path):
+    """Views churn and one replica falls behind its shard; the block files
+    still hold every block the live counters saw."""
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=2000, skew="uniform", seed=3)
+    out = tmp_path / "wall"
+    cfg = parse_config(cfg_dict(
+        dataset_path=str(dataset), output_dir=str(out), block_size=50,
+        pbft_view_change_timeout_ms=150,
+        transport={"sim": {"latency_ms": [1, 400], "seed": 3}},
+        stop={"drain": True, "wall_ms": 60000},
+    ))
+    result = run(cfg)
+    assert any("wall stop" in n for n in result.summary["notes"])
+    live = result.summary["counters"]
+    rebuilt = report_from_blocks(str(out))["counters"]
+    assert {k: rebuilt[k] for k in "ZYUVW"} == {k: live[k] for k in "ZYUVW"}
+
+
+def test_exit_does_not_depend_on_output_dir(tmp_path):
+    """Jittered delivery leaves this migrating run with unconfirmed
+    originals; it ends the same way whether or not it writes reports."""
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
+    outcomes = []
+    for out_dir in (None, str(tmp_path / "clpa")):
+        result = run(_clpa_cfg(dataset, out_dir, latency_ms=[1, 5]))
+        outcomes.append((result.exit_code, result.summary["unconfirmed"]))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_crashed_writer_is_replaced_on_disk(dataset, tmp_path):
@@ -213,12 +274,6 @@ def test_crashed_writer_is_replaced_on_disk(dataset, tmp_path):
     live_log = result.replicas["0.1"].root_log
     assert [(b.height, b.state_root.hex()) for _, b in chain] == \
         [(h, root) for h, root, _ in live_log]
-
-
-def test_pick_writer_skips_scripted_crashes():
-    assert _pick_writer(0, set()) == "0.0"
-    assert _pick_writer(0, {"0.0", "0.1"}) == "0.2"
-    assert _pick_writer(2, {"0.0"}) == "2.0"
 
 
 def test_setup_execute_are_separable(dataset):

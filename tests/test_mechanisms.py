@@ -113,11 +113,11 @@ def test_inter_from_intra_matches_split():
 
 def test_relay_validate():
     _, credit = relay_split(ctx_tx(P0, P1), TWO)
-    good = RelayCtx(source_shard=0, height=1, txs=[credit])
+    good = RelayCtx(source_shard=0, txs=[credit])
     assert relay_validate(good, "0.2") is None
     assert relay_validate(good, "1.0") is not None, "sender shard must match claim"
     assert relay_validate(good, "supervisor") is not None
-    bad_kind = RelayCtx(source_shard=0, height=1, txs=[regular_tx(P0, P1)])
+    bad_kind = RelayCtx(source_shard=0, txs=[regular_tx(P0, P1)])
     assert "non-credit" in relay_validate(bad_kind, "0.0")
 
 
@@ -598,7 +598,7 @@ def test_relay_rejects_forged_source(caplog):
     target = FakeNode(1, TWO)
     mech = RelayMechanism()
     _, credit = relay_split(ctx_tx(Q0, P1), TWO)
-    forged = Envelope("relay_ctx", "1.3", RelayCtx(source_shard=0, height=1, txs=[credit]))
+    forged = Envelope("relay_ctx", "1.3", RelayCtx(source_shard=0, txs=[credit]))
     assert mech.handle_inter_shard_msg(target, forged, now=0) == []
     assert len(target.pool) == 0
 
@@ -608,7 +608,7 @@ def test_leader_forwards_misrouted_relays():
     target = FakeNode(1, TWO.updated(1, {P1: 0}))
     mech = RelayMechanism()
     _, credit = relay_split(ctx_tx(Q0, P1), TWO)
-    env = Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, height=1, txs=[credit]))
+    env = Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, txs=[credit]))
     outs = mech.handle_inter_shard_msg(target, env, now=0)
     assert len(target.pool) == 0
     assert [d for d, _ in outs] == [("shard_all", 0)]

@@ -73,7 +73,7 @@ def _lone_follower(index=3, n=4):
     replica = Replica(
         shard_id=0, index=index, n_nodes=n, theta=10, block_interval_ms=100,
         vc_timeout_ms=1000, pool=TxPool(0), pmap=ONE_SHARD,
-        hooks=RelayMechanism(), net=net, block_sink=None,
+        hooks=RelayMechanism(), net=net,
     )
     return replica, net
 
@@ -289,20 +289,6 @@ def test_shard_applies_each_block_once(monkeypatch):
     committed = len(logs[0])
     assert committed == 3
     assert len(applied) == committed, "one application per block, not one per replica"
-
-
-def test_block_sink_receives_committed_blocks():
-    net = SimNetwork(latency_ms=5, seed=0)
-    committed = []
-    replicas = build_shard(net, theta=10, delta=100, vc_timeout=1000)
-    replicas["0.0"].block_sink = lambda block, now: committed.append((block, now))
-    attach_sink(net)
-    _prefill(replicas, _local_txs(4))
-    for replica in replicas.values():
-        replica.on_start(0)
-    net.run(until=1_000)
-    assert [b.height for b, _ in committed] == [1]
-    assert committed[0][0].hash == replicas["0.0"].head.hash
 
 
 def test_crashed_leader_triggers_view_change():

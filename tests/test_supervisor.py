@@ -368,12 +368,14 @@ def test_finalize_clean_run(tmp_path):
 
 
 def test_finalize_flags_undrained_originals(tmp_path):
-    sup, _ = make_sup([DatasetRow(A0, B0, 1, 0)])
-    sup.prepare_prefill()
-    code, summary = sup.finalize(str(tmp_path))
-    assert code == 3 and summary["degraded"]
-    assert summary["unconfirmed"] == 1
-    assert any("unconfirmed" in n for n in summary["notes"])
+    # The drain rule holds whether or not the run writes reports.
+    for out_dir in (str(tmp_path), None):
+        sup, _ = make_sup([DatasetRow(A0, B0, 1, 0)])
+        sup.prepare_prefill()
+        code, summary = sup.finalize(out_dir)
+        assert code == 3 and summary["degraded"]
+        assert summary["unconfirmed"] == 1
+        assert any("unconfirmed" in n for n in summary["notes"])
 
 
 def test_finalize_wall_only_tolerates_unconfirmed(tmp_path):

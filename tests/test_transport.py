@@ -97,7 +97,6 @@ def _migration_block() -> Block:
             "0.0",
             RelayCtx(
                 source_shard=0,
-                height=3,
                 txs=[
                     make_transaction(
                         A, B, 2, 0, kind=TxKind.INTER_RELAY, origin_hash=b"\x01" * 32
