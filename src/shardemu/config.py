@@ -62,6 +62,12 @@ class InjectionPlan:
 
 @dataclass
 class ClpaConfig:
+    """beta damps the pull of already-loaded shards; rho is the number of
+    rounds whose labelling ``mechanisms.clpa_partition`` returns, even
+    though it stops at the first repeat. When the labellings settle into a
+    2-cycle, as they mostly do at beta 0.5, the parity of rho picks which
+    of the two."""
+
     beta: float = 0.5
     rho: int = 100
 

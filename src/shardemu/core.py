@@ -10,7 +10,6 @@ verification. Nothing in this module owns a clock, a socket, or a file.
 from __future__ import annotations
 
 import hashlib
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -229,6 +228,12 @@ class Block:
     holds inbound account states to adopt and ``migration_departures`` lists
     addresses whose state leaves this shard. ``timestamp`` is the proposer's
     virtual clock at proposal time and is part of the hash.
+
+    ``post`` holds (pre-state root, post-state) once the block has been
+    applied (see ``apply_block_to_state``), and ``halves`` the credit halves
+    that the proposer's split built (see ``mechanisms.credit_halves``).
+    Neither is hashed, compared, encoded or copied by ``replace``: a block
+    decoded from a frame, or a copy of one, starts without them.
     """
 
     shard_id: int
@@ -242,6 +247,10 @@ class Block:
     migration_departures: list[bytes] = field(default_factory=list)
     timestamp: int = 0
     hash: bytes = b""
+    post: Optional[tuple[bytes, StateTree]] = field(
+        default=None, init=False, compare=False, repr=False)
+    halves: Optional[tuple[Transaction, ...]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.hash:
@@ -289,9 +298,9 @@ class StateTree:
     Instances are immutable snapshots once shared: transition functions
     copy, mutate the copy before anyone else sees it, and return it, so
     verification can run against the pre-state while a candidate post-state
-    is built. A post-state is shared by every replica of its shard through
-    the post-state memo (see ``apply_block_to_state``), so nothing may write
-    to a tree after it has been returned, except ``compute_state_root``.
+    is built. A post-state is shared by every replica that holds its block
+    (see ``apply_block_to_state``), so nothing may write to a tree after it
+    has been returned, except ``compute_state_root``.
 
     Rooting sets, once, the root, the addresses in sorted order (``_keys``)
     and every level of the Merkle tree (``_levels``, leaves first, each one
@@ -536,69 +545,22 @@ def apply_migration(
     return _derived(state, entries, written)
 
 
-class Memo:
-    """A small memo shared by every replica in the process.
-
-    Insertion-ordered and capped: once the cap is reached the oldest entry
-    goes first. Locked, because TCP replicas run as threads of one process.
-    A key must fix its value's content, so that any replica may use a value
-    that another one stored.
-    """
-
-    __slots__ = ("cap", "_entries", "_lock")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key, value):
-        """Store ``value`` under ``key`` and return the stored value, which
-        is ``value`` unless another thread stored one first."""
-        with self._lock:
-            kept = self._entries.setdefault(key, value)
-            while len(self._entries) > self.cap:
-                del self._entries[next(iter(self._entries))]
-        return kept
-
-
-# Post-states by (pre-state root, block hash). The key fixes the
-# post-state's content, so a replica whose pre-state differs never reuses
-# another's post-state.
-POST_STATE_MEMO_CAP = 32
-_post_states = Memo(POST_STATE_MEMO_CAP)
-
-
-def remember_post_state(state: StateTree, block: Block, post: StateTree) -> StateTree:
-    """Record ``post`` as the result of applying ``block`` to ``state``, for
-    a proposer that built the block from a post-state it already holds.
-    Returns the memoized post-state, which is ``post`` unless another
-    thread stored one first."""
-    return _post_states.put((compute_state_root(state), block.hash), post)
-
-
 def apply_block_to_state(state: StateTree, block: Block) -> StateTree:
     """The post-state of ``block`` on ``state``; the input is left untouched.
 
-    The only producer of a block's post-state: memoized, so every replica
-    of a shard applies and roots a block once between them and shares the
-    resulting tree."""
-    key = (compute_state_root(state), block.hash)
-    post = _post_states.get(key)
-    if post is not None:
-        return post
+    The only producer of a block's post-state. The result is kept on the
+    block with the root of the state it was applied to, so every replica
+    that holds the block and the same pre-state shares one tree, and a
+    replica whose pre-state differs applies the block itself."""
+    root = compute_state_root(state)
+    if block.post is not None and block.post[0] == root:
+        return block.post[1]
     if block.block_kind is BlockKind.MIGRATION:
         post = apply_migration(state, block.migration_installs, block.migration_departures)
     else:
         post = apply_txs(state, block.txs)
-    return _post_states.put(key, post)
+    block.post = (root, post)
+    return post
 
 
 def verify_block(
@@ -612,8 +574,9 @@ def verify_block(
 
     Returns None when acceptable, otherwise the first failing reason. The
     post-state comes from ``apply_block_to_state``, possibly applied by
-    another replica; its root is compared with ``block.state_root`` on every
-    call, so a forged root is rejected by every replica.
+    another replica that holds the same block; its root is compared with
+    ``block.state_root`` on every call, so a forged root is rejected by
+    every replica.
     """
     if block.shard_id != head.shard_id:
         return RejectReason.WRONG_SHARD

@@ -22,15 +22,14 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .config import ClpaConfig
 from .core import (
     CREDIT_KINDS,
     INJECTED_KINDS,
     Block,
     BlockKind,
-    Memo,
     PartitionMap,
     RejectReason,
-    StateTree,
     Transaction,
     TxClass,
     TxKind,
@@ -41,7 +40,6 @@ from .core import (
     classify_transaction,
     compute_state_root,
     make_transaction,
-    remember_post_state,
     tx_local_to_shard,
     verify_block,
 )
@@ -76,8 +74,8 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
     Both halves inherit value, nonce and inject_time and point back at the
     original through origin_hash. The debit half belongs in the payer's
     shard, the credit half in the payee's. The proposer's split is the one
-    place a credit half is built: ``op_mining`` records it for the commit
-    (see ``credit_halves``).
+    place a credit half is built: ``op_mining`` keeps it on the block for
+    the commit (see ``credit_halves``).
     """
     if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
@@ -91,8 +89,7 @@ def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Trans
 
 def inter_from_intra(intra: Transaction) -> Transaction:
     """The credit half of a debit half. ``relay_split`` builds it this way,
-    and ``credit_halves`` rebuilds it for a block whose split halves it
-    does not hold."""
+    and ``credit_halves`` rebuilds it for a block that carries no halves."""
     return make_transaction(
         intra.payer, intra.payee, intra.value, intra.nonce,
         kind=TxKind.INTER_RELAY, origin_hash=intra.origin_hash, fee=intra.fee,
@@ -100,27 +97,20 @@ def inter_from_intra(intra: Transaction) -> Transaction:
     )
 
 
-# Credit halves by block hash, shared by every replica in the process. The
-# halves are a pure function of the block's transactions: the hash fixes
-# their identity fields, and every replica holds the block as its proposer
-# sent it, timing fields included. Routing stays with each replica's map.
-CREDIT_HALF_MEMO_CAP = 32
-_credit_halves = Memo(CREDIT_HALF_MEMO_CAP)
-
-
 def credit_halves(block: Block) -> tuple[Transaction, ...]:
     """The credit half of every debit half in ``block``, in block order.
 
-    ``op_mining`` records the halves that the proposer's split built, so
-    every replica of the shard commits from that one build. On a miss (a
-    block proposed in another process, one without halves, or one evicted
-    since) they are rebuilt from the debit halves and stored."""
-    halves = _credit_halves.get(block.hash)
-    if halves is None:
-        halves = _credit_halves.put(block.hash, tuple(
+    ``op_mining`` keeps the halves that the proposer's split built on the
+    block, so every replica that holds the block commits from that one
+    build. A block decoded from a frame carries none; its halves are
+    rebuilt from the debit halves and kept on it. The halves are a pure
+    function of the block's transactions, timing fields included; routing
+    stays with each replica's map."""
+    if block.halves is None:
+        block.halves = tuple(
             inter_from_intra(tx) for tx in block.txs if tx.kind is TxKind.INTRA_RELAY
-        ))
-    return halves
+        )
+    return block.halves
 
 
 def relay_validate(body: RelayCtx, sender: str) -> Optional[str]:
@@ -206,17 +196,6 @@ def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> list:
 # --- constrained label propagation ---
 
 
-@dataclass
-class ClpaParams:
-    """beta damps the pull of already-loaded shards; rho is the number of
-    rounds whose labelling ``clpa_partition`` returns, even though it stops
-    at the first repeat. When the labellings settle into a 2-cycle, as they
-    mostly do at beta 0.5, the parity of rho picks which of the two."""
-
-    beta: float = 0.5
-    rho: int = 100
-
-
 class AccountGraph:
     """Undirected weighted transfer graph folded from committed blocks.
 
@@ -266,7 +245,7 @@ def shard_loads(
 def clpa_partition(
     graph: AccountGraph,
     pmap: PartitionMap,
-    params: ClpaParams,
+    params: ClpaConfig,
 ) -> tuple[PartitionMap, dict[bytes, int]]:
     """Relabel accounts to soak up cross-shard edges without piling load.
 
@@ -475,7 +454,7 @@ class MigrationController:
             migration_departures=departures,
             timestamp=now,
         )
-        remember_post_state(node.state, block, applied)
+        block.post = (compute_state_root(node.state), applied)
         return block
 
     def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> list:
@@ -553,9 +532,8 @@ class BaseMechanism:
             txs=chosen,
             timestamp=now,
         )
-        remember_post_state(node.state, block, applied)
-        if halves:
-            _credit_halves.put(block.hash, tuple(halves))
+        block.post = (compute_state_root(node.state), applied)
+        block.halves = tuple(halves)
         return block, outs
 
     def _place(self, tx: Transaction, node: Any) -> tuple[
@@ -591,9 +569,10 @@ class BaseMechanism:
 
     # - confirmation -
 
-    def op_confirmation(self, node: Any, block: Block, now: int) -> tuple[StateTree, list]:
-        applied = apply_block_to_state(node.state, block)
-        node.state = applied
+    def op_confirmation(self, node: Any, block: Block, now: int) -> list:
+        """Adopt the block's post-state, then return what the commit sends;
+        migration shipping reads the post-commit state."""
+        node.state = apply_block_to_state(node.state, block)
         outs: list = []
         if block.block_kind is BlockKind.TX:
             outs.extend(self._commit_emissions(node, block, now))
@@ -603,7 +582,7 @@ class BaseMechanism:
             outs.extend(self.migration.on_commit(self, node, block, now))
         info = BlockInfo(block, now, len(node.pool), node.pmap.version)
         outs.append((("supervisor",), Envelope("block_info", node.nid, info)))
-        return applied, outs
+        return outs
 
     def _commit_emissions(self, node: Any, block: Block, now: int) -> list:
         return []

@@ -262,8 +262,7 @@ class Replica:
         hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
         self.pool.remove_committed(hashes)
         self.head = block
-        new_state, outs = self.hooks.op_confirmation(self, block, now)
-        self.state = new_state
+        outs = self.hooks.op_confirmation(self, block, now)
         self.root_log.append((block.height, block.state_root.hex(), now))
         self._prune_settled(block.height)
         self.phase = Phase.IDLE

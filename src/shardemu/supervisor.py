@@ -32,7 +32,7 @@ from .core import (
     make_transaction,
 )
 from .dataset import DatasetRow
-from .mechanisms import AccountGraph, ClpaParams, broker_transform, clpa_partition, exec_home_shard
+from .mechanisms import AccountGraph, broker_transform, clpa_partition, exec_home_shard
 from .metrics import MetricsLedger
 from .oracle import (
     MismatchedProtocol,
@@ -67,7 +67,6 @@ class Supervisor:
         self.rows = rows
         self.ledger = MetricsLedger(cfg.n_shards, cfg.epoch_ms)
         self.graph = AccountGraph()
-        self.clpa_params = ClpaParams(beta=cfg.clpa.beta, rho=cfg.clpa.rho)
         self.est_pool: dict[int, int] = {k: 0 for k in range(cfg.n_shards)}
         self.injection_done = False
         self.stopped = False
@@ -203,7 +202,7 @@ class Supervisor:
             return
         if not len(self.graph):
             return
-        new_map, dirty = clpa_partition(self.graph, self.pmap, self.clpa_params)
+        new_map, dirty = clpa_partition(self.graph, self.pmap, self.cfg.clpa)
         self.reconfig_count += 1
         body = PartitionResult(
             version=new_map.version,

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from helpers import clpa_objective, cut_weight
-from shardemu.config import parse_config
+from shardemu.config import ClpaConfig, parse_config
 from shardemu.core import (
     PartitionMap,
     StateTree,
@@ -41,7 +41,7 @@ from shardemu.dataset import (
     top_active_accounts,
 )
 from shardemu.harness import Emulation, run
-from shardemu.mechanisms import AccountGraph, ClpaParams, clpa_partition
+from shardemu.mechanisms import AccountGraph, clpa_partition
 
 THETA = 200  # block capacity at desk scale
 DELTA_MS = 1000  # virtual block interval at desk scale
@@ -247,7 +247,7 @@ def test_criterion_05_brokered_settlement_localizes_hot_accounts(broker_run):
 
 def test_criterion_06_label_propagation_matches_brute_force():
     rng = random.Random(0xC6)
-    params = ClpaParams(beta=0.5, rho=100)
+    params = ClpaConfig(beta=0.5, rho=100)
     checked = 0
     for case in range(60):
         n_shards = 3 if case % 3 == 2 else 2

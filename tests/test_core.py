@@ -3,14 +3,12 @@
 import random
 import sys
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import addr, regular_tx
-from shardemu import core
 from shardemu.core import (
     ADDRESS_SIZE,
     EMPTY_TREE_ROOT,
@@ -37,7 +35,6 @@ from shardemu.core import (
     digest,
     genesis_block,
     make_transaction,
-    remember_post_state,
     replace_tx_list,
     tx_from_json,
     tx_local_to_shard,
@@ -404,9 +401,9 @@ def test_two_children_of_one_parent_root_independently():
 
 
 def test_children_of_one_parent_are_rooted_safely_between_threads():
-    # TCP replicas are threads that share memoized trees: they may root one
-    # child at once, derive from a child another thread is rooting, or root
-    # different children of one parent.
+    # Threads that share trees may root one child at once, derive from a
+    # child another thread is rooting, or root different children of one
+    # parent.
     rng = random.Random(5)
     parent = apply_txs(_rooted(), _random_txs(rng, StateTree(), 300, 1.0))
     compute_state_root(parent)
@@ -543,11 +540,11 @@ def test_apply_block_dispatches_by_kind():
     assert post.get(C).balance == 3
 
 
-# --- post-state memo ---
+# --- post-state kept on the block ---
 
 
 def _memo_case(tag):
-    """A pre-state and a block over it whose content no other test uses."""
+    """A pre-state and a fresh block over it."""
     payer, payee = addr(f"memo-{tag}-payer", shard=0), addr(f"memo-{tag}-payee", shard=0)
     pre = StateTree({payer: AccountState(payer, balance=50)})
     block, _ = _tx_block(pre, [regular_tx(payer, payee, 7)], genesis_block(0))
@@ -577,63 +574,11 @@ def test_memo_keys_on_pre_state():
 def test_memo_hands_proposer_state_to_follower():
     pre, block = _memo_case("proposer")
     applied = apply_txs(pre, block.txs)
-    assert remember_post_state(pre, block, applied) is applied
+    block.post = (compute_state_root(pre), applied)
     follower_pre = StateTree(dict(pre.entries))
     assert apply_block_to_state(follower_pre, block) is applied
     assert verify_block(block, genesis_block(0), follower_pre, PartitionMap(n_shards=2),
                         theta=10) is None
-
-
-def test_memo_never_exceeds_cap():
-    cap = core.POST_STATE_MEMO_CAP
-    cases = [_memo_case(f"cap{i}") for i in range(cap + 5)]
-    posts = []
-    for pre, block in cases:
-        posts.append(apply_block_to_state(pre, block))
-        assert len(core._post_states) <= cap
-    oldest_pre, oldest_block = cases[0]
-    assert apply_block_to_state(oldest_pre, oldest_block) is not posts[0], "oldest evicted"
-    newest_pre, newest_block = cases[-1]
-    assert apply_block_to_state(newest_pre, newest_block) is posts[-1]
-
-
-def test_memo_is_shared_safely_between_threads(monkeypatch):
-    # TCP replicas run as threads: every thread applying one block to one
-    # pre-state must get the same tree, and the cap must hold throughout.
-    real_apply_txs = core.apply_txs
-
-    def slow_apply_txs(state, txs):
-        time.sleep(0.001)  # lets the other threads miss the same key meanwhile
-        return real_apply_txs(state, txs)
-
-    monkeypatch.setattr(core, "apply_txs", slow_apply_txs)
-    monkeypatch.setattr(core, "_post_states", core.Memo(core.POST_STATE_MEMO_CAP))
-    cases = [_memo_case(f"thread{i}") for i in range(core.POST_STATE_MEMO_CAP // 2)]
-    got = [[] for _ in range(8)]
-    oversize = []
-    start = threading.Barrier(len(got))
-
-    def worker(out):
-        start.wait(timeout=30)
-        for pre, block in cases:
-            out.append(apply_block_to_state(StateTree(dict(pre.entries)), block))
-            if len(core._post_states) > core.POST_STATE_MEMO_CAP:
-                oversize.append(len(core._post_states))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(out,)) for out in got]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not oversize
-    for i in range(len(cases)):
-        assert len({id(out[i]) for out in got}) == 1
 
 
 # --- serialization ---

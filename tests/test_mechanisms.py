@@ -15,14 +15,15 @@ from shardemu.core import (
     make_transaction,
     BlockKind,
     RejectReason,
+    verify_block,
 )
 from shardemu import mechanisms
+from shardemu.config import ClpaConfig
 from shardemu.dataset import gen_dataset
 from shardemu.harness import run
 from shardemu.mechanisms import (
     AccountGraph,
     BrokerMechanism,
-    ClpaParams,
     MigrationController,
     NoBrokers,
     NotCrossShard,
@@ -43,7 +44,10 @@ from shardemu.transport import (
     Envelope,
     MigratedAccount,
     PartitionResult,
+    PrePrepare,
     RelayCtx,
+    decode_frame,
+    encode_frame,
 )
 from shardemu.txpool import TxPool
 
@@ -78,8 +82,7 @@ class FakeNode:
         return self.head.height + 1
 
     def commit(self, mech, block, now=0):
-        new_state, outs = mech.op_confirmation(self, block, now)
-        self.state = new_state
+        outs = mech.op_confirmation(self, block, now)
         self.head = block
         return outs
 
@@ -221,7 +224,7 @@ def test_clpa_groups_tight_pairs():
     # natural placement interleaves both pairs across the two shards
     a, b = addr("clpa-a", shard=0), addr("clpa-b", shard=1)
     c, d = addr("clpa-c", shard=1), addr("clpa-d", shard=0)
-    new_map, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaParams(0.5, 100))
+    new_map, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaConfig(0.5, 100))
     labels = {v: address_to_shard(v, new_map) for v in (a, b, c, d)}
     assert labels[a] == labels[b]
     assert labels[c] == labels[d]
@@ -236,7 +239,7 @@ def test_clpa_fixed_point_is_clean():
     # pairs already colocated: nothing should move
     a, b = addr("clpa2-a", shard=0), addr("clpa2-b", shard=0)
     c, d = addr("clpa2-c", shard=1), addr("clpa2-d", shard=1)
-    new_map, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaParams(0.5, 100))
+    new_map, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaConfig(0.5, 100))
     assert dirty == {}
     assert new_map.version == TWO.version + 1
     assert all(address_to_shard(v, new_map) == address_to_shard(v, TWO) for v in (a, b, c, d))
@@ -247,7 +250,7 @@ def test_clpa_all_in_one_shard_is_a_fixed_point():
     # ties keep the current label
     a, b = addr("clpa3-a", shard=0), addr("clpa3-b", shard=0)
     c, d = addr("clpa3-c", shard=0), addr("clpa3-d", shard=0)
-    _, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaParams(0.5, 100))
+    _, dirty = clpa_partition(_pair_graph(a, b, c, d), TWO, ClpaConfig(0.5, 100))
     assert dirty == {}
 
 
@@ -260,7 +263,7 @@ def test_clpa_pins_brokers_and_isolated_vertices():
     g.add_edge(c, d, 5)  # ballast so following the broker balances the load
     g.add_vertex(loner)
     pinned = PartitionMap(n_shards=2, brokers=frozenset({b}))
-    new_map, dirty = clpa_partition(g, pinned, ClpaParams(0.5, 100))
+    new_map, dirty = clpa_partition(g, pinned, ClpaConfig(0.5, 100))
     assert address_to_shard(b, new_map) == 1, "brokers never move"
     assert loner not in dirty, "no edges, no reason to move"
     assert dirty == {a: 1}, "the free endpoint chases the pinned one"
@@ -270,9 +273,9 @@ def test_clpa_respects_round_budget():
     a, b = addr("clpa5-a", shard=0), addr("clpa5-b", shard=1)
     c, d = addr("clpa5-c", shard=1), addr("clpa5-d", shard=0)
     g = _pair_graph(a, b, c, d)
-    _, none_allowed = clpa_partition(g, TWO, ClpaParams(0.5, 0))
+    _, none_allowed = clpa_partition(g, TWO, ClpaConfig(0.5, 0))
     assert none_allowed == {}, "zero rounds means zero moves"
-    _, one_dirty = clpa_partition(g, TWO, ClpaParams(0.5, 1))
+    _, one_dirty = clpa_partition(g, TWO, ClpaConfig(0.5, 1))
     assert one_dirty, "a single round already starts untangling the pairs"
 
 
@@ -328,7 +331,7 @@ def _cycle_start_and_period(graph, pmap, beta, limit=60):
     off the reference's results for rho = 0, 1, 2, ..."""
     seen = {}
     for rho in range(limit):
-        _, dirty = _clpa_every_round(graph, pmap, ClpaParams(beta, rho))
+        _, dirty = _clpa_every_round(graph, pmap, ClpaConfig(beta, rho))
         key = tuple(sorted(dirty.items()))
         if key in seen:
             return seen[key], rho - seen[key]
@@ -361,7 +364,7 @@ def test_clpa_matches_running_every_round(n_shards):
                 near_cycle = {mu - 1, mu, mu + 1, mu + period, mu + period + 1}
                 for rho in sorted({0, 1, 2, 3, 100, 101} | near_cycle):
                     if rho >= 0:
-                        _assert_same_partition(graph, pmap, ClpaParams(beta, rho))
+                        _assert_same_partition(graph, pmap, ClpaConfig(beta, rho))
 
 
 def _two_triangle_oscillator():
@@ -384,12 +387,12 @@ def test_clpa_stops_at_the_first_repeated_labelling(monkeypatch):
         return shard_loads(*args)
 
     monkeypatch.setattr(mechanisms, "shard_loads", counting_loads)
-    even = _assert_same_partition(g, TWO, ClpaParams(0.5, 100))
+    even = _assert_same_partition(g, TWO, ClpaConfig(0.5, 100))
     assert len(rounds) < 10, "a 2-cycle must not be run out to rho"
-    odd = _assert_same_partition(g, TWO, ClpaParams(0.5, 101))
+    odd = _assert_same_partition(g, TWO, ClpaConfig(0.5, 101))
     assert even != odd, "the two states of the cycle differ"
     assert set(even) ^ set(odd) == {vs[2]}, "only the pivot vertex flips"
-    assert _assert_same_partition(g, TWO, ClpaParams(0.5, 102)) == even
+    assert _assert_same_partition(g, TWO, ClpaConfig(0.5, 102)) == even
 
 
 # --- migration controller ---
@@ -646,9 +649,7 @@ def _emitted(node, block):
             for dest, env in RelayMechanism()._commit_emissions(node, block, now=20)]
 
 
-def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild(monkeypatch):
-    monkeypatch.setattr(mechanisms, "_credit_halves",
-                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
+def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
     block = _relay_block("memo-same")
     expected = [
         (("shard_all", 1), "relay_ctx",
@@ -662,15 +663,25 @@ def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild(monkeypatch):
     assert [_emitted(node, block) for node in replicas] == [expected] * 4
     assert mechanisms.credit_halves(block) is seeded, "every replica read the split's halves"
 
-    # A cleared memo (a block this process did not propose) takes the
-    # rebuild path, which emits the same bytes and stores them.
-    monkeypatch.setattr(mechanisms, "_credit_halves",
-                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
-    assert [_emitted(node, block) for node in replicas] == [expected] * 4
-    rebuilt = mechanisms.credit_halves(block)
-    assert rebuilt is not seeded and len(mechanisms._credit_halves) == 1
-    assert [(t.hash, t.inject_time, t.fee) for t in rebuilt] == \
-        [(t.hash, t.inject_time, t.fee) for t in seeded]
+
+def test_decoded_block_rebuilds_the_proposers_halves():
+    proposer = FakeNode(0, THREE)
+    proposer.pool.preload([
+        make_transaction(T0, T2, 1, 0, kind=TxKind.ORIGINAL_CTX, fee=3, inject_time=40),
+        regular_tx(T0B, T0, value=2, nonce=0),
+        make_transaction(T0, T1, 3, 1, kind=TxKind.ORIGINAL_CTX, fee=1, inject_time=55),
+    ])
+    block, _ = RelayMechanism().op_mining(proposer, now=60)
+    assert block.post is not None and len(block.halves) == 2
+
+    frame = encode_frame(Envelope("preprepare", proposer.nid, PrePrepare(block=block)))
+    decoded = decode_frame(frame).body.block
+    assert decoded.hash == block.hash
+    assert decoded.post is None and decoded.halves is None
+    assert verify_block(decoded, genesis_block(0), StateTree(), THREE, theta=10) is None
+    assert [(t.hash, t.inject_time, t.fee) for t in mechanisms.credit_halves(decoded)] == \
+        [(t.hash, t.inject_time, t.fee) for t in block.halves]
+    assert _emitted(FakeNode(0, THREE), decoded) == _emitted(FakeNode(0, THREE), block)
 
 
 def test_replicas_route_shared_halves_under_their_own_map():
@@ -688,18 +699,6 @@ def test_replicas_route_shared_halves_under_their_own_map():
     assert [d for d, _, hs in b if moved_half in hs] == [("shard_all", 2)]
 
 
-def test_credit_half_memo_never_exceeds_cap(monkeypatch):
-    cap = mechanisms.CREDIT_HALF_MEMO_CAP
-    monkeypatch.setattr(mechanisms, "_credit_halves", mechanisms.Memo(cap))
-    blocks, halves = [], []
-    for i in range(cap + 5):
-        blocks.append(_relay_block(f"memo-cap{i}"))
-        halves.append(mechanisms.credit_halves(blocks[-1]))
-        assert len(mechanisms._credit_halves) <= cap
-    assert mechanisms.credit_halves(blocks[0]) is not halves[0], "oldest evicted"
-    assert mechanisms.credit_halves(blocks[-1]) is halves[-1]
-
-
 def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
     built = {TxKind.INTRA_RELAY: 0, TxKind.INTER_RELAY: 0}
     real_make = mechanisms.make_transaction
@@ -711,8 +710,6 @@ def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
         return tx
 
     monkeypatch.setattr(mechanisms, "make_transaction", counting_make)
-    monkeypatch.setattr(mechanisms, "_credit_halves",
-                        mechanisms.Memo(mechanisms.CREDIT_HALF_MEMO_CAP))
     data = tmp_path / "transfers.csv"
     gen_dataset(str(data), accounts=40, txs=150, skew="uniform", seed=7)
     result = run(build_cfg(dataset_path=str(data), output_dir=str(tmp_path / "out")))

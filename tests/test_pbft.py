@@ -271,10 +271,9 @@ def test_shard_applies_each_block_once(monkeypatch):
         return real_apply_txs(state, txs)
 
     # The proposer calls it from mechanisms, every other replica through
-    # core.apply_block_to_state; a fresh memo keeps earlier tests out.
+    # core.apply_block_to_state, which reuses the post-state on the block.
     monkeypatch.setattr(core, "apply_txs", counting_apply_txs)
     monkeypatch.setattr(mechanisms, "apply_txs", counting_apply_txs)
-    monkeypatch.setattr(core, "_post_states", core.Memo(core.POST_STATE_MEMO_CAP))
     net = SimNetwork(latency_ms=5, seed=0)
     replicas = build_shard(net, n_nodes=4, theta=5, delta=100, vc_timeout=1000)
     attach_sink(net)
@@ -289,6 +288,19 @@ def test_shard_applies_each_block_once(monkeypatch):
     committed = len(logs[0])
     assert committed == 3
     assert len(applied) == committed, "one application per block, not one per replica"
+
+
+def test_forged_copy_carries_nothing_of_the_honest_block():
+    net = SimNetwork(latency_ms=5, seed=0)
+    replicas = build_shard(net, theta=10, delta=100, vc_timeout=400)
+    replicas["0.0"].invalid_heights.add(1)
+    _prefill(replicas, _local_txs(4))
+    leader, follower = replicas["0.0"], replicas["0.1"]
+    leader.maybe_propose(0)
+    ((_, forged),) = leader.preprepared.items()
+    assert forged.post is None and forged.halves is None
+    assert core.verify_block(forged, follower.head, follower.state, follower.pmap,
+                             follower.theta) is core.RejectReason.BAD_STATE_ROOT
 
 
 def test_crashed_leader_triggers_view_change():
