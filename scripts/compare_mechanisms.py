@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     dataset = out_base / "workload.csv"
     gen_dataset(str(dataset), accounts=args.accounts, txs=args.txs,
                 skew=args.skew, seed=args.seed)
-    top = top_active_accounts(str(dataset), args.brokers)
+    top = top_active_accounts(load_dataset(str(dataset)), args.brokers)
     coverage = involvement_coverage(load_dataset(str(dataset)), set(top))
     print(f"workload: {args.txs} txs over {args.accounts} accounts "
           f"({args.skew}, seed {args.seed})")

@@ -1,0 +1,100 @@
+"""Time the desk-scale protocol, one fresh process per run.
+
+For each shard count n the script writes a uniform dataset with
+``shardemu gen-dataset`` (2000n accounts, the given transactions per shard
+times n, seed 11). It then runs n shards x 4 nodes, block size 200, block
+interval 1000 ms, relay over the static map, prefilled pools, drain, over
+the simulated transport at its default latency: once with an
+``output_dir`` and once without. Each run is a new Python process that
+times ``harness.run``, setup and reports included, and reads its own peak
+RSS. One JSON row per run goes to stdout: wall seconds, committed rows,
+rows per wall-second, peak RSS and exit code. The script exits 1 if any
+run failed or did not drain.
+
+Usage:
+    python scripts/desk_bench.py --out /tmp/desk
+    python scripts/desk_bench.py --shards 8 --txs-per-shard 10000 --out /tmp/desk
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from correctness_sweep import desk_config
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# The timed child: reads one config from argv, prints one JSON object.
+CHILD = """
+import json, resource, sys, time
+from shardemu.config import parse_config
+from shardemu.harness import run
+cfg = parse_config(json.loads(sys.argv[1]))
+t0 = time.perf_counter()
+result = run(cfg)
+wall = time.perf_counter() - t0
+print(json.dumps({
+    "wall_s": wall,
+    "rows": result.summary["counters"]["W"],
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "exit": result.exit_code,
+}))
+"""
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=False)
+
+
+def bench_one(n_shards: int, txs_per_shard: int, out_base: Path) -> list[dict]:
+    dataset = out_base / f"uniform_{n_shards}.csv"
+    gen = _python("-m", "shardemu.cli", "gen-dataset",
+                  "--accounts", str(2000 * n_shards),
+                  "--txs", str(txs_per_shard * n_shards),
+                  "--skew", "uniform", "--seed", "11", "--out", str(dataset))
+    if gen.returncode != 0:
+        raise SystemExit(f"gen-dataset failed: {gen.stderr.strip()}")
+    rows = []
+    for with_output in (True, False):
+        cfg = desk_config(n_shards, dataset, out_base / f"run_{n_shards}",
+                          theta=200, delta_ms=1000, epoch_ms=5000)
+        if not with_output:
+            del cfg["output_dir"]
+        proc = _python("-c", CHILD, json.dumps(cfg))
+        row = {"shards": n_shards, "txs": txs_per_shard * n_shards, "output_dir": with_output}
+        if proc.returncode != 0:
+            row.update(exit=None, error=proc.stderr.strip().splitlines()[-1:])
+        else:
+            got = json.loads(proc.stdout.strip().splitlines()[-1])
+            row.update(wall_s=round(got["wall_s"], 3), rows=got["rows"],
+                       rows_per_s=round(got["rows"] / got["wall_s"], 1),
+                       peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True,
+                        help="directory for datasets and run outputs")
+    parser.add_argument("--shards", type=int, nargs="+", default=[2, 4, 8])
+    parser.add_argument("--txs-per-shard", type=int, default=10_000)
+    args = parser.parse_args(argv)
+
+    out_base = Path(args.out)
+    out_base.mkdir(parents=True, exist_ok=True)
+    rows = [row for n in args.shards for row in bench_one(n, args.txs_per_shard, out_base)]
+    return 0 if all(row["exit"] == 0 for row in rows) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

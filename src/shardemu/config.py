@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .core import ADDRESS_SIZE, address_from_hex
+from .core import address_from_hex
 
 
 class ConfigError(Exception):
@@ -212,8 +212,6 @@ def _parse_brokers(raw: Any) -> tuple[list[bytes], Optional[int]]:
             addr = address_from_hex(item)
         except (TypeError, ValueError) as exc:
             raise BadValue("brokers", f"bad address {item!r}: {exc}") from exc
-        if len(addr) != ADDRESS_SIZE:
-            raise BadValue("brokers", f"address {item!r} is not {ADDRESS_SIZE} bytes")
         out.append(addr)
     if len(set(out)) != len(out):
         raise BadValue("brokers", "duplicate broker address")

@@ -17,7 +17,6 @@ from typing import Iterable, Optional
 
 ADDRESS_SIZE = 20
 DIGEST_SIZE = 32
-HASH_ALGORITHM = "sha256"
 # Suffix width used to map an address onto a shard.
 SHARD_SUFFIX_BYTES = 8
 
@@ -114,12 +113,14 @@ def address_from_hex(text: str) -> bytes:
     if not isinstance(text, str):
         raise ValueError(f"bad address literal: {text!r}")
     body = text[2:] if text.startswith(("0x", "0X")) else text
-    if len(body) != 2 * ADDRESS_SIZE:
-        raise ValueError(f"bad address literal: {text!r}")
     try:
-        return bytes.fromhex(body)
+        addr = bytes.fromhex(body)
     except ValueError:
-        raise ValueError(f"bad address literal: {text!r}") from None
+        addr = b""
+    # fromhex skips whitespace, so the text and the bytes are both checked.
+    if len(body) != 2 * ADDRESS_SIZE or len(addr) != ADDRESS_SIZE:
+        raise ValueError(f"bad address literal: {text!r}")
+    return addr
 
 
 def address_to_hex(addr: bytes) -> str:
@@ -439,30 +440,52 @@ class PartitionMap:
     the shard count. ``overrides`` pins individual accounts elsewhere and
     grows as repartitioning runs. ``brokers`` are accounts considered
     present in every shard at once.
+
+    ``_shard_of`` holds every shard ``address_to_shard`` has resolved under
+    this map; ``updated`` seeds a child's table from its parent's. It is
+    correct only because nothing writes a map, or its ``overrides``, after
+    construction: a new version is a new map. Replicas of one process may
+    share a map across threads; a lookup and an insertion are each atomic
+    under the interpreter lock and every entry is a pure function of the
+    map, so a race only resolves an account twice.
     """
 
     n_shards: int
     version: int = 0
     overrides: dict[bytes, int] = field(default_factory=dict)
     brokers: frozenset[bytes] = field(default_factory=frozenset)
+    _shard_of: dict[bytes, int] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def updated(self, version: int, assignments: dict[bytes, int],
                 brokers: Optional[Iterable[bytes]] = None) -> "PartitionMap":
+        """The next version: ``assignments`` pinned over this map. Only an
+        assigned account can change shard, so the child's table starts as a
+        copy of this one with the assignments written over it."""
         merged = dict(self.overrides)
         merged.update(assignments)
-        return PartitionMap(
+        child = PartitionMap(
             n_shards=self.n_shards,
             version=version,
             overrides=merged,
             brokers=frozenset(brokers) if brokers is not None else self.brokers,
         )
+        child._shard_of.update(self._shard_of)
+        child._shard_of.update(assignments)
+        return child
 
 
 def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
-    override = pmap.overrides.get(addr)
-    if override is not None:
-        return override
-    return int.from_bytes(addr[-SHARD_SUFFIX_BYTES:], "big") % pmap.n_shards
+    """The shard owning ``addr`` under ``pmap``: its override, else its
+    address suffix modulo the shard count. Resolved once per map."""
+    table = pmap._shard_of
+    shard = table.get(addr)
+    if shard is None:
+        shard = pmap.overrides.get(addr)
+        if shard is None:
+            shard = int.from_bytes(addr[-SHARD_SUFFIX_BYTES:], "big") % pmap.n_shards
+        table[addr] = shard
+    return shard
 
 
 def classify_transfer(payer: bytes, payee: bytes, pmap: PartitionMap) -> TxClass:

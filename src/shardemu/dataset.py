@@ -151,10 +151,11 @@ def load_dataset(path: str, limit: Optional[int] = None) -> Iterator[DatasetRow]
             yield DatasetRow(payer=payer, payee=payee, value=value, nonce=nonce)
 
 
-def top_active_accounts(path: str, k: int, limit: Optional[int] = None) -> list[bytes]:
-    """The K most transfer-active addresses; ties break toward low address."""
+def top_active_accounts(rows: Iterable[DatasetRow], k: int) -> list[bytes]:
+    """The K most transfer-active addresses among ``rows``; ties break
+    toward low address."""
     counts: Counter[bytes] = Counter()
-    for row in load_dataset(path, limit):
+    for row in rows:
         counts[row.payer] += 1
         counts[row.payee] += 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

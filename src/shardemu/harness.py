@@ -70,17 +70,18 @@ def build_nodes(
     cfg: RunConfig, net_of: Callable[[str], Any]
 ) -> tuple[Supervisor, dict[str, Replica]]:
     """The supervisor and the replicas (shard-major) of one run."""
+    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
     brokers: list[bytes] = []
     if cfg.mechanism == "broker":
-        brokers = (
-            top_active_accounts(cfg.dataset_path, cfg.brokers_top_k, cfg.dataset_limit)
-            if cfg.brokers_top_k is not None
-            else cfg.brokers
-        )
+        brokers = cfg.brokers
+        if cfg.brokers_top_k is not None:
+            # Ranking needs every row first; read the file once for both.
+            loaded = list(rows)
+            brokers = top_active_accounts(loaded, cfg.brokers_top_k)
+            rows = iter(loaded)
     pmap = PartitionMap(
         n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
     )
-    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
     supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
 
     replicas: dict[str, Replica] = {}

@@ -590,16 +590,11 @@ class BaseMechanism:
     def evict_misplaced(self, node: Any, now: int) -> list:
         """After a map switch, re-home queued entries the shard no longer
         owns. Every node drops them; only the leader forwards, so exactly
-        one copy travels. Each distinct home account is resolved to its
-        shard once per call."""
+        one copy travels."""
         gone: dict[int, list[Transaction]] = {}
-        shards: dict[bytes, int] = {}
         pmap = node.pmap
         for tx in node.pool.snapshot():
-            account = exec_home_account(tx, pmap)
-            home = shards.get(account)
-            if home is None:
-                home = shards[account] = address_to_shard(account, pmap)
+            home = exec_home_shard(tx, pmap)
             if home != node.shard_id:
                 gone.setdefault(home, []).append(tx)
         if not gone:

@@ -101,7 +101,7 @@ def broker_run(work):
     scan of every queued transaction's locality."""
     dataset = work / "zipf_broker.csv"
     gen_dataset(str(dataset), accounts=1000, txs=40_000, skew="zipf:1.2", seed=5)
-    top = top_active_accounts(str(dataset), 10)
+    top = top_active_accounts(load_dataset(str(dataset)), 10)
     coverage = involvement_coverage(load_dataset(str(dataset)), set(top))
     run_dir = work / "broker"
     cfg = parse_config(_desk_raw(4, dataset, run_dir,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, regular_tx
+from helpers import addr, regular_tx, suffix_shard
 from shardemu.core import (
     ADDRESS_SIZE,
     EMPTY_TREE_ROOT,
@@ -65,7 +65,8 @@ def test_address_from_hex_prefix_optional():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "0x", "ab" * 19, "ab" * 21, "zz" * 20, "0x" + "ab" * 19, 42, None],
+    ["", "0x", "ab" * 19, "ab" * 21, "zz" * 20, "0x" + "ab" * 19, 42, None,
+     "ab" * 19 + "  ", "0x" + "ab" * 19 + "\t ", " " + "ab" * 19 + " ", "ab " * 13 + " "],
 )
 def test_address_from_hex_rejects(bad):
     with pytest.raises(ValueError):
@@ -137,6 +138,101 @@ def test_updated_merges_overrides_and_brokers():
     assert v2.overrides == {A: 1, B: 1}
     assert v2.brokers == frozenset({C})
     assert v1.brokers == frozenset()
+
+
+def _reference_shard(a, pmap):
+    return pmap.overrides.get(a, suffix_shard(a, pmap.n_shards))
+
+
+def test_shard_table_matches_reference_along_update_chains():
+    # Accounts move, move again, and move back to their default shard. Each
+    # map is half warmed before its child is built, and every map is
+    # queried again once the whole chain exists.
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.choice((2, 3, 4, 8))
+        accounts = [addr(f"table-{seed}-{i}") for i in range(60)]
+        chain = [PartitionMap(n_shards=n)]
+        for version in range(1, 12):
+            parent = chain[-1]
+            for a in rng.sample(accounts, 30):
+                assert address_to_shard(a, parent) == _reference_shard(a, parent)
+            moved = rng.sample(accounts, 5) + rng.sample(sorted(parent.overrides) or accounts, 2)
+            assignments = {
+                a: suffix_shard(a, n) if rng.random() < 0.3 else rng.randrange(n)
+                for a in moved
+            }
+            brokers = rng.sample(accounts, 2) if rng.random() < 0.3 else None
+            chain.append(parent.updated(version, assignments, brokers))
+        assert any(chain[-1].overrides[a] == suffix_shard(a, n) for a in chain[-1].overrides)
+        for pmap in chain:
+            for a in accounts:
+                assert address_to_shard(a, pmap) == _reference_shard(a, pmap)
+
+
+def test_child_never_writes_into_its_parents_table():
+    parent = PartitionMap(n_shards=2, version=3, overrides={B: 1})
+    for a in (A, B, C):
+        address_to_shard(a, parent)
+    before = dict(parent._shard_of)
+    child = parent.updated(4, {A: 1, C: 0})
+    others = [addr(f"child-{i}") for i in range(20)]
+    for a in [A, B, C] + others:
+        assert address_to_shard(a, child) == _reference_shard(a, child)
+    assert parent._shard_of == before
+    assert child._shard_of is not parent._shard_of
+    assert [address_to_shard(a, parent) for a in (A, B, C)] == [0, 1, 1]
+
+
+def test_equality_and_repr_ignore_the_table():
+    cold = PartitionMap(n_shards=2, version=1, overrides={A: 1})
+    warm = PartitionMap(n_shards=2, version=1, overrides={A: 1})
+    for a in (A, B, C):
+        address_to_shard(a, warm)
+    assert cold == warm
+    assert repr(cold) == repr(warm)
+    assert "_shard_of" not in repr(warm)
+    assert warm == PartitionMap(n_shards=2).updated(1, {A: 1})
+    assert warm != PartitionMap(n_shards=2, version=1, overrides={A: 0})
+
+
+def test_threads_resolve_one_shared_map():
+    # Replicas of one process share their initial map across node threads,
+    # resolve on it, and each build their own child of it.
+    rng = random.Random(9)
+    accounts = [addr(f"shared-{i}") for i in range(400)]
+    shared = PartitionMap(n_shards=4, overrides={a: rng.randrange(4) for a in accounts[:100]})
+    moves = {a: rng.randrange(4) for a in accounts[50:150]}
+    orders = [rng.sample(accounts, len(accounts)) for _ in range(8)]
+    got = [[] for _ in orders]
+    start = threading.Barrier(len(orders))
+
+    def worker(order, out):
+        start.wait(timeout=30)
+        for a in order:
+            out.append((a, address_to_shard(a, shared), None))
+        child = shared.updated(1, moves)
+        for a in order:
+            out.append((a, address_to_shard(a, shared), address_to_shard(a, child)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=args) for args in zip(orders, got)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    reference = shared.updated(1, moves)
+    for out in got:
+        assert len(out) == 2 * len(accounts)
+        for a, here, there in out:
+            assert here == _reference_shard(a, shared)
+            assert there is None or there == _reference_shard(a, reference)
+    assert shared._shard_of == {a: _reference_shard(a, shared) for a in accounts}
 
 
 def test_classify_transaction():

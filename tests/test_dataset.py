@@ -100,6 +100,7 @@ def test_load_limit_stops_early(tmp_path):
     ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",1,extra\n", 2),
     ("from,to,value\nxyz," + "cd" * 20 + ",1\n", 2),
     ("from,to,value\n" + "ab" * 19 + "," + "cd" * 20 + ",1\n", 2),
+    ("from,to,value\n" + "ab" * 19 + "  ," + "cd" * 20 + ",1\n", 2),
     ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",one\n", 2),
     ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",-3\n", 2),
     ("from,to,value\n" + f"{'ab' * 20},{'cd' * 20},1\n" + "broken\n", 3),
@@ -120,12 +121,12 @@ def test_top_active_accounts_ranking(tmp_path):
     lines += [f"{c.hex()},{a.hex()},1"]       # c=1, a=4
     lines += [f"{d.hex()},{c.hex()},1"]       # d=1, c=2
     path.write_text("\n".join(lines) + "\n")
-    ranked = top_active_accounts(str(path), 4)
+    ranked = top_active_accounts(load_dataset(str(path)), 4)
     assert ranked[:2] == [a, b]
     assert ranked[2:] == [c, d] if c < d else [d, c]
-    assert top_active_accounts(str(path), 1) == [a]
+    assert top_active_accounts(load_dataset(str(path)), 1) == [a]
     # ties at count 1: c and d, low address first
-    tied = top_active_accounts(str(path), 4)[2:]
+    tied = top_active_accounts(load_dataset(str(path)), 4)[2:]
     assert tied == sorted(tied)
 
 
