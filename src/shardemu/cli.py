@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration problem, 3 degraded run (stall or
-stop before drain).
+Exit codes: 0 success, 2 configuration or input problem (including a bad
+dataset row or a damaged block file), 3 degraded run (stall or stop before
+drain).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 
 from .config import ConfigError, load_config
 from .dataset import BadRow, gen_dataset, parse_skew
-from .harness import report_from_blocks, run
+from .harness import BadBlockFile, report_from_blocks, run
 from .oracle import AnalyticInput, expected_metrics
 
 
@@ -118,7 +119,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, BadRow) as exc:
+    except (ConfigError, BadRow, BadBlockFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ verification. Nothing in this module owns a clock, a socket, or a file.
 from __future__ import annotations
 
 import hashlib
+import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -646,16 +647,32 @@ def tx_to_json(tx: Transaction, confirm_time: Optional[int] = None) -> dict:
     }
 
 
+# Value -> member tables for decoding: a dict hit instead of ``Enum``'s
+# call, once per transaction line.
+_TX_KIND_OF = {k.value: k for k in TxKind}
+_BLOCK_KIND_OF = {k.value: k for k in BlockKind}
+
+
+def _member(table: dict, raw):
+    try:
+        return table[raw]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown kind {raw!r}") from None
+
+
 def tx_from_json(obj: dict) -> Transaction:
+    inject_time = obj.get("inject_time")
+    if inject_time is not None and type(inject_time) is not int:
+        raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
     tx = Transaction(
         payer=address_from_hex(obj["payer"]),
         payee=address_from_hex(obj["payee"]),
         value=int(obj["value"]),
         nonce=int(obj["nonce"]),
-        kind=TxKind(obj["kind"]),
+        kind=_member(_TX_KIND_OF, obj["kind"]),
         origin_hash=bytes.fromhex(obj["origin_hash"]) if obj.get("origin_hash") else None,
         fee=int(obj.get("fee", 0)),
-        inject_time=obj.get("inject_time"),
+        inject_time=inject_time,
     )
     if tx.hash.hex() != obj["hash"]:
         raise ValueError("transaction hash mismatch in serialized form")
@@ -695,6 +712,50 @@ def block_to_json(block: Block, confirm_time: Optional[int] = None) -> dict:
     }
 
 
+# Each kind's JSON token, quotes included, for ``block_line``.
+_KIND_TOKEN = {k: f'"{k.value}"' for k in TxKind}
+
+
+def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
+    """The string ``json.dumps(block_to_json(block, confirm_time))`` returns,
+    built without the dicts: one block-file line.
+
+    Every block and transaction field is a digest, an address, an int or
+    an enum value, whose JSON form needs no escaping; ``proposer``, the one
+    free-form string, and ``confirm_time``, taken as the caller gives it,
+    go through ``json.dumps``. Values and balances are quoted decimals, as
+    in ``tx_to_json`` and ``account_to_json``.
+    """
+    confirm = json.dumps(confirm_time)
+    end = f', "confirm_time": {confirm}}}'
+    kind_token = _KIND_TOKEN
+    txs = []
+    for tx in block.txs:
+        origin = tx.origin_hash
+        origin = f'"{origin.hex()}"' if origin else "null"
+        inject = tx.inject_time
+        inject = "null" if inject is None else inject
+        txs.append(
+            f'{{"hash": "{tx.hash.hex()}", "payer": "0x{tx.payer.hex()}", '
+            f'"payee": "0x{tx.payee.hex()}", "value": "{tx.value}", "nonce": {tx.nonce}, '
+            f'"kind": {kind_token[tx.kind]}, "origin_hash": {origin}, "fee": {tx.fee}, '
+            f'"inject_time": {inject}{end}'
+        )
+    installs = ", ".join([
+        f'{{"address": "0x{a.address.hex()}", "balance": "{a.balance}", "nonce": {a.nonce}}}'
+        for a in block.migration_installs
+    ])
+    departures = ", ".join([f'"0x{a.hex()}"' for a in block.migration_departures])
+    return (
+        f'{{"shard_id": {block.shard_id}, "height": {block.height}, '
+        f'"parent_hash": "{block.parent_hash.hex()}", "state_root": "{block.state_root.hex()}", '
+        f'"proposer": {json.dumps(block.proposer)}, "block_kind": "{block.block_kind.value}", '
+        f'"txs": [{", ".join(txs)}], "migration_installs": [{installs}], '
+        f'"migration_departures": [{departures}], "timestamp": {block.timestamp}, '
+        f'"commit_time": {confirm}, "hash": "{block.hash.hex()}"}}'
+    )
+
+
 def block_from_json(obj: dict) -> Block:
     block = Block(
         shard_id=int(obj["shard_id"]),
@@ -702,7 +763,7 @@ def block_from_json(obj: dict) -> Block:
         parent_hash=bytes.fromhex(obj["parent_hash"]),
         state_root=bytes.fromhex(obj["state_root"]),
         proposer=obj["proposer"],
-        block_kind=BlockKind(obj["block_kind"]),
+        block_kind=_member(_BLOCK_KIND_OF, obj["block_kind"]),
         txs=[tx_from_json(t) for t in obj["txs"]],
         migration_installs=[account_from_json(a) for a in obj["migration_installs"]],
         migration_departures=[address_from_hex(a) for a in obj["migration_departures"]],

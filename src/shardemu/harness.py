@@ -179,6 +179,18 @@ def run(cfg: RunConfig) -> RunResult:
 # -- recomputation from stored blocks --
 
 
+class BadBlockFile(Exception):
+    """A block-file line that is not valid JSON, has a field of the wrong
+    form, or carries a hash that does not match its content."""
+
+    def __init__(self, path: str, line_no: int, exc: Exception) -> None:
+        if isinstance(exc, json.JSONDecodeError):
+            why = f"invalid JSON at column {exc.colno}: {exc.msg}"
+        else:
+            why = f"{type(exc).__name__}: {exc}"
+        super().__init__(f"{path} line {line_no}: {why}")
+
+
 def report_from_blocks(run_dir: str) -> dict:
     """Rebuild the metric reports from a run directory's block files.
 
@@ -187,7 +199,8 @@ def report_from_blocks(run_dir: str) -> dict:
     point at theirs through the origin hash. Classification is therefore
     by commitment shape, and the outputs land in a ``recomputed``
     subdirectory of the run directory. Every shard's block file must be
-    present; a missing one raises ``FileNotFoundError``.
+    present; a missing one raises ``FileNotFoundError``, and a line that
+    does not decode to a block with matching hashes raises ``BadBlockFile``.
     """
     summary_path = os.path.join(run_dir, "summary.json")
     with open(summary_path, "r", encoding="utf-8") as fh:
@@ -196,16 +209,19 @@ def report_from_blocks(run_dir: str) -> dict:
     n_shards = cfg_echo["n_shards"]
     ledger = MetricsLedger(n_shards, cfg_echo["epoch_ms"])
 
-    blocks: list[tuple[dict, Block]] = []
+    blocks: list[tuple[Optional[int], Block]] = []
     for k in range(n_shards):
         path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                blocks.append((obj, block_from_json(obj)))
-    blocks.sort(key=lambda pair: (pair[0]["commit_time"] or 0, pair[1].shard_id))
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    obj = json.loads(line)
+                    blocks.append((obj["commit_time"], block_from_json(obj)))
+                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    raise BadBlockFile(path, line_no, exc) from None
+    blocks.sort(key=lambda pair: (pair[0] or 0, pair[1].shard_id))
 
-    for obj, block in blocks:
+    for _, block in blocks:
         for tx in block.txs:
             if tx.kind in DERIVED_KINDS:
                 ledger.record_injection(
@@ -226,8 +242,8 @@ def report_from_blocks(run_dir: str) -> dict:
                     tx.inject_time or 0,
                 )
 
-    for obj, block in blocks:
-        ledger.record_block(block, obj["commit_time"] or block.timestamp, 0)
+    for commit_time, block in blocks:
+        ledger.record_block(block, commit_time or block.timestamp, 0)
 
     out_dir = os.path.join(run_dir, "recomputed")
     summary = ledger.write_reports(out_dir, cfg_echo)

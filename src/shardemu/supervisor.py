@@ -13,7 +13,6 @@ ledger counted, so ``shardemu report`` rebuilds exactly the live reports.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from typing import Any, Iterator, Optional
@@ -27,7 +26,7 @@ from .core import (
     TxClass,
     TxKind,
     address_to_shard,
-    block_to_json,
+    block_line,
     classify_transfer,
     make_transaction,
 )
@@ -155,8 +154,7 @@ class Supervisor:
         if rec is None:
             return
         if self.block_files:
-            line = json.dumps(block_to_json(info.block, confirm_time=info.commit_time))
-            self.block_files[rec.shard].write(line + "\n")
+            self.block_files[rec.shard].write(block_line(info.block, info.commit_time) + "\n")
         self.est_pool[rec.shard] = rec.pool_size
         if rec.block_kind is BlockKind.MIGRATION:
             self._note_migration_block(rec.shard, info.version)

@@ -74,7 +74,7 @@ def test_degraded_run_returns_three(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("exit=3 ")
 
 
-def test_report_refuses_a_run_dir_missing_a_block_file(tmp_path, capsys):
+def _finished_run(tmp_path):
     dataset = tmp_path / "d.csv"
     main(["gen-dataset", "--accounts", "20", "--txs", "60", "--out", str(dataset)])
     run_dir = tmp_path / "run"
@@ -82,10 +82,51 @@ def test_report_refuses_a_run_dir_missing_a_block_file(tmp_path, capsys):
         tmp_path / "run.json", dataset_path=str(dataset), output_dir=str(run_dir)
     )
     assert main(["run", "--config", cfg_path]) == 0
+    return run_dir
+
+
+def test_report_refuses_a_run_dir_missing_a_block_file(tmp_path, capsys):
+    run_dir = _finished_run(tmp_path)
     (run_dir / "blocks_shard1.jsonl").unlink()
     capsys.readouterr()
     assert main(["report", "--run-dir", str(run_dir)]) == 2
     assert "blocks_shard1.jsonl" in capsys.readouterr().err
+
+
+def _truncate_last(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+
+
+def _edit_tx_hash(lines):
+    obj = json.loads(lines[0])
+    obj["txs"][0]["hash"] = "00" * 32
+    lines[0] = json.dumps(obj)
+
+
+def _text_inject_time(lines):
+    obj = json.loads(lines[-1])
+    obj["txs"][-1]["inject_time"] = "soon"
+    lines[-1] = json.dumps(obj)
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (_truncate_last, "invalid JSON"),
+    (_edit_tx_hash, "transaction hash mismatch"),
+    (_text_inject_time, "inject_time must be an integer or null"),
+], ids=["truncated", "tx_hash", "inject_time"])
+def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, cause):
+    run_dir = _finished_run(tmp_path)
+    path = run_dir / "blocks_shard1.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) > 1 and all(json.loads(line)["txs"] for line in (lines[0], lines[-1]))
+    line_no = 1 if damage is _edit_tx_hash else len(lines)
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"blocks_shard1.jsonl line {line_no}: " in err and cause in err
 
 
 @pytest.mark.parametrize("argv_builder", [

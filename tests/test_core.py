@@ -1,5 +1,6 @@
 """Domain model: addresses, transactions, blocks, state, verification."""
 
+import json
 import random
 import sys
 import threading
@@ -29,6 +30,7 @@ from shardemu.core import (
     apply_migration,
     apply_txs,
     block_from_json,
+    block_line,
     block_to_json,
     classify_transaction,
     compute_state_root,
@@ -41,6 +43,7 @@ from shardemu.core import (
     tx_to_json,
     verify_block,
 )
+from shardemu.transport import BlockInfo, Envelope, decode_frame, encode_frame
 
 A = addr("a", shard=0)
 B = addr("b", shard=0)
@@ -721,6 +724,90 @@ def test_migration_block_json_round_trip():
     assert back.hash == mig.hash
     assert back.migration_installs == [AccountState(A, balance=-5, nonce=9)]
     assert back.migration_departures == [B]
+
+
+@pytest.mark.parametrize("bad", ["soon", True, 1.5, [3]])
+def test_tx_from_json_requires_an_integer_inject_time(bad):
+    obj = tx_to_json(regular_tx(A, B))
+    obj["inject_time"] = bad
+    with pytest.raises(ValueError):
+        tx_from_json(obj)
+
+
+def test_json_decoding_rejects_unknown_kinds():
+    tx = tx_to_json(regular_tx(A, B))
+    for kind in ("relay", None, ["regular"]):
+        with pytest.raises(ValueError):
+            tx_from_json({**tx, "kind": kind})
+    obj = block_to_json(genesis_block(0))
+    with pytest.raises(ValueError):
+        block_from_json({**obj, "block_kind": "checkpoint"})
+
+
+# --- block-file lines ---
+
+_digests = st.binary(min_size=32, max_size=32)
+_addresses = st.binary(min_size=ADDRESS_SIZE, max_size=ADDRESS_SIZE)
+_txs = st.builds(
+    Transaction,
+    payer=_addresses,
+    payee=_addresses,
+    value=st.integers(0, (1 << 128) - 1),
+    nonce=st.integers(0, (1 << 63) - 1),
+    kind=st.sampled_from(TxKind),
+    origin_hash=st.none() | _digests,
+    fee=st.integers(0, 1 << 40),
+    inject_time=st.none() | st.integers(0, 1 << 40),
+)
+_blocks = st.builds(
+    Block,
+    shard_id=st.integers(0, 64),
+    height=st.integers(0, 1 << 40),
+    parent_hash=_digests,
+    state_root=_digests,
+    proposer=st.text(max_size=12),
+    block_kind=st.sampled_from(BlockKind),
+    txs=st.lists(_txs, max_size=6),
+    migration_installs=st.lists(
+        st.builds(AccountState, address=_addresses,
+                  balance=st.integers(-(1 << 255), (1 << 255) - 1),
+                  nonce=st.integers(0, (1 << 63) - 1)),
+        max_size=3),
+    migration_departures=st.lists(_addresses, max_size=3),
+    timestamp=st.integers(0, 1 << 40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks, st.none() | st.just(0) | st.integers(1, 1 << 40))
+def test_block_line_is_the_json_of_the_block(block, confirm_time):
+    line = block_line(block, confirm_time)
+    assert line == json.dumps(block_to_json(block, confirm_time))
+    # A block the supervisor decoded from a block_info frame writes the same line.
+    frame = encode_frame(Envelope("block_info", "0.0", BlockInfo(block, confirm_time, 0, 0)))
+    info = decode_frame(frame).body
+    assert block_line(info.block, info.commit_time) == line
+
+
+def test_block_line_covers_every_kind_and_layout():
+    txs = [
+        Transaction(A, C, (1 << 128) - 1, 7, kind, origin_hash=b"\x05" * 32 if i % 2 else None,
+                    fee=3 * i, inject_time=None if i % 3 == 0 else 40 * i)
+        for i, kind in enumerate(TxKind)
+    ]
+    tx_block = Block(shard_id=1, height=3, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,
+                     proposer='1.0 "quoted" \u00e9', block_kind=BlockKind.TX, txs=txs,
+                     timestamp=90)
+    mig = Block(shard_id=0, height=4, parent_hash=b"\x03" * 32, state_root=b"\x04" * 32,
+                proposer="0.2", block_kind=BlockKind.MIGRATION,
+                migration_installs=[AccountState(A, balance=-5, nonce=9), AccountState(C)],
+                migration_departures=[B, C], timestamp=120)
+    empty = Block(shard_id=0, height=5, parent_hash=mig.hash, state_root=b"\x04" * 32,
+                  proposer="0.3", block_kind=BlockKind.TX, timestamp=150)
+    for block in (tx_block, mig, empty):
+        for confirm_time in (None, 0, 450):
+            assert block_line(block, confirm_time) == json.dumps(block_to_json(block, confirm_time))
+
 
 
 def test_block_hash_covers_content():

@@ -1,11 +1,16 @@
 """The research scripts under scripts/, run end to end at a tiny size."""
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+NOMINAL_S = runpy.run_path(str(ROOT / "perfbench" / "reference.py"))["NOMINAL_S"]
 
 
 def _run(script, out_dir, *args):
@@ -35,5 +40,9 @@ def test_desk_bench_smoke(tmp_path):
     for row in rows:
         assert row["shards"] == 2 and row["exit"] == 0
         assert row["rows"] > 0 and row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+        assert row["ref_s"] > 0
+        # Both times are rounded to the millisecond before they are printed.
+        assert row["scaled_wall_s"] == pytest.approx(
+            row["wall_s"] * NOMINAL_S / row["ref_s"], rel=0.01, abs=0.002)
     assert rows[0]["rows"] == rows[1]["rows"]
     assert (tmp_path / "run_2" / "summary.json").exists()

@@ -158,6 +158,17 @@ def test_codec_block_info_rejects_a_block_off_its_hash(tamper):
         decode_frame(len(payload).to_bytes(4, "big") + payload)
 
 
+@pytest.mark.parametrize("inject_time", ["soon", True, 2.5])
+def test_codec_block_info_rejects_a_non_integer_inject_time(inject_time):
+    # inject_time is outside the transaction hash, so only its type guards it.
+    frame = encode_frame(Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)))
+    obj = json.loads(frame[4:])
+    obj["body"]["block"]["txs"][0]["inject_time"] = inject_time
+    payload = json.dumps(obj).encode("utf-8")
+    with pytest.raises(BadJson):
+        decode_frame(len(payload).to_bytes(4, "big") + payload)
+
+
 def test_codec_large_frame():
     txs = [regular_tx(A, B, 1, nonce=n) for n in range(2000)]
     env = Envelope("inject_txs", "supervisor", InjectTxs(txs=txs))
