@@ -13,12 +13,18 @@ before and just after the run; the host's speed drifts from run to run, so
 takes ``NOMINAL_S`` (wall seconds x ``NOMINAL_S`` / mean reference
 seconds), as ``perfbench/run.py`` does. One JSON row per run goes to
 stdout: wall seconds, mean reference seconds, scaled wall seconds,
-committed rows, rows per wall-second, peak RSS and exit code. The script
+committed rows, rows per wall-second, peak RSS and exit code.
+
+A single run per configuration cannot back a claim on a host whose speed
+drifts, so ``--repeat N`` runs each shard count N times, alternating the
+runs with and without ``output_dir``. After them, one summary row per
+configuration gives the number of good runs and the first quartile,
+median and third quartile of ``wall_s`` and ``scaled_wall_s``. The script
 exits 1 if any run failed or did not drain.
 
 Usage:
     python scripts/desk_bench.py --out /tmp/desk
-    python scripts/desk_bench.py --shards 8 --txs-per-shard 10000 --out /tmp/desk
+    python scripts/desk_bench.py --shards 8 --txs-per-shard 10000 --repeat 5 --out /tmp/desk
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +74,34 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           env=env, check=False)
 
 
-def bench_one(n_shards: int, txs_per_shard: int, out_base: Path) -> list[dict]:
+def run_one(n_shards: int, txs_per_shard: int, dataset: Path, out_base: Path,
+            with_output: bool) -> dict:
+    cfg = desk_config(n_shards, dataset, out_base / f"run_{n_shards}",
+                      theta=200, delta_ms=1000, epoch_ms=5000)
+    if not with_output:
+        del cfg["output_dir"]
+    proc = _python("-c", CHILD, json.dumps(cfg))
+    row = {"shards": n_shards, "txs": txs_per_shard * n_shards, "output_dir": with_output}
+    if proc.returncode != 0:
+        row.update(exit=None, error=proc.stderr.strip().splitlines()[-1:])
+    else:
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        row.update(wall_s=round(got["wall_s"], 3), ref_s=round(got["ref_s"], 4),
+                   scaled_wall_s=round(got["scaled_wall_s"], 3), rows=got["rows"],
+                   rows_per_s=round(got["rows"] / got["wall_s"], 1),
+                   peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
+    return row
+
+
+def quartiles(xs: list[float]) -> dict:
+    """First quartile, median and third quartile, interpolated between the
+    runs themselves."""
+    q1, median, q3 = (statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1
+                      else xs * 3)
+    return {"q1": round(q1, 3), "median": round(median, 3), "q3": round(q3, 3)}
+
+
+def bench_one(n_shards: int, txs_per_shard: int, out_base: Path, repeat: int) -> list[dict]:
     dataset = out_base / f"uniform_{n_shards}.csv"
     gen = _python("-m", "shardemu.cli", "gen-dataset",
                   "--accounts", str(2000 * n_shards),
@@ -76,23 +110,19 @@ def bench_one(n_shards: int, txs_per_shard: int, out_base: Path) -> list[dict]:
     if gen.returncode != 0:
         raise SystemExit(f"gen-dataset failed: {gen.stderr.strip()}")
     rows = []
+    for _ in range(repeat):
+        for with_output in (True, False):
+            row = run_one(n_shards, txs_per_shard, dataset, out_base, with_output)
+            print(json.dumps(row), flush=True)
+            rows.append(row)
     for with_output in (True, False):
-        cfg = desk_config(n_shards, dataset, out_base / f"run_{n_shards}",
-                          theta=200, delta_ms=1000, epoch_ms=5000)
-        if not with_output:
-            del cfg["output_dir"]
-        proc = _python("-c", CHILD, json.dumps(cfg))
-        row = {"shards": n_shards, "txs": txs_per_shard * n_shards, "output_dir": with_output}
-        if proc.returncode != 0:
-            row.update(exit=None, error=proc.stderr.strip().splitlines()[-1:])
-        else:
-            got = json.loads(proc.stdout.strip().splitlines()[-1])
-            row.update(wall_s=round(got["wall_s"], 3), ref_s=round(got["ref_s"], 4),
-                       scaled_wall_s=round(got["scaled_wall_s"], 3), rows=got["rows"],
-                       rows_per_s=round(got["rows"] / got["wall_s"], 1),
-                       peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
-        print(json.dumps(row), flush=True)
-        rows.append(row)
+        good = [r for r in rows if r["output_dir"] is with_output and r["exit"] == 0]
+        summary = {"shards": n_shards, "txs": txs_per_shard * n_shards,
+                   "output_dir": with_output, "runs": len(good)}
+        if good:
+            for key in ("wall_s", "scaled_wall_s"):
+                summary[key] = quartiles([r[key] for r in good])
+        print(json.dumps(summary), flush=True)
     return rows
 
 
@@ -102,11 +132,16 @@ def main(argv=None) -> int:
                         help="directory for datasets and run outputs")
     parser.add_argument("--shards", type=int, nargs="+", default=[2, 4, 8])
     parser.add_argument("--txs-per-shard", type=int, default=10_000)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs per configuration, alternating with and without output_dir")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     out_base = Path(args.out)
     out_base.mkdir(parents=True, exist_ok=True)
-    rows = [row for n in args.shards for row in bench_one(n, args.txs_per_shard, out_base)]
+    rows = [row for n in args.shards
+            for row in bench_one(n, args.txs_per_shard, out_base, args.repeat)]
     return 0 if all(row["exit"] == 0 for row in rows) else 1
 
 

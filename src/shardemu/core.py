@@ -62,12 +62,12 @@ class TxKind(Enum):
 
 # Stable one-byte tags for hashing; append-only.
 _KIND_TAG = {
-    TxKind.REGULAR: 0,
-    TxKind.ORIGINAL_CTX: 1,
-    TxKind.INTRA_RELAY: 2,
-    TxKind.INTER_RELAY: 3,
-    TxKind.BROKER_PAYER_HALF: 4,
-    TxKind.BROKER_PAYEE_HALF: 5,
+    TxKind.REGULAR: b"\x00",
+    TxKind.ORIGINAL_CTX: b"\x01",
+    TxKind.INTRA_RELAY: b"\x02",
+    TxKind.INTER_RELAY: b"\x03",
+    TxKind.BROKER_PAYER_HALF: b"\x04",
+    TxKind.BROKER_PAYEE_HALF: b"\x05",
 }
 
 INJECTED_KINDS = frozenset({TxKind.REGULAR, TxKind.ORIGINAL_CTX})
@@ -128,6 +128,23 @@ def address_to_hex(addr: bytes) -> str:
     return "0x" + addr.hex()
 
 
+class AddressTable(dict):
+    """Address literal -> its bytes, for one parse pass (a dataset load, a
+    block-file report). Each distinct literal is parsed once, and every
+    spelling of one account maps to one ``bytes`` object, so the pass hands
+    out one object per account: a dict or set probe with the stored key
+    object stops at the identity check. A literal that ``address_from_hex``
+    refuses raises its ``ValueError`` and is not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> bytes:
+        addr = address_from_hex(text)
+        addr = self.setdefault(addr, addr)
+        self[text] = addr
+        return addr
+
+
 @dataclass(slots=True)
 class Transaction:
     """A single transfer, possibly one half of a split cross-shard transfer.
@@ -166,15 +183,14 @@ def tx_digest(
     origin_hash: Optional[bytes],
 ) -> bytes:
     """Hash of the identity fields; timing fields deliberately excluded."""
-    parts = (
-        payer
-        + payee
-        + value.to_bytes(VALUE_BITS // 8, "big")
-        + nonce.to_bytes(8, "big")
-        + bytes([_KIND_TAG[kind]])
-        + (origin_hash or b"")
-    )
-    return digest(parts)
+    return _sha256(b"".join((
+        payer,
+        payee,
+        value.to_bytes(VALUE_BITS // 8, "big"),
+        nonce.to_bytes(8, "big"),
+        _KIND_TAG[kind],
+        origin_hash or b"",
+    ))).digest()
 
 
 def make_transaction(
@@ -195,16 +211,7 @@ def make_transaction(
         raise ValueError(f"{kind.value} requires an origin_hash")
     if kind in INJECTED_KINDS and origin_hash:
         raise ValueError(f"{kind.value} must not carry an origin_hash")
-    return Transaction(
-        payer=payer,
-        payee=payee,
-        value=value,
-        nonce=nonce,
-        kind=kind,
-        origin_hash=origin_hash,
-        fee=fee,
-        inject_time=inject_time,
-    )
+    return Transaction(payer, payee, value, nonce, kind, origin_hash, fee, inject_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -660,20 +667,50 @@ def _member(table: dict, raw):
         raise ValueError(f"unknown kind {raw!r}") from None
 
 
-def tx_from_json(obj: dict) -> Transaction:
+def _int(raw, name: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused."""
+    if type(raw) is not int:
+        raise ValueError(f"{name} must be an integer, not {raw!r}")
+    return raw
+
+
+def _decimal(raw, name: str, signed: bool = False) -> int:
+    """A quoted decimal exactly as ``str(int)`` writes it, with a minus sign
+    only where ``signed``: no padding, underscores, plus sign or leading
+    zeros."""
+    if type(raw) is str and (signed or raw[:1] != "-"):
+        try:
+            n = int(raw)
+        except ValueError:
+            pass
+        else:
+            if str(n) == raw:
+                return n
+    raise ValueError(f"{name} must be a decimal string, not {raw!r}")
+
+
+def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transaction:
+    """Decode and hash-check one transaction. ``addresses``, an
+    ``AddressTable`` shared by one parse pass, maps each address literal to
+    the pass's object for that account; without it each literal is parsed
+    afresh."""
+    address = address_from_hex if addresses is None else addresses.__getitem__
     inject_time = obj.get("inject_time")
     if inject_time is not None and type(inject_time) is not int:
         raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
-    tx = Transaction(
-        payer=address_from_hex(obj["payer"]),
-        payee=address_from_hex(obj["payee"]),
-        value=int(obj["value"]),
-        nonce=int(obj["nonce"]),
-        kind=_member(_TX_KIND_OF, obj["kind"]),
-        origin_hash=bytes.fromhex(obj["origin_hash"]) if obj.get("origin_hash") else None,
-        fee=int(obj.get("fee", 0)),
-        inject_time=inject_time,
-    )
+    try:
+        tx = Transaction(
+            address(obj["payer"]),
+            address(obj["payee"]),
+            _decimal(obj["value"], "value"),
+            _int(obj["nonce"], "nonce"),
+            _member(_TX_KIND_OF, obj["kind"]),
+            bytes.fromhex(obj["origin_hash"]) if obj.get("origin_hash") else None,
+            _int(obj.get("fee", 0), "fee"),
+            inject_time,
+        )
+    except OverflowError as exc:  # a value or nonce too wide for its hashed field
+        raise ValueError(f"transaction field out of range: {exc}") from None
     if tx.hash.hex() != obj["hash"]:
         raise ValueError("transaction hash mismatch in serialized form")
     return tx
@@ -687,11 +724,12 @@ def account_to_json(acct: AccountState) -> dict:
     }
 
 
-def account_from_json(obj: dict) -> AccountState:
+def account_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> AccountState:
+    address = address_from_hex if addresses is None else addresses.__getitem__
     return AccountState(
-        address=address_from_hex(obj["address"]),
-        balance=int(obj["balance"]),
-        nonce=int(obj["nonce"]),
+        address(obj["address"]),
+        _decimal(obj["balance"], "balance", signed=True),
+        _int(obj["nonce"], "nonce"),
     )
 
 
@@ -756,19 +794,28 @@ def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
     )
 
 
-def block_from_json(obj: dict) -> Block:
-    block = Block(
-        shard_id=int(obj["shard_id"]),
-        height=int(obj["height"]),
-        parent_hash=bytes.fromhex(obj["parent_hash"]),
-        state_root=bytes.fromhex(obj["state_root"]),
-        proposer=obj["proposer"],
-        block_kind=_member(_BLOCK_KIND_OF, obj["block_kind"]),
-        txs=[tx_from_json(t) for t in obj["txs"]],
-        migration_installs=[account_from_json(a) for a in obj["migration_installs"]],
-        migration_departures=[address_from_hex(a) for a in obj["migration_departures"]],
-        timestamp=int(obj["timestamp"]),
-    )
+def block_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Block:
+    """Decode and hash-check one block, its transactions and accounts.
+    Every address literal goes through ``addresses``, the pass's table, or
+    through a table of this block's own when none is given."""
+    if addresses is None:
+        addresses = AddressTable()
+    try:
+        block = Block(
+            shard_id=_int(obj["shard_id"], "shard_id"),
+            height=_int(obj["height"], "height"),
+            parent_hash=bytes.fromhex(obj["parent_hash"]),
+            state_root=bytes.fromhex(obj["state_root"]),
+            proposer=obj["proposer"],
+            block_kind=_member(_BLOCK_KIND_OF, obj["block_kind"]),
+            txs=[tx_from_json(t, addresses) for t in obj["txs"]],
+            migration_installs=[account_from_json(a, addresses)
+                                for a in obj["migration_installs"]],
+            migration_departures=[addresses[a] for a in obj["migration_departures"]],
+            timestamp=_int(obj["timestamp"], "timestamp"),
+        )
+    except OverflowError as exc:  # a height, shard, time or balance too wide for its hashed field
+        raise ValueError(f"block field out of range: {exc}") from None
     if block.hash.hex() != obj["hash"]:
         raise ValueError("block hash mismatch in serialized form")
     return block

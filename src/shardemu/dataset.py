@@ -3,7 +3,8 @@
 The on-disk format is a CSV with header ``from,to,value``; addresses are
 40-char lowercase hex, values are non-negative integers. Nonces are not
 stored: both the generator and the loader assign each payer a running
-counter, so replaying a file always yields the same transactions.
+counter, so replaying a file always yields the same transactions. Rows are
+tuples, and one load hands out one ``bytes`` object per account.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import bisect
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .core import ADDRESS_SIZE, address_from_hex, digest
+from .core import ADDRESS_SIZE, AddressTable, digest
 
 HEADER = "from,to,value"
 
@@ -25,8 +25,7 @@ class BadRow(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
-class DatasetRow:
+class DatasetRow(NamedTuple):
     payer: bytes
     payee: bytes
     value: int
@@ -118,8 +117,11 @@ def gen_dataset(
 
 
 def load_dataset(path: str, limit: Optional[int] = None) -> Iterator[DatasetRow]:
-    """Stream rows, assigning per-payer nonces; BadRow aborts with context."""
-    nonces: Counter[bytes] = Counter()
+    """Stream rows, assigning per-payer nonces; BadRow aborts with context.
+    The load parses each distinct address literal once, through one
+    ``AddressTable``, so its rows share one object per account."""
+    addresses = AddressTable()
+    nonces: dict[bytes, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != HEADER:
@@ -135,8 +137,8 @@ def load_dataset(path: str, limit: Optional[int] = None) -> Iterator[DatasetRow]
             if len(parts) != 3:
                 raise BadRow(line_no, f"expected 3 columns, got {len(parts)}")
             try:
-                payer = address_from_hex(parts[0])
-                payee = address_from_hex(parts[1])
+                payer = addresses[parts[0]]
+                payee = addresses[parts[1]]
             except ValueError as exc:
                 raise BadRow(line_no, str(exc)) from exc
             try:
@@ -145,10 +147,10 @@ def load_dataset(path: str, limit: Optional[int] = None) -> Iterator[DatasetRow]
                 raise BadRow(line_no, f"bad value {parts[2]!r}") from None
             if value < 0:
                 raise BadRow(line_no, f"negative value {value}")
-            nonce = nonces[payer]
-            nonces[payer] += 1
+            nonce = nonces.get(payer, 0)
+            nonces[payer] = nonce + 1
             emitted += 1
-            yield DatasetRow(payer=payer, payee=payee, value=value, nonce=nonce)
+            yield DatasetRow(payer, payee, value, nonce)
 
 
 def top_active_accounts(rows: Iterable[DatasetRow], k: int) -> list[bytes]:

@@ -28,6 +28,7 @@ from typing import Any, Callable, Optional
 from .config import ConfigError, MissingKey, RunConfig
 from .core import (
     DERIVED_KINDS,
+    AddressTable,
     Block,
     PartitionMap,
     TxClass,
@@ -209,6 +210,8 @@ def report_from_blocks(run_dir: str) -> dict:
     n_shards = cfg_echo["n_shards"]
     ledger = MetricsLedger(n_shards, cfg_echo["epoch_ms"])
 
+    # One table for the whole report: one bytes object per account.
+    addresses = AddressTable()
     blocks: list[tuple[Optional[int], Block]] = []
     for k in range(n_shards):
         path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
@@ -216,7 +219,11 @@ def report_from_blocks(run_dir: str) -> dict:
             for line_no, line in enumerate(fh, 1):
                 try:
                     obj = json.loads(line)
-                    blocks.append((obj["commit_time"], block_from_json(obj)))
+                    commit_time = obj["commit_time"]
+                    if commit_time is not None and type(commit_time) is not int:
+                        raise ValueError(f"commit_time must be an integer or null, "
+                                         f"not {commit_time!r}")
+                    blocks.append((commit_time, block_from_json(obj, addresses)))
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
                     raise BadBlockFile(path, line_no, exc) from None
     blocks.sort(key=lambda pair: (pair[0] or 0, pair[1].shard_id))

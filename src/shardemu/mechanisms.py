@@ -165,6 +165,7 @@ def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
 
     Credit halves execute where the payee lives; everything else where the
     payer lives, falling back to the payee when the payer is a broker.
+    ``BaseMechanism.evict_misplaced`` applies this rule inline.
     """
     if tx.kind in CREDIT_KINDS or (tx.payer in pmap.brokers and tx.payee not in pmap.brokers):
         return tx.payee
@@ -590,13 +591,27 @@ class BaseMechanism:
     def evict_misplaced(self, node: Any, now: int) -> list:
         """After a map switch, re-home queued entries the shard no longer
         owns. Every node drops them; only the leader forwards, so exactly
-        one copy travels."""
+        one copy travels.
+
+        One pass over the live queue, with ``exec_home_account``'s rule and
+        the map's resolved-shard table inline: this runs on every replica at
+        every migration commit, over the whole pool. A test pins it to
+        ``exec_home_shard`` entry by entry."""
         gone: dict[int, list[Transaction]] = {}
         pmap = node.pmap
-        for tx in node.pool.snapshot():
-            home = exec_home_shard(tx, pmap)
-            if home != node.shard_id:
-                gone.setdefault(home, []).append(tx)
+        brokers = pmap.brokers
+        resolved = pmap._shard_of
+        me = node.shard_id
+        for tx in node.pool:
+            if tx.kind in CREDIT_KINDS or (tx.payer in brokers and tx.payee not in brokers):
+                home = tx.payee
+            else:
+                home = tx.payer
+            shard = resolved.get(home)
+            if shard is None:
+                shard = address_to_shard(home, pmap)
+            if shard != me:
+                gone.setdefault(shard, []).append(tx)
         if not gone:
             return []
         node.pool.discard({t.hash for txs in gone.values() for t in txs})

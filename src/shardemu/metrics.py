@@ -110,9 +110,7 @@ class MetricsLedger:
         if tx_hash in self.originals:
             return
         self.originals[tx_hash] = InjectionRecord(
-            hash=tx_hash, kind=kind, tx_class=tx_class,
-            payer=payer, payee=payee, inject_ms=inject_ms,
-        )
+            tx_hash, kind, tx_class, payer, payee, inject_ms)
         if tx_class is TxClass.CROSS_SHARD:
             self.ctx_injected += 1
 

@@ -15,7 +15,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import (
     AccountState,
@@ -160,12 +160,35 @@ class Envelope:
 # --- wire codec ---
 
 
+_SCALAR_NAMES = {int: "an integer", str: "a string", type(None): "null"}
+
+
+def _plain(name: str, hint: Any) -> tuple[Callable, Callable]:
+    """The codec of a field that travels as a JSON scalar: encoded as is,
+    decoded only if its JSON type fits the field's annotation (an int that
+    is not a bool, a str, or null where the field is Optional), else
+    ``ValueError``."""
+    allowed = get_args(hint) if get_origin(hint) is Union else (hint,)
+    if not set(allowed) <= set(_SCALAR_NAMES):
+        raise TypeError(f"field {name} of type {hint} needs a codec")
+    expected = " or ".join(_SCALAR_NAMES[t] for t in allowed)
+
+    def decode(v: Any) -> Any:
+        if type(v) not in allowed:
+            raise ValueError(f"{name} must be {expected}, not {v!r}")
+        return v
+
+    return (lambda v: v), decode
+
+
 def _record(cls, **codecs) -> tuple[Callable, Callable]:
     """(encode, decode) for one payload dataclass. Fields go out as JSON
     keys in declaration order; the fields named in ``codecs`` pass through
-    their own (encode, decode) pair, the rest are JSON scalars as is."""
-    plain = (lambda v: v, lambda v: v)
-    pairs = [(f.name, codecs.get(f.name, plain)) for f in fields(cls)]
+    their own (encode, decode) pair, the rest are JSON scalars checked
+    against their annotations (see ``_plain``)."""
+    hints = get_type_hints(cls)
+    pairs = [(f.name, codecs[f.name] if f.name in codecs else _plain(f.name, hints[f.name]))
+             for f in fields(cls)]
 
     def encode(obj: Any) -> dict:
         return {n: enc(getattr(obj, n)) for n, (enc, _) in pairs}
@@ -183,9 +206,10 @@ def _list(codec: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
 
 _HEX = (bytes.hex, bytes.fromhex)
 _ADDR = (address_to_hex, address_from_hex)
+_SHARD = _plain("shard", int)[1]
 _ADDR_MAP = (
     lambda m: {address_to_hex(a): s for a, s in m.items()},
-    lambda m: {address_from_hex(a): s for a, s in m.items()},
+    lambda m: {address_from_hex(a): _SHARD(s) for a, s in m.items()},
 )
 _TXS = _list((tx_to_json, tx_from_json))
 

@@ -10,7 +10,7 @@ supervisor stamps ``inject_time`` once, at injection.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     CREDIT_KINDS,
@@ -64,6 +64,11 @@ class TxPool:
 
     def __len__(self) -> int:
         return len(self._queue)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        """The queued transactions in queue order, live: the pool must not
+        change while the iterator is in use."""
+        return iter(self._queue.values())
 
     def _add(self, txs: Iterable[Transaction]) -> int:
         queue = self._queue

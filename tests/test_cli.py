@@ -109,11 +109,32 @@ def _text_inject_time(lines):
     lines[-1] = json.dumps(obj)
 
 
+def _signed_value(lines):
+    obj = json.loads(lines[-1])
+    obj["txs"][-1]["value"] = "+" + obj["txs"][-1]["value"]
+    lines[-1] = json.dumps(obj)
+
+
+def _fractional_height(lines):
+    obj = json.loads(lines[-1])
+    obj["height"] += 0.5
+    lines[-1] = json.dumps(obj)
+
+
+def _text_commit_time(lines):
+    obj = json.loads(lines[-1])
+    obj["commit_time"] = "soon"
+    lines[-1] = json.dumps(obj)
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_truncate_last, "invalid JSON"),
     (_edit_tx_hash, "transaction hash mismatch"),
     (_text_inject_time, "inject_time must be an integer or null"),
-], ids=["truncated", "tx_hash", "inject_time"])
+    (_signed_value, "value must be a decimal string"),
+    (_fractional_height, "height must be an integer"),
+    (_text_commit_time, "commit_time must be an integer or null"),
+], ids=["truncated", "tx_hash", "inject_time", "value", "height", "commit_time"])
 def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, cause):
     run_dir = _finished_run(tmp_path)
     path = run_dir / "blocks_shard1.jsonl"

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from helpers import addr, regular_tx, suffix_shard
 from shardemu.core import (
     ADDRESS_SIZE,
+    DERIVED_KINDS,
     EMPTY_TREE_ROOT,
     ZERO_DIGEST,
     AccountState,
+    AddressTable,
     Block,
     BlockKind,
     PartitionMap,
@@ -29,6 +31,9 @@ from shardemu.core import (
     apply_block_to_state,
     apply_migration,
     apply_txs,
+    account_from_json,
+    account_to_json,
+    block_digest,
     block_from_json,
     block_line,
     block_to_json,
@@ -38,6 +43,7 @@ from shardemu.core import (
     genesis_block,
     make_transaction,
     replace_tx_list,
+    tx_digest,
     tx_from_json,
     tx_local_to_shard,
     tx_to_json,
@@ -74,6 +80,32 @@ def test_address_from_hex_prefix_optional():
 def test_address_from_hex_rejects(bad):
     with pytest.raises(ValueError):
         address_from_hex(bad)
+
+
+def test_address_table_gives_one_object_per_account():
+    table = AddressTable()
+    bare = A.hex()
+    first = table[bare]
+    assert first == A
+    assert table[bare] is first
+    # Equal literals built apart, and other spellings of the account, too.
+    assert table["".join(list(bare))] is first
+    assert table["0x" + bare] is first
+    assert table["0X" + bare.upper()] is first
+    assert table[C.hex()] == C and table[C.hex()] is not first
+
+
+@pytest.mark.parametrize("bad", ["", "zz" * 20, "ab" * 19 + "  ", 42, None])
+def test_address_table_refuses_a_bad_literal_and_does_not_store_it(bad):
+    table = AddressTable()
+    with pytest.raises(ValueError, match="bad address literal"):
+        table[bad]
+    assert len(table) == 0
+    with pytest.raises(ValueError):
+        table[bad]
+    # A non-string literal that cannot even be a key is refused as well.
+    with pytest.raises(TypeError):
+        table[["ab" * 20]]
 
 
 # --- transactions ---
@@ -734,6 +766,77 @@ def test_tx_from_json_requires_an_integer_inject_time(bad):
         tx_from_json(obj)
 
 
+def _strict_tx():
+    return tx_to_json(make_transaction(A, C, 10, 3, kind=TxKind.ORIGINAL_CTX, fee=1))
+
+
+# Each form decodes, under int(), to the field's true value, so the hash
+# check alone would pass it.
+@pytest.mark.parametrize("field, raw", [
+    ("value", "1_0"), ("value", " 10"), ("value", "10 "), ("value", "+10"),
+    ("value", "010"), ("value", "\u0661\u0660"), ("value", 10), ("value", 10.0),
+    ("nonce", 3.9), ("nonce", 3.0), ("nonce", "3"), ("nonce", True),
+    ("fee", True), ("fee", "1"), ("fee", 1.0), ("fee", None),
+])
+def test_tx_from_json_refuses_coerced_numbers(field, raw):
+    obj = _strict_tx()
+    assert tx_from_json(obj).nonce == 3
+    with pytest.raises(ValueError):
+        tx_from_json({**obj, field: raw})
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("value", "-10"), ("value", str(1 << 128)), ("nonce", -1), ("nonce", 1 << 64),
+])
+def test_tx_from_json_refuses_numbers_out_of_range(field, raw):
+    with pytest.raises(ValueError):
+        tx_from_json({**_strict_tx(), field: raw})
+
+
+def test_block_from_json_refuses_coerced_numbers():
+    head = genesis_block(0)
+    block, _ = _tx_block(StateTree(), [regular_tx(A, B, 5)], head)
+    obj = block_to_json(block)
+    assert block_from_json(obj).hash == block.hash
+    for field, raw in [("height", 1.5), ("height", True), ("height", "1"),
+                       ("shard_id", 0.0), ("shard_id", False), ("timestamp", str(block.timestamp)),
+                       ("height", -1)]:
+        with pytest.raises(ValueError):
+            block_from_json({**obj, field: raw})
+
+
+def test_account_from_json_takes_balances_as_str_writes_them():
+    good = account_to_json(AccountState(A, balance=-5, nonce=9))
+    assert account_from_json(good) == AccountState(A, balance=-5, nonce=9)
+    for field, raw in [("balance", "-05"), ("balance", "-0_5"), ("balance", " -5"),
+                       ("balance", -5), ("balance", "-5.0"), ("nonce", 9.5), ("nonce", "9")]:
+        with pytest.raises(ValueError):
+            account_from_json({**good, field: raw})
+    assert account_from_json({**good, "balance": "0"}).balance == 0
+    with pytest.raises(ValueError):
+        account_from_json({**good, "balance": "-0"})
+
+
+def test_block_from_json_shares_one_object_per_account():
+    mig = Block(
+        shard_id=1, height=4, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,
+        proposer="1.2", block_kind=BlockKind.MIGRATION,
+        migration_installs=[AccountState(A, balance=1, nonce=0)],
+        migration_departures=[C], timestamp=60,
+    )
+    table = AddressTable()
+    back = block_from_json(block_to_json(mig), table)
+    assert back.migration_installs[0].address is table[address_to_hex(A)]
+    assert back.migration_departures[0] is table[address_to_hex(C)]
+    txs = [regular_tx(A, B, 1, n) for n in range(3)]
+    tx_block = Block(shard_id=0, height=1, parent_hash=ZERO_DIGEST, state_root=ZERO_DIGEST,
+                     proposer="0.0", block_kind=BlockKind.TX, txs=txs)
+    # Without a table the block gets one of its own.
+    back = block_from_json(block_to_json(tx_block))
+    assert len({id(t.payer) for t in back.txs}) == 1
+    assert len({id(t.payee) for t in back.txs}) == 1
+
+
 def test_json_decoding_rejects_unknown_kinds():
     tx = tx_to_json(regular_tx(A, B))
     for kind in ("relay", None, ["regular"]):
@@ -742,6 +845,65 @@ def test_json_decoding_rejects_unknown_kinds():
     obj = block_to_json(genesis_block(0))
     with pytest.raises(ValueError):
         block_from_json({**obj, "block_kind": "checkpoint"})
+
+
+# --- known answers ---
+
+# Hex digests computed before the digest code was last rewritten; any change
+# to the hashed layout of a transaction, a block or a state tree shows here.
+_KA_PAYER = bytes(range(1, 21))
+_KA_PAYEE = bytes(range(101, 121))
+_KA_ORIGIN = digest(b"origin")
+_KA_TX = {
+    (TxKind.REGULAR, False): "673bb6a44e755945c4272c05008d031bd626695ccf27ccc3e4ffc5c9be211a6f",
+    (TxKind.ORIGINAL_CTX, False): "cad02a0f72a8e902cef3e7e170da87b2c8c631739fb5f4460f73093c0f93bc2a",
+    (TxKind.INTRA_RELAY, True): "09abe024280fbbfb1b270ddd527c9f5f3050d6d50ad6d7fd66d9bbc7616cf62a",
+    (TxKind.INTER_RELAY, True): "f8055714463dbbf8e98ddf120acb6ba985d1ec3d6c4288454a805d673c946967",
+    (TxKind.BROKER_PAYER_HALF, True):
+        "9e29dd73ee43fd77adc42293eda15da30bf3c4aa02b08c0f66bb91c85287ea05",
+    (TxKind.BROKER_PAYEE_HALF, True):
+        "e264f92234704115b5630b3bc2004eeac3e4c78ac90d1e5ffb9d57d25f953a59",
+    (TxKind.REGULAR, True): "cb6adc1d4f0ba9701face04b1db7776d974d2e5f4f0f60eab68c0d426e142e5f",
+    (TxKind.ORIGINAL_CTX, True): "a87df7bc3f5e70f64d54cf0d373a279f1588ebcb875a12d87e1914120d0da5c5",
+    (TxKind.INTRA_RELAY, False): "64bf70c89ef451145d4297a0467c812fada9cb22b84f5dc2b7785e2a4d0684bc",
+}
+
+
+@pytest.mark.parametrize("kind, with_origin", sorted(_KA_TX, key=lambda k: (k[0].value, k[1])))
+def test_tx_digest_known_answers(kind, with_origin):
+    origin = _KA_ORIGIN if with_origin else None
+    got = tx_digest(_KA_PAYER, _KA_PAYEE, 12345, 7, kind, origin)
+    assert got.hex() == _KA_TX[kind, with_origin]
+    if (kind in DERIVED_KINDS) == with_origin:
+        tx = make_transaction(_KA_PAYER, _KA_PAYEE, 12345, 7, kind=kind, origin_hash=origin)
+        assert tx.hash == got
+
+
+def test_block_digest_known_answers():
+    txs = [make_transaction(_KA_PAYER, _KA_PAYEE, 5, 0),
+           make_transaction(_KA_PAYEE, _KA_PAYER, 3, 1, kind=TxKind.INTRA_RELAY,
+                            origin_hash=_KA_ORIGIN)]
+    tx_block = Block(shard_id=1, height=2, parent_hash=_KA_ORIGIN, state_root=EMPTY_TREE_ROOT,
+                     proposer="1.0", block_kind=BlockKind.TX, txs=txs, timestamp=1500)
+    assert block_digest(tx_block).hex() == (
+        "dbaf810660151934cab835f3ac3831e6e4c8786068225b8a4641206397bf2e7c")
+    mig = Block(shard_id=0, height=3, parent_hash=_KA_ORIGIN, state_root=EMPTY_TREE_ROOT,
+                proposer="0.2", block_kind=BlockKind.MIGRATION,
+                migration_installs=[AccountState(_KA_PAYER, -7, 2)],
+                migration_departures=[_KA_PAYEE], timestamp=9)
+    assert block_digest(mig).hex() == (
+        "34d6910ad07038217a4b28950d21e08fbfff758ad6d52714d799e2274e95bd9e")
+
+
+def test_state_root_known_answer():
+    third = _KA_ORIGIN[:ADDRESS_SIZE]
+    tree = StateTree({
+        _KA_PAYER: AccountState(_KA_PAYER, 10, 1),
+        _KA_PAYEE: AccountState(_KA_PAYEE, -10, 0),
+        third: AccountState(third, 0, 3),
+    })
+    assert compute_state_root(tree).hex() == (
+        "1fae26ad6b8068a8916a4384deb14aa8c2547da1860e1d2271d17e63054c3de8")
 
 
 # --- block-file lines ---
@@ -783,10 +945,12 @@ _blocks = st.builds(
 def test_block_line_is_the_json_of_the_block(block, confirm_time):
     line = block_line(block, confirm_time)
     assert line == json.dumps(block_to_json(block, confirm_time))
-    # A block the supervisor decoded from a block_info frame writes the same line.
-    frame = encode_frame(Envelope("block_info", "0.0", BlockInfo(block, confirm_time, 0, 0)))
-    info = decode_frame(frame).body
-    assert block_line(info.block, info.commit_time) == line
+    # A block the supervisor decoded from a block_info frame writes the same
+    # line; the frame's commit time is an integer.
+    if confirm_time is not None:
+        frame = encode_frame(Envelope("block_info", "0.0", BlockInfo(block, confirm_time, 0, 0)))
+        info = decode_frame(frame).body
+        assert block_line(info.block, info.commit_time) == line
 
 
 def test_block_line_covers_every_kind_and_layout():

@@ -88,6 +88,22 @@ def test_load_assigns_per_payer_nonces(tmp_path):
     assert rows[0] == DatasetRow(payer=a, payee=b, value=5, nonce=0)
 
 
+def test_load_hands_out_one_object_per_account(tmp_path):
+    path = tmp_path / "one.csv"
+    gen_dataset(str(path), accounts=12, txs=300, skew="uniform", seed=5)
+    rows = list(load_dataset(str(path)))
+    objects: dict[bytes, set[int]] = {}
+    for row in rows:
+        assert isinstance(row, tuple) and tuple(row) == (row.payer, row.payee, row.value, row.nonce)
+        for a in (row.payer, row.payee):
+            objects.setdefault(a, set()).add(id(a))
+    assert len(objects) == 12
+    assert all(len(ids) == 1 for ids in objects.values())
+    # Each load has its own table: nothing is cached across loads.
+    again = next(load_dataset(str(path)))
+    assert again.payer == rows[0].payer and again.payer is not rows[0].payer
+
+
 def test_load_limit_stops_early(tmp_path):
     path = tmp_path / "l.csv"
     gen_dataset(str(path), accounts=10, txs=100, skew="uniform", seed=1)

@@ -9,6 +9,7 @@ from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu.core import block_from_json, compute_state_root
 from shardemu.dataset import gen_dataset
 from shardemu.harness import Emulation, report_from_blocks, run
+from shardemu.metrics import MetricsLedger
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,29 @@ def test_recomputed_reports_match_run(tiny_run):
         assert (sub / name).exists()
     original_work = (out / "workload.csv").read_text()
     assert (sub / "workload.csv").read_text() == original_work
+
+
+def test_report_hands_out_one_object_per_account(tiny_run, monkeypatch):
+    _, out = tiny_run
+    seen = []
+    record = MetricsLedger.record_block
+
+    def spy(self, block, commit_ms, pool_size):
+        seen.append(block)
+        return record(self, block, commit_ms, pool_size)
+
+    monkeypatch.setattr(MetricsLedger, "record_block", spy)
+    report_from_blocks(str(out))
+    objects: dict[bytes, set[int]] = {}
+    uses = 0
+    for block in seen:
+        for a in ([a for tx in block.txs for a in (tx.payer, tx.payee)]
+                  + [acct.address for acct in block.migration_installs]
+                  + block.migration_departures):
+            objects.setdefault(a, set()).add(id(a))
+            uses += 1
+    assert len({b.shard_id for b in seen}) == 2 and uses > 2 * len(objects)
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_rerun_is_byte_identical(dataset, tmp_path):

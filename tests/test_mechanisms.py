@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import addr, build_cfg, clpa_objective, cut_weight, regular_tx
 from shardemu.core import (
     CREDIT_KINDS,
+    DERIVED_KINDS,
     PartitionMap,
     StateTree,
     TxKind,
     address_to_shard,
+    digest,
     genesis_block,
     make_transaction,
     BlockKind,
@@ -550,6 +554,44 @@ def test_commit_on_source_drops_departed_account_and_evicts():
     assert len(inject_outs) == 1
     assert inject_outs[0][0] == ("shard_all", 1)
     assert [t.hash for t in inject_outs[0][1].body.txs] == [late.hash]
+
+
+_EVICT_ACCOUNTS = [addr(f"evict-{i}") for i in range(6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eviction_pass_matches_exec_home_shard(data):
+    n = data.draw(st.integers(1, 4), label="n_shards")
+    accounts = st.sampled_from(_EVICT_ACCOUNTS)
+    brokers = data.draw(st.frozensets(accounts, max_size=3), label="brokers")
+    overrides = data.draw(st.dictionaries(accounts, st.integers(0, n - 1), max_size=4),
+                          label="overrides")
+    pmap = PartitionMap(n, 1, overrides, brokers)
+    # Some accounts are resolved before the pass, the rest only by it.
+    for a in data.draw(st.frozensets(accounts), label="resolved"):
+        address_to_shard(a, pmap)
+    entries = data.draw(st.lists(st.tuples(accounts, accounts, st.sampled_from(list(TxKind))),
+                                 max_size=12), label="entries")
+    txs = [make_transaction(payer, payee, 1, i, kind=kind,
+                            origin_hash=digest(b"evict:%d" % i) if kind in DERIVED_KINDS else None)
+           for i, (payer, payee, kind) in enumerate(entries)]
+    node = FakeNode(data.draw(st.integers(0, n - 1), label="shard"), pmap,
+                    leader=data.draw(st.booleans(), label="leader"))
+    node.pool.preload(txs)
+
+    # The oracle resolves against an equal map with a table of its own.
+    oracle = PartitionMap(n, 1, dict(overrides), brokers)
+    gone: dict[int, list] = {}
+    for tx in txs:
+        home = exec_home_shard(tx, oracle)
+        if home != node.shard_id:
+            gone.setdefault(home, []).append(tx)
+    outs = RelayMechanism().evict_misplaced(node, now=0)
+    assert node.pool.snapshot() == [t for t in txs if exec_home_shard(t, oracle) == node.shard_id]
+    assert node.pool.extracted == sum(len(v) for v in gone.values())
+    assert outs == (mechanisms.forward(node, gone) if node.is_leader else [])
+    assert pmap._shard_of == {a: address_to_shard(a, oracle) for a in pmap._shard_of}
 
 
 # --- packing and routing ---

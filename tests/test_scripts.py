@@ -33,10 +33,14 @@ def test_compare_mechanisms_smoke(tmp_path):
 
 
 def test_desk_bench_smoke(tmp_path):
-    proc = _run("desk_bench.py", tmp_path, "--shards", "2", "--txs-per-shard", "200")
+    proc = _run("desk_bench.py", tmp_path, "--shards", "2", "--txs-per-shard", "200",
+                "--repeat", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [row["output_dir"] for row in rows] == [True, False]
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    rows = [line for line in lines if "runs" not in line]
+    summaries = [line for line in lines if "runs" in line]
+    assert lines == rows + summaries
+    assert [row["output_dir"] for row in rows] == [True, False, True, False]
     for row in rows:
         assert row["shards"] == 2 and row["exit"] == 0
         assert row["rows"] > 0 and row["wall_s"] > 0 and row["peak_rss_mb"] > 0
@@ -44,5 +48,13 @@ def test_desk_bench_smoke(tmp_path):
         # Both times are rounded to the millisecond before they are printed.
         assert row["scaled_wall_s"] == pytest.approx(
             row["wall_s"] * NOMINAL_S / row["ref_s"], rel=0.01, abs=0.002)
-    assert rows[0]["rows"] == rows[1]["rows"]
+    assert len({row["rows"] for row in rows}) == 1
+    assert [s["output_dir"] for s in summaries] == [True, False]
+    for summary in summaries:
+        assert summary["shards"] == 2 and summary["runs"] == 2
+        for key in ("wall_s", "scaled_wall_s"):
+            runs = sorted(r[key] for r in rows if r["output_dir"] is summary["output_dir"])
+            got = summary[key]
+            assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)
+            assert runs[0] <= got["q1"] <= got["median"] <= got["q3"] <= runs[1]
     assert (tmp_path / "run_2" / "summary.json").exists()

@@ -3,6 +3,8 @@
 import json
 import threading
 import time
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from shardemu.core import (
     make_transaction,
     TxKind,
 )
+from shardemu import transport
 from shardemu.mechanisms import relay_split
 from shardemu.transport import (
     AccountMigrate,
@@ -167,6 +170,72 @@ def test_codec_block_info_rejects_a_non_integer_inject_time(inject_time):
     payload = json.dumps(obj).encode("utf-8")
     with pytest.raises(BadJson):
         decode_frame(len(payload).to_bytes(4, "big") + payload)
+
+
+def _reframe(frame: bytes, edit) -> bytes:
+    obj = json.loads(frame[4:])
+    edit(obj["body"])
+    payload = json.dumps(obj).encode("utf-8")
+    return len(payload).to_bytes(4, "big") + payload
+
+
+@pytest.mark.parametrize("env, edit", [
+    (Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)),
+     lambda body: body.update(commit_time="soon", pool_size=[1])),
+    (Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)),
+     lambda body: body.update(commit_time=None)),
+    (Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)),
+     lambda body: body.update(version=2.0)),
+    (Envelope("prepare", "0.1", Prepare(height=3, view=0, block_hash=b"\x07" * 32)),
+     lambda body: body.update(height="3")),
+    (Envelope("commit", "0.2", Commit(height=3, view=1, block_hash=b"\x08" * 32)),
+     lambda body: body.update(view=True)),
+    (Envelope("view_change", "0.3", ViewChange(new_view=2, height=9)),
+     lambda body: body.update(new_view=2.5)),
+    (Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, txs=[])),
+     lambda body: body.update(source_shard="0")),
+    (Envelope("partition_result", "supervisor",
+              PartitionResult(version=2, overrides={A: 1}, brokers=[])),
+     lambda body: body["overrides"].update({k: "1" for k in body["overrides"]})),
+    (Envelope("account_migrate", "0.0", AccountMigrate(version=2, accounts=[])),
+     lambda body: body.update(version=None)),
+], ids=["block_info", "null_commit_time", "float_version", "prepare", "bool_view",
+        "float_view", "text_shard", "text_override", "null_version"])
+def test_codec_refuses_a_plain_field_of_the_wrong_type(env, edit):
+    frame = encode_frame(env)
+    assert decode_frame(frame).body == env.body
+    with pytest.raises(BadJson):
+        decode_frame(_reframe(frame, edit))
+
+
+@dataclass
+class _Scalars:
+    count: int
+    label: str
+    limit: Optional[int]
+
+
+def test_plain_fields_decode_only_as_annotated():
+    encode, decode = transport._record(_Scalars)
+    good = {"count": 1, "label": "x", "limit": None}
+    assert encode(_Scalars(1, "x", None)) == good
+    assert decode(good) == _Scalars(1, "x", None)
+    assert decode({**good, "limit": 5}).limit == 5
+    for field, raw in [("count", None), ("count", True), ("count", 1.0), ("label", 1),
+                       ("label", None), ("limit", "5"), ("limit", False)]:
+        with pytest.raises(ValueError, match=field):
+            decode({**good, field: raw})
+
+
+@pytest.mark.parametrize("field, raw", [
+    ("value", "1_0"), ("value", " 10"), ("nonce", 3.9), ("nonce", "3"), ("fee", True),
+])
+def test_codec_refuses_coerced_transaction_numbers(field, raw):
+    tx = make_transaction(A, B, 10, 3, kind=TxKind.REGULAR)
+    frame = encode_frame(Envelope("inject_txs", "supervisor", InjectTxs(txs=[tx])))
+    assert decode_frame(frame).body.txs == [tx]
+    with pytest.raises(BadJson):
+        decode_frame(_reframe(frame, lambda body: body["txs"][0].update({field: raw})))
 
 
 def test_codec_large_frame():
