@@ -689,6 +689,17 @@ def _decimal(raw, name: str, signed: bool = False) -> int:
     raise ValueError(f"{name} must be a decimal string, not {raw!r}")
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _digest(raw, name: str) -> bytes:
+    """A 32-byte digest exactly as ``bytes.hex`` writes it: 64 lowercase
+    hex digits, no prefix, spaces or upper case."""
+    if type(raw) is str and len(raw) == 2 * DIGEST_SIZE and _HEX_DIGITS.issuperset(raw):
+        return bytes.fromhex(raw)
+    raise ValueError(f"{name} must be {2 * DIGEST_SIZE} lowercase hex digits, not {raw!r}")
+
+
 def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transaction:
     """Decode and hash-check one transaction. ``addresses``, an
     ``AddressTable`` shared by one parse pass, maps each address literal to
@@ -705,7 +716,7 @@ def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transac
             _decimal(obj["value"], "value"),
             _int(obj["nonce"], "nonce"),
             _member(_TX_KIND_OF, obj["kind"]),
-            bytes.fromhex(obj["origin_hash"]) if obj.get("origin_hash") else None,
+            _digest(obj["origin_hash"], "origin_hash") if obj.get("origin_hash") else None,
             _int(obj.get("fee", 0), "fee"),
             inject_time,
         )
@@ -804,8 +815,8 @@ def block_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Bloc
         block = Block(
             shard_id=_int(obj["shard_id"], "shard_id"),
             height=_int(obj["height"], "height"),
-            parent_hash=bytes.fromhex(obj["parent_hash"]),
-            state_root=bytes.fromhex(obj["state_root"]),
+            parent_hash=_digest(obj["parent_hash"], "parent_hash"),
+            state_root=_digest(obj["state_root"], "state_root"),
             proposer=obj["proposer"],
             block_kind=_member(_BLOCK_KIND_OF, obj["block_kind"]),
             txs=[tx_from_json(t, addresses) for t in obj["txs"]],

@@ -31,7 +31,6 @@ from .core import (
     AddressTable,
     Block,
     PartitionMap,
-    TxClass,
     TxKind,
     block_from_json,
 )
@@ -196,10 +195,10 @@ def report_from_blocks(run_dir: str) -> dict:
     """Rebuild the metric reports from a run directory's block files.
 
     Injection records are inferred from the committed transactions
-    themselves: a whole transaction stands for its own original, halves
-    point at theirs through the origin hash. Classification is therefore
-    by commitment shape, and the outputs land in a ``recomputed``
-    subdirectory of the run directory. Every shard's block file must be
+    themselves: a whole transaction stands for its own original, of its
+    own kind, and halves point at theirs, a cross-shard original, through
+    the origin hash. The outputs land in a ``recomputed`` subdirectory of
+    the run directory. Every shard's block file must be
     present; a missing one raises ``FileNotFoundError``, and a line that
     does not decode to a block with matching hashes raises ``BadBlockFile``.
     """
@@ -231,23 +230,10 @@ def report_from_blocks(run_dir: str) -> dict:
     for _, block in blocks:
         for tx in block.txs:
             if tx.kind in DERIVED_KINDS:
-                ledger.record_injection(
-                    tx.origin_hash,
-                    TxKind.ORIGINAL_CTX,
-                    TxClass.CROSS_SHARD,
-                    tx.payer,
-                    tx.payee,
-                    tx.inject_time or 0,
-                )
+                key, kind = tx.origin_hash, TxKind.ORIGINAL_CTX
             else:
-                ledger.record_injection(
-                    tx.hash,
-                    tx.kind,
-                    TxClass.REGULAR,
-                    tx.payer,
-                    tx.payee,
-                    tx.inject_time or 0,
-                )
+                key, kind = tx.hash, tx.kind
+            ledger.record_injection(key, kind, tx.payer, tx.payee, tx.inject_time or 0)
 
     for commit_time, block in blocks:
         ledger.record_block(block, commit_time or block.timestamp, 0)

@@ -19,7 +19,7 @@ migration riding the normal consensus path as dedicated blocks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .config import ClpaConfig
@@ -304,11 +304,23 @@ def clpa_partition(
 # --- migration ---
 
 
-@dataclass
-class PendingPartition:
+@dataclass(slots=True)
+class Migration:
+    """One announced partition version on one replica of an involved shard:
+    the announcement, the accounts leaving and expected in, what has
+    arrived, and how far the handover has got. Dropped whole when its
+    migration block commits."""
+
     version: int
     assignments: dict[bytes, int]
     brokers: list[bytes]
+    outbound: dict[bytes, int]
+    inbound_expected: set[bytes]
+    inbound_states: dict[bytes, Any] = field(default_factory=dict)
+    inbound_txs: dict[int, list[Transaction]] = field(default_factory=dict)
+    extracted: list[Transaction] = field(default_factory=list)
+    quiesced: bool = False
+    shipped: bool = False
 
 
 class MigrationController:
@@ -318,28 +330,17 @@ class MigrationController:
     just adopt the map), the node quiesces once no round of its own is in
     flight, the leader then extracts displaced pool entries and ships
     account states, and a dedicated block commits the handover, switches
-    the map, and unlocks.
+    the map, and unlocks. ``session`` holds the migration in progress;
+    ``early`` holds transfers that arrived before their announcement.
     """
 
     def __init__(self) -> None:
-        self.pending: Optional[PendingPartition] = None
-        self.quiesced = False
-        self.shipped = False
-        self.outbound: dict[bytes, int] = {}
-        self.inbound_expected: set[bytes] = set()
-        self.inbound_states: dict[bytes, Any] = {}
-        self.inbound_txs: dict[int, list[Transaction]] = {}
-        self.extracted: list[Transaction] = []
+        self.session: Optional[Migration] = None
         self.early: dict[int, list[tuple[str, AccountMigrate]]] = {}
 
     @property
     def active(self) -> bool:
-        return self.pending is not None
-
-    def new_shard_of(self, addr: bytes, pmap: PartitionMap) -> int:
-        assert self.pending is not None
-        got = self.pending.assignments.get(addr)
-        return got if got is not None else address_to_shard(addr, pmap)
+        return self.session is not None
 
     def on_partition_result(self, node: Any, body: PartitionResult, now: int) -> list:
         if body.version <= node.pmap.version or self.active:
@@ -360,9 +361,9 @@ class MigrationController:
             # routing decisions use fresh assignments.
             node.pmap = node.pmap.updated(body.version, body.overrides, body.brokers)
             return []
-        self.pending = PendingPartition(body.version, dict(body.overrides), list(body.brokers))
-        self.outbound = outbound
-        self.inbound_expected = inbound
+        self.session = Migration(
+            body.version, dict(body.overrides), list(body.brokers), outbound, inbound
+        )
         node.pool.lock()
         for sender, early_body in self.early.pop(body.version, []):
             self.on_account_migrate(node, sender, early_body, now)
@@ -378,19 +379,18 @@ class MigrationController:
         so follower pools converge to the leader's view through the same
         broadcast that feeds the target shard.
         """
-        if self.quiesced or not self.active:
+        mig = self.session
+        if mig is None or mig.quiesced:
             return []
-        self.quiesced = True
-        dirty = set(self.pending.assignments)
-        self.extracted = node.pool.extract_for_migration(dirty)
+        mig.quiesced = True
+        mig.extracted = node.pool.extract_for_migration(set(mig.assignments))
         return self.ensure_shipped(node, now)
 
     def ensure_shipped(self, node: Any, now: int) -> list:
-        if self.shipped or not self.quiesced or not self.active:
+        mig = self.session
+        if mig is None or mig.shipped or not mig.quiesced or not node.is_leader:
             return []
-        if not node.is_leader:
-            return []
-        self.shipped = True
+        mig.shipped = True
         bundles: dict[int, dict[bytes, MigratedAccount]] = {}
 
         def bundle_for(target: int, addr: bytes) -> MigratedAccount:
@@ -401,11 +401,13 @@ class MigrationController:
                 per[addr] = acct
             return acct
 
-        for addr in sorted(self.outbound):
-            bundle_for(self.outbound[addr], addr)
-        for tx in self.extracted:
+        for addr in sorted(mig.outbound):
+            bundle_for(mig.outbound[addr], addr)
+        for tx in mig.extracted:
             home = exec_home_account(tx, node.pmap)
-            target = self.new_shard_of(home, node.pmap)
+            target = mig.assignments.get(home)
+            if target is None:
+                target = address_to_shard(home, node.pmap)
             bundle_for(target, home).pending_txs.append(tx)
         outs = []
         for target in sorted(bundles):
@@ -413,36 +415,39 @@ class MigrationController:
             env = Envelope(
                 "account_migrate",
                 node.nid,
-                AccountMigrate(version=self.pending.version, accounts=accounts),
+                AccountMigrate(version=mig.version, accounts=accounts),
             )
             outs.append((("shard_all", target), env))
         return outs
 
     def on_account_migrate(self, node: Any, sender: str, body: AccountMigrate, now: int) -> list:
-        if not self.active or body.version != self.pending.version:
+        mig = self.session
+        if mig is None or body.version != mig.version:
             if body.version > node.pmap.version:
                 # Transfer outran the announcement; replay once it lands.
                 self.early.setdefault(body.version, []).append((sender, body))
             return []
         src = shard_of(sender)
-        txs = self.inbound_txs.setdefault(src, [])
+        txs = mig.inbound_txs.setdefault(src, [])
         for acct in body.accounts:
-            self.inbound_states[acct.state.address] = acct.state
+            mig.inbound_states[acct.state.address] = acct.state
             # A leader change mid-session can ship the same entries twice;
             # the pool queues a hash once.
             txs.extend(acct.pending_txs)
         return []
 
     def ready(self, node: Any) -> bool:
+        mig = self.session
         return (
-            self.active
-            and self.quiesced
-            and self.inbound_expected.issubset(self.inbound_states)
+            mig is not None
+            and mig.quiesced
+            and mig.inbound_expected.issubset(mig.inbound_states)
         )
 
     def build_block(self, node: Any, now: int) -> Block:
-        installs = [self.inbound_states[a] for a in sorted(self.inbound_states)]
-        departures = sorted(self.outbound)
+        mig = self.session
+        installs = [mig.inbound_states[a] for a in sorted(mig.inbound_states)]
+        departures = sorted(mig.outbound)
         applied = apply_migration(node.state, installs, departures)
         block = Block(
             shard_id=node.shard_id,
@@ -461,11 +466,11 @@ class MigrationController:
     def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> list:
         """Switch to the announced map, unlock, requeue displaced entries,
         and evict anything the new map re-homes elsewhere."""
-        pending = self.pending
-        node.pmap = node.pmap.updated(pending.version, pending.assignments, pending.brokers)
+        mig = self.session
+        node.pmap = node.pmap.updated(mig.version, mig.assignments, mig.brokers)
         node.pool.unlock()
-        for src in sorted(self.inbound_txs):
-            batch = self.inbound_txs[src]
+        for src in sorted(mig.inbound_txs):
+            batch = mig.inbound_txs[src]
             node.pool.requeue(batch)
             for tx in batch:
                 # Register migrated credit halves so a straggling duplicate
@@ -473,14 +478,7 @@ class MigrationController:
                 if tx.kind in CREDIT_KINDS and tx.origin_hash:
                     node.relay_seen.add(tx.origin_hash)
         outs = mech.evict_misplaced(node, now)
-        self.pending = None
-        self.quiesced = False
-        self.shipped = False
-        self.outbound = {}
-        self.inbound_expected = set()
-        self.inbound_states = {}
-        self.inbound_txs = {}
-        self.extracted = []
+        self.session = None
         return outs
 
 
@@ -577,8 +575,7 @@ class BaseMechanism:
         outs: list = []
         if block.block_kind is BlockKind.TX:
             outs.extend(self._commit_emissions(node, block, now))
-            if self.migration.active and not self.migration.quiesced:
-                outs.extend(self.migration.quiesce(node, now))
+            outs.extend(self.migration.quiesce(node, now))
         else:
             outs.extend(self.migration.on_commit(self, node, block, now))
         info = BlockInfo(block, now, len(node.pool), node.pmap.version)

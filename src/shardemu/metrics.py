@@ -36,7 +36,6 @@ from .core import (
     Block,
     BlockKind,
     Transaction,
-    TxClass,
     TxKind,
 )
 
@@ -50,7 +49,6 @@ PHASE_PURITY = 0.95
 class InjectionRecord:
     hash: bytes
     kind: TxKind
-    tx_class: TxClass
     payer: bytes
     payee: bytes
     inject_ms: int
@@ -102,16 +100,15 @@ class MetricsLedger:
         self,
         tx_hash: bytes,
         kind: TxKind,
-        tx_class: TxClass,
         payer: bytes,
         payee: bytes,
         inject_ms: int,
     ) -> None:
+        """Bank one original; its kind says whether it is cross-shard."""
         if tx_hash in self.originals:
             return
-        self.originals[tx_hash] = InjectionRecord(
-            tx_hash, kind, tx_class, payer, payee, inject_ms)
-        if tx_class is TxClass.CROSS_SHARD:
+        self.originals[tx_hash] = InjectionRecord(tx_hash, kind, payer, payee, inject_ms)
+        if kind is TxKind.ORIGINAL_CTX:
             self.ctx_injected += 1
 
     def record_block(self, block: Block, commit_ms: int, pool_size: int) -> Optional[BlockRecord]:

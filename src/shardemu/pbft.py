@@ -8,6 +8,13 @@ A timer that sees no commit within the view-change timeout triggers
 ``view_change(view+1)``; 2f+1 such votes elect the next leader, which
 announces ``new_view`` and immediately re-proposes from its pool.
 
+Everything a replica knows about one height (the proposals it holds, their
+verdicts, the prepare and commit votes by view, and the views it proposed
+in) lives in one ``Round``, which is dropped whole when that height, or a
+later one, commits. A replica's own id in a vote set means it has sent that
+vote: it adds itself only where it broadcasts, and a shard broadcast never
+comes back to its sender.
+
 What goes into a block, how it is checked, and what a commit emits are
 delegated to a mechanism object (see mechanisms.py), so the same replica
 serves relay and broker deployments.
@@ -15,8 +22,9 @@ serves relay and broker deployments.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Optional
 
@@ -43,6 +51,19 @@ class Phase(Enum):
 
 
 Outbound = tuple  # (dest spec, Envelope); dest interpreted by Replica._emit
+
+
+@dataclass(slots=True)
+class Round:
+    """Consensus state of one height: proposals and verdicts by block hash,
+    prepare and commit voters by (view, block hash), and the views this
+    replica proposed in."""
+
+    blocks: dict[bytes, Block] = field(default_factory=dict)
+    verdicts: dict[bytes, bool] = field(default_factory=dict)
+    prepares: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
+    commits: dict[tuple[int, bytes], set[str]] = field(default_factory=dict)
+    proposed: set[int] = field(default_factory=set)
 
 
 class Replica:
@@ -81,15 +102,8 @@ class Replica:
         self.stopped = False
         self.vc_deadline = 0
 
-        # Consensus bookkeeping keyed by (height, view, block hash).
-        self.prepare_votes: dict[tuple[int, int, bytes], set[str]] = {}
-        self.commit_votes: dict[tuple[int, int, bytes], set[str]] = {}
-        self.prepare_sent: set[tuple[int, int, bytes]] = set()
-        self.commit_sent: set[tuple[int, int, bytes]] = set()
-        self.preprepared: dict[tuple[int, bytes], Block] = {}
-        self.verified: set[bytes] = set()
-        self.verify_failed: set[bytes] = set()
-        self.proposed: set[tuple[int, int]] = set()
+        # Unsettled heights only; a commit drops its round and all below.
+        self.rounds: defaultdict[int, Round] = defaultdict(Round)
         self.vc_votes: dict[int, set[str]] = {}
 
         # Audit trail of commits: (height, state root hex, commit ms).
@@ -163,7 +177,8 @@ class Replica:
         if not self.is_leader or self.phase is not Phase.IDLE:
             return
         height = self.next_height
-        if (height, self.view) in self.proposed:
+        rnd = self.rounds[height]
+        if self.view in rnd.proposed:
             return
         block, outs = self.hooks.op_mining(self, now)
         self._emit(outs)
@@ -173,13 +188,11 @@ class Replica:
             # Scripted fault: advertise a root that no honest application
             # reproduces. Content is otherwise intact.
             forged = bytes(b ^ 0xFF for b in block.state_root)
-            block = dataclasses.replace(block, state_root=forged, hash=b"")
-        self.proposed.add((height, self.view))
-        self.preprepared[(height, block.hash)] = block
-        self.verified.add(block.hash)
-        key = (height, self.view, block.hash)
-        self.prepare_votes.setdefault(key, set()).add(self.nid)
-        self.prepare_sent.add(key)
+            block = replace(block, state_root=forged, hash=b"")
+        rnd.proposed.add(self.view)
+        rnd.blocks[block.hash] = block
+        rnd.verdicts[block.hash] = True
+        rnd.prepares.setdefault((self.view, block.hash), set()).add(self.nid)
         self.phase = Phase.PRE_PREPARED
         self._broadcast("preprepare", PrePrepare(block=block))
         self._try_advance(height, self.view, block.hash, now)
@@ -190,7 +203,7 @@ class Replica:
         block: Block = env.body.block
         if block.height <= self.head.height or env.sender == self.nid:
             return
-        self.preprepared[(block.height, block.hash)] = block
+        self.rounds[block.height].blocks[block.hash] = block
         self._consider_preprepare(block, now)
 
     def _consider_preprepare(self, block: Block, now: int) -> None:
@@ -200,25 +213,23 @@ class Replica:
             return
         if block.proposer != self.leader_of(self.view) or block.proposer == self.nid:
             return
-        if block.hash in self.verify_failed:
-            return
-        if block.hash not in self.verified:
+        rnd = self.rounds[block.height]
+        verdict = rnd.verdicts.get(block.hash)
+        if verdict is None:
             reason = self.hooks.op_verification(self, block)
+            verdict = rnd.verdicts[block.hash] = reason is None
             if reason is not None:
-                self.verify_failed.add(block.hash)
                 log.warning(
                     "%s withholds prepare at h=%d: %s", self.nid, block.height, reason.value
                 )
-                return
-            self.verified.add(block.hash)
-        key = (block.height, self.view, block.hash)
-        votes = self.prepare_votes.setdefault(key, set())
+        if not verdict:
+            return
+        votes = rnd.prepares.setdefault((self.view, block.hash), set())
         votes.add(block.proposer)
-        votes.add(self.nid)
         if self.phase is Phase.IDLE:
             self.phase = Phase.PRE_PREPARED
-        if key not in self.prepare_sent:
-            self.prepare_sent.add(key)
+        if self.nid not in votes:
+            votes.add(self.nid)
             self._broadcast("prepare", Prepare(block.height, self.view, block.hash))
         self._try_advance(block.height, self.view, block.hash, now)
 
@@ -226,32 +237,34 @@ class Replica:
         body: Prepare = env.body
         if body.height <= self.head.height:
             return
-        key = (body.height, body.view, body.block_hash)
-        self.prepare_votes.setdefault(key, set()).add(env.sender)
+        votes = self.rounds[body.height].prepares
+        votes.setdefault((body.view, body.block_hash), set()).add(env.sender)
         self._try_advance(body.height, body.view, body.block_hash, now)
 
     def _on_commit(self, env: Envelope, now: int) -> None:
         body: Commit = env.body
         if body.height <= self.head.height:
             return
-        key = (body.height, body.view, body.block_hash)
-        self.commit_votes.setdefault(key, set()).add(env.sender)
+        votes = self.rounds[body.height].commits
+        votes.setdefault((body.view, body.block_hash), set()).add(env.sender)
         self._try_advance(body.height, body.view, body.block_hash, now)
 
     def _try_advance(self, height: int, view: int, block_hash: bytes, now: int) -> None:
         """Re-evaluate quorums for one (height, view, block) after any vote."""
         if height != self.next_height:
             return
-        block = self.preprepared.get((height, block_hash))
-        if block is None or block_hash not in self.verified:
+        rnd = self.rounds[height]
+        block = rnd.blocks.get(block_hash)
+        if block is None or not rnd.verdicts.get(block_hash):
             return
-        key = (height, view, block_hash)
-        if len(self.prepare_votes.get(key, ())) >= self.quorum() and key not in self.commit_sent:
-            self.commit_sent.add(key)
+        key = (view, block_hash)
+        commits = rnd.commits.get(key, ())
+        if len(rnd.prepares.get(key, ())) >= self.quorum() and self.nid not in commits:
             self.phase = Phase.PREPARED
-            self.commit_votes.setdefault(key, set()).add(self.nid)
+            commits = rnd.commits.setdefault(key, set())
+            commits.add(self.nid)
             self._broadcast("commit", Commit(height, view, block_hash))
-        if len(self.commit_votes.get(key, ())) >= self.quorum():
+        if len(commits) >= self.quorum():
             self._commit_block(block, now)
 
     def _commit_block(self, block: Block, now: int) -> None:
@@ -264,36 +277,24 @@ class Replica:
         self.head = block
         outs = self.hooks.op_confirmation(self, block, now)
         self.root_log.append((block.height, block.state_root.hex(), now))
-        self._prune_settled(block.height)
+        for settled in [h for h in self.rounds if h <= block.height]:
+            del self.rounds[settled]
         self.phase = Phase.IDLE
         self.vc_deadline = now + self.vc_timeout
         self.net.schedule(self.nid, self.vc_deadline, "vc", self.vc_deadline)
         self._emit(outs)
         self._replay_buffered(now)
 
-    def _prune_settled(self, height: int) -> None:
-        for votes in (self.prepare_votes, self.commit_votes):
-            for k in [k for k in votes if k[0] <= height]:
-                del votes[k]
-        for sent in (self.prepare_sent, self.commit_sent):
-            for k in [k for k in sent if k[0] <= height]:
-                sent.discard(k)
-        for k in [k for k in self.preprepared if k[0] <= height]:
-            blk = self.preprepared.pop(k)
-            self.verified.discard(blk.hash)
-            self.verify_failed.discard(blk.hash)
-
     def _replay_buffered(self, now: int) -> None:
-        """After a commit, messages for the new height may already be here."""
+        """After a commit or a view change, messages for the next height may
+        already be here: its proposals in arrival order, then its vote keys
+        in the order they were first seen, prepares before commits."""
         nh = self.next_height
-        for (h, bh), blk in list(self.preprepared.items()):
-            if h == nh:
-                self._consider_preprepare(blk, now)
-        keys = {k for k in list(self.prepare_votes) if k[0] == nh}
-        keys |= {k for k in list(self.commit_votes) if k[0] == nh}
-        for h, v, bh in keys:
-            if h == self.next_height:
-                self._try_advance(h, v, bh, now)
+        rnd = self.rounds[nh]
+        for blk in list(rnd.blocks.values()):
+            self._consider_preprepare(blk, now)
+        for view, block_hash in dict.fromkeys([*rnd.prepares, *rnd.commits]):
+            self._try_advance(nh, view, block_hash, now)
 
     # -- view change --
 

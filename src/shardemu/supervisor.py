@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from .config import RunConfig
@@ -52,6 +53,16 @@ STALL_FACTOR_EPOCH = 2
 QUIET_INTERVALS = 3
 
 
+@dataclass(slots=True)
+class PendingMigration:
+    """An announced map, the involved shards whose migration block has not
+    been seen yet, and the announcement time in ms."""
+
+    pmap: PartitionMap
+    waiting: set[int]
+    since: int
+
+
 class Supervisor:
     def __init__(
         self,
@@ -70,9 +81,8 @@ class Supervisor:
         self.injection_done = False
         self.stopped = False
         self.reconfig_count = 0
-        self.pending_migration: Optional[dict] = None
+        self.pending_migration: Optional[PendingMigration] = None
         self._carry = 0.0
-        self._staged_pmap: Optional[PartitionMap] = None
         self.block_files: list = []
         if cfg.output_dir is not None:
             os.makedirs(cfg.output_dir, exist_ok=True)
@@ -92,15 +102,12 @@ class Supervisor:
         per_shard: dict[int, list[Transaction]] = {}
         broker = self.cfg.mechanism == "broker"
         for row in rows:
-            tx_class = classify_transfer(row.payer, row.payee, self.pmap)
-            cross = tx_class is TxClass.CROSS_SHARD
+            cross = classify_transfer(row.payer, row.payee, self.pmap) is TxClass.CROSS_SHARD
             original = make_transaction(
                 row.payer, row.payee, row.value, row.nonce,
                 kind=TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR, inject_time=now,
             )
-            self.ledger.record_injection(
-                original.hash, original.kind, tx_class, row.payer, row.payee, now
-            )
+            self.ledger.record_injection(original.hash, original.kind, row.payer, row.payee, now)
             # A brokered transfer leaves as its payer half, then its payee half.
             routed = broker_transform(original, self.pmap) if cross and broker else (original,)
             for tx in routed:
@@ -178,12 +185,11 @@ class Supervisor:
 
     def _note_migration_block(self, shard: int, version: int) -> None:
         pending = self.pending_migration
-        if pending is None or version != pending["version"]:
+        if pending is None or version != pending.pmap.version:
             return
-        pending["waiting"].discard(shard)
-        if not pending["waiting"]:
-            self.pmap = self._staged_pmap
-            self._staged_pmap = None
+        pending.waiting.discard(shard)
+        if not pending.waiting:
+            self.pmap = pending.pmap
             self.pending_migration = None
             log.info("partition v%d fully adopted", version)
 
@@ -214,12 +220,7 @@ class Supervisor:
             involved.add(address_to_shard(addr, self.pmap))
             involved.add(dest)
         if dirty:
-            self._staged_pmap = new_map
-            self.pending_migration = {
-                "version": new_map.version,
-                "waiting": involved,
-                "since": now,
-            }
+            self.pending_migration = PendingMigration(new_map, involved, now)
         else:
             self.pmap = new_map
 
@@ -235,11 +236,11 @@ class Supervisor:
         if self.stopped:
             return
         pending = self.pending_migration
-        if pending is not None and now - pending["since"] > self._stall_timeout():
+        if pending is not None and now - pending.since > self._stall_timeout():
             self.ledger.degraded = True
             self.ledger.notes.append(
-                f"migration v{pending['version']} stalled waiting on shards "
-                f"{sorted(pending['waiting'])}; stopped at {now} ms"
+                f"migration v{pending.pmap.version} stalled waiting on shards "
+                f"{sorted(pending.waiting)}; stopped at {now} ms"
             )
             self._halt(now)
             return

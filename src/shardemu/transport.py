@@ -21,6 +21,7 @@ from .core import (
     AccountState,
     Block,
     Transaction,
+    _digest,
     account_from_json,
     account_to_json,
     address_from_hex,
@@ -204,7 +205,7 @@ def _list(codec: tuple[Callable, Callable]) -> tuple[Callable, Callable]:
     return (lambda xs: [encode(x) for x in xs]), (lambda xs: [decode(x) for x in xs])
 
 
-_HEX = (bytes.hex, bytes.fromhex)
+_HEX = (bytes.hex, lambda raw: _digest(raw, "block_hash"))
 _ADDR = (address_to_hex, address_from_hex)
 _SHARD = _plain("shard", int)[1]
 _ADDR_MAP = (

@@ -1,5 +1,6 @@
 """Command-line surface: the four subcommands and their exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from helpers import cfg_dict
 from shardemu import cli
 from shardemu.cli import main
+from shardemu.core import block_from_json, block_line
 
 
 def write_cfg(path, **over):
@@ -127,6 +129,13 @@ def _text_commit_time(lines):
     lines[-1] = json.dumps(obj)
 
 
+def _short_parent(lines):
+    # A consistent line for a block whose parent is one byte long.
+    obj = json.loads(lines[-1])
+    block = dataclasses.replace(block_from_json(obj), parent_hash=b"\x01", hash=b"")
+    lines[-1] = block_line(block, obj["commit_time"])
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_truncate_last, "invalid JSON"),
     (_edit_tx_hash, "transaction hash mismatch"),
@@ -134,7 +143,9 @@ def _text_commit_time(lines):
     (_signed_value, "value must be a decimal string"),
     (_fractional_height, "height must be an integer"),
     (_text_commit_time, "commit_time must be an integer or null"),
-], ids=["truncated", "tx_hash", "inject_time", "value", "height", "commit_time"])
+    (_short_parent, "parent_hash must be 64 lowercase hex digits"),
+], ids=["truncated", "tx_hash", "inject_time", "value", "height", "commit_time",
+        "parent_hash"])
 def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, cause):
     run_dir = _finished_run(tmp_path)
     path = run_dir / "blocks_shard1.jsonl"

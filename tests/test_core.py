@@ -25,6 +25,7 @@ from shardemu.core import (
     Transaction,
     TxClass,
     TxKind,
+    _digest,
     address_from_hex,
     address_to_hex,
     address_to_shard,
@@ -756,6 +757,35 @@ def test_migration_block_json_round_trip():
     assert back.hash == mig.hash
     assert back.migration_installs == [AccountState(A, balance=-5, nonce=9)]
     assert back.migration_departures == [B]
+
+
+# Every string form here but the last two decodes under bytes.fromhex.
+@pytest.mark.parametrize("raw", [
+    "01", "0a 0b", "ab" * 31 + " ab", "AB" * 32, "ab" * 33, "0x" + "ab" * 31, 7, None,
+])
+def test_digest_takes_only_what_hex_writes(raw):
+    good = bytes(range(32))
+    assert _digest(good.hex(), "origin_hash") == good
+    with pytest.raises(ValueError, match="origin_hash must be 64 lowercase hex digits"):
+        _digest(raw, "origin_hash")
+
+
+def test_tx_from_json_refuses_a_short_origin_hash():
+    # The hash covers the 2-byte origin, so only the digest check refuses it.
+    obj = tx_to_json(make_transaction(A, C, 1, 0, kind=TxKind.INTER_RELAY,
+                                      origin_hash=b"\x0a\x0b"))
+    for raw in ("0a0b", "0a 0b"):
+        with pytest.raises(ValueError, match="origin_hash"):
+            tx_from_json({**obj, "origin_hash": raw})
+
+
+@pytest.mark.parametrize("field", ["parent_hash", "state_root"])
+def test_block_from_json_refuses_a_short_digest(field):
+    digests = {"parent_hash": b"\x01" * 32, "state_root": b"\x02" * 32, field: b"\x01"}
+    block = Block(shard_id=0, height=1, proposer="0.0", block_kind=BlockKind.TX,
+                  timestamp=5, **digests)
+    with pytest.raises(ValueError, match=field):
+        block_from_json(block_to_json(block))
 
 
 @pytest.mark.parametrize("bad", ["soon", True, 1.5, [3]])

@@ -1,9 +1,13 @@
 """End-to-end runs over the simulated transport: wiring, outputs, reruns."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shardemu
 from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu.core import block_from_json, compute_state_root
@@ -321,3 +325,37 @@ def test_emulation_rejects_wrong_transport_or_missing_dataset(dataset):
     ))
     with pytest.raises(ConfigError):
         Emulation(tcp_cfg)
+
+
+@pytest.mark.parametrize("data, over", [
+    (dict(txs=2000, skew="uniform"), dict(
+        block_size=50, pbft_view_change_timeout_ms=60,
+        transport={"sim": {"latency_ms": [1, 50], "seed": 4}},
+        stop={"drain": True, "wall_ms": 60000})),
+    (dict(txs=1500, skew="zipf:1.0"), dict(
+        n_shards=3, block_size=50, epoch_ms=200, partition="clpa",
+        injection={"base_rate": 600, "batch_interval_ms": 50},
+        transport={"sim": {"latency_ms": [1, 20], "seed": 2}})),
+], ids=["relay_view_churn", "clpa_3_shards"])
+def test_bytes_do_not_depend_on_the_hash_seed(tmp_path, data, over):
+    """Two processes with different string hash seeds write the same
+    reports and block files: no output follows set or dict order of
+    hashed bytes."""
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, seed=3, **data)
+    src = os.path.dirname(os.path.dirname(shardemu.__file__))
+    outcomes = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"run{seed}"
+        cfg_path = tmp_path / f"run{seed}.json"
+        cfg_path.write_text(json.dumps(cfg_dict(
+            dataset_path=str(dataset), output_dir=str(out), **over)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shardemu.cli", "run", "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=120, cwd=src,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        files = sorted(out.glob("*.csv")) + sorted(out.glob("blocks_shard*.jsonl"))
+        assert files
+        outcomes.append((proc.returncode, {f.name: f.read_bytes() for f in files}))
+    assert outcomes[0] == outcomes[1]

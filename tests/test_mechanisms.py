@@ -436,9 +436,10 @@ def test_source_shard_quiesces_and_leader_ships():
     ctl = MigrationController()
 
     outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
-    assert node.pool.locked and ctl.quiesced and ctl.shipped
+    mig = ctl.session
+    assert node.pool.locked and mig.quiesced and mig.shipped
     assert ctl.ready(node), "nothing inbound, so shipping completes the session"
-    assert [tx.hash for tx in ctl.extracted] == [displaced.hash]
+    assert [tx.hash for tx in mig.extracted] == [displaced.hash]
     assert node.pool.snapshot()[0].hash == staying.hash
 
     assert len(outs) == 1
@@ -455,7 +456,7 @@ def test_followers_extract_but_never_ship():
     node.pool.preload([regular_tx(P0, Q0)])
     ctl = MigrationController()
     outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
-    assert outs == [] and ctl.quiesced and not ctl.shipped
+    assert outs == [] and ctl.session.quiesced and not ctl.session.shipped
     assert len(node.pool) == 0, "the displaced entry still leaves the pool"
 
 
@@ -464,9 +465,9 @@ def test_quiesce_waits_for_idle_phase():
     node.phase = Phase.PRE_PREPARED
     ctl = MigrationController()
     assert ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50) == []
-    assert node.pool.locked and not ctl.quiesced
+    assert node.pool.locked and not ctl.session.quiesced
     outs = ctl.quiesce(node, now=60)  # the round resolved; now it can drain
-    assert ctl.quiesced and ctl.shipped
+    assert ctl.session.quiesced and ctl.session.shipped
     assert outs and outs[0][0] == ("shard_all", 1)
 
 
@@ -475,7 +476,8 @@ def test_target_shard_waits_for_inbound_state():
     mech = RelayMechanism()
     ctl = mech.migration
     assert ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0) == []
-    assert node.pool.locked and ctl.quiesced and not ctl.ready(node)
+    assert node.pool.locked and ctl.session.quiesced and not ctl.ready(node)
+    assert ctl.session.inbound_expected == {P0}
 
     pending = regular_tx(P0, Q0, nonce=7)
     acct = MigratedAccount(state=node.state.get(P0), pending_txs=[pending])
@@ -485,7 +487,7 @@ def test_target_shard_waits_for_inbound_state():
     # a new leader in the source shard may re-ship the same bundle
     ctl.on_account_migrate(node, "0.1", body, now=6)
     node.commit(mech, ctl.build_block(node, now=7), now=8)
-    assert not node.pool.locked
+    assert not node.pool.locked and ctl.session is None
     assert [tx.hash for tx in node.pool.snapshot()] == [pending.hash]
     assert node.pool.appended == 1
 
@@ -867,8 +869,6 @@ def test_mining_blocked_while_locked():
 def test_verification_rejects_unannounced_migration_block():
     node = FakeNode(0, TWO)
     mech = RelayMechanism()
-    ctl = MigrationController()
-    ctl.pending = None
     fake = FakeNode(0, TWO)
     session = MigrationController()
     session.on_partition_result(fake, _announce(1, {P0: 1}), now=0)

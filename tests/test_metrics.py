@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import addr, committed_block, hashed_tx
-from shardemu.core import BlockKind, TxClass, TxKind
+from shardemu.core import BlockKind, TxKind
 from shardemu.metrics import CREDIT_PER_KIND, MetricsLedger, PHASE_PURITY
 
 PA = addr("met-a")
@@ -18,8 +18,7 @@ def _hash(i):
 
 def inject(ledger, i, *, cross=False, inject_ms=0):
     kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
-    klass = TxClass.CROSS_SHARD if cross else TxClass.REGULAR
-    ledger.record_injection(_hash(i), kind, klass, PA, PB, inject_ms)
+    ledger.record_injection(_hash(i), kind, PA, PB, inject_ms)
 
 
 def tx(i, kind, origin=None):

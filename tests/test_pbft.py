@@ -4,8 +4,9 @@ import logging
 
 import pytest
 
-from helpers import addr, attach_sink, build_shard, regular_tx
+from helpers import addr, attach_sink, build_shard, cfg_dict, regular_tx
 from shardemu import core, mechanisms
+from shardemu.config import parse_config
 from shardemu.core import (
     Block,
     BlockKind,
@@ -16,8 +17,10 @@ from shardemu.core import (
     genesis_block,
     replace_tx_list,
 )
-from shardemu.mechanisms import RelayMechanism
-from shardemu.pbft import Phase, Replica
+from shardemu.dataset import gen_dataset
+from shardemu.harness import run
+from shardemu.mechanisms import BaseMechanism, RelayMechanism
+from shardemu.pbft import Phase, Replica, Round
 from shardemu.transport import (
     Commit,
     Envelope,
@@ -113,9 +116,8 @@ def test_preprepare_earns_prepare_vote_and_broadcast():
     replica, net = _lone_follower()
     block = _honest_block()
     replica.on_envelope(Envelope("preprepare", "0.0", PrePrepare(block)), 10)
-    key = (1, 0, block.hash)
     # the proposal itself counts as the leader's prepare vote
-    assert replica.prepare_votes[key] == {"0.0", replica.nid}
+    assert replica.rounds[1].prepares[(0, block.hash)] == {"0.0", replica.nid}
     assert net.types_broadcast() == ["prepare"]
     assert replica.phase is Phase.PRE_PREPARED
 
@@ -130,7 +132,7 @@ def test_prepare_quorum_triggers_commit_once():
     assert replica.phase is Phase.PREPARED
     # replayed vote neither double-counts nor rebroadcasts
     replica.on_envelope(vote, 12)
-    assert len(replica.prepare_votes[(1, 0, block.hash)]) == 3
+    assert len(replica.rounds[1].prepares[(0, block.hash)]) == 3
     assert net.types_broadcast() == ["prepare", "commit"]
 
 
@@ -146,9 +148,9 @@ def test_commit_quorum_advances_head():
     assert replica.head.hash == block.hash
     assert replica.root_log == [(1, block.state_root.hex(), 13)]
     assert replica.phase is Phase.IDLE
-    # settled bookkeeping is pruned
-    assert not replica.prepare_votes and not replica.commit_votes
-    assert not replica.preprepared
+    # settled bookkeeping is dropped with its round
+    assert 1 not in replica.rounds
+    assert all(r == Round() for r in replica.rounds.values())
     # commit reports to the supervisor
     assert [to for to, _ in net.sent] == ["supervisor"]
     info = net.sent[0][1].body
@@ -188,7 +190,7 @@ def test_bad_root_withholds_prepare(caplog):
         # redelivery hits the cached verdict, no second verification log
         replica.on_envelope(Envelope("preprepare", "0.0", PrePrepare(forged)), 11)
     assert net.types_broadcast() == []
-    assert forged.hash in replica.verify_failed
+    assert replica.rounds[1].verdicts == {forged.hash: False}
     assert sum("bad_state_root" in r.message for r in caplog.records) == 1
 
 
@@ -202,7 +204,8 @@ def test_stale_height_ignored():
     assert replica.head.height == 1
     stale = Envelope("preprepare", "0.0", PrePrepare(block))
     replica.on_envelope(stale, 20)
-    assert replica.head.height == 1 and not replica.preprepared
+    assert replica.head.height == 1 and 1 not in replica.rounds
+    assert all(r == Round() for r in replica.rounds.values())
 
 
 def test_new_view_only_from_its_leader():
@@ -297,7 +300,7 @@ def test_forged_copy_carries_nothing_of_the_honest_block():
     _prefill(replicas, _local_txs(4))
     leader, follower = replicas["0.0"], replicas["0.1"]
     leader.maybe_propose(0)
-    ((_, forged),) = leader.preprepared.items()
+    (forged,) = leader.rounds[1].blocks.values()
     assert forged.post is None and forged.halves is None
     assert core.verify_block(forged, follower.head, follower.state, follower.pmap,
                              follower.theta) is core.RejectReason.BAD_STATE_ROOT
@@ -346,3 +349,29 @@ def test_invalid_proposer_never_commits_bad_root(caplog):
         "the forged proposal must cost the leader its view"
     honest = apply_txs(StateTree(), replicas["0.1"].head.txs)
     assert logs[0][0][1] == compute_state_root(honest).hex()
+
+
+def test_view_churn_keeps_only_unsettled_rounds(tmp_path, monkeypatch):
+    """Under jitter above the timeout views churn and votes arrive out of
+    order; still each replica holds rounds only above its head, and checks
+    each proposal once."""
+    checks = []
+    real_verification = BaseMechanism.op_verification
+
+    def counting_verification(self, node, block):
+        checks.append((node.nid, block.hash))
+        return real_verification(self, node, block)
+
+    monkeypatch.setattr(BaseMechanism, "op_verification", counting_verification)
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=100, txs=600, skew="uniform", seed=3)
+    result = run(parse_config(cfg_dict(
+        dataset_path=str(dataset), block_size=50, pbft_view_change_timeout_ms=60,
+        transport={"sim": {"latency_ms": [1, 50], "seed": 4}},
+        stop={"drain": True, "wall_ms": 60000},
+    )))
+    assert result.exit_code == 0
+    assert sum(r.view for r in result.replicas.values()) > 0, "views must churn"
+    for replica in result.replicas.values():
+        assert all(h > replica.head.height for h in replica.rounds), replica.nid
+    assert checks and len(checks) == len(set(checks)), "one verification per proposal"

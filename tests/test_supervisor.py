@@ -9,7 +9,7 @@ from helpers import addr, build_cfg, committed_block, hashed_tx
 from shardemu.core import BlockKind, PartitionMap, TxKind
 from shardemu.dataset import DatasetRow
 from shardemu.mechanisms import exec_home_shard
-from shardemu.supervisor import QUIET_INTERVALS, Supervisor
+from shardemu.supervisor import QUIET_INTERVALS, PendingMigration, Supervisor
 from shardemu.transport import BlockInfo, Envelope
 
 A0 = addr("sup-a0", shard=0)
@@ -243,14 +243,14 @@ def test_epoch_tick_announces_partition_and_waits():
     assert announce.body.version == 1
     assert announce.body.overrides, "the interleaved pairs force moves"
     assert len(sup.graph) == 0, "the window resets after each decision"
-    assert sup.pending_migration is not None
+    assert sup.pending_migration.pmap.version == 1
     assert sup.pmap.version == 0, "the map is staged until every shard confirms"
 
     # further epochs defer while the migration is unresolved
     sup.on_timer("epoch", None, 1000)
     assert sup.reconfig_count == 1 and len(net.all_casts) == 1
 
-    waiting = set(sup.pending_migration["waiting"])
+    waiting = set(sup.pending_migration.waiting)
     assert waiting == {0, 1}
     sup.on_envelope(info(0, 9, 1100, [], kind=BlockKind.MIGRATION, version=1), 1100)
     assert sup.pending_migration is not None, "one shard is still migrating"
@@ -277,7 +277,7 @@ def test_stale_migration_confirmations_ignored():
     sup.on_timer("epoch", None, 500)
     sup.on_envelope(info(0, 9, 600, [], kind=BlockKind.MIGRATION, version=99), 600)
     assert sup.pending_migration is not None
-    assert set(sup.pending_migration["waiting"]) == {0, 1}
+    assert set(sup.pending_migration.waiting) == {0, 1}
 
 
 # --- stop rules ---
@@ -311,7 +311,7 @@ def test_drain_stop_waits_for_pools_and_injection():
 
 def test_stalled_migration_degrades_run():
     sup, _ = make_sup(partition="clpa")
-    sup.pending_migration = {"version": 1, "waiting": {1}, "since": 0}
+    sup.pending_migration = PendingMigration(sup.pmap.updated(1, {}), {1}, 0)
     timeout = sup._stall_timeout()
     sup.on_timer("stopcheck", None, timeout)
     assert not sup.stopped, "at the threshold, not past it"

@@ -41,6 +41,7 @@ from shardemu.transport import (
     TcpMesh,
     UnknownPeer,
     UnknownType,
+    MSG_TYPES,
     ViewChange,
     decode_frame,
     encode_frame,
@@ -87,49 +88,54 @@ def _migration_block() -> Block:
     )
 
 
-@pytest.mark.parametrize(
-    "env",
-    [
-        Envelope("inject_txs", "supervisor", InjectTxs(txs=[regular_tx(A, B, 5)])),
-        Envelope("prepare", "0.1", Prepare(height=4, view=0, block_hash=b"\x07" * 32)),
-        Envelope("commit", "0.2", Commit(height=4, view=1, block_hash=b"\x08" * 32)),
-        Envelope("view_change", "0.3", ViewChange(new_view=2, height=9)),
-        Envelope("new_view", "0.2", NewView(new_view=2, height=9)),
-        Envelope(
-            "relay_ctx",
-            "0.0",
-            RelayCtx(
-                source_shard=0,
-                txs=[
-                    make_transaction(
-                        A, B, 2, 0, kind=TxKind.INTER_RELAY, origin_hash=b"\x01" * 32
-                    )
-                ],
-            ),
+_ROUND_TRIPS = [
+    Envelope("inject_txs", "supervisor", InjectTxs(txs=[regular_tx(A, B, 5)])),
+    Envelope("prepare", "0.1", Prepare(height=4, view=0, block_hash=b"\x07" * 32)),
+    Envelope("commit", "0.2", Commit(height=4, view=1, block_hash=b"\x08" * 32)),
+    Envelope("view_change", "0.3", ViewChange(new_view=2, height=9)),
+    Envelope("new_view", "0.2", NewView(new_view=2, height=9)),
+    Envelope(
+        "relay_ctx",
+        "0.0",
+        RelayCtx(
+            source_shard=0,
+            txs=[
+                make_transaction(
+                    A, B, 2, 0, kind=TxKind.INTER_RELAY, origin_hash=b"\x01" * 32
+                )
+            ],
         ),
-        Envelope(
-            "partition_result",
-            "supervisor",
-            PartitionResult(version=2, overrides={A: 1, B: 0}, brokers=[A]),
+    ),
+    Envelope(
+        "partition_result",
+        "supervisor",
+        PartitionResult(version=2, overrides={A: 1, B: 0}, brokers=[A]),
+    ),
+    Envelope(
+        "account_migrate",
+        "0.0",
+        AccountMigrate(
+            version=2,
+            accounts=[
+                MigratedAccount(
+                    state=AccountState(A, balance=-3, nonce=5),
+                    pending_txs=[regular_tx(A, B, 1)],
+                )
+            ],
         ),
-        Envelope(
-            "account_migrate",
-            "0.0",
-            AccountMigrate(
-                version=2,
-                accounts=[
-                    MigratedAccount(
-                        state=AccountState(A, balance=-3, nonce=5),
-                        pending_txs=[regular_tx(A, B, 1)],
-                    )
-                ],
-            ),
-        ),
-        Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, pool_size=3, version=2)),
-        Envelope("stop", "supervisor", Stop()),
-        Envelope("block_info", "1.2", BlockInfo(_migration_block(), 800, pool_size=0, version=2)),
-    ],
-)
+    ),
+    Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, pool_size=3, version=2)),
+    Envelope("stop", "supervisor", Stop()),
+    Envelope("block_info", "1.2", BlockInfo(_migration_block(), 800, pool_size=0, version=2)),
+]
+
+
+def test_round_trips_cover_every_message_type():
+    # preprepare has its own test below
+    assert {env.msg_type for env in _ROUND_TRIPS} | {"preprepare"} == MSG_TYPES
+
+
+@pytest.mark.parametrize("env", _ROUND_TRIPS)
 def test_codec_round_trip(env):
     back = _round_trip(env)
     assert back.msg_type == env.msg_type
@@ -206,6 +212,15 @@ def test_codec_refuses_a_plain_field_of_the_wrong_type(env, edit):
     assert decode_frame(frame).body == env.body
     with pytest.raises(BadJson):
         decode_frame(_reframe(frame, edit))
+
+
+# Each decodes under bytes.fromhex; only the digest check refuses it.
+@pytest.mark.parametrize("raw", ["01", "07" * 31 + " 07", "AB" * 32, "07" * 33])
+@pytest.mark.parametrize("msg_type, cls", [("prepare", Prepare), ("commit", Commit)])
+def test_codec_refuses_a_block_hash_hex_did_not_write(msg_type, cls, raw):
+    frame = encode_frame(Envelope(msg_type, "0.1", cls(height=3, view=0, block_hash=b"\x07" * 32)))
+    with pytest.raises(BadJson, match="block_hash"):
+        decode_frame(_reframe(frame, lambda body: body.update(block_hash=raw)))
 
 
 @dataclass
