@@ -7,19 +7,14 @@ interval 1000 ms, relay over the static map, prefilled pools, drain, over
 the simulated transport at its default latency: once with an
 ``output_dir`` and once without. Each run is a new Python process that
 times ``harness.run``, setup and reports included, and reads its own peak
-RSS. The child also times ``perfbench/reference.py``'s fixed workload just
-before and just after the run; the host's speed drifts from run to run, so
-``scaled_wall_s`` restates the wall time on a host where that reference
-takes ``NOMINAL_S`` (wall seconds x ``NOMINAL_S`` / mean reference
-seconds), as ``perfbench/run.py`` does. One JSON row per run goes to
-stdout: wall seconds, mean reference seconds, scaled wall seconds,
-committed rows, rows per wall-second, peak RSS and exit code.
+RSS. One JSON row per run goes to stdout: raw wall seconds, committed
+rows, rows per wall-second, peak RSS and exit code.
 
 A single run per configuration cannot back a claim on a host whose speed
 drifts, so ``--repeat N`` runs each shard count N times, alternating the
 runs with and without ``output_dir``. After them, one summary row per
 configuration gives the number of good runs and the first quartile,
-median and third quartile of ``wall_s`` and ``scaled_wall_s``. The script
+median and third quartile of ``wall_s``. The script
 exits 1 if any run failed or did not drain.
 
 Usage:
@@ -41,25 +36,18 @@ from correctness_sweep import desk_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
-PERFBENCH = str(ROOT / "perfbench")
 
 # The timed child: reads one config from argv, prints one JSON object.
 CHILD = """
 import json, resource, sys, time
-from reference import NOMINAL_S, reference_s
 from shardemu.config import parse_config
 from shardemu.harness import run
 cfg = parse_config(json.loads(sys.argv[1]))
-reference_s()  # warm-up: the first call also pays for fresh heap pages
-before = reference_s()
 t0 = time.perf_counter()
 result = run(cfg)
 wall = time.perf_counter() - t0
-ref = (before + reference_s()) / 2
 print(json.dumps({
     "wall_s": wall,
-    "ref_s": ref,
-    "scaled_wall_s": wall * NOMINAL_S / ref,
     "rows": result.summary["counters"]["W"],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "exit": result.exit_code,
@@ -69,7 +57,7 @@ print(json.dumps({
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, PERFBENCH, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, check=False)
 
@@ -86,8 +74,7 @@ def run_one(n_shards: int, txs_per_shard: int, dataset: Path, out_base: Path,
         row.update(exit=None, error=proc.stderr.strip().splitlines()[-1:])
     else:
         got = json.loads(proc.stdout.strip().splitlines()[-1])
-        row.update(wall_s=round(got["wall_s"], 3), ref_s=round(got["ref_s"], 4),
-                   scaled_wall_s=round(got["scaled_wall_s"], 3), rows=got["rows"],
+        row.update(wall_s=round(got["wall_s"], 3), rows=got["rows"],
                    rows_per_s=round(got["rows"] / got["wall_s"], 1),
                    peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
     return row
@@ -120,8 +107,7 @@ def bench_one(n_shards: int, txs_per_shard: int, out_base: Path, repeat: int) ->
         summary = {"shards": n_shards, "txs": txs_per_shard * n_shards,
                    "output_dir": with_output, "runs": len(good)}
         if good:
-            for key in ("wall_s", "scaled_wall_s"):
-                summary[key] = quartiles([r[key] for r in good])
+            summary["wall_s"] = quartiles([r["wall_s"] for r in good])
         print(json.dumps(summary), flush=True)
     return rows
 

@@ -105,7 +105,6 @@ class RunConfig:
     dataset_path: Optional[str] = None
     output_dir: Optional[str] = None
     stop: StopRule = field(default_factory=StopRule)
-    pool_policy: str = "fifo"
     faults: list[FaultSpec] = field(default_factory=list)
     dataset_limit: Optional[int] = None
 
@@ -160,7 +159,6 @@ class RunConfig:
                 {"drain": self.stop.drain}
                 | ({"wall_ms": self.stop.wall_ms} if self.stop.wall_ms is not None else {})
             ),
-            "pool_policy": self.pool_policy,
             "faults": [
                 {k: v for k, v in vars(f).items() if v is not None} for f in self.faults
             ],
@@ -339,8 +337,8 @@ def _parse_faults(raw: Any, n_shards: int, nodes_per_shard: int) -> list[FaultSp
 _TOP_LEVEL = {
     "n_shards", "nodes_per_shard", "block_size", "block_interval_ms", "epoch_ms",
     "mechanism", "partition", "brokers", "injection", "pbft_view_change_timeout_ms",
-    "clpa", "transport", "dataset_path", "output_dir", "stop", "pool_policy",
-    "faults", "dataset_limit",
+    "clpa", "transport", "dataset_path", "output_dir", "stop", "faults",
+    "dataset_limit",
 }
 
 
@@ -393,10 +391,6 @@ def parse_config(raw: dict) -> RunConfig:
 
     stop = _parse_stop(raw.get("stop"))
 
-    policy = raw.get("pool_policy", "fifo")
-    if policy not in ("fifo", "fee"):
-        raise BadValue("pool_policy", f"expected fifo or fee, got {policy!r}")
-
     faults = _parse_faults(raw.get("faults"), n_shards, nodes)
     if faults and nodes < 4:
         raise BadValue("faults", "fault tolerance needs at least 4 nodes per shard")
@@ -425,7 +419,6 @@ def parse_config(raw: dict) -> RunConfig:
         dataset_path=dataset_path,
         output_dir=output_dir,
         stop=stop,
-        pool_policy=policy,
         faults=faults,
         dataset_limit=limit,
     )

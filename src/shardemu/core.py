@@ -2,9 +2,9 @@
 
 Accounts, transactions, blocks, the per-shard account state, and the
 account-to-shard partition map live here, together with the pure functions
-the consensus and mechanism layers drive: shard resolution, transaction
-classification, block application, state-root computation, and block
-verification. Nothing in this module owns a clock, a socket, or a file.
+the consensus and mechanism layers drive: shard resolution, the cross-shard
+test, block application, state-root computation, and block verification.
+Nothing in this module owns a clock, a socket, or a file.
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ DEBIT_KINDS = frozenset({TxKind.INTRA_RELAY, TxKind.BROKER_PAYER_HALF})
 CREDIT_KINDS = frozenset({TxKind.INTER_RELAY, TxKind.BROKER_PAYEE_HALF})
 
 
-class TxClass(Enum):
-    """Classification of an injected transaction against a partition map."""
-
-    REGULAR = "regular"
-    CROSS_SHARD = "cross_shard"
-    BROKER_INVOLVED = "broker_involved"
-
-
 class BlockKind(Enum):
     TX = "tx"
     MIGRATION = "migration"
@@ -152,8 +144,7 @@ class Transaction:
     ``origin_hash`` links a derived half back to the original transaction it
     was split from; injected kinds carry ``None``. ``inject_time`` is the
     virtual millisecond at which the supervisor injected the original, and
-    derived halves copy it. ``fee`` only matters under the fee-priority pool
-    policy and defaults to zero. Nothing writes to a transaction after
+    derived halves copy it. Nothing writes to a transaction after
     construction, so nodes and blocks share one object.
     """
 
@@ -163,7 +154,6 @@ class Transaction:
     nonce: int
     kind: TxKind
     origin_hash: Optional[bytes] = None
-    fee: int = 0
     inject_time: Optional[int] = None
     hash: bytes = b""
 
@@ -200,7 +190,6 @@ def make_transaction(
     nonce: int,
     kind: TxKind = TxKind.REGULAR,
     origin_hash: Optional[bytes] = None,
-    fee: int = 0,
     inject_time: Optional[int] = None,
 ) -> Transaction:
     if len(payer) != ADDRESS_SIZE or len(payee) != ADDRESS_SIZE:
@@ -211,7 +200,7 @@ def make_transaction(
         raise ValueError(f"{kind.value} requires an origin_hash")
     if kind in INJECTED_KINDS and origin_hash:
         raise ValueError(f"{kind.value} must not carry an origin_hash")
-    return Transaction(payer, payee, value, nonce, kind, origin_hash, fee, inject_time)
+    return Transaction(payer, payee, value, nonce, kind, origin_hash, inject_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +229,8 @@ class Block:
 
     ``post`` holds (pre-state root, post-state) once the block has been
     applied (see ``apply_block_to_state``), and ``halves`` the credit halves
-    that the proposer's split built (see ``mechanisms.credit_halves``).
+    of its debit halves once a replica has committed it (see
+    ``mechanisms.credit_halves``).
     Neither is hashed, compared, encoded or copied by ``replace``: a block
     decoded from a frame, or a copy of one, starts without them.
     """
@@ -496,20 +486,14 @@ def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
     return shard
 
 
-def classify_transfer(payer: bytes, payee: bytes, pmap: PartitionMap) -> TxClass:
-    """Classify a transfer between two accounts against ``pmap``."""
-    if payer in pmap.brokers or payee in pmap.brokers:
-        return TxClass.BROKER_INVOLVED
-    if address_to_shard(payer, pmap) == address_to_shard(payee, pmap):
-        return TxClass.REGULAR
-    return TxClass.CROSS_SHARD
-
-
-def classify_transaction(tx: Transaction, pmap: PartitionMap) -> TxClass:
-    """Classify an injected transaction; derived kinds are already routed."""
-    if tx.kind not in INJECTED_KINDS:
-        raise ValueError(f"cannot classify derived kind {tx.kind.value}")
-    return classify_transfer(tx.payer, tx.payee, pmap)
+def crosses_shards(payer: bytes, payee: bytes, pmap: PartitionMap) -> bool:
+    """True when a transfer between two accounts spans two shards under
+    ``pmap``: neither account is a broker and their shards differ."""
+    return (
+        payer not in pmap.brokers
+        and payee not in pmap.brokers
+        and address_to_shard(payer, pmap) != address_to_shard(payee, pmap)
+    )
 
 
 def tx_local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
@@ -648,7 +632,7 @@ def tx_to_json(tx: Transaction, confirm_time: Optional[int] = None) -> dict:
         "nonce": tx.nonce,
         "kind": tx.kind.value,
         "origin_hash": tx.origin_hash.hex() if tx.origin_hash else None,
-        "fee": tx.fee,
+        "fee": 0,
         "inject_time": tx.inject_time,
         "confirm_time": confirm_time,
     }
@@ -709,6 +693,11 @@ def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transac
     inject_time = obj.get("inject_time")
     if inject_time is not None and type(inject_time) is not int:
         raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
+    # The layout keeps a fee slot that is always 0, so decoding then
+    # encoding gives back the same bytes.
+    fee = obj.get("fee", 0)
+    if type(fee) is not int or fee != 0:
+        raise ValueError(f"fee must be the integer 0, not {fee!r}")
     try:
         tx = Transaction(
             address(obj["payer"]),
@@ -717,7 +706,6 @@ def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transac
             _int(obj["nonce"], "nonce"),
             _member(_TX_KIND_OF, obj["kind"]),
             _digest(obj["origin_hash"], "origin_hash") if obj.get("origin_hash") else None,
-            _int(obj.get("fee", 0), "fee"),
             inject_time,
         )
     except OverflowError as exc:  # a value or nonce too wide for its hashed field
@@ -787,7 +775,7 @@ def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
         txs.append(
             f'{{"hash": "{tx.hash.hex()}", "payer": "0x{tx.payer.hex()}", '
             f'"payee": "0x{tx.payee.hex()}", "value": "{tx.value}", "nonce": {tx.nonce}, '
-            f'"kind": {kind_token[tx.kind]}, "origin_hash": {origin}, "fee": {tx.fee}, '
+            f'"kind": {kind_token[tx.kind]}, "origin_hash": {origin}, "fee": 0, '
             f'"inject_time": {inject}{end}'
         )
     installs = ", ".join([

@@ -95,7 +95,7 @@ def build_nodes(
                 theta=cfg.block_size,
                 block_interval_ms=cfg.block_interval_ms,
                 vc_timeout_ms=cfg.vc_timeout_ms,
-                pool=TxPool(k, policy=cfg.pool_policy),
+                pool=TxPool(k),
                 pmap=pmap,
                 hooks=make_mechanism(cfg.mechanism),
                 net=net_of(nid),

@@ -31,18 +31,18 @@ from .core import (
     PartitionMap,
     RejectReason,
     Transaction,
-    TxClass,
     TxKind,
     address_to_shard,
     apply_block_to_state,
     apply_migration,
     apply_txs,
-    classify_transaction,
     compute_state_root,
+    crosses_shards,
     make_transaction,
     tx_local_to_shard,
     verify_block,
 )
+from .pbft import Phase
 from .transport import (
     AccountMigrate,
     BlockInfo,
@@ -68,31 +68,26 @@ class NoBrokers(RuntimeError):
 # --- relay primitives ---
 
 
-def relay_split(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Transaction]:
-    """Split an original transfer into its debit and credit halves.
+def relay_split(tx: Transaction) -> Transaction:
+    """The debit half of an original transfer, for the payer's shard.
 
-    Both halves inherit value, nonce and inject_time and point back at the
-    original through origin_hash. The debit half belongs in the payer's
-    shard, the credit half in the payee's. The proposer's split is the one
-    place a credit half is built: ``op_mining`` keeps it on the block for
-    the commit (see ``credit_halves``).
+    It inherits value, nonce and inject_time and points back at the
+    original through origin_hash. Its credit half is built only once the
+    block carrying it commits (see ``credit_halves``).
     """
     if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
-    intra = make_transaction(
+    return make_transaction(
         tx.payer, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.INTRA_RELAY, origin_hash=tx.hash, fee=tx.fee,
-        inject_time=tx.inject_time,
+        kind=TxKind.INTRA_RELAY, origin_hash=tx.hash, inject_time=tx.inject_time,
     )
-    return intra, inter_from_intra(intra)
 
 
 def inter_from_intra(intra: Transaction) -> Transaction:
-    """The credit half of a debit half. ``relay_split`` builds it this way,
-    and ``credit_halves`` rebuilds it for a block that carries no halves."""
+    """The credit half of a debit half, for the payee's shard."""
     return make_transaction(
         intra.payer, intra.payee, intra.value, intra.nonce,
-        kind=TxKind.INTER_RELAY, origin_hash=intra.origin_hash, fee=intra.fee,
+        kind=TxKind.INTER_RELAY, origin_hash=intra.origin_hash,
         inject_time=intra.inject_time,
     )
 
@@ -100,12 +95,12 @@ def inter_from_intra(intra: Transaction) -> Transaction:
 def credit_halves(block: Block) -> tuple[Transaction, ...]:
     """The credit half of every debit half in ``block``, in block order.
 
-    ``op_mining`` keeps the halves that the proposer's split built on the
-    block, so every replica that holds the block commits from that one
-    build. A block decoded from a frame carries none; its halves are
-    rebuilt from the debit halves and kept on it. The halves are a pure
-    function of the block's transactions, timing fields included; routing
-    stays with each replica's map."""
+    The one place a credit half is built: the first replica to commit a
+    block object builds its halves and keeps them on it, so every replica
+    that holds the same object commits from that one build, and a block
+    decoded from a frame gets its own. The halves are a pure function of
+    the block's transactions, timing fields included; routing stays with
+    each replica's map."""
     if block.halves is None:
         block.halves = tuple(
             inter_from_intra(tx) for tx in block.txs if tx.kind is TxKind.INTRA_RELAY
@@ -143,19 +138,17 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     the payee half (broker pays the payee) in the payee's shard. Both are
     locally executable on arrival and settle independently.
     """
-    if classify_transaction(tx, pmap) is not TxClass.CROSS_SHARD:
-        raise NotCrossShard("broker transform only applies to cross-shard transfers")
+    if tx.kind not in INJECTED_KINDS or not crosses_shards(tx.payer, tx.payee, pmap):
+        raise NotCrossShard("broker transform only applies to cross-shard originals")
     broker = pick_broker(pmap)
     origin = tx.hash
     payer_half = make_transaction(
         tx.payer, broker, tx.value, tx.nonce,
-        kind=TxKind.BROKER_PAYER_HALF, origin_hash=origin, fee=tx.fee,
-        inject_time=tx.inject_time,
+        kind=TxKind.BROKER_PAYER_HALF, origin_hash=origin, inject_time=tx.inject_time,
     )
     payee_half = make_transaction(
         broker, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.BROKER_PAYEE_HALF, origin_hash=origin, fee=tx.fee,
-        inject_time=tx.inject_time,
+        kind=TxKind.BROKER_PAYEE_HALF, origin_hash=origin, inject_time=tx.inject_time,
     )
     return payer_half, payee_half
 
@@ -368,7 +361,7 @@ class MigrationController:
         for sender, early_body in self.early.pop(body.version, []):
             self.on_account_migrate(node, sender, early_body, now)
         self.early.clear()
-        if node.phase.value == "idle":
+        if node.phase is Phase.IDLE:
             return self.quiesce(node, now)
         return []
 
@@ -507,16 +500,13 @@ class BaseMechanism:
         if not packed:
             return None, outs
         chosen: list[Transaction] = []
-        halves: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
         for tx in packed:
-            keep, route, half = self._place(tx, node)
+            keep, route = self._place(tx, node)
             if keep is not None:
                 chosen.append(keep)
             if route is not None:
                 forwards.setdefault(route[0], []).append(route[1])
-            if half is not None:
-                halves.append(half)
         outs.extend(forward(node, forwards))
         if not chosen:
             return None, outs
@@ -532,30 +522,29 @@ class BaseMechanism:
             timestamp=now,
         )
         block.post = (compute_state_root(node.state), applied)
-        block.halves = tuple(halves)
         return block, outs
 
     def _place(self, tx: Transaction, node: Any) -> tuple[
-        Optional[Transaction], Optional[tuple[int, Transaction]], Optional[Transaction]
+        Optional[Transaction], Optional[tuple[int, Transaction]]
     ]:
         """Decide what a packed pool entry becomes under the current map.
 
         Returns (transaction to include in the block, (shard, transaction)
-        to forward now, credit half to emit when the block commits). A
-        migration can re-home accounts while entries wait, so the execution
-        home is re-derived at packing time: an entry another shard executes
-        is forwarded there, a local one is kept whole, and a transfer that
-        is cross-shard here is split by the mechanism.
+        to forward now). A migration can re-home accounts while entries
+        wait, so the execution home is re-derived at packing time: an entry
+        another shard executes is forwarded there, a local one is kept
+        whole, and a transfer that is cross-shard here is split by the
+        mechanism.
         """
         home = exec_home_shard(tx, node.pmap)
         if home != node.shard_id:
-            return None, (home, tx), None
+            return None, (home, tx)
         if tx_local_to_shard(tx, home, node.pmap):
-            return tx, None, None
+            return tx, None
         return self._pack_cross(tx, node)
 
     def _pack_cross(self, tx: Transaction, node: Any) -> tuple[
-        Transaction, Optional[tuple[int, Transaction]], Optional[Transaction]
+        Transaction, Optional[tuple[int, Transaction]]
     ]:
         raise NotImplementedError
 
@@ -658,12 +647,10 @@ class RelayMechanism(BaseMechanism):
     name = "relay"
 
     def _pack_cross(self, tx, node):
-        intra, inter = relay_split(tx, node.pmap)
-        return intra, None, inter
+        return relay_split(tx), None
 
     def _commit_emissions(self, node: Any, block: Block, now: int) -> list:
-        """Send the block's credit halves to their payees' shards. The
-        halves come from ``credit_halves``, built once per block; each
+        """Send the block's credit halves to their payees' shards; each
         replica routes them under its own map."""
         batches: dict[int, list[Transaction]] = {}
         for inter in credit_halves(block):
@@ -680,7 +667,7 @@ class BrokerMechanism(BaseMechanism):
 
     def _pack_cross(self, tx, node):
         payer_half, payee_half = broker_transform(tx, node.pmap)
-        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half), None
+        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half)
 
 
 def make_mechanism(name: str) -> BaseMechanism:

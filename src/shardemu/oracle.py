@@ -128,8 +128,6 @@ def _protocol_check(config_echo: dict) -> None:
     problems = []
     if not config_echo.get("injection", {}).get("prefill"):
         problems.append("injection is not prefill")
-    if config_echo.get("pool_policy") != "fifo":
-        problems.append("pool policy is not fifo")
     if config_echo.get("mechanism") != "relay":
         problems.append("mechanism is not relay")
     if config_echo.get("partition") != "static":

@@ -132,9 +132,14 @@ class Replica:
     # -- lifecycle --
 
     def on_start(self, now: int) -> None:
+        self._arm_view_timer(now)
+        self.net.schedule(self.nid, now, "propose", None)
+
+    def _arm_view_timer(self, now: int) -> None:
+        """Restart the view-change timeout from ``now``; ``on_timer`` acts
+        only on the timer armed last."""
         self.vc_deadline = now + self.vc_timeout
         self.net.schedule(self.nid, self.vc_deadline, "vc", self.vc_deadline)
-        self.net.schedule(self.nid, now, "propose", None)
 
     def on_timer(self, tag: str, data: Any, now: int) -> None:
         if self.stopped:
@@ -280,8 +285,7 @@ class Replica:
         for settled in [h for h in self.rounds if h <= block.height]:
             del self.rounds[settled]
         self.phase = Phase.IDLE
-        self.vc_deadline = now + self.vc_timeout
-        self.net.schedule(self.nid, self.vc_deadline, "vc", self.vc_deadline)
+        self._arm_view_timer(now)
         self._emit(outs)
         self._replay_buffered(now)
 
@@ -302,8 +306,7 @@ class Replica:
         target = self.view + 1
         log.info("%s times out at h=%d, votes view %d", self.nid, self.next_height, target)
         self.vc_votes.setdefault(target, set()).add(self.nid)
-        self.vc_deadline = now + self.vc_timeout
-        self.net.schedule(self.nid, self.vc_deadline, "vc", self.vc_deadline)
+        self._arm_view_timer(now)
         self._broadcast("view_change", ViewChange(new_view=target, height=self.next_height))
         self._maybe_adopt_view(target, now)
 
@@ -338,8 +341,7 @@ class Replica:
         self.phase = Phase.IDLE
         for stale in [v for v in self.vc_votes if v <= view]:
             del self.vc_votes[stale]
-        self.vc_deadline = now + self.vc_timeout
-        self.net.schedule(self.nid, self.vc_deadline, "vc", self.vc_deadline)
+        self._arm_view_timer(now)
 
     # -- emission --
 

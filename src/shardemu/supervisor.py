@@ -24,11 +24,10 @@ from .core import (
     BlockKind,
     PartitionMap,
     Transaction,
-    TxClass,
     TxKind,
     address_to_shard,
     block_line,
-    classify_transfer,
+    crosses_shards,
     make_transaction,
 )
 from .dataset import DatasetRow
@@ -102,7 +101,7 @@ class Supervisor:
         per_shard: dict[int, list[Transaction]] = {}
         broker = self.cfg.mechanism == "broker"
         for row in rows:
-            cross = classify_transfer(row.payer, row.payee, self.pmap) is TxClass.CROSS_SHARD
+            cross = crosses_shards(row.payer, row.payee, self.pmap)
             original = make_transaction(
                 row.payer, row.payee, row.value, row.nonce,
                 kind=TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR, inject_time=now,

@@ -41,17 +41,13 @@ class TxPool:
 
     The queue is an insertion-ordered dict, so a transaction is queued at
     most once: adding a hash that is already queued does nothing and is not
-    counted. ``policy`` selects packing order: "fifo" takes the queue head,
-    "fee" takes highest fee first with queue order breaking ties. During a
-    migration lock injection still lands (clients do not pause) but packing
-    and extraction order is frozen until unlock.
+    counted. Packing takes the queue head. During a migration lock
+    injection still lands (clients do not pause) but packing and extraction
+    order is frozen until unlock.
     """
 
-    def __init__(self, shard_id: int, policy: str = "fifo") -> None:
-        if policy not in ("fifo", "fee"):
-            raise ValueError(f"unknown pool policy {policy!r}")
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.policy = policy
         self.locked = False
         self._queue: dict[bytes, Transaction] = {}
         # Accounting counters; size must always equal
@@ -125,14 +121,10 @@ class TxPool:
         return n
 
     def pack_block_txs(self, theta: int) -> list[Transaction]:
-        """Remove and return up to ``theta`` transactions in policy order."""
+        """Remove and return up to ``theta`` transactions in queue order."""
         if self.locked:
             raise PoolLocked(f"pool of shard {self.shard_id} is locked")
-        queued = self._queue.values()
-        if self.policy == "fee":
-            # Stable, so equal fees keep queue order.
-            queued = sorted(queued, key=lambda t: -t.fee)
-        out = list(islice(queued, theta))
+        out = list(islice(self._queue.values(), theta))
         self.packed += self._pop(t.hash for t in out)
         return out
 

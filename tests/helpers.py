@@ -49,9 +49,9 @@ def addr(tag: str, shard: Optional[int] = None, n_shards: int = 2) -> bytes:
 
 
 def regular_tx(payer: bytes, payee: bytes, value: int = 1, nonce: int = 0,
-               fee: int = 0, inject_time: Optional[int] = 0) -> Transaction:
+               inject_time: Optional[int] = 0) -> Transaction:
     return make_transaction(payer, payee, value, nonce, kind=TxKind.REGULAR,
-                            fee=fee, inject_time=inject_time)
+                            inject_time=inject_time)
 
 
 def hashed_tx(tx_hash: bytes, kind: TxKind, origin_hash: Optional[bytes] = None) -> Transaction:

@@ -56,7 +56,6 @@ def _desk_raw(n_shards, dataset, out_dir, **over) -> dict:
         "epoch_ms": 5000,
         "mechanism": "relay",
         "partition": "static",
-        "pool_policy": "fifo",
         "injection": {"prefill": True},
         "transport": {"sim": {"latency_ms": 5, "seed": 0}},
         "stop": {"drain": True},

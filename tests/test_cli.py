@@ -117,6 +117,12 @@ def _signed_value(lines):
     lines[-1] = json.dumps(obj)
 
 
+def _nonzero_fee(lines):
+    obj = json.loads(lines[-1])
+    obj["txs"][-1]["fee"] = 1
+    lines[-1] = json.dumps(obj)
+
+
 def _fractional_height(lines):
     obj = json.loads(lines[-1])
     obj["height"] += 0.5
@@ -141,10 +147,11 @@ def _short_parent(lines):
     (_edit_tx_hash, "transaction hash mismatch"),
     (_text_inject_time, "inject_time must be an integer or null"),
     (_signed_value, "value must be a decimal string"),
+    (_nonzero_fee, "fee must be the integer 0"),
     (_fractional_height, "height must be an integer"),
     (_text_commit_time, "commit_time must be an integer or null"),
     (_short_parent, "parent_hash must be 64 lowercase hex digits"),
-], ids=["truncated", "tx_hash", "inject_time", "value", "height", "commit_time",
+], ids=["truncated", "tx_hash", "inject_time", "value", "fee", "height", "commit_time",
         "parent_hash"])
 def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, cause):
     run_dir = _finished_run(tmp_path)

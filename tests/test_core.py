@@ -23,7 +23,6 @@ from shardemu.core import (
     RejectReason,
     StateTree,
     Transaction,
-    TxClass,
     TxKind,
     _digest,
     address_from_hex,
@@ -38,8 +37,8 @@ from shardemu.core import (
     block_from_json,
     block_line,
     block_to_json,
-    classify_transaction,
     compute_state_root,
+    crosses_shards,
     digest,
     genesis_block,
     make_transaction,
@@ -115,8 +114,7 @@ def test_address_table_refuses_a_bad_literal_and_does_not_store_it(bad):
 def test_tx_hash_covers_identity_not_timing():
     base = make_transaction(A, B, 7, 0)
     later = make_transaction(A, B, 7, 0, inject_time=999)
-    fee = make_transaction(A, B, 7, 0, fee=50)
-    assert base.hash == later.hash == fee.hash
+    assert base.hash == later.hash
     assert make_transaction(A, B, 7, 1).hash != base.hash
     assert make_transaction(A, B, 8, 0).hash != base.hash
     assert make_transaction(B, A, 7, 0).hash != base.hash
@@ -271,18 +269,14 @@ def test_threads_resolve_one_shared_map():
     assert shared._shard_of == {a: _reference_shard(a, shared) for a in accounts}
 
 
-def test_classify_transaction():
+def test_crosses_shards():
     pmap = PartitionMap(n_shards=2)
-    assert classify_transaction(regular_tx(A, B), pmap) is TxClass.REGULAR
-    assert classify_transaction(regular_tx(A, C), pmap) is TxClass.CROSS_SHARD
+    assert not crosses_shards(A, B, pmap)
+    assert crosses_shards(A, C, pmap) and crosses_shards(C, A, pmap)
     brokered = PartitionMap(n_shards=2, brokers=frozenset({B}))
-    assert classify_transaction(regular_tx(A, B), brokered) is TxClass.BROKER_INVOLVED
-    assert classify_transaction(regular_tx(B, C), brokered) is TxClass.BROKER_INVOLVED
-    with pytest.raises(ValueError):
-        classify_transaction(
-            make_transaction(A, C, 1, 0, kind=TxKind.INTRA_RELAY, origin_hash=b"\x01" * 32),
-            pmap,
-        )
+    assert crosses_shards(A, C, brokered)
+    assert not crosses_shards(A, B, brokered)
+    assert not crosses_shards(B, C, brokered) and not crosses_shards(C, B, brokered)
 
 
 def test_tx_local_to_shard():
@@ -717,7 +711,7 @@ def test_memo_hands_proposer_state_to_follower():
 
 
 def test_tx_json_round_trip():
-    original = make_transaction(A, C, 12345, 3, kind=TxKind.ORIGINAL_CTX, fee=2,
+    original = make_transaction(A, C, 12345, 3, kind=TxKind.ORIGINAL_CTX,
                                 inject_time=77)
     back = tx_from_json(tx_to_json(original))
     assert back == original
@@ -797,16 +791,16 @@ def test_tx_from_json_requires_an_integer_inject_time(bad):
 
 
 def _strict_tx():
-    return tx_to_json(make_transaction(A, C, 10, 3, kind=TxKind.ORIGINAL_CTX, fee=1))
+    return tx_to_json(make_transaction(A, C, 10, 3, kind=TxKind.ORIGINAL_CTX))
 
 
-# Each form decodes, under int(), to the field's true value, so the hash
-# check alone would pass it.
+# The hash check alone would pass each form: a value or nonce form decodes,
+# under int(), to the field's true value, and the fee is not hashed.
 @pytest.mark.parametrize("field, raw", [
     ("value", "1_0"), ("value", " 10"), ("value", "10 "), ("value", "+10"),
     ("value", "010"), ("value", "\u0661\u0660"), ("value", 10), ("value", 10.0),
     ("nonce", 3.9), ("nonce", 3.0), ("nonce", "3"), ("nonce", True),
-    ("fee", True), ("fee", "1"), ("fee", 1.0), ("fee", None),
+    ("fee", True), ("fee", "1"), ("fee", 1.0), ("fee", None), ("fee", 1),
 ])
 def test_tx_from_json_refuses_coerced_numbers(field, raw):
     obj = _strict_tx()
@@ -948,7 +942,6 @@ _txs = st.builds(
     nonce=st.integers(0, (1 << 63) - 1),
     kind=st.sampled_from(TxKind),
     origin_hash=st.none() | _digests,
-    fee=st.integers(0, 1 << 40),
     inject_time=st.none() | st.integers(0, 1 << 40),
 )
 _blocks = st.builds(
@@ -986,7 +979,7 @@ def test_block_line_is_the_json_of_the_block(block, confirm_time):
 def test_block_line_covers_every_kind_and_layout():
     txs = [
         Transaction(A, C, (1 << 128) - 1, 7, kind, origin_hash=b"\x05" * 32 if i % 2 else None,
-                    fee=3 * i, inject_time=None if i % 3 == 0 else 40 * i)
+                    inject_time=None if i % 3 == 0 else 40 * i)
         for i, kind in enumerate(TxKind)
     ]
     tx_block = Block(shard_id=1, height=3, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,

@@ -96,7 +96,8 @@ class FakeNode:
 
 def test_relay_split_halves():
     original = ctx_tx(P0, P1, value=9, nonce=4)
-    debit, credit = relay_split(original, TWO)
+    debit = relay_split(original)
+    credit = inter_from_intra(debit)
     assert debit.kind is TxKind.INTRA_RELAY and credit.kind is TxKind.INTER_RELAY
     for half in (debit, credit):
         assert half.origin_hash == original.hash
@@ -104,22 +105,25 @@ def test_relay_split_halves():
         assert (half.value, half.nonce) == (9, 4)
     assert address_to_shard(debit.payer, TWO) == 0
     assert address_to_shard(credit.payee, TWO) == 1
-    assert relay_split(regular_tx(P0, P1), TWO)  # regular transfers split too
+    assert relay_split(regular_tx(P0, P1))  # regular transfers split too
 
 
 def test_relay_split_rejects_derived():
-    debit, _ = relay_split(ctx_tx(P0, P1), TWO)
+    debit = relay_split(ctx_tx(P0, P1))
     with pytest.raises(NotCrossShard):
-        relay_split(debit, TWO)
+        relay_split(debit)
 
 
 def test_inter_from_intra_matches_split():
-    debit, credit = relay_split(ctx_tx(P0, P1), TWO)
-    assert inter_from_intra(debit).hash == credit.hash
+    original = make_transaction(P0, P1, 5, 3, kind=TxKind.ORIGINAL_CTX, inject_time=70)
+    credit = inter_from_intra(relay_split(original))
+    assert credit.hash == make_transaction(
+        P0, P1, 5, 3, kind=TxKind.INTER_RELAY, origin_hash=original.hash).hash
+    assert credit.inject_time == 70
 
 
 def test_relay_validate():
-    _, credit = relay_split(ctx_tx(P0, P1), TWO)
+    credit = inter_from_intra(relay_split(ctx_tx(P0, P1)))
     good = RelayCtx(source_shard=0, txs=[credit])
     assert relay_validate(good, "0.2") is None
     assert relay_validate(good, "1.0") is not None, "sender shard must match claim"
@@ -158,12 +162,14 @@ def test_broker_transform_needs_cross_shard():
         broker_transform(regular_tx(P0, Q0), pmap)  # same shard
     with pytest.raises(NotCrossShard):
         broker_transform(regular_tx(P0, broker), pmap)  # broker involved
+    with pytest.raises(NotCrossShard):
+        broker_transform(relay_split(ctx_tx(P0, P1)), pmap)  # derived kind
 
 
 def test_exec_home_shard():
     broker = addr("mech-broker2", shard=0)
     pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
-    _, credit = relay_split(ctx_tx(P0, P1), pmap)
+    credit = inter_from_intra(relay_split(ctx_tx(P0, P1)))
     assert exec_home_shard(credit, pmap) == 1, "credit executes at the payee"
     assert exec_home_shard(regular_tx(P0, P1), pmap) == 0, "payer rules otherwise"
     payee_half = make_transaction(
@@ -511,7 +517,7 @@ def test_migration_block_commit_switches_map_and_requeues():
     ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0)
 
     pending = regular_tx(P0, Q0, nonce=1)
-    _, credit = relay_split(ctx_tx(Q0, P1, nonce=0), TWO)
+    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1, nonce=0)))
     moved = node.state.get(P0).__class__(address=P0, balance=11, nonce=1)
     ctl.on_account_migrate(
         node, "0.0",
@@ -644,7 +650,7 @@ def test_relay_delivery_queues_credit_exactly_once():
 def test_relay_rejects_forged_source(caplog):
     target = FakeNode(1, TWO)
     mech = RelayMechanism()
-    _, credit = relay_split(ctx_tx(Q0, P1), TWO)
+    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
     forged = Envelope("relay_ctx", "1.3", RelayCtx(source_shard=0, txs=[credit]))
     assert mech.handle_inter_shard_msg(target, forged, now=0) == []
     assert len(target.pool) == 0
@@ -654,7 +660,7 @@ def test_leader_forwards_misrouted_relays():
     # payee moved to shard 0 after the batch left the source
     target = FakeNode(1, TWO.updated(1, {P1: 0}))
     mech = RelayMechanism()
-    _, credit = relay_split(ctx_tx(Q0, P1), TWO)
+    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
     env = Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, txs=[credit]))
     outs = mech.handle_inter_shard_msg(target, env, now=0)
     assert len(target.pool) == 0
@@ -705,26 +711,30 @@ def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
     replicas = [FakeNode(0, THREE, index=i, leader=i == 0) for i in range(4)]
     seeded = mechanisms.credit_halves(block)
     assert [_emitted(node, block) for node in replicas] == [expected] * 4
-    assert mechanisms.credit_halves(block) is seeded, "every replica read the split's halves"
+    assert mechanisms.credit_halves(block) is seeded, "every replica read the first build"
 
 
 def test_decoded_block_rebuilds_the_proposers_halves():
     proposer = FakeNode(0, THREE)
     proposer.pool.preload([
-        make_transaction(T0, T2, 1, 0, kind=TxKind.ORIGINAL_CTX, fee=3, inject_time=40),
+        make_transaction(T0, T2, 1, 0, kind=TxKind.ORIGINAL_CTX, inject_time=40),
         regular_tx(T0B, T0, value=2, nonce=0),
-        make_transaction(T0, T1, 3, 1, kind=TxKind.ORIGINAL_CTX, fee=1, inject_time=55),
+        make_transaction(T0, T1, 3, 1, kind=TxKind.ORIGINAL_CTX, inject_time=55),
     ])
     block, _ = RelayMechanism().op_mining(proposer, now=60)
-    assert block.post is not None and len(block.halves) == 2
+    assert block.post is not None and block.halves is None, "mining builds no credit half"
 
     frame = encode_frame(Envelope("preprepare", proposer.nid, PrePrepare(block=block)))
     decoded = decode_frame(frame).body.block
     assert decoded.hash == block.hash
     assert decoded.post is None and decoded.halves is None
     assert verify_block(decoded, genesis_block(0), StateTree(), THREE, theta=10) is None
-    assert [(t.hash, t.inject_time, t.fee) for t in mechanisms.credit_halves(decoded)] == \
-        [(t.hash, t.inject_time, t.fee) for t in block.halves]
+    halves = mechanisms.credit_halves(block)
+    assert [t.inject_time for t in halves] == [40, 55]
+    assert [(t.hash, t.inject_time) for t in mechanisms.credit_halves(decoded)] == \
+        [(t.hash, t.inject_time) for t in halves]
+    assert mechanisms.credit_halves(block) is halves
+    assert mechanisms.credit_halves(decoded) is decoded.halves
     assert _emitted(FakeNode(0, THREE), decoded) == _emitted(FakeNode(0, THREE), block)
 
 
@@ -760,7 +770,7 @@ def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
     assert result.exit_code == 0
     splits = built[TxKind.INTRA_RELAY]
     assert splits == result.summary["counters"]["V"] > 0
-    assert built[TxKind.INTER_RELAY] == splits, "no credit half is rebuilt at commit"
+    assert built[TxKind.INTER_RELAY] == splits, "one credit half per committed debit half"
 
 
 def test_regular_tx_with_foreign_payer_is_reinjected():

@@ -139,7 +139,6 @@ def test_ks_is_a_distance(samples):
 def _echo(**over):
     echo = {
         "injection": {"prefill": True},
-        "pool_policy": "fifo",
         "mechanism": "relay",
         "partition": "static",
         "block_size": 10,
@@ -202,7 +201,6 @@ def test_proximity_requires_reference_protocol():
     for bad in (
         {"mechanism": "broker"},
         {"partition": "clpa"},
-        {"pool_policy": "fee"},
         {"injection": {"base_rate": 100.0}},
     ):
         summary = _summary([], {}, 0)

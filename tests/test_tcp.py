@@ -39,3 +39,36 @@ def test_single_shard_run_over_loopback(tmp_path):
     assert (out / "tcl.csv").read_text().count("\n") == 81
     # the block files alone rebuild the same counters
     assert report_from_blocks(str(out))["counters"] == counters
+
+
+def test_two_shard_relay_run_over_loopback(tmp_path):
+    # Every replica decodes each block from a frame, so every follower
+    # builds its own credit halves at commit.
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=60, txs=200, skew="uniform", seed=4)
+
+    nids = [SUPERVISOR_ID] + [node_id(k, i) for k in range(2) for i in range(4)]
+    table = {nid: f"127.0.0.1:{port}" for nid, port in zip(nids, free_ports(len(nids)))}
+    ip_table = tmp_path / "ip_table.json"
+    ip_table.write_text(json.dumps(table))
+
+    out = tmp_path / "run"
+    cfg = parse_config(cfg_dict(
+        block_size=25,
+        dataset_path=str(dataset),
+        output_dir=str(out),
+        transport={"tcp": {"ip_table": str(ip_table)}},
+    ))
+    result = run(cfg)
+
+    assert result.exit_code == 0
+    counters = result.summary["counters"]
+    assert counters == {"X": 200, "Y": 105, "Z": 95, "U": 105, "V": 105, "W": 305}
+    assert result.summary["unconfirmed"] == 0
+    for shard in range(2):
+        replicas = result.shard_replicas(shard)
+        assert len({tuple((h, root) for h, root, _ in r.root_log) for r in replicas}) == 1
+        heads = [r.head for r in replicas]
+        assert len({id(b) for b in heads}) == 4 and len({b.hash for b in heads}) == 1
+        assert all(b.halves is not None for b in heads)
+    assert report_from_blocks(str(out))["counters"] == counters

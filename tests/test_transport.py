@@ -15,13 +15,12 @@ from shardemu.core import (
     AccountState,
     Block,
     BlockKind,
-    PartitionMap,
     genesis_block,
     make_transaction,
     TxKind,
 )
 from shardemu import transport
-from shardemu.mechanisms import relay_split
+from shardemu.mechanisms import inter_from_intra, relay_split
 from shardemu.transport import (
     AccountMigrate,
     BadJson,
@@ -69,9 +68,8 @@ def _relay_block() -> Block:
     one credit half arriving, next to a whole transfer."""
     out = make_transaction(A, B, 6, 0, kind=TxKind.ORIGINAL_CTX, inject_time=20)
     inbound = make_transaction(B, A, 2, 1, kind=TxKind.ORIGINAL_CTX, inject_time=30)
-    two = PartitionMap(n_shards=2)
-    debit, _ = relay_split(out, two)
-    _, credit = relay_split(inbound, two)
+    debit = relay_split(out)
+    credit = inter_from_intra(relay_split(inbound))
     return Block(
         shard_id=0, height=5, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,
         proposer="0.1", block_kind=BlockKind.TX,

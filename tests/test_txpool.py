@@ -14,8 +14,8 @@ A1 = addr("q0", shard=1)
 PMAP = PartitionMap(n_shards=2)
 
 
-def _txs(n, payer=A0, payee=B0, fee=0):
-    return [regular_tx(payer, payee, value=1 + i, nonce=i, fee=fee) for i in range(n)]
+def _txs(n, payer=A0, payee=B0):
+    return [regular_tx(payer, payee, value=1 + i, nonce=i) for i in range(n)]
 
 
 def _credit(payee, nonce=0):
@@ -39,22 +39,6 @@ def test_pack_caps_at_theta_and_empties():
     pool.preload(_txs(2))
     assert len(pool.pack_block_txs(10)) == 2
     assert pool.pack_block_txs(10) == []
-
-
-def test_fee_policy_orders_by_fee_then_arrival():
-    pool = TxPool(0, policy="fee")
-    cheap = regular_tx(A0, B0, nonce=0, fee=1)
-    rich = regular_tx(A0, B0, nonce=1, fee=9)
-    rich_later = regular_tx(A0, B0, nonce=2, fee=9)
-    pool.preload([cheap, rich, rich_later])
-    packed = pool.pack_block_txs(2)
-    assert [t.hash for t in packed] == [rich.hash, rich_later.hash]
-    assert pool.pack_block_txs(1)[0].hash == cheap.hash
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        TxPool(0, policy="random")
 
 
 def test_preload_keeps_existing_stamps():
