@@ -228,11 +228,13 @@ class Block:
     virtual clock at proposal time and is part of the hash.
 
     ``post`` holds (pre-state root, post-state) once the block has been
-    applied (see ``apply_block_to_state``), and ``halves`` the credit halves
-    of its debit halves once a replica has committed it (see
+    applied (see ``apply_block_to_state``), ``verdict`` the outcome of the
+    checks ``verify_block`` makes on the block's content alone, with the
+    map and size limit they ran under, and ``halves`` the credit halves of
+    its debit halves once a replica has committed it (see
     ``mechanisms.credit_halves``).
-    Neither is hashed, compared, encoded or copied by ``replace``: a block
-    decoded from a frame, or a copy of one, starts without them.
+    None of these is hashed, compared, encoded or copied by ``replace``: a
+    block decoded from a frame, or a copy of one, starts without them.
     """
 
     shard_id: int
@@ -247,6 +249,8 @@ class Block:
     timestamp: int = 0
     hash: bytes = b""
     post: Optional[tuple[bytes, StateTree]] = field(
+        default=None, init=False, compare=False, repr=False)
+    verdict: Optional[tuple[PartitionMap, int, Optional[RejectReason]]] = field(
         default=None, init=False, compare=False, repr=False)
     halves: Optional[tuple[Transaction, ...]] = field(
         default=None, init=False, compare=False, repr=False)
@@ -516,30 +520,42 @@ def apply_txs(state: StateTree, txs: Iterable[Transaction]) -> StateTree:
     Regular transfers debit the payer and credit the payee. A debit half
     only debits, a credit half only credits; the matching half settles in
     the counterpart shard. No overdraft rule exists, balances may go
-    negative.
+    negative. Each payer's nonce advances once per transaction it pays.
+
+    The block's balance changes and nonce advances are summed per account
+    first, and each written account then gets one new state; accounts new
+    to the tree are added in the order the block first touches them.
     """
-    entries = dict(state.entries)
-    written: set[bytes] = set()
+    moved: dict[bytes, int] = {}
+    sent: dict[bytes, int] = {}
+    # Bound once: these run per transaction, or per written account.
+    moved_of, sent_of = moved.get, sent.get
     for tx in txs:
         kind = tx.kind
         if kind is TxKind.REGULAR:
-            payer = entries.get(tx.payer) or AccountState(address=tx.payer)
-            entries[tx.payer] = AccountState(tx.payer, payer.balance - tx.value, payer.nonce + 1)
-            payee = entries.get(tx.payee) or AccountState(address=tx.payee)
-            entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
-            written.add(tx.payer)
-            written.add(tx.payee)
+            payer, payee, value = tx.payer, tx.payee, tx.value
+            moved[payer] = moved_of(payer, 0) - value
+            sent[payer] = sent_of(payer, 0) + 1
+            moved[payee] = moved_of(payee, 0) + value
         elif kind in DEBIT_KINDS:
-            payer = entries.get(tx.payer) or AccountState(address=tx.payer)
-            entries[tx.payer] = AccountState(tx.payer, payer.balance - tx.value, payer.nonce + 1)
-            written.add(tx.payer)
+            payer = tx.payer
+            moved[payer] = moved_of(payer, 0) - tx.value
+            sent[payer] = sent_of(payer, 0) + 1
         elif kind in CREDIT_KINDS:
-            payee = entries.get(tx.payee) or AccountState(address=tx.payee)
-            entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
-            written.add(tx.payee)
+            payee = tx.payee
+            moved[payee] = moved_of(payee, 0) + tx.value
         else:
             raise ValueError(f"block carries unexecutable kind {kind.value}")
-    return _derived(state, entries, written)
+    entries = dict(state.entries)
+    held = entries.get
+    for addr, change in moved.items():
+        acct = held(addr)
+        if acct is None:
+            entries[addr] = AccountState(addr, change, sent_of(addr, 0))
+        else:
+            entries[addr] = AccountState(addr, acct.balance + change,
+                                         acct.nonce + sent_of(addr, 0))
+    return _derived(state, entries, set(moved))
 
 
 def apply_migration(
@@ -578,6 +594,29 @@ def apply_block_to_state(state: StateTree, block: Block) -> StateTree:
     return post
 
 
+def _content_reject(block: Block, pmap: PartitionMap, theta: int) -> Optional[RejectReason]:
+    """The first failing check on the block's content alone: a migration
+    block with transactions, a transaction block with migration entries,
+    more than ``theta`` transactions, an injected original, a derived half
+    without its origin, or a transaction not local to the block's shard
+    under ``pmap``."""
+    if block.block_kind is BlockKind.MIGRATION:
+        return RejectReason.MALFORMED if block.txs else None
+    if block.migration_installs or block.migration_departures:
+        return RejectReason.MALFORMED
+    if len(block.txs) > theta:
+        return RejectReason.OVERSIZE
+    shard = block.shard_id
+    for tx in block.txs:
+        if tx.kind in INJECTED_KINDS and tx.kind is not TxKind.REGULAR:
+            return RejectReason.MALFORMED
+        if tx.kind in DERIVED_KINDS and not tx.origin_hash:
+            return RejectReason.MALFORMED
+        if not tx_local_to_shard(tx, shard, pmap):
+            return RejectReason.WRONG_SHARD
+    return None
+
+
 def verify_block(
     block: Block,
     head: Block,
@@ -587,11 +626,18 @@ def verify_block(
 ) -> Optional[RejectReason]:
     """Check a proposed block against the local chain head and pre-state.
 
-    Returns None when acceptable, otherwise the first failing reason. The
-    post-state comes from ``apply_block_to_state``, possibly applied by
-    another replica that holds the same block; its root is compared with
-    ``block.state_root`` on every call, so a forged root is rejected by
-    every replica.
+    Returns None when acceptable, otherwise the first failing reason, in
+    this order: shard, height and parent against ``head``; the block's
+    content (``_content_reject``); its state root.
+
+    The content checks depend only on the block, ``pmap`` and ``theta``.
+    Their verdict is kept on the block (``Block.verdict``) with the map
+    object and ``theta`` it was reached under, so every replica that holds
+    the same block object and the same map shares one check, and a replica
+    under another map object checks again. The head checks and the state
+    root are made on every call. The post-state comes from
+    ``apply_block_to_state``, possibly applied by another replica that
+    holds the same block, so a forged root is rejected by every replica.
     """
     if block.shard_id != head.shard_id:
         return RejectReason.WRONG_SHARD
@@ -599,21 +645,11 @@ def verify_block(
         return RejectReason.BAD_HEIGHT
     if block.parent_hash != head.hash:
         return RejectReason.BAD_PARENT
-    if block.block_kind is BlockKind.MIGRATION:
-        if block.txs:
-            return RejectReason.MALFORMED
-    else:
-        if block.migration_installs or block.migration_departures:
-            return RejectReason.MALFORMED
-        if len(block.txs) > theta:
-            return RejectReason.OVERSIZE
-        for tx in block.txs:
-            if tx.kind in INJECTED_KINDS and tx.kind is not TxKind.REGULAR:
-                return RejectReason.MALFORMED
-            if tx.kind in DERIVED_KINDS and not tx.origin_hash:
-                return RejectReason.MALFORMED
-            if not tx_local_to_shard(tx, block.shard_id, pmap):
-                return RejectReason.WRONG_SHARD
+    verdict = block.verdict
+    if verdict is None or verdict[0] is not pmap or verdict[1] != theta:
+        verdict = block.verdict = (pmap, theta, _content_reject(block, pmap, theta))
+    if verdict[2] is not None:
+        return verdict[2]
     if compute_state_root(apply_block_to_state(state, block)) != block.state_root:
         return RejectReason.BAD_STATE_ROOT
     return None

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +372,11 @@ def test_apply_txs_rejects_unexecutable_kind():
     original = make_transaction(A, C, 1, 0, kind=TxKind.ORIGINAL_CTX)
     with pytest.raises(ValueError):
         apply_txs(StateTree(), [original])
+    pre = _rooted([AccountState(A, balance=3)])
+    before = _snapshot(pre)
+    with pytest.raises(ValueError, match="unexecutable kind original_ctx"):
+        apply_txs(pre, [regular_tx(A, B, 1), original, regular_tx(B, A, 1)])
+    assert _snapshot(pre) == before
 
 
 @settings(max_examples=50, deadline=None)
@@ -705,6 +711,106 @@ def test_memo_hands_proposer_state_to_follower():
     assert apply_block_to_state(follower_pre, block) is applied
     assert verify_block(block, genesis_block(0), follower_pre, PartitionMap(n_shards=2),
                         theta=10) is None
+
+
+# --- content verdict kept on the block ---
+
+
+def test_verdict_is_per_map_object_in_either_order():
+    # One override moves the payee to shard 1: the same block is local
+    # under the first map and not under the second.
+    pmap = PartitionMap(n_shards=2)
+    moved = pmap.updated(1, {B: 1})
+    for order in ((pmap, moved, pmap), (moved, pmap, moved)):
+        block, _ = _tx_block(StateTree(), [regular_tx(A, B, 5)], genesis_block(0))
+        got = [verify_block(block, genesis_block(0), StateTree(), m, theta=10) for m in order]
+        expected = [None if m is pmap else RejectReason.WRONG_SHARD for m in order]
+        assert got == expected
+        assert block.verdict == (order[-1], 10, expected[-1])
+
+
+def test_verdict_is_per_theta():
+    txs = [regular_tx(A, B, 1, nonce=n) for n in range(150)]
+    block, _ = _tx_block(StateTree(), txs, genesis_block(0))
+    pmap = PartitionMap(n_shards=2)
+    assert verify_block(block, genesis_block(0), StateTree(), pmap, theta=200) is None
+    assert verify_block(block, genesis_block(0), StateTree(), pmap, theta=100) \
+        is RejectReason.OVERSIZE
+
+
+def test_head_and_root_checks_run_past_a_shared_verdict():
+    head = genesis_block(0)
+    pmap = PartitionMap(n_shards=2)
+    block, _ = _tx_block(StateTree(), [regular_tx(A, B, 5)], head)
+    assert verify_block(block, head, StateTree(), pmap, theta=10) is None
+    assert block.verdict == (pmap, 10, None)
+    assert verify_block(block, genesis_block(1), StateTree(), pmap, theta=10) \
+        is RejectReason.WRONG_SHARD
+    assert verify_block(block, block, StateTree(), pmap, theta=10) is RejectReason.BAD_HEIGHT
+    other = StateTree({C: AccountState(C, balance=1)})
+    assert verify_block(block, head, other, pmap, theta=10) is RejectReason.BAD_STATE_ROOT
+
+
+def test_copies_and_decoded_blocks_start_without_a_verdict():
+    pmap = PartitionMap(n_shards=2)
+    block, _ = _tx_block(StateTree(), [regular_tx(A, C, 5)], genesis_block(0))
+    assert verify_block(block, genesis_block(0), StateTree(), pmap, theta=10) \
+        is RejectReason.WRONG_SHARD
+    assert block.verdict is not None
+    assert replace(block, state_root=b"\x06" * 32, hash=b"").verdict is None
+    assert block_from_json(block_to_json(block)).verdict is None
+
+
+# --- one write per account ---
+
+
+def _apply_one_by_one(state, txs):
+    """Per-transaction application: each transaction writes a new state
+    for every account it touches."""
+    entries = dict(state.entries)
+    written = set()
+    for tx in txs:
+        if tx.kind in (TxKind.REGULAR, TxKind.INTRA_RELAY, TxKind.BROKER_PAYER_HALF):
+            payer = entries.get(tx.payer, AccountState(tx.payer))
+            entries[tx.payer] = AccountState(tx.payer, payer.balance - tx.value, payer.nonce + 1)
+            written.add(tx.payer)
+        if tx.kind in (TxKind.REGULAR, TxKind.INTER_RELAY, TxKind.BROKER_PAYEE_HALF):
+            payee = entries.get(tx.payee, AccountState(tx.payee))
+            entries[tx.payee] = AccountState(tx.payee, payee.balance + tx.value, payee.nonce)
+            written.add(tx.payee)
+    return entries, written
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_apply_txs_matches_per_transaction_application(seed):
+    rng = random.Random(seed)
+    held = [rng.randbytes(ADDRESS_SIZE) for _ in range(6)]
+    base = _rooted(AccountState(a, balance=rng.randrange(-50, 50), nonce=rng.randrange(4))
+                   for a in held)
+    # A small account set, so that accounts repeat within a block; half of
+    # them are new to the tree.
+    accounts = held + [rng.randbytes(ADDRESS_SIZE) for _ in range(6)]
+    blocks = [[]]
+    for _ in range(12):
+        txs = []
+        for n in range(rng.randrange(1, 40)):
+            kind = rng.choice(EXECUTABLE_KINDS)
+            payer = rng.choice(accounts)
+            payee = payer if kind is TxKind.REGULAR and rng.random() < 0.2 else rng.choice(accounts)
+            origin = None if kind is TxKind.REGULAR else rng.randbytes(32)
+            txs.append(make_transaction(payer, payee, rng.randrange(0, 100), n,
+                                        kind=kind, origin_hash=origin))
+        blocks.append(txs)
+    assert any(tx.payer == tx.payee and tx.kind is TxKind.REGULAR
+               for txs in blocks for tx in txs)
+    for txs in blocks:
+        before = _snapshot(base)
+        entries, written = _apply_one_by_one(base, txs)
+        post = apply_txs(base, txs)
+        assert list(post.entries.items()) == list(entries.items()), "same entries, same order"
+        assert post._delta == (base, written)
+        assert compute_state_root(post) == _reference_root(post)
+        assert _snapshot(base) == before, "the input tree is left as it was"
 
 
 # --- serialization ---

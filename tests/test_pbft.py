@@ -299,11 +299,49 @@ def test_forged_copy_carries_nothing_of_the_honest_block():
     replicas["0.0"].invalid_heights.add(1)
     _prefill(replicas, _local_txs(4))
     leader, follower = replicas["0.0"], replicas["0.1"]
+    mine = leader.hooks.op_mining
+
+    def mine_and_verify(node, now):
+        # The honest block is checked before it is forged, so it carries a
+        # verdict as well as its post-state.
+        block, outs = mine(node, now)
+        assert core.verify_block(block, follower.head, follower.state, follower.pmap,
+                                 follower.theta) is None
+        assert block.post is not None and block.verdict is not None
+        return block, outs
+
+    leader.hooks.op_mining = mine_and_verify
     leader.maybe_propose(0)
     (forged,) = leader.rounds[1].blocks.values()
-    assert forged.post is None and forged.halves is None
+    assert forged.post is None and forged.halves is None and forged.verdict is None
     assert core.verify_block(forged, follower.head, follower.state, follower.pmap,
                              follower.theta) is core.RejectReason.BAD_STATE_ROOT
+
+
+def test_followers_share_one_content_check_per_block(monkeypatch):
+    checked = []
+    real_local = core.tx_local_to_shard
+
+    def counting_local(tx, shard_id, pmap):
+        checked.append(tx.hash)
+        return real_local(tx, shard_id, pmap)
+
+    # Only verification reaches it through core; packing calls the
+    # mechanisms module's own reference.
+    monkeypatch.setattr(core, "tx_local_to_shard", counting_local)
+    net = SimNetwork(latency_ms=5, seed=0)
+    replicas = build_shard(net, n_nodes=4, theta=5, delta=100, vc_timeout=1000)
+    attach_sink(net)
+    txs = [regular_tx(A, B, value=i + 1, nonce=i) for i in range(12)]
+    _prefill(replicas, txs)
+    for replica in replicas.values():
+        replica.on_start(0)
+    net.run(until=900)
+
+    logs = [replica.root_log for replica in replicas.values()]
+    assert all(log == logs[0] for log in logs) and len(logs[0]) == 3
+    assert sorted(checked) == sorted(tx.hash for tx in txs), \
+        "three followers check each committed transaction once between them"
 
 
 def test_crashed_leader_triggers_view_change():

@@ -51,3 +51,14 @@ def test_desk_bench_smoke(tmp_path):
         assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)
         assert runs[0] <= got["q1"] <= got["median"] <= got["q3"] <= runs[1]
     assert (tmp_path / "run_2" / "summary.json").exists()
+
+
+def test_same_bytes_smoke(tmp_path):
+    proc = _run("same_bytes.py", tmp_path, "--only", "relay_50_s4", "clpa2_5_s0", "relay_50_s4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["config"], line["exit"]) for line in lines] == [
+        ("relay_50_s4", 0), ("clpa2_5_s0", 3), ("relay_50_s4", 0)]
+    assert all(len(line["sha256"]) == 64 for line in lines)
+    assert lines[0]["sha256"] == lines[2]["sha256"] != lines[1]["sha256"]
+    assert (tmp_path / "clpa2_5_s0" / "blocks_shard1.jsonl").exists()
