@@ -6,15 +6,16 @@ times n, seed 11). It then runs n shards x 4 nodes, block size 200, block
 interval 1000 ms, relay over the static map, prefilled pools, drain, over
 the simulated transport at its default latency: once with an
 ``output_dir`` and once without. Each run is a new Python process that
-times ``harness.run``, setup and reports included, and reads its own peak
-RSS. One JSON row per run goes to stdout: raw wall seconds, committed
-rows, rows per wall-second, peak RSS and exit code.
+times ``Emulation.setup`` (wiring and the prefill) and ``execute`` (the
+run and its reports), and reads its own peak RSS. One JSON row per run
+goes to stdout: raw wall seconds (set-up plus execute), set-up seconds,
+committed rows, rows per wall-second, peak RSS and exit code.
 
 A single run per configuration cannot back a claim on a host whose speed
 drifts, so ``--repeat N`` runs each shard count N times, alternating the
 runs with and without ``output_dir``. After them, one summary row per
 configuration gives the number of good runs and the first quartile,
-median and third quartile of ``wall_s``. The script
+median and third quartile of ``wall_s`` and of ``setup_s``. The script
 exits 1 if any run failed or did not drain.
 
 Usage:
@@ -41,13 +42,17 @@ SRC = str(ROOT / "src")
 CHILD = """
 import json, resource, sys, time
 from shardemu.config import parse_config
-from shardemu.harness import run
+from shardemu.harness import Emulation
 cfg = parse_config(json.loads(sys.argv[1]))
 t0 = time.perf_counter()
-result = run(cfg)
+emu = Emulation(cfg)
+emu.setup()
+t1 = time.perf_counter()
+result = emu.execute()
 wall = time.perf_counter() - t0
 print(json.dumps({
     "wall_s": wall,
+    "setup_s": t1 - t0,
     "rows": result.summary["counters"]["W"],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "exit": result.exit_code,
@@ -74,7 +79,8 @@ def run_one(n_shards: int, txs_per_shard: int, dataset: Path, out_base: Path,
         row.update(exit=None, error=proc.stderr.strip().splitlines()[-1:])
     else:
         got = json.loads(proc.stdout.strip().splitlines()[-1])
-        row.update(wall_s=round(got["wall_s"], 3), rows=got["rows"],
+        row.update(wall_s=round(got["wall_s"], 3), setup_s=round(got["setup_s"], 3),
+                   rows=got["rows"],
                    rows_per_s=round(got["rows"] / got["wall_s"], 1),
                    peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
     return row
@@ -108,6 +114,7 @@ def bench_one(n_shards: int, txs_per_shard: int, out_base: Path, repeat: int) ->
                    "output_dir": with_output, "runs": len(good)}
         if good:
             summary["wall_s"] = quartiles([r["wall_s"] for r in good])
+            summary["setup_s"] = quartiles([r["setup_s"] for r in good])
         print(json.dumps(summary), flush=True)
     return rows
 

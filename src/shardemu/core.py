@@ -183,6 +183,16 @@ def tx_digest(
     ))).digest()
 
 
+def check_transfer(payer: bytes, payee: bytes, value: int) -> None:
+    """Refuse a transfer whose accounts are not 20 bytes or whose value lies
+    outside [0, 2**128): the checks ``make_transaction`` and the
+    supervisor's stamping both apply to every original."""
+    if len(payer) != ADDRESS_SIZE or len(payee) != ADDRESS_SIZE:
+        raise ValueError("addresses must be 20 bytes")
+    if not (0 <= value < (1 << VALUE_BITS)):
+        raise ValueError("value out of range")
+
+
 def make_transaction(
     payer: bytes,
     payee: bytes,
@@ -192,10 +202,7 @@ def make_transaction(
     origin_hash: Optional[bytes] = None,
     inject_time: Optional[int] = None,
 ) -> Transaction:
-    if len(payer) != ADDRESS_SIZE or len(payee) != ADDRESS_SIZE:
-        raise ValueError("addresses must be 20 bytes")
-    if not (0 <= value < (1 << VALUE_BITS)):
-        raise ValueError("value out of range")
+    check_transfer(payer, payee, value)
     if kind in DERIVED_KINDS and not origin_hash:
         raise ValueError(f"{kind.value} requires an origin_hash")
     if kind in INJECTED_KINDS and origin_hash:
@@ -450,6 +457,12 @@ class PartitionMap:
     share a map across threads; a lookup and an insertion are each atomic
     under the interpreter lock and every entry is a pure function of the
     map, so a race only resolves an account twice.
+
+    ``_children`` keeps, per version, the last child ``updated`` built and
+    the assignments it pinned, so every holder of this map that adopts the
+    same move gets the same object, and followers share ``Block.verdict``
+    and one table. A map therefore keeps the later versions built from it
+    alive; a race between threads only builds a child twice.
     """
 
     n_shards: int
@@ -458,22 +471,26 @@ class PartitionMap:
     brokers: frozenset[bytes] = field(default_factory=frozenset)
     _shard_of: dict[bytes, int] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _children: dict[int, tuple[dict[bytes, int], "PartitionMap"]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def updated(self, version: int, assignments: dict[bytes, int],
                 brokers: Optional[Iterable[bytes]] = None) -> "PartitionMap":
-        """The next version: ``assignments`` pinned over this map. Only an
-        assigned account can change shard, so the child's table starts as a
-        copy of this one with the assignments written over it."""
+        """The next version: ``assignments`` pinned over this map, built
+        once per version, assignments and brokers. Only an assigned account
+        can change shard, so the child's table starts as a copy of this one
+        with the assignments written over it."""
+        brokers = frozenset(brokers) if brokers is not None else self.brokers
+        known = self._children.get(version)
+        if known is not None and known[0] == assignments and known[1].brokers == brokers:
+            return known[1]
         merged = dict(self.overrides)
         merged.update(assignments)
         child = PartitionMap(
-            n_shards=self.n_shards,
-            version=version,
-            overrides=merged,
-            brokers=frozenset(brokers) if brokers is not None else self.brokers,
-        )
+            n_shards=self.n_shards, version=version, overrides=merged, brokers=brokers)
         child._shard_of.update(self._shard_of)
         child._shard_of.update(assignments)
+        self._children[version] = (dict(assignments), child)
         return child
 
 

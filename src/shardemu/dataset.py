@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import random
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import ADDRESS_SIZE, AddressTable, digest
@@ -156,10 +157,7 @@ def load_dataset(path: str, limit: Optional[int] = None) -> Iterator[DatasetRow]
 def top_active_accounts(rows: Iterable[DatasetRow], k: int) -> list[bytes]:
     """The K most transfer-active addresses among ``rows``; ties break
     toward low address."""
-    counts: Counter[bytes] = Counter()
-    for row in rows:
-        counts[row.payer] += 1
-        counts[row.payee] += 1
+    counts = Counter(chain.from_iterable((row.payer, row.payee) for row in rows))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [addr for addr, _ in ranked[:k]]
 

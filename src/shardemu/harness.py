@@ -83,9 +83,14 @@ def build_nodes(
         n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
     )
     supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
+    per_shard = supervisor.prepare_prefill() if cfg.injection.prefill else {}
 
     replicas: dict[str, Replica] = {}
     for k in range(cfg.n_shards):
+        # One prefilled queue per shard; each replica gets its own copy.
+        pool = TxPool(k)
+        if k in per_shard:
+            pool.preload(per_shard[k])
         for i in range(cfg.nodes_per_shard):
             nid = node_id(k, i)
             replicas[nid] = Replica(
@@ -95,16 +100,11 @@ def build_nodes(
                 theta=cfg.block_size,
                 block_interval_ms=cfg.block_interval_ms,
                 vc_timeout_ms=cfg.vc_timeout_ms,
-                pool=TxPool(k),
+                pool=pool.copy() if i else pool,
                 pmap=pmap,
                 hooks=make_mechanism(cfg.mechanism),
                 net=net_of(nid),
             )
-
-    if cfg.injection.prefill:
-        per_shard = supervisor.prepare_prefill()
-        for replica in replicas.values():
-            replica.pool.preload(per_shard.get(replica.shard_id, []))
     return supervisor, replicas
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     CREDIT_KINDS,
@@ -110,6 +110,20 @@ class MetricsLedger:
         self.originals[tx_hash] = InjectionRecord(tx_hash, kind, payer, payee, inject_ms)
         if kind is TxKind.ORIGINAL_CTX:
             self.ctx_injected += 1
+
+    def record_originals(self, txs: Iterable[Transaction]) -> None:
+        """Bank stamped originals in order, each as ``record_injection``
+        banks it: by hash, kind, accounts and ``inject_time``."""
+        originals = self.originals
+        ctx = 0
+        for tx in txs:
+            h = tx.hash
+            if h in originals:
+                continue
+            originals[h] = InjectionRecord(h, tx.kind, tx.payer, tx.payee, tx.inject_time)
+            if tx.kind is TxKind.ORIGINAL_CTX:
+                ctx += 1
+        self.ctx_injected += ctx
 
     def record_block(self, block: Block, commit_ms: int, pool_size: int) -> Optional[BlockRecord]:
         """Bank one committed block; duplicates (other replicas) return None."""

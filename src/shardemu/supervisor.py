@@ -27,8 +27,8 @@ from .core import (
     TxKind,
     address_to_shard,
     block_line,
-    crosses_shards,
-    make_transaction,
+    check_transfer,
+    tx_digest,
 )
 from .dataset import DatasetRow
 from .mechanisms import AccountGraph, broker_transform, clpa_partition, exec_home_shard
@@ -94,23 +94,43 @@ class Supervisor:
 
     def stamp_rows(self, rows: list[DatasetRow], now: int) -> dict[int, list[Transaction]]:
         """Classify raw transfers, apply the mechanism transformation, and
-        route the results to their execution shards, recording each original
+        route the results to their execution shards, recording the originals
         in the ledger. Used both for pool pre-fill and live batches. This is
         the only place ``inject_time`` is set: every transaction, and every
-        half later derived from it, carries ``now`` from here on."""
+        half later derived from it, carries ``now`` from here on.
+
+        One pass per row: the payer's and the payee's shard are each
+        resolved at most once, and the original is built and hashed once.
+        The rules are those of ``crosses_shards`` (its kind),
+        ``make_transaction`` (the original and its refusals) and
+        ``exec_home_shard`` (its queue); a test holds this loop to them. A
+        brokered transfer leaves as its payer half, then its payee half."""
+        pmap = self.pmap
+        brokers = pmap.brokers
+        brokered = self.cfg.mechanism == "broker"
         per_shard: dict[int, list[Transaction]] = {}
-        broker = self.cfg.mechanism == "broker"
-        for row in rows:
-            cross = crosses_shards(row.payer, row.payee, self.pmap)
-            original = make_transaction(
-                row.payer, row.payee, row.value, row.nonce,
-                kind=TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR, inject_time=now,
-            )
-            self.ledger.record_injection(original.hash, original.kind, row.payer, row.payee, now)
-            # A brokered transfer leaves as its payer half, then its payee half.
-            routed = broker_transform(original, self.pmap) if cross and broker else (original,)
-            for tx in routed:
-                per_shard.setdefault(exec_home_shard(tx, self.pmap), []).append(tx)
+        originals: list[Transaction] = []
+        for payer, payee, value, nonce in rows:
+            check_transfer(payer, payee, value)
+            payer_shard = address_to_shard(payer, pmap)
+            if payer in brokers:
+                # No transfer with a broker crosses; a broker payer's home
+                # is its payee's shard unless the payee is a broker too.
+                cross = False
+                home_shard = payer_shard if payee in brokers else address_to_shard(payee, pmap)
+            else:
+                cross = payee not in brokers and address_to_shard(payee, pmap) != payer_shard
+                home_shard = payer_shard
+            kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
+            original = Transaction(payer, payee, value, nonce, kind, None, now,
+                                   tx_digest(payer, payee, value, nonce, kind, None))
+            originals.append(original)
+            if cross and brokered:
+                for half in broker_transform(original, pmap):
+                    per_shard.setdefault(exec_home_shard(half, pmap), []).append(half)
+            else:
+                per_shard.setdefault(home_shard, []).append(original)
+        self.ledger.record_originals(originals)
         return per_shard
 
     def prepare_prefill(self) -> dict[int, list[Transaction]]:

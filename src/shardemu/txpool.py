@@ -9,6 +9,7 @@ supervisor stamps ``inject_time`` once, at injection.
 
 from __future__ import annotations
 
+import copy
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -86,6 +87,13 @@ class TxPool:
         n = self._add(txs)
         self.injected += n
         return n
+
+    def copy(self) -> "TxPool":
+        """An independent pool with this one's queue, order, lock and
+        counters: a replica's own copy of its shard's prefill."""
+        other = copy.copy(self)
+        other._queue = self._queue.copy()
+        return other
 
     def append_relays(self, relays: list[Transaction], pmap: PartitionMap) -> int:
         """Queue inbound credit halves behind everything already waiting.

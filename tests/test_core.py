@@ -175,6 +175,22 @@ def test_updated_merges_overrides_and_brokers():
     assert v1.brokers == frozenset()
 
 
+def test_updated_hands_back_the_child_it_built_for_the_same_move():
+    parent = PartitionMap(n_shards=2, brokers=frozenset({C}))
+    child = parent.updated(1, {A: 1})
+    assert parent.updated(1, {A: 1}) is child
+    assert parent.updated(1, dict([(A, 1)]), brokers=[C]) is child
+    assert PartitionMap(n_shards=2, brokers=frozenset({C})).updated(1, {A: 1}) is not child
+    for version, assignments, brokers in ((2, {A: 1}, None), (1, {A: 0}, None),
+                                          (1, {A: 1, B: 1}, None), (1, {A: 1}, [])):
+        child = parent.updated(1, {A: 1})
+        other = parent.updated(version, assignments, brokers)
+        assert other is not child
+        assert other == PartitionMap(
+            n_shards=2, version=version, overrides=assignments,
+            brokers=frozenset({C} if brokers is None else brokers))
+
+
 def _reference_shard(a, pmap):
     return pmap.overrides.get(a, suffix_shard(a, pmap.n_shards))
 
@@ -233,7 +249,7 @@ def test_equality_and_repr_ignore_the_table():
 
 def test_threads_resolve_one_shared_map():
     # Replicas of one process share their initial map across node threads,
-    # resolve on it, and each build their own child of it.
+    # resolve on it, and each adopt its child (a race may build it twice).
     rng = random.Random(9)
     accounts = [addr(f"shared-{i}") for i in range(400)]
     shared = PartitionMap(n_shards=4, overrides={a: rng.randrange(4) for a in accounts[:100]})

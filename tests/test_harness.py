@@ -10,6 +10,7 @@ import pytest
 import shardemu
 from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
+from shardemu import core
 from shardemu.core import block_from_json, compute_state_root
 from shardemu.dataset import gen_dataset
 from shardemu.harness import Emulation, report_from_blocks, run
@@ -237,6 +238,37 @@ def test_recomputed_latencies_match_live_under_migration(tmp_path):
     assert rebuilt == live
 
 
+def test_one_map_object_per_version_and_one_content_check_per_tx(tmp_path, monkeypatch):
+    """Every replica adopts a new partition version through
+    ``PartitionMap.updated`` on the map it holds, which hands back the
+    child already built for that version, so all replicas and the
+    supervisor share one map object and followers share each block's
+    verdict. Without it each replica builds its own map at the first
+    migration, and the three followers of a shard each check every later
+    transaction."""
+    checked = {}
+    real_local = core.tx_local_to_shard
+
+    def counting_local(tx, shard_id, pmap):
+        key = (tx.hash, pmap.version)
+        checked[key] = checked.get(key, 0) + 1
+        return real_local(tx, shard_id, pmap)
+
+    monkeypatch.setattr(core, "tx_local_to_shard", counting_local)
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
+    emu = Emulation(_clpa_cfg(dataset, None))
+    emu.setup()
+    result = emu.execute()
+    assert result.exit_code == 0
+    pmap = emu.supervisor.pmap
+    assert pmap.version > 1
+    assert all(replica.pmap is pmap for replica in emu.replicas.values())
+    assert set(checked.values()) == {1}
+    assert len(checked) == result.summary["counters"]["W"], \
+        "one follower checks each committed transaction, under one map version"
+
+
 def test_recomputed_latencies_match_live_under_jitter_and_crash(tmp_path):
     """Replicas commit a block at different times under jitter; the block
     files carry the commit time the live ledger counted, so the rebuilt
@@ -315,6 +347,26 @@ def test_setup_execute_are_separable(dataset):
     assert result.out_dir is None, "no output_dir means no files, still a result"
     with pytest.raises(AssertionError):
         emu.execute()
+
+
+def test_prefilled_replicas_hold_equal_but_independent_pools(dataset):
+    emu = Emulation(parse_config(cfg_dict(dataset_path=dataset)))
+    emu.setup()
+    counters = ("injected", "appended", "packed", "extracted", "removed")
+    for shard in range(2):
+        pools = [r.pool for r in emu.replicas.values() if r.shard_id == shard]
+        queue = pools[0].snapshot()
+        assert len(pools) == 4 and len(queue) > 3
+        for pool in pools:
+            assert pool.shard_id == shard and pool.snapshot() == queue
+            assert [getattr(pool, c) for c in counters] == [len(queue), 0, 0, 0, 0]
+        # Packing on any one replica leaves the other three as they were.
+        want = [queue] * 4
+        for i, pool in enumerate(pools):
+            assert pool.pack_block_txs(3) == queue[:3]
+            want[i] = queue[3:]
+            assert [p.snapshot() for p in pools] == want
+            assert [p.packed for p in pools] == [3 if w is not queue else 0 for w in want]
 
 
 def test_emulation_rejects_wrong_transport_or_missing_dataset(dataset):

@@ -42,14 +42,16 @@ def test_desk_bench_smoke(tmp_path):
     for row in rows:
         assert row["shards"] == 2 and row["exit"] == 0
         assert row["rows"] > 0 and row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+        assert 0 < row["setup_s"] <= row["wall_s"]
     assert len({row["rows"] for row in rows}) == 1
     assert [s["output_dir"] for s in summaries] == [True, False]
     for summary in summaries:
         assert summary["shards"] == 2 and summary["runs"] == 2
-        runs = sorted(r["wall_s"] for r in rows if r["output_dir"] is summary["output_dir"])
-        got = summary["wall_s"]
-        assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)
-        assert runs[0] <= got["q1"] <= got["median"] <= got["q3"] <= runs[1]
+        for key in ("wall_s", "setup_s"):
+            runs = sorted(r[key] for r in rows if r["output_dir"] is summary["output_dir"])
+            got = summary[key]
+            assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)
+            assert runs[0] <= got["q1"] <= got["median"] <= got["q3"] <= runs[1]
     assert (tmp_path / "run_2" / "summary.json").exists()
 
 

@@ -6,9 +6,17 @@ import json
 import pytest
 
 from helpers import addr, build_cfg, committed_block, hashed_tx
-from shardemu.core import BlockKind, PartitionMap, TxKind
+from shardemu.core import (
+    BlockKind,
+    PartitionMap,
+    TxKind,
+    crosses_shards,
+    make_transaction,
+    tx_digest,
+)
 from shardemu.dataset import DatasetRow
-from shardemu.mechanisms import exec_home_shard
+from shardemu.mechanisms import broker_transform, exec_home_shard
+from shardemu.metrics import MetricsLedger
 from shardemu.supervisor import QUIET_INTERVALS, PendingMigration, Supervisor
 from shardemu.transport import BlockInfo, Envelope
 
@@ -85,24 +93,68 @@ def test_stamp_rows_broker_routing():
     assert sup.ledger.x == 3 and sup.ledger.ctx_injected == 1
 
 
+def _reference_stamp(rows, pmap, brokered, now):
+    """Stamping by the reference definitions, one row at a time: the kind
+    from ``crosses_shards``, the original from ``make_transaction``, one
+    ``record_injection`` per row, and each result queued at its
+    ``exec_home_shard``."""
+    per_shard = {}
+    ledger = MetricsLedger(pmap.n_shards, 500)
+    for row in rows:
+        cross = crosses_shards(row.payer, row.payee, pmap)
+        kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
+        original = make_transaction(row.payer, row.payee, row.value, row.nonce, kind, None, now)
+        ledger.record_injection(original.hash, original.kind, row.payer, row.payee, now)
+        routed = broker_transform(original, pmap) if cross and brokered else (original,)
+        for tx in routed:
+            per_shard.setdefault(exec_home_shard(tx, pmap), []).append(tx)
+    return per_shard, ledger
+
+
 @pytest.mark.parametrize("mechanism", ["relay", "broker"])
 def test_stamp_rows_routes_every_tx_to_its_exec_home(mechanism):
     brokers = [addr("sup-broker", shard=0), addr("sup-broker2", shard=1)]
     accounts = [A0, B0, A1, B1]
     over = {}
     if mechanism == "broker":
+        # Brokers as payers and as payees, of each other too.
         accounts += brokers
         over = {"mechanism": "broker", "brokers": [b.hex() for b in brokers]}
     sup, _ = make_sup(**over)
     rows = [
-        DatasetRow(p, q, 1, i)
+        DatasetRow(p, q, i + 1, i)
         for i, (p, q) in enumerate(itertools.permutations(accounts, 2))
     ]
-    per_shard = sup.stamp_rows(rows, now=0)
-    assert sum(len(txs) for txs in per_shard.values()) >= len(rows)
+    # A repeated row: its original is queued twice and recorded once.
+    rows.append(rows[1])
+    per_shard = sup.stamp_rows(rows, now=40)
+
+    want, ledger = _reference_stamp(rows, sup.pmap, mechanism == "broker", now=40)
+    assert per_shard == want
     for shard, txs in per_shard.items():
+        assert [exec_home_shard(tx, sup.pmap) for tx in txs] == [shard] * len(txs)
         for tx in txs:
-            assert exec_home_shard(tx, sup.pmap) == shard
+            assert tx.hash == tx_digest(tx.payer, tx.payee, tx.value, tx.nonce, tx.kind,
+                                        tx.origin_hash)
+            assert tx.inject_time == 40
+    assert list(sup.ledger.originals.items()) == list(ledger.originals.items())
+    assert sup.ledger.ctx_injected == ledger.ctx_injected > 0
+    assert sup.ledger.x == len(rows) - 1
+
+
+@pytest.mark.parametrize("row", [
+    DatasetRow(A0[:19], B0, 1, 0),
+    DatasetRow(A0, B1[:19], 1, 0),
+    DatasetRow(A0, B1, 1 << 128, 0),
+    DatasetRow(A0, B0, -1, 0),
+], ids=["short-payer", "short-payee", "value-2**128", "negative-value"])
+def test_stamp_rows_refuses_what_make_transaction_refuses(row):
+    with pytest.raises(ValueError) as reference:
+        make_transaction(row.payer, row.payee, row.value, row.nonce)
+    sup, _ = make_sup()
+    with pytest.raises(ValueError) as got:
+        sup.stamp_rows([DatasetRow(A0, B0, 1, 0), row], now=0)
+    assert str(got.value) == str(reference.value)
 
 
 def test_prepare_prefill_seeds_pool_samples():

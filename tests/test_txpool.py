@@ -123,6 +123,32 @@ def test_discard_and_remove_committed():
     assert pool.remove_committed({b"\x00" * 32}) == 0
 
 
+COUNTERS = ("injected", "appended", "packed", "extracted", "removed")
+
+
+def test_copy_keeps_queue_lock_and_counters_and_shares_no_state():
+    pool = TxPool(0)
+    txs = _txs(8)
+    pool.preload(txs)
+    pool.requeue([regular_tx(B0, A0, nonce=9)])
+    pool.pack_block_txs(2)
+    pool.discard({txs[3].hash})
+    pool.remove_committed({txs[4].hash})
+    pool.lock()
+    copy = pool.copy()
+    assert copy.shard_id == 0 and copy.locked
+    assert copy.snapshot() == pool.snapshot()
+    assert [getattr(copy, c) for c in COUNTERS] == [getattr(pool, c) for c in COUNTERS] \
+        == [8, 1, 2, 1, 1]
+    pool.unlock()
+    assert copy.locked
+    copy.unlock()
+    before = pool.snapshot()
+    copy.pack_block_txs(2)
+    copy.requeue([regular_tx(B0, A0, nonce=10)])
+    assert pool.snapshot() == before and (pool.packed, pool.appended) == (2, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
