@@ -15,8 +15,8 @@ A single run per configuration cannot back a claim on a host whose speed
 drifts, so ``--repeat N`` runs each shard count N times, alternating the
 runs with and without ``output_dir``. After them, one summary row per
 configuration gives the number of good runs and the first quartile,
-median and third quartile of ``wall_s`` and of ``setup_s``. The script
-exits 1 if any run failed or did not drain.
+median and third quartile of ``wall_s``, ``setup_s`` and ``peak_rss_mb``.
+The script exits 1 if any run failed or did not drain.
 
 Usage:
     python scripts/desk_bench.py --out /tmp/desk
@@ -113,8 +113,8 @@ def bench_one(n_shards: int, txs_per_shard: int, out_base: Path, repeat: int) ->
         summary = {"shards": n_shards, "txs": txs_per_shard * n_shards,
                    "output_dir": with_output, "runs": len(good)}
         if good:
-            summary["wall_s"] = quartiles([r["wall_s"] for r in good])
-            summary["setup_s"] = quartiles([r["setup_s"] for r in good])
+            for key in ("wall_s", "setup_s", "peak_rss_mb"):
+                summary[key] = quartiles([r[key] for r in good])
         print(json.dumps(summary), flush=True)
     return rows
 

@@ -211,7 +211,9 @@ def report_from_blocks(run_dir: str) -> dict:
 
     # One table for the whole report: one bytes object per account.
     addresses = AddressTable()
-    blocks: list[tuple[Optional[int], Block]] = []
+    # Each block is sorted and banked at one time: its line's commit_time,
+    # or the block's own timestamp where the line gives none.
+    blocks: list[tuple[int, Block]] = []
     for k in range(n_shards):
         path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
         with open(path, "r", encoding="utf-8") as fh:
@@ -222,10 +224,12 @@ def report_from_blocks(run_dir: str) -> dict:
                     if commit_time is not None and type(commit_time) is not int:
                         raise ValueError(f"commit_time must be an integer or null, "
                                          f"not {commit_time!r}")
-                    blocks.append((commit_time, block_from_json(obj, addresses)))
+                    block = block_from_json(obj, addresses)
+                    blocks.append((block.timestamp if commit_time is None else commit_time,
+                                   block))
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
                     raise BadBlockFile(path, line_no, exc) from None
-    blocks.sort(key=lambda pair: (pair[0] or 0, pair[1].shard_id))
+    blocks.sort(key=lambda pair: (pair[0], pair[1].shard_id))
 
     for _, block in blocks:
         for tx in block.txs:
@@ -236,7 +240,7 @@ def report_from_blocks(run_dir: str) -> dict:
             ledger.record_injection(key, kind, tx.payer, tx.payee, tx.inject_time or 0)
 
     for commit_time, block in blocks:
-        ledger.record_block(block, commit_time or block.timestamp, 0)
+        ledger.record_block(block, commit_time, 0)
 
     out_dir = os.path.join(run_dir, "recomputed")
     summary = ledger.write_reports(out_dir, cfg_echo)

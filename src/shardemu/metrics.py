@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     CREDIT_KINDS,
@@ -278,23 +278,20 @@ class MetricsLedger:
 
     # -- latency and workload --
 
-    def tcl_rows(self) -> list[dict]:
-        """Confirmed originals in injection order."""
-        out = []
+    def tcl_rows(self) -> Iterator[dict]:
+        """Confirmed originals in injection order, one row at a time: each
+        call is a fresh pass over the records, and no list of rows is kept."""
         for rec in self.originals.values():
             confirm = rec.confirm_ms
             if confirm is None:
                 continue
-            out.append(
-                {
-                    "tx_hash": rec.hash.hex(),
-                    "kind": rec.kind.value,
-                    "inject_ms": rec.inject_ms,
-                    "confirm_ms": confirm,
-                    "tcl_ms": confirm - rec.inject_ms,
-                }
-            )
-        return out
+            yield {
+                "tx_hash": rec.hash.hex(),
+                "kind": rec.kind.value,
+                "inject_ms": rec.inject_ms,
+                "confirm_ms": confirm,
+                "tcl_ms": confirm - rec.inject_ms,
+            }
 
     def workload_rows(self) -> list[dict]:
         packed = [0] * self.n_shards
@@ -322,13 +319,13 @@ class MetricsLedger:
         self,
         out_dir: str,
         config_echo: dict,
-        oracle: Optional[Callable[[dict, list[dict]], dict]] = None,
+        oracle: Optional[Callable[[dict, Iterable[dict]], dict]] = None,
     ) -> dict:
         """Write every report file once and return the summary. ``oracle``,
-        given the summary and the tcl rows, builds its "oracle" section."""
+        given the summary and its own pass over the tcl rows, builds its
+        "oracle" section."""
         os.makedirs(out_dir, exist_ok=True)
         summary = self.summary(config_echo)
-        tcl = self.tcl_rows()
         with open(os.path.join(out_dir, "tps_epochs.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("epoch,start_ms,end_ms,credit,tps\n")
             for row in summary["phases"]["epochs"]:
@@ -338,7 +335,7 @@ class MetricsLedger:
                 )
         with open(os.path.join(out_dir, "tcl.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("tx_hash,kind,inject_ms,confirm_ms,tcl_ms\n")
-            for row in tcl:
+            for row in self.tcl_rows():
                 fh.write(
                     f"{row['tx_hash']},{row['kind']},{row['inject_ms']},"
                     f"{row['confirm_ms']},{row['tcl_ms']}\n"
@@ -352,7 +349,7 @@ class MetricsLedger:
             for row in self.workload_rows():
                 fh.write(f"{row['shard']},{row['packed_txs']},{row['share']:.6f}\n")
         if oracle is not None:
-            summary["oracle"] = oracle(summary, tcl)
+            summary["oracle"] = oracle(summary, self.tcl_rows())
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

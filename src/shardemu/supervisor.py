@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .config import RunConfig
 from .core import (
@@ -338,7 +338,7 @@ class Supervisor:
         exit_code = 3 if summary["degraded"] else 0
         return exit_code, summary
 
-    def _oracle(self, summary: dict, tcl_rows: list[dict]) -> dict:
+    def _oracle(self, summary: dict, tcl_rows: Iterable[dict]) -> dict:
         """The summary's distance from the closed-form expectation."""
         if not self.ledger.x:
             return {"skipped": "no transactions injected"}

@@ -79,6 +79,10 @@ class TxPool:
         before = len(queue)
         for h in hashes:
             queue.pop(h, None)
+        if not queue:
+            # A dict never shrinks on deletion: a drained pool hands its
+            # table back instead of keeping one sized for its peak.
+            self._queue = {}
         return before - len(queue)
 
     def preload(self, txs: Iterable[Transaction]) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -129,6 +130,41 @@ def test_recomputed_reports_match_run(tiny_run):
         assert (sub / name).exists()
     original_work = (out / "workload.csv").read_text()
     assert (sub / "workload.csv").read_text() == original_work
+
+
+def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp_path):
+    """A block line whose commit_time is null is sorted and counted at the
+    block's timestamp, so the rebuilt tcl.csv stays in commit order."""
+    _, out = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "blocks_shard0.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    last = max(i for i, obj in enumerate(objs)
+               if any(tx["kind"] == "regular" for tx in obj["txs"]))
+    objs[last]["commit_time"] = None
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+    # The time each original first commits in, by the rule the rebuild uses.
+    first_commit = {}
+    for k in (0, 1):
+        for obj, block in _read_chain(run_dir, k):
+            at = block.timestamp if obj["commit_time"] is None else obj["commit_time"]
+            for tx in block.txs:
+                key = (tx.origin_hash or tx.hash).hex()
+                first_commit[key] = min(first_commit.get(key, at), at)
+    earliest = min(first_commit.values())
+    assert objs[last]["timestamp"] > earliest, "the nulled block is not the first"
+
+    report_from_blocks(str(run_dir))
+    with open(run_dir / "recomputed" / "tcl.csv", encoding="utf-8") as fh:
+        next(fh)
+        rows = [line.split(",") for line in fh]
+    assert len(rows) == len(first_commit)
+    times = [first_commit[row[0]] for row in rows]
+    assert times == sorted(times)
+    nulled = {tx["hash"] for tx in objs[last]["txs"] if tx["kind"] == "regular"}
+    assert {int(row[3]) for row in rows if row[0] in nulled} == {objs[last]["timestamp"]}
 
 
 def test_report_hands_out_one_object_per_account(tiny_run, monkeypatch):

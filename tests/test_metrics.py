@@ -1,6 +1,7 @@
 """Metrics ledger: counters, epochs, phase labels, and report files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -211,9 +212,49 @@ def test_tcl_rows_keep_injection_order():
         tx(9, TxKind.REGULAR),
         tx(5, TxKind.REGULAR),
     ])
-    rows = led.tcl_rows()
+    rows = list(led.tcl_rows())
     assert [r["inject_ms"] for r in rows] == [5, 9], "unconfirmed rows drop out"
     assert [r["tx_hash"] for r in rows] == [_hash(5).hex(), _hash(9).hex()]
+
+
+def test_write_reports_keeps_no_per_row_copies(tmp_path):
+    """tcl.csv and the oracle each take their own pass over the records,
+    so writing reports holds no list of rows, however many there are."""
+    led = MetricsLedger(n_shards=2, epoch_ms=1000)
+    n = 20_000
+    for i in range(n):
+        led.record_injection(i.to_bytes(32, "big"), TxKind.ORIGINAL_CTX if i % 4 == 0
+                             else TxKind.REGULAR, PA, PB, i // 100)
+    for height, start in enumerate(range(0, n, 200), 1):
+        txs = []
+        for i in range(start, start + 200):
+            h = i.to_bytes(32, "big")
+            if i % 4 == 0:
+                txs.append(hashed_tx(b"\x01" + h[1:], TxKind.INTRA_RELAY, h))
+                txs.append(hashed_tx(b"\x02" + h[1:], TxKind.INTER_RELAY, h))
+            else:
+                txs.append(hashed_tx(h, TxKind.REGULAR))
+        commit(led, 0, height, 100 + 10 * height, txs)
+    assert led.unconfirmed == 0
+
+    tracemalloc.start()
+    try:
+        summary = led.write_reports(
+            str(tmp_path), {"n_shards": 2},
+            oracle=lambda _summary, rows: {"rows": sum(1 for _ in rows)},
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"writing reports peaked at {peak} traced bytes"
+    assert summary["oracle"] == {"rows": n}, "the oracle gets a full pass of its own"
+
+    lines = (tmp_path / "tcl.csv").read_text().splitlines()
+    assert lines[1:] == [
+        f"{r['tx_hash']},{r['kind']},{r['inject_ms']},{r['confirm_ms']},{r['tcl_ms']}"
+        for r in led.tcl_rows()
+    ]
+    assert len(lines) == n + 1
 
 
 def test_empty_ledger_reports(tmp_path):

@@ -47,7 +47,7 @@ def test_desk_bench_smoke(tmp_path):
     assert [s["output_dir"] for s in summaries] == [True, False]
     for summary in summaries:
         assert summary["shards"] == 2 and summary["runs"] == 2
-        for key in ("wall_s", "setup_s"):
+        for key in ("wall_s", "setup_s", "peak_rss_mb"):
             runs = sorted(r[key] for r in rows if r["output_dir"] is summary["output_dir"])
             got = summary[key]
             assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)

@@ -1,5 +1,7 @@
 """Transaction pool: ordering, locking, and the accounting invariant."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,11 +151,33 @@ def test_copy_keeps_queue_lock_and_counters_and_shares_no_state():
     assert pool.snapshot() == before and (pool.packed, pool.appended) == (2, 1)
 
 
+@pytest.mark.parametrize("drain", ["pack", "remove", "extract"])
+def test_drained_pool_hands_its_table_back(drain):
+    """A dict never shrinks on deletion; a pool emptied by any route holds
+    no more than a new pool does, and keeps working."""
+    pool = TxPool(0)
+    txs = _txs(10_000)
+    pool.preload(txs)
+    if drain == "pack":
+        while len(pool):
+            pool.pack_block_txs(200)
+    elif drain == "remove":
+        pool.remove_committed({t.hash for t in txs})
+    else:
+        pool.lock()
+        pool.extract_for_migration({A0})
+        pool.unlock()
+    assert len(pool) == 0
+    assert sys.getsizeof(pool._queue) == sys.getsizeof(TxPool(0)._queue)
+    pool.preload(txs[:3])
+    assert pool.snapshot() == txs[:3]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
         st.sampled_from(
-            ["inject", "append", "readd", "pack", "extract", "remove", "discard"]
+            ["inject", "append", "readd", "pack", "extract", "remove", "discard", "drain"]
         ),
         min_size=1,
         max_size=40,
@@ -197,6 +221,17 @@ def test_accounting_invariant(ops, rng):
             queued = pool.snapshot()
             chosen = {t.hash for t in queued if rng.random() < 0.3}
             pool.discard(chosen)
+        elif op == "drain":
+            # Empty the pool by packing, then put everything back.
+            queued = pool.snapshot()
+            packed = []
+            while len(pool):
+                packed += pool.pack_block_txs(rng.randint(1, 5))
+            assert packed == queued
+            assert pool.injected + pool.appended - pool.packed - pool.extracted \
+                - pool.removed == 0
+            assert pool.requeue(packed) == len(queued)
+            assert pool.snapshot() == queued
         assert len(pool) == (
             pool.injected + pool.appended - pool.packed - pool.extracted - pool.removed
         )
