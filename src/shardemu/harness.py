@@ -39,7 +39,7 @@ from .mechanisms import make_mechanism
 from .metrics import MetricsLedger
 from .pbft import Replica
 from .supervisor import Supervisor
-from .transport import SUPERVISOR_ID, Envelope, SimNetwork, TcpMesh, node_id
+from .transport import SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, node_id
 from .txpool import TxPool
 
 log = logging.getLogger(__name__)
@@ -250,12 +250,12 @@ def report_from_blocks(run_dir: str) -> dict:
 # -- real-network runner --
 
 
-class _TcpNodeDriver:
+class _TcpNodeDriver(Fanout):
     """Thread that gives one node real timers and a real inbox.
 
     The node logic is written against the sim network interface; this
-    adapter reimplements the ``send`` / ``broadcast`` / ``schedule`` calls
-    over a TCP mesh and a monotonic millisecond clock.
+    adapter reimplements the ``send`` and ``schedule`` calls over a TCP
+    mesh and a monotonic millisecond clock, and broadcasts as the sim does.
     """
 
     def __init__(
@@ -266,7 +266,7 @@ class _TcpNodeDriver:
         t0: float,
     ) -> None:
         self.nid = nid
-        self.ip_table = ip_table
+        self.peers = ip_table
         self.t0 = t0
         self.inbox: "queue.Queue[Envelope]" = queue.Queue()
         self.timers: list[tuple[int, int, str, Any]] = []
@@ -283,17 +283,6 @@ class _TcpNodeDriver:
             self.inbox.put(env)
         else:
             self.mesh.send(to, env)
-
-    def broadcast_shard(self, shard: int, env: Envelope, include_self: bool = False) -> None:
-        for nid in self.shard_members.get(shard, ()):
-            if not include_self and nid == env.sender:
-                continue
-            self.send(nid, env)
-
-    def broadcast_all(self, env: Envelope) -> None:
-        for nid in self.ip_table:
-            if nid != env.sender:
-                self.send(nid, env)
 
     def schedule(self, nid: str, at: int, tag: str, data: Any = None) -> None:
         assert nid == self.nid, "tcp nodes arm only their own timers"

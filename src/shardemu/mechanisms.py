@@ -44,6 +44,7 @@ from .core import (
 )
 from .pbft import Phase
 from .transport import (
+    SUPERVISOR_ID,
     AccountMigrate,
     BlockInfo,
     Envelope,
@@ -100,11 +101,12 @@ def credit_halves(block: Block) -> tuple[Transaction, ...]:
     that holds the same object commits from that one build, and a block
     decoded from a frame gets its own. The halves are a pure function of
     the block's transactions, timing fields included; routing stays with
-    each replica's map."""
+    each replica's map. Every committed block passes through here, a
+    broker block too, so the enum member is looked up once, not per
+    transaction."""
     if block.halves is None:
-        block.halves = tuple(
-            inter_from_intra(tx) for tx in block.txs if tx.kind is TxKind.INTRA_RELAY
-        )
+        debit = TxKind.INTRA_RELAY
+        block.halves = tuple(inter_from_intra(tx) for tx in block.txs if tx.kind is debit)
     return block.halves
 
 
@@ -170,21 +172,19 @@ def exec_home_shard(tx: Transaction, pmap: PartitionMap) -> int:
     return address_to_shard(exec_home_account(tx, pmap), pmap)
 
 
-def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> list:
-    """Envelopes that hand transactions to other shards, in ascending shard
-    order. Credit halves ride ``relay_ctx``, where the receiver drops
+def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> None:
+    """Hand transactions to every replica of their shards, in ascending
+    shard order. Credit halves ride ``relay_ctx``, where the receiver drops
     duplicates by origin; everything else re-enters as ``inject_txs``."""
-    outs = []
     for dest in sorted(by_dest):
         relays = [t for t in by_dest[dest] if t.kind in CREDIT_KINDS]
         raws = [t for t in by_dest[dest] if t.kind not in CREDIT_KINDS]
         if relays:
-            body = RelayCtx(source_shard=node.shard_id, txs=relays)
-            outs.append((("shard_all", dest), Envelope("relay_ctx", node.nid, body)))
+            env = Envelope("relay_ctx", node.nid, RelayCtx(source_shard=node.shard_id, txs=relays))
+            node.net.broadcast_shard(dest, env, include_self=True)
         if raws:
             env = Envelope("inject_txs", node.nid, InjectTxs(txs=raws))
-            outs.append((("shard_all", dest), env))
-    return outs
+            node.net.broadcast_shard(dest, env, include_self=True)
 
 
 # --- constrained label propagation ---
@@ -300,13 +300,12 @@ def clpa_partition(
 @dataclass(slots=True)
 class Migration:
     """One announced partition version on one replica of an involved shard:
-    the announcement, the accounts leaving and expected in, what has
-    arrived, and how far the handover has got. Dropped whole when its
-    migration block commits."""
+    the announced map and the assignments it pins, the accounts leaving and
+    expected in, what has arrived, and how far the handover has got.
+    Dropped whole when its migration block commits."""
 
-    version: int
+    pmap: PartitionMap
     assignments: dict[bytes, int]
-    brokers: list[bytes]
     outbound: dict[bytes, int]
     inbound_expected: set[bytes]
     inbound_states: dict[bytes, Any] = field(default_factory=dict)
@@ -325,6 +324,7 @@ class MigrationController:
     account states, and a dedicated block commits the handover, switches
     the map, and unlocks. ``session`` holds the migration in progress;
     ``early`` holds transfers that arrived before their announcement.
+    Whatever a step sends goes out through ``node.net`` as it happens.
     """
 
     def __init__(self) -> None:
@@ -335,9 +335,10 @@ class MigrationController:
     def active(self) -> bool:
         return self.session is not None
 
-    def on_partition_result(self, node: Any, body: PartitionResult, now: int) -> list:
+    def on_partition_result(self, node: Any, body: PartitionResult, now: int) -> None:
         if body.version <= node.pmap.version or self.active:
-            return []
+            return
+        announced = node.pmap.updated(body.version, body.overrides, body.brokers)
         me = node.shard_id
         outbound = {
             a: s
@@ -352,20 +353,17 @@ class MigrationController:
         if not outbound and not inbound:
             # Nothing moves through this shard; adopt the map right away so
             # routing decisions use fresh assignments.
-            node.pmap = node.pmap.updated(body.version, body.overrides, body.brokers)
-            return []
-        self.session = Migration(
-            body.version, dict(body.overrides), list(body.brokers), outbound, inbound
-        )
+            node.pmap = announced
+            return
+        self.session = Migration(announced, dict(body.overrides), outbound, inbound)
         node.pool.lock()
         for sender, early_body in self.early.pop(body.version, []):
             self.on_account_migrate(node, sender, early_body, now)
         self.early.clear()
         if node.phase is Phase.IDLE:
-            return self.quiesce(node, now)
-        return []
+            self.quiesce(node, now)
 
-    def quiesce(self, node: Any, now: int) -> list:
+    def quiesce(self, node: Any, now: int) -> None:
         """Extract displaced pool entries once no round is in flight.
 
         Every node prunes its own pool; only the leader ships the result,
@@ -374,15 +372,18 @@ class MigrationController:
         """
         mig = self.session
         if mig is None or mig.quiesced:
-            return []
+            return
         mig.quiesced = True
         mig.extracted = node.pool.extract_for_migration(set(mig.assignments))
-        return self.ensure_shipped(node, now)
+        self.ensure_shipped(node, now)
 
-    def ensure_shipped(self, node: Any, now: int) -> list:
+    def ensure_shipped(self, node: Any, now: int) -> None:
+        """Once quiesced, the leader sends each shard the account states
+        leaving for it and the extracted entries it executes under the
+        announced map, one ``account_migrate`` per shard, ascending."""
         mig = self.session
         if mig is None or mig.shipped or not mig.quiesced or not node.is_leader:
-            return []
+            return
         mig.shipped = True
         bundles: dict[int, dict[bytes, MigratedAccount]] = {}
 
@@ -397,29 +398,21 @@ class MigrationController:
         for addr in sorted(mig.outbound):
             bundle_for(mig.outbound[addr], addr)
         for tx in mig.extracted:
-            home = exec_home_account(tx, node.pmap)
-            target = mig.assignments.get(home)
-            if target is None:
-                target = address_to_shard(home, node.pmap)
-            bundle_for(target, home).pending_txs.append(tx)
-        outs = []
+            home = exec_home_account(tx, mig.pmap)
+            bundle_for(address_to_shard(home, mig.pmap), home).pending_txs.append(tx)
         for target in sorted(bundles):
             accounts = [bundles[target][a] for a in sorted(bundles[target])]
-            env = Envelope(
-                "account_migrate",
-                node.nid,
-                AccountMigrate(version=mig.version, accounts=accounts),
-            )
-            outs.append((("shard_all", target), env))
-        return outs
+            body = AccountMigrate(version=mig.pmap.version, accounts=accounts)
+            node.net.broadcast_shard(target, Envelope("account_migrate", node.nid, body),
+                                     include_self=True)
 
-    def on_account_migrate(self, node: Any, sender: str, body: AccountMigrate, now: int) -> list:
+    def on_account_migrate(self, node: Any, sender: str, body: AccountMigrate, now: int) -> None:
         mig = self.session
-        if mig is None or body.version != mig.version:
+        if mig is None or body.version != mig.pmap.version:
             if body.version > node.pmap.version:
                 # Transfer outran the announcement; replay once it lands.
                 self.early.setdefault(body.version, []).append((sender, body))
-            return []
+            return
         src = shard_of(sender)
         txs = mig.inbound_txs.setdefault(src, [])
         for acct in body.accounts:
@@ -427,7 +420,6 @@ class MigrationController:
             # A leader change mid-session can ship the same entries twice;
             # the pool queues a hash once.
             txs.extend(acct.pending_txs)
-        return []
 
     def ready(self, node: Any) -> bool:
         mig = self.session
@@ -456,11 +448,11 @@ class MigrationController:
         block.post = (compute_state_root(node.state), applied)
         return block
 
-    def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> list:
+    def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> None:
         """Switch to the announced map, unlock, requeue displaced entries,
         and evict anything the new map re-homes elsewhere."""
         mig = self.session
-        node.pmap = node.pmap.updated(mig.version, mig.assignments, mig.brokers)
+        node.pmap = mig.pmap
         node.pool.unlock()
         for src in sorted(mig.inbound_txs):
             batch = mig.inbound_txs[src]
@@ -470,9 +462,8 @@ class MigrationController:
                 # of the same relay is dropped rather than double-queued.
                 if tx.kind in CREDIT_KINDS and tx.origin_hash:
                     node.relay_seen.add(tx.origin_hash)
-        outs = mech.evict_misplaced(node, now)
+        mech.evict_misplaced(node, now)
         self.session = None
-        return outs
 
 
 # --- consensus hooks ---
@@ -488,17 +479,19 @@ class BaseMechanism:
 
     # - packing -
 
-    def op_mining(self, node: Any, now: int) -> tuple[Optional[Block], list]:
-        outs: list = []
+    def op_mining(self, node: Any, now: int) -> Optional[Block]:
+        """The next block to propose, if any. Packed entries another shard
+        executes, and broker payee halves, are sent on before the block is
+        built."""
         if self.migration.active:
-            outs.extend(self.migration.ensure_shipped(node, now))
+            self.migration.ensure_shipped(node, now)
             if self.migration.ready(node):
-                return self.migration.build_block(node, now), outs
+                return self.migration.build_block(node, now)
         if node.pool.locked:
-            return None, outs
+            return None
         packed = node.pool.pack_block_txs(node.theta)
         if not packed:
-            return None, outs
+            return None
         chosen: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
         for tx in packed:
@@ -507,9 +500,9 @@ class BaseMechanism:
                 chosen.append(keep)
             if route is not None:
                 forwards.setdefault(route[0], []).append(route[1])
-        outs.extend(forward(node, forwards))
+        forward(node, forwards)
         if not chosen:
-            return None, outs
+            return None
         applied = apply_txs(node.state, chosen)
         block = Block(
             shard_id=node.shard_id,
@@ -522,7 +515,7 @@ class BaseMechanism:
             timestamp=now,
         )
         block.post = (compute_state_root(node.state), applied)
-        return block, outs
+        return block
 
     def _place(self, tx: Transaction, node: Any) -> tuple[
         Optional[Transaction], Optional[tuple[int, Transaction]]
@@ -557,24 +550,25 @@ class BaseMechanism:
 
     # - confirmation -
 
-    def op_confirmation(self, node: Any, block: Block, now: int) -> list:
-        """Adopt the block's post-state, then return what the commit sends;
-        migration shipping reads the post-commit state."""
+    def op_confirmation(self, node: Any, block: Block, now: int) -> None:
+        """Adopt the block's post-state, then send what the commit owes:
+        the block's credit halves to their payees' shards (a broker block
+        has none), each replica routing them under its own map; any
+        migration shipping, which reads the post-commit state; and last the
+        block's report to the supervisor."""
         node.state = apply_block_to_state(node.state, block)
-        outs: list = []
         if block.block_kind is BlockKind.TX:
-            outs.extend(self._commit_emissions(node, block, now))
-            outs.extend(self.migration.quiesce(node, now))
+            batches: dict[int, list[Transaction]] = {}
+            for inter in credit_halves(block):
+                batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
+            forward(node, batches)
+            self.migration.quiesce(node, now)
         else:
-            outs.extend(self.migration.on_commit(self, node, block, now))
+            self.migration.on_commit(self, node, block, now)
         info = BlockInfo(block, now, len(node.pool), node.pmap.version)
-        outs.append((("supervisor",), Envelope("block_info", node.nid, info)))
-        return outs
+        node.net.send(SUPERVISOR_ID, Envelope("block_info", node.nid, info))
 
-    def _commit_emissions(self, node: Any, block: Block, now: int) -> list:
-        return []
-
-    def evict_misplaced(self, node: Any, now: int) -> list:
+    def evict_misplaced(self, node: Any, now: int) -> None:
         """After a map switch, re-home queued entries the shard no longer
         owns. Every node drops them; only the leader forwards, so exactly
         one copy travels.
@@ -599,28 +593,28 @@ class BaseMechanism:
             if shard != me:
                 gone.setdefault(shard, []).append(tx)
         if not gone:
-            return []
+            return
         node.pool.discard({t.hash for txs in gone.values() for t in txs})
-        if not node.is_leader:
-            return []
-        return forward(node, gone)
+        if node.is_leader:
+            forward(node, gone)
 
     # - inter-shard dispatch -
 
-    def handle_inter_shard_msg(self, node: Any, env: Envelope, now: int) -> list:
+    def handle_inter_shard_msg(self, node: Any, env: Envelope, now: int) -> None:
         if env.msg_type == "relay_ctx":
-            return self._on_relay(node, env, now)
-        if env.msg_type == "partition_result":
-            return self.migration.on_partition_result(node, env.body, now)
-        if env.msg_type == "account_migrate":
-            return self.migration.on_account_migrate(node, env.sender, env.body, now)
-        raise ValueError(f"not an inter-shard message: {env.msg_type}")
+            self._on_relay(node, env, now)
+        elif env.msg_type == "partition_result":
+            self.migration.on_partition_result(node, env.body, now)
+        elif env.msg_type == "account_migrate":
+            self.migration.on_account_migrate(node, env.sender, env.body, now)
+        else:
+            raise ValueError(f"not an inter-shard message: {env.msg_type}")
 
-    def _on_relay(self, node: Any, env: Envelope, now: int) -> list:
+    def _on_relay(self, node: Any, env: Envelope, now: int) -> None:
         problem = relay_validate(env.body, env.sender)
         if problem is not None:
             log.warning("%s rejects relay batch: %s", node.nid, problem)
-            return []
+            return
         accept: list[Transaction] = []
         misrouted: dict[int, list[Transaction]] = {}
         for tx in env.body.txs:
@@ -634,10 +628,9 @@ class BaseMechanism:
                 misrouted.setdefault(home, []).append(tx)
         if accept:
             node.pool.append_relays(accept, node.pmap)
-        if not node.is_leader:
-            return []
-        # A migration moved the payee while this batch was in flight.
-        return forward(node, misrouted)
+        if node.is_leader:
+            # A migration moved the payee while this batch was in flight.
+            forward(node, misrouted)
 
 
 class RelayMechanism(BaseMechanism):
@@ -648,14 +641,6 @@ class RelayMechanism(BaseMechanism):
 
     def _pack_cross(self, tx, node):
         return relay_split(tx), None
-
-    def _commit_emissions(self, node: Any, block: Block, now: int) -> list:
-        """Send the block's credit halves to their payees' shards; each
-        replica routes them under its own map."""
-        batches: dict[int, list[Transaction]] = {}
-        for inter in credit_halves(block):
-            batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
-        return forward(node, batches)
 
 
 class BrokerMechanism(BaseMechanism):

@@ -15,9 +15,10 @@ later one, commits. A replica's own id in a vote set means it has sent that
 vote: it adds itself only where it broadcasts, and a shard broadcast never
 comes back to its sender.
 
-What goes into a block, how it is checked, and what a commit emits are
+What goes into a block, how it is checked, and what a commit sends are
 delegated to a mechanism object (see mechanisms.py), so the same replica
-serves relay and broker deployments.
+serves relay and broker deployments. The mechanism's hooks send through
+the replica's ``net`` themselves.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Optional
+from typing import Any
 
 from .core import Block, PartitionMap, StateTree, genesis_block
 from .transport import (
-    SUPERVISOR_ID,
     Commit,
     Envelope,
     NewView,
@@ -48,9 +48,6 @@ class Phase(Enum):
     IDLE = "idle"
     PRE_PREPARED = "pre_prepared"
     PREPARED = "prepared"
-
-
-Outbound = tuple  # (dest spec, Envelope); dest interpreted by Replica._emit
 
 
 @dataclass(slots=True)
@@ -168,7 +165,7 @@ class Replica:
         elif mt == "inject_txs":
             self.pool.preload(env.body.txs)
         elif mt in ("relay_ctx", "partition_result", "account_migrate"):
-            self._emit(self.hooks.handle_inter_shard_msg(self, env, now))
+            self.hooks.handle_inter_shard_msg(self, env, now)
         elif mt == "stop":
             self.stopped = True
         else:
@@ -185,8 +182,7 @@ class Replica:
         rnd = self.rounds[height]
         if self.view in rnd.proposed:
             return
-        block, outs = self.hooks.op_mining(self, now)
-        self._emit(outs)
+        block = self.hooks.op_mining(self, now)
         if block is None:
             return
         if height in self.invalid_heights:
@@ -280,13 +276,14 @@ class Replica:
         hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
         self.pool.remove_committed(hashes)
         self.head = block
-        outs = self.hooks.op_confirmation(self, block, now)
+        # The timer is armed before the commit sends anything, so at equal
+        # virtual times it fires ahead of the commit's messages.
+        self._arm_view_timer(now)
+        self.hooks.op_confirmation(self, block, now)
         self.root_log.append((block.height, block.state_root.hex(), now))
         for settled in [h for h in self.rounds if h <= block.height]:
             del self.rounds[settled]
         self.phase = Phase.IDLE
-        self._arm_view_timer(now)
-        self._emit(outs)
         self._replay_buffered(now)
 
     def _replay_buffered(self, now: int) -> None:
@@ -348,15 +345,3 @@ class Replica:
     def _broadcast(self, msg_type: str, body: Any) -> None:
         env = Envelope(msg_type=msg_type, sender=self.nid, body=body)
         self.net.broadcast_shard(self.shard_id, env)
-
-    def _emit(self, outs: Optional[list[Outbound]]) -> None:
-        if not outs:
-            return
-        for dest, env in outs:
-            kind = dest[0]
-            if kind == "shard_all":
-                self.net.broadcast_shard(dest[1], env, include_self=True)
-            elif kind == "supervisor":
-                self.net.send(SUPERVISOR_ID, env)
-            else:
-                raise ValueError(f"bad outbound destination {dest!r}")

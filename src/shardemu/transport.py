@@ -275,6 +275,30 @@ def decode_frame(data: bytes) -> Envelope:
     return Envelope(msg_type=msg_type, sender=obj["sender"], body=body)
 
 
+# --- broadcast ---
+
+
+class Fanout:
+    """Shard and whole-run broadcasts as one ``send`` per recipient, shared
+    by both backends. A backend provides ``send``, ``shard_members`` (each
+    shard's node ids) and ``peers`` (keyed by every node id, in broadcast
+    order). A broadcast skips its sender unless ``include_self`` is set."""
+
+    shard_members: dict[int, list[str]]
+    peers: dict[str, Any]
+
+    def broadcast_shard(self, shard: int, env: Envelope, include_self: bool = False) -> None:
+        for nid in self.shard_members.get(shard, ()):
+            if not include_self and nid == env.sender:
+                continue
+            self.send(nid, env)
+
+    def broadcast_all(self, env: Envelope) -> None:
+        for nid in self.peers:
+            if nid != env.sender:
+                self.send(nid, env)
+
+
 # --- simulated backend ---
 
 _EV_MSG = 0
@@ -282,7 +306,7 @@ _EV_TIMER = 1
 _EV_CRASH = 2
 
 
-class SimNetwork:
+class SimNetwork(Fanout):
     """Deterministic discrete-event delivery on a virtual millisecond clock.
 
     Events are ordered by (time, enqueue sequence), so equal-time events
@@ -301,7 +325,7 @@ class SimNetwork:
         self.now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, int, str, Any]] = []
-        self._handlers: dict[str, Any] = {}
+        self.peers: dict[str, Any] = {}  # node id -> handler
         self.shard_members: dict[int, list[str]] = {}
         self.crashed: set[str] = set()
         self._rng = random.Random(seed)
@@ -314,7 +338,7 @@ class SimNetwork:
         self.delivered = 0
 
     def register(self, nid: str, handler: Any, shard: Optional[int] = None) -> None:
-        self._handlers[nid] = handler
+        self.peers[nid] = handler
         if shard is not None:
             self.shard_members.setdefault(shard, []).append(nid)
 
@@ -328,22 +352,11 @@ class SimNetwork:
         self._seq += 1
 
     def send(self, to: str, env: Envelope) -> None:
-        if to not in self._handlers:
+        if to not in self.peers:
             raise UnknownPeer(to)
         if env.sender in self.crashed:
             return
         self._put(self.now + self._latency(), _EV_MSG, to, env)
-
-    def broadcast_shard(self, shard: int, env: Envelope, include_self: bool = False) -> None:
-        for nid in self.shard_members.get(shard, ()):
-            if not include_self and nid == env.sender:
-                continue
-            self.send(nid, env)
-
-    def broadcast_all(self, env: Envelope) -> None:
-        for nid in self._handlers:
-            if nid != env.sender:
-                self.send(nid, env)
 
     def schedule(self, nid: str, at: int, tag: str, data: Any = None) -> None:
         """Arm a timer for a node at absolute virtual time ``at``."""
@@ -363,7 +376,7 @@ class SimNetwork:
             return at, target, "crash"
         if target in self.crashed:
             return at, target, None
-        handler = self._handlers.get(target)
+        handler = self.peers.get(target)
         if handler is None:
             return at, target, None
         if kind == _EV_MSG:

@@ -44,6 +44,7 @@ from shardemu.mechanisms import (
 )
 from shardemu.pbft import Phase
 from shardemu.transport import (
+    SUPERVISOR_ID,
     AccountMigrate,
     Envelope,
     MigratedAccount,
@@ -66,6 +67,27 @@ def ctx_tx(payer, payee, value=5, nonce=0):
     return make_transaction(payer, payee, value, nonce, kind=TxKind.ORIGINAL_CTX)
 
 
+class RecordingNet:
+    """The network surface the hooks send through. Each send is recorded in
+    order as (destination, envelope): the shard id for a broadcast to every
+    replica of that shard, the node id for a point-to-point send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def broadcast_shard(self, shard, env, include_self=False):
+        assert include_self, "a hook's shard broadcast reaches the sender too"
+        self.sent.append((shard, env))
+
+    def send(self, to, env):
+        self.sent.append((to, env))
+
+    def take(self):
+        """What was sent since the last take."""
+        sent, self.sent = self.sent, []
+        return sent
+
+
 class FakeNode:
     """Just enough replica surface for the mechanism hooks."""
 
@@ -80,15 +102,18 @@ class FakeNode:
         self.head = genesis_block(shard_id)
         self.relay_seen = set()
         self.phase = Phase.IDLE
+        self.net = RecordingNet()
 
     @property
     def next_height(self):
         return self.head.height + 1
 
     def commit(self, mech, block, now=0):
-        outs = mech.op_confirmation(self, block, now)
+        """Confirm ``block`` and return what the commit sent."""
+        self.net.take()
+        mech.op_confirmation(self, block, now)
         self.head = block
-        return outs
+        return self.net.take()
 
 
 # --- relay primitives ---
@@ -416,9 +441,9 @@ def test_uninvolved_shard_adopts_map_instantly():
     three = PartitionMap(n_shards=3)
     node = FakeNode(2, three)
     mover = addr("mig-mover", shard=0, n_shards=3)
-    outs = node_ctl = MigrationController()
-    outs = node_ctl.on_partition_result(node, _announce(1, {mover: 1}), now=50)
-    assert outs == []
+    node_ctl = MigrationController()
+    node_ctl.on_partition_result(node, _announce(1, {mover: 1}), now=50)
+    assert node.net.sent == []
     assert not node_ctl.active
     assert node.pmap.version == 1
     assert address_to_shard(mover, node.pmap) == 1
@@ -428,7 +453,8 @@ def test_uninvolved_shard_adopts_map_instantly():
 def test_stale_announcement_ignored():
     node = FakeNode(0, TWO.updated(3, {}))
     ctl = MigrationController()
-    assert ctl.on_partition_result(node, _announce(3, {P0: 1}), now=0) == []
+    ctl.on_partition_result(node, _announce(3, {P0: 1}), now=0)
+    assert node.net.sent == []
     assert not ctl.active and node.pmap.version == 3
 
 
@@ -441,7 +467,8 @@ def test_source_shard_quiesces_and_leader_ships():
     node.pool.preload([displaced, staying])
     ctl = MigrationController()
 
-    outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
+    ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
+    outs = node.net.take()
     mig = ctl.session
     assert node.pool.locked and mig.quiesced and mig.shipped
     assert ctl.ready(node), "nothing inbound, so shipping completes the session"
@@ -450,7 +477,7 @@ def test_source_shard_quiesces_and_leader_ships():
 
     assert len(outs) == 1
     (dest, env), = outs
-    assert dest == ("shard_all", 1)
+    assert dest == 1
     assert env.msg_type == "account_migrate" and env.body.version == 1
     (acct,) = env.body.accounts
     assert acct.state.address == P0 and acct.state.balance == 42
@@ -461,8 +488,8 @@ def test_followers_extract_but_never_ship():
     node = FakeNode(0, TWO, leader=False)
     node.pool.preload([regular_tx(P0, Q0)])
     ctl = MigrationController()
-    outs = ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
-    assert outs == [] and ctl.session.quiesced and not ctl.session.shipped
+    ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
+    assert node.net.sent == [] and ctl.session.quiesced and not ctl.session.shipped
     assert len(node.pool) == 0, "the displaced entry still leaves the pool"
 
 
@@ -470,18 +497,21 @@ def test_quiesce_waits_for_idle_phase():
     node = FakeNode(0, TWO)
     node.phase = Phase.PRE_PREPARED
     ctl = MigrationController()
-    assert ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50) == []
+    ctl.on_partition_result(node, _announce(1, {P0: 1}), now=50)
+    assert node.net.sent == []
     assert node.pool.locked and not ctl.session.quiesced
-    outs = ctl.quiesce(node, now=60)  # the round resolved; now it can drain
+    ctl.quiesce(node, now=60)  # the round resolved; now it can drain
+    outs = node.net.take()
     assert ctl.session.quiesced and ctl.session.shipped
-    assert outs and outs[0][0] == ("shard_all", 1)
+    assert outs and outs[0][0] == 1
 
 
 def test_target_shard_waits_for_inbound_state():
     node = FakeNode(1, TWO)
     mech = RelayMechanism()
     ctl = mech.migration
-    assert ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0) == []
+    ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0)
+    assert node.net.sent == []
     assert node.pool.locked and ctl.session.quiesced and not ctl.ready(node)
     assert ctl.session.inbound_expected == {P0}
 
@@ -504,7 +534,8 @@ def test_early_transfer_is_stashed_then_replayed():
     body = AccountMigrate(
         version=1, accounts=[MigratedAccount(state=node.state.get(P0), pending_txs=[])]
     )
-    assert ctl.on_account_migrate(node, "0.0", body, now=0) == []
+    ctl.on_account_migrate(node, "0.0", body, now=0)
+    assert node.net.sent == []
     assert not ctl.active, "transfer before announcement must not start a session"
     ctl.on_partition_result(node, _announce(1, {P0: 1}), now=5)
     assert ctl.ready(node), "the stashed transfer replays on announcement"
@@ -528,8 +559,10 @@ def test_migration_block_commit_switches_map_and_requeues():
     assert block.block_kind is BlockKind.MIGRATION
     assert [a.address for a in block.migration_installs] == [P0]
     assert block.migration_departures == []
+    announced = ctl.session.pmap
 
     outs = node.commit(mech, block, now=9)
+    assert node.pmap is announced, "the commit adopts the map built at announcement"
     assert node.pmap.version == 1
     assert address_to_shard(P0, node.pmap) == 1
     assert not node.pool.locked and not ctl.active
@@ -538,7 +571,7 @@ def test_migration_block_commit_switches_map_and_requeues():
     assert queued == {pending.hash, credit.hash}
     assert credit.origin_hash in node.relay_seen, \
         "migrated credit halves must still dedupe straggler relays"
-    assert outs[-1][0] == ("supervisor",)
+    assert outs[-1][0] == SUPERVISOR_ID
     assert outs[-1][1].body.block.block_kind is BlockKind.MIGRATION
 
 
@@ -560,7 +593,7 @@ def test_commit_on_source_drops_departed_account_and_evicts():
     assert len(node.pool) == 0, "entries for re-homed accounts leave with the map"
     inject_outs = [(d, e) for d, e in outs if e.msg_type == "inject_txs"]
     assert len(inject_outs) == 1
-    assert inject_outs[0][0] == ("shard_all", 1)
+    assert inject_outs[0][0] == 1
     assert [t.hash for t in inject_outs[0][1].body.txs] == [late.hash]
 
 
@@ -595,10 +628,13 @@ def test_eviction_pass_matches_exec_home_shard(data):
         home = exec_home_shard(tx, oracle)
         if home != node.shard_id:
             gone.setdefault(home, []).append(tx)
-    outs = RelayMechanism().evict_misplaced(node, now=0)
+    RelayMechanism().evict_misplaced(node, now=0)
+    outs = node.net.take()
     assert node.pool.snapshot() == [t for t in txs if exec_home_shard(t, oracle) == node.shard_id]
     assert node.pool.extracted == sum(len(v) for v in gone.values())
-    assert outs == (mechanisms.forward(node, gone) if node.is_leader else [])
+    if node.is_leader:
+        mechanisms.forward(node, gone)
+    assert outs == node.net.take()
     assert pmap._shard_of == {a: address_to_shard(a, oracle) for a in pmap._shard_of}
 
 
@@ -611,8 +647,8 @@ def test_relay_mining_splits_cross_shard():
     local = regular_tx(P0, Q0, nonce=0)
     cross = ctx_tx(Q0, P1, nonce=0)
     node.pool.preload([local, cross])
-    block, outs = mech.op_mining(node, now=20)
-    assert outs == [], "the relay rides the commit, not the proposal"
+    block = mech.op_mining(node, now=20)
+    assert node.net.sent == [], "the relay rides the commit, not the proposal"
     kinds = [tx.kind for tx in block.txs]
     assert kinds == [TxKind.REGULAR, TxKind.INTRA_RELAY]
     assert block.txs[1].origin_hash == cross.hash
@@ -621,7 +657,7 @@ def test_relay_mining_splits_cross_shard():
     relays = [(d, e) for d, e in outs if e.msg_type == "relay_ctx"]
     assert len(relays) == 1
     dest, env = relays[0]
-    assert dest == ("shard_all", 1)
+    assert dest == 1
     (credit,) = env.body.txs
     assert credit.kind is TxKind.INTER_RELAY and credit.origin_hash == cross.hash
 
@@ -631,11 +667,12 @@ def test_relay_delivery_queues_credit_exactly_once():
     target = FakeNode(1, TWO)
     mech = RelayMechanism()
     source.pool.preload([ctx_tx(Q0, P1)])
-    block, _ = mech.op_mining(source, now=10)
+    block = mech.op_mining(source, now=10)
     outs = source.commit(mech, block, now=15)
     env = next(e for _, e in outs if e.msg_type == "relay_ctx")
 
-    assert mech.handle_inter_shard_msg(target, env, now=20) == []
+    mech.handle_inter_shard_msg(target, env, now=20)
+    assert target.net.sent == []
     assert len(target.pool) == 1
     queued = target.pool.snapshot()[0]
     assert queued.kind is TxKind.INTER_RELAY
@@ -643,7 +680,7 @@ def test_relay_delivery_queues_credit_exactly_once():
     mech.handle_inter_shard_msg(target, env, now=21)
     assert len(target.pool) == 1
 
-    tgt_block, _ = mech.op_mining(target, now=30)
+    tgt_block = mech.op_mining(target, now=30)
     assert [tx.hash for tx in tgt_block.txs] == [queued.hash]
 
 
@@ -652,7 +689,8 @@ def test_relay_rejects_forged_source(caplog):
     mech = RelayMechanism()
     credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
     forged = Envelope("relay_ctx", "1.3", RelayCtx(source_shard=0, txs=[credit]))
-    assert mech.handle_inter_shard_msg(target, forged, now=0) == []
+    mech.handle_inter_shard_msg(target, forged, now=0)
+    assert target.net.sent == []
     assert len(target.pool) == 0
 
 
@@ -662,13 +700,15 @@ def test_leader_forwards_misrouted_relays():
     mech = RelayMechanism()
     credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
     env = Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, txs=[credit]))
-    outs = mech.handle_inter_shard_msg(target, env, now=0)
+    mech.handle_inter_shard_msg(target, env, now=0)
+    outs = target.net.take()
     assert len(target.pool) == 0
-    assert [d for d, _ in outs] == [("shard_all", 0)]
+    assert [d for d, _ in outs] == [0]
     assert outs[0][1].body.txs[0].hash == credit.hash
     # followers drop the same batch silently
     follower = FakeNode(1, TWO.updated(1, {P1: 0}), index=2, leader=False)
-    assert mech.handle_inter_shard_msg(follower, env, now=0) == []
+    mech.handle_inter_shard_msg(follower, env, now=0)
+    assert follower.net.sent == []
 
 
 # --- credit halves: built once per block, routed per replica ---
@@ -690,21 +730,23 @@ def _relay_block(tag):
         ctx_tx(T0B, T2, value=4, nonce=1),
         ctx_tx(T0B, addr(tag, shard=1, n_shards=3), value=5, nonce=2),
     ])
-    block, _ = RelayMechanism().op_mining(node, now=10)
-    return block
+    return RelayMechanism().op_mining(node, now=10)
 
 
 def _emitted(node, block):
-    return [(dest, env.msg_type, [t.hash for t in env.body.txs])
-            for dest, env in RelayMechanism()._commit_emissions(node, block, now=20)]
+    """What committing ``block`` forwards to other shards; the trailing
+    ``block_info`` to the supervisor is checked and left out."""
+    *forwards, (to, info) = node.commit(RelayMechanism(), block, now=20)
+    assert (to, info.msg_type) == (SUPERVISOR_ID, "block_info")
+    return [(dest, env.msg_type, [t.hash for t in env.body.txs]) for dest, env in forwards]
 
 
 def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
     block = _relay_block("memo-same")
     expected = [
-        (("shard_all", 1), "relay_ctx",
+        (1, "relay_ctx",
          [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 1]),
-        (("shard_all", 2), "relay_ctx",
+        (2, "relay_ctx",
          [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 2]),
     ]
     assert [len(h) for _, _, h in expected] == [2, 2]
@@ -721,7 +763,7 @@ def test_decoded_block_rebuilds_the_proposers_halves():
         regular_tx(T0B, T0, value=2, nonce=0),
         make_transaction(T0, T1, 3, 1, kind=TxKind.ORIGINAL_CTX, inject_time=55),
     ])
-    block, _ = RelayMechanism().op_mining(proposer, now=60)
+    block = RelayMechanism().op_mining(proposer, now=60)
     assert block.post is not None and block.halves is None, "mining builds no credit half"
 
     frame = encode_frame(Envelope("preprepare", proposer.nid, PrePrepare(block=block)))
@@ -749,8 +791,8 @@ def test_replicas_route_shared_halves_under_their_own_map():
     b = _emitted(FakeNode(0, moved, index=1, leader=False), block)
     assert sorted(h for _, _, hs in a for h in hs) == sorted(h for _, _, hs in b for h in hs)
     moved_half = next(t.hash for t in mechanisms.credit_halves(block) if t.payee == T1)
-    assert [d for d, _, hs in a if moved_half in hs] == [("shard_all", 1)]
-    assert [d for d, _, hs in b if moved_half in hs] == [("shard_all", 2)]
+    assert [d for d, _, hs in a if moved_half in hs] == [1]
+    assert [d for d, _, hs in b if moved_half in hs] == [2]
 
 
 def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
@@ -778,9 +820,10 @@ def test_regular_tx_with_foreign_payer_is_reinjected():
     mech = RelayMechanism()
     foreign = regular_tx(P1, Q1)  # both ends live on shard 1
     node.pool.preload([foreign])
-    block, outs = mech.op_mining(node, now=10)
+    block = mech.op_mining(node, now=10)
+    outs = node.net.take()
     assert block is None
-    assert [d for d, _ in outs] == [("shard_all", 1)]
+    assert [d for d, _ in outs] == [1]
     assert outs[0][1].msg_type == "inject_txs"
     assert outs[0][1].body.txs[0].hash == foreign.hash
 
@@ -791,7 +834,7 @@ def test_regular_tx_turned_cross_shard_is_split_at_packing():
     was_local = regular_tx(P0, Q0)
     node.pool.preload([was_local])
     node.pmap = TWO.updated(1, {Q0: 1})  # payee re-homed while queued
-    block, _ = mech.op_mining(node, now=10)
+    block = mech.op_mining(node, now=10)
     (half,) = block.txs
     assert half.kind is TxKind.INTRA_RELAY and half.origin_hash == was_local.hash
 
@@ -803,22 +846,37 @@ def test_broker_mining_emits_payee_half_at_proposal():
     mech = BrokerMechanism()
     cross = ctx_tx(P0, P1)
     node.pool.preload([cross])
-    block, outs = mech.op_mining(node, now=10)
+    block = mech.op_mining(node, now=10)
+    outs = node.net.take()
     (payer_half,) = block.txs
     assert payer_half.kind is TxKind.BROKER_PAYER_HALF
     assert payer_half.payee == broker
-    assert [d for d, _ in outs] == [("shard_all", 1)]
+    assert [d for d, _ in outs] == [1]
     (payee_half,) = outs[0][1].body.txs
     assert payee_half.kind is TxKind.BROKER_PAYEE_HALF
     assert payee_half.origin_hash == cross.hash
-    assert mech.op_mining(node, now=11) == (None, []), "nothing is re-emitted later"
+    assert mech.op_mining(node, now=11) is None
+    assert node.net.sent == [], "nothing is re-emitted later"
 
     # the payee half lands and commits locally on the other side
     target = FakeNode(1, pmap)
     mech.handle_inter_shard_msg(target, outs[0][1], now=20)
-    tgt_block, tgt_outs = mech.op_mining(target, now=30)
+    tgt_block = mech.op_mining(target, now=30)
     assert [tx.kind for tx in tgt_block.txs] == [TxKind.BROKER_PAYEE_HALF]
-    assert tgt_outs == []
+    assert target.net.sent == []
+
+
+def test_broker_commit_sends_only_its_block_info():
+    broker = addr("mech-broker5", shard=0)
+    pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
+    node = FakeNode(0, pmap)
+    mech = BrokerMechanism()
+    node.pool.preload([ctx_tx(P0, P1), regular_tx(Q0, P0)])
+    block = mech.op_mining(node, now=10)
+    assert [tx.kind for tx in block.txs] == [TxKind.BROKER_PAYER_HALF, TxKind.REGULAR]
+    ((to, env),) = node.commit(mech, block, now=15)
+    assert (to, env.msg_type) == (SUPERVISOR_ID, "block_info")
+    assert env.body.block is block and env.body.commit_time == 15
 
 
 def test_broker_payer_half_follows_its_payer():
@@ -830,9 +888,10 @@ def test_broker_payer_half_follows_its_payer():
         P1, broker, 3, 0, kind=TxKind.BROKER_PAYER_HALF, origin_hash=b"\x02" * 32
     )
     node.pool.preload([half])
-    block, outs = mech.op_mining(node, now=10)
+    block = mech.op_mining(node, now=10)
+    outs = node.net.take()
     assert block is None
-    assert [d for d, _ in outs] == [("shard_all", 1)]
+    assert [d for d, _ in outs] == [1]
     assert outs[0][1].msg_type == "inject_txs"
 
 
@@ -857,10 +916,10 @@ def test_mining_forwards_misplaced_entries_to_their_exec_home(mechanism, tx):
     home = exec_home_shard(tx, HOME_PMAP)
     node = FakeNode(1 - home, HOME_PMAP)
     node.pool.preload([tx])
-    block, outs = make_mechanism(mechanism).op_mining(node, now=10)
+    block = make_mechanism(mechanism).op_mining(node, now=10)
     assert block is None
-    ((dest, env),) = outs
-    assert dest == ("shard_all", home)
+    ((dest, env),) = node.net.sent
+    assert dest == home
     channel = "relay_ctx" if tx.kind in CREDIT_KINDS else "inject_txs"
     assert env.msg_type == channel
     assert [t.hash for t in env.body.txs] == [tx.hash]
@@ -871,8 +930,8 @@ def test_mining_blocked_while_locked():
     mech = RelayMechanism()
     node.pool.preload([regular_tx(P0, Q0)])
     node.pool.lock()
-    block, outs = mech.op_mining(node, now=10)
-    assert block is None and outs == []
+    block = mech.op_mining(node, now=10)
+    assert block is None and node.net.sent == []
     assert len(node.pool) == 1
 
 

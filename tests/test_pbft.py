@@ -12,9 +12,11 @@ from shardemu.core import (
     BlockKind,
     PartitionMap,
     StateTree,
+    TxKind,
     apply_txs,
     compute_state_root,
     genesis_block,
+    make_transaction,
     replace_tx_list,
 )
 from shardemu.dataset import gen_dataset
@@ -155,6 +157,35 @@ def test_commit_quorum_advances_head():
     assert [to for to, _ in net.sent] == ["supervisor"]
     info = net.sent[0][1].body
     assert (info.block.shard_id, info.block.height, info.commit_time) == (0, 1, 13)
+
+
+def test_commit_arms_the_view_timer_before_it_sends():
+    # Equal-time events pop in the order they were queued, and under jitter
+    # each send draws its latency when it is made: the timer a commit arms
+    # must be queued ahead of everything the commit sends.
+    net = SimNetwork(latency_ms=5, seed=0)
+    two = PartitionMap(n_shards=2)
+    replicas = build_shard(net, shard_id=0, n_shards=2, pmap=two)
+    build_shard(net, shard_id=1, n_shards=2, pmap=two)
+    attach_sink(net)
+    payer, payee = addr("pb-arm-a", n_shards=2, shard=0), addr("pb-arm-b", n_shards=2, shard=1)
+    _prefill(replicas, [make_transaction(payer, payee, 1, 0, kind=TxKind.ORIGINAL_CTX)])
+    for replica in replicas.values():
+        replica.on_start(0)
+    leader = replicas["0.0"]
+    while not leader.root_log:
+        net.step()
+    (_, _, committed_at), = leader.root_log
+
+    queued = sorted(net._heap, key=lambda entry: entry[1])
+    (timer_seq,) = [seq for at, seq, _, target, payload in queued
+                    if target == leader.nid and payload == ("vc", at)
+                    and at == committed_at + leader.vc_timeout]
+    sends = [(seq, payload.msg_type) for _, seq, _, _, payload in queued
+             if isinstance(payload, Envelope) and payload.sender == leader.nid
+             and payload.msg_type in ("relay_ctx", "block_info")]
+    assert [t for _, t in sends] == ["relay_ctx"] * 4 + ["block_info"]
+    assert timer_seq < sends[0][0]
 
 
 def test_out_of_order_votes_buffer_until_preprepare():
@@ -304,11 +335,11 @@ def test_forged_copy_carries_nothing_of_the_honest_block():
     def mine_and_verify(node, now):
         # The honest block is checked before it is forged, so it carries a
         # verdict as well as its post-state.
-        block, outs = mine(node, now)
+        block = mine(node, now)
         assert core.verify_block(block, follower.head, follower.state, follower.pmap,
                                  follower.theta) is None
         assert block.post is not None and block.verdict is not None
-        return block, outs
+        return block
 
     leader.hooks.op_mining = mine_and_verify
     leader.maybe_propose(0)

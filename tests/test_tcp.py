@@ -1,12 +1,59 @@
-"""Whole-run smoke test over real loopback TCP."""
+"""The TCP backend: broadcast order against the sim's, and whole runs over real loopback TCP."""
 
 import json
 
 from helpers import cfg_dict, free_ports
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset
-from shardemu.harness import report_from_blocks, run
-from shardemu.transport import SUPERVISOR_ID, node_id
+from shardemu.harness import _TcpNodeDriver, report_from_blocks, run
+from shardemu.transport import SUPERVISOR_ID, Envelope, SimNetwork, Stop, node_id, shard_of
+
+
+class _Wire:
+    """Stands in for a driver's mesh and inbox; logs each recipient."""
+
+    def __init__(self, nid):
+        self.nid = nid
+        self.to = []
+
+    def send(self, to, env):
+        self.to.append(to)
+
+    def put(self, env):
+        self.to.append(self.nid)
+
+
+def test_both_backends_fan_out_to_the_same_ids_in_the_same_order():
+    members = {k: [node_id(k, i) for i in range(3)] for k in range(2)}
+    nids = [SUPERVISOR_ID, *members[0], *members[1]]
+    sender = "1.1"
+    broadcasts = [
+        lambda net: net.broadcast_shard(1, Envelope("stop", sender, Stop())),
+        lambda net: net.broadcast_shard(1, Envelope("stop", sender, Stop()), include_self=True),
+        lambda net: net.broadcast_shard(0, Envelope("stop", sender, Stop())),
+        lambda net: net.broadcast_all(Envelope("stop", sender, Stop())),
+    ]
+
+    sim = SimNetwork(latency_ms=1)
+    for nid in nids:
+        sim.register(nid, None, shard=shard_of(nid))
+    driver = _TcpNodeDriver(sender, {nid: "127.0.0.1:0" for nid in nids}, members, t0=0.0)
+    driver.mesh = driver.inbox = wire = _Wire(sender)
+    sim_to, tcp_to = [], []
+    for broadcast in broadcasts:
+        broadcast(sim)
+        sim_to.append([target for _, _, _, target, _ in sorted(sim._heap)])
+        sim._heap.clear()
+        broadcast(driver)
+        tcp_to.append(wire.to)
+        wire.to = []
+
+    assert tcp_to == sim_to == [
+        ["1.0", "1.2"],
+        ["1.0", "1.1", "1.2"],
+        ["0.0", "0.1", "0.2"],
+        [SUPERVISOR_ID, "0.0", "0.1", "0.2", "1.0", "1.2"],
+    ]
 
 
 def test_single_shard_run_over_loopback(tmp_path):
