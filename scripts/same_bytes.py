@@ -13,10 +13,12 @@ replica checks or applies would show:
   50 ms batches, the same stop rule; the last one settles through brokers
   ``top:3`` instead of relays.
 
-Each config prints one JSON line: its name, its exit code and a sha256 over
+Each config prints one JSON line: its name, its exit code, a sha256 over
 its block files and report CSVs, by file name (``summary.json`` is left
-out, since it echoes the run's paths). Several of these runs cannot finish
-and exit 3; that is part of what is compared.
+out, since it echoes the run's paths), and under ``recomputed`` the same
+digest over the CSVs ``report_from_blocks`` rebuilds from those block
+files. Several of these runs cannot finish and exit 3; that is part of
+what is compared.
 
 Usage:
     python scripts/same_bytes.py --out /tmp/same_bytes
@@ -37,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset
-from shardemu.harness import run
+from shardemu.harness import report_from_blocks, run
 
 # Dataset name -> gen_dataset arguments.
 DATASETS = {
@@ -114,8 +116,10 @@ def main(argv=None) -> int:
             gen_dataset(str(datasets[data]), **DATASETS[data])
         run_dir = out_base / name
         result = run(parse_config(config(name, datasets[data], run_dir)))
+        report_from_blocks(str(run_dir))
         print(json.dumps({"config": name, "exit": result.exit_code,
-                          "sha256": digest_outputs(run_dir)}), flush=True)
+                          "sha256": digest_outputs(run_dir),
+                          "recomputed": digest_outputs(run_dir / "recomputed")}), flush=True)
     return 0
 
 

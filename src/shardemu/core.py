@@ -547,9 +547,10 @@ def apply_txs(state: StateTree, txs: Iterable[Transaction]) -> StateTree:
     sent: dict[bytes, int] = {}
     # Bound once: these run per transaction, or per written account.
     moved_of, sent_of = moved.get, sent.get
+    regular = TxKind.REGULAR
     for tx in txs:
         kind = tx.kind
-        if kind is TxKind.REGULAR:
+        if kind is regular:
             payer, payee, value = tx.payer, tx.payee, tx.value
             moved[payer] = moved_of(payer, 0) - value
             sent[payer] = sent_of(payer, 0) + 1

@@ -29,14 +29,13 @@ from .config import ConfigError, MissingKey, RunConfig
 from .core import (
     DERIVED_KINDS,
     AddressTable,
-    Block,
     PartitionMap,
     TxKind,
     block_from_json,
 )
 from .dataset import load_dataset, top_active_accounts
 from .mechanisms import make_mechanism
-from .metrics import MetricsLedger
+from .metrics import MetricsLedger, original_hashes
 from .pbft import Replica
 from .supervisor import Supervisor
 from .transport import SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, node_id
@@ -191,29 +190,20 @@ class BadBlockFile(Exception):
         super().__init__(f"{path} line {line_no}: {why}")
 
 
-def report_from_blocks(run_dir: str) -> dict:
-    """Rebuild the metric reports from a run directory's block files.
+def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
+    """Decode and check every line of a run's block files, keeping of each
+    block only its columns: (sort time, shard, height, block kind, kinds,
+    originals' hashes, payers, payees, inject times), the last five one
+    tuple each over the block's transactions. The sort time is the line's
+    commit_time, or the block's own timestamp where the line gives none.
 
-    Injection records are inferred from the committed transactions
-    themselves: a whole transaction stands for its own original, of its
-    own kind, and halves point at theirs, a cross-shard original, through
-    the origin hash. The outputs land in a ``recomputed`` subdirectory of
-    the run directory. Every shard's block file must be
-    present; a missing one raises ``FileNotFoundError``, and a line that
-    does not decode to a block with matching hashes raises ``BadBlockFile``.
-    """
-    summary_path = os.path.join(run_dir, "summary.json")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        prior = json.load(fh)
-    cfg_echo = prior["config"]
-    n_shards = cfg_echo["n_shards"]
-    ledger = MetricsLedger(n_shards, cfg_echo["epoch_ms"])
-
-    # One table for the whole report: one bytes object per account.
+    One table for the whole pass hands out one bytes object per account,
+    and one object per original's hash and per injection time. Each decoded
+    block is let go once its columns are taken."""
     addresses = AddressTable()
-    # Each block is sorted and banked at one time: its line's commit_time,
-    # or the block's own timestamp where the line gives none.
-    blocks: list[tuple[int, Block]] = []
+    originals: dict[bytes, bytes] = {}
+    times: dict[int, int] = {}
+    columns: list[tuple] = []
     for k in range(n_shards):
         path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
         with open(path, "r", encoding="utf-8") as fh:
@@ -225,22 +215,59 @@ def report_from_blocks(run_dir: str) -> dict:
                         raise ValueError(f"commit_time must be an integer or null, "
                                          f"not {commit_time!r}")
                     block = block_from_json(obj, addresses)
-                    blocks.append((block.timestamp if commit_time is None else commit_time,
-                                   block))
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
                     raise BadBlockFile(path, line_no, exc) from None
-    blocks.sort(key=lambda pair: (pair[0], pair[1].shard_id))
+                txs = block.txs
+                injects = [tx.inject_time or 0 for tx in txs]
+                columns.append((
+                    block.timestamp if commit_time is None else commit_time,
+                    block.shard_id, block.height, block.block_kind,
+                    tuple([tx.kind for tx in txs]),
+                    tuple([originals.setdefault(key, key) for key in original_hashes(txs)]),
+                    tuple([tx.payer for tx in txs]),
+                    tuple([tx.payee for tx in txs]),
+                    tuple([times.setdefault(t, t) for t in injects]),
+                ))
+    return columns
 
-    for _, block in blocks:
-        for tx in block.txs:
-            if tx.kind in DERIVED_KINDS:
-                key, kind = tx.origin_hash, TxKind.ORIGINAL_CTX
-            else:
-                key, kind = tx.hash, tx.kind
-            ledger.record_injection(key, kind, tx.payer, tx.payee, tx.inject_time or 0)
 
-    for commit_time, block in blocks:
-        ledger.record_block(block, commit_time, 0)
+def report_from_blocks(run_dir: str) -> dict:
+    """Rebuild the metric reports from a run directory's block files.
+
+    Injection records are inferred from the committed transactions
+    themselves: a whole transaction stands for its own original, of its
+    own kind, and halves point at theirs, a cross-shard original, through
+    the origin hash. The outputs land in a ``recomputed`` subdirectory of
+    the run directory. Every shard's block file must be
+    present; a missing one raises ``FileNotFoundError``, and a line that
+    does not decode to a block with matching hashes raises ``BadBlockFile``.
+
+    Every line is decoded and checked whole, but the rebuild keeps only
+    each block's columns (``_block_columns``), never the decoded blocks.
+    The blocks are ordered stably by (time, shard); in that order each
+    transaction banks its original at its first appearance, and then the
+    first block of each (shard, height) settles through
+    ``MetricsLedger.settle_block``.
+    """
+    summary_path = os.path.join(run_dir, "summary.json")
+    with open(summary_path, "r", encoding="utf-8") as fh:
+        prior = json.load(fh)
+    cfg_echo = prior["config"]
+    ledger = MetricsLedger(cfg_echo["n_shards"], cfg_echo["epoch_ms"])
+    blocks = _block_columns(run_dir, cfg_echo["n_shards"])
+    blocks.sort(key=lambda cols: (cols[0], cols[1]))
+
+    record_injection = ledger.record_injection
+    derived, ctx = DERIVED_KINDS, TxKind.ORIGINAL_CTX
+    for _, _, _, _, kinds, keys, payers, payees, injects in blocks:
+        for kind, key, payer, payee, inject in zip(kinds, keys, payers, payees, injects):
+            record_injection(key, ctx if kind in derived else kind, payer, payee, inject)
+
+    settled = ledger.blocks
+    for commit_time, shard, height, block_kind, kinds, keys, *_ in blocks:
+        if (shard, height) not in settled:
+            ledger.settle_block(shard, height, block_kind, commit_time, 0, kinds, keys)
+    del blocks
 
     out_dir = os.path.join(run_dir, "recomputed")
     summary = ledger.write_reports(out_dir, cfg_echo)

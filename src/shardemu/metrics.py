@@ -1,8 +1,8 @@
 """Run accounting: counters, epoch throughput, latency, and report files.
 
 The supervisor feeds every injection and every committed block into a
-``MetricsLedger``; ``shardemu report`` feeds it the blocks read back from
-the block files. Definitions used throughout:
+``MetricsLedger``; ``shardemu report`` feeds it the columns it keeps of the
+blocks read back from the block files. Definitions used throughout:
 
 * X: injected originals. A transfer split into halves before or during
   consensus still counts once, through its origin hash.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     CREDIT_KINDS,
@@ -43,6 +43,13 @@ CREDIT_PER_KIND = {k: 1.0 for k in INJECTED_KINDS} | {k: 0.5 for k in DERIVED_KI
 
 # An epoch gets a phase label when one family dominates its commits.
 PHASE_PURITY = 0.95
+
+
+def original_hashes(txs: Iterable[Transaction]) -> list[Optional[bytes]]:
+    """Each transaction's original's hash: the origin hash of a derived
+    half, the transaction's own hash otherwise."""
+    derived = DERIVED_KINDS
+    return [tx.origin_hash if tx.kind in derived else tx.hash for tx in txs]
 
 
 @dataclass(slots=True)
@@ -78,7 +85,15 @@ class BlockRecord:
 
 
 class MetricsLedger:
-    """Accumulates injection and commit events; computes all reports."""
+    """Accumulates injection and commit events; computes all reports.
+
+    Every committed block settles through one loop, ``settle_block``,
+    which reads only two columns of the block: each transaction's kind and
+    its original's hash. ``record_block`` takes a whole block from the
+    supervisor, drops the other replicas' copies and hands the first
+    copy's columns to that loop; ``shardemu report`` calls the loop with
+    the columns it kept of each decoded block.
+    """
 
     def __init__(self, n_shards: int, epoch_ms: int) -> None:
         self.n_shards = n_shards
@@ -127,42 +142,53 @@ class MetricsLedger:
 
     def record_block(self, block: Block, commit_ms: int, pool_size: int) -> Optional[BlockRecord]:
         """Bank one committed block; duplicates (other replicas) return None."""
-        key = (block.shard_id, block.height)
-        if key in self.blocks:
+        if (block.shard_id, block.height) in self.blocks:
             return None
-        rec = BlockRecord(
-            shard=block.shard_id,
-            height=block.height,
-            commit_ms=commit_ms,
-            pool_size=pool_size,
-            block_kind=block.block_kind,
+        return self.settle_block(
+            block.shard_id, block.height, block.block_kind, commit_ms, pool_size,
+            [tx.kind for tx in block.txs], original_hashes(block.txs),
         )
-        for tx in block.txs:
-            rec.kind_counts[tx.kind] = rec.kind_counts.get(tx.kind, 0) + 1
-            rec.credit += CREDIT_PER_KIND[tx.kind]
-            rec.n_txs += 1
-            self._settle(tx, commit_ms)
-        self.blocks[key] = rec
-        self.pool_samples[(commit_ms, block.shard_id)] = pool_size
+
+    def settle_block(
+        self,
+        shard: int,
+        height: int,
+        block_kind: BlockKind,
+        commit_ms: int,
+        pool_size: int,
+        kinds: Sequence[TxKind],
+        keys: Sequence[Optional[bytes]],
+    ) -> BlockRecord:
+        """Bank a block not banked yet, given its transactions as columns:
+        each one's kind and its original's hash (``original_hashes``).
+        Debit and credit halves and whole transactions settle their
+        original's first commit of that side."""
+        rec = BlockRecord(shard, height, commit_ms, pool_size, block_kind)
+        counts = rec.kind_counts
+        originals = self.originals
+        credit = 0.0
+        for kind, key in zip(kinds, keys):
+            counts[kind] = counts.get(kind, 0) + 1
+            credit += CREDIT_PER_KIND[kind]
+            orig = originals.get(key)
+            if kind in DEBIT_KINDS:
+                self.v += 1
+                if orig is not None and orig.debit_ms is None:
+                    orig.debit_ms = commit_ms
+            elif kind in CREDIT_KINDS:
+                self.u += 1
+                if orig is not None and orig.credit_ms is None:
+                    orig.credit_ms = commit_ms
+            else:
+                self.z += 1
+                if orig is not None and orig.direct_ms is None:
+                    orig.direct_ms = commit_ms
+        rec.credit = credit
+        rec.n_txs = len(kinds)
+        self.blocks[(shard, height)] = rec
+        self.pool_samples[(commit_ms, shard)] = pool_size
         self.last_commit_ms = max(self.last_commit_ms, commit_ms)
         return rec
-
-    def _settle(self, tx: Transaction, commit_ms: int) -> None:
-        if tx.kind in DEBIT_KINDS:
-            self.v += 1
-            rec = self.originals.get(tx.origin_hash)
-            if rec is not None and rec.debit_ms is None:
-                rec.debit_ms = commit_ms
-        elif tx.kind in CREDIT_KINDS:
-            self.u += 1
-            rec = self.originals.get(tx.origin_hash)
-            if rec is not None and rec.credit_ms is None:
-                rec.credit_ms = commit_ms
-        else:
-            self.z += 1
-            rec = self.originals.get(tx.hash)
-            if rec is not None and rec.direct_ms is None:
-                rec.direct_ms = commit_ms
 
     def record_pool_size(self, time_ms: int, shard: int, size: int) -> None:
         self.pool_samples.setdefault((time_ms, shard), size)

@@ -108,6 +108,7 @@ class Supervisor:
         pmap = self.pmap
         brokers = pmap.brokers
         brokered = self.cfg.mechanism == "broker"
+        regular, ctx = TxKind.REGULAR, TxKind.ORIGINAL_CTX
         per_shard: dict[int, list[Transaction]] = {}
         originals: list[Transaction] = []
         for payer, payee, value, nonce in rows:
@@ -121,7 +122,7 @@ class Supervisor:
             else:
                 cross = payee not in brokers and address_to_shard(payee, pmap) != payer_shard
                 home_shard = payer_shard
-            kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
+            kind = ctx if cross else regular
             original = Transaction(payer, payee, value, nonce, kind, None, now,
                                    tx_digest(payer, payee, value, nonce, kind, None))
             originals.append(original)
@@ -193,11 +194,13 @@ class Supervisor:
         Only the debit side of a split transfer counts, so each original
         contributes exactly one edge however it committed.
         """
+        originals = self.ledger.originals
+        regular = TxKind.REGULAR
         for tx in info.block.txs:
             if tx.kind in CREDIT_KINDS:
                 continue
-            key = tx.hash if tx.kind is TxKind.REGULAR else tx.origin_hash
-            rec = self.ledger.originals.get(key)
+            key = tx.hash if tx.kind is regular else tx.origin_hash
+            rec = originals.get(key)
             if rec is None:
                 continue
             self.graph.add_edge(rec.payer, rec.payee)

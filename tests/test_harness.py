@@ -1,5 +1,7 @@
 """End-to-end runs over the simulated transport: wiring, outputs, reruns."""
 
+import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -11,8 +13,8 @@ import pytest
 import shardemu
 from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
-from shardemu import core
-from shardemu.core import block_from_json, compute_state_root
+from shardemu import core, harness
+from shardemu.core import DERIVED_KINDS, TxKind, block_from_json, block_line, compute_state_root
 from shardemu.dataset import gen_dataset
 from shardemu.harness import Emulation, report_from_blocks, run
 from shardemu.metrics import MetricsLedger
@@ -167,16 +169,113 @@ def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp
     assert {int(row[3]) for row in rows if row[0] in nulled} == {objs[last]["timestamp"]}
 
 
+def _rebuild_whole_blocks(run_dir, out_dir):
+    """The rebuild over whole decoded blocks, kept as an oracle: decode every
+    line, sort stably by (time, shard), bank each transaction's original at
+    its first appearance, then settle the first block of each (shard, height)."""
+    cfg_echo = json.loads((run_dir / "summary.json").read_text())["config"]
+    ledger = MetricsLedger(cfg_echo["n_shards"], cfg_echo["epoch_ms"])
+    blocks = []
+    for k in range(cfg_echo["n_shards"]):
+        for obj, block in _read_chain(run_dir, k):
+            at = block.timestamp if obj["commit_time"] is None else obj["commit_time"]
+            blocks.append((at, block))
+    blocks.sort(key=lambda pair: (pair[0], pair[1].shard_id))
+    for _, block in blocks:
+        for tx in block.txs:
+            if tx.kind in DERIVED_KINDS:
+                key, kind = tx.origin_hash, TxKind.ORIGINAL_CTX
+            else:
+                key, kind = tx.hash, tx.kind
+            ledger.record_injection(key, kind, tx.payer, tx.payee, tx.inject_time or 0)
+    for at, block in blocks:
+        ledger.record_block(block, at, 0)
+    ledger.write_reports(str(out_dir), cfg_echo)
+
+
+def _swap_two_lines(lines):
+    """Commit times go backwards between two neighbouring lines."""
+    i = next(i for i in range(len(lines) - 1)
+             if json.loads(lines[i])["commit_time"] < json.loads(lines[i + 1])["commit_time"])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return lines
+
+
+def _second_line_for_one_height(lines):
+    """A different block at the height of a block with transactions, committed
+    later, written ahead of the first: only the earlier one may settle."""
+    i = next(i for i, line in enumerate(lines) if len(json.loads(line)["txs"]) > 1)
+    obj = json.loads(lines[i])
+    first = block_from_json(obj)
+    other = dataclasses.replace(first, txs=first.txs[1:], hash=b"")
+    assert other.hash != first.hash
+    return [block_line(other, obj["commit_time"] + 7) + "\n"] + lines
+
+
+def _null_commit_time(lines):
+    i = len(lines) // 2
+    obj = json.loads(lines[i])
+    obj["commit_time"] = None
+    lines[i] = json.dumps(obj) + "\n"
+    return lines
+
+
+@pytest.mark.parametrize("edit", [None, _swap_two_lines, _second_line_for_one_height,
+                                  _null_commit_time])
+def test_rebuild_matches_the_whole_block_fold(tiny_run, tmp_path, edit):
+    """``report_from_blocks`` writes the bytes the fold over whole decoded
+    blocks writes, on the run's files and on files edited out of order."""
+    _, out = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    shutil.rmtree(run_dir / "recomputed", ignore_errors=True)
+    if edit is not None:
+        path = run_dir / "blocks_shard1.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+    report_from_blocks(str(run_dir))
+    _rebuild_whole_blocks(run_dir, tmp_path / "reference")
+    names = sorted(os.listdir(tmp_path / "reference"))
+    assert sorted(os.listdir(run_dir / "recomputed")) == names
+    for name in names:
+        assert ((run_dir / "recomputed" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
+
+
+def test_rebuild_keeps_no_decoded_transactions_while_writing(tiny_run, monkeypatch):
+    """While the rebuilt reports are written, at most one block's worth of
+    decoded transactions is still alive."""
+    result, out = tiny_run
+
+    def live_txs():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is core.Transaction)
+
+    during = []
+    write = MetricsLedger.write_reports
+
+    def counting_write(self, *args, **kwargs):
+        during.append(live_txs())
+        return write(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricsLedger, "write_reports", counting_write)
+    before = live_txs()
+    report_from_blocks(str(out))
+    assert result.summary["counters"]["W"] > 2 * result.summary["config"]["block_size"]
+    assert len(during) == 1
+    assert during[0] - before <= result.summary["config"]["block_size"]
+
+
 def test_report_hands_out_one_object_per_account(tiny_run, monkeypatch):
     _, out = tiny_run
     seen = []
-    record = MetricsLedger.record_block
+    decode = harness.block_from_json
 
-    def spy(self, block, commit_ms, pool_size):
-        seen.append(block)
-        return record(self, block, commit_ms, pool_size)
+    def spy(obj, addresses=None):
+        seen.append(decode(obj, addresses))
+        return seen[-1]
 
-    monkeypatch.setattr(MetricsLedger, "record_block", spy)
+    monkeypatch.setattr(harness, "block_from_json", spy)
     report_from_blocks(str(out))
     objects: dict[bytes, set[int]] = {}
     uses = 0

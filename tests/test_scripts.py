@@ -63,4 +63,7 @@ def test_same_bytes_smoke(tmp_path):
         ("relay_50_s4", 0), ("clpa2_5_s0", 3), ("relay_50_s4", 0)]
     assert all(len(line["sha256"]) == 64 for line in lines)
     assert lines[0]["sha256"] == lines[2]["sha256"] != lines[1]["sha256"]
+    assert all(len(line["recomputed"]) == 64 for line in lines)
+    assert lines[0]["recomputed"] == lines[2]["recomputed"] != lines[1]["recomputed"]
+    assert (tmp_path / "clpa2_5_s0" / "recomputed" / "tcl.csv").exists()
     assert (tmp_path / "clpa2_5_s0" / "blocks_shard1.jsonl").exists()
