@@ -237,9 +237,12 @@ class Block:
     ``post`` holds (pre-state root, post-state) once the block has been
     applied (see ``apply_block_to_state``), ``verdict`` the outcome of the
     checks ``verify_block`` makes on the block's content alone, with the
-    map and size limit they ran under, and ``halves`` the credit halves of
-    its debit halves once a replica has committed it (see
-    ``mechanisms.credit_halves``).
+    map and size limit they ran under, ``halves`` the credit halves of its
+    debit halves once a replica has committed it (see
+    ``mechanisms.credit_halves``), ``relays`` those halves batched per
+    destination shard as ``relay_ctx`` bodies, with the map they were
+    routed under (see ``mechanisms.relay_bodies``), and ``pruned`` the
+    hashes a commit drops from a pool (see ``pbft.Replica._commit_block``).
     None of these is hashed, compared, encoded or copied by ``replace``: a
     block decoded from a frame, or a copy of one, starts without them.
     """
@@ -260,6 +263,10 @@ class Block:
     verdict: Optional[tuple[PartitionMap, int, Optional[RejectReason]]] = field(
         default=None, init=False, compare=False, repr=False)
     halves: Optional[tuple[Transaction, ...]] = field(
+        default=None, init=False, compare=False, repr=False)
+    relays: Optional[tuple[PartitionMap, tuple]] = field(
+        default=None, init=False, compare=False, repr=False)
+    pruned: Optional[frozenset[bytes]] = field(
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

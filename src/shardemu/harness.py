@@ -11,10 +11,17 @@ the supervisor finalize the run. ``setup()`` and ``execute()`` are
 separate so callers can inspect pools and state between wiring and
 running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
 per node.
+
+``Emulation.setup``, ``Emulation.execute`` and ``report_from_blocks`` run
+with the cyclic garbage collector paused (``_gc_paused``). What they drop,
+reference counting frees at once: they build no garbage cycles beyond the
+few objects of each indented ``json.dump``. The collector's passes over
+their live transactions, blocks and state entries would free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import logging
@@ -22,8 +29,9 @@ import os
 import queue
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .config import ConfigError, MissingKey, RunConfig
 from .core import (
@@ -60,6 +68,19 @@ class RunResult:
 
     def root_logs(self) -> dict[str, list]:
         return {nid: list(r.root_log) for nid, r in self.replicas.items()}
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, or the decorated
+    call, and restore the caller's setting after it, also when it raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- wiring --
@@ -134,6 +155,7 @@ class Emulation:
         self.replicas: dict[str, Replica] = {}
         self._ran = False
 
+    @_gc_paused()
     def setup(self) -> None:
         cfg = self.cfg
         net = self.net = SimNetwork(latency_ms=cfg.sim.latency_ms, seed=cfg.sim.seed)
@@ -149,6 +171,7 @@ class Emulation:
             else:
                 self.replicas[fault.node].invalid_heights.add(fault.height)
 
+    @_gc_paused()
     def execute(self) -> RunResult:
         if self.net is None:
             self.setup()
@@ -188,6 +211,32 @@ class BadBlockFile(Exception):
         else:
             why = f"{type(exc).__name__}: {exc}"
         super().__init__(f"{path} line {line_no}: {why}")
+
+
+class BadSummary(Exception):
+    """A run directory's ``summary.json`` that is not valid JSON or whose
+    config echo does not give ``n_shards`` and ``epoch_ms`` as positive
+    integers."""
+
+    def __init__(self, path: str, exc: Exception) -> None:
+        super().__init__(f"{path}: {type(exc).__name__}: {exc}")
+
+
+def _config_echo(run_dir: str) -> dict:
+    """The config echo of a run directory's ``summary.json``, with the two
+    keys a rebuild sizes itself by checked. A missing file raises
+    ``FileNotFoundError``; a damaged one raises ``BadSummary``."""
+    path = os.path.join(run_dir, "summary.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            echo = json.load(fh)["config"]
+            for key in ("n_shards", "epoch_ms"):
+                value = echo[key]
+                if type(value) is not int or value < 1:
+                    raise ValueError(f"config {key} must be a positive integer, not {value!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadSummary(path, exc) from None
+    return echo
 
 
 def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
@@ -231,6 +280,7 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     return columns
 
 
+@_gc_paused()
 def report_from_blocks(run_dir: str) -> dict:
     """Rebuild the metric reports from a run directory's block files.
 
@@ -239,20 +289,19 @@ def report_from_blocks(run_dir: str) -> dict:
     own kind, and halves point at theirs, a cross-shard original, through
     the origin hash. The outputs land in a ``recomputed`` subdirectory of
     the run directory. Every shard's block file must be
-    present; a missing one raises ``FileNotFoundError``, and a line that
-    does not decode to a block with matching hashes raises ``BadBlockFile``.
+    present; a missing one raises ``FileNotFoundError``, a line that does
+    not decode to a block with matching hashes raises ``BadBlockFile``, and
+    a damaged ``summary.json`` raises ``BadSummary``.
 
     Every line is decoded and checked whole, but the rebuild keeps only
     each block's columns (``_block_columns``), never the decoded blocks.
     The blocks are ordered stably by (time, shard); in that order each
     transaction banks its original at its first appearance, and then the
     first block of each (shard, height) settles through
-    ``MetricsLedger.settle_block``.
+    ``MetricsLedger.settle_block``. The whole rebuild runs with the cyclic
+    garbage collector paused.
     """
-    summary_path = os.path.join(run_dir, "summary.json")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        prior = json.load(fh)
-    cfg_echo = prior["config"]
+    cfg_echo = _config_echo(run_dir)
     ledger = MetricsLedger(cfg_echo["n_shards"], cfg_echo["epoch_ms"])
     blocks = _block_columns(run_dir, cfg_echo["n_shards"])
     blocks.sort(key=lambda cols: (cols[0], cols[1]))

@@ -25,6 +25,7 @@ from typing import Any, Optional
 from .config import ClpaConfig
 from .core import (
     CREDIT_KINDS,
+    DEBIT_KINDS,
     INJECTED_KINDS,
     Block,
     BlockKind,
@@ -38,8 +39,6 @@ from .core import (
     apply_txs,
     compute_state_root,
     crosses_shards,
-    make_transaction,
-    tx_local_to_shard,
     verify_block,
 )
 from .pbft import Phase
@@ -74,23 +73,20 @@ def relay_split(tx: Transaction) -> Transaction:
 
     It inherits value, nonce and inject_time and points back at the
     original through origin_hash. Its credit half is built only once the
-    block carrying it commits (see ``credit_halves``).
+    block carrying it commits (see ``credit_halves``). The original passed
+    ``make_transaction``'s checks, so the half is built directly.
     """
     if tx.kind not in INJECTED_KINDS:
         raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
-    return make_transaction(
-        tx.payer, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.INTRA_RELAY, origin_hash=tx.hash, inject_time=tx.inject_time,
-    )
+    return Transaction(tx.payer, tx.payee, tx.value, tx.nonce,
+                       TxKind.INTRA_RELAY, tx.hash, tx.inject_time)
 
 
 def inter_from_intra(intra: Transaction) -> Transaction:
-    """The credit half of a debit half, for the payee's shard."""
-    return make_transaction(
-        intra.payer, intra.payee, intra.value, intra.nonce,
-        kind=TxKind.INTER_RELAY, origin_hash=intra.origin_hash,
-        inject_time=intra.inject_time,
-    )
+    """The credit half of a debit half, for the payee's shard, built
+    directly from the debit half's already checked fields."""
+    return Transaction(intra.payer, intra.payee, intra.value, intra.nonce,
+                       TxKind.INTER_RELAY, intra.origin_hash, intra.inject_time)
 
 
 def credit_halves(block: Block) -> tuple[Transaction, ...]:
@@ -100,14 +96,34 @@ def credit_halves(block: Block) -> tuple[Transaction, ...]:
     block object builds its halves and keeps them on it, so every replica
     that holds the same object commits from that one build, and a block
     decoded from a frame gets its own. The halves are a pure function of
-    the block's transactions, timing fields included; routing stays with
-    each replica's map. Every committed block passes through here, a
-    broker block too, so the enum member is looked up once, not per
-    transaction."""
+    the block's transactions, timing fields included; ``relay_bodies``
+    routes them under a replica's map. Every committed block passes
+    through here, a broker block too, so the enum member is looked up once,
+    not per transaction."""
     if block.halves is None:
         debit = TxKind.INTRA_RELAY
         block.halves = tuple(inter_from_intra(tx) for tx in block.txs if tx.kind is debit)
     return block.halves
+
+
+def relay_bodies(block: Block, pmap: PartitionMap) -> tuple[tuple[int, RelayCtx], ...]:
+    """The ``relay_ctx`` bodies a commit of ``block`` sends under ``pmap``:
+    its credit halves batched by their payees' shards, as (shard, body) in
+    ascending shard order, each batch in block order.
+
+    Kept on the block (``Block.relays``) with the map object they were
+    routed under, so every replica that commits the same block object under
+    the same map object sends the same bodies, and a replica under another
+    map object routes afresh. Nothing writes to a body once it is built."""
+    routed = block.relays
+    if routed is None or routed[0] is not pmap:
+        by_dest: dict[int, list[Transaction]] = {}
+        for inter in credit_halves(block):
+            by_dest.setdefault(address_to_shard(inter.payee, pmap), []).append(inter)
+        bodies = tuple((dest, RelayCtx(source_shard=block.shard_id, txs=by_dest[dest]))
+                       for dest in sorted(by_dest))
+        routed = block.relays = (pmap, bodies)
+    return routed[1]
 
 
 def relay_validate(body: RelayCtx, sender: str) -> Optional[str]:
@@ -143,15 +159,13 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     if tx.kind not in INJECTED_KINDS or not crosses_shards(tx.payer, tx.payee, pmap):
         raise NotCrossShard("broker transform only applies to cross-shard originals")
     broker = pick_broker(pmap)
-    origin = tx.hash
-    payer_half = make_transaction(
-        tx.payer, broker, tx.value, tx.nonce,
-        kind=TxKind.BROKER_PAYER_HALF, origin_hash=origin, inject_time=tx.inject_time,
-    )
-    payee_half = make_transaction(
-        broker, tx.payee, tx.value, tx.nonce,
-        kind=TxKind.BROKER_PAYEE_HALF, origin_hash=origin, inject_time=tx.inject_time,
-    )
+    # The original and the broker account passed their checks already, so
+    # the halves are built directly.
+    origin, inject_time = tx.hash, tx.inject_time
+    payer_half = Transaction(tx.payer, broker, tx.value, tx.nonce,
+                             TxKind.BROKER_PAYER_HALF, origin, inject_time)
+    payee_half = Transaction(broker, tx.payee, tx.value, tx.nonce,
+                             TxKind.BROKER_PAYEE_HALF, origin, inject_time)
     return payer_half, payee_half
 
 
@@ -160,7 +174,9 @@ def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
 
     Credit halves execute where the payee lives; everything else where the
     payer lives, falling back to the payee when the payer is a broker.
-    ``BaseMechanism.evict_misplaced`` applies this rule inline.
+    ``BaseMechanism._place`` and ``BaseMechanism.evict_misplaced`` apply
+    this rule inline, and ``BaseMechanism._on_relay`` and ``relay_bodies``
+    route credit halves by their payees directly.
     """
     if tx.kind in CREDIT_KINDS or (tx.payer in pmap.brokers and tx.payee not in pmap.brokers):
         return tx.payee
@@ -528,11 +544,27 @@ class BaseMechanism:
         another shard executes is forwarded there, a local one is kept
         whole, and a transfer that is cross-shard here is split by the
         mechanism.
+
+        This runs once per packed entry, so ``exec_home_shard`` and
+        ``core.tx_local_to_shard`` are applied inline: the home account's
+        shard is resolved once and is the home shard, so the locality test
+        resolves at most the other account. A test pins this to the two
+        functions entry by entry.
         """
-        home = exec_home_shard(tx, node.pmap)
+        pmap = node.pmap
+        brokers = pmap.brokers
+        kind, payer, payee = tx.kind, tx.payer, tx.payee
+        by_payee = kind in CREDIT_KINDS or (payer in brokers and payee not in brokers)
+        home = address_to_shard(payee if by_payee else payer, pmap)
         if home != node.shard_id:
             return None, (home, tx)
-        if tx_local_to_shard(tx, home, node.pmap):
+        if kind is TxKind.REGULAR:
+            local = by_payee or payee in brokers or address_to_shard(payee, pmap) == home
+        elif kind in DEBIT_KINDS:
+            local = not by_payee or address_to_shard(payer, pmap) == home
+        else:
+            local = kind in CREDIT_KINDS
+        if local:
             return tx, None
         return self._pack_cross(tx, node)
 
@@ -553,15 +585,15 @@ class BaseMechanism:
     def op_confirmation(self, node: Any, block: Block, now: int) -> None:
         """Adopt the block's post-state, then send what the commit owes:
         the block's credit halves to their payees' shards (a broker block
-        has none), each replica routing them under its own map; any
-        migration shipping, which reads the post-commit state; and last the
-        block's report to the supervisor."""
+        has none), routed under the replica's own map (``relay_bodies``),
+        in one envelope of this replica's per body; any migration shipping,
+        which reads the post-commit state; and last the block's report to
+        the supervisor."""
         node.state = apply_block_to_state(node.state, block)
         if block.block_kind is BlockKind.TX:
-            batches: dict[int, list[Transaction]] = {}
-            for inter in credit_halves(block):
-                batches.setdefault(exec_home_shard(inter, node.pmap), []).append(inter)
-            forward(node, batches)
+            for dest, body in relay_bodies(block, node.pmap):
+                node.net.broadcast_shard(dest, Envelope("relay_ctx", node.nid, body),
+                                         include_self=True)
             self.migration.quiesce(node, now)
         else:
             self.migration.on_commit(self, node, block, now)
@@ -617,17 +649,20 @@ class BaseMechanism:
             return
         accept: list[Transaction] = []
         misrouted: dict[int, list[Transaction]] = {}
+        pmap = node.pmap
         for tx in env.body.txs:
             if tx.origin_hash in node.relay_seen:
                 continue
-            home = exec_home_shard(tx, node.pmap)
+            # A credit half (relay_validate checked the kind) executes
+            # where its payee lives.
+            home = address_to_shard(tx.payee, pmap)
             if home == node.shard_id:
                 node.relay_seen.add(tx.origin_hash)
                 accept.append(tx)
             else:
                 misrouted.setdefault(home, []).append(tx)
         if accept:
-            node.pool.append_relays(accept, node.pmap)
+            node.pool.append_relays(accept, pmap)
         if node.is_leader:
             # A migration moved the payee while this batch was in flight.
             forward(node, misrouted)

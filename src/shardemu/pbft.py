@@ -271,10 +271,14 @@ class Replica:
     def _commit_block(self, block: Block, now: int) -> None:
         # Drop what the block executed on every replica: followers still
         # queue its transactions, and the injected original of any half
-        # derived from one, so prune by origin too.
-        hashes = {tx.hash for tx in block.txs}
-        hashes |= {tx.origin_hash for tx in block.txs if tx.origin_hash}
-        self.pool.remove_committed(hashes)
+        # derived from one, so prune by origin too. The set is built once
+        # per block object (``Block.pruned``) and never written to.
+        pruned = block.pruned
+        if pruned is None:
+            pruned = block.pruned = frozenset(
+                [tx.hash for tx in block.txs]
+                + [tx.origin_hash for tx in block.txs if tx.origin_hash])
+        self.pool.remove_committed(pruned)
         self.head = block
         # The timer is armed before the commit sends anything, so at equal
         # virtual times it fires ahead of the commit's messages.

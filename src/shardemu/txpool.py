@@ -158,7 +158,7 @@ class TxPool:
         self.extracted += self._pop(t.hash for t in moved)
         return moved
 
-    def remove_committed(self, hashes: set[bytes]) -> int:
+    def remove_committed(self, hashes: Iterable[bytes]) -> int:
         """Drop transactions that a committed block just executed."""
         n = self._pop(hashes)
         self.removed += n

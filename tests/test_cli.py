@@ -95,6 +95,21 @@ def test_report_refuses_a_run_dir_missing_a_block_file(tmp_path, capsys):
     assert "blocks_shard1.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, cause", [
+    ('{"config": {"n_shards": 2,', "JSONDecodeError"),
+    ("{}", "KeyError: 'config'"),
+    ('{"config": {"n_shards": 0, "epoch_ms": 1000}}', "n_shards must be a positive integer"),
+], ids=["invalid_json", "no_config", "no_shards"])
+def test_report_names_a_damaged_summary(tmp_path, capsys, text, cause):
+    run_dir = _finished_run(tmp_path)
+    (run_dir / "summary.json").write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err and cause in err
+    assert "Traceback" not in err
+
+
 def _truncate_last(lines):
     lines[-1] = lines[-1][: len(lines[-1]) // 2]
 

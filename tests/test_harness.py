@@ -484,6 +484,66 @@ def test_setup_execute_are_separable(dataset):
         emu.execute()
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_run_and_report_pause_the_collector_and_restore_it(dataset, tmp_path, monkeypatch,
+                                                          enabled):
+    seen = []
+    wiring, writing = harness.build_nodes, MetricsLedger.write_reports
+
+    def spy_wiring(*args):
+        seen.append(("build_nodes", gc.isenabled()))
+        return wiring(*args)
+
+    def spy_writing(*args, **kwargs):
+        seen.append(("write_reports", gc.isenabled()))
+        return writing(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_nodes", spy_wiring)
+    monkeypatch.setattr(MetricsLedger, "write_reports", spy_writing)
+    out = tmp_path / "out"
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        emu = Emulation(parse_config(cfg_dict(dataset_path=dataset, output_dir=str(out))))
+        emu.setup()
+        assert gc.isenabled() is enabled
+        assert emu.execute().exit_code == 0
+        assert gc.isenabled() is enabled
+        report_from_blocks(str(out))
+        assert gc.isenabled() is enabled
+        lines = (out / "blocks_shard1.jsonl").read_text().splitlines()
+        (out / "blocks_shard1.jsonl").write_text("\n".join(lines[:-1] + ["{"]) + "\n")
+        with pytest.raises(harness.BadBlockFile):
+            report_from_blocks(str(out))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [("build_nodes", False), ("write_reports", False), ("write_reports", False)]
+
+
+# Indented ``json.dump`` runs the standard library's pure-Python encoder,
+# whose nested closures leave 33 unreachable objects per call; a run and
+# its rebuild each dump one summary.
+GARBAGE_BOUND = 100
+
+
+def test_a_run_and_its_report_leave_no_garbage_cycles_of_their_own(dataset, tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(cfg_dict(dataset_path=dataset, output_dir=str(out)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = run(cfg)
+        report_from_blocks(str(out))
+        found = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.exit_code == 0
+    assert found < GARBAGE_BOUND, f"{found} unreachable objects after one tiny run"
+
+
 def test_prefilled_replicas_hold_equal_but_independent_pools(dataset):
     emu = Emulation(parse_config(cfg_dict(dataset_path=dataset)))
     emu.setup()

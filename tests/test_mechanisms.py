@@ -17,6 +17,7 @@ from shardemu.core import (
     digest,
     genesis_block,
     make_transaction,
+    tx_local_to_shard,
     BlockKind,
     RejectReason,
     verify_block,
@@ -600,6 +601,42 @@ def test_commit_on_source_drops_departed_account_and_evicts():
 _EVICT_ACCOUNTS = [addr(f"evict-{i}") for i in range(6)]
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except (NotCrossShard, NoBrokers) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packing_placement_matches_exec_home_shard_and_locality(data):
+    n = data.draw(st.integers(1, 4), label="n_shards")
+    accounts = st.sampled_from(_EVICT_ACCOUNTS)
+    brokers = data.draw(st.frozensets(accounts, max_size=3), label="brokers")
+    overrides = data.draw(st.dictionaries(accounts, st.integers(0, n - 1), max_size=4),
+                          label="overrides")
+    pmap = PartitionMap(n, 1, overrides, brokers)
+    payer, payee = data.draw(accounts, label="payer"), data.draw(accounts, label="payee")
+    kind = data.draw(st.sampled_from(list(TxKind)), label="kind")
+    tx = make_transaction(payer, payee, 1, 0, kind=kind,
+                          origin_hash=digest(b"place") if kind in DERIVED_KINDS else None)
+    mech = data.draw(st.sampled_from([RelayMechanism(), BrokerMechanism()]), label="mechanism")
+    node = FakeNode(data.draw(st.integers(0, n - 1), label="shard"), pmap)
+
+    # The oracle resolves against an equal map with a table of its own.
+    oracle = PartitionMap(n, 1, dict(overrides), brokers)
+    home = exec_home_shard(tx, oracle)
+    if home != node.shard_id:
+        expected = (None, (home, tx))
+    elif tx_local_to_shard(tx, home, oracle):
+        expected = (tx, None)
+    else:
+        expected = _outcome(mech._pack_cross, tx, FakeNode(node.shard_id, oracle))
+    assert _outcome(mech._place, tx, node) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_eviction_pass_matches_exec_home_shard(data):
@@ -733,12 +770,18 @@ def _relay_block(tag):
     return RelayMechanism().op_mining(node, now=10)
 
 
-def _emitted(node, block):
-    """What committing ``block`` forwards to other shards; the trailing
+def _forwards(node, block):
+    """The (shard, envelope) sends of committing ``block``; the trailing
     ``block_info`` to the supervisor is checked and left out."""
     *forwards, (to, info) = node.commit(RelayMechanism(), block, now=20)
     assert (to, info.msg_type) == (SUPERVISOR_ID, "block_info")
-    return [(dest, env.msg_type, [t.hash for t in env.body.txs]) for dest, env in forwards]
+    return forwards
+
+
+def _emitted(node, block):
+    """What committing ``block`` forwards to other shards, by hash."""
+    return [(dest, env.msg_type, [t.hash for t in env.body.txs])
+            for dest, env in _forwards(node, block)]
 
 
 def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
@@ -787,8 +830,18 @@ def test_replicas_route_shared_halves_under_their_own_map():
     stale = THREE.updated(1, {})
     moved = THREE.updated(1, {T1: 2})
     assert stale.version == moved.version
-    a = _emitted(FakeNode(0, stale), block)
+    a_node = FakeNode(0, stale)
+    sent_a = _forwards(a_node, block)
+    # A replica that shares the first one's map object sends the very same
+    # bodies, each in an envelope of its own.
+    sent_c = _forwards(FakeNode(0, stale, index=2, leader=False), block)
+    assert [d for d, _ in sent_c] == [d for d, _ in sent_a] == [1, 2]
+    for (_, env_a), (_, env_c) in zip(sent_a, sent_c):
+        assert env_c.msg_type == env_a.msg_type == "relay_ctx"
+        assert env_c.body is env_a.body
+        assert (env_a.sender, env_c.sender) == ("0.0", "0.2")
     b = _emitted(FakeNode(0, moved, index=1, leader=False), block)
+    a = [(dest, env.msg_type, [t.hash for t in env.body.txs]) for dest, env in sent_a]
     assert sorted(h for _, _, hs in a for h in hs) == sorted(h for _, _, hs in b for h in hs)
     moved_half = next(t.hash for t in mechanisms.credit_halves(block) if t.payee == T1)
     assert [d for d, _, hs in a if moved_half in hs] == [1]
@@ -796,16 +849,19 @@ def test_replicas_route_shared_halves_under_their_own_map():
 
 
 def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
+    # Halves are built straight from their checked original or debit half
+    # (``relay_split``, ``inter_from_intra``), so count the mechanism
+    # module's own ``Transaction`` constructions.
     built = {TxKind.INTRA_RELAY: 0, TxKind.INTER_RELAY: 0}
-    real_make = mechanisms.make_transaction
+    real_tx = mechanisms.Transaction
 
-    def counting_make(*args, **kwargs):
-        tx = real_make(*args, **kwargs)
+    def counting_tx(*args, **kwargs):
+        tx = real_tx(*args, **kwargs)
         if tx.kind in built:
             built[tx.kind] += 1
         return tx
 
-    monkeypatch.setattr(mechanisms, "make_transaction", counting_make)
+    monkeypatch.setattr(mechanisms, "Transaction", counting_tx)
     data = tmp_path / "transfers.csv"
     gen_dataset(str(data), accounts=40, txs=150, skew="uniform", seed=7)
     result = run(build_cfg(dataset_path=str(data), output_dir=str(tmp_path / "out")))

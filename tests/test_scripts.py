@@ -1,5 +1,6 @@
 """The research scripts under scripts/, run end to end at a tiny size."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -67,3 +68,53 @@ def test_same_bytes_smoke(tmp_path):
     assert lines[0]["recomputed"] == lines[2]["recomputed"] != lines[1]["recomputed"]
     assert (tmp_path / "clpa2_5_s0" / "recomputed" / "tcl.csv").exists()
     assert (tmp_path / "clpa2_5_s0" / "blocks_shard1.jsonl").exists()
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_bench_summary_arithmetic():
+    ab = _load_script("ab_bench")
+    base = [10.0, 12.0, 11.0, 13.0, 14.0]
+    head = [9.0, 12.0, 12.0, 10.0, 11.0]
+    got = ab.compare(base, head, "lower")
+    assert (got["won"], got["ties"], got["lost"], got["pairs"]) == (3, 1, 1, 5)
+    assert (got["base_median"], got["head_median"]) == (12.0, 11.0)
+    assert got["ratio"] == pytest.approx(11 / 12)
+    # Inclusive quartiles: 11 and 13 of the base, 10 and 12 of the head.
+    assert (got["base_iqr"], got["head_iqr"]) == (2.0, 2.0)
+    assert got["clears_base_iqr"] is False, "a 1.0 fall is inside a 2.0 spread"
+    higher = ab.compare(base, head, "higher")
+    assert (higher["won"], higher["ties"], higher["lost"]) == (1, 1, 3)
+    assert higher["clears_base_iqr"] is False
+
+    faster = ab.compare([10.0, 10.5, 11.0, 11.5, 12.0], [8.0] * 5, "lower")
+    assert (faster["won"], faster["base_iqr"], faster["head_iqr"]) == (5, 1.0, 0.0)
+    assert faster["clears_base_iqr"] is True
+    assert ab.compare([10.0, 10.5, 11.0, 11.5, 12.0], [8.0] * 5, "higher")["clears_base_iqr"] is False
+    assert ab.compare([3.0], [2.0], "lower")["base_iqr"] == 0.0
+    with pytest.raises(ValueError):
+        ab.compare([1.0, 2.0], [1.0], "lower")
+
+
+def test_ab_bench_summarizes_only_pairs_where_both_sides_measured():
+    ab = _load_script("ab_bench")
+
+    def side(run_s, wall_s):
+        metrics = {} if run_s is None else {"run_s": run_s}
+        return {"perfbench": {"w": {"correct": True, "metrics": metrics}},
+                "desk": {"correct": True, "runs": {"with_output": {"wall_s": wall_s}}}}
+
+    pairs = [{"base": side(1.0, 5.0), "head": side(0.8, 4.0)},
+             {"base": side(1.2, 5.0), "head": side(None, 6.0)},
+             {"base": side(1.1, 5.0), "head": side(1.2, 5.0)}]
+    summary = ab.summarize(pairs, {"run_s": "lower"}, desk=True)
+    assert summary["w run_s"]["pairs"] == 2
+    assert (summary["w run_s"]["won"], summary["w run_s"]["lost"]) == (1, 1)
+    walls = summary["desk with_output wall_s"]
+    assert (walls["pairs"], walls["won"], walls["ties"], walls["lost"]) == (3, 1, 1, 1)
+    assert "desk without_output wall_s" not in summary
