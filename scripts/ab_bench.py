@@ -7,9 +7,11 @@ base first in even pairs (0, 2, ...), the head first in odd ones. Per tree,
 a pair runs
 
 - one ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` for
-  each workload the base tree's ``BENCHMARK.json`` lists, and
-- one ``scripts/desk_bench.py --shards N --repeat 1`` (the desk protocol at
-  N shards, one run with ``output_dir`` and one without),
+  each workload the base tree's ``BENCHMARK.json`` lists, or for each one
+  named by ``--workload`` (repeatable), and
+- unless ``--desk-shards 0``, one ``scripts/desk_bench.py --shards N
+  --repeat 1`` (the desk protocol at N shards, one run with ``output_dir``
+  and one without),
 
 each tree with its own copy of these scripts, which run that tree's
 ``src``. After the pairs, ``scripts/same_bytes.py`` runs once per tree.
@@ -26,6 +28,7 @@ with the summary.
 Usage:
 
     python scripts/ab_bench.py --base HEAD~1 --pairs 10
+    python scripts/ab_bench.py --base HEAD~1 --pairs 12 --workload clpa_rate_4 --desk-shards 0
     python scripts/ab_bench.py --base v1 --head v2 --pairs 10 --seed 13 --json ab.json
 
 The exit code is 0 only if every invocation passed its own checks and
@@ -44,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -139,6 +143,39 @@ def same_bytes_lines(tree: Path, out_dir: Path) -> list[str]:
     return proc.stdout.strip().splitlines()
 
 
+def chosen_workloads(spec: dict, names: Optional[list[str]]) -> list[str]:
+    """The workloads to run: every one ``spec`` (a ``BENCHMARK.json``)
+    lists, in its order, or ``names`` in the order given, each once."""
+    listed = [w["name"] for w in spec["workloads"]]
+    if not names:
+        return listed
+    unknown = sorted(set(names) - set(listed))
+    if unknown:
+        raise SystemExit(f"--workload {', '.join(unknown)}: not in BENCHMARK.json "
+                         f"(it lists {', '.join(listed)})")
+    return list(dict.fromkeys(names))
+
+
+def run_pairs(trees: dict[str, Path], workloads: list[str], n_pairs: int, seed: int,
+              seconds: float, desk_shards: int, tmp: Path) -> list[dict]:
+    """The alternating pairs: per pair and tree, one ``run_perfbench`` per
+    workload and, unless ``desk_shards`` is 0, one ``run_desk``. The base
+    goes first in even pairs, the head in odd ones."""
+    pairs = []
+    for i in range(n_pairs):
+        pair: dict = {"first": "base" if i % 2 == 0 else "head"}
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            tree = trees[side]
+            got: dict = {"perfbench": {w: run_perfbench(tree, w, seed, seconds)
+                                       for w in workloads}}
+            if desk_shards:
+                got["desk"] = run_desk(tree, desk_shards, tmp / f"desk-{side}-{i}")
+            pair[side] = got
+        pairs.append(pair)
+        print(f"pair {i + 1}/{n_pairs} done ({pair['first']} first)", flush=True)
+    return pairs
+
+
 def _series(pairs: list[dict], side: str, *path: str) -> list:
     """The value at ``path`` in each pair's ``side``, None where that
     invocation gave none."""
@@ -189,12 +226,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="perfbench dataset seed")
     parser.add_argument("--seconds", type=float, default=1.0,
                         help="perfbench --seconds per invocation (at least 3 repetitions run)")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="a BENCHMARK.json workload to run (repeatable; default all)")
     parser.add_argument("--desk-shards", type=int, default=8,
                         help="shard count of the desk run in each pair; 0 runs none")
     parser.add_argument("--json", help="write the raw pairs and the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.desk_shards < 0:
+        parser.error("--desk-shards must be 0 (no desk run) or more")
     revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": _git("rev-parse", "--verify", f"{args.head}^{{commit}}")}
     # A terminated run still removes its worktrees.
@@ -208,21 +249,10 @@ def main(argv=None) -> int:
                 _git("worktree", "add", "--detach", str(trees[side]), rev)
                 added.append(trees[side])
             spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-            workloads = [w["name"] for w in spec["workloads"]]
+            workloads = chosen_workloads(spec, args.workload)
             directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-            pairs = []
-            for i in range(args.pairs):
-                pair: dict = {"first": "base" if i % 2 == 0 else "head"}
-                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                    tree = trees[side]
-                    got: dict = {"perfbench": {w: run_perfbench(tree, w, args.seed, args.seconds)
-                                               for w in workloads}}
-                    if args.desk_shards:
-                        got["desk"] = run_desk(tree, args.desk_shards,
-                                               Path(tmp) / f"desk-{side}-{i}")
-                    pair[side] = got
-                pairs.append(pair)
-                print(f"pair {i + 1}/{args.pairs} done ({pair['first']} first)", flush=True)
+            pairs = run_pairs(trees, workloads, args.pairs, args.seed, args.seconds,
+                              args.desk_shards, Path(tmp))
             same = {side: same_bytes_lines(trees[side], Path(tmp) / f"same-{side}")
                     for side in revs}
         finally:
@@ -259,7 +289,8 @@ def main(argv=None) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps({
             "base": revs["base"], "head": revs["head"], "seed": args.seed,
-            "seconds": args.seconds, "desk_shards": args.desk_shards, "pairs": pairs,
+            "seconds": args.seconds, "workloads": workloads, "desk_shards": args.desk_shards,
+            "pairs": pairs,
             "summary": summary, "fingerprints": fingerprints, "same_bytes": same,
             "same_bytes_match": same_match, "failures": failures,
         }, indent=1) + "\n")

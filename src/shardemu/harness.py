@@ -187,7 +187,9 @@ class Emulation:
             sup.ledger.notes.append(
                 f"virtual time cap {VIRTUAL_TIME_CAP_MS} ms hit before the run stopped"
             )
-        return _finish(self.cfg, sup, self.replicas)
+        result = _finish(self.cfg, sup, self.replicas)
+        self.net.release()
+        return result
 
 
 def run(cfg: RunConfig) -> RunResult:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .config import ClpaConfig
 from .core import (
@@ -174,9 +174,9 @@ def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
 
     Credit halves execute where the payee lives; everything else where the
     payer lives, falling back to the payee when the payer is a broker.
-    ``BaseMechanism._place`` and ``BaseMechanism.evict_misplaced`` apply
-    this rule inline, and ``BaseMechanism._on_relay`` and ``relay_bodies``
-    route credit halves by their payees directly.
+    ``BaseMechanism._place`` and ``misplaced`` apply this rule inline, and
+    ``BaseMechanism._on_relay`` and ``relay_bodies`` route credit halves by
+    their payees directly.
     """
     if tx.kind in CREDIT_KINDS or (tx.payer in pmap.brokers and tx.payee not in pmap.brokers):
         return tx.payee
@@ -201,6 +201,34 @@ def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> None:
         if raws:
             env = Envelope("inject_txs", node.nid, InjectTxs(txs=raws))
             node.net.broadcast_shard(dest, env, include_self=True)
+
+
+def misplaced(queue: Iterable[Transaction], where: tuple[PartitionMap, int]) -> tuple[
+    list[Transaction], dict[int, list[Transaction]]
+]:
+    """``BaseMechanism.evict_misplaced``'s rule: the queued entries that
+    execute off shard ``me`` under ``pmap`` (``where`` is the pair), taken,
+    and returned by their home shards, each list in queue order.
+
+    One pass over the queue, with ``exec_home_account``'s rule and the
+    map's resolved-shard table inline: it runs over the whole pool at every
+    migration commit. A test pins it to ``exec_home_shard`` entry by
+    entry."""
+    pmap, me = where
+    gone: dict[int, list[Transaction]] = {}
+    brokers = pmap.brokers
+    resolved = pmap._shard_of
+    for tx in queue:
+        if tx.kind in CREDIT_KINDS or (tx.payer in brokers and tx.payee not in brokers):
+            home = tx.payee
+        else:
+            home = tx.payer
+        shard = resolved.get(home)
+        if shard is None:
+            shard = address_to_shard(home, pmap)
+        if shard != me:
+            gone.setdefault(shard, []).append(tx)
+    return [t for txs in gone.values() for t in txs], gone
 
 
 # --- constrained label propagation ---
@@ -413,9 +441,13 @@ class MigrationController:
 
         for addr in sorted(mig.outbound):
             bundle_for(mig.outbound[addr], addr)
+        # Entries are grouped by home account first, so each home's shard
+        # and bundle are looked up once; each keeps its extraction order.
+        by_home: dict[bytes, list[Transaction]] = {}
         for tx in mig.extracted:
-            home = exec_home_account(tx, mig.pmap)
-            bundle_for(address_to_shard(home, mig.pmap), home).pending_txs.append(tx)
+            by_home.setdefault(exec_home_account(tx, mig.pmap), []).append(tx)
+        for home, txs in by_home.items():
+            bundle_for(address_to_shard(home, mig.pmap), home).pending_txs.extend(txs)
         for target in sorted(bundles):
             accounts = [bundles[target][a] for a in sorted(bundles[target])]
             body = AccountMigrate(version=mig.pmap.version, accounts=accounts)
@@ -465,20 +497,18 @@ class MigrationController:
         return block
 
     def on_commit(self, mech: "BaseMechanism", node: Any, block: Block, now: int) -> None:
-        """Switch to the announced map, unlock, requeue displaced entries,
-        and evict anything the new map re-homes elsewhere."""
+        """Switch to the announced map, unlock, requeue displaced entries
+        (by source shard, ascending), and evict anything the new map
+        re-homes elsewhere."""
         mig = self.session
         node.pmap = mig.pmap
         node.pool.unlock()
-        for src in sorted(mig.inbound_txs):
-            batch = mig.inbound_txs[src]
-            node.pool.requeue(batch)
-            for tx in batch:
-                # Register migrated credit halves so a straggling duplicate
-                # of the same relay is dropped rather than double-queued.
-                if tx.kind in CREDIT_KINDS and tx.origin_hash:
-                    node.relay_seen.add(tx.origin_hash)
-        mech.evict_misplaced(node, now)
+        requeue = [tx for src in sorted(mig.inbound_txs) for tx in mig.inbound_txs[src]]
+        # Register migrated credit halves so a straggling duplicate of the
+        # same relay is dropped rather than double-queued.
+        node.relay_seen.update([tx.origin_hash for tx in requeue
+                                if tx.kind in CREDIT_KINDS and tx.origin_hash])
+        mech.evict_misplaced(node, now, requeue)
         self.session = None
 
 
@@ -600,34 +630,16 @@ class BaseMechanism:
         info = BlockInfo(block, now, len(node.pool), node.pmap.version)
         node.net.send(SUPERVISOR_ID, Envelope("block_info", node.nid, info))
 
-    def evict_misplaced(self, node: Any, now: int) -> None:
-        """After a map switch, re-home queued entries the shard no longer
-        owns. Every node drops them; only the leader forwards, so exactly
-        one copy travels.
+    def evict_misplaced(self, node: Any, now: int, requeue: Sequence[Transaction] = ()) -> None:
+        """After a map switch, requeue ``requeue`` at the pool's tail, then
+        re-home queued entries the shard no longer owns. Every node drops
+        them; only the leader forwards, so exactly one copy travels.
 
-        One pass over the live queue, with ``exec_home_account``'s rule and
-        the map's resolved-shard table inline: this runs on every replica at
-        every migration commit, over the whole pool. A test pins it to
-        ``exec_home_shard`` entry by entry."""
-        gone: dict[int, list[Transaction]] = {}
-        pmap = node.pmap
-        brokers = pmap.brokers
-        resolved = pmap._shard_of
-        me = node.shard_id
-        for tx in node.pool:
-            if tx.kind in CREDIT_KINDS or (tx.payer in brokers and tx.payee not in brokers):
-                home = tx.payee
-            else:
-                home = tx.payer
-            shard = resolved.get(home)
-            if shard is None:
-                shard = address_to_shard(home, pmap)
-            if shard != me:
-                gone.setdefault(shard, []).append(tx)
-        if not gone:
-            return
-        node.pool.discard({t.hash for txs in gone.values() for t in txs})
-        if node.is_leader:
+        Both steps are one ``TxPool.split`` under the ``misplaced`` rule,
+        keyed by the map and the shard, so the replicas of a shard whose
+        pools are equal run the pass once between them."""
+        gone = node.pool.split(misplaced, (node.pmap, node.shard_id), requeue)
+        if gone and node.is_leader:
             forward(node, gone)
 
     # - inter-shard dispatch -

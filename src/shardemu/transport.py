@@ -342,6 +342,14 @@ class SimNetwork(Fanout):
         if shard is not None:
             self.shard_members.setdefault(shard, []).append(nid)
 
+    def release(self) -> None:
+        """Drop the handler table of a finished run. Every node holds this
+        network as its ``net``, so the table would keep the run's nodes in
+        a reference cycle that only a full collection frees; without it,
+        dropping the nodes frees them. The clock, the counters and the
+        membership lists stay; an event still queued finds no handler."""
+        self.peers = {}
+
     def _latency(self) -> int:
         if self._lat_lo == self._lat_hi:
             return self._lat_lo

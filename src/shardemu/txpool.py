@@ -5,13 +5,20 @@ are broadcast shard-wide), so any node that becomes leader can propose. The
 pool is unbounded; back-pressure is an explicit non-goal, queue growth is
 itself a measurement. The pool never writes to a transaction: the
 supervisor stamps ``inject_time`` once, at injection.
+
+A migration runs whole-pool passes on every replica of a shard: extraction
+at quiesce, and at the migration block's commit the requeue of displaced
+entries followed by the eviction of what the new map re-homes. The copies
+of one pool (``TxPool.copy``) share a record of the last such pass per rule
+(``TxPool.split``), and a copy whose queue, key and requeued entries equal
+the record's adopts its result instead of running the pass again.
 """
 
 from __future__ import annotations
 
 import copy
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CREDIT_KINDS,
@@ -37,6 +44,38 @@ class WrongShard(PoolError):
     """A relay half was appended to a shard that does not own its payee."""
 
 
+class Split:
+    """One whole-pool pass as the pool that ran it saw it: the key and the
+    entries requeued ahead of the pass, the queue it started from (before
+    the requeue, in order), and what it left: the kept queue, the rule's
+    result and the two counter changes. Complete before it is published,
+    and then only ``adopted`` is written: the copies that took it over.
+    (A plain slotted class: a dataclass costs the import more than the
+    rest of the module.)"""
+
+    __slots__ = ("key", "requeued", "before", "kept", "result", "appended", "extracted",
+                 "adopted")
+
+    def __init__(self, key: Any, requeued: list[Transaction], before: list[Transaction],
+                 kept: dict[bytes, Transaction], result: Any, appended: int,
+                 extracted: int) -> None:
+        self.key = key
+        self.requeued = requeued
+        self.before = before
+        self.kept = kept
+        self.result = result
+        self.appended = appended
+        self.extracted = extracted
+        self.adopted = 0
+
+
+class Splits(dict):
+    """The last ``Split`` per rule, shared by the copies of one pool, and
+    how many copies share it (``copies``)."""
+
+    copies = 1
+
+
 class TxPool:
     """Queue of pending transactions for one shard, keyed by hash.
 
@@ -58,6 +97,8 @@ class TxPool:
         self.packed = 0
         self.extracted = 0
         self.removed = 0
+        # The last ``split`` per rule, shared by every copy of this pool.
+        self._splits = Splits()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -93,10 +134,12 @@ class TxPool:
         return n
 
     def copy(self) -> "TxPool":
-        """An independent pool with this one's queue, order, lock and
-        counters: a replica's own copy of its shard's prefill."""
+        """A pool with this one's queue, order, lock and counters: a
+        replica's own copy of its shard's prefill. It shares with this pool
+        only the record of the last ``split`` per rule."""
         other = copy.copy(self)
         other._queue = self._queue.copy()
+        self._splits.copies += 1
         return other
 
     def append_relays(self, relays: list[Transaction], pmap: PartitionMap) -> int:
@@ -116,22 +159,6 @@ class TxPool:
         self.appended += n
         return n
 
-    def requeue(self, txs: Iterable[Transaction]) -> int:
-        """Re-admit transactions displaced by a migration, at the tail.
-
-        They keep their original inject_time; confirmation latency is
-        measured from first injection.
-        """
-        n = self._add(txs)
-        self.appended += n
-        return n
-
-    def discard(self, hashes: set[bytes]) -> int:
-        """Drop queued transactions that no longer belong to this shard."""
-        n = self._pop(hashes)
-        self.extracted += n
-        return n
-
     def pack_block_txs(self, theta: int) -> list[Transaction]:
         """Remove and return up to ``theta`` transactions in queue order."""
         if self.locked:
@@ -146,17 +173,61 @@ class TxPool:
     def unlock(self) -> None:
         self.locked = False
 
+    def split(
+        self,
+        rule: Callable[[Iterable[Transaction], Any], tuple[list[Transaction], Any]],
+        key: Any,
+        requeue: Sequence[Transaction] = (),
+    ) -> Any:
+        """Requeue ``requeue`` at the tail, then take out of the queue the
+        entries ``rule(queue, key)`` picks, and return the rule's result.
+
+        ``rule`` gets the queue in order and ``key``, and returns the entries
+        to take and its result; both must be a function of those two alone.
+        Requeued entries count as appended, taken ones as extracted, and
+        requeued entries keep their original inject_time: confirmation
+        latency is measured from first injection.
+
+        The copies of a pool share the last split per rule. A pool whose
+        queue equals, in order, the queue that split started from, under an
+        equal key and equal requeued entries, adopts its result, a copy of
+        its kept queue and its counter changes without running the rule;
+        any other runs the rule and records its own split. The key and the
+        result are shared with every adopter, so nothing may write to them.
+        Once every other copy has adopted a split, it is let go, so a
+        finished migration keeps no entries alive. Copies in other threads
+        that race on a split can at worst miss it, and run the rule.
+        """
+        requeue = list(requeue)
+        before = list(self._queue.values())
+        splits = self._splits
+        done = splits.get(rule)
+        if (done is not None and done.key == key and done.requeued == requeue
+                and done.before == before):
+            self._queue = done.kept.copy()
+            done.adopted += 1
+            if done.adopted + 1 >= splits.copies and splits.get(rule) is done:
+                splits.pop(rule, None)
+        else:
+            appended = self._add(requeue)
+            taken, result = rule(self._queue.values(), key)
+            extracted = self._pop(t.hash for t in taken)
+            done = splits[rule] = Split(key, requeue, before, self._queue.copy(),
+                                        result, appended, extracted)
+        self.appended += done.appended
+        self.extracted += done.extracted
+        return done.result
+
     def extract_for_migration(self, dirty: set[bytes]) -> list[Transaction]:
-        """Pull every queued transaction touching a migrating account.
+        """Pull every queued transaction touching a migrating account, as a
+        ``split``, so the result is shared and must not be written to.
 
         Only legal while locked; the caller re-routes the result to the
         accounts' new shards.
         """
         if not self.locked:
             raise PoolNotLocked("extraction requires the migration lock")
-        moved = [t for t in self._queue.values() if t.payer in dirty or t.payee in dirty]
-        self.extracted += self._pop(t.hash for t in moved)
-        return moved
+        return self.split(touching, dirty)
 
     def remove_committed(self, hashes: Iterable[bytes]) -> int:
         """Drop transactions that a committed block just executed."""
@@ -167,3 +238,12 @@ class TxPool:
     def snapshot(self) -> list[Transaction]:
         """Read-only view in queue order, for audits and tests."""
         return list(self._queue.values())
+
+
+def touching(queue: Iterable[Transaction], dirty: set[bytes]) -> tuple[
+    list[Transaction], list[Transaction]
+]:
+    """``TxPool.extract_for_migration``'s rule: the queued entries whose
+    payer or payee is in ``dirty``, in queue order, taken and returned."""
+    moved = [t for t in queue if t.payer in dirty or t.payee in dirty]
+    return moved, moved

@@ -7,13 +7,15 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 
 import shardemu
 from helpers import cfg_dict
 from shardemu.config import ConfigError, MissingKey, parse_config
-from shardemu import core, harness
+from shardemu import core, harness, mechanisms, txpool
 from shardemu.core import DERIVED_KINDS, TxKind, block_from_json, block_line, compute_state_root
 from shardemu.dataset import gen_dataset
 from shardemu.harness import Emulation, report_from_blocks, run
@@ -404,6 +406,38 @@ def test_one_map_object_per_version_and_one_content_check_per_tx(tmp_path, monke
         "one follower checks each committed transaction, under one map version"
 
 
+def test_replicas_of_a_shard_share_each_migration_pass(tmp_path, monkeypatch):
+    """Under a fixed latency the followers of a shard hold equal pools at
+    each extraction and each requeue-then-evict, so of a shard's four
+    replicas at most the leader and one follower run each whole-pool pass;
+    the others adopt the shard's last split. Every replica still makes the
+    call, and the run ends in the same final states."""
+    calls, passes = Counter(), Counter()
+    split = txpool.TxPool.split
+
+    def counting_split(pool, rule, key, requeue=()):
+        calls[rule] += 1
+        return split(pool, rule, key, requeue)
+
+    def counting(rule):
+        def counted(queue, key):
+            passes[counted] += 1
+            return rule(queue, key)
+        return counted
+
+    monkeypatch.setattr(txpool.TxPool, "split", counting_split)
+    monkeypatch.setattr(txpool, "touching", counting(txpool.touching))
+    monkeypatch.setattr(mechanisms, "misplaced", counting(mechanisms.misplaced))
+    dataset = tmp_path / "transfers.csv"
+    gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
+    assert run(_clpa_cfg(dataset, None)).exit_code == 0
+    rules = (txpool.touching, mechanisms.misplaced)
+    assert set(calls) == set(rules) and calls[rules[0]] == calls[rules[1]] > 0
+    for rule in rules:
+        assert calls[rule] % 4 == 0, "each replica of an involved shard makes the call"
+        assert passes[rule] <= calls[rule] // 2, f"{passes[rule]} passes for {calls[rule]} calls"
+
+
 def test_recomputed_latencies_match_live_under_jitter_and_crash(tmp_path):
     """Replicas commit a block at different times under jitter; the block
     files carry the commit time the live ledger counted, so the rebuilt
@@ -542,6 +576,28 @@ def test_a_run_and_its_report_leave_no_garbage_cycles_of_their_own(dataset, tmp_
             gc.enable()
     assert result.exit_code == 0
     assert found < GARBAGE_BOUND, f"{found} unreachable objects after one tiny run"
+
+
+def test_a_finished_run_is_freed_by_reference_counting_alone(dataset):
+    """Every node holds the network; once the run is over the network lets
+    its handlers go, so dropping the run frees it with the collector off.
+    The delivery count and the result keep working."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        emu = Emulation(parse_config(cfg_dict(dataset_path=dataset)))
+        emu.setup()
+        result = emu.execute()
+        assert result.exit_code == 0 and emu.net.delivered > 0
+        assert len(result.shard_replicas(0)) == 4 and result.root_logs()["0.0"]
+        assert result.replicas["0.0"].net is emu.net
+        nodes = [result.supervisor, *result.replicas.values(), emu.net]
+        alive = [weakref.ref(node) for node in nodes]
+        del emu, result, nodes
+        assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_prefilled_replicas_hold_equal_but_independent_pools(dataset):

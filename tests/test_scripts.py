@@ -101,6 +101,35 @@ def test_ab_bench_summary_arithmetic():
         ab.compare([1.0, 2.0], [1.0], "lower")
 
 
+def test_ab_bench_runs_the_named_workloads_and_no_desk_child_at_zero(monkeypatch, tmp_path,
+                                                                     capsys):
+    ab = _load_script("ab_bench")
+    spec = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    assert ab.chosen_workloads(spec, None) == ["a", "b", "c"]
+    assert ab.chosen_workloads(spec, ["c", "a", "c"]) == ["c", "a"]
+    with pytest.raises(SystemExit, match="--workload d: not in BENCHMARK.json"):
+        ab.chosen_workloads(spec, ["a", "d"])
+
+    ran = []
+    monkeypatch.setattr(ab, "run_perfbench", lambda tree, w, seed, seconds: (
+        ran.append((tree.name, w, seed, seconds)) or {"correct": True, "metrics": {}}))
+    monkeypatch.setattr(ab, "run_desk", lambda tree, shards, out: (
+        ran.append((tree.name, "desk", shards)) or {"correct": True, "runs": {}}))
+    trees = {"base": tmp_path / "base", "head": tmp_path / "head"}
+    pairs = ab.run_pairs(trees, ["c"], 3, 13, 2.0, 0, tmp_path)
+    assert ran == [("base", "c", 13, 2.0), ("head", "c", 13, 2.0), ("head", "c", 13, 2.0),
+                   ("base", "c", 13, 2.0), ("base", "c", 13, 2.0), ("head", "c", 13, 2.0)]
+    assert [p["first"] for p in pairs] == ["base", "head", "base"]
+    assert all("desk" not in p[side] for p in pairs for side in trees)
+    ran.clear()
+    ab.run_pairs(trees, ["a", "b"], 1, 1, 1.0, 4, tmp_path)
+    assert ran == [("base", "a", 1, 1.0), ("base", "b", 1, 1.0), ("base", "desk", 4),
+                   ("head", "a", 1, 1.0), ("head", "b", 1, 1.0), ("head", "desk", 4)]
+    with pytest.raises(SystemExit):
+        ab.main(["--base", "HEAD", "--pairs", "1", "--desk-shards", "-1"])
+    assert "--desk-shards must be 0" in capsys.readouterr().err
+
+
 def test_ab_bench_summarizes_only_pairs_where_both_sides_measured():
     ab = _load_script("ab_bench")
 
