@@ -3,7 +3,8 @@
 Accounts, transactions, blocks, the per-shard account state, and the
 account-to-shard partition map live here, together with the pure functions
 the consensus and mechanism layers drive: shard resolution, the cross-shard
-test, block application, state-root computation, and block verification.
+test, where a transaction executes and whether it is local to a shard,
+block application, state-root computation, and block verification.
 Nothing in this module owns a clock, a socket, or a file.
 """
 
@@ -447,6 +448,25 @@ def compute_state_root(state: StateTree) -> bytes:
     return state._root
 
 
+class ShardTable(dict):
+    """The shards resolved under one map, by account. A missing account is
+    resolved on first lookup: its override, else its address suffix modulo
+    the shard count."""
+
+    __slots__ = ("overrides", "n_shards")
+
+    def __init__(self, overrides: dict[bytes, int], n_shards: int) -> None:
+        self.overrides = overrides
+        self.n_shards = n_shards
+
+    def __missing__(self, addr: bytes) -> int:
+        shard = self.overrides.get(addr)
+        if shard is None:
+            shard = int.from_bytes(addr[-SHARD_SUFFIX_BYTES:], "big") % self.n_shards
+        self[addr] = shard
+        return shard
+
+
 @dataclass(frozen=True, slots=True)
 class PartitionMap:
     """Versioned account-to-shard assignment.
@@ -457,13 +477,14 @@ class PartitionMap:
     grows as repartitioning runs. ``brokers`` are accounts considered
     present in every shard at once.
 
-    ``_shard_of`` holds every shard ``address_to_shard`` has resolved under
-    this map; ``updated`` seeds a child's table from its parent's. It is
-    correct only because nothing writes a map, or its ``overrides``, after
-    construction: a new version is a new map. Replicas of one process may
-    share a map across threads; a lookup and an insertion are each atomic
-    under the interpreter lock and every entry is a pure function of the
-    map, so a race only resolves an account twice.
+    ``_shard_of`` holds every shard resolved under this map (a
+    ``ShardTable``, read only by this module); ``updated`` seeds a child's
+    table from its parent's. It is correct only because nothing writes a
+    map, or its ``overrides``, after construction: a new version is a new
+    map. Replicas of one process may share a map across threads; a lookup
+    and an insertion are each atomic under the interpreter lock and every
+    entry is a pure function of the map, so a race only resolves an account
+    twice.
 
     ``_children`` keeps, per version, the last child ``updated`` built and
     the assignments it pinned, so every holder of this map that adopts the
@@ -476,10 +497,12 @@ class PartitionMap:
     version: int = 0
     overrides: dict[bytes, int] = field(default_factory=dict)
     brokers: frozenset[bytes] = field(default_factory=frozenset)
-    _shard_of: dict[bytes, int] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    _shard_of: ShardTable = field(init=False, compare=False, repr=False)
     _children: dict[int, tuple[dict[bytes, int], "PartitionMap"]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_shard_of", ShardTable(self.overrides, self.n_shards))
 
     def updated(self, version: int, assignments: dict[bytes, int],
                 brokers: Optional[Iterable[bytes]] = None) -> "PartitionMap":
@@ -504,37 +527,56 @@ class PartitionMap:
 def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
     """The shard owning ``addr`` under ``pmap``: its override, else its
     address suffix modulo the shard count. Resolved once per map."""
-    table = pmap._shard_of
-    shard = table.get(addr)
-    if shard is None:
-        shard = pmap.overrides.get(addr)
-        if shard is None:
-            shard = int.from_bytes(addr[-SHARD_SUFFIX_BYTES:], "big") % pmap.n_shards
-        table[addr] = shard
-    return shard
+    return pmap._shard_of[addr]
 
 
 def crosses_shards(payer: bytes, payee: bytes, pmap: PartitionMap) -> bool:
     """True when a transfer between two accounts spans two shards under
     ``pmap``: neither account is a broker and their shards differ."""
-    return (
-        payer not in pmap.brokers
-        and payee not in pmap.brokers
-        and address_to_shard(payer, pmap) != address_to_shard(payee, pmap)
-    )
+    brokers, table = pmap.brokers, pmap._shard_of
+    return payer not in brokers and payee not in brokers and table[payer] != table[payee]
+
+
+def home_accounts(txs: Iterable[Transaction], brokers: frozenset[bytes]) -> list[bytes]:
+    """The account whose shard executes each transaction, in order: the
+    payee of a credit half, the payer of a debit half, and the payer of an
+    injected transfer, unless a broker pays a non-broker: that transfer
+    executes at its payee (BrokerChain's rule).
+
+    The one definition of where a transaction executes. It takes a batch:
+    packing, eviction, shipping and stamping each apply it to a whole
+    block, pool or batch at once."""
+    credit, debit = CREDIT_KINDS, DEBIT_KINDS
+    return [tx.payee if tx.kind in credit or (
+                tx.payer in brokers and tx.payee not in brokers and tx.kind not in debit)
+            else tx.payer for tx in txs]
+
+
+def home_shards(txs: Iterable[Transaction], pmap: PartitionMap) -> list[int]:
+    """The shard of each transaction's home account (``home_accounts``)
+    under ``pmap``, in order."""
+    return list(map(pmap._shard_of.__getitem__, home_accounts(txs, pmap.brokers)))
+
+
+def home_shard(tx: Transaction, pmap: PartitionMap) -> int:
+    """The shard that executes one transaction under ``pmap``."""
+    return home_shards((tx,), pmap)[0]
 
 
 def tx_local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
     """True when every account the transaction touches for execution lives in
-    ``shard_id``. Brokers count as local everywhere."""
-    if tx.kind in CREDIT_KINDS:
-        return address_to_shard(tx.payee, pmap) == shard_id
-    if tx.kind in DEBIT_KINDS:
-        return address_to_shard(tx.payer, pmap) == shard_id
-    if tx.kind is TxKind.REGULAR:
-        payer_ok = tx.payer in pmap.brokers or address_to_shard(tx.payer, pmap) == shard_id
-        payee_ok = tx.payee in pmap.brokers or address_to_shard(tx.payee, pmap) == shard_id
-        return payer_ok and payee_ok
+    ``shard_id``. Brokers count as local everywhere, so a transfer between
+    two brokers is local to every shard. A transaction is packed whole in
+    its home shard (``home_shards``) only if it is local there."""
+    kind, table = tx.kind, pmap._shard_of
+    if kind in CREDIT_KINDS:
+        return table[tx.payee] == shard_id
+    if kind in DEBIT_KINDS:
+        return table[tx.payer] == shard_id
+    if kind is TxKind.REGULAR:
+        brokers = pmap.brokers
+        return ((tx.payer in brokers or table[tx.payer] == shard_id)
+                and (tx.payee in brokers or table[tx.payee] == shard_id))
     return False
 
 

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Collection, Optional, Sequence
 
 from .config import ClpaConfig
 from .core import (
     CREDIT_KINDS,
-    DEBIT_KINDS,
     INJECTED_KINDS,
     Block,
     BlockKind,
@@ -39,6 +38,10 @@ from .core import (
     apply_txs,
     compute_state_root,
     crosses_shards,
+    home_accounts,
+    home_shard,
+    home_shards,
+    tx_local_to_shard,
     verify_block,
 )
 from .pbft import Phase
@@ -169,25 +172,6 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     return payer_half, payee_half
 
 
-def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
-    """Account whose shard executes a queued transaction.
-
-    Credit halves execute where the payee lives; everything else where the
-    payer lives, falling back to the payee when the payer is a broker.
-    ``BaseMechanism._place`` and ``misplaced`` apply this rule inline, and
-    ``BaseMechanism._on_relay`` and ``relay_bodies`` route credit halves by
-    their payees directly.
-    """
-    if tx.kind in CREDIT_KINDS or (tx.payer in pmap.brokers and tx.payee not in pmap.brokers):
-        return tx.payee
-    return tx.payer
-
-
-def exec_home_shard(tx: Transaction, pmap: PartitionMap) -> int:
-    """Shard where a queued transaction must execute under ``pmap``."""
-    return address_to_shard(exec_home_account(tx, pmap), pmap)
-
-
 def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> None:
     """Hand transactions to every replica of their shards, in ascending
     shard order. Credit halves ride ``relay_ctx``, where the receiver drops
@@ -203,31 +187,20 @@ def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> None:
             node.net.broadcast_shard(dest, env, include_self=True)
 
 
-def misplaced(queue: Iterable[Transaction], where: tuple[PartitionMap, int]) -> tuple[
+def misplaced(queue: Collection[Transaction], where: tuple[PartitionMap, int]) -> tuple[
     list[Transaction], dict[int, list[Transaction]]
 ]:
-    """``BaseMechanism.evict_misplaced``'s rule: the queued entries that
-    execute off shard ``me`` under ``pmap`` (``where`` is the pair), taken,
-    and returned by their home shards, each list in queue order.
-
-    One pass over the queue, with ``exec_home_account``'s rule and the
-    map's resolved-shard table inline: it runs over the whole pool at every
-    migration commit. A test pins it to ``exec_home_shard`` entry by
-    entry."""
+    """``BaseMechanism.evict_misplaced``'s rule: the queued entries whose
+    home shard (``core.home_shards``) under ``pmap`` is not ``me`` (``where``
+    is the pair), taken, and returned by their home shards, each list in
+    queue order."""
     pmap, me = where
     gone: dict[int, list[Transaction]] = {}
-    brokers = pmap.brokers
-    resolved = pmap._shard_of
-    for tx in queue:
-        if tx.kind in CREDIT_KINDS or (tx.payer in brokers and tx.payee not in brokers):
-            home = tx.payee
-        else:
-            home = tx.payer
-        shard = resolved.get(home)
-        if shard is None:
-            shard = address_to_shard(home, pmap)
-        if shard != me:
-            gone.setdefault(shard, []).append(tx)
+    shards = home_shards(queue, pmap)
+    if shards.count(me) != len(shards):  # most passes find every entry at home
+        for tx, shard in zip(queue, shards):
+            if shard != me:
+                gone.setdefault(shard, []).append(tx)
     return [t for txs in gone.values() for t in txs], gone
 
 
@@ -258,10 +231,6 @@ class AccountGraph:
         row[b] = row.get(b, 0) + w
         row = self.adj.setdefault(b, {})
         row[a] = row.get(a, 0) + w
-
-    def add_vertex(self, a: bytes, w: int = 0) -> None:
-        self.vertex_weight.setdefault(a, w)
-        self.adj.setdefault(a, {})
 
     @property
     def vertices(self) -> list[bytes]:
@@ -444,8 +413,8 @@ class MigrationController:
         # Entries are grouped by home account first, so each home's shard
         # and bundle are looked up once; each keeps its extraction order.
         by_home: dict[bytes, list[Transaction]] = {}
-        for tx in mig.extracted:
-            by_home.setdefault(exec_home_account(tx, mig.pmap), []).append(tx)
+        for tx, home in zip(mig.extracted, home_accounts(mig.extracted, mig.pmap.brokers)):
+            by_home.setdefault(home, []).append(tx)
         for home, txs in by_home.items():
             bundle_for(address_to_shard(home, mig.pmap), home).pending_txs.extend(txs)
         for target in sorted(bundles):
@@ -538,14 +507,23 @@ class BaseMechanism:
         packed = node.pool.pack_block_txs(node.theta)
         if not packed:
             return None
+        # A migration can re-home accounts while entries wait, so the home
+        # is re-derived at packing time: an entry another shard executes is
+        # forwarded there, a local one is kept whole, and a transfer that is
+        # cross-shard here is split by the mechanism.
+        pmap, me = node.pmap, node.shard_id
         chosen: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
-        for tx in packed:
-            keep, route = self._place(tx, node)
-            if keep is not None:
+        for tx, home in zip(packed, home_shards(packed, pmap)):
+            if home != me:
+                forwards.setdefault(home, []).append(tx)
+            elif tx_local_to_shard(tx, me, pmap):
+                chosen.append(tx)
+            else:
+                keep, route = self._pack_cross(tx, node)
                 chosen.append(keep)
-            if route is not None:
-                forwards.setdefault(route[0], []).append(route[1])
+                if route is not None:
+                    forwards.setdefault(route[0], []).append(route[1])
         forward(node, forwards)
         if not chosen:
             return None
@@ -563,44 +541,12 @@ class BaseMechanism:
         block.post = (compute_state_root(node.state), applied)
         return block
 
-    def _place(self, tx: Transaction, node: Any) -> tuple[
-        Optional[Transaction], Optional[tuple[int, Transaction]]
-    ]:
-        """Decide what a packed pool entry becomes under the current map.
-
-        Returns (transaction to include in the block, (shard, transaction)
-        to forward now). A migration can re-home accounts while entries
-        wait, so the execution home is re-derived at packing time: an entry
-        another shard executes is forwarded there, a local one is kept
-        whole, and a transfer that is cross-shard here is split by the
-        mechanism.
-
-        This runs once per packed entry, so ``exec_home_shard`` and
-        ``core.tx_local_to_shard`` are applied inline: the home account's
-        shard is resolved once and is the home shard, so the locality test
-        resolves at most the other account. A test pins this to the two
-        functions entry by entry.
-        """
-        pmap = node.pmap
-        brokers = pmap.brokers
-        kind, payer, payee = tx.kind, tx.payer, tx.payee
-        by_payee = kind in CREDIT_KINDS or (payer in brokers and payee not in brokers)
-        home = address_to_shard(payee if by_payee else payer, pmap)
-        if home != node.shard_id:
-            return None, (home, tx)
-        if kind is TxKind.REGULAR:
-            local = by_payee or payee in brokers or address_to_shard(payee, pmap) == home
-        elif kind in DEBIT_KINDS:
-            local = not by_payee or address_to_shard(payer, pmap) == home
-        else:
-            local = kind in CREDIT_KINDS
-        if local:
-            return tx, None
-        return self._pack_cross(tx, node)
-
     def _pack_cross(self, tx: Transaction, node: Any) -> tuple[
         Transaction, Optional[tuple[int, Transaction]]
     ]:
+        """What a transfer packed in its home shard but not local there
+        becomes: (the half to include in the block, (shard, half) to
+        forward now, or None)."""
         raise NotImplementedError
 
     # - verification -
@@ -699,7 +645,7 @@ class BrokerMechanism(BaseMechanism):
 
     def _pack_cross(self, tx, node):
         payer_half, payee_half = broker_transform(tx, node.pmap)
-        return payer_half, (exec_home_shard(payee_half, node.pmap), payee_half)
+        return payer_half, (home_shard(payee_half, node.pmap), payee_half)
 
 
 def make_mechanism(name: str) -> BaseMechanism:

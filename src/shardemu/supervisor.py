@@ -28,10 +28,12 @@ from .core import (
     address_to_shard,
     block_line,
     check_transfer,
+    crosses_shards,
+    home_shards,
     tx_digest,
 )
 from .dataset import DatasetRow
-from .mechanisms import AccountGraph, broker_transform, clpa_partition, exec_home_shard
+from .mechanisms import AccountGraph, broker_transform, clpa_partition
 from .metrics import MetricsLedger
 from .oracle import (
     MismatchedProtocol,
@@ -99,38 +101,25 @@ class Supervisor:
         the only place ``inject_time`` is set: every transaction, and every
         half later derived from it, carries ``now`` from here on.
 
-        One pass per row: the payer's and the payee's shard are each
-        resolved at most once, and the original is built and hashed once.
-        The rules are those of ``crosses_shards`` (its kind),
-        ``make_transaction`` (the original and its refusals) and
-        ``exec_home_shard`` (its queue); a test holds this loop to them. A
-        brokered transfer leaves as its payer half, then its payee half."""
+        Each row is refused as ``check_transfer`` refuses it, classified by
+        ``crosses_shards``, and built and hashed once; the batch is then
+        queued by ``home_shards``. A brokered transfer leaves as its payer
+        half, then its payee half."""
         pmap = self.pmap
-        brokers = pmap.brokers
-        brokered = self.cfg.mechanism == "broker"
         regular, ctx = TxKind.REGULAR, TxKind.ORIGINAL_CTX
-        per_shard: dict[int, list[Transaction]] = {}
         originals: list[Transaction] = []
         for payer, payee, value, nonce in rows:
             check_transfer(payer, payee, value)
-            payer_shard = address_to_shard(payer, pmap)
-            if payer in brokers:
-                # No transfer with a broker crosses; a broker payer's home
-                # is its payee's shard unless the payee is a broker too.
-                cross = False
-                home_shard = payer_shard if payee in brokers else address_to_shard(payee, pmap)
-            else:
-                cross = payee not in brokers and address_to_shard(payee, pmap) != payer_shard
-                home_shard = payer_shard
-            kind = ctx if cross else regular
-            original = Transaction(payer, payee, value, nonce, kind, None, now,
-                                   tx_digest(payer, payee, value, nonce, kind, None))
-            originals.append(original)
-            if cross and brokered:
-                for half in broker_transform(original, pmap):
-                    per_shard.setdefault(exec_home_shard(half, pmap), []).append(half)
-            else:
-                per_shard.setdefault(home_shard, []).append(original)
+            kind = ctx if crosses_shards(payer, payee, pmap) else regular
+            originals.append(Transaction(payer, payee, value, nonce, kind, None, now,
+                                         tx_digest(payer, payee, value, nonce, kind, None)))
+        queued = originals
+        if self.cfg.mechanism == "broker":
+            queued = [half for tx in originals
+                      for half in (broker_transform(tx, pmap) if tx.kind is ctx else (tx,))]
+        per_shard: dict[int, list[Transaction]] = {}
+        for tx, shard in zip(queued, home_shards(queued, pmap)):
+            per_shard.setdefault(shard, []).append(tx)
         self.ledger.record_originals(originals)
         return per_shard
 

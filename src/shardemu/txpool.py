@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import (
     CREDIT_KINDS,
@@ -175,18 +175,18 @@ class TxPool:
 
     def split(
         self,
-        rule: Callable[[Iterable[Transaction], Any], tuple[list[Transaction], Any]],
+        rule: Callable[[Collection[Transaction], Any], tuple[list[Transaction], Any]],
         key: Any,
         requeue: Sequence[Transaction] = (),
     ) -> Any:
         """Requeue ``requeue`` at the tail, then take out of the queue the
         entries ``rule(queue, key)`` picks, and return the rule's result.
 
-        ``rule`` gets the queue in order and ``key``, and returns the entries
-        to take and its result; both must be a function of those two alone.
-        Requeued entries count as appended, taken ones as extracted, and
-        requeued entries keep their original inject_time: confirmation
-        latency is measured from first injection.
+        ``rule`` gets a view of the queue in order and ``key``, and returns
+        the entries to take and its result; both must be a function of those
+        two alone. Requeued entries count as appended, taken ones as
+        extracted, and requeued entries keep their original inject_time:
+        confirmation latency is measured from first injection.
 
         The copies of a pool share the last split per rule. A pool whose
         queue equals, in order, the queue that split started from, under an
@@ -240,7 +240,7 @@ class TxPool:
         return list(self._queue.values())
 
 
-def touching(queue: Iterable[Transaction], dirty: set[bytes]) -> tuple[
+def touching(queue: Collection[Transaction], dirty: set[bytes]) -> tuple[
     list[Transaction], list[Transaction]
 ]:
     """``TxPool.extract_for_migration``'s rule: the queued entries whose

@@ -2,8 +2,10 @@
 
 Addresses pinned to specific shards, transactions and committed blocks with
 preset hashes, tiny CSV datasets, config dictionaries with sensible test
-defaults, a four-node shard wired over the simulated network, and the CLPA
-objective and cut weight used as brute-force oracles. Nothing here asserts;
+defaults, a four-node shard wired over the simulated network, the CLPA
+objective and cut weight used as brute-force oracles, and an independent
+copy of the execution-home and locality rules, one transaction at a time,
+as the oracle for the batch rules in ``core``. Nothing here asserts;
 helpers stay dumb so failures point at the code under test.
 """
 
@@ -15,6 +17,8 @@ from typing import Optional
 from shardemu.config import RunConfig, parse_config
 from shardemu.core import (
     ADDRESS_SIZE,
+    CREDIT_KINDS,
+    DEBIT_KINDS,
     SHARD_SUFFIX_BYTES,
     ZERO_DIGEST,
     Block,
@@ -22,6 +26,7 @@ from shardemu.core import (
     PartitionMap,
     Transaction,
     TxKind,
+    address_to_shard,
     digest,
     make_transaction,
 )
@@ -52,6 +57,39 @@ def regular_tx(payer: bytes, payee: bytes, value: int = 1, nonce: int = 0,
                inject_time: Optional[int] = 0) -> Transaction:
     return make_transaction(payer, payee, value, nonce, kind=TxKind.REGULAR,
                             inject_time=inject_time)
+
+
+def exec_home_account(tx: Transaction, pmap: PartitionMap) -> bytes:
+    """Oracle: the account whose shard executes a queued transaction.
+    Credit halves execute where the payee lives, debit halves where the
+    payer lives, and an injected transfer where its payer lives, falling
+    back to the payee when a broker pays a non-broker."""
+    if tx.kind in CREDIT_KINDS:
+        return tx.payee
+    if tx.kind in DEBIT_KINDS:
+        return tx.payer
+    if tx.payer in pmap.brokers and tx.payee not in pmap.brokers:
+        return tx.payee
+    return tx.payer
+
+
+def exec_home_shard(tx: Transaction, pmap: PartitionMap) -> int:
+    """Oracle: the shard where a queued transaction executes under ``pmap``."""
+    return address_to_shard(exec_home_account(tx, pmap), pmap)
+
+
+def local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
+    """Oracle: every account the transaction touches for execution lives in
+    ``shard_id``; brokers count as local everywhere."""
+    if tx.kind in CREDIT_KINDS:
+        return address_to_shard(tx.payee, pmap) == shard_id
+    if tx.kind in DEBIT_KINDS:
+        return address_to_shard(tx.payer, pmap) == shard_id
+    if tx.kind is TxKind.REGULAR:
+        payer_ok = tx.payer in pmap.brokers or address_to_shard(tx.payer, pmap) == shard_id
+        payee_ok = tx.payee in pmap.brokers or address_to_shard(tx.payee, pmap) == shard_id
+        return payer_ok and payee_ok
+    return False
 
 
 def hashed_tx(tx_hash: bytes, kind: TxKind, origin_hash: Optional[bytes] = None) -> Transaction:

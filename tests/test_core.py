@@ -2,15 +2,18 @@
 
 import json
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, regular_tx, suffix_shard
+from helpers import addr, committed_block, regular_tx, suffix_shard
+import shardemu
 from shardemu.core import (
     ADDRESS_SIZE,
     DERIVED_KINDS,
@@ -25,6 +28,7 @@ from shardemu.core import (
     StateTree,
     Transaction,
     TxKind,
+    _content_reject,
     _digest,
     address_from_hex,
     address_to_hex,
@@ -42,6 +46,9 @@ from shardemu.core import (
     crosses_shards,
     digest,
     genesis_block,
+    home_accounts,
+    home_shard,
+    home_shards,
     make_transaction,
     replace_tx_list,
     tx_digest,
@@ -309,6 +316,122 @@ def test_tx_local_to_shard():
     assert tx_local_to_shard(regular_tx(A, C), 0, brokered)  # broker counts everywhere
     original = make_transaction(A, C, 1, 0, kind=TxKind.ORIGINAL_CTX)
     assert not tx_local_to_shard(original, 0, pmap)  # never directly executable
+
+
+_R, _O = TxKind.REGULAR, TxKind.ORIGINAL_CTX
+_DR, _DB = TxKind.INTRA_RELAY, TxKind.BROKER_PAYER_HALF
+_CR, _CB = TxKind.INTER_RELAY, TxKind.BROKER_PAYEE_HALF
+
+# (kind, payer is a broker, payee is a broker, payee's shard) ->
+# (home account, local to shard 0, local to shard 1). The payer lives in
+# shard 0; the payee in shard 0 ("same") or shard 1 ("diff").
+HOME_AND_LOCALITY = {
+    (_R, False, False, "same"): ("payer", True, False),
+    (_R, False, False, "diff"): ("payer", False, False),
+    (_R, False, True, "same"): ("payer", True, False),
+    (_R, False, True, "diff"): ("payer", True, False),
+    (_R, True, False, "same"): ("payee", True, False),
+    (_R, True, False, "diff"): ("payee", False, True),
+    (_R, True, True, "same"): ("payer", True, True),
+    (_R, True, True, "diff"): ("payer", True, True),
+    (_O, False, False, "same"): ("payer", False, False),
+    (_O, False, False, "diff"): ("payer", False, False),
+    (_O, False, True, "same"): ("payer", False, False),
+    (_O, False, True, "diff"): ("payer", False, False),
+    (_O, True, False, "same"): ("payee", False, False),
+    (_O, True, False, "diff"): ("payee", False, False),
+    (_O, True, True, "same"): ("payer", False, False),
+    (_O, True, True, "diff"): ("payer", False, False),
+    (_DR, False, False, "same"): ("payer", True, False),
+    (_DR, False, False, "diff"): ("payer", True, False),
+    (_DR, False, True, "same"): ("payer", True, False),
+    (_DR, False, True, "diff"): ("payer", True, False),
+    (_DR, True, False, "same"): ("payer", True, False),
+    (_DR, True, False, "diff"): ("payer", True, False),
+    (_DR, True, True, "same"): ("payer", True, False),
+    (_DR, True, True, "diff"): ("payer", True, False),
+    (_DB, False, False, "same"): ("payer", True, False),
+    (_DB, False, False, "diff"): ("payer", True, False),
+    (_DB, False, True, "same"): ("payer", True, False),
+    (_DB, False, True, "diff"): ("payer", True, False),
+    (_DB, True, False, "same"): ("payer", True, False),
+    (_DB, True, False, "diff"): ("payer", True, False),
+    (_DB, True, True, "same"): ("payer", True, False),
+    (_DB, True, True, "diff"): ("payer", True, False),
+    (_CR, False, False, "same"): ("payee", True, False),
+    (_CR, False, False, "diff"): ("payee", False, True),
+    (_CR, False, True, "same"): ("payee", True, False),
+    (_CR, False, True, "diff"): ("payee", False, True),
+    (_CR, True, False, "same"): ("payee", True, False),
+    (_CR, True, False, "diff"): ("payee", False, True),
+    (_CR, True, True, "same"): ("payee", True, False),
+    (_CR, True, True, "diff"): ("payee", False, True),
+    (_CB, False, False, "same"): ("payee", True, False),
+    (_CB, False, False, "diff"): ("payee", False, True),
+    (_CB, False, True, "same"): ("payee", True, False),
+    (_CB, False, True, "diff"): ("payee", False, True),
+    (_CB, True, False, "same"): ("payee", True, False),
+    (_CB, True, False, "diff"): ("payee", False, True),
+    (_CB, True, True, "same"): ("payee", True, False),
+    (_CB, True, True, "diff"): ("payee", False, True),
+}
+
+
+def test_home_and_locality_truth_table():
+    """Every kind, with payer and payee each a broker or not, in one shard
+    or two: the home account (``home_accounts``), its shard (``home_shards``
+    over the whole table at once, and ``home_shard``), the locality in each
+    shard (``tx_local_to_shard``), and the verification verdict of a
+    one-transaction block in each shard."""
+    assert {key[0] for key in HOME_AND_LOCALITY} == set(TxKind)
+    assert len(HOME_AND_LOCALITY) == len(TxKind) * 2 * 2 * 2
+    payers = {False: addr("tt-payer", shard=0), True: addr("tt-broker-payer", shard=0)}
+    payees = {(False, "same"): addr("tt-payee0", shard=0),
+              (False, "diff"): addr("tt-payee1", shard=1),
+              (True, "same"): addr("tt-broker-payee0", shard=0),
+              (True, "diff"): addr("tt-broker-payee1", shard=1)}
+    brokers = frozenset({payers[True], payees[True, "same"], payees[True, "diff"]})
+    pmap = PartitionMap(n_shards=2, brokers=brokers)
+    txs, homes = [], []
+    for (kind, payer_broker, payee_broker, where), (home, *local) in HOME_AND_LOCALITY.items():
+        payer, payee = payers[payer_broker], payees[payee_broker, where]
+        origin = digest(b"truth") if kind in DERIVED_KINDS else None
+        tx = make_transaction(payer, payee, 1, 0, kind=kind, origin_hash=origin)
+        txs.append(tx)
+        homes.append(payer if home == "payer" else payee)
+        assert home_shard(tx, pmap) == address_to_shard(homes[-1], pmap)
+        for shard in (0, 1):
+            assert tx_local_to_shard(tx, shard, pmap) is local[shard], (kind, shard)
+            verdict = _content_reject(committed_block(shard, 1, [tx]), pmap, theta=10)
+            if kind is _O:
+                assert verdict is RejectReason.MALFORMED
+            else:
+                assert verdict is (None if local[shard] else RejectReason.WRONG_SHARD)
+    assert home_accounts(txs, brokers) == homes
+    assert home_shards(txs, pmap) == [address_to_shard(a, pmap) for a in homes]
+
+    # A transfer between two brokers executes at its payer and is local to
+    # every shard.
+    between = make_transaction(payers[True], payees[True, "diff"], 1, 0)
+    assert home_accounts([between], brokers) == [payers[True]]
+    assert tx_local_to_shard(between, 0, pmap) and tx_local_to_shard(between, 1, pmap)
+    # A debit half whose payer is a broker and whose payee is not executes
+    # at its payer, the one shard where it is local.
+    debit = make_transaction(payers[True], payees[False, "diff"], 1, 0,
+                             kind=_DR, origin_hash=digest(b"truth"))
+    assert home_accounts([debit], brokers) == [payers[True]]
+    assert home_shard(debit, pmap) == 0
+    assert tx_local_to_shard(debit, 0, pmap) and not tx_local_to_shard(debit, 1, pmap)
+
+
+def test_only_core_reads_the_resolved_shard_table():
+    """``PartitionMap._shard_of`` is read through ``address_to_shard`` and
+    the home rules in ``core``; no other module resolves shards inline."""
+    src = Path(shardemu.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if path.name != "core.py"
+                     and re.search(r"\._shard_of\b", path.read_text(encoding="utf-8")))
+    assert readers == []
 
 
 # --- state tree ---

@@ -391,6 +391,8 @@ def test_one_map_object_per_version_and_one_content_check_per_tx(tmp_path, monke
         checked[key] = checked.get(key, 0) + 1
         return real_local(tx, shard_id, pmap)
 
+    # Counts the calls ``core._content_reject`` makes; packing calls the
+    # function the mechanisms module imported.
     monkeypatch.setattr(core, "tx_local_to_shard", counting_local)
     dataset = tmp_path / "transfers.csv"
     gen_dataset(str(dataset), accounts=200, txs=1500, skew="zipf:1.0", seed=3)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, build_cfg, clpa_objective, cut_weight, regular_tx
+from helpers import (
+    addr,
+    build_cfg,
+    clpa_objective,
+    cut_weight,
+    exec_home_shard,
+    local_to_shard,
+    regular_tx,
+)
 from shardemu.core import (
     CREDIT_KINDS,
     DERIVED_KINDS,
@@ -16,8 +24,8 @@ from shardemu.core import (
     address_to_shard,
     digest,
     genesis_block,
+    home_shard,
     make_transaction,
-    tx_local_to_shard,
     BlockKind,
     RejectReason,
     verify_block,
@@ -35,7 +43,6 @@ from shardemu.mechanisms import (
     RelayMechanism,
     broker_transform,
     clpa_partition,
-    exec_home_shard,
     inter_from_intra,
     make_mechanism,
     pick_broker,
@@ -196,13 +203,13 @@ def test_exec_home_shard():
     broker = addr("mech-broker2", shard=0)
     pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
     credit = inter_from_intra(relay_split(ctx_tx(P0, P1)))
-    assert exec_home_shard(credit, pmap) == 1, "credit executes at the payee"
-    assert exec_home_shard(regular_tx(P0, P1), pmap) == 0, "payer rules otherwise"
+    assert home_shard(credit, pmap) == 1, "credit executes at the payee"
+    assert home_shard(regular_tx(P0, P1), pmap) == 0, "payer rules otherwise"
     payee_half = make_transaction(
         broker, P1, 1, 0, kind=TxKind.BROKER_PAYEE_HALF, origin_hash=b"\x01" * 32
     )
-    assert exec_home_shard(payee_half, pmap) == 1, "broker payer defers to payee"
-    assert exec_home_shard(regular_tx(P0, broker), pmap) == 0
+    assert home_shard(payee_half, pmap) == 1, "broker payer defers to payee"
+    assert home_shard(regular_tx(P0, broker), pmap) == 0
 
 
 # --- account graph ---
@@ -222,10 +229,7 @@ def test_graph_accumulates_weights():
     assert g.edge_count == 2
     assert g.vertex_weight[P0] == 6 and g.vertex_weight[P1] == 5
     assert g.adj[P0][P1] == 5 and g.adj[P1][P0] == 5
-    g.add_vertex(Q0)
-    g.add_vertex(P0, w=99)  # existing weight is kept
-    assert g.vertex_weight[Q0] == 0 and g.vertex_weight[P0] == 6
-    assert set(g.vertices) == {P0, P1, Q0, Q1}
+    assert set(g.vertices) == {P0, P1, Q1}
 
 
 def test_loads_cut_and_objective_agree_with_brute_force():
@@ -297,7 +301,8 @@ def test_clpa_pins_brokers_and_isolated_vertices():
     g = AccountGraph()
     g.add_edge(a, b, 5)
     g.add_edge(c, d, 5)  # ballast so following the broker balances the load
-    g.add_vertex(loner)
+    g.vertex_weight[loner] = 0  # a vertex without edges
+    g.adj[loner] = {}
     pinned = PartitionMap(n_shards=2, brokers=frozenset({b}))
     new_map, dirty = clpa_partition(g, pinned, ClpaConfig(0.5, 100))
     assert address_to_shard(b, new_map) == 1, "brokers never move"
@@ -381,7 +386,9 @@ def _random_clpa_case(rng, n_shards, with_brokers, with_overrides):
     for _ in range(rng.randint(len(vertices), 3 * len(vertices))):
         a, b = rng.sample(vertices, 2)
         graph.add_edge(a, b, rng.randint(1, 4))
-    graph.add_vertex(addr(f"clpa-eq-loner:{rng.random()}"))
+    loner = addr(f"clpa-eq-loner:{rng.random()}")  # a vertex without edges
+    graph.vertex_weight[loner] = 0
+    graph.adj[loner] = {}
     brokers = frozenset(rng.sample(vertices, 2)) if with_brokers else frozenset()
     overrides = ({v: rng.randrange(n_shards) for v in rng.sample(vertices, 4)}
                  if with_overrides else {})
@@ -629,12 +636,25 @@ def test_packing_placement_matches_exec_home_shard_and_locality(data):
     oracle = PartitionMap(n, 1, dict(overrides), brokers)
     home = exec_home_shard(tx, oracle)
     if home != node.shard_id:
-        expected = (None, (home, tx))
-    elif tx_local_to_shard(tx, home, oracle):
-        expected = (tx, None)
+        expected = (None, {home: [tx]})
+    elif local_to_shard(tx, home, oracle):
+        expected = ([tx], {})
     else:
         expected = _outcome(mech._pack_cross, tx, FakeNode(node.shard_id, oracle))
-    assert _outcome(mech._place, tx, node) == expected
+        if not isinstance(expected, type):
+            keep, route = expected
+            expected = ([keep], {} if route is None else {route[0]: [route[1]]})
+    # Packing a one-entry pool places that entry.
+    node.pool.preload([tx])
+    mined = _outcome(mech.op_mining, node, 0)
+    sent = node.net.take()
+    if isinstance(expected, type):
+        assert mined is expected
+    else:
+        txs, forwards = expected
+        assert (None if mined is None else mined.txs) == txs
+        mechanisms.forward(node, forwards)
+        assert sent == node.net.take()
 
 
 @settings(max_examples=300, deadline=None)

@@ -357,8 +357,9 @@ def test_followers_share_one_content_check_per_block(monkeypatch):
         checked.append(tx.hash)
         return real_local(tx, shard_id, pmap)
 
-    # Only verification reaches it through core; packing calls the
-    # mechanisms module's own reference.
+    # The spy replaces the name ``core._content_reject`` looks up at each
+    # call, so it counts verification only: packing calls the function the
+    # mechanisms module imported.
     monkeypatch.setattr(core, "tx_local_to_shard", counting_local)
     net = SimNetwork(latency_ms=5, seed=0)
     replicas = build_shard(net, n_nodes=4, theta=5, delta=100, vc_timeout=1000)

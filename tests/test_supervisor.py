@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helpers import addr, build_cfg, committed_block, hashed_tx
+from helpers import addr, build_cfg, committed_block, exec_home_shard, hashed_tx
 from shardemu.core import (
     BlockKind,
     PartitionMap,
@@ -15,7 +15,7 @@ from shardemu.core import (
     tx_digest,
 )
 from shardemu.dataset import DatasetRow
-from shardemu.mechanisms import broker_transform, exec_home_shard
+from shardemu.mechanisms import broker_transform
 from shardemu.metrics import MetricsLedger
 from shardemu.supervisor import QUIET_INTERVALS, PendingMigration, Supervisor
 from shardemu.transport import BlockInfo, Envelope
@@ -97,7 +97,7 @@ def _reference_stamp(rows, pmap, brokered, now):
     """Stamping by the reference definitions, one row at a time: the kind
     from ``crosses_shards``, the original from ``make_transaction``, one
     ``record_injection`` per row, and each result queued at its
-    ``exec_home_shard``."""
+    ``exec_home_shard`` (the per-transaction oracle in ``helpers``)."""
     per_shard = {}
     ledger = MetricsLedger(pmap.n_shards, 500)
     for row in rows:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, regular_tx
+from helpers import addr, exec_home_shard, regular_tx
 from shardemu import mechanisms, txpool
 from shardemu.core import PartitionMap, TxKind, make_transaction
-from shardemu.mechanisms import RelayMechanism, exec_home_shard
+from shardemu.mechanisms import RelayMechanism
 from shardemu.txpool import PoolLocked, PoolNotLocked, TxPool, WrongShard
 
 A0 = addr("p0", shard=0)
