@@ -173,7 +173,8 @@ def tx_digest(
     kind: TxKind,
     origin_hash: Optional[bytes],
 ) -> bytes:
-    """Hash of the identity fields; timing fields deliberately excluded."""
+    """Hash of the identity fields; timing fields deliberately excluded.
+    ``txs_from_json`` hashes the same layout inline."""
     return _sha256(b"".join((
         payer,
         payee,
@@ -763,16 +764,13 @@ def _int(raw, name: str) -> int:
 
 def _decimal(raw, name: str, signed: bool = False) -> int:
     """A quoted decimal exactly as ``str(int)`` writes it, with a minus sign
-    only where ``signed``: no padding, underscores, plus sign or leading
-    zeros."""
-    if type(raw) is str and (signed or raw[:1] != "-"):
-        try:
-            n = int(raw)
-        except ValueError:
-            pass
-        else:
-            if str(n) == raw:
-                return n
+    only where ``signed``: ASCII digits, no leading zero and no padding,
+    underscore or plus sign. A form ``int`` refuses for its length (over
+    4,300 digits) raises its ``ValueError``."""
+    digits = raw[1:] if signed and type(raw) is str and raw[:1] == "-" and raw != "-0" else raw
+    if (type(digits) is str and digits.isdigit() and digits.isascii()
+            and (digits[0] != "0" or len(digits) == 1)):
+        return int(raw)
     raise ValueError(f"{name} must be a decimal string, not {raw!r}")
 
 
@@ -787,35 +785,74 @@ def _digest(raw, name: str) -> bytes:
     raise ValueError(f"{name} must be {2 * DIGEST_SIZE} lowercase hex digits, not {raw!r}")
 
 
-def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transaction:
-    """Decode and hash-check one transaction. ``addresses``, an
-    ``AddressTable`` shared by one parse pass, maps each address literal to
-    the pass's object for that account; without it each literal is parsed
-    afresh."""
-    address = address_from_hex if addresses is None else addresses.__getitem__
-    inject_time = obj.get("inject_time")
-    if inject_time is not None and type(inject_time) is not int:
-        raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
-    # The layout keeps a fee slot that is always 0, so decoding then
-    # encoding gives back the same bytes.
-    fee = obj.get("fee", 0)
-    if type(fee) is not int or fee != 0:
-        raise ValueError(f"fee must be the integer 0, not {fee!r}")
+def txs_from_json(objs: Iterable[dict], addresses: Optional[AddressTable] = None
+                  ) -> list[Transaction]:
+    """Decode and hash-check a list of transactions in ``tx_to_json``'s
+    layout: the one transaction decoder, for block files and wire frames.
+
+    ``addresses``, an ``AddressTable`` shared by one parse pass, maps each
+    address literal to the pass's object for that account; without it the
+    list gets a table of its own. ``value`` is taken only as ``str(int)``
+    writes it, ``nonce`` only as a JSON integer, ``origin_hash`` only as
+    null or a digest as ``bytes.hex`` writes it, ``inject_time`` only as an
+    integer or null, and ``fee`` only as the integer 0. Each hash is
+    computed once, with ``tx_digest``'s layout, and must equal the line's;
+    the transaction is built with it. Anything else raises ``ValueError``."""
+    if addresses is None:
+        addresses = AddressTable()
+    # Bound once per list: the loop body runs per transaction.
+    kind_of, tag_of = _TX_KIND_OF, _KIND_TAG
+    sha256, join, make = _sha256, b"".join, Transaction
+    out: list[Transaction] = []
+    append = out.append
     try:
-        tx = Transaction(
-            address(obj["payer"]),
-            address(obj["payee"]),
-            _decimal(obj["value"], "value"),
-            _int(obj["nonce"], "nonce"),
-            _member(_TX_KIND_OF, obj["kind"]),
-            _digest(obj["origin_hash"], "origin_hash") if obj.get("origin_hash") else None,
-            inject_time,
-        )
+        for obj in objs:
+            inject_time = obj.get("inject_time")
+            if inject_time is not None and type(inject_time) is not int:
+                raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
+            # The layout keeps a fee slot that is always 0, so decoding then
+            # encoding gives back the same bytes.
+            fee = obj.get("fee", 0)
+            if type(fee) is not int or fee != 0:
+                raise ValueError(f"fee must be the integer 0, not {fee!r}")
+            try:
+                payer, payee = addresses[obj["payer"]], addresses[obj["payee"]]
+            except TypeError:  # an unhashable literal
+                raise ValueError(f"bad address literal in {obj!r}") from None
+            value = obj["value"]
+            # ``_decimal``'s unsigned test, inlined.
+            if (type(value) is str and value.isdigit() and value.isascii()
+                    and (value[0] != "0" or len(value) == 1)):
+                value = int(value)
+            else:
+                _decimal(value, "value")  # raises
+            nonce = obj["nonce"]
+            if type(nonce) is not int:
+                _int(nonce, "nonce")  # raises
+            kind = obj["kind"]
+            try:
+                kind = kind_of[kind]
+            except (KeyError, TypeError):
+                _member(kind_of, kind)  # raises
+            origin = obj.get("origin_hash")
+            if origin is not None:
+                origin = _digest(origin, "origin_hash")
+            tx_hash = sha256(join((
+                payer, payee, value.to_bytes(VALUE_BITS // 8, "big"),
+                nonce.to_bytes(8, "big"), tag_of[kind], origin or b"",
+            ))).digest()
+            if tx_hash.hex() != obj["hash"]:
+                raise ValueError("transaction hash mismatch in serialized form")
+            append(make(payer, payee, value, nonce, kind, origin, inject_time, tx_hash))
     except OverflowError as exc:  # a value or nonce too wide for its hashed field
         raise ValueError(f"transaction field out of range: {exc}") from None
-    if tx.hash.hex() != obj["hash"]:
-        raise ValueError("transaction hash mismatch in serialized form")
-    return tx
+    return out
+
+
+def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transaction:
+    """Decode and hash-check one transaction: ``txs_from_json`` of a list
+    of one."""
+    return txs_from_json((obj,), addresses)[0]
 
 
 def account_to_json(acct: AccountState) -> dict:
@@ -910,7 +947,7 @@ def block_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Bloc
             state_root=_digest(obj["state_root"], "state_root"),
             proposer=obj["proposer"],
             block_kind=_member(_BLOCK_KIND_OF, obj["block_kind"]),
-            txs=[tx_from_json(t, addresses) for t in obj["txs"]],
+            txs=txs_from_json(obj["txs"], addresses),
             migration_installs=[account_from_json(a, addresses)
                                 for a in obj["migration_installs"]],
             migration_departures=[addresses[a] for a in obj["migration_departures"]],

@@ -34,13 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from .config import ConfigError, MissingKey, RunConfig
-from .core import (
-    DERIVED_KINDS,
-    AddressTable,
-    PartitionMap,
-    TxKind,
-    block_from_json,
-)
+from .core import AddressTable, PartitionMap, block_from_json
 from .dataset import load_dataset, top_active_accounts
 from .mechanisms import make_mechanism
 from .metrics import MetricsLedger, original_hashes
@@ -298,7 +292,8 @@ def report_from_blocks(run_dir: str) -> dict:
     Every line is decoded and checked whole, but the rebuild keeps only
     each block's columns (``_block_columns``), never the decoded blocks.
     The blocks are ordered stably by (time, shard); in that order each
-    transaction banks its original at its first appearance, and then the
+    transaction banks its original at its first appearance, in one loop
+    over the columns (``MetricsLedger.record_committed``), and then the
     first block of each (shard, height) settles through
     ``MetricsLedger.settle_block``. The whole rebuild runs with the cyclic
     garbage collector paused.
@@ -308,11 +303,7 @@ def report_from_blocks(run_dir: str) -> dict:
     blocks = _block_columns(run_dir, cfg_echo["n_shards"])
     blocks.sort(key=lambda cols: (cols[0], cols[1]))
 
-    record_injection = ledger.record_injection
-    derived, ctx = DERIVED_KINDS, TxKind.ORIGINAL_CTX
-    for _, _, _, _, kinds, keys, payers, payees, injects in blocks:
-        for kind, key, payer, payee, inject in zip(kinds, keys, payers, payees, injects):
-            record_injection(key, ctx if kind in derived else kind, payer, payee, inject)
+    ledger.record_committed(cols[4:] for cols in blocks)
 
     settled = ledger.blocks
     for commit_time, shard, height, block_kind, kinds, keys, *_ in blocks:

@@ -161,7 +161,13 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     """
     if tx.kind not in INJECTED_KINDS or not crosses_shards(tx.payer, tx.payee, pmap):
         raise NotCrossShard("broker transform only applies to cross-shard originals")
-    broker = pick_broker(pmap)
+    return broker_halves(tx, pick_broker(pmap))
+
+
+def broker_halves(tx: Transaction, broker: bytes) -> tuple[Transaction, Transaction]:
+    """The payer half and the payee half of a cross-shard original bridged
+    through ``broker``, without ``broker_transform``'s check: for a caller
+    that has just classified the original as crossing shards."""
     # The original and the broker account passed their checks already, so
     # the halves are built directly.
     origin, inject_time = tx.hash, tx.inject_time

@@ -40,6 +40,9 @@ from .core import (
 )
 
 CREDIT_PER_KIND = {k: 1.0 for k in INJECTED_KINDS} | {k: 0.5 for k in DERIVED_KINDS}
+# Each kind's value, for the per-row report lines: a dict hit instead of
+# ``Enum.value``'s descriptor.
+_KIND_VALUE = {k: k.value for k in TxKind}
 
 # An epoch gets a phase label when one family dominates its commits.
 PHASE_PURITY = 0.95
@@ -140,6 +143,26 @@ class MetricsLedger:
                 ctx += 1
         self.ctx_injected += ctx
 
+    def record_committed(self, columns: Iterable[tuple[Sequence, ...]]) -> None:
+        """Bank the originals that committed transactions stand for, given
+        per block as columns (kinds, originals' hashes, payers, payees,
+        inject times), in order, each as ``record_injection`` banks it: a
+        whole transaction stands for itself, of its own kind, and a half
+        for its cross-shard original. Used by ``shardemu report``."""
+        originals = self.originals
+        derived, ctx = DERIVED_KINDS, TxKind.ORIGINAL_CTX
+        n_ctx = 0
+        for kinds, keys, payers, payees, injects in columns:
+            for kind, key, payer, payee, inject in zip(kinds, keys, payers, payees, injects):
+                if key in originals:
+                    continue
+                if kind in derived:
+                    kind = ctx
+                originals[key] = InjectionRecord(key, kind, payer, payee, inject)
+                if kind is ctx:
+                    n_ctx += 1
+        self.ctx_injected += n_ctx
+
     def record_block(self, block: Block, commit_ms: int, pool_size: int) -> Optional[BlockRecord]:
         """Bank one committed block; duplicates (other replicas) return None."""
         if (block.shard_id, block.height) in self.blocks:
@@ -199,20 +222,28 @@ class MetricsLedger:
     def x(self) -> int:
         return len(self.originals)
 
+    def settled(self) -> tuple[int, int]:
+        """(Y, originals unconfirmed), from one pass over the originals."""
+        y = unconfirmed = 0
+        for rec in self.originals.values():
+            if rec.debit_ms is not None and rec.credit_ms is not None:
+                y += 1
+            elif rec.direct_ms is None:
+                unconfirmed += 1
+        return y, unconfirmed
+
     @property
     def y(self) -> int:
-        return sum(
-            1
-            for rec in self.originals.values()
-            if rec.debit_ms is not None and rec.credit_ms is not None
-        )
+        return self.settled()[0]
 
     @property
     def w(self) -> int:
         return self.z + self.u + self.v
 
-    def counters(self) -> dict[str, int]:
-        return {"X": self.x, "Y": self.y, "Z": self.z, "U": self.u, "V": self.v, "W": self.w}
+    def counters(self, y: Optional[int] = None) -> dict[str, int]:
+        """X, Y, Z, U, V and W; ``y``, if given, is Y from ``settled``."""
+        y = self.y if y is None else y
+        return {"X": self.x, "Y": y, "Z": self.z, "U": self.u, "V": self.v, "W": self.w}
 
     @property
     def ctx_ratio(self) -> float:
@@ -220,7 +251,7 @@ class MetricsLedger:
 
     @property
     def unconfirmed(self) -> int:
-        return sum(1 for rec in self.originals.values() if rec.confirm_ms is None)
+        return self.settled()[1]
 
     # -- epoch table --
 
@@ -319,6 +350,31 @@ class MetricsLedger:
                 "tcl_ms": confirm - rec.inject_ms,
             }
 
+    def tcl_lines(self) -> Iterator[str]:
+        """``tcl.csv``'s data lines, one per confirmed original in injection
+        order, each formatted straight from its record: a fresh pass per
+        call, which keeps no list of lines."""
+        kind_value = _KIND_VALUE
+        for rec in self.originals.values():
+            # ``InjectionRecord.confirm_ms``, inlined.
+            confirm = rec.direct_ms
+            if confirm is None:
+                debit, credit = rec.debit_ms, rec.credit_ms
+                if debit is None or credit is None:
+                    continue
+                confirm = debit if debit > credit else credit
+            inject = rec.inject_ms
+            yield (f"{rec.hash.hex()},{kind_value[rec.kind]},{inject},{confirm},"
+                   f"{confirm - inject}\n")
+
+    def tcl_samples(self) -> Iterator[tuple[TxKind, int]]:
+        """(kind, tcl_ms) of each confirmed original in injection order, as
+        the oracle reads them: a fresh pass per call, no list kept."""
+        for rec in self.originals.values():
+            confirm = rec.confirm_ms
+            if confirm is not None:
+                yield rec.kind, confirm - rec.inject_ms
+
     def workload_rows(self) -> list[dict]:
         packed = [0] * self.n_shards
         for rec in self.blocks.values():
@@ -345,11 +401,12 @@ class MetricsLedger:
         self,
         out_dir: str,
         config_echo: dict,
-        oracle: Optional[Callable[[dict, Iterable[dict]], dict]] = None,
+        oracle: Optional[Callable[[dict, Iterable[tuple[TxKind, int]]], dict]] = None,
     ) -> dict:
         """Write every report file once and return the summary. ``oracle``,
-        given the summary and its own pass over the tcl rows, builds its
-        "oracle" section."""
+        given the summary and its own pass over the latency samples
+        (``tcl_samples``), builds its "oracle" section. ``tcl.csv`` is
+        streamed from the records (``tcl_lines``)."""
         os.makedirs(out_dir, exist_ok=True)
         summary = self.summary(config_echo)
         with open(os.path.join(out_dir, "tps_epochs.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -361,11 +418,7 @@ class MetricsLedger:
                 )
         with open(os.path.join(out_dir, "tcl.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("tx_hash,kind,inject_ms,confirm_ms,tcl_ms\n")
-            for row in self.tcl_rows():
-                fh.write(
-                    f"{row['tx_hash']},{row['kind']},{row['inject_ms']},"
-                    f"{row['confirm_ms']},{row['tcl_ms']}\n"
-                )
+            fh.writelines(self.tcl_lines())
         with open(os.path.join(out_dir, "pool_size.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("time_ms,shard,size\n")
             for row in self.pool_rows():
@@ -375,20 +428,21 @@ class MetricsLedger:
             for row in self.workload_rows():
                 fh.write(f"{row['shard']},{row['packed_txs']},{row['share']:.6f}\n")
         if oracle is not None:
-            summary["oracle"] = oracle(summary, self.tcl_rows())
+            summary["oracle"] = oracle(summary, self.tcl_samples())
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return summary
 
     def summary(self, config_echo: dict) -> dict:
+        y, unconfirmed = self.settled()
         return {
             "config": config_echo,
-            "counters": self.counters(),
+            "counters": self.counters(y),
             "ctx_ratio": self.ctx_ratio,
             "phases": self.phase_stats(),
             "degraded": self.degraded,
-            "unconfirmed": self.unconfirmed,
+            "unconfirmed": unconfirmed,
             "notes": self.notes,
             "blocks_committed": len(self.blocks),
             "last_commit_ms": self.last_commit_ms,

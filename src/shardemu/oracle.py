@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .core import TxKind
+
 
 class MismatchedProtocol(Exception):
     """The run was not the pre-filled FIFO relay+static protocol."""
@@ -148,7 +150,7 @@ def input_from_config(config_echo: dict, n_txs: int) -> AnalyticInput:
 def proximity_report(
     summary: dict,
     expectation: AnalyticExpectation,
-    tcl_rows: Optional[Iterable[dict]] = None,
+    tcl_samples: Optional[Iterable[tuple[TxKind, int]]] = None,
 ) -> dict:
     """Percent distance of each usable epoch from its regime expectation.
 
@@ -205,20 +207,21 @@ def proximity_report(
             k: (sum(v) / len(v) if v else None) for k, v in sums.items()
         },
     }
-    if tcl_rows is not None:
-        report["tcl"] = _tcl_uniformity(tcl_rows, expectation)
+    if tcl_samples is not None:
+        report["tcl"] = _tcl_uniformity(tcl_samples, expectation)
     return report
 
 
-def _tcl_uniformity(tcl_rows: Iterable[dict], exp: AnalyticExpectation) -> dict:
+def _tcl_uniformity(
+    tcl_samples: Iterable[tuple[TxKind, int]], exp: AnalyticExpectation
+) -> dict:
+    """Latency of whole and split originals, given as (original's kind,
+    tcl_ms) pairs, against each regime's uniform bounds."""
     whole = []
     split = []
-    for row in tcl_rows:
-        sample = row["tcl_ms"] / 1000.0
-        if row["kind"] == "regular":
-            whole.append(sample)
-        else:
-            split.append(sample)
+    regular = TxKind.REGULAR
+    for kind, tcl_ms in tcl_samples:
+        (whole if kind is regular else split).append(tcl_ms / 1000.0)
     out: dict[str, dict] = {}
     for name, samples, bounds in (
         ("whole", whole, exp.tcl_whole_bounds),

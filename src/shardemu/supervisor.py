@@ -33,7 +33,7 @@ from .core import (
     tx_digest,
 )
 from .dataset import DatasetRow
-from .mechanisms import AccountGraph, broker_transform, clpa_partition
+from .mechanisms import AccountGraph, broker_halves, clpa_partition, pick_broker
 from .metrics import MetricsLedger
 from .oracle import (
     MismatchedProtocol,
@@ -104,7 +104,7 @@ class Supervisor:
         Each row is refused as ``check_transfer`` refuses it, classified by
         ``crosses_shards``, and built and hashed once; the batch is then
         queued by ``home_shards``. A brokered transfer leaves as its payer
-        half, then its payee half."""
+        half, then its payee half (``mechanisms.broker_halves``)."""
         pmap = self.pmap
         regular, ctx = TxKind.REGULAR, TxKind.ORIGINAL_CTX
         originals: list[Transaction] = []
@@ -115,8 +115,16 @@ class Supervisor:
                                          tx_digest(payer, payee, value, nonce, kind, None)))
         queued = originals
         if self.cfg.mechanism == "broker":
-            queued = [half for tx in originals
-                      for half in (broker_transform(tx, pmap) if tx.kind is ctx else (tx,))]
+            # Each ORIGINAL_CTX here was classified under ``pmap`` just
+            # above, so its halves skip ``broker_transform``'s re-check; the
+            # broker is picked once, at the batch's first one.
+            queued, broker = [], None
+            for tx in originals:
+                if tx.kind is ctx:
+                    broker = broker or pick_broker(pmap)
+                    queued += broker_halves(tx, broker)
+                else:
+                    queued.append(tx)
         per_shard: dict[int, list[Transaction]] = {}
         for tx, shard in zip(queued, home_shards(queued, pmap)):
             per_shard.setdefault(shard, []).append(tx)
@@ -318,11 +326,11 @@ class Supervisor:
             fh.close()
         # Wall-only runs legitimately stop mid-stream; a drain run that
         # still has unconfirmed originals did not actually drain.
-        if self.cfg.stop.drain and self.ledger.unconfirmed and not self.ledger.degraded:
-            self.ledger.degraded = True
-            self.ledger.notes.append(
-                f"{self.ledger.unconfirmed} originals unconfirmed at stop"
-            )
+        if self.cfg.stop.drain and not self.ledger.degraded:
+            unconfirmed = self.ledger.unconfirmed
+            if unconfirmed:
+                self.ledger.degraded = True
+                self.ledger.notes.append(f"{unconfirmed} originals unconfirmed at stop")
         if out_dir is None:
             summary = self.ledger.summary(self.cfg.echo())
         else:
@@ -330,12 +338,12 @@ class Supervisor:
         exit_code = 3 if summary["degraded"] else 0
         return exit_code, summary
 
-    def _oracle(self, summary: dict, tcl_rows: Iterable[dict]) -> dict:
+    def _oracle(self, summary: dict, tcl_samples: Iterable[tuple[TxKind, int]]) -> dict:
         """The summary's distance from the closed-form expectation."""
         if not self.ledger.x:
             return {"skipped": "no transactions injected"}
         exp = expected_metrics(input_from_config(summary["config"], self.ledger.x))
         try:
-            return proximity_report(summary, exp, tcl_rows)
+            return proximity_report(summary, exp, tcl_samples)
         except MismatchedProtocol as exc:
             return {"skipped": f"protocol mismatch: {exc}"}

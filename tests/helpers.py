@@ -5,8 +5,9 @@ preset hashes, tiny CSV datasets, config dictionaries with sensible test
 defaults, a four-node shard wired over the simulated network, the CLPA
 objective and cut weight used as brute-force oracles, and an independent
 copy of the execution-home and locality rules, one transaction at a time,
-as the oracle for the batch rules in ``core``. Nothing here asserts;
-helpers stay dumb so failures point at the code under test.
+as the oracle for the batch rules in ``core``, and the per-field
+transaction decoder, as the oracle for ``core.txs_from_json``. Nothing
+here asserts; helpers stay dumb so failures point at the code under test.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from shardemu.core import (
     PartitionMap,
     Transaction,
     TxKind,
+    _digest,
+    address_from_hex,
     address_to_shard,
     digest,
     make_transaction,
@@ -90,6 +93,48 @@ def local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
         payee_ok = tx.payee in pmap.brokers or address_to_shard(tx.payee, pmap) == shard_id
         return payer_ok and payee_ok
     return False
+
+
+_KIND_OF = {k.value: k for k in TxKind}
+
+
+def reference_tx_from_json(obj: dict) -> Transaction:
+    """Oracle: the per-field transaction decoder that ``core.txs_from_json``
+    replaced, as it was. It parses each address afresh, takes ``value``
+    only if ``str(int(value))`` gives it back, and lets ``Transaction``
+    hash. It reads a falsy ``origin_hash`` ("", false, 0, [], {}) as null,
+    which the batch decoder refuses."""
+    inject_time = obj.get("inject_time")
+    if inject_time is not None and type(inject_time) is not int:
+        raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
+    fee = obj.get("fee", 0)
+    if type(fee) is not int or fee != 0:
+        raise ValueError(f"fee must be the integer 0, not {fee!r}")
+    value = obj["value"]
+    if type(value) is not str or value[:1] == "-":
+        raise ValueError(f"value must be a decimal string, not {value!r}")
+    try:
+        number = int(value)
+    except ValueError:
+        raise ValueError(f"value must be a decimal string, not {value!r}") from None
+    if str(number) != value:
+        raise ValueError(f"value must be a decimal string, not {value!r}")
+    nonce = obj["nonce"]
+    if type(nonce) is not int:
+        raise ValueError(f"nonce must be an integer, not {nonce!r}")
+    try:
+        kind = _KIND_OF[obj["kind"]]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown kind {obj['kind']!r}") from None
+    origin = _digest(obj["origin_hash"], "origin_hash") if obj.get("origin_hash") else None
+    try:
+        tx = Transaction(address_from_hex(obj["payer"]), address_from_hex(obj["payee"]),
+                         number, nonce, kind, origin, inject_time)
+    except OverflowError as exc:
+        raise ValueError(f"transaction field out of range: {exc}") from None
+    if tx.hash.hex() != obj["hash"]:
+        raise ValueError("transaction hash mismatch in serialized form")
+    return tx
 
 
 def hashed_tx(tx_hash: bytes, kind: TxKind, origin_hash: Optional[bytes] = None) -> Transaction:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, committed_block, regular_tx, suffix_shard
+from helpers import addr, committed_block, reference_tx_from_json, regular_tx, suffix_shard
 import shardemu
 from shardemu.core import (
     ADDRESS_SIZE,
@@ -55,6 +55,7 @@ from shardemu.core import (
     tx_from_json,
     tx_local_to_shard,
     tx_to_json,
+    txs_from_json,
     verify_block,
 )
 from shardemu.transport import BlockInfo, Envelope, decode_frame, encode_frame
@@ -1018,6 +1019,16 @@ def test_tx_from_json_refuses_a_short_origin_hash():
             tx_from_json({**obj, "origin_hash": raw})
 
 
+@pytest.mark.parametrize("raw", ["", False, 0, [], {}])
+def test_tx_from_json_refuses_a_falsy_origin_hash(raw):
+    # An injected original hashes no origin, so only the origin check
+    # refuses these; a digest is null or 64 lowercase hex digits.
+    obj = tx_to_json(regular_tx(A, B))
+    assert tx_from_json(obj).origin_hash is None
+    with pytest.raises(ValueError, match="origin_hash"):
+        tx_from_json({**obj, "origin_hash": raw})
+
+
 @pytest.mark.parametrize("field", ["parent_hash", "state_root"])
 def test_block_from_json_refuses_a_short_digest(field):
     digests = {"parent_hash": b"\x01" * 32, "state_root": b"\x02" * 32, field: b"\x01"}
@@ -1078,7 +1089,9 @@ def test_account_from_json_takes_balances_as_str_writes_them():
     good = account_to_json(AccountState(A, balance=-5, nonce=9))
     assert account_from_json(good) == AccountState(A, balance=-5, nonce=9)
     for field, raw in [("balance", "-05"), ("balance", "-0_5"), ("balance", " -5"),
-                       ("balance", -5), ("balance", "-5.0"), ("nonce", 9.5), ("nonce", "9")]:
+                       ("balance", -5), ("balance", "-5.0"), ("balance", "-\u0665"),
+                       ("balance", "--5"), ("balance", "-"), ("balance", "-" + "9" * 5000),
+                       ("nonce", 9.5), ("nonce", "9")]:
         with pytest.raises(ValueError):
             account_from_json({**good, field: raw})
     assert account_from_json({**good, "balance": "0"}).balance == 0
@@ -1206,6 +1219,78 @@ _blocks = st.builds(
     migration_departures=st.lists(_addresses, max_size=3),
     timestamp=st.integers(0, 1 << 40),
 )
+
+
+def _swap_digit(text: str) -> str:
+    return ("1" if text[0] != "1" else "2") + text[1:]
+
+
+_FALSY = ("", False, 0, [], {})
+# One field of one line, rewritten from its encoded form: forms a lax reading
+# would take for the true value or nonce (so only the form check refuses
+# them), out-of-range and malformed forms, a wrong hash, and the five falsy
+# origins the per-field decoder read as null.
+_MUTATIONS = [
+    ("value", lambda v: str(int(v) + 1)),
+    ("value", lambda v: "+" + v),
+    ("value", lambda v: "0" + v),
+    ("value", lambda v: v[:1] + "_" + v[1:]),
+    ("value", lambda v: " " + v),
+    ("value", lambda v: v.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                                                  "\u0664\u0665\u0666\u0667\u0668\u0669"))),
+    ("value", lambda v: "-" + v),
+    ("value", lambda v: ""),
+    ("value", lambda v: "9" * 5000),
+    ("nonce", lambda n: True),
+    ("nonce", float),
+    ("nonce", str),
+    ("nonce", lambda n: -1),
+    ("nonce", lambda n: 1 << 64),
+    ("kind", lambda k: "relay"),
+    ("kind", lambda k: [k]),
+    ("origin_hash", lambda o: o and o.upper()),
+    ("origin_hash", lambda o: o and o[:63]),
+    ("inject_time", lambda t: float(t or 0)),
+    ("fee", lambda f: 0.0),
+    ("fee", lambda f: "0"),
+    ("hash", _swap_digit),
+    ("payer", lambda a: [a]),
+] + [("origin_hash", lambda o, raw=raw: raw) for raw in _FALSY]
+
+
+def _decoded(decode):
+    try:
+        return decode()
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_txs, min_size=1, max_size=4), st.none() | st.sampled_from(_MUTATIONS),
+       st.data())
+def test_batch_decoder_matches_the_per_field_reference(txs, mutation, data):
+    """``txs_from_json`` accepts what the per-field decoder it replaced
+    accepts, with equal transactions, and refuses the rest with
+    ``ValueError``. The one difference: a falsy origin_hash, which the old
+    decoder read as null."""
+    objs = [tx_to_json(tx) for tx in txs]
+    falsy_origin = False
+    if mutation is not None:
+        field, rewrite = mutation
+        i = data.draw(st.integers(0, len(objs) - 1))
+        objs[i] = {**objs[i], field: rewrite(objs[i][field])}
+        falsy_origin = field == "origin_hash" and objs[i][field] in _FALSY
+    want = _decoded(lambda: [reference_tx_from_json(obj) for obj in objs])
+    got = _decoded(lambda: txs_from_json(objs))
+    if falsy_origin:
+        assert got is None
+        assert want is None or want[i].origin_hash is None
+        return
+    assert got == want
+    if mutation is None:
+        assert got == txs
+    if got is not None:
+        assert [tx_from_json(obj) for obj in objs] == got
 
 
 @settings(max_examples=200, deadline=None)

@@ -124,16 +124,40 @@ def test_pool_and_workload_accounting(tiny_run):
     assert set(last_by_shard.values()) == {0}, "a drained run ends with empty pools"
 
 
-def test_recomputed_reports_match_run(tiny_run):
-    result, out = tiny_run
+def _assert_rebuild_matches(result, out):
+    """The reports rebuilt from the block files equal the live ones: the
+    counters, the cross-shard ratio, ``workload.csv`` and ``tps_epochs.csv``
+    byte for byte, and ``tcl.csv`` up to its row order (the live file lists
+    originals by injection, the rebuilt one by first commit)."""
     recomputed = report_from_blocks(str(out))
     assert recomputed["counters"] == result.summary["counters"]
     assert recomputed["ctx_ratio"] == pytest.approx(result.summary["ctx_ratio"])
     sub = out / "recomputed"
     for name in ("tps_epochs.csv", "tcl.csv", "workload.csv", "summary.json"):
         assert (sub / name).exists()
-    original_work = (out / "workload.csv").read_text()
-    assert (sub / "workload.csv").read_text() == original_work
+    for name in ("workload.csv", "tps_epochs.csv"):
+        assert (sub / name).read_bytes() == (out / name).read_bytes(), name
+    live, rebuilt = ((d / "tcl.csv").read_text().splitlines() for d in (out, sub))
+    assert live[0] == rebuilt[0] and sorted(live[1:]) == sorted(rebuilt[1:])
+    assert len(live) == result.summary["counters"]["X"] - result.summary["unconfirmed"] + 1
+
+
+def test_recomputed_reports_match_run(tiny_run):
+    result, out = tiny_run
+    _assert_rebuild_matches(result, out)
+
+
+def test_recomputed_reports_match_a_broker_run_with_a_crash(dataset, tmp_path):
+    out = tmp_path / "broker"
+    cfg = parse_config(cfg_dict(
+        dataset_path=dataset, output_dir=str(out), mechanism="broker", brokers="top:4",
+        transport={"sim": {"latency_ms": [1, 20], "seed": 0}},
+        faults=[{"kind": "crash", "node": "0.1", "at_ms": 300}],
+    ))
+    result = run(cfg)
+    assert result.exit_code == 0 and result.summary["counters"]["Y"] > 0
+    assert result.replicas["0.1"].head.height < result.replicas["0.0"].head.height
+    _assert_rebuild_matches(result, out)
 
 
 def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp_path):

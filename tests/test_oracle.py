@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from shardemu.core import TxKind
 from shardemu.oracle import (
     AnalyticInput,
     MismatchedProtocol,
@@ -212,15 +213,10 @@ def test_proximity_requires_reference_protocol():
 def test_tcl_uniformity_split_by_kind():
     exp = expected_metrics(AnalyticInput(theta=10, delta_s=1.0, n_shards=2, n_txs=400))
     t1, t3 = exp.t1_s, exp.t3_s
-    whole = [
-        {"kind": "regular", "tcl_ms": int(t1 * 1000 * f)} for f in (0.1, 0.5, 0.9)
-    ]
-    split = [
-        {"kind": "original_ctx", "tcl_ms": int((t1 + (t3 - t1) * f) * 1000)}
-        for f in (0.25, 0.5, 0.75)
-    ]
+    whole = [(TxKind.REGULAR, int(t1 * 1000 * f)) for f in (0.1, 0.5, 0.9)]
+    split = [(TxKind.ORIGINAL_CTX, int((t1 + (t3 - t1) * f) * 1000)) for f in (0.25, 0.5, 0.75)]
     summary = _summary([], {}, 0)
-    report = proximity_report(summary, exp, tcl_rows=whole + split)
+    report = proximity_report(summary, exp, tcl_samples=whole + split)
     tcl = report["tcl"]
     assert tcl["whole"]["n"] == 3 and tcl["split"]["n"] == 3
     assert tcl["whole"]["bounds_s"] == [0.0, t1]
@@ -230,5 +226,5 @@ def test_tcl_uniformity_split_by_kind():
 
     none_given = proximity_report(summary, exp)
     assert "tcl" not in none_given
-    empty = proximity_report(summary, exp, tcl_rows=[])
+    empty = proximity_report(summary, exp, tcl_samples=[])
     assert empty["tcl"] == {"whole": {"n": 0}, "split": {"n": 0}}

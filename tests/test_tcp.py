@@ -1,10 +1,16 @@
-"""The TCP backend: broadcast order against the sim's, and whole runs over real loopback TCP."""
+"""The TCP backend: broadcast order against the sim's, and whole runs over real loopback TCP.
+
+Over TCP every replica decodes each transaction list and block it receives
+from a frame (``core.txs_from_json``, ``core.block_from_json``); the node
+threads share one process, so the runs end with the final-state check over
+the replicas' own states."""
 
 import json
 
 from helpers import cfg_dict, free_ports
+from shardemu.checks import final_state_problems
 from shardemu.config import parse_config
-from shardemu.dataset import gen_dataset
+from shardemu.dataset import gen_dataset, load_dataset
 from shardemu.harness import _TcpNodeDriver, report_from_blocks, run
 from shardemu.transport import SUPERVISOR_ID, Envelope, SimNetwork, Stop, node_id, shard_of
 
@@ -56,6 +62,11 @@ def test_both_backends_fan_out_to_the_same_ids_in_the_same_order():
     ]
 
 
+def _state_problems(result, cfg):
+    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
+    return final_state_problems(rows, result.replicas.values(), result.supervisor.pmap.brokers)
+
+
 def test_single_shard_run_over_loopback(tmp_path):
     dataset = tmp_path / "transfers.csv"
     gen_dataset(str(dataset), accounts=30, txs=80, skew="uniform", seed=4)
@@ -86,6 +97,7 @@ def test_single_shard_run_over_loopback(tmp_path):
     assert (out / "tcl.csv").read_text().count("\n") == 81
     # the block files alone rebuild the same counters
     assert report_from_blocks(str(out))["counters"] == counters
+    assert _state_problems(result, cfg) == []
 
 
 def test_two_shard_relay_run_over_loopback(tmp_path):
@@ -119,3 +131,4 @@ def test_two_shard_relay_run_over_loopback(tmp_path):
         assert len({id(b) for b in heads}) == 4 and len({b.hash for b in heads}) == 1
         assert all(b.halves is not None for b in heads)
     assert report_from_blocks(str(out))["counters"] == counters
+    assert _state_problems(result, cfg) == []
