@@ -12,17 +12,25 @@ separate so callers can inspect pools and state between wiring and
 running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
 per node.
 
+``report_from_blocks`` rebuilds a run's reports from its block files. It
+decodes them in parallel, in forked children, when the host gives the
+process more than one CPU and the run has more than one shard, and stays
+in one process otherwise, or where it cannot fork or other threads run
+(``_block_columns``).
+
 ``Emulation.setup``, ``Emulation.execute`` and ``report_from_blocks`` run
-with the cyclic garbage collector paused (``_gc_paused``). What they drop,
-reference counting frees at once: they build no garbage cycles beyond the
-few objects of each indented ``json.dump``. The collector's passes over
-their live transactions, blocks and state entries would free nothing.
+with the cyclic garbage collector paused (``_gc_paused``); the rebuild's
+children inherit the pause. What they drop, reference counting frees at
+once: they build no garbage cycles beyond the few objects of each indented
+``json.dump``. The collector's passes over their live transactions, blocks
+and state entries would free nothing.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 import json
 import logging
 import os
@@ -235,22 +243,12 @@ def _config_echo(run_dir: str) -> dict:
     return echo
 
 
-def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
-    """Decode and check every line of a run's block files, keeping of each
-    block only its columns: (sort time, shard, height, block kind, kinds,
-    originals' hashes, payers, payees, inject times), the last five one
-    tuple each over the block's transactions. The sort time is the line's
-    commit_time, or the block's own timestamp where the line gives none.
-
-    One table for the whole pass hands out one bytes object per account,
-    and one object per original's hash and per injection time. Each decoded
-    block is let go once its columns are taken."""
-    addresses = AddressTable()
-    originals: dict[bytes, bytes] = {}
-    times: dict[int, int] = {}
+def _decode_files(paths: list[str], addresses: AddressTable, originals: dict[bytes, bytes],
+                  times: dict[int, int]) -> list[tuple]:
+    """Decode and check every line of the given block files, in order, into
+    ``_block_columns``' columns, interning through the given tables."""
     columns: list[tuple] = []
-    for k in range(n_shards):
-        path = os.path.join(run_dir, f"blocks_shard{k}.jsonl")
+    for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 try:
@@ -276,6 +274,167 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     return columns
 
 
+def _decoders(n_shards: int) -> int:
+    """How many processes decode a run's block files: one per usable CPU, at
+    most one per shard, and 1 where the host cannot fork or the process
+    runs other threads (a fork copies no thread, and a lock one of them
+    held would stay held in the child)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(n_shards, len(os.sched_getaffinity(0)))
+
+
+def _slices(paths: list[str], parts: int) -> list[list[str]]:
+    """``paths`` cut into ``parts`` contiguous, non-empty runs of about equal
+    total file size; a tie gives the earlier run the file. A file that
+    cannot be sized counts as empty: its decoder raises what it raises."""
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(os.path.getsize(path))
+        except OSError:
+            sizes.append(0)
+    cum = list(itertools.accumulate(sizes, initial=0))
+    cuts = [0]
+    for j in range(1, parts):
+        target = cum[-1] * j / parts
+        cuts.append(min(range(cuts[-1] + 1, len(paths) - parts + j + 1),
+                        key=lambda c: (abs(cum[c] - target), -c)))
+    cuts.append(len(paths))
+    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+class _Decoder:
+    """A forked child decoding ``paths`` into columns, which it sends back
+    pickled through the pipe ``fd``. ``pid`` and ``fd`` are None once the
+    child is reaped and the pipe closed, or when the fork failed."""
+
+    __slots__ = ("paths", "pid", "fd")
+
+    def __init__(self, paths: list[str], pid: Optional[int] = None,
+                 fd: Optional[int] = None) -> None:
+        self.paths, self.pid, self.fd = paths, pid, fd
+
+    @classmethod
+    def start(cls, paths: list[str]) -> "_Decoder":
+        # ``pickle`` and ``signal`` load on a parallel rebuild's first use,
+        # so a run, and a rebuild in one process, pay neither their import
+        # time nor their memory.
+        import pickle
+
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return cls(paths)
+        if pid == 0:
+            # The child never returns, raises, prints or runs exit handlers:
+            # its exit code and the bytes in the pipe are all it leaves.
+            code = 1
+            try:
+                os.close(r)
+                data = pickle.dumps(_decode_files(paths, AddressTable(), {}, {}),
+                                    pickle.HIGHEST_PROTOCOL)
+                with open(w, "wb") as fh:
+                    fh.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        return cls(paths, pid, r)
+
+    def result(self) -> Optional[list[tuple]]:
+        """The child's columns, or None if it failed: it was never forked,
+        exited non-zero or sent a pickle that does not load."""
+        import pickle
+
+        if self.pid is None:
+            return None
+        fh = open(self.fd, "rb")
+        self.fd = None
+        with fh:
+            try:
+                # Loaded from the pipe as it arrives; the pickle's bytes are
+                # never held whole.
+                got = pickle.load(fh)
+            except Exception:
+                got = None
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return None if status else got
+
+    def stop(self) -> None:
+        """Close the pipe, then kill and reap the child."""
+        import signal
+
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
+    """Decode and check every line of a run's block files, keeping of each
+    block only its columns: (sort time, shard, height, block kind, kinds,
+    originals' hashes, payers, payees, inject times), the last five one
+    tuple each over the block's transactions. The sort time is the line's
+    commit_time, or the block's own timestamp where the line gives none.
+    The columns come in shard order, each file's in line order.
+
+    The files are cut into ``_decoders`` contiguous slices of about equal
+    size. Forked children decode every slice but the first, which this
+    process decodes meanwhile; each child's columns are appended in shard
+    order. With one decoder (one usable CPU, a single shard, no ``fork``,
+    or other threads running) this process decodes every file itself.
+    A slice whose child fails is decoded here, so every error is raised by
+    this process, in shard order, as a one-process pass raises it; on any
+    error, and on an interrupt, the remaining children are killed and reaped
+    before it propagates.
+
+    One table for the whole pass hands out one bytes object per account,
+    and one object per original's hash and per injection time: a child's
+    columns are re-interned through this process's tables. Each decoded
+    block is let go once its columns are taken."""
+    addresses = AddressTable()
+    originals: dict[bytes, bytes] = {}
+    times: dict[int, int] = {}
+    paths = [os.path.join(run_dir, f"blocks_shard{k}.jsonl") for k in range(n_shards)]
+    intern_key, intern_account, intern_time = (
+        originals.setdefault, addresses.setdefault, times.setdefault)
+    first, *rest = _slices(paths, _decoders(n_shards))
+    decoders: list[_Decoder] = []
+    try:
+        for part in rest:
+            decoders.append(_Decoder.start(part))
+        columns = _decode_files(first, addresses, originals, times)
+        for decoder in decoders:
+            got = decoder.result()
+            if got is None:
+                columns += _decode_files(decoder.paths, addresses, originals, times)
+                continue
+            # In place, so each block's copies from the child are freed as
+            # its interned columns replace them.
+            for i, (at, shard, height, block_kind, kinds, keys, payers, payees,
+                    injects) in enumerate(got):
+                got[i] = (at, shard, height, block_kind, kinds,
+                          tuple(map(intern_key, keys, keys)),
+                          tuple(map(intern_account, payers, payers)),
+                          tuple(map(intern_account, payees, payees)),
+                          tuple(map(intern_time, injects, injects)))
+            columns += got
+    except BaseException:
+        for decoder in decoders:
+            decoder.stop()
+        raise
+    return columns
+
+
 @_gc_paused()
 def report_from_blocks(run_dir: str) -> dict:
     """Rebuild the metric reports from a run directory's block files.
@@ -290,7 +449,8 @@ def report_from_blocks(run_dir: str) -> dict:
     a damaged ``summary.json`` raises ``BadSummary``.
 
     Every line is decoded and checked whole, but the rebuild keeps only
-    each block's columns (``_block_columns``), never the decoded blocks.
+    each block's columns (``_block_columns``, in forked children where the
+    host has CPUs to spare), never the decoded blocks.
     The blocks are ordered stably by (time, shard); in that order each
     transaction banks its original at its first appearance, in one loop
     over the columns (``MetricsLedger.record_committed``), and then the

@@ -335,21 +335,6 @@ class MetricsLedger:
 
     # -- latency and workload --
 
-    def tcl_rows(self) -> Iterator[dict]:
-        """Confirmed originals in injection order, one row at a time: each
-        call is a fresh pass over the records, and no list of rows is kept."""
-        for rec in self.originals.values():
-            confirm = rec.confirm_ms
-            if confirm is None:
-                continue
-            yield {
-                "tx_hash": rec.hash.hex(),
-                "kind": rec.kind.value,
-                "inject_ms": rec.inject_ms,
-                "confirm_ms": confirm,
-                "tcl_ms": confirm - rec.inject_ms,
-            }
-
     def tcl_lines(self) -> Iterator[str]:
         """``tcl.csv``'s data lines, one per confirmed original in injection
         order, each formatted straight from its record: a fresh pass per

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -124,12 +125,59 @@ def test_pool_and_workload_accounting(tiny_run):
     assert set(last_by_shard.values()) == {0}, "a drained run ends with empty pools"
 
 
-def _assert_rebuild_matches(result, out):
+def _on_cpus(monkeypatch, cpus):
+    """Make the host offer ``cpus`` usable CPUs, and count the forks in the
+    list returned. The thread count is pinned to 1, so a thread an earlier
+    test left behind does not keep a rebuild in one process."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(harness.threading, "active_count", lambda: 1)
+    return forks
+
+
+def _rebuild_on(run_dir, monkeypatch, cpus):
+    """``report_from_blocks`` on a host with ``cpus`` usable CPUs: its summary,
+    the bytes of each ``recomputed/`` file, and how many children it forked."""
+    with monkeypatch.context() as m:
+        forks = _on_cpus(m, cpus)
+        summary = report_from_blocks(str(run_dir))
+    return summary, _recomputed_files(run_dir), len(forks)
+
+
+def _recomputed_files(run_dir):
+    return {p.name: p.read_bytes() for p in sorted((run_dir / "recomputed").iterdir())}
+
+
+def _assert_no_child_left(capfd):
+    """Every child the rebuild forked is reaped, and none printed."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr() == ("", "")
+
+
+def _assert_rebuild_matches(result, out, monkeypatch, capfd):
     """The reports rebuilt from the block files equal the live ones: the
     counters, the cross-shard ratio, ``workload.csv`` and ``tps_epochs.csv``
     byte for byte, and ``tcl.csv`` up to its row order (the live file lists
-    originals by injection, the rebuilt one by first commit)."""
-    recomputed = report_from_blocks(str(out))
+    originals by injection, the rebuilt one by first commit). Rebuilt in
+    one process and in several, the summary and every file are the same."""
+    n_shards = result.summary["config"]["n_shards"]
+    capfd.readouterr()
+    serial = _rebuild_on(out, monkeypatch, 1)
+    assert serial[2] == 0
+    for cpus in sorted({2, n_shards}):
+        parallel = _rebuild_on(out, monkeypatch, cpus)
+        assert parallel[2] == cpus - 1
+        assert parallel[:2] == serial[:2], f"{cpus} decoders"
+        _assert_no_child_left(capfd)
+    recomputed = serial[0]
     assert recomputed["counters"] == result.summary["counters"]
     assert recomputed["ctx_ratio"] == pytest.approx(result.summary["ctx_ratio"])
     sub = out / "recomputed"
@@ -142,12 +190,27 @@ def _assert_rebuild_matches(result, out):
     assert len(live) == result.summary["counters"]["X"] - result.summary["unconfirmed"] + 1
 
 
-def test_recomputed_reports_match_run(tiny_run):
+def test_recomputed_reports_match_run(tiny_run, monkeypatch, capfd):
     result, out = tiny_run
-    _assert_rebuild_matches(result, out)
+    _assert_rebuild_matches(result, out, monkeypatch, capfd)
 
 
-def test_recomputed_reports_match_a_broker_run_with_a_crash(dataset, tmp_path):
+@pytest.fixture(scope="module")
+def three_shard_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("three")
+    cfg = parse_config(cfg_dict(dataset_path=dataset, output_dir=str(out), n_shards=3))
+    return run(cfg), out
+
+
+def test_recomputed_reports_match_a_three_shard_run(three_shard_run, monkeypatch, capfd):
+    """Three shards over two decoders split unevenly; over three, one each."""
+    result, out = three_shard_run
+    assert result.exit_code == 0
+    _assert_rebuild_matches(result, out, monkeypatch, capfd)
+
+
+def test_recomputed_reports_match_a_broker_run_with_a_crash(dataset, tmp_path, monkeypatch,
+                                                             capfd):
     out = tmp_path / "broker"
     cfg = parse_config(cfg_dict(
         dataset_path=dataset, output_dir=str(out), mechanism="broker", brokers="top:4",
@@ -157,7 +220,143 @@ def test_recomputed_reports_match_a_broker_run_with_a_crash(dataset, tmp_path):
     result = run(cfg)
     assert result.exit_code == 0 and result.summary["counters"]["Y"] > 0
     assert result.replicas["0.1"].head.height < result.replicas["0.0"].head.height
-    _assert_rebuild_matches(result, out)
+    _assert_rebuild_matches(result, out, monkeypatch, capfd)
+
+
+def _corrupt_lines(*where):
+    """Give the height of each (shard, line index) a non-integer form."""
+    def damage(run_dir):
+        for shard, i in where:
+            path = run_dir / f"blocks_shard{shard}.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            lines[i] = lines[i].replace('"height": ', '"height": "', 1)
+            path.write_text("".join(lines))
+    return damage
+
+
+def _remove_last_file(run_dir):
+    (run_dir / "blocks_shard2.jsonl").unlink()
+
+
+@pytest.mark.parametrize("damage, named", [
+    (_corrupt_lines((0, 1), (2, -1)), "blocks_shard0.jsonl line 2: "),
+    (_corrupt_lines((2, -1)), "blocks_shard2.jsonl line "),
+    (_corrupt_lines((1, 0), (2, 0)), "blocks_shard1.jsonl line 1: "),
+    (_remove_last_file, "blocks_shard2.jsonl"),
+], ids=["first_slice", "last_slice", "two_children", "missing_last_file"])
+def test_a_parallel_rebuild_raises_what_the_serial_one_raises(three_shard_run, tmp_path,
+                                                             monkeypatch, capfd, damage, named):
+    """The first error in shard order is raised, as the one-process pass
+    raises it, and no child outlives the rebuild."""
+    _, out = three_shard_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    damage(run_dir)
+    capfd.readouterr()
+    raised = []
+    for cpus in (1, 2, 3):
+        with pytest.raises((harness.BadBlockFile, FileNotFoundError)) as info:
+            _rebuild_on(run_dir, monkeypatch, cpus)
+        raised.append((type(info.value), str(info.value)))
+        _assert_no_child_left(capfd)
+    assert named in raised[0][1]
+    assert raised == [raised[0]] * 3
+
+
+def _fail_in_a_child(monkeypatch):
+    parent, decode = os.getpid(), harness._decode_files
+
+    def decode_here_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a child fails")
+        return decode(*args)
+
+    monkeypatch.setattr(harness, "_decode_files", decode_here_only)
+
+
+def _send_a_short_pickle(monkeypatch):
+    parent, dumps = os.getpid(), pickle.dumps
+
+    def short_in_a_child(*args):
+        data = dumps(*args)
+        return data if os.getpid() == parent else data[: len(data) // 2]
+
+    monkeypatch.setattr(pickle, "dumps", short_in_a_child)
+
+
+def _refuse_to_fork(monkeypatch):
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("fail", [_fail_in_a_child, _send_a_short_pickle, _refuse_to_fork])
+def test_a_failed_child_leaves_its_slice_to_the_parent(three_shard_run, monkeypatch, capfd,
+                                                      fail):
+    _, out = three_shard_run
+    capfd.readouterr()
+    serial = _rebuild_on(out, monkeypatch, 1)
+    with monkeypatch.context() as m:
+        forks = _on_cpus(m, 3)
+        fail(m)
+        summary = report_from_blocks(str(out))
+    assert len(forks) == (0 if fail is _refuse_to_fork else 2)
+    assert summary == serial[0]
+    assert _recomputed_files(out) == serial[1]
+    _assert_no_child_left(capfd)
+
+
+def test_an_interrupted_rebuild_kills_and_reaps_its_children(three_shard_run, monkeypatch,
+                                                             capfd):
+    _, out = three_shard_run
+    parent, decode = os.getpid(), harness._decode_files
+
+    def interrupted_here(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return decode(*args)
+
+    monkeypatch.setattr(harness, "_decode_files", interrupted_here)
+    capfd.readouterr()
+    with pytest.raises(KeyboardInterrupt):
+        _rebuild_on(out, monkeypatch, 3)
+    _assert_no_child_left(capfd)
+
+
+def test_one_decoder_per_usable_cpu_and_shard_unless_it_cannot_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(harness.threading, "active_count", lambda: 1)
+    assert [harness._decoders(n) for n in (1, 3, 8)] == [1, 3, 4]
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert harness._decoders(8) == 1
+    with monkeypatch.context() as m:
+        m.setattr(harness.threading, "active_count", lambda: 2)
+        assert harness._decoders(8) == 1, "another thread runs"
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name)
+            assert harness._decoders(8) == 1, f"no os.{name}"
+
+
+def test_slices_are_contiguous_and_balanced_by_file_size(tmp_path):
+    def sliced(sizes, parts):
+        paths = []
+        for k, size in enumerate(sizes):
+            path = tmp_path / f"f{k}"
+            if size is not None:
+                path.write_bytes(b"x" * size)
+            paths.append(str(path))
+        return [[paths.index(p) for p in part] for part in harness._slices(paths, parts)]
+
+    assert sliced([3, 3, 4, 5], 2) == [[0, 1], [2, 3]]
+    assert sliced([1, 1, 1], 2) == [[0, 1], [2]], "a tie gives the earlier slice the file"
+    assert sliced([9, 1, 1, 1], 2) == [[0], [1, 2, 3]]
+    assert sliced([1, 1, 1, 9], 3) == [[0, 1], [2], [3]]
+    assert sliced([5, 5, None], 2) == [[0], [1, 2]], "a missing file counts as empty"
+    assert sliced([2, 2, 2], 3) == [[0], [1], [2]]
+    assert sliced([2, 2, 2], 1) == [[0, 1, 2]]
 
 
 def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp_path):
@@ -293,25 +492,21 @@ def test_rebuild_keeps_no_decoded_transactions_while_writing(tiny_run, monkeypat
 
 
 def test_report_hands_out_one_object_per_account(tiny_run, monkeypatch):
+    """The columns the rebuild decodes, here in two processes, hold one
+    object per account, per original's hash and per injection time: a
+    child's columns are re-interned through the parent's tables."""
     _, out = tiny_run
-    seen = []
-    decode = harness.block_from_json
-
-    def spy(obj, addresses=None):
-        seen.append(decode(obj, addresses))
-        return seen[-1]
-
-    monkeypatch.setattr(harness, "block_from_json", spy)
-    report_from_blocks(str(out))
-    objects: dict[bytes, set[int]] = {}
-    uses = 0
-    for block in seen:
-        for a in ([a for tx in block.txs for a in (tx.payer, tx.payee)]
-                  + [acct.address for acct in block.migration_installs]
-                  + block.migration_departures):
-            objects.setdefault(a, set()).add(id(a))
-            uses += 1
-    assert len({b.shard_id for b in seen}) == 2 and uses > 2 * len(objects)
+    forks = _on_cpus(monkeypatch, 2)
+    columns = harness._block_columns(str(out), 2)
+    assert len(forks) == 1
+    objects: dict[object, set[int]] = {}
+    by_shard: dict[int, set] = {0: set(), 1: set()}
+    for cols in columns:
+        for column in cols[5:]:
+            for value in column:
+                objects.setdefault(value, set()).add(id(value))
+                by_shard[cols[1]].add(value)
+    assert by_shard[0] & by_shard[1], "the two slices share accounts and originals"
     assert all(len(ids) == 1 for ids in objects.values())
 
 

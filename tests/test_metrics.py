@@ -79,8 +79,8 @@ def test_split_confirmation_is_the_later_half():
     commit(led, 1, 1, 900, [tx(3, TxKind.INTER_RELAY, origin=_hash(1))])
     rec = led.originals[_hash(1)]
     assert rec.confirm_ms == 900
-    (row,) = led.tcl_rows()
-    assert row["tcl_ms"] == 800 and row["kind"] == TxKind.ORIGINAL_CTX.value
+    (line,) = led.tcl_lines()
+    assert line == f"{_hash(1).hex()},{TxKind.ORIGINAL_CTX.value},100,900,800\n"
 
 
 def test_epoch_bucketing_is_contiguous():
@@ -204,7 +204,7 @@ def test_write_reports_exact_formats(tmp_path):
     }
 
 
-def test_tcl_rows_keep_injection_order():
+def test_tcl_lines_keep_injection_order():
     led = MetricsLedger(n_shards=1, epoch_ms=1000)
     for i in (5, 3, 9):
         inject(led, i, inject_ms=i)
@@ -212,9 +212,9 @@ def test_tcl_rows_keep_injection_order():
         tx(9, TxKind.REGULAR),
         tx(5, TxKind.REGULAR),
     ])
-    rows = list(led.tcl_rows())
-    assert [r["inject_ms"] for r in rows] == [5, 9], "unconfirmed rows drop out"
-    assert [r["tx_hash"] for r in rows] == [_hash(5).hex(), _hash(9).hex()]
+    rows = [line.split(",") for line in led.tcl_lines()]
+    assert [r[2] for r in rows] == ["5", "9"], "unconfirmed rows drop out"
+    assert [r[0] for r in rows] == [_hash(5).hex(), _hash(9).hex()]
 
 
 def test_write_reports_keeps_no_per_row_copies(tmp_path):
@@ -250,10 +250,7 @@ def test_write_reports_keeps_no_per_row_copies(tmp_path):
     assert summary["oracle"] == {"rows": n}, "the oracle gets a full pass of its own"
 
     lines = (tmp_path / "tcl.csv").read_text().splitlines()
-    assert lines[1:] == [
-        f"{r['tx_hash']},{r['kind']},{r['inject_ms']},{r['confirm_ms']},{r['tcl_ms']}"
-        for r in led.tcl_rows()
-    ]
+    assert lines[1:] == [line.rstrip("\n") for line in led.tcl_lines()]
     assert len(lines) == n + 1
 
 

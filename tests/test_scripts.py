@@ -147,3 +147,15 @@ def test_ab_bench_summarizes_only_pairs_where_both_sides_measured():
     walls = summary["desk with_output wall_s"]
     assert (walls["pairs"], walls["won"], walls["ties"], walls["lost"]) == (3, 1, 1, 1)
     assert "desk without_output wall_s" not in summary
+
+
+def test_ab_bench_compares_same_bytes_lines_on_the_keys_both_print():
+    ab = _load_script("ab_bench")
+    old = '{"config": "relay_50_s4", "exit": 0, "sha256": "aa"}'
+    new = '{"config": "relay_50_s4", "exit": 0, "sha256": "aa", "recomputed": "cc"}'
+    assert ab.same_bytes_match([old], [new]), "a base without the recomputed digest"
+    assert not ab.same_bytes_match([new], [new.replace('"cc"', '"dd"')])
+    assert not ab.same_bytes_match([old], [new.replace('"aa"', '"bb"')]), "sha256 differs"
+    assert not ab.same_bytes_match([old], [])
+    assert ab.same_bytes_match(["same_bytes.py exited 1: x"], ["same_bytes.py exited 1: x"])
+    assert not ab.same_bytes_match([old], ["same_bytes.py exited 1: x"])
