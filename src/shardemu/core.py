@@ -15,7 +15,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 ADDRESS_SIZE = 20
 DIGEST_SIZE = 32
@@ -185,6 +186,22 @@ def tx_digest(
     ))).digest()
 
 
+_hash_digest = type(_sha256()).digest
+
+
+def original_digests(payers: list[bytes], payees: list[bytes], values: list[int],
+                     nonces: list[int], kinds: list[TxKind]) -> list[bytes]:
+    """``tx_digest`` of each injected original (no origin hash), given as
+    columns: the same layout, hashed in C loops with no bytecode per row."""
+    return list(map(_hash_digest, map(_sha256, map(b"".join, zip(
+        payers,
+        payees,
+        map(int.to_bytes, values, repeat(VALUE_BITS // 8), repeat("big")),
+        map(int.to_bytes, nonces, repeat(8), repeat("big")),
+        map(_KIND_TAG.__getitem__, kinds),
+    )))))
+
+
 def check_transfer(payer: bytes, payee: bytes, value: int) -> None:
     """Refuse a transfer whose accounts are not 20 bytes or whose value lies
     outside [0, 2**128): the checks ``make_transaction`` and the
@@ -193,6 +210,19 @@ def check_transfer(payer: bytes, payee: bytes, value: int) -> None:
         raise ValueError("addresses must be 20 bytes")
     if not (0 <= value < (1 << VALUE_BITS)):
         raise ValueError("value out of range")
+
+
+def check_transfers(payers: list[bytes], payees: list[bytes], values: list[int]) -> None:
+    """``check_transfer`` over columns: raises what it raises for the first
+    transfer it refuses. The batch is checked in C loops; only a batch with
+    a refusal is walked one transfer at a time to find it."""
+    lengths = set(map(len, payers))
+    lengths.update(map(len, payees))
+    if lengths <= {ADDRESS_SIZE} and (not values or (
+            min(values) >= 0 and max(values) < 1 << VALUE_BITS)):
+        return
+    for payer, payee, value in zip(payers, payees, values):
+        check_transfer(payer, payee, value)
 
 
 def make_transaction(
@@ -212,13 +242,15 @@ def make_transaction(
     return Transaction(payer, payee, value, nonce, kind, origin_hash, inject_time)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccountState:
     """Balance and nonce of one account inside one shard.
 
     Balances are signed: relay and broker halves debit and credit
     independently, so a shard-local balance may go below zero while the
-    global sum stays conserved.
+    global sum stays conserved. Nothing writes to an account state after
+    construction, so state trees share one object (a tier-1 test scans the
+    package for such writes).
     """
 
     address: bytes
@@ -533,9 +565,19 @@ def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
 
 def crosses_shards(payer: bytes, payee: bytes, pmap: PartitionMap) -> bool:
     """True when a transfer between two accounts spans two shards under
-    ``pmap``: neither account is a broker and their shards differ."""
-    brokers, table = pmap.brokers, pmap._shard_of
-    return payer not in brokers and payee not in brokers and table[payer] != table[payee]
+    ``pmap`` (``crossings`` of one transfer)."""
+    return crossings((payer,), (payee,), pmap)[0]
+
+
+def crossings(payers: Sequence[bytes], payees: Sequence[bytes], pmap: PartitionMap
+              ) -> list[bool]:
+    """Whether each transfer spans two shards under ``pmap``: neither
+    account is a broker and their shards differ. The one definition of a
+    cross-shard transfer, over a batch given as columns."""
+    brokers, shard_of = pmap.brokers, pmap._shard_of.__getitem__
+    return [payer not in brokers and payee not in brokers and a != b
+            for payer, payee, a, b in zip(payers, payees, map(shard_of, payers),
+                                          map(shard_of, payees))]
 
 
 def home_accounts(txs: Iterable[Transaction], brokers: frozenset[bytes]) -> list[bytes]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
 import json
 import logging
 import os
@@ -43,7 +42,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from .config import ConfigError, MissingKey, RunConfig
 from .core import AddressTable, PartitionMap, block_from_json
-from .dataset import load_dataset, top_active_accounts
+from .dataset import DatasetReader, busiest_accounts
 from .mechanisms import make_mechanism
 from .metrics import MetricsLedger, original_hashes
 from .pbft import Replica
@@ -91,21 +90,25 @@ def _gc_paused() -> Iterator[None]:
 def build_nodes(
     cfg: RunConfig, net_of: Callable[[str], Any]
 ) -> tuple[Supervisor, dict[str, Replica]]:
-    """The supervisor and the replicas (shard-major) of one run."""
-    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
+    """The supervisor and the replicas (shard-major) of one run. A
+    prefilled run reads the whole dataset here, in one call; a live run's
+    supervisor reads each batch when it injects it."""
+    rows = DatasetReader(cfg.dataset_path, cfg.dataset_limit)
+    prefill = rows.read() if cfg.injection.prefill else None
     brokers: list[bytes] = []
     if cfg.mechanism == "broker":
         brokers = cfg.brokers
         if cfg.brokers_top_k is not None:
-            # Ranking needs every row first; read the file once for both.
-            loaded = list(rows)
-            brokers = top_active_accounts(loaded, cfg.brokers_top_k)
-            rows = iter(loaded)
+            # Ranking needs every row; a live run reads the file once more
+            # for its batches.
+            ranked = prefill if prefill is not None else DatasetReader(
+                cfg.dataset_path, cfg.dataset_limit).read()
+            brokers = busiest_accounts(ranked.payers, ranked.payees, cfg.brokers_top_k)
     pmap = PartitionMap(
         n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
     )
     supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
-    per_shard = supervisor.prepare_prefill() if cfg.injection.prefill else {}
+    per_shard = supervisor.prepare_prefill(prefill) if prefill is not None else {}
 
     replicas: dict[str, Replica] = {}
     for k in range(cfg.n_shards):
@@ -243,23 +246,37 @@ def _config_echo(run_dir: str) -> dict:
     return echo
 
 
-def _decode_files(paths: list[str], addresses: AddressTable, originals: dict[bytes, bytes],
+# A byte range of a block file: (path, first byte, end byte or None for the
+# end of the file). Ranges start at the start of a line.
+Piece = tuple[str, int, Optional[int]]
+
+
+def _decode_files(pieces: list[Piece], addresses: AddressTable, originals: dict[bytes, bytes],
                   times: dict[int, int]) -> list[tuple]:
-    """Decode and check every line of the given block files, in order, into
-    ``_block_columns``' columns, interning through the given tables."""
+    """Decode and check every line of the given byte ranges of block files,
+    in order, into ``_block_columns``' columns, interning through the given
+    tables. An error names its line's number within the whole file."""
     columns: list[tuple] = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
+    for path, start, end in pieces:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            at = start
+            for i, line in enumerate(fh):
+                if end is not None and at >= end:
+                    break
+                at += len(line)
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode("utf-8"))
                     commit_time = obj["commit_time"]
                     if commit_time is not None and type(commit_time) is not int:
                         raise ValueError(f"commit_time must be an integer or null, "
                                          f"not {commit_time!r}")
                     block = block_from_json(obj, addresses)
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                    raise BadBlockFile(path, line_no, exc) from None
+                    if start:
+                        fh.seek(0)
+                        i += fh.read(start).count(b"\n")
+                    raise BadBlockFile(path, i + 1, exc) from None
                 txs = block.txs
                 injects = [tx.inject_time or 0 for tx in txs]
                 columns.append((
@@ -285,39 +302,69 @@ def _decoders(n_shards: int) -> int:
     return min(n_shards, len(os.sched_getaffinity(0)))
 
 
-def _slices(paths: list[str], parts: int) -> list[list[str]]:
-    """``paths`` cut into ``parts`` contiguous, non-empty runs of about equal
-    total file size; a tie gives the earlier run the file. A file that
-    cannot be sized counts as empty: its decoder raises what it raises."""
+def _slices(paths: list[str], parts: int) -> list[list[Piece]]:
+    """The files ``paths``, in order, cut into at most ``parts`` contiguous
+    runs of about equal bytes, each given as the byte ranges it covers. A
+    cut falls at the first line start at or after its share, so it may fall
+    inside a file, and cuts that fall together merge. A file that cannot be
+    sized counts as empty and lies whole in one run: its decoder raises
+    what it raises."""
     sizes = []
     for path in paths:
         try:
             sizes.append(os.path.getsize(path))
         except OSError:
             sizes.append(0)
-    cum = list(itertools.accumulate(sizes, initial=0))
-    cuts = [0]
+    total = sum(sizes)
+    # Each cut as (file index, offset), (len(paths), 0) being the end.
+    cuts = [(0, 0)]
     for j in range(1, parts):
-        target = cum[-1] * j / parts
-        cuts.append(min(range(cuts[-1] + 1, len(paths) - parts + j + 1),
-                        key=lambda c: (abs(cum[c] - target), -c)))
-    cuts.append(len(paths))
-    return [paths[a:b] for a, b in zip(cuts, cuts[1:])]
+        f, at = 0, total * j // parts
+        while f < len(paths) and at >= sizes[f]:
+            at -= sizes[f]
+            f += 1
+        if f < len(paths) and at:
+            at = _line_start(paths[f], at)
+            if at >= sizes[f]:
+                f, at = f + 1, 0
+        if (f, at) > cuts[-1]:
+            cuts.append((f, at))
+    if cuts[-1] != (len(paths), 0):
+        cuts.append((len(paths), 0))
+    runs = []
+    for (fa, a), (fb, b) in zip(cuts, cuts[1:]):
+        last = fb if b else fb - 1
+        runs.append([(paths[f], a if f == fa else 0, b if f == fb else None)
+                     for f in range(fa, last + 1)])
+    return runs
+
+
+def _line_start(path: str, at: int) -> int:
+    """The first offset at or after ``at`` (> 0) where a line of the file
+    starts, or its size; 0 if the file cannot be read, so that it lies
+    whole in the next run."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(at - 1)
+            fh.readline()
+            return fh.tell()
+    except OSError:
+        return 0
 
 
 class _Decoder:
-    """A forked child decoding ``paths`` into columns, which it sends back
+    """A forked child decoding ``pieces`` into columns, which it sends back
     pickled through the pipe ``fd``. ``pid`` and ``fd`` are None once the
     child is reaped and the pipe closed, or when the fork failed."""
 
-    __slots__ = ("paths", "pid", "fd")
+    __slots__ = ("pieces", "pid", "fd")
 
-    def __init__(self, paths: list[str], pid: Optional[int] = None,
+    def __init__(self, pieces: list[Piece], pid: Optional[int] = None,
                  fd: Optional[int] = None) -> None:
-        self.paths, self.pid, self.fd = paths, pid, fd
+        self.pieces, self.pid, self.fd = pieces, pid, fd
 
     @classmethod
-    def start(cls, paths: list[str]) -> "_Decoder":
+    def start(cls, pieces: list[Piece]) -> "_Decoder":
         # ``pickle`` and ``signal`` load on a parallel rebuild's first use,
         # so a run, and a rebuild in one process, pay neither their import
         # time nor their memory.
@@ -329,14 +376,14 @@ class _Decoder:
         except OSError:
             os.close(r)
             os.close(w)
-            return cls(paths)
+            return cls(pieces)
         if pid == 0:
             # The child never returns, raises, prints or runs exit handlers:
             # its exit code and the bytes in the pipe are all it leaves.
             code = 1
             try:
                 os.close(r)
-                data = pickle.dumps(_decode_files(paths, AddressTable(), {}, {}),
+                data = pickle.dumps(_decode_files(pieces, AddressTable(), {}, {}),
                                     pickle.HIGHEST_PROTOCOL)
                 with open(w, "wb") as fh:
                     fh.write(data)
@@ -344,7 +391,7 @@ class _Decoder:
             finally:
                 os._exit(code)
         os.close(w)
-        return cls(paths, pid, r)
+        return cls(pieces, pid, r)
 
     def result(self) -> Optional[list[tuple]]:
         """The child's columns, or None if it failed: it was never forked,
@@ -388,9 +435,10 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     The columns come in shard order, each file's in line order.
 
     The files are cut into ``_decoders`` contiguous slices of about equal
-    size. Forked children decode every slice but the first, which this
-    process decodes meanwhile; each child's columns are appended in shard
-    order. With one decoder (one usable CPU, a single shard, no ``fork``,
+    bytes, at line starts, inside a file where the share ends there
+    (``_slices``). Forked children decode every slice but the first, which
+    this process decodes meanwhile; each child's columns are appended in
+    shard and line order. With one decoder (one usable CPU, a single shard, no ``fork``,
     or other threads running) this process decodes every file itself.
     A slice whose child fails is decoded here, so every error is raised by
     this process, in shard order, as a one-process pass raises it; on any
@@ -416,7 +464,7 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
         for decoder in decoders:
             got = decoder.result()
             if got is None:
-                columns += _decode_files(decoder.paths, addresses, originals, times)
+                columns += _decode_files(decoder.pieces, addresses, originals, times)
                 continue
             # In place, so each block's copies from the child are freed as
             # its interned columns replace them.

@@ -129,19 +129,21 @@ class MetricsLedger:
         if kind is TxKind.ORIGINAL_CTX:
             self.ctx_injected += 1
 
-    def record_originals(self, txs: Iterable[Transaction]) -> None:
-        """Bank stamped originals in order, each as ``record_injection``
-        banks it: by hash, kind, accounts and ``inject_time``."""
+    def record_originals(self, keys: Sequence[bytes], kinds: Sequence[TxKind],
+                         payers: Sequence[bytes], payees: Sequence[bytes],
+                         inject_ms: int) -> None:
+        """Bank originals stamped at ``inject_ms``, given as columns (hash,
+        kind, payer, payee) in order, each as ``record_injection`` banks it:
+        the first record of a hash wins."""
         originals = self.originals
-        ctx = 0
-        for tx in txs:
-            h = tx.hash
-            if h in originals:
+        ctx, n_ctx = TxKind.ORIGINAL_CTX, 0
+        for key, kind, payer, payee in zip(keys, kinds, payers, payees):
+            if key in originals:
                 continue
-            originals[h] = InjectionRecord(h, tx.kind, tx.payer, tx.payee, tx.inject_time)
-            if tx.kind is TxKind.ORIGINAL_CTX:
-                ctx += 1
-        self.ctx_injected += ctx
+            originals[key] = InjectionRecord(key, kind, payer, payee, inject_ms)
+            if kind is ctx:
+                n_ctx += 1
+        self.ctx_injected += n_ctx
 
     def record_committed(self, columns: Iterable[tuple[Sequence, ...]]) -> None:
         """Bank the originals that committed transactions stand for, given

@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from itertools import repeat
+from typing import Any, Iterable, Optional
 
 from .config import RunConfig
 from .core import (
@@ -27,12 +28,12 @@ from .core import (
     TxKind,
     address_to_shard,
     block_line,
-    check_transfer,
-    crosses_shards,
+    check_transfers,
+    crossings,
     home_shards,
-    tx_digest,
+    original_digests,
 )
-from .dataset import DatasetRow
+from .dataset import DatasetReader, RowBatch
 from .mechanisms import AccountGraph, broker_halves, clpa_partition, pick_broker
 from .metrics import MetricsLedger
 from .oracle import (
@@ -70,7 +71,7 @@ class Supervisor:
         cfg: RunConfig,
         pmap: PartitionMap,
         net: Any,
-        rows: Iterator[DatasetRow],
+        rows: DatasetReader,
     ) -> None:
         self.cfg = cfg
         self.pmap = pmap
@@ -94,46 +95,46 @@ class Supervisor:
 
     # -- injection --
 
-    def stamp_rows(self, rows: list[DatasetRow], now: int) -> dict[int, list[Transaction]]:
+    def stamp_rows(self, rows: RowBatch, now: int) -> dict[int, list[Transaction]]:
         """Classify raw transfers, apply the mechanism transformation, and
         route the results to their execution shards, recording the originals
         in the ledger. Used both for pool pre-fill and live batches. This is
         the only place ``inject_time`` is set: every transaction, and every
         half later derived from it, carries ``now`` from here on.
 
-        Each row is refused as ``check_transfer`` refuses it, classified by
-        ``crosses_shards``, and built and hashed once; the batch is then
-        queued by ``home_shards``. A brokered transfer leaves as its payer
-        half, then its payee half (``mechanisms.broker_halves``)."""
+        The batch is refused as ``check_transfers`` refuses it, classified
+        by ``crossings``, hashed by ``original_digests``, and each original
+        built once and banked once, all column by column. The originals are
+        then queued by ``home_shards``. A brokered transfer leaves as its
+        payer half, then its payee half (``mechanisms.broker_halves``)."""
         pmap = self.pmap
+        payers, payees, values, nonces = rows.payers, rows.payees, rows.values, rows.nonces
+        check_transfers(payers, payees, values)
         regular, ctx = TxKind.REGULAR, TxKind.ORIGINAL_CTX
-        originals: list[Transaction] = []
-        for payer, payee, value, nonce in rows:
-            check_transfer(payer, payee, value)
-            kind = ctx if crosses_shards(payer, payee, pmap) else regular
-            originals.append(Transaction(payer, payee, value, nonce, kind, None, now,
-                                         tx_digest(payer, payee, value, nonce, kind, None)))
-        queued = originals
-        if self.cfg.mechanism == "broker":
+        kinds = [ctx if cross else regular for cross in crossings(payers, payees, pmap)]
+        keys = original_digests(payers, payees, values, nonces, kinds)
+        queued = originals = list(map(Transaction, payers, payees, values, nonces, kinds,
+                                      repeat(None), repeat(now), keys))
+        if self.cfg.mechanism == "broker" and ctx in kinds:
             # Each ORIGINAL_CTX here was classified under ``pmap`` just
             # above, so its halves skip ``broker_transform``'s re-check; the
-            # broker is picked once, at the batch's first one.
-            queued, broker = [], None
+            # broker is picked once per batch.
+            queued, broker = [], pick_broker(pmap)
             for tx in originals:
                 if tx.kind is ctx:
-                    broker = broker or pick_broker(pmap)
                     queued += broker_halves(tx, broker)
                 else:
                     queued.append(tx)
         per_shard: dict[int, list[Transaction]] = {}
         for tx, shard in zip(queued, home_shards(queued, pmap)):
             per_shard.setdefault(shard, []).append(tx)
-        self.ledger.record_originals(originals)
+        self.ledger.record_originals(keys, kinds, payers, payees, now)
         return per_shard
 
-    def prepare_prefill(self) -> dict[int, list[Transaction]]:
-        """Consume the whole dataset into t=0 stamped per-shard queues."""
-        per_shard = self.stamp_rows(list(self.rows), now=0)
+    def prepare_prefill(self, rows: RowBatch) -> dict[int, list[Transaction]]:
+        """Stamp the whole dataset, read in one call, into t=0 per-shard
+        queues; the run injects nothing later."""
+        per_shard = self.stamp_rows(rows, now=0)
         self.injection_done = True
         for k in range(self.cfg.n_shards):
             n = len(per_shard.get(k, ()))
@@ -150,13 +151,10 @@ class Supervisor:
         want = rate * plan.batch_interval_ms / 1000.0 + self._carry
         n = int(want)
         self._carry = want - n
-        batch: list[DatasetRow] = []
-        for _ in range(n):
-            row = next(self.rows, None)
-            if row is None:
-                self.injection_done = True
-                break
-            batch.append(row)
+        # The tick's rows are parsed now, not at set-up.
+        batch = self.rows.read(n)
+        if len(batch) < n:
+            self.injection_done = True
         if batch:
             for shard, txs in sorted(self.stamp_rows(batch, now).items()):
                 env = Envelope("inject_txs", SUPERVISOR_ID, InjectTxs(txs=txs))

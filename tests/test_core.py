@@ -1,5 +1,7 @@
 """Domain model: addresses, transactions, blocks, state, verification."""
 
+import ast
+import dataclasses
 import json
 import random
 import re
@@ -42,14 +44,18 @@ from shardemu.core import (
     block_from_json,
     block_line,
     block_to_json,
+    check_transfer,
+    check_transfers,
     compute_state_root,
     crosses_shards,
+    crossings,
     digest,
     genesis_block,
     home_accounts,
     home_shard,
     home_shards,
     make_transaction,
+    original_digests,
     replace_tx_list,
     tx_digest,
     tx_from_json,
@@ -302,6 +308,44 @@ def test_crosses_shards():
     assert crosses_shards(A, C, brokered)
     assert not crosses_shards(A, B, brokered)
     assert not crosses_shards(B, C, brokered) and not crosses_shards(C, B, brokered)
+
+
+def test_crossings_classify_a_batch_as_crosses_shards_classifies_each():
+    accounts = [A, B, C, addr("cross-d"), addr("cross-e")]
+    pairs = [(p, q) for p in accounts for q in accounts]
+    payers, payees = [p for p, _ in pairs], [q for _, q in pairs]
+    for brokers in (frozenset(), frozenset({B}), frozenset({A, C})):
+        pmap = PartitionMap(n_shards=3, overrides={C: 0}, brokers=brokers)
+        flags = crossings(payers, payees, pmap)
+        assert flags == [crosses_shards(p, q, pmap) for p, q in pairs]
+        assert flags == [p not in brokers and q not in brokers
+                         and address_to_shard(p, pmap) != address_to_shard(q, pmap)
+                         for p, q in pairs]
+
+
+def test_original_digests_hash_as_tx_digest():
+    rng = random.Random(5)
+    rows = [(rng.randbytes(ADDRESS_SIZE), rng.randbytes(ADDRESS_SIZE),
+             rng.choice([0, 1, rng.randrange(1 << 128), (1 << 128) - 1]), rng.randrange(1 << 64),
+             rng.choice([TxKind.REGULAR, TxKind.ORIGINAL_CTX])) for _ in range(50)]
+    got = original_digests(*map(list, zip(*rows)))
+    assert got == [tx_digest(p, q, v, n, k, None) for p, q, v, n, k in rows]
+    assert original_digests([], [], [], [], []) == []
+
+
+@pytest.mark.parametrize("bad", [
+    (A[:19], B, 1), (A, B + b"\x00", 1), (A, B, 1 << 128), (A, B, -1),
+], ids=["short-payer", "long-payee", "value-2**128", "negative-value"])
+def test_check_transfers_raises_what_check_transfer_raises_first(bad):
+    good = (A, B, 5)
+    with pytest.raises(ValueError) as reference:
+        check_transfer(*bad)
+    for rows in ([bad], [good, bad, good], [good, bad, (A, B, -1), (A[:1], B, 1)]):
+        with pytest.raises(ValueError) as got:
+            check_transfers(*map(list, zip(*rows)))
+        assert str(got.value) == str(reference.value)
+    check_transfers([A, C], [B, A], [0, (1 << 128) - 1])
+    check_transfers([], [], [])
 
 
 def test_tx_local_to_shard():
@@ -1334,3 +1378,86 @@ def test_block_hash_covers_content():
     assert b1.hash != b2.hash
     b3, _ = _tx_block(StateTree(), [regular_tx(A, B, 5)], head, timestamp=101)
     assert b3.hash != b1.hash
+
+
+# --- no writes to transactions or account states ---
+
+_RECORDS = (Transaction, AccountState)
+_RECORD_FIELDS = {f.name for cls in _RECORDS for f in dataclasses.fields(cls)}
+
+
+def _field_writes(source: str) -> list[str]:
+    """Each statement of ``source`` that writes a field of a transaction or
+    an account state: an assignment to an attribute of that name, or a
+    ``setattr`` / ``object.__setattr__`` of it. Exempt are writes to
+    ``self`` in the record classes' own construction (``__init__``,
+    ``__post_init__``) and in any other class, whose own attribute it is."""
+    records = {cls.__name__ for cls in _RECORDS}
+    found = []
+
+    def written(node) -> list:
+        """The objects whose record field ``node`` writes."""
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if (name in ("setattr", "__setattr__") and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in _RECORD_FIELDS):
+                return [node.args[0]]
+            return []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return []
+        return [sub.value for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Attribute) and sub.attr in _RECORD_FIELDS
+                and isinstance(sub.ctx, ast.Store)]
+
+    def exempt(obj, cls, method) -> bool:
+        if not (isinstance(obj, ast.Name) and obj.id == "self") or cls is None:
+            return False
+        return cls not in records or method in ("__init__", "__post_init__")
+
+    def visit(node, cls=None, method=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, method or child.name)
+                continue
+            if any(not exempt(obj, cls, method) for obj in written(child)):
+                found.append(f"line {child.lineno}: {ast.unparse(child)}")
+            visit(child, cls, method)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_nothing_in_the_package_writes_a_transaction_or_account_field():
+    """Transactions and account states are plain slots dataclasses, shared
+    between pools, blocks and state trees; this scan stands in for
+    ``frozen=True``, whose per-field ``object.__setattr__`` made each
+    construction several times slower."""
+    package = Path(shardemu.__file__).parent
+    writes = {path.name: _field_writes(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+@pytest.mark.parametrize("planted", [
+    "tx.value = 5",
+    "block.txs[0].inject_time = 3",
+    "acct.balance += 1",
+    "acct.nonce: int = 2",
+    "object.__setattr__(acct, 'balance', 1)",
+    "setattr(tx, 'hash', b'')",
+    "def apply(state):\n    for a in state.entries.values():\n        a.balance, a.nonce = 0, 0",
+    "class Pool:\n    def take(self, tx):\n        tx.kind = None",
+    "class Transaction:\n    def relabel(self):\n        self.kind = None",
+])
+def test_the_field_write_scan_flags_a_planted_write(planted):
+    assert len(_field_writes(planted)) == 1
+    assert _field_writes("class Block:\n    def __post_init__(self):\n        self.hash = b''") == []

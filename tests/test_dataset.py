@@ -1,13 +1,19 @@
 """Synthetic dataset generation and strict CSV loading."""
 
 import hashlib
+from collections import Counter
+from itertools import chain
 
 import pytest
 
 from helpers import addr
+from shardemu import dataset
 from shardemu.dataset import (
     BadRow,
+    DatasetReader,
     DatasetRow,
+    RowBatch,
+    busiest_accounts,
     gen_dataset,
     involvement_coverage,
     load_dataset,
@@ -110,23 +116,123 @@ def test_load_limit_stops_early(tmp_path):
     assert len(list(load_dataset(str(path), limit=7))) == 7
 
 
-@pytest.mark.parametrize("content, line_no", [
-    ("payer,payee,amount\n", 1),
-    ("from,to,value\nabc\n", 2),
-    ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",1,extra\n", 2),
-    ("from,to,value\nxyz," + "cd" * 20 + ",1\n", 2),
-    ("from,to,value\n" + "ab" * 19 + "," + "cd" * 20 + ",1\n", 2),
-    ("from,to,value\n" + "ab" * 19 + "  ," + "cd" * 20 + ",1\n", 2),
-    ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",one\n", 2),
-    ("from,to,value\n" + "ab" * 20 + "," + "cd" * 20 + ",-3\n", 2),
-    ("from,to,value\n" + f"{'ab' * 20},{'cd' * 20},1\n" + "broken\n", 3),
-])
-def test_bad_rows_carry_line_numbers(tmp_path, content, line_no):
+_ROW = "ab" * 20 + "," + "cd" * 20 + ","
+# Each malformed file: the line number and the reason its BadRow gives.
+_BAD_ROWS = {
+    "payer,payee,amount\n": (1, "expected header 'from,to,value', got 'payer,payee,amount'"),
+    "from,to,value\nabc\n": (2, "expected 3 columns, got 1"),
+    "from,to,value\n" + _ROW + "1,extra\n": (2, "expected 3 columns, got 4"),
+    "from,to,value\nxyz," + "cd" * 20 + ",1\n": (2, "bad address literal: 'xyz'"),
+    "from,to,value\n" + "ab" * 19 + "," + "cd" * 20 + ",1\n":
+        (2, f"bad address literal: '{'ab' * 19}'"),
+    "from,to,value\n" + "ab" * 19 + "  ," + "cd" * 20 + ",1\n":
+        (2, f"bad address literal: '{'ab' * 19}  '"),
+    "from,to,value\n" + _ROW + "one\n": (2, "bad value 'one'"),
+    "from,to,value\n" + _ROW + "-3\n": (2, "negative value -3"),
+    "from,to,value\n" + _ROW + "1\n" + "broken\n": (3, "expected 3 columns, got 1"),
+    # Values are ASCII decimal digits below 2**128, and nothing else
+    # ``int`` would take.
+    "from,to,value\n" + _ROW + "1_000\n": (2, "bad value '1_000'"),
+    "from,to,value\n" + _ROW + "+5\n": (2, "bad value '+5'"),
+    "from,to,value\n" + _ROW + "\u0663\n": (2, "bad value '\u0663'"),
+    "from,to,value\n" + _ROW + " 5\n": (2, "bad value ' 5'"),
+    "from,to,value\n" + _ROW + "-0\n": (2, "bad value '-0'"),
+    "from,to,value\n" + _ROW + "\n": (2, "bad value ''"),
+    "from,to,value\n\n" + _ROW + f"{1 << 128}\n": (3, f"value {1 << 128} is not below 2**128"),
+    "from,to,value\n" + _ROW + "9" * 5000 + "\n": (2, f"value {'9' * 5000} is not below 2**128"),
+}
+
+
+@pytest.mark.parametrize("content, line_no", [(c, n) for c, (n, _) in _BAD_ROWS.items()])
+def test_bad_rows_carry_line_numbers(tmp_path, monkeypatch, content, line_no):
+    """Every refusal names its line and why, whether the rows are read
+    whole, one at a time or through ``load_dataset``, and wherever the
+    file's blocks end."""
+    why = _BAD_ROWS[content][1]
     path = tmp_path / "bad.csv"
-    path.write_text(content)
-    with pytest.raises(BadRow) as err:
-        list(load_dataset(str(path)))
-    assert err.value.line_no == line_no
+    path.write_text(content, encoding="utf-8")
+
+    def one_at_a_time():
+        reader = DatasetReader(str(path))
+        while len(reader.read(1)) == 1:
+            pass
+
+    for read in (lambda: list(load_dataset(str(path))), lambda: DatasetReader(str(path)).read(),
+                 one_at_a_time):
+        for block_chars in (dataset.BLOCK_CHARS, 7):
+            monkeypatch.setattr(dataset, "BLOCK_CHARS", block_chars)
+            with pytest.raises(BadRow) as err:
+                read()
+            assert err.value.line_no == line_no
+            assert str(err.value) == f"dataset line {line_no}: {why}"
+
+
+def test_values_are_any_ascii_decimal_below_2_to_the_128(tmp_path):
+    a, b = addr("val-a"), addr("val-b")
+    path = tmp_path / "v.csv"
+    path.write_text("from,to,value\n" + "".join(
+        f"{a.hex()},{b.hex()},{v}\n" for v in ("0", "007", str((1 << 128) - 1), "0" * 50 + "9")))
+    assert [r.value for r in load_dataset(str(path))] == [0, 7, (1 << 128) - 1, 9]
+
+
+def test_rows_past_the_limit_are_never_parsed(tmp_path):
+    a, b = addr("lim-a"), addr("lim-b")
+    path = tmp_path / "lim.csv"
+    path.write_text(f"from,to,value\n{a.hex()},{b.hex()},1\n\n{b.hex()},{a.hex()},2\nbroken\n")
+    assert [r.value for r in load_dataset(str(path), limit=2)] == [1, 2]
+    reader = DatasetReader(str(path), limit=2)
+    assert [len(reader.read(1)), len(reader.read(5)), len(reader.read())] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("block_chars", [dataset.BLOCK_CHARS, 1, 5, 83, 200])
+def test_reads_in_any_sizes_give_the_rows_of_one_read(tmp_path, monkeypatch, block_chars):
+    """Reads of any sizes, over blocks of any length, hand out the rows and
+    nonces of one whole read; blank and padded lines are taken as the
+    format takes them."""
+    path = tmp_path / "r.csv"
+    gen_dataset(str(path), accounts=9, txs=120, skew="zipf:1.1", seed=4)
+    lines = path.read_text().splitlines()
+    lines[5:5] = ["", "   "]
+    lines[20] = "  " + lines[20] + " \t"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    whole = list(DatasetReader(str(path)).read())
+    assert len(whole) == 120 and whole == list(load_dataset(str(path)))
+    monkeypatch.setattr(dataset, "BLOCK_CHARS", block_chars)
+    for sizes in ([1] * 130, [7, 0, 50, 3, 100], [None]):
+        reader = DatasetReader(str(path))
+        got = list(chain.from_iterable(reader.read(n) for n in sizes))
+        assert got == whole
+    limited = DatasetReader(str(path), limit=57)
+    assert list(chain(limited.read(50), limited.read(50), limited.read())) == whole[:57]
+
+
+def test_row_batch_round_trips_rows():
+    rows = [DatasetRow(addr("rb-a"), addr("rb-b"), 5, 0), DatasetRow(addr("rb-b"), addr("rb-a"), 6, 0)]
+    batch = RowBatch.of(rows)
+    assert len(batch) == 2 and list(batch) == rows
+    assert batch.payers == [rows[0].payer, rows[1].payer] and batch.nonces == [0, 0]
+    assert len(RowBatch.of([])) == 0 and list(RowBatch.of([])) == []
+
+
+def _ranked_by_row_count(rows, k):
+    """The ranking as it was first written, one row at a time: count each
+    row's payer and payee, then sort by count, ties toward low address."""
+    counts = Counter(chain.from_iterable((row.payer, row.payee) for row in rows))
+    return [a for a, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]]
+
+
+@pytest.mark.parametrize("skew", ["uniform", "zipf:1.2"])
+def test_busiest_accounts_rank_the_columns_as_the_rows_do(tmp_path, skew):
+    path = tmp_path / "rank.csv"
+    gen_dataset(str(path), accounts=40, txs=90, skew=skew, seed=6)
+    rows = list(load_dataset(str(path)))
+    batch = DatasetReader(str(path)).read()
+    counts = Counter(chain.from_iterable((row.payer, row.payee) for row in rows))
+    assert len(set(counts.values())) < len(counts), "the counts tie somewhere"
+    for k in (1, 3, 10, 39, 40, 60):
+        want = _ranked_by_row_count(rows, k)
+        assert busiest_accounts(batch.payers, batch.payees, k) == want
+        assert top_active_accounts(rows, k) == want
 
 
 def test_top_active_accounts_ranking(tmp_path):

@@ -341,22 +341,83 @@ def test_one_decoder_per_usable_cpu_and_shard_unless_it_cannot_fork(monkeypatch)
 
 
 def test_slices_are_contiguous_and_balanced_by_file_size(tmp_path):
-    def sliced(sizes, parts):
+    """Runs of about equal bytes, each cut at the first line start at or
+    after its share, inside a file where the share ends there; cuts that
+    fall together merge, and a file that cannot be sized lies whole in one
+    run."""
+    def sliced(files, parts):
+        # Each file as its line lengths, newline included; None: missing.
         paths = []
-        for k, size in enumerate(sizes):
-            path = tmp_path / f"f{k}"
-            if size is not None:
-                path.write_bytes(b"x" * size)
+        where = tmp_path / str(len(list(tmp_path.iterdir())))
+        where.mkdir()
+        for k, lines in enumerate(files):
+            path = where / f"f{k}"
+            if lines is not None:
+                path.write_bytes(b"".join(b"x" * (n - 1) + b"\n" for n in lines))
             paths.append(str(path))
-        return [[paths.index(p) for p in part] for part in harness._slices(paths, parts)]
+        return [[(paths.index(p), a, b) for p, a, b in run]
+                for run in harness._slices(paths, parts)]
 
-    assert sliced([3, 3, 4, 5], 2) == [[0, 1], [2, 3]]
-    assert sliced([1, 1, 1], 2) == [[0, 1], [2]], "a tie gives the earlier slice the file"
-    assert sliced([9, 1, 1, 1], 2) == [[0], [1, 2, 3]]
-    assert sliced([1, 1, 1, 9], 3) == [[0, 1], [2], [3]]
-    assert sliced([5, 5, None], 2) == [[0], [1, 2]], "a missing file counts as empty"
-    assert sliced([2, 2, 2], 3) == [[0], [1], [2]]
-    assert sliced([2, 2, 2], 1) == [[0, 1, 2]]
+    assert sliced([[2] * 10], 2) == [[(0, 0, 10)], [(0, 10, None)]]
+    assert sliced([[3] * 4], 3) == [[(0, 0, 6)], [(0, 6, 9)], [(0, 9, None)]], "cut at a line start"
+    assert sliced([[3], [3], [4], [5]], 2) == [[(0, 0, None), (1, 0, None), (2, 0, None)],
+                                              [(3, 0, None)]], "one-line files stay whole"
+    assert sliced([[10], [1] * 10], 3) == [[(0, 0, None)], [(1, 0, 3)], [(1, 3, None)]]
+    assert sliced([[4, 4], [4, 4]], 2) == [[(0, 0, None)], [(1, 0, None)]]
+    assert sliced([[2] * 5, [2] * 5, [2] * 5], 2) == [[(0, 0, None), (1, 0, 6)],
+                                                      [(1, 6, None), (2, 0, None)]]
+    assert sliced([[20], [1]], 3) == [[(0, 0, None)], [(1, 0, None)]], "cuts merge"
+    assert sliced([[5], [5], None], 2) == [[(0, 0, None)], [(1, 0, None), (2, 0, None)]], \
+        "a missing file counts as empty"
+    assert sliced([[2, 2], [2]], 1) == [[(0, 0, None), (1, 0, None)]]
+
+
+def _cut_inside_a_file(run_dir, decoders):
+    """The (shard, line index) on each side of the first cut that falls
+    inside a block file when ``decoders`` decode the run."""
+    paths = [str(run_dir / f"blocks_shard{k}.jsonl") for k in range(3)]
+    for run in harness._slices(paths, decoders)[1:]:
+        path, start, _ = run[0]
+        if start:
+            shard = paths.index(path)
+            with open(path, "rb") as fh:
+                before = fh.read(start).count(b"\n")
+            return (shard, before - 1), (shard, before)
+    raise AssertionError("no cut falls inside a file")
+
+
+def test_a_file_split_between_two_decoders_rebuilds_the_same(three_shard_run, monkeypatch,
+                                                             capfd):
+    _, out = three_shard_run
+    _cut_inside_a_file(out, 2)
+    capfd.readouterr()
+    serial = _rebuild_on(out, monkeypatch, 1)
+    parallel = _rebuild_on(out, monkeypatch, 2)
+    assert parallel[2] == 1 and parallel[:2] == serial[:2]
+    _assert_no_child_left(capfd)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["line_before_the_cut", "line_after_the_cut"])
+def test_a_corrupt_line_beside_a_cut_raises_as_one_process_does(three_shard_run, tmp_path,
+                                                                monkeypatch, capfd, side):
+    """The line just before a cut is the parent's last, the one just after
+    it the child's first; the child's failure leaves its range to the
+    parent, which names the line by its number in the whole file."""
+    _, out = three_shard_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    where = _cut_inside_a_file(run_dir, 2)[side]
+    _corrupt_lines(where)(run_dir)
+    capfd.readouterr()
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(harness.BadBlockFile) as info:
+            _rebuild_on(run_dir, monkeypatch, cpus)
+        raised.append(str(info.value))
+        _assert_no_child_left(capfd)
+    shard, index = where
+    assert f"blocks_shard{shard}.jsonl line {index + 1}: " in raised[0]
+    assert raised[1] == raised[0]
 
 
 def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp_path):

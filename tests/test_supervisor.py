@@ -14,7 +14,16 @@ from shardemu.core import (
     make_transaction,
     tx_digest,
 )
-from shardemu.dataset import DatasetRow
+from shardemu.dataset import (
+    BadRow,
+    DatasetReader,
+    DatasetRow,
+    RowBatch,
+    busiest_accounts,
+    gen_dataset,
+    load_dataset,
+)
+from shardemu.harness import build_nodes
 from shardemu.mechanisms import broker_transform
 from shardemu.metrics import MetricsLedger
 from shardemu.supervisor import QUIET_INTERVALS, PendingMigration, Supervisor
@@ -45,11 +54,30 @@ class StubNet:
         return [tag for _, tag in self.timers]
 
 
+class RowSource:
+    """The given rows, handed out as a ``DatasetReader`` hands out a file's:
+    ``read(n)`` gives the next ``n`` as a ``RowBatch``, every row left when
+    ``n`` is None."""
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def read(self, n=None):
+        n = len(self.rows) if n is None else n
+        taken, self.rows = self.rows[:n], self.rows[n:]
+        return RowBatch.of(taken)
+
+
 def make_sup(rows=(), **over):
     cfg = build_cfg(**over)
     pmap = PartitionMap(n_shards=cfg.n_shards, brokers=frozenset(cfg.brokers))
     net = StubNet()
-    return Supervisor(cfg, pmap, net, iter(rows)), net
+    return Supervisor(cfg, pmap, net, RowSource(rows)), net
+
+
+def prefill(sup):
+    """``build_nodes``' prefill: every row read in one call, then stamped."""
+    return sup.prepare_prefill(sup.rows.read())
 
 
 def info(shard, height, commit_ms, txs=(), pool=0, kind=BlockKind.TX, version=0):
@@ -62,11 +90,11 @@ def info(shard, height, commit_ms, txs=(), pool=0, kind=BlockKind.TX, version=0)
 
 def test_stamp_rows_relay_routing():
     sup, _ = make_sup()
-    per_shard = sup.stamp_rows([
+    per_shard = sup.stamp_rows(RowBatch.of([
         DatasetRow(A0, B0, 5, 0),   # local to shard 0
         DatasetRow(A0, B1, 6, 1),   # cross: original stays at the payer
         DatasetRow(A1, B1, 7, 0),   # local to shard 1
-    ], now=40)
+    ]), now=40)
     assert [tx.kind for tx in per_shard[0]] == [TxKind.REGULAR, TxKind.ORIGINAL_CTX]
     assert [tx.kind for tx in per_shard[1]] == [TxKind.REGULAR]
     assert all(tx.inject_time == 40 for txs in per_shard.values() for tx in txs)
@@ -77,11 +105,11 @@ def test_stamp_rows_relay_routing():
 def test_stamp_rows_broker_routing():
     broker = addr("sup-broker", shard=0)
     sup, _ = make_sup(mechanism="broker", brokers=[broker.hex()])
-    per_shard = sup.stamp_rows([
+    per_shard = sup.stamp_rows(RowBatch.of([
         DatasetRow(A0, B1, 5, 0),       # cross: bridged into two halves
         DatasetRow(broker, B1, 6, 0),   # broker pays: executes at the payee
         DatasetRow(A0, broker, 7, 0),   # pays the broker: stays at the payer
-    ], now=0)
+    ]), now=0)
     kinds0 = [tx.kind for tx in per_shard[0]]
     kinds1 = [tx.kind for tx in per_shard[1]]
     assert kinds0 == [TxKind.BROKER_PAYER_HALF, TxKind.REGULAR]
@@ -127,7 +155,7 @@ def test_stamp_rows_routes_every_tx_to_its_exec_home(mechanism):
     ]
     # A repeated row: its original is queued twice and recorded once.
     rows.append(rows[1])
-    per_shard = sup.stamp_rows(rows, now=40)
+    per_shard = sup.stamp_rows(RowBatch.of(rows), now=40)
 
     want, ledger = _reference_stamp(rows, sup.pmap, mechanism == "broker", now=40)
     assert per_shard == want
@@ -142,6 +170,71 @@ def test_stamp_rows_routes_every_tx_to_its_exec_home(mechanism):
     assert sup.ledger.x == len(rows) - 1
 
 
+@pytest.mark.parametrize("brokers", [None, "top:2"])
+def test_stamp_rows_routes_every_read_row_to_its_exec_home(tmp_path, brokers):
+    """The check above over rows ``DatasetReader`` reads from a file, with
+    blank lines, a repeated line (its payer's next nonce, so a second
+    original) and a ``dataset_limit`` that stops the read before a
+    malformed line. Under ``top:2`` the brokers are the run's own ranking."""
+    accounts = [A0, B0, A1, B1, addr("sup-broker", shard=0), addr("sup-broker2", shard=1)]
+    lines = [f"{p.hex()},{q.hex()},{i + 1}"
+             for i, (p, q) in enumerate(itertools.permutations(accounts, 2))]
+    lines.append(lines[1])
+    limit = len(lines)
+    lines[3:3] = ["", "  "]
+    lines += [f"{A0.hex()},{B0.hex()},1", "not a row"]
+    path = tmp_path / "rows.csv"
+    path.write_text("from,to,value\n" + "\n".join(lines) + "\n")
+    over = {"dataset_path": str(path), "dataset_limit": limit}
+    if brokers:
+        over |= {"mechanism": "broker", "brokers": brokers}
+    cfg = build_cfg(**over)
+    rows = DatasetReader(cfg.dataset_path, cfg.dataset_limit).read()
+    reference_rows = list(load_dataset(cfg.dataset_path, cfg.dataset_limit))
+    assert list(rows) == reference_rows and len(rows) == limit
+
+    chosen = busiest_accounts(rows.payers, rows.payees, 2) if brokers else []
+    built, _ = build_nodes(cfg, lambda nid: StubNet())
+    assert built.pmap.brokers == frozenset(chosen)
+    assert built.ledger.x == limit
+    pmap = PartitionMap(n_shards=cfg.n_shards, brokers=frozenset(chosen))
+    sup = Supervisor(cfg, pmap, StubNet(), DatasetReader(cfg.dataset_path))
+    per_shard = sup.stamp_rows(rows, now=40)
+
+    want, ledger = _reference_stamp(reference_rows, pmap, bool(brokers), now=40)
+    assert per_shard == want
+    assert list(sup.ledger.originals.items()) == list(ledger.originals.items())
+    assert sup.ledger.ctx_injected == ledger.ctx_injected > 0
+
+
+def test_each_tick_reads_the_next_rows_of_the_dataset(tmp_path):
+    """A live run parses each tick's rows when the tick comes: every batch
+    is the next rows of ``load_dataset``, and a malformed line stops the
+    tick that reaches it, not set-up or an earlier tick."""
+    path = tmp_path / "live.csv"
+    gen_dataset(str(path), accounts=20, txs=50, skew="uniform", seed=3)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("broken\n")
+    want = list(load_dataset(str(path), limit=50))
+    cfg = build_cfg(dataset_path=str(path), epoch_ms=10_000,
+                    injection={"base_rate": 30, "batch_interval_ms": 250})
+    sup, replicas = build_nodes(cfg, lambda nid: StubNet())
+    assert sup.ledger.x == 0 and all(len(r.pool) == 0 for r in replicas.values())
+    batches = []
+    stamp = sup.stamp_rows
+    sup.stamp_rows = lambda rows, now: (batches.append(list(rows)), stamp(rows, now))[1]
+    taken = 0
+    for tick in range(6):  # 7.5 rows a tick: 7, 8, 7, 8, 7, 8
+        sup.on_timer("inject", None, 250 * tick)
+        assert batches[-1] == want[taken:taken + len(batches[-1])]
+        taken += len(batches[-1])
+    assert [len(b) for b in batches] == [7, 8, 7, 8, 7, 8]
+    assert sup.ledger.x == taken == 45
+    with pytest.raises(BadRow) as err:
+        sup.on_timer("inject", None, 1500)
+    assert err.value.line_no == 52
+
+
 @pytest.mark.parametrize("row", [
     DatasetRow(A0[:19], B0, 1, 0),
     DatasetRow(A0, B1[:19], 1, 0),
@@ -153,14 +246,14 @@ def test_stamp_rows_refuses_what_make_transaction_refuses(row):
         make_transaction(row.payer, row.payee, row.value, row.nonce)
     sup, _ = make_sup()
     with pytest.raises(ValueError) as got:
-        sup.stamp_rows([DatasetRow(A0, B0, 1, 0), row], now=0)
+        sup.stamp_rows(RowBatch.of([DatasetRow(A0, B0, 1, 0), row]), now=0)
     assert str(got.value) == str(reference.value)
 
 
 def test_prepare_prefill_seeds_pool_samples():
     rows = [DatasetRow(A0, B0, 1, i) for i in range(3)] + [DatasetRow(A1, B1, 1, 0)]
     sup, _ = make_sup(rows)
-    per_shard = sup.prepare_prefill()
+    per_shard = prefill(sup)
     assert sup.injection_done
     assert len(per_shard[0]) == 3 and len(per_shard[1]) == 1
     assert sup.est_pool == {0: 3, 1: 1}
@@ -208,7 +301,7 @@ def test_inject_tick_exhaustion_stops_rearming():
 
 def test_block_info_updates_pool_estimate_once():
     sup, _ = make_sup()
-    tx_rows = sup.stamp_rows([DatasetRow(A0, B0, 5, 0)], now=0)
+    tx_rows = sup.stamp_rows(RowBatch.of([DatasetRow(A0, B0, 5, 0)]), now=0)
     (tx,) = tx_rows[0]
     sup.on_envelope(info(0, 1, 120, [tx], pool=7), 120)
     assert sup.est_pool[0] == 7
@@ -222,10 +315,10 @@ def test_block_info_updates_pool_estimate_once():
 
 def test_fold_counts_each_original_once():
     sup, _ = make_sup(partition="clpa")
-    stamped = sup.stamp_rows([
+    stamped = sup.stamp_rows(RowBatch.of([
         DatasetRow(A0, B0, 5, 0),
         DatasetRow(A0, B1, 6, 1),
-    ], now=0)
+    ]), now=0)
     local = stamped[0][0]
     original = stamped[0][1]
     sup.on_envelope(info(0, 1, 100, [
@@ -248,7 +341,7 @@ def test_fold_counts_each_original_once():
 
 def test_static_partition_never_folds():
     sup, _ = make_sup()
-    stamped = sup.stamp_rows([DatasetRow(A0, B0, 5, 0)], now=0)
+    stamped = sup.stamp_rows(RowBatch.of([DatasetRow(A0, B0, 5, 0)]), now=0)
     sup.on_envelope(info(0, 1, 100, [stamped[0][0]]), 100)
     assert len(sup.graph) == 0
 
@@ -269,7 +362,7 @@ def _pair_rows():
 
 
 def _feed_graph(sup):
-    stamped = sup.stamp_rows(_pair_rows(), now=0)
+    stamped = sup.stamp_rows(RowBatch.of(_pair_rows()), now=0)
     height = {0: 0, 1: 0}
     for shard, txs in stamped.items():
         for tx in txs:
@@ -337,7 +430,7 @@ def test_stale_migration_confirmations_ignored():
 
 def test_drain_stop_needs_quiet_window():
     sup, net = make_sup([DatasetRow(A0, B0, 1, 0)])
-    stamped = sup.prepare_prefill()
+    stamped = prefill(sup)
     sup.on_envelope(info(0, 1, 1000, [stamped[0][0]], pool=0), 1000)
     quiet = QUIET_INTERVALS * sup.cfg.block_interval_ms
 
@@ -351,7 +444,7 @@ def test_drain_stop_needs_quiet_window():
 def test_drain_stop_waits_for_pools_and_injection():
     rows = [DatasetRow(A0, B0, 1, 0)]
     sup, _ = make_sup(rows)
-    stamped = sup.prepare_prefill()
+    stamped = prefill(sup)
     sup.on_timer("stopcheck", None, 10_000)
     assert not sup.stopped, "pool estimate is still nonzero"
 
@@ -405,7 +498,7 @@ def test_on_start_arms_expected_timers():
 def test_finalize_clean_run(tmp_path):
     rows = [DatasetRow(A0, B0, 1, 0), DatasetRow(A1, B1, 1, 0)]
     sup, _ = make_sup(rows)
-    stamped = sup.prepare_prefill()
+    stamped = prefill(sup)
     sup.on_envelope(info(0, 1, 150, [stamped[0][0]], pool=0), 150)
     sup.on_envelope(info(1, 1, 160, [stamped[1][0]], pool=0), 160)
     code, summary = sup.finalize(str(tmp_path))
@@ -423,7 +516,7 @@ def test_finalize_flags_undrained_originals(tmp_path):
     # The drain rule holds whether or not the run writes reports.
     for out_dir in (str(tmp_path), None):
         sup, _ = make_sup([DatasetRow(A0, B0, 1, 0)])
-        sup.prepare_prefill()
+        prefill(sup)
         code, summary = sup.finalize(out_dir)
         assert code == 3 and summary["degraded"]
         assert summary["unconfirmed"] == 1
@@ -432,7 +525,7 @@ def test_finalize_flags_undrained_originals(tmp_path):
 
 def test_finalize_wall_only_tolerates_unconfirmed(tmp_path):
     sup, _ = make_sup([DatasetRow(A0, B0, 1, 0)], stop={"wall_ms": 1000})
-    sup.prepare_prefill()
+    prefill(sup)
     code, summary = sup.finalize(str(tmp_path))
     assert code == 0 and not summary["degraded"]
 
@@ -442,12 +535,12 @@ def test_finalize_oracle_skips_other_protocols(tmp_path):
     sup, _ = make_sup(
         [DatasetRow(A0, B0, 1, 0)], mechanism="broker", brokers=[broker.hex()]
     )
-    stamped = sup.prepare_prefill()
+    stamped = prefill(sup)
     sup.on_envelope(info(0, 1, 100, [stamped[0][0]], pool=0), 100)
     _, summary = sup.finalize(str(tmp_path))
     assert summary["oracle"]["skipped"].startswith("protocol mismatch")
 
     empty, _ = make_sup()
-    empty.prepare_prefill()
+    prefill(empty)
     _, esummary = empty.finalize(str(tmp_path / "e"))
     assert esummary["oracle"] == {"skipped": "no transactions injected"}
