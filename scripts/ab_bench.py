@@ -16,6 +16,12 @@ a pair runs
 each tree with its own copy of these scripts, which run that tree's
 ``src``. After the pairs, ``scripts/same_bytes.py`` runs once per tree.
 
+Next to each workload's scaled metrics, the summary compares its raw mean
+phase walls, ``raw_setup_s``, ``raw_run_s`` and ``raw_report_s``, read from
+the ``measured:`` line ``perfbench/run.py`` prints: a scaled time moves
+with the reference workload too, and the raw walls show whether the phase
+itself moved.
+
 For every metric the summary gives both medians over the pairs, their
 ratio (head over base), the pairs the head won, tied and lost (lower is
 better except where ``BENCHMARK.json`` or the desk row says higher), each
@@ -54,6 +60,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # Desk-row metrics and which way is better.
 DESK_METRICS = {"wall_s": "lower", "setup_s": "lower", "rows_per_s": "higher",
                 "peak_rss_mb": "lower"}
+# The unscaled mean phase walls of a perfbench invocation, from its
+# ``measured:`` line. Scaled times divide by the reference workload's time,
+# which itself moves with the emulator's heap; the raw walls tell that
+# apart from a change in the phase itself.
+RAW_METRICS = {"raw_setup_s": "lower", "raw_run_s": "lower", "raw_report_s": "lower"}
 
 
 def iqr(xs: list[float]) -> float:
@@ -105,9 +116,30 @@ def _python(tree: Path, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
+def raw_walls(lines: list[str]) -> dict[str, float]:
+    """The mean phase walls on a perfbench ``measured:`` line, as
+    ``RAW_METRICS`` names them; empty when no line gives them, as when no
+    repetition ran untraced.
+
+    The line reads ``measured: mean wall setup_s 0.0839 s, run_s 0.6781 s,
+    report_s 0.2155 s; mean reference 0.1019 s (nominal 0.15 s)``."""
+    for line in lines:
+        head, sep, _ = line.strip().partition("; mean reference")
+        if not (sep and head.startswith("measured: mean wall ")):
+            continue
+        walls = {}
+        for item in head[len("measured: mean wall "):].split(", "):
+            name, value, unit = item.split()
+            if unit == "s" and f"raw_{name}" in RAW_METRICS:
+                walls[f"raw_{name}"] = float(value)
+        return walls
+    return {}
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` invocation: its metric values, fingerprint
-    and whether every repetition passed."""
+    """One ``perfbench/run.py`` invocation: its metric values, its raw phase
+    walls (``raw_walls``), fingerprint and whether every repetition
+    passed."""
     proc = _python(tree, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0")
     lines = proc.stdout.strip().splitlines()
@@ -116,9 +148,11 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         last = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
-        return {"correct": False, "why": tail[0], "metrics": {}, "fingerprint": None}
+        return {"correct": False, "why": tail[0], "metrics": {}, "raw": {},
+                "fingerprint": None}
     return {"correct": proc.returncode == 0 and last["correct"],
             "metrics": {k: m["value"] for k, m in last["metrics"].items()},
+            "raw": raw_walls(lines),
             "fingerprint": prints[0] if prints else None}
 
 
@@ -211,12 +245,15 @@ def _series(pairs: list[dict], side: str, *path: str) -> list:
 
 def summarize(pairs: list[dict], workloads: dict[str, str], desk: bool) -> dict:
     """Per metric ``compare`` over the pairs in which both sides gave a value;
-    ``workloads`` maps each end-to-end metric name to its better direction."""
+    ``workloads`` maps each end-to-end metric name to its better direction.
+    Each workload's raw walls (``RAW_METRICS``) follow its scaled metrics."""
     metrics: list[tuple[str, tuple, str]] = []
     for workload in pairs[0]["base"]["perfbench"]:
         for name, better in workloads.items():
             metrics.append((f"{workload} {name}", ("perfbench", workload, "metrics", name),
                             better))
+        for name, better in RAW_METRICS.items():
+            metrics.append((f"{workload} {name}", ("perfbench", workload, "raw", name), better))
     if desk:
         for which in ("with_output", "without_output"):
             for name, better in DESK_METRICS.items():

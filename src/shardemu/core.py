@@ -189,17 +189,27 @@ def tx_digest(
 _hash_digest = type(_sha256()).digest
 
 
-def original_digests(payers: list[bytes], payees: list[bytes], values: list[int],
-                     nonces: list[int], kinds: list[TxKind]) -> list[bytes]:
-    """``tx_digest`` of each injected original (no origin hash), given as
-    columns: the same layout, hashed in C loops with no bytecode per row."""
+def tx_digests(payers: Iterable[bytes], payees: Iterable[bytes], values: Iterable[int],
+               nonces: Iterable[int], kinds: Iterable[TxKind],
+               origins: Iterable[bytes]) -> list[bytes]:
+    """``tx_digest`` of each transaction given as columns, ``b""`` standing
+    for no origin hash: the same layout, hashed in C loops with no bytecode
+    per row. A column may be an endless ``repeat``; the shortest column
+    sets the count."""
     return list(map(_hash_digest, map(_sha256, map(b"".join, zip(
         payers,
         payees,
         map(int.to_bytes, values, repeat(VALUE_BITS // 8), repeat("big")),
         map(int.to_bytes, nonces, repeat(8), repeat("big")),
         map(_KIND_TAG.__getitem__, kinds),
+        origins,
     )))))
+
+
+def original_digests(payers: list[bytes], payees: list[bytes], values: list[int],
+                     nonces: list[int], kinds: list[TxKind]) -> list[bytes]:
+    """``tx_digests`` of injected originals, which carry no origin hash."""
+    return tx_digests(payers, payees, values, nonces, kinds, repeat(b""))
 
 
 def check_transfer(payer: bytes, payee: bytes, value: int) -> None:

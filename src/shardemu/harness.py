@@ -45,7 +45,7 @@ from .core import AddressTable, PartitionMap, block_from_json
 from .dataset import DatasetReader, busiest_accounts
 from .mechanisms import make_mechanism
 from .metrics import MetricsLedger, original_hashes
-from .pbft import Replica
+from .pbft import RelaySeen, Replica
 from .supervisor import Supervisor
 from .transport import SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, node_id
 from .txpool import TxPool
@@ -113,9 +113,12 @@ def build_nodes(
     replicas: dict[str, Replica] = {}
     for k in range(cfg.n_shards):
         # One prefilled queue per shard; each replica gets its own copy.
+        # The shard's relay-dedupe record is one object, each replica
+        # holding its own bit in it.
         pool = TxPool(k)
         if k in per_shard:
             pool.preload(per_shard[k])
+        seen = RelaySeen()
         for i in range(cfg.nodes_per_shard):
             nid = node_id(k, i)
             replicas[nid] = Replica(
@@ -129,6 +132,7 @@ def build_nodes(
                 pmap=pmap,
                 hooks=make_mechanism(cfg.mechanism),
                 net=net_of(nid),
+                relay_seen=seen,
             )
     return supervisor, replicas
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Collection, Optional, Sequence
 
 from .config import ClpaConfig
@@ -41,6 +42,7 @@ from .core import (
     home_accounts,
     home_shard,
     home_shards,
+    tx_digests,
     tx_local_to_shard,
     verify_block,
 )
@@ -85,11 +87,29 @@ def relay_split(tx: Transaction) -> Transaction:
                        TxKind.INTRA_RELAY, tx.hash, tx.inject_time)
 
 
+def _halves(payers: Sequence[bytes], payees: Sequence[bytes], values: Sequence[int],
+            nonces: Sequence[int], kind: TxKind, origins: Sequence[bytes],
+            injects: Sequence[Optional[int]]) -> list[Transaction]:
+    """Derived halves of one kind, given as columns, hashed in one batch
+    (``core.tx_digests``). Their fields come from checked transactions, so
+    the halves are built directly. A payer or payee column may be an
+    endless ``repeat``."""
+    kinds = repeat(kind)
+    keys = tx_digests(payers, payees, values, nonces, kinds, origins)
+    return list(map(Transaction, payers, payees, values, nonces, kinds, origins, injects, keys))
+
+
+def credits_of(debits: Sequence[Transaction]) -> list[Transaction]:
+    """The credit half of each debit half, for its payee's shard, in order."""
+    return _halves([tx.payer for tx in debits], [tx.payee for tx in debits],
+                   [tx.value for tx in debits], [tx.nonce for tx in debits],
+                   TxKind.INTER_RELAY, [tx.origin_hash for tx in debits],
+                   [tx.inject_time for tx in debits])
+
+
 def inter_from_intra(intra: Transaction) -> Transaction:
-    """The credit half of a debit half, for the payee's shard, built
-    directly from the debit half's already checked fields."""
-    return Transaction(intra.payer, intra.payee, intra.value, intra.nonce,
-                       TxKind.INTER_RELAY, intra.origin_hash, intra.inject_time)
+    """``credits_of`` one debit half."""
+    return credits_of([intra])[0]
 
 
 def credit_halves(block: Block) -> tuple[Transaction, ...]:
@@ -105,7 +125,7 @@ def credit_halves(block: Block) -> tuple[Transaction, ...]:
     not per transaction."""
     if block.halves is None:
         debit = TxKind.INTRA_RELAY
-        block.halves = tuple(inter_from_intra(tx) for tx in block.txs if tx.kind is debit)
+        block.halves = tuple(credits_of([tx for tx in block.txs if tx.kind is debit]))
     return block.halves
 
 
@@ -164,17 +184,26 @@ def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, 
     return broker_halves(tx, pick_broker(pmap))
 
 
+def broker_split(originals: Sequence[Transaction], broker: bytes) -> list[Transaction]:
+    """The payer half, then the payee half, of each cross-shard original
+    bridged through ``broker``, in order, without ``broker_transform``'s
+    check: for a caller that has just classified the originals as crossing
+    shards. The broker account passed its checks with the originals."""
+    values = [tx.value for tx in originals]
+    nonces = [tx.nonce for tx in originals]
+    origins = [tx.hash for tx in originals]
+    injects = [tx.inject_time for tx in originals]
+    halves: list = [None] * (2 * len(originals))
+    halves[0::2] = _halves([tx.payer for tx in originals], repeat(broker), values, nonces,
+                           TxKind.BROKER_PAYER_HALF, origins, injects)
+    halves[1::2] = _halves(repeat(broker), [tx.payee for tx in originals], values, nonces,
+                           TxKind.BROKER_PAYEE_HALF, origins, injects)
+    return halves
+
+
 def broker_halves(tx: Transaction, broker: bytes) -> tuple[Transaction, Transaction]:
-    """The payer half and the payee half of a cross-shard original bridged
-    through ``broker``, without ``broker_transform``'s check: for a caller
-    that has just classified the original as crossing shards."""
-    # The original and the broker account passed their checks already, so
-    # the halves are built directly.
-    origin, inject_time = tx.hash, tx.inject_time
-    payer_half = Transaction(tx.payer, broker, tx.value, tx.nonce,
-                             TxKind.BROKER_PAYER_HALF, origin, inject_time)
-    payee_half = Transaction(broker, tx.payee, tx.value, tx.nonce,
-                             TxKind.BROKER_PAYEE_HALF, origin, inject_time)
+    """``broker_split`` of one original, as (payer half, payee half)."""
+    payer_half, payee_half = broker_split([tx], broker)
     return payer_half, payee_half
 
 
@@ -479,10 +508,14 @@ class MigrationController:
         node.pmap = mig.pmap
         node.pool.unlock()
         requeue = [tx for src in sorted(mig.inbound_txs) for tx in mig.inbound_txs[src]]
-        # Register migrated credit halves so a straggling duplicate of the
-        # same relay is dropped rather than double-queued.
-        node.relay_seen.update([tx.origin_hash for tx in requeue
-                                if tx.kind in CREDIT_KINDS and tx.origin_hash])
+        # Register migrated credit halves, by this replica's bit in the
+        # shard's record, so a straggling duplicate of the same relay is
+        # dropped rather than double-queued.
+        seen, bit = node.relay_seen, node.relay_bit
+        with seen.guard:
+            for tx in requeue:
+                if tx.kind in CREDIT_KINDS and tx.origin_hash:
+                    seen[tx.origin_hash] = seen.get(tx.origin_hash, 0) | bit
         mech.evict_misplaced(node, now, requeue)
         self.session = None
 
@@ -613,18 +646,26 @@ class BaseMechanism:
             return
         accept: list[Transaction] = []
         misrouted: dict[int, list[Transaction]] = {}
-        pmap = node.pmap
-        for tx in env.body.txs:
-            if tx.origin_hash in node.relay_seen:
-                continue
-            # A credit half (relay_validate checked the kind) executes
-            # where its payee lives.
-            home = address_to_shard(tx.payee, pmap)
-            if home == node.shard_id:
-                node.relay_seen.add(tx.origin_hash)
-                accept.append(tx)
-            else:
-                misrouted.setdefault(home, []).append(tx)
+        pmap, me = node.pmap, node.shard_id
+        # A half is new to this replica when its bit in the shard's record
+        # is clear; the guard keeps each check and set exact between the
+        # replicas' threads over TCP.
+        seen, bit = node.relay_seen, node.relay_bit
+        get = seen.get
+        with seen.guard:
+            for tx in env.body.txs:
+                origin = tx.origin_hash
+                bits = get(origin, 0)
+                if bits & bit:
+                    continue
+                # A credit half (relay_validate checked the kind) executes
+                # where its payee lives.
+                home = address_to_shard(tx.payee, pmap)
+                if home == me:
+                    seen[origin] = bits | bit
+                    accept.append(tx)
+                else:
+                    misrouted.setdefault(home, []).append(tx)
         if accept:
             node.pool.append_relays(accept, pmap)
         if node.is_leader:

@@ -24,10 +24,11 @@ the replica's ``net`` themselves.
 from __future__ import annotations
 
 import logging
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Optional
 
 from .core import Block, PartitionMap, StateTree, genesis_block
 from .transport import (
@@ -63,6 +64,24 @@ class Round:
     proposed: set[int] = field(default_factory=set)
 
 
+class RelaySeen(dict):
+    """One shard's relay-dedupe record, shared by its replicas: the origin
+    hash of each credit half some replica accepted, mapped to a bitmask of
+    the replicas that accepted it, replica ``i`` owning bit ``1 << i``.
+
+    A replica's bits are what its own set of accepted origins was, stored
+    once per shard instead of once per replica. A check and set of a bit
+    happen under ``guard``: over TCP the replicas are threads of one
+    process, and two of them may update one entry at once. A sim run takes
+    it uncontended."""
+
+    __slots__ = ("guard",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.guard = threading.Lock()
+
+
 class Replica:
     """One consensus node of one shard."""
 
@@ -78,6 +97,7 @@ class Replica:
         pmap: PartitionMap,
         hooks: Any,
         net: Any,
+        relay_seen: Optional[RelaySeen] = None,
     ) -> None:
         self.shard_id = shard_id
         self.index = index
@@ -105,8 +125,10 @@ class Replica:
 
         # Audit trail of commits: (height, state root hex, commit ms).
         self.root_log: list[tuple[int, str, int]] = []
-        # Dedup ledger for inbound relay halves, by origin hash.
-        self.relay_seen: set[bytes] = set()
+        # The shard's dedupe record for inbound credit halves (one of its
+        # own when not given), and this replica's bit in it.
+        self.relay_seen = relay_seen if relay_seen is not None else RelaySeen()
+        self.relay_bit = 1 << index
         # Heights at which this node, when leader, proposes a corrupted root.
         self.invalid_heights: set[int] = set()
 

@@ -34,7 +34,7 @@ from .core import (
     original_digests,
 )
 from .dataset import DatasetReader, RowBatch
-from .mechanisms import AccountGraph, broker_halves, clpa_partition, pick_broker
+from .mechanisms import AccountGraph, broker_split, clpa_partition, pick_broker
 from .metrics import MetricsLedger
 from .oracle import (
     MismatchedProtocol,
@@ -106,7 +106,8 @@ class Supervisor:
         by ``crossings``, hashed by ``original_digests``, and each original
         built once and banked once, all column by column. The originals are
         then queued by ``home_shards``. A brokered transfer leaves as its
-        payer half, then its payee half (``mechanisms.broker_halves``)."""
+        payer half, then its payee half, the batch's halves built and
+        hashed at once (``mechanisms.broker_split``)."""
         pmap = self.pmap
         payers, payees, values, nonces = rows.payers, rows.payees, rows.values, rows.nonces
         check_transfers(payers, payees, values)
@@ -119,10 +120,13 @@ class Supervisor:
             # Each ORIGINAL_CTX here was classified under ``pmap`` just
             # above, so its halves skip ``broker_transform``'s re-check; the
             # broker is picked once per batch.
-            queued, broker = [], pick_broker(pmap)
+            halves = iter(broker_split([tx for tx in originals if tx.kind is ctx],
+                                       pick_broker(pmap)))
+            queued = []
             for tx in originals:
                 if tx.kind is ctx:
-                    queued += broker_halves(tx, broker)
+                    queued.append(next(halves))
+                    queued.append(next(halves))
                 else:
                     queued.append(tx)
         per_shard: dict[int, list[Transaction]] = {}

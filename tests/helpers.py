@@ -2,8 +2,10 @@
 
 Addresses pinned to specific shards, transactions and committed blocks with
 preset hashes, tiny CSV datasets, config dictionaries with sensible test
-defaults, a four-node shard wired over the simulated network, the CLPA
-objective and cut weight used as brute-force oracles, and an independent
+defaults, a four-node shard wired over the simulated network, a recorder of
+the credit halves each replica queues and the check of the shards'
+relay-dedupe records against it, the CLPA objective and cut weight used as
+brute-force oracles, and an independent
 copy of the execution-home and locality rules, one transaction at a time,
 as the oracle for the batch rules in ``core``, and the per-field
 transaction decoder, as the oracle for ``core.txs_from_json``. Nothing
@@ -34,8 +36,8 @@ from shardemu.core import (
     make_transaction,
 )
 from shardemu.dataset import HEADER
-from shardemu.mechanisms import AccountGraph, make_mechanism, shard_loads
-from shardemu.pbft import Replica
+from shardemu.mechanisms import AccountGraph, BaseMechanism, make_mechanism, shard_loads
+from shardemu.pbft import RelaySeen, Replica
 from shardemu.transport import SUPERVISOR_ID, SimNetwork, node_id
 from shardemu.txpool import TxPool
 
@@ -219,10 +221,13 @@ def build_shard(
     mechanism: str = "relay",
     pmap: Optional[PartitionMap] = None,
 ) -> dict[str, Replica]:
-    """One consensus group registered on ``net``; pools start empty."""
+    """One consensus group registered on ``net``, wired as ``build_nodes``
+    wires a shard: pools start empty, and the replicas share one
+    relay-dedupe record."""
     if pmap is None:
         pmap = PartitionMap(n_shards=n_shards)
     replicas: dict[str, Replica] = {}
+    seen = RelaySeen()
     for i in range(n_nodes):
         nid = node_id(shard_id, i)
         replica = Replica(
@@ -236,10 +241,57 @@ def build_shard(
             pmap=pmap,
             hooks=make_mechanism(mechanism),
             net=net,
+            relay_seen=seen,
         )
         replicas[nid] = replica
         net.register(nid, replica, shard=shard_id)
     return replicas
+
+
+class CreditIntake:
+    """Records the origin hash of every credit half each replica queues: a
+    relay batch it accepts (``TxPool.append_relays``, by pool) and the
+    credit halves a migration requeues (``BaseMechanism.evict_misplaced``,
+    by node). Install it through ``monkeypatch`` before the run is wired;
+    ``of(replica)`` gives one replica's origins. Safe under TCP's node
+    threads: each pool and node is updated by its own thread only."""
+
+    def __init__(self, monkeypatch) -> None:
+        self._by_pool: dict[int, set[bytes]] = {}
+        self._by_node: dict[str, set[bytes]] = {}
+        append, evict = TxPool.append_relays, BaseMechanism.evict_misplaced
+
+        def append_relays(pool, relays, pmap):
+            self._by_pool.setdefault(id(pool), set()).update(tx.origin_hash for tx in relays)
+            return append(pool, relays, pmap)
+
+        def evict_misplaced(mech, node, now, requeue=()):
+            self._by_node.setdefault(node.nid, set()).update(
+                tx.origin_hash for tx in requeue if tx.kind in CREDIT_KINDS)
+            return evict(mech, node, now, requeue)
+
+        monkeypatch.setattr(TxPool, "append_relays", append_relays)
+        monkeypatch.setattr(BaseMechanism, "evict_misplaced", evict_misplaced)
+
+    def of(self, replica: Replica) -> set[bytes]:
+        return self._by_pool.get(id(replica.pool), set()) | self._by_node.get(replica.nid, set())
+
+
+def relay_record_problems(replicas, intake: CreditIntake) -> list[str]:
+    """One line per shard whose replicas do not all hold one relay-dedupe
+    record, and per replica whose bits in it are not the origins of the
+    credit halves it queued (``intake``)."""
+    problems = []
+    records: dict[int, set[int]] = {}
+    for replica in replicas:
+        records.setdefault(replica.shard_id, set()).add(id(replica.relay_seen))
+        marked = {o for o, bits in replica.relay_seen.items() if bits & replica.relay_bit}
+        queued = intake.of(replica)
+        if marked != queued:
+            problems.append(f"{replica.nid}: {len(marked - queued)} bits set without a queued "
+                            f"credit half, {len(queued - marked)} queued without a bit")
+    problems += [f"shard {k}: {len(ids)} records" for k, ids in records.items() if len(ids) != 1]
+    return problems
 
 
 def attach_sink(net: SimNetwork) -> SupervisorSink:

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,7 @@ from shardemu.core import (
     home_shards,
     make_transaction,
     original_digests,
+    tx_digests,
     replace_tx_list,
     tx_digest,
     tx_from_json,
@@ -331,6 +333,21 @@ def test_original_digests_hash_as_tx_digest():
     got = original_digests(*map(list, zip(*rows)))
     assert got == [tx_digest(p, q, v, n, k, None) for p, q, v, n, k in rows]
     assert original_digests([], [], [], [], []) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.binary(min_size=20, max_size=20), st.binary(min_size=20, max_size=20),
+                          st.integers(0, (1 << 128) - 1), st.integers(0, (1 << 64) - 1),
+                          st.sampled_from(list(TxKind)),
+                          st.just(b"") | st.binary(min_size=32, max_size=32)), max_size=8))
+def test_tx_digests_hash_as_tx_digest(rows):
+    got = tx_digests(*map(list, zip(*rows))) if rows else tx_digests([], [], [], [], [], [])
+    assert got == [tx_digest(p, q, v, n, k, o or None) for p, q, v, n, k, o in rows]
+    if rows:
+        # A constant column may be an endless repeat.
+        p, q, v, n, k, o = rows[0]
+        assert tx_digests(repeat(p), [q] * 3, repeat(v), [n] * 5, repeat(k), repeat(o)) == \
+            [tx_digest(p, q, v, n, k, o or None)] * 3
 
 
 @pytest.mark.parametrize("bad", [

@@ -14,11 +14,12 @@ from collections import Counter
 import pytest
 
 import shardemu
-from helpers import cfg_dict
+from helpers import CreditIntake, cfg_dict, relay_record_problems
+from shardemu.checks import final_state_problems
 from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu import core, harness, mechanisms, txpool
 from shardemu.core import DERIVED_KINDS, TxKind, block_from_json, block_line, compute_state_root
-from shardemu.dataset import gen_dataset
+from shardemu.dataset import gen_dataset, load_dataset
 from shardemu.harness import Emulation, report_from_blocks, run
 from shardemu.metrics import MetricsLedger
 
@@ -718,6 +719,43 @@ def test_replicas_of_a_shard_share_each_migration_pass(tmp_path, monkeypatch):
     for rule in rules:
         assert calls[rule] % 4 == 0, "each replica of an involved shard makes the call"
         assert passes[rule] <= calls[rule] // 2, f"{passes[rule]} passes for {calls[rule]} calls"
+
+
+def _relay_cfg(dataset, tmp_path):
+    return parse_config(cfg_dict(dataset_path=dataset))
+
+
+def _broker_crash_cfg(dataset, tmp_path):
+    return parse_config(cfg_dict(
+        dataset_path=dataset, mechanism="broker", brokers="top:4",
+        transport={"sim": {"latency_ms": [1, 20], "seed": 0}},
+        faults=[{"kind": "crash", "node": "0.1", "at_ms": 300}],
+    ))
+
+
+def _fixed_latency_clpa_cfg(dataset, tmp_path):
+    data = tmp_path / "zipf.csv"
+    gen_dataset(str(data), accounts=200, txs=1500, skew="zipf:1.0", seed=3)
+    return _clpa_cfg(data, None)
+
+
+@pytest.mark.parametrize("make_cfg", [_relay_cfg, _broker_crash_cfg, _fixed_latency_clpa_cfg],
+                         ids=["relay", "broker_crash", "clpa_fixed_latency"])
+def test_each_shard_keeps_one_relay_record_with_a_bit_per_replica(dataset, tmp_path,
+                                                                  monkeypatch, make_cfg):
+    """The replicas of a shard share one relay-dedupe record, and each
+    replica's bits in it are the credit halves it queued, by relay or by a
+    migration's requeue: what its own set used to hold. The run still ends
+    in the dataset's final states."""
+    intake = CreditIntake(monkeypatch)
+    cfg = make_cfg(dataset, tmp_path)
+    result = run(cfg)
+    assert result.exit_code == 0
+    assert relay_record_problems(result.replicas.values(), intake) == []
+    rows = load_dataset(cfg.dataset_path, cfg.dataset_limit)
+    assert final_state_problems(rows, result.replicas.values(), result.supervisor.pmap.brokers) == []
+    if cfg.mechanism == "relay":
+        assert all(r.relay_seen for r in result.replicas.values()), "every shard took relays"
 
 
 def test_recomputed_latencies_match_live_under_jitter_and_crash(tmp_path):

@@ -1,10 +1,13 @@
 """Cross-shard mechanisms: splits, brokers, label propagation, migration."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import (
     addr,
@@ -28,6 +31,7 @@ from shardemu.core import (
     make_transaction,
     BlockKind,
     RejectReason,
+    Transaction,
     verify_block,
 )
 from shardemu import mechanisms
@@ -37,6 +41,7 @@ from shardemu.harness import run
 from shardemu.mechanisms import (
     AccountGraph,
     BrokerMechanism,
+    Migration,
     MigrationController,
     NoBrokers,
     NotCrossShard,
@@ -50,7 +55,7 @@ from shardemu.mechanisms import (
     relay_validate,
     shard_loads,
 )
-from shardemu.pbft import Phase
+from shardemu.pbft import Phase, RelaySeen
 from shardemu.transport import (
     SUPERVISOR_ID,
     AccountMigrate,
@@ -97,9 +102,11 @@ class RecordingNet:
 
 
 class FakeNode:
-    """Just enough replica surface for the mechanism hooks."""
+    """Just enough replica surface for the mechanism hooks. Like a replica,
+    it holds its shard's relay-dedupe record (``seen``, or one of its own)
+    and its bit in it."""
 
-    def __init__(self, shard_id, pmap, *, index=0, theta=10, leader=True):
+    def __init__(self, shard_id, pmap, *, index=0, theta=10, leader=True, seen=None):
         self.shard_id = shard_id
         self.pmap = pmap
         self.nid = f"{shard_id}.{index}"
@@ -108,7 +115,8 @@ class FakeNode:
         self.pool = TxPool(shard_id)
         self.state = StateTree()
         self.head = genesis_block(shard_id)
-        self.relay_seen = set()
+        self.relay_seen = RelaySeen() if seen is None else seen
+        self.relay_bit = 1 << index
         self.phase = Phase.IDLE
         self.net = RecordingNet()
 
@@ -153,6 +161,33 @@ def test_inter_from_intra_matches_split():
     assert credit.hash == make_transaction(
         P0, P1, 5, 3, kind=TxKind.INTER_RELAY, origin_hash=original.hash).hash
     assert credit.inject_time == 70
+
+
+_FIELDS = st.tuples(st.binary(min_size=20, max_size=20), st.binary(min_size=20, max_size=20),
+                   st.integers(0, (1 << 128) - 1), st.integers(0, (1 << 64) - 1),
+                   st.none() | st.integers(0, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FIELDS, max_size=6), st.binary(min_size=20, max_size=20))
+def test_batch_halves_equal_halves_built_and_hashed_one_at_a_time(rows, broker):
+    """``credits_of`` and ``broker_split`` hash a batch through
+    ``core.tx_digests``; each half equals one that ``Transaction`` hashes
+    itself, and the one-item forms give the same halves."""
+    originals = [make_transaction(p, q, v, n, kind=TxKind.ORIGINAL_CTX, inject_time=t)
+                 for p, q, v, n, t in rows]
+    debits = [relay_split(tx) for tx in originals]
+    credits = [Transaction(d.payer, d.payee, d.value, d.nonce, TxKind.INTER_RELAY,
+                           d.origin_hash, d.inject_time) for d in debits]
+    assert mechanisms.credits_of(debits) == credits
+    assert [inter_from_intra(d) for d in debits] == credits
+    bridged = [half for tx in originals for half in (
+        Transaction(tx.payer, broker, tx.value, tx.nonce, TxKind.BROKER_PAYER_HALF, tx.hash,
+                    tx.inject_time),
+        Transaction(broker, tx.payee, tx.value, tx.nonce, TxKind.BROKER_PAYEE_HALF, tx.hash,
+                    tx.inject_time))]
+    assert mechanisms.broker_split(originals, broker) == bridged
+    assert [h for tx in originals for h in mechanisms.broker_halves(tx, broker)] == bridged
 
 
 def test_relay_validate():
@@ -577,7 +612,7 @@ def test_migration_block_commit_switches_map_and_requeues():
     assert node.state.get(P0).balance == 11
     queued = {tx.hash for tx in node.pool.snapshot()}
     assert queued == {pending.hash, credit.hash}
-    assert credit.origin_hash in node.relay_seen, \
+    assert node.relay_seen[credit.origin_hash] == node.relay_bit, \
         "migrated credit halves must still dedupe straggler relays"
     assert outs[-1][0] == SUPERVISOR_ID
     assert outs[-1][1].body.block.block_kind is BlockKind.MIGRATION
@@ -766,6 +801,123 @@ def test_leader_forwards_misrouted_relays():
     follower = FakeNode(1, TWO.updated(1, {P1: 0}), index=2, leader=False)
     mech.handle_inter_shard_msg(follower, env, now=0)
     assert follower.net.sent == []
+
+
+# --- the relay-dedupe record: one per shard, a bit per replica ---
+
+# Credit halves bound for shard 0 of TWO, and two whose payee lives on
+# shard 1, which a shard-0 replica never accepts.
+_HOME_CREDITS = [inter_from_intra(relay_split(ctx_tx(Q1, P0 if i % 2 else Q0, nonce=i)))
+                 for i in range(10)]
+_AWAY_CREDITS = [inter_from_intra(relay_split(ctx_tx(Q0, P1, nonce=i))) for i in range(2)]
+_CREDITS = _HOME_CREDITS + _AWAY_CREDITS
+
+
+def _relay_env(txs):
+    return Envelope("relay_ctx", "1.0", RelayCtx(source_shard=1, txs=list(txs)))
+
+
+def _bits_of(node):
+    """The origins whose bit ``node`` holds in its shard's record."""
+    return {origin for origin, bits in node.relay_seen.items() if bits & node.relay_bit}
+
+
+class _RelayRecordMachine(RuleBasedStateMachine):
+    """``N`` replicas of shard 0 over one ``RelaySeen``, each driven through
+    the real relay intake and migration requeue, checked against one
+    reference set per replica: what each replica's own set used to hold."""
+
+    N = 4
+
+    def __init__(self):
+        super().__init__()
+        record = RelaySeen()
+        self.nodes = [FakeNode(0, TWO, index=i, leader=i == 0, seen=record)
+                      for i in range(self.N)]
+        self.mech = RelayMechanism()
+        self.ref = [set() for _ in range(self.N)]
+
+    @rule(data=st.data())
+    def accept(self, data):
+        i = data.draw(st.integers(0, self.N - 1), label="replica")
+        batch = data.draw(st.lists(st.sampled_from(_CREDITS), max_size=5), label="batch")
+        node = self.nodes[i]
+        before = {tx.hash for tx in node.pool.snapshot()}
+        want = []
+        for tx in batch:
+            if tx.origin_hash not in self.ref[i] and tx in _HOME_CREDITS:
+                self.ref[i].add(tx.origin_hash)
+                want.append(tx.hash)
+        self.mech.handle_inter_shard_msg(node, _relay_env(batch), now=0)
+        assert [tx.hash for tx in node.pool.snapshot() if tx.hash not in before] == want
+        assert not node.net.take() or i == 0, "only the leader forwards the strays"
+
+    @rule(data=st.data())
+    def requeue(self, data):
+        i = data.draw(st.integers(0, self.N - 1), label="replica")
+        moved = data.draw(st.lists(st.sampled_from(_CREDITS + [regular_tx(P0, Q0)]),
+                                   max_size=4), label="moved")
+        node = self.nodes[i]
+        ctl = self.mech.migration
+        ctl.session = Migration(TWO, {}, {}, set(), inbound_txs={1: moved})
+        ctl.on_commit(self.mech, node, None, now=0)
+        node.net.take()
+        self.ref[i].update(tx.origin_hash for tx in moved if tx.kind in CREDIT_KINDS)
+
+    @rule(i=st.integers(0, 6), tx=st.sampled_from(_CREDITS))
+    def check(self, i, tx):
+        node = self.nodes[i % self.N]
+        held = node.relay_seen.get(tx.origin_hash, 0) & node.relay_bit
+        assert bool(held) == (tx.origin_hash in self.ref[i % self.N])
+
+    @invariant()
+    def each_replica_reads_its_reference_set(self):
+        record = self.nodes[0].relay_seen
+        assert all(node.relay_seen is record for node in self.nodes)
+        assert [_bits_of(node) for node in self.nodes] == self.ref
+        assert all(0 < bits < 1 << self.N for bits in record.values())
+
+
+for _n in (1, 4, 7):
+    _machine = type(f"RelayRecordMachine{_n}", (_RelayRecordMachine,), {"N": _n})
+    _machine.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                          deadline=None)
+    globals()[f"TestRelayRecord{_n}Replicas"] = _machine.TestCase
+
+
+def test_replica_threads_lose_no_bit_of_the_shared_record():
+    """Over TCP the replicas of a shard are threads of one process. Four of
+    them take the same credit halves, in the same order so that they meet
+    on the same entries, through the real intake; with the interpreter
+    switching threads every microsecond, an unguarded read-modify-write of
+    one entry loses a bit in most rounds."""
+    credits = [inter_from_intra(relay_split(ctx_tx(Q1, Q0, nonce=i))) for i in range(10000)]
+    mech = RelayMechanism()
+
+    def intake(node, start_line):
+        start_line.wait(timeout=30)
+        for start in range(0, len(credits), 3):
+            mech.handle_inter_shard_msg(node, _relay_env(credits[start:start + 3]), now=0)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            record = RelaySeen()
+            nodes = [FakeNode(0, TWO, index=i, leader=False, seen=record) for i in range(4)]
+            start_line = threading.Barrier(len(nodes))
+            threads = [threading.Thread(target=intake, args=(node, start_line))
+                       for node in nodes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            lost = sum(1 for bits in record.values() if bits != 0b1111)
+            assert (len(record), lost) == (len(credits), 0), f"{lost} entries lost a bit"
+            assert all(len(node.pool) == len(credits) for node in nodes)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # --- credit halves: built once per block, routed per replica ---

@@ -149,6 +149,40 @@ def test_ab_bench_summarizes_only_pairs_where_both_sides_measured():
     assert "desk without_output wall_s" not in summary
 
 
+def test_ab_bench_compares_the_raw_walls_of_the_measured_line(monkeypatch):
+    ab = _load_script("ab_bench")
+    printed = "\n".join([
+        "workload w seed 1: 3 repetitions (3 untraced, 0 traced)",
+        "  output fingerprint ab12",
+        "  run_s 0.9 s",
+        "  measured: mean wall setup_s 0.0839 s, run_s 0.6781 s, report_s 0.2155 s; "
+        "mean reference 0.1019 s (nominal 0.15 s)",
+        json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                    "metrics": {"run_s": {"value": 0.9, "unit": "s"}}}),
+    ])
+    monkeypatch.setattr(ab, "_python", lambda tree, *args: subprocess.CompletedProcess(
+        args, 0, printed, ""))
+    got = ab.run_perfbench(Path("tree"), "w", 1, 1.0)
+    assert got["raw"] == {"raw_setup_s": 0.0839, "raw_run_s": 0.6781, "raw_report_s": 0.2155}
+    assert (got["metrics"], got["fingerprint"], got["correct"]) == ({"run_s": 0.9}, "ab12", True)
+    assert ab.raw_walls(["  run_s 0.9 s", "  measured: nothing"]) == {}
+
+    # A leaner heap speeds the reference up, so scaled run_s rises while
+    # the raw wall falls; the summary shows both.
+    def side(run_s, raw_run_s):
+        return {"perfbench": {"w": {"correct": True, "metrics": {"run_s": run_s},
+                                    "raw": {"raw_run_s": raw_run_s}}}}
+
+    pairs = [{"base": side(1.0, 0.60), "head": side(1.1, 0.55)},
+             {"base": side(1.0, 0.62), "head": side(1.2, 0.58)},
+             {"base": side(1.0, 0.61), "head": side(1.1, 0.57)}]
+    summary = ab.summarize(pairs, {"run_s": "lower"}, desk=False)
+    assert list(summary) == ["w run_s", "w raw_run_s"]
+    assert (summary["w run_s"]["won"], summary["w run_s"]["lost"]) == (0, 3)
+    assert (summary["w raw_run_s"]["won"], summary["w raw_run_s"]["lost"]) == (3, 0)
+    assert summary["w raw_run_s"]["head_median"] == 0.57
+
+
 def test_ab_bench_compares_same_bytes_lines_on_the_keys_both_print():
     ab = _load_script("ab_bench")
     old = '{"config": "relay_50_s4", "exit": 0, "sha256": "aa"}'

@@ -3,11 +3,13 @@
 Over TCP every replica decodes each transaction list and block it receives
 from a frame (``core.txs_from_json``, ``core.block_from_json``); the node
 threads share one process, so the runs end with the final-state check over
-the replicas' own states."""
+the replicas' own states, and with the check that the replicas of each
+shard, one thread each, share one relay-dedupe record whose bits are the
+credit halves each queued."""
 
 import json
 
-from helpers import cfg_dict, free_ports
+from helpers import CreditIntake, cfg_dict, free_ports, relay_record_problems
 from shardemu.checks import final_state_problems
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset, load_dataset
@@ -67,7 +69,7 @@ def _state_problems(result, cfg):
     return final_state_problems(rows, result.replicas.values(), result.supervisor.pmap.brokers)
 
 
-def test_single_shard_run_over_loopback(tmp_path):
+def test_single_shard_run_over_loopback(tmp_path, monkeypatch):
     dataset = tmp_path / "transfers.csv"
     gen_dataset(str(dataset), accounts=30, txs=80, skew="uniform", seed=4)
 
@@ -84,6 +86,7 @@ def test_single_shard_run_over_loopback(tmp_path):
         output_dir=str(out),
         transport={"tcp": {"ip_table": str(ip_table)}},
     ))
+    intake = CreditIntake(monkeypatch)
     result = run(cfg)
 
     assert result.exit_code == 0
@@ -98,9 +101,10 @@ def test_single_shard_run_over_loopback(tmp_path):
     # the block files alone rebuild the same counters
     assert report_from_blocks(str(out))["counters"] == counters
     assert _state_problems(result, cfg) == []
+    assert relay_record_problems(result.replicas.values(), intake) == []
 
 
-def test_two_shard_relay_run_over_loopback(tmp_path):
+def test_two_shard_relay_run_over_loopback(tmp_path, monkeypatch):
     # Every replica decodes each block from a frame, so every follower
     # builds its own credit halves at commit.
     dataset = tmp_path / "transfers.csv"
@@ -118,6 +122,7 @@ def test_two_shard_relay_run_over_loopback(tmp_path):
         output_dir=str(out),
         transport={"tcp": {"ip_table": str(ip_table)}},
     ))
+    intake = CreditIntake(monkeypatch)
     result = run(cfg)
 
     assert result.exit_code == 0
@@ -132,3 +137,4 @@ def test_two_shard_relay_run_over_loopback(tmp_path):
         assert all(b.halves is not None for b in heads)
     assert report_from_blocks(str(out))["counters"] == counters
     assert _state_problems(result, cfg) == []
+    assert relay_record_problems(result.replicas.values(), intake) == []
