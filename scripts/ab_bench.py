@@ -17,10 +17,12 @@ each tree with its own copy of these scripts, which run that tree's
 ``src``. After the pairs, ``scripts/same_bytes.py`` runs once per tree.
 
 Next to each workload's scaled metrics, the summary compares its raw mean
-phase walls, ``raw_setup_s``, ``raw_run_s`` and ``raw_report_s``, read from
-the ``measured:`` line ``perfbench/run.py`` prints: a scaled time moves
-with the reference workload too, and the raw walls show whether the phase
-itself moved.
+phase walls, ``raw_setup_s``, ``raw_run_s`` and ``raw_report_s``, and the
+mean time of the reference workload they are scaled by,
+``raw_reference_s``, all read from the ``measured:`` line
+``perfbench/run.py`` prints: a scaled time moves with the reference
+workload too, and the raw walls show whether the phase itself moved, the
+reference whether the scale did (as when the emulator's heap slows it).
 
 For every metric the summary gives both medians over the pairs, their
 ratio (head over base), the pairs the head won, tied and lost (lower is
@@ -60,11 +62,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Desk-row metrics and which way is better.
 DESK_METRICS = {"wall_s": "lower", "setup_s": "lower", "rows_per_s": "higher",
                 "peak_rss_mb": "lower"}
-# The unscaled mean phase walls of a perfbench invocation, from its
-# ``measured:`` line. Scaled times divide by the reference workload's time,
-# which itself moves with the emulator's heap; the raw walls tell that
-# apart from a change in the phase itself.
-RAW_METRICS = {"raw_setup_s": "lower", "raw_run_s": "lower", "raw_report_s": "lower"}
+# The unscaled mean phase walls of a perfbench invocation and its mean
+# reference time, from its ``measured:`` line. Scaled times divide by the
+# reference workload's time, which itself moves with the emulator's heap;
+# the raw walls and the reference tell that apart from a change in the
+# phase itself.
+RAW_METRICS = {"raw_setup_s": "lower", "raw_run_s": "lower", "raw_report_s": "lower",
+               "raw_reference_s": "lower"}
 
 
 def iqr(xs: list[float]) -> float:
@@ -117,18 +121,20 @@ def _python(tree: Path, *args: str) -> subprocess.CompletedProcess:
 
 
 def raw_walls(lines: list[str]) -> dict[str, float]:
-    """The mean phase walls on a perfbench ``measured:`` line, as
-    ``RAW_METRICS`` names them; empty when no line gives them, as when no
-    repetition ran untraced.
+    """The mean phase walls and the mean reference time on a perfbench
+    ``measured:`` line, as ``RAW_METRICS`` names them; empty when no line
+    gives them, as when no repetition ran untraced.
 
     The line reads ``measured: mean wall setup_s 0.0839 s, run_s 0.6781 s,
     report_s 0.2155 s; mean reference 0.1019 s (nominal 0.15 s)``."""
     for line in lines:
-        head, sep, _ = line.strip().partition("; mean reference")
+        head, sep, tail = line.strip().partition("; mean reference ")
         if not (sep and head.startswith("measured: mean wall ")):
             continue
+        items = head[len("measured: mean wall "):].split(", ")
+        items.append("reference_s " + " ".join(tail.split()[:2]))
         walls = {}
-        for item in head[len("measured: mean wall "):].split(", "):
+        for item in items:
             name, value, unit = item.split()
             if unit == "s" and f"raw_{name}" in RAW_METRICS:
                 walls[f"raw_{name}"] = float(value)

@@ -166,36 +166,19 @@ class Transaction:
             )
 
 
-def tx_digest(
-    payer: bytes,
-    payee: bytes,
-    value: int,
-    nonce: int,
-    kind: TxKind,
-    origin_hash: Optional[bytes],
-) -> bytes:
-    """Hash of the identity fields; timing fields deliberately excluded.
-    ``txs_from_json`` hashes the same layout inline."""
-    return _sha256(b"".join((
-        payer,
-        payee,
-        value.to_bytes(VALUE_BITS // 8, "big"),
-        nonce.to_bytes(8, "big"),
-        _KIND_TAG[kind],
-        origin_hash or b"",
-    ))).digest()
-
-
 _hash_digest = type(_sha256()).digest
 
 
 def tx_digests(payers: Iterable[bytes], payees: Iterable[bytes], values: Iterable[int],
                nonces: Iterable[int], kinds: Iterable[TxKind],
                origins: Iterable[bytes]) -> list[bytes]:
-    """``tx_digest`` of each transaction given as columns, ``b""`` standing
-    for no origin hash: the same layout, hashed in C loops with no bytecode
-    per row. A column may be an endless ``repeat``; the shortest column
-    sets the count."""
+    """Hash of each transaction's identity fields, given as columns; timing
+    fields are deliberately excluded. The one definition of the layout:
+    payer, payee, value in 16 bytes and nonce in 8 (big-endian), the kind's
+    tag and the origin hash, ``b""`` standing for none. Hashed in C loops
+    with no bytecode per row. A column may be an endless ``repeat``; the
+    shortest column sets the count. A value or nonce too wide for its field
+    raises ``OverflowError``."""
     return list(map(_hash_digest, map(_sha256, map(b"".join, zip(
         payers,
         payees,
@@ -206,10 +189,10 @@ def tx_digests(payers: Iterable[bytes], payees: Iterable[bytes], values: Iterabl
     )))))
 
 
-def original_digests(payers: list[bytes], payees: list[bytes], values: list[int],
-                     nonces: list[int], kinds: list[TxKind]) -> list[bytes]:
-    """``tx_digests`` of injected originals, which carry no origin hash."""
-    return tx_digests(payers, payees, values, nonces, kinds, repeat(b""))
+def tx_digest(payer: bytes, payee: bytes, value: int, nonce: int, kind: TxKind,
+              origin_hash: Optional[bytes]) -> bytes:
+    """``tx_digests`` of one transaction."""
+    return tx_digests((payer,), (payee,), (value,), (nonce,), (kind,), (origin_hash or b"",))[0]
 
 
 def check_transfer(payer: bytes, payee: bytes, value: int) -> None:
@@ -573,12 +556,6 @@ def address_to_shard(addr: bytes, pmap: PartitionMap) -> int:
     return pmap._shard_of[addr]
 
 
-def crosses_shards(payer: bytes, payee: bytes, pmap: PartitionMap) -> bool:
-    """True when a transfer between two accounts spans two shards under
-    ``pmap`` (``crossings`` of one transfer)."""
-    return crossings((payer,), (payee,), pmap)[0]
-
-
 def crossings(payers: Sequence[bytes], payees: Sequence[bytes], pmap: PartitionMap
               ) -> list[bool]:
     """Whether each transfer spans two shards under ``pmap``: neither
@@ -609,11 +586,6 @@ def home_shards(txs: Iterable[Transaction], pmap: PartitionMap) -> list[int]:
     """The shard of each transaction's home account (``home_accounts``)
     under ``pmap``, in order."""
     return list(map(pmap._shard_of.__getitem__, home_accounts(txs, pmap.brokers)))
-
-
-def home_shard(tx: Transaction, pmap: PartitionMap) -> int:
-    """The shard that executes one transaction under ``pmap``."""
-    return home_shards((tx,), pmap)[0]
 
 
 def tx_local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
@@ -847,16 +819,22 @@ def txs_from_json(objs: Iterable[dict], addresses: Optional[AddressTable] = None
     list gets a table of its own. ``value`` is taken only as ``str(int)``
     writes it, ``nonce`` only as a JSON integer, ``origin_hash`` only as
     null or a digest as ``bytes.hex`` writes it, ``inject_time`` only as an
-    integer or null, and ``fee`` only as the integer 0. Each hash is
-    computed once, with ``tx_digest``'s layout, and must equal the line's;
-    the transaction is built with it. Anything else raises ``ValueError``."""
+    integer or null, and ``fee`` only as the integer 0. The fields are
+    decoded line by line into columns, which are then hashed once, in one
+    ``tx_digests`` call; each hash must equal its line's, and each
+    transaction is built with it. Anything else raises ``ValueError``."""
     if addresses is None:
         addresses = AddressTable()
     # Bound once per list: the loop body runs per transaction.
-    kind_of, tag_of = _TX_KIND_OF, _KIND_TAG
-    sha256, join, make = _sha256, b"".join, Transaction
-    out: list[Transaction] = []
-    append = out.append
+    kind_of = _TX_KIND_OF
+    payers: list[bytes] = []
+    payees: list[bytes] = []
+    values: list[int] = []
+    nonces: list[int] = []
+    kinds: list[TxKind] = []
+    origins: list[Optional[bytes]] = []
+    injects: list[Optional[int]] = []
+    hashes: list = []
     try:
         for obj in objs:
             inject_time = obj.get("inject_time")
@@ -868,43 +846,37 @@ def txs_from_json(objs: Iterable[dict], addresses: Optional[AddressTable] = None
             if type(fee) is not int or fee != 0:
                 raise ValueError(f"fee must be the integer 0, not {fee!r}")
             try:
-                payer, payee = addresses[obj["payer"]], addresses[obj["payee"]]
+                payers.append(addresses[obj["payer"]])
+                payees.append(addresses[obj["payee"]])
             except TypeError:  # an unhashable literal
                 raise ValueError(f"bad address literal in {obj!r}") from None
             value = obj["value"]
             # ``_decimal``'s unsigned test, inlined.
             if (type(value) is str and value.isdigit() and value.isascii()
                     and (value[0] != "0" or len(value) == 1)):
-                value = int(value)
+                values.append(int(value))
             else:
                 _decimal(value, "value")  # raises
             nonce = obj["nonce"]
             if type(nonce) is not int:
                 _int(nonce, "nonce")  # raises
+            nonces.append(nonce)
             kind = obj["kind"]
             try:
-                kind = kind_of[kind]
+                kinds.append(kind_of[kind])
             except (KeyError, TypeError):
                 _member(kind_of, kind)  # raises
             origin = obj.get("origin_hash")
-            if origin is not None:
-                origin = _digest(origin, "origin_hash")
-            tx_hash = sha256(join((
-                payer, payee, value.to_bytes(VALUE_BITS // 8, "big"),
-                nonce.to_bytes(8, "big"), tag_of[kind], origin or b"",
-            ))).digest()
-            if tx_hash.hex() != obj["hash"]:
-                raise ValueError("transaction hash mismatch in serialized form")
-            append(make(payer, payee, value, nonce, kind, origin, inject_time, tx_hash))
+            origins.append(None if origin is None else _digest(origin, "origin_hash"))
+            injects.append(inject_time)
+            hashes.append(obj["hash"])
+        keys = tx_digests(payers, payees, values, nonces, kinds,
+                          [origin or b"" for origin in origins])
     except OverflowError as exc:  # a value or nonce too wide for its hashed field
         raise ValueError(f"transaction field out of range: {exc}") from None
-    return out
-
-
-def tx_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> Transaction:
-    """Decode and hash-check one transaction: ``txs_from_json`` of a list
-    of one."""
-    return txs_from_json((obj,), addresses)[0]
+    if list(map(bytes.hex, keys)) != hashes:
+        raise ValueError("transaction hash mismatch in serialized form")
+    return list(map(Transaction, payers, payees, values, nonces, kinds, origins, injects, keys))
 
 
 def account_to_json(acct: AccountState) -> dict:

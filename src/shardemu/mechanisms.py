@@ -21,12 +21,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Collection, Optional, Sequence
+from typing import Any, Collection, Iterable, Optional, Sequence
 
 from .config import ClpaConfig
 from .core import (
     CREDIT_KINDS,
-    INJECTED_KINDS,
     Block,
     BlockKind,
     PartitionMap,
@@ -38,9 +37,8 @@ from .core import (
     apply_migration,
     apply_txs,
     compute_state_root,
-    crosses_shards,
+    crossings,
     home_accounts,
-    home_shard,
     home_shards,
     tx_digests,
     tx_local_to_shard,
@@ -73,20 +71,6 @@ class NoBrokers(RuntimeError):
 # --- relay primitives ---
 
 
-def relay_split(tx: Transaction) -> Transaction:
-    """The debit half of an original transfer, for the payer's shard.
-
-    It inherits value, nonce and inject_time and points back at the
-    original through origin_hash. Its credit half is built only once the
-    block carrying it commits (see ``credit_halves``). The original passed
-    ``make_transaction``'s checks, so the half is built directly.
-    """
-    if tx.kind not in INJECTED_KINDS:
-        raise NotCrossShard(f"cannot split derived kind {tx.kind.value}")
-    return Transaction(tx.payer, tx.payee, tx.value, tx.nonce,
-                       TxKind.INTRA_RELAY, tx.hash, tx.inject_time)
-
-
 def _halves(payers: Sequence[bytes], payees: Sequence[bytes], values: Sequence[int],
             nonces: Sequence[int], kind: TxKind, origins: Sequence[bytes],
             injects: Sequence[Optional[int]]) -> list[Transaction]:
@@ -99,17 +83,23 @@ def _halves(payers: Sequence[bytes], payees: Sequence[bytes], values: Sequence[i
     return list(map(Transaction, payers, payees, values, nonces, kinds, origins, injects, keys))
 
 
+def debits_of(originals: Sequence[Transaction]) -> list[Transaction]:
+    """The debit half of each original, for its payer's shard, in order.
+    Each inherits value, nonce and inject_time and points back at its
+    original through origin_hash. Its credit half is built only once the
+    block carrying it commits (``credit_halves``)."""
+    return _halves([tx.payer for tx in originals], [tx.payee for tx in originals],
+                   [tx.value for tx in originals], [tx.nonce for tx in originals],
+                   TxKind.INTRA_RELAY, [tx.hash for tx in originals],
+                   [tx.inject_time for tx in originals])
+
+
 def credits_of(debits: Sequence[Transaction]) -> list[Transaction]:
     """The credit half of each debit half, for its payee's shard, in order."""
     return _halves([tx.payer for tx in debits], [tx.payee for tx in debits],
                    [tx.value for tx in debits], [tx.nonce for tx in debits],
                    TxKind.INTER_RELAY, [tx.origin_hash for tx in debits],
                    [tx.inject_time for tx in debits])
-
-
-def inter_from_intra(intra: Transaction) -> Transaction:
-    """``credits_of`` one debit half."""
-    return credits_of([intra])[0]
 
 
 def credit_halves(block: Block) -> tuple[Transaction, ...]:
@@ -172,23 +162,13 @@ def pick_broker(pmap: PartitionMap) -> bytes:
     return min(pmap.brokers)
 
 
-def broker_transform(tx: Transaction, pmap: PartitionMap) -> tuple[Transaction, Transaction]:
-    """Rewrite a cross-shard transfer into two broker-bridged halves.
-
-    The payer half (payer pays the broker) belongs in the payer's shard,
-    the payee half (broker pays the payee) in the payee's shard. Both are
-    locally executable on arrival and settle independently.
-    """
-    if tx.kind not in INJECTED_KINDS or not crosses_shards(tx.payer, tx.payee, pmap):
-        raise NotCrossShard("broker transform only applies to cross-shard originals")
-    return broker_halves(tx, pick_broker(pmap))
-
-
 def broker_split(originals: Sequence[Transaction], broker: bytes) -> list[Transaction]:
     """The payer half, then the payee half, of each cross-shard original
-    bridged through ``broker``, in order, without ``broker_transform``'s
-    check: for a caller that has just classified the originals as crossing
-    shards. The broker account passed its checks with the originals."""
+    bridged through ``broker``, in order. The payer half (payer pays the
+    broker) belongs in the payer's shard, the payee half (broker pays the
+    payee) in the payee's shard; both are locally executable on arrival and
+    settle independently. The caller has classified the originals as
+    crossing shards, and the broker account passed its checks with them."""
     values = [tx.value for tx in originals]
     nonces = [tx.nonce for tx in originals]
     origins = [tx.hash for tx in originals]
@@ -199,12 +179,6 @@ def broker_split(originals: Sequence[Transaction], broker: bytes) -> list[Transa
     halves[1::2] = _halves(repeat(broker), [tx.payee for tx in originals], values, nonces,
                            TxKind.BROKER_PAYEE_HALF, origins, injects)
     return halves
-
-
-def broker_halves(tx: Transaction, broker: bytes) -> tuple[Transaction, Transaction]:
-    """``broker_split`` of one original, as (payer half, payee half)."""
-    payer_half, payee_half = broker_split([tx], broker)
-    return payer_half, payee_half
 
 
 def forward(node: Any, by_dest: dict[int, list[Transaction]]) -> None:
@@ -548,21 +522,27 @@ class BaseMechanism:
             return None
         # A migration can re-home accounts while entries wait, so the home
         # is re-derived at packing time: an entry another shard executes is
-        # forwarded there, a local one is kept whole, and a transfer that is
-        # cross-shard here is split by the mechanism.
+        # forwarded there, a local one is kept whole, and the transfers that
+        # are cross-shard here (strays) are split by the mechanism, all at
+        # once, and placed in packing order.
         pmap, me = node.pmap, node.shard_id
+        homes = home_shards(packed, pmap)
+        strays = [home == me and not tx_local_to_shard(tx, me, pmap)
+                  for tx, home in zip(packed, homes)]
+        splits = iter(self._split_strays([tx for tx, stray in zip(packed, strays) if stray],
+                                         pmap) if any(strays) else ())
         chosen: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
-        for tx, home in zip(packed, home_shards(packed, pmap)):
-            if home != me:
-                forwards.setdefault(home, []).append(tx)
-            elif tx_local_to_shard(tx, me, pmap):
-                chosen.append(tx)
-            else:
-                keep, route = self._pack_cross(tx, node)
-                chosen.append(keep)
+        for tx, home, stray in zip(packed, homes, strays):
+            if stray:
+                half, route = next(splits)
+                chosen.append(half)
                 if route is not None:
                     forwards.setdefault(route[0], []).append(route[1])
+            elif home != me:
+                forwards.setdefault(home, []).append(tx)
+            else:
+                chosen.append(tx)
         forward(node, forwards)
         if not chosen:
             return None
@@ -580,12 +560,12 @@ class BaseMechanism:
         block.post = (compute_state_root(node.state), applied)
         return block
 
-    def _pack_cross(self, tx: Transaction, node: Any) -> tuple[
-        Transaction, Optional[tuple[int, Transaction]]
+    def _split_strays(self, strays: Sequence[Transaction], pmap: PartitionMap) -> Iterable[
+        tuple[Transaction, Optional[tuple[int, Transaction]]]
     ]:
-        """What a transfer packed in its home shard but not local there
-        becomes: (the half to include in the block, (shard, half) to
-        forward now, or None)."""
+        """What each transfer packed in its home shard but not local there
+        becomes, in order: (the half to include in the block, (shard, half)
+        to forward now, or None). Called once per block that has strays."""
         raise NotImplementedError
 
     # - verification -
@@ -679,8 +659,8 @@ class RelayMechanism(BaseMechanism):
 
     name = "relay"
 
-    def _pack_cross(self, tx, node):
-        return relay_split(tx), None
+    def _split_strays(self, strays, pmap):
+        return zip(debits_of(strays), repeat(None))
 
 
 class BrokerMechanism(BaseMechanism):
@@ -690,9 +670,12 @@ class BrokerMechanism(BaseMechanism):
 
     name = "broker"
 
-    def _pack_cross(self, tx, node):
-        payer_half, payee_half = broker_transform(tx, node.pmap)
-        return payer_half, (home_shard(payee_half, node.pmap), payee_half)
+    def _split_strays(self, strays, pmap):
+        if not all(crossings([tx.payer for tx in strays], [tx.payee for tx in strays], pmap)):
+            raise NotCrossShard("a broker split only applies to cross-shard transfers")
+        halves = broker_split(strays, pick_broker(pmap))
+        payee_halves = halves[1::2]
+        return zip(halves[0::2], zip(home_shards(payee_halves, pmap), payee_halves))
 
 
 def make_mechanism(name: str) -> BaseMechanism:

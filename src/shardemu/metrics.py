@@ -122,35 +122,17 @@ class MetricsLedger:
         payee: bytes,
         inject_ms: int,
     ) -> None:
-        """Bank one original; its kind says whether it is cross-shard."""
-        if tx_hash in self.originals:
-            return
-        self.originals[tx_hash] = InjectionRecord(tx_hash, kind, payer, payee, inject_ms)
-        if kind is TxKind.ORIGINAL_CTX:
-            self.ctx_injected += 1
-
-    def record_originals(self, keys: Sequence[bytes], kinds: Sequence[TxKind],
-                         payers: Sequence[bytes], payees: Sequence[bytes],
-                         inject_ms: int) -> None:
-        """Bank originals stamped at ``inject_ms``, given as columns (hash,
-        kind, payer, payee) in order, each as ``record_injection`` banks it:
-        the first record of a hash wins."""
-        originals = self.originals
-        ctx, n_ctx = TxKind.ORIGINAL_CTX, 0
-        for key, kind, payer, payee in zip(keys, kinds, payers, payees):
-            if key in originals:
-                continue
-            originals[key] = InjectionRecord(key, kind, payer, payee, inject_ms)
-            if kind is ctx:
-                n_ctx += 1
-        self.ctx_injected += n_ctx
+        """Bank one original (``record_committed`` of one transaction)."""
+        self.record_committed([((kind,), (tx_hash,), (payer,), (payee,), (inject_ms,))])
 
     def record_committed(self, columns: Iterable[tuple[Sequence, ...]]) -> None:
-        """Bank the originals that committed transactions stand for, given
-        per block as columns (kinds, originals' hashes, payers, payees,
-        inject times), in order, each as ``record_injection`` banks it: a
-        whole transaction stands for itself, of its own kind, and a half
-        for its cross-shard original. Used by ``shardemu report``."""
+        """Bank the originals that transactions stand for, given per group
+        as columns (kinds, originals' hashes, payers, payees, inject times),
+        in order; the first record of a hash wins. A whole transaction
+        stands for itself, of its own kind, which says whether it is
+        cross-shard, and a half for its cross-shard original. The one
+        banking loop: ``Supervisor.stamp_rows`` passes each stamped batch
+        as one group, ``shardemu report`` each committed block read back."""
         originals = self.originals
         derived, ctx = DERIVED_KINDS, TxKind.ORIGINAL_CTX
         n_ctx = 0

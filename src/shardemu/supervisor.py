@@ -31,11 +31,11 @@ from .core import (
     check_transfers,
     crossings,
     home_shards,
-    original_digests,
+    tx_digests,
 )
 from .dataset import DatasetReader, RowBatch
 from .mechanisms import AccountGraph, broker_split, clpa_partition, pick_broker
-from .metrics import MetricsLedger
+from .metrics import MetricsLedger, original_hashes
 from .oracle import (
     MismatchedProtocol,
     expected_metrics,
@@ -103,7 +103,7 @@ class Supervisor:
         half later derived from it, carries ``now`` from here on.
 
         The batch is refused as ``check_transfers`` refuses it, classified
-        by ``crossings``, hashed by ``original_digests``, and each original
+        by ``crossings``, hashed by ``tx_digests``, and each original
         built once and banked once, all column by column. The originals are
         then queued by ``home_shards``. A brokered transfer leaves as its
         payer half, then its payee half, the batch's halves built and
@@ -113,13 +113,12 @@ class Supervisor:
         check_transfers(payers, payees, values)
         regular, ctx = TxKind.REGULAR, TxKind.ORIGINAL_CTX
         kinds = [ctx if cross else regular for cross in crossings(payers, payees, pmap)]
-        keys = original_digests(payers, payees, values, nonces, kinds)
+        keys = tx_digests(payers, payees, values, nonces, kinds, repeat(b""))
         queued = originals = list(map(Transaction, payers, payees, values, nonces, kinds,
                                       repeat(None), repeat(now), keys))
         if self.cfg.mechanism == "broker" and ctx in kinds:
             # Each ORIGINAL_CTX here was classified under ``pmap`` just
-            # above, so its halves skip ``broker_transform``'s re-check; the
-            # broker is picked once per batch.
+            # above; the broker is picked once per batch.
             halves = iter(broker_split([tx for tx in originals if tx.kind is ctx],
                                        pick_broker(pmap)))
             queued = []
@@ -132,7 +131,7 @@ class Supervisor:
         per_shard: dict[int, list[Transaction]] = {}
         for tx, shard in zip(queued, home_shards(queued, pmap)):
             per_shard.setdefault(shard, []).append(tx)
-        self.ledger.record_originals(keys, kinds, payers, payees, now)
+        self.ledger.record_committed([(kinds, keys, payers, payees, repeat(now))])
         return per_shard
 
     def prepare_prefill(self, rows: RowBatch) -> dict[int, list[Transaction]]:
@@ -194,11 +193,10 @@ class Supervisor:
         contributes exactly one edge however it committed.
         """
         originals = self.ledger.originals
-        regular = TxKind.REGULAR
-        for tx in info.block.txs:
+        txs = info.block.txs
+        for tx, key in zip(txs, original_hashes(txs)):
             if tx.kind in CREDIT_KINDS:
                 continue
-            key = tx.hash if tx.kind is regular else tx.origin_hash
             rec = originals.get(key)
             if rec is None:
                 continue

@@ -6,8 +6,10 @@ defaults, a four-node shard wired over the simulated network, a recorder of
 the credit halves each replica queues and the check of the shards'
 relay-dedupe records against it, the CLPA objective and cut weight used as
 brute-force oracles, and an independent
-copy of the execution-home and locality rules, one transaction at a time,
-as the oracle for the batch rules in ``core``, and the per-field
+copy of the execution-home, locality and cross-shard rules, one
+transaction at a time, as the oracle for the batch rules in ``core``, the
+split halves and the packing placement, one transaction at a time, as the
+oracle for the batch splits in ``mechanisms``, and the per-field
 transaction decoder, as the oracle for ``core.txs_from_json``. Nothing
 here asserts; helpers stay dumb so failures point at the code under test.
 """
@@ -36,7 +38,14 @@ from shardemu.core import (
     make_transaction,
 )
 from shardemu.dataset import HEADER
-from shardemu.mechanisms import AccountGraph, BaseMechanism, make_mechanism, shard_loads
+from shardemu.mechanisms import (
+    AccountGraph,
+    BaseMechanism,
+    NoBrokers,
+    NotCrossShard,
+    make_mechanism,
+    shard_loads,
+)
 from shardemu.pbft import RelaySeen, Replica
 from shardemu.transport import SUPERVISOR_ID, SimNetwork, node_id
 from shardemu.txpool import TxPool
@@ -95,6 +104,63 @@ def local_to_shard(tx: Transaction, shard_id: int, pmap: PartitionMap) -> bool:
         payee_ok = tx.payee in pmap.brokers or address_to_shard(tx.payee, pmap) == shard_id
         return payer_ok and payee_ok
     return False
+
+
+def crosses(payer: bytes, payee: bytes, pmap: PartitionMap) -> bool:
+    """Oracle: a transfer spans two shards when neither account is a broker
+    and their shards differ."""
+    return (payer not in pmap.brokers and payee not in pmap.brokers
+            and address_to_shard(payer, pmap) != address_to_shard(payee, pmap))
+
+
+def relay_debit(tx: Transaction) -> Transaction:
+    """Oracle: the debit half of an original, built and hashed on its own."""
+    return Transaction(tx.payer, tx.payee, tx.value, tx.nonce, TxKind.INTRA_RELAY, tx.hash,
+                       tx.inject_time)
+
+
+def broker_pair(tx: Transaction, broker: bytes) -> tuple[Transaction, Transaction]:
+    """Oracle: the payer half and the payee half of an original bridged
+    through ``broker``, each built and hashed on its own."""
+    return (Transaction(tx.payer, broker, tx.value, tx.nonce, TxKind.BROKER_PAYER_HALF,
+                        tx.hash, tx.inject_time),
+            Transaction(broker, tx.payee, tx.value, tx.nonce, TxKind.BROKER_PAYEE_HALF,
+                        tx.hash, tx.inject_time))
+
+
+def reference_pack(packed, pmap: PartitionMap, me: int, mechanism: str
+                   ) -> tuple[list[Transaction], dict[int, list[Transaction]]]:
+    """Oracle: where packing in shard ``me`` places each packed entry, one
+    at a time, as (the block's txs, the entries forwarded per shard), each
+    in packing order. An entry another shard executes is forwarded there
+    whole, a local one kept whole; a stray (at home but not local) is kept
+    as its relay debit half, or as its broker payer half with the payee
+    half forwarded to the payee half's home. Under broker, a stray that
+    does not cross shards raises ``NotCrossShard``; failing that, strays
+    on a map without brokers raise ``NoBrokers``."""
+    placed = []
+    for tx in packed:
+        home = exec_home_shard(tx, pmap)
+        stray = home == me and not local_to_shard(tx, me, pmap)
+        if stray and mechanism == "broker" and not crosses(tx.payer, tx.payee, pmap):
+            raise NotCrossShard("stray does not cross shards")
+        placed.append((tx, home, stray))
+    if mechanism == "broker" and any(stray for _, _, stray in placed) and not pmap.brokers:
+        raise NoBrokers("no broker accounts configured")
+    chosen: list[Transaction] = []
+    forwards: dict[int, list[Transaction]] = {}
+    for tx, home, stray in placed:
+        if stray and mechanism == "relay":
+            chosen.append(relay_debit(tx))
+        elif stray:
+            payer_half, payee_half = broker_pair(tx, min(pmap.brokers))
+            chosen.append(payer_half)
+            forwards.setdefault(exec_home_shard(payee_half, pmap), []).append(payee_half)
+        elif home == me:
+            chosen.append(tx)
+        else:
+            forwards.setdefault(home, []).append(tx)
+    return chosen, forwards
 
 
 _KIND_OF = {k.value: k for k in TxKind}

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -15,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import addr, committed_block, reference_tx_from_json, regular_tx, suffix_shard
+from helpers import (
+    addr,
+    committed_block,
+    crosses,
+    reference_tx_from_json,
+    regular_tx,
+    suffix_shard,
+)
 import shardemu
 from shardemu.core import (
     ADDRESS_SIZE,
@@ -48,19 +56,15 @@ from shardemu.core import (
     check_transfer,
     check_transfers,
     compute_state_root,
-    crosses_shards,
     crossings,
     digest,
     genesis_block,
     home_accounts,
-    home_shard,
     home_shards,
     make_transaction,
-    original_digests,
     tx_digests,
     replace_tx_list,
     tx_digest,
-    tx_from_json,
     tx_local_to_shard,
     tx_to_json,
     txs_from_json,
@@ -302,37 +306,46 @@ def test_threads_resolve_one_shared_map():
     assert shared._shard_of == {a: _reference_shard(a, shared) for a in accounts}
 
 
-def test_crosses_shards():
+def test_crossings():
     pmap = PartitionMap(n_shards=2)
-    assert not crosses_shards(A, B, pmap)
-    assert crosses_shards(A, C, pmap) and crosses_shards(C, A, pmap)
+    assert crossings([A, A, C], [B, C, A], pmap) == [False, True, True]
     brokered = PartitionMap(n_shards=2, brokers=frozenset({B}))
-    assert crosses_shards(A, C, brokered)
-    assert not crosses_shards(A, B, brokered)
-    assert not crosses_shards(B, C, brokered) and not crosses_shards(C, B, brokered)
+    assert crossings([A, A, B, C], [C, B, C, B], brokered) == [True, False, False, False]
+    assert crossings([], [], pmap) == []
 
 
-def test_crossings_classify_a_batch_as_crosses_shards_classifies_each():
+def test_crossings_classify_a_batch_as_the_oracle_classifies_each():
     accounts = [A, B, C, addr("cross-d"), addr("cross-e")]
     pairs = [(p, q) for p in accounts for q in accounts]
     payers, payees = [p for p, _ in pairs], [q for _, q in pairs]
     for brokers in (frozenset(), frozenset({B}), frozenset({A, C})):
         pmap = PartitionMap(n_shards=3, overrides={C: 0}, brokers=brokers)
-        flags = crossings(payers, payees, pmap)
-        assert flags == [crosses_shards(p, q, pmap) for p, q in pairs]
-        assert flags == [p not in brokers and q not in brokers
-                         and address_to_shard(p, pmap) != address_to_shard(q, pmap)
-                         for p, q in pairs]
+        assert crossings(payers, payees, pmap) == [crosses(p, q, pmap) for p, q in pairs]
 
 
-def test_original_digests_hash_as_tx_digest():
+_REFERENCE_TAG = {TxKind.REGULAR: b"\x00", TxKind.ORIGINAL_CTX: b"\x01",
+                  TxKind.INTRA_RELAY: b"\x02", TxKind.INTER_RELAY: b"\x03",
+                  TxKind.BROKER_PAYER_HALF: b"\x04", TxKind.BROKER_PAYEE_HALF: b"\x05"}
+
+
+def _reference_digest(payer, payee, value, nonce, kind, origin):
+    """The transaction hash layout, written out: sha256 of payer ‖ payee ‖
+    value (16 bytes) ‖ nonce (8 bytes) ‖ the kind's one-byte tag ‖ origin
+    hash (empty for none), the integers big-endian."""
+    return hashlib.sha256(payer + payee + value.to_bytes(16, "big") + nonce.to_bytes(8, "big")
+                          + _REFERENCE_TAG[kind] + origin).digest()
+
+
+def test_tx_digests_of_originals_hash_the_reference_layout():
+    """Stamping's call: injected originals, an endless column of no origin."""
     rng = random.Random(5)
     rows = [(rng.randbytes(ADDRESS_SIZE), rng.randbytes(ADDRESS_SIZE),
              rng.choice([0, 1, rng.randrange(1 << 128), (1 << 128) - 1]), rng.randrange(1 << 64),
              rng.choice([TxKind.REGULAR, TxKind.ORIGINAL_CTX])) for _ in range(50)]
-    got = original_digests(*map(list, zip(*rows)))
+    got = tx_digests(*map(list, zip(*rows)), repeat(b""))
+    assert got == [_reference_digest(p, q, v, n, k, b"") for p, q, v, n, k in rows]
     assert got == [tx_digest(p, q, v, n, k, None) for p, q, v, n, k in rows]
-    assert original_digests([], [], [], [], []) == []
+    assert tx_digests([], [], [], [], [], repeat(b"")) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,14 +353,15 @@ def test_original_digests_hash_as_tx_digest():
                           st.integers(0, (1 << 128) - 1), st.integers(0, (1 << 64) - 1),
                           st.sampled_from(list(TxKind)),
                           st.just(b"") | st.binary(min_size=32, max_size=32)), max_size=8))
-def test_tx_digests_hash_as_tx_digest(rows):
+def test_tx_digests_hash_the_reference_layout(rows):
     got = tx_digests(*map(list, zip(*rows))) if rows else tx_digests([], [], [], [], [], [])
+    assert got == [_reference_digest(*row) for row in rows]
     assert got == [tx_digest(p, q, v, n, k, o or None) for p, q, v, n, k, o in rows]
     if rows:
         # A constant column may be an endless repeat.
         p, q, v, n, k, o = rows[0]
         assert tx_digests(repeat(p), [q] * 3, repeat(v), [n] * 5, repeat(k), repeat(o)) == \
-            [tx_digest(p, q, v, n, k, o or None)] * 3
+            [_reference_digest(p, q, v, n, k, o)] * 3
 
 
 @pytest.mark.parametrize("bad", [
@@ -442,7 +456,7 @@ HOME_AND_LOCALITY = {
 def test_home_and_locality_truth_table():
     """Every kind, with payer and payee each a broker or not, in one shard
     or two: the home account (``home_accounts``), its shard (``home_shards``
-    over the whole table at once, and ``home_shard``), the locality in each
+    over the whole table at once), the locality in each
     shard (``tx_local_to_shard``), and the verification verdict of a
     one-transaction block in each shard."""
     assert {key[0] for key in HOME_AND_LOCALITY} == set(TxKind)
@@ -461,7 +475,6 @@ def test_home_and_locality_truth_table():
         tx = make_transaction(payer, payee, 1, 0, kind=kind, origin_hash=origin)
         txs.append(tx)
         homes.append(payer if home == "payer" else payee)
-        assert home_shard(tx, pmap) == address_to_shard(homes[-1], pmap)
         for shard in (0, 1):
             assert tx_local_to_shard(tx, shard, pmap) is local[shard], (kind, shard)
             verdict = _content_reject(committed_block(shard, 1, [tx]), pmap, theta=10)
@@ -482,7 +495,7 @@ def test_home_and_locality_truth_table():
     debit = make_transaction(payers[True], payees[False, "diff"], 1, 0,
                              kind=_DR, origin_hash=digest(b"truth"))
     assert home_accounts([debit], brokers) == [payers[True]]
-    assert home_shard(debit, pmap) == 0
+    assert home_shards([debit], pmap) == [0]
     assert tx_local_to_shard(debit, 0, pmap) and not tx_local_to_shard(debit, 1, pmap)
 
 
@@ -1020,12 +1033,12 @@ def test_apply_txs_matches_per_transaction_application(seed):
 def test_tx_json_round_trip():
     original = make_transaction(A, C, 12345, 3, kind=TxKind.ORIGINAL_CTX,
                                 inject_time=77)
-    back = tx_from_json(tx_to_json(original))
+    back = txs_from_json([tx_to_json(original)])[0]
     assert back == original
     tampered = tx_to_json(original)
     tampered["value"] = "99999"
     with pytest.raises(ValueError):
-        tx_from_json(tampered)
+        txs_from_json([tampered])
 
 
 def test_tx_json_confirm_time_override():
@@ -1071,23 +1084,23 @@ def test_digest_takes_only_what_hex_writes(raw):
         _digest(raw, "origin_hash")
 
 
-def test_tx_from_json_refuses_a_short_origin_hash():
+def test_txs_from_json_refuses_a_short_origin_hash():
     # The hash covers the 2-byte origin, so only the digest check refuses it.
     obj = tx_to_json(make_transaction(A, C, 1, 0, kind=TxKind.INTER_RELAY,
                                       origin_hash=b"\x0a\x0b"))
     for raw in ("0a0b", "0a 0b"):
         with pytest.raises(ValueError, match="origin_hash"):
-            tx_from_json({**obj, "origin_hash": raw})
+            txs_from_json([{**obj, "origin_hash": raw}])
 
 
 @pytest.mark.parametrize("raw", ["", False, 0, [], {}])
-def test_tx_from_json_refuses_a_falsy_origin_hash(raw):
+def test_txs_from_json_refuses_a_falsy_origin_hash(raw):
     # An injected original hashes no origin, so only the origin check
     # refuses these; a digest is null or 64 lowercase hex digits.
     obj = tx_to_json(regular_tx(A, B))
-    assert tx_from_json(obj).origin_hash is None
+    assert txs_from_json([obj])[0].origin_hash is None
     with pytest.raises(ValueError, match="origin_hash"):
-        tx_from_json({**obj, "origin_hash": raw})
+        txs_from_json([{**obj, "origin_hash": raw}])
 
 
 @pytest.mark.parametrize("field", ["parent_hash", "state_root"])
@@ -1100,11 +1113,11 @@ def test_block_from_json_refuses_a_short_digest(field):
 
 
 @pytest.mark.parametrize("bad", ["soon", True, 1.5, [3]])
-def test_tx_from_json_requires_an_integer_inject_time(bad):
+def test_txs_from_json_requires_an_integer_inject_time(bad):
     obj = tx_to_json(regular_tx(A, B))
     obj["inject_time"] = bad
     with pytest.raises(ValueError):
-        tx_from_json(obj)
+        txs_from_json([obj])
 
 
 def _strict_tx():
@@ -1119,19 +1132,19 @@ def _strict_tx():
     ("nonce", 3.9), ("nonce", 3.0), ("nonce", "3"), ("nonce", True),
     ("fee", True), ("fee", "1"), ("fee", 1.0), ("fee", None), ("fee", 1),
 ])
-def test_tx_from_json_refuses_coerced_numbers(field, raw):
+def test_txs_from_json_refuses_coerced_numbers(field, raw):
     obj = _strict_tx()
-    assert tx_from_json(obj).nonce == 3
+    assert txs_from_json([obj])[0].nonce == 3
     with pytest.raises(ValueError):
-        tx_from_json({**obj, field: raw})
+        txs_from_json([{**obj, field: raw}])
 
 
 @pytest.mark.parametrize("field, raw", [
     ("value", "-10"), ("value", str(1 << 128)), ("nonce", -1), ("nonce", 1 << 64),
 ])
-def test_tx_from_json_refuses_numbers_out_of_range(field, raw):
+def test_txs_from_json_refuses_numbers_out_of_range(field, raw):
     with pytest.raises(ValueError):
-        tx_from_json({**_strict_tx(), field: raw})
+        txs_from_json([{**_strict_tx(), field: raw}])
 
 
 def test_block_from_json_refuses_coerced_numbers():
@@ -1184,7 +1197,7 @@ def test_json_decoding_rejects_unknown_kinds():
     tx = tx_to_json(regular_tx(A, B))
     for kind in ("relay", None, ["regular"]):
         with pytest.raises(ValueError):
-            tx_from_json({**tx, "kind": kind})
+            txs_from_json([{**tx, "kind": kind}])
     obj = block_to_json(genesis_block(0))
     with pytest.raises(ValueError):
         block_from_json({**obj, "block_kind": "checkpoint"})
@@ -1351,7 +1364,7 @@ def test_batch_decoder_matches_the_per_field_reference(txs, mutation, data):
     if mutation is None:
         assert got == txs
     if got is not None:
-        assert [tx_from_json(obj) for obj in objs] == got
+        assert [txs_from_json([obj])[0] for obj in objs] == got
 
 
 @settings(max_examples=200, deadline=None)

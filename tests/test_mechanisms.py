@@ -11,12 +11,15 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from helpers import (
     addr,
+    broker_pair,
     build_cfg,
     clpa_objective,
     cut_weight,
     exec_home_shard,
     local_to_shard,
+    reference_pack,
     regular_tx,
+    relay_debit,
 )
 from shardemu.core import (
     CREDIT_KINDS,
@@ -27,7 +30,7 @@ from shardemu.core import (
     address_to_shard,
     digest,
     genesis_block,
-    home_shard,
+    home_shards,
     make_transaction,
     BlockKind,
     RejectReason,
@@ -46,12 +49,12 @@ from shardemu.mechanisms import (
     NoBrokers,
     NotCrossShard,
     RelayMechanism,
-    broker_transform,
+    broker_split,
     clpa_partition,
-    inter_from_intra,
+    credits_of,
+    debits_of,
     make_mechanism,
     pick_broker,
-    relay_split,
     relay_validate,
     shard_loads,
 )
@@ -135,10 +138,15 @@ class FakeNode:
 # --- relay primitives ---
 
 
-def test_relay_split_halves():
+def _credit(original):
+    """The credit half of an original's debit half."""
+    return credits_of(debits_of([original]))[0]
+
+
+def test_relay_halves():
     original = ctx_tx(P0, P1, value=9, nonce=4)
-    debit = relay_split(original)
-    credit = inter_from_intra(debit)
+    debit, = debits_of([original])
+    credit, = credits_of([debit])
     assert debit.kind is TxKind.INTRA_RELAY and credit.kind is TxKind.INTER_RELAY
     for half in (debit, credit):
         assert half.origin_hash == original.hash
@@ -146,18 +154,12 @@ def test_relay_split_halves():
         assert (half.value, half.nonce) == (9, 4)
     assert address_to_shard(debit.payer, TWO) == 0
     assert address_to_shard(credit.payee, TWO) == 1
-    assert relay_split(regular_tx(P0, P1))  # regular transfers split too
+    assert debits_of([regular_tx(P0, P1)])  # regular transfers split too
 
 
-def test_relay_split_rejects_derived():
-    debit = relay_split(ctx_tx(P0, P1))
-    with pytest.raises(NotCrossShard):
-        relay_split(debit)
-
-
-def test_inter_from_intra_matches_split():
+def test_credit_half_hashes_as_made():
     original = make_transaction(P0, P1, 5, 3, kind=TxKind.ORIGINAL_CTX, inject_time=70)
-    credit = inter_from_intra(relay_split(original))
+    credit = _credit(original)
     assert credit.hash == make_transaction(
         P0, P1, 5, 3, kind=TxKind.INTER_RELAY, origin_hash=original.hash).hash
     assert credit.inject_time == 70
@@ -171,27 +173,22 @@ _FIELDS = st.tuples(st.binary(min_size=20, max_size=20), st.binary(min_size=20, 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_FIELDS, max_size=6), st.binary(min_size=20, max_size=20))
 def test_batch_halves_equal_halves_built_and_hashed_one_at_a_time(rows, broker):
-    """``credits_of`` and ``broker_split`` hash a batch through
-    ``core.tx_digests``; each half equals one that ``Transaction`` hashes
-    itself, and the one-item forms give the same halves."""
+    """``debits_of``, ``credits_of`` and ``broker_split`` hash a batch
+    through ``core.tx_digests``; each half equals one that ``Transaction``
+    hashes itself (the oracles in ``helpers``)."""
     originals = [make_transaction(p, q, v, n, kind=TxKind.ORIGINAL_CTX, inject_time=t)
                  for p, q, v, n, t in rows]
-    debits = [relay_split(tx) for tx in originals]
+    debits = debits_of(originals)
+    assert debits == [relay_debit(tx) for tx in originals]
     credits = [Transaction(d.payer, d.payee, d.value, d.nonce, TxKind.INTER_RELAY,
                            d.origin_hash, d.inject_time) for d in debits]
-    assert mechanisms.credits_of(debits) == credits
-    assert [inter_from_intra(d) for d in debits] == credits
-    bridged = [half for tx in originals for half in (
-        Transaction(tx.payer, broker, tx.value, tx.nonce, TxKind.BROKER_PAYER_HALF, tx.hash,
-                    tx.inject_time),
-        Transaction(broker, tx.payee, tx.value, tx.nonce, TxKind.BROKER_PAYEE_HALF, tx.hash,
-                    tx.inject_time))]
-    assert mechanisms.broker_split(originals, broker) == bridged
-    assert [h for tx in originals for h in mechanisms.broker_halves(tx, broker)] == bridged
+    assert credits_of(debits) == credits
+    bridged = [half for tx in originals for half in broker_pair(tx, broker)]
+    assert broker_split(originals, broker) == bridged
 
 
 def test_relay_validate():
-    credit = inter_from_intra(relay_split(ctx_tx(P0, P1)))
+    credit = _credit(ctx_tx(P0, P1))
     good = RelayCtx(source_shard=0, txs=[credit])
     assert relay_validate(good, "0.2") is None
     assert relay_validate(good, "1.0") is not None, "sender shard must match claim"
@@ -210,11 +207,11 @@ def test_pick_broker_is_lowest_address():
         pick_broker(TWO)
 
 
-def test_broker_transform_bridges_through_broker():
+def test_broker_split_bridges_through_broker():
     broker = addr("mech-broker", shard=0)
     pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
     original = regular_tx(P0, P1, value=7, nonce=2)
-    payer_half, payee_half = broker_transform(original, pmap)
+    payer_half, payee_half = broker_split([original], pick_broker(pmap))
     assert payer_half.kind is TxKind.BROKER_PAYER_HALF
     assert (payer_half.payer, payer_half.payee) == (P0, broker)
     assert payee_half.kind is TxKind.BROKER_PAYEE_HALF
@@ -223,28 +220,30 @@ def test_broker_transform_bridges_through_broker():
     assert payer_half.value == payee_half.value == 7
 
 
-def test_broker_transform_needs_cross_shard():
+def test_broker_packing_splits_only_cross_shard_strays():
+    """A stray the broker mechanism packs must cross shards: an
+    ``ORIGINAL_CTX`` (never local) between accounts of one shard, or with a
+    broker, is refused, and the block is not built."""
     broker = addr("mech-broker", shard=0)
     pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
-    with pytest.raises(NotCrossShard):
-        broker_transform(regular_tx(P0, Q0), pmap)  # same shard
-    with pytest.raises(NotCrossShard):
-        broker_transform(regular_tx(P0, broker), pmap)  # broker involved
-    with pytest.raises(NotCrossShard):
-        broker_transform(relay_split(ctx_tx(P0, P1)), pmap)  # derived kind
+    for payee in (Q0, broker):  # same shard; broker involved
+        node = FakeNode(0, pmap)
+        node.pool.preload([regular_tx(P0, P1), ctx_tx(P0, payee, nonce=1)])
+        with pytest.raises(NotCrossShard):
+            BrokerMechanism().op_mining(node, 0)
+        assert node.net.sent == []
 
 
 def test_exec_home_shard():
     broker = addr("mech-broker2", shard=0)
     pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
-    credit = inter_from_intra(relay_split(ctx_tx(P0, P1)))
-    assert home_shard(credit, pmap) == 1, "credit executes at the payee"
-    assert home_shard(regular_tx(P0, P1), pmap) == 0, "payer rules otherwise"
     payee_half = make_transaction(
         broker, P1, 1, 0, kind=TxKind.BROKER_PAYEE_HALF, origin_hash=b"\x01" * 32
     )
-    assert home_shard(payee_half, pmap) == 1, "broker payer defers to payee"
-    assert home_shard(regular_tx(P0, broker), pmap) == 0
+    # A credit executes at the payee, a broker payer defers to the payee,
+    # and the payer rules otherwise.
+    txs = [_credit(ctx_tx(P0, P1)), regular_tx(P0, P1), payee_half, regular_tx(P0, broker)]
+    assert home_shards(txs, pmap) == [1, 0, 1, 0]
 
 
 # --- account graph ---
@@ -591,7 +590,7 @@ def test_migration_block_commit_switches_map_and_requeues():
     ctl.on_partition_result(node, _announce(1, {P0: 1}), now=0)
 
     pending = regular_tx(P0, Q0, nonce=1)
-    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1, nonce=0)))
+    credit = _credit(ctx_tx(Q0, P1, nonce=0))
     moved = node.state.get(P0).__class__(address=P0, balance=11, nonce=1)
     ctl.on_account_migrate(
         node, "0.0",
@@ -651,45 +650,80 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_packing_placement_matches_exec_home_shard_and_locality(data):
-    n = data.draw(st.integers(1, 4), label="n_shards")
-    accounts = st.sampled_from(_EVICT_ACCOUNTS)
-    brokers = data.draw(st.frozensets(accounts, max_size=3), label="brokers")
-    overrides = data.draw(st.dictionaries(accounts, st.integers(0, n - 1), max_size=4),
-                          label="overrides")
-    pmap = PartitionMap(n, 1, overrides, brokers)
-    payer, payee = data.draw(accounts, label="payer"), data.draw(accounts, label="payee")
-    kind = data.draw(st.sampled_from(list(TxKind)), label="kind")
-    tx = make_transaction(payer, payee, 1, 0, kind=kind,
-                          origin_hash=digest(b"place") if kind in DERIVED_KINDS else None)
-    mech = data.draw(st.sampled_from([RelayMechanism(), BrokerMechanism()]), label="mechanism")
-    node = FakeNode(data.draw(st.integers(0, n - 1), label="shard"), pmap)
-
-    # The oracle resolves against an equal map with a table of its own.
-    oracle = PartitionMap(n, 1, dict(overrides), brokers)
-    home = exec_home_shard(tx, oracle)
-    if home != node.shard_id:
-        expected = (None, {home: [tx]})
-    elif local_to_shard(tx, home, oracle):
-        expected = ([tx], {})
-    else:
-        expected = _outcome(mech._pack_cross, tx, FakeNode(node.shard_id, oracle))
-        if not isinstance(expected, type):
-            keep, route = expected
-            expected = ([keep], {} if route is None else {route[0]: [route[1]]})
-    # Packing a one-entry pool places that entry.
-    node.pool.preload([tx])
-    mined = _outcome(mech.op_mining, node, 0)
+def _packs_as_reference(mechanism, txs, pmap, shard):
+    """Pack a pool of ``txs`` in ``shard`` under ``pmap`` and assert the
+    block txs and every forwarded batch, in order, or the refusal, equal
+    what ``helpers.reference_pack`` places one entry at a time (against an
+    equal map with a table of its own). Returns the reference's result,
+    or the type of what it raised."""
+    node = FakeNode(shard, pmap)
+    oracle = PartitionMap(pmap.n_shards, pmap.version, dict(pmap.overrides), pmap.brokers)
+    expected = _outcome(reference_pack, txs, oracle, shard, mechanism)
+    node.pool.preload(txs)
+    mined = _outcome(make_mechanism(mechanism).op_mining, node, 0)
     sent = node.net.take()
     if isinstance(expected, type):
         assert mined is expected
+        assert sent == []
     else:
-        txs, forwards = expected
-        assert (None if mined is None else mined.txs) == txs
+        chosen, forwards = expected
+        assert (None if mined is None else mined.txs) == (chosen or None)
         mechanisms.forward(node, forwards)
         assert sent == node.net.take()
+    return expected
+
+
+def test_packing_placement_matches_exec_home_shard_and_locality():
+    """Pools of up to ten entries, under either mechanism on a random map,
+    pack as ``_packs_as_reference`` checks. The premises are checked, not
+    assumed: blocks with several strays, and a broker map with no brokers
+    and no strays."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4), label="n_shards")
+        accounts = st.sampled_from(_EVICT_ACCOUNTS)
+        brokers = data.draw(st.frozensets(accounts, max_size=3), label="brokers")
+        overrides = data.draw(st.dictionaries(accounts, st.integers(0, n - 1), max_size=4),
+                              label="overrides")
+        pmap = PartitionMap(n, 1, overrides, brokers)
+        # Regular transfers, weighted up, are the strays a broker map splits.
+        kinds = st.just(TxKind.REGULAR) | st.sampled_from(list(TxKind))
+        entries = data.draw(st.lists(st.tuples(accounts, accounts, kinds), min_size=1,
+                                     max_size=10), label="pool")
+        txs = [make_transaction(payer, payee, 1, i, kind=kind, origin_hash=digest(b"place")
+                                if kind in DERIVED_KINDS else None)
+               for i, (payer, payee, kind) in enumerate(entries)]
+        mechanism = data.draw(st.sampled_from(["relay", "broker"]), label="mechanism")
+        shard = data.draw(st.integers(0, n - 1), label="shard")
+        strays = sum(exec_home_shard(tx, pmap) == shard and not local_to_shard(tx, shard, pmap)
+                     for tx in txs)
+        if strays >= 2:
+            seen.add("several strays")
+        expected = _packs_as_reference(mechanism, txs, pmap, shard)
+        if mechanism == "broker" and not brokers and not strays:
+            assert not isinstance(expected, type)
+            seen.add("no brokers, no strays")
+
+    check()
+    assert seen == {"several strays", "no brokers, no strays"}
+
+
+def test_broker_packing_interleaves_payee_halves_with_rehomed_entries():
+    """Shard 0 packs two strays and a transfer re-homed to shard 1 between
+    them: the block keeps the payer halves, and shard 1 gets one batch of
+    the first payee half, the re-homed transfer and the second payee half,
+    in packing order."""
+    broker = addr("mech-broker", shard=0)
+    pmap = PartitionMap(n_shards=2, brokers=frozenset({broker}))
+    first, rehomed, second = regular_tx(P0, P1), regular_tx(P1, Q1), regular_tx(Q0, Q1, nonce=1)
+    chosen, forwards = _packs_as_reference("broker", [first, rehomed, second], pmap, 0)
+    (first_payer, first_payee), (second_payer, second_payee) = (
+        broker_pair(first, broker), broker_pair(second, broker))
+    assert chosen == [first_payer, second_payer]
+    assert forwards == {1: [first_payee, rehomed, second_payee]}
 
 
 @settings(max_examples=300, deadline=None)
@@ -779,7 +813,7 @@ def test_relay_delivery_queues_credit_exactly_once():
 def test_relay_rejects_forged_source(caplog):
     target = FakeNode(1, TWO)
     mech = RelayMechanism()
-    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
+    credit = _credit(ctx_tx(Q0, P1))
     forged = Envelope("relay_ctx", "1.3", RelayCtx(source_shard=0, txs=[credit]))
     mech.handle_inter_shard_msg(target, forged, now=0)
     assert target.net.sent == []
@@ -790,7 +824,7 @@ def test_leader_forwards_misrouted_relays():
     # payee moved to shard 0 after the batch left the source
     target = FakeNode(1, TWO.updated(1, {P1: 0}))
     mech = RelayMechanism()
-    credit = inter_from_intra(relay_split(ctx_tx(Q0, P1)))
+    credit = _credit(ctx_tx(Q0, P1))
     env = Envelope("relay_ctx", "0.0", RelayCtx(source_shard=0, txs=[credit]))
     mech.handle_inter_shard_msg(target, env, now=0)
     outs = target.net.take()
@@ -807,9 +841,9 @@ def test_leader_forwards_misrouted_relays():
 
 # Credit halves bound for shard 0 of TWO, and two whose payee lives on
 # shard 1, which a shard-0 replica never accepts.
-_HOME_CREDITS = [inter_from_intra(relay_split(ctx_tx(Q1, P0 if i % 2 else Q0, nonce=i)))
+_HOME_CREDITS = [_credit(ctx_tx(Q1, P0 if i % 2 else Q0, nonce=i))
                  for i in range(10)]
-_AWAY_CREDITS = [inter_from_intra(relay_split(ctx_tx(Q0, P1, nonce=i))) for i in range(2)]
+_AWAY_CREDITS = [_credit(ctx_tx(Q0, P1, nonce=i)) for i in range(2)]
 _CREDITS = _HOME_CREDITS + _AWAY_CREDITS
 
 
@@ -891,7 +925,7 @@ def test_replica_threads_lose_no_bit_of_the_shared_record():
     on the same entries, through the real intake; with the interpreter
     switching threads every microsecond, an unguarded read-modify-write of
     one entry loses a bit in most rounds."""
-    credits = [inter_from_intra(relay_split(ctx_tx(Q1, Q0, nonce=i))) for i in range(10000)]
+    credits = credits_of(debits_of([ctx_tx(Q1, Q0, nonce=i) for i in range(10000)]))
     mech = RelayMechanism()
 
     def intake(node, start_line):
@@ -960,9 +994,9 @@ def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
     block = _relay_block("memo-same")
     expected = [
         (1, "relay_ctx",
-         [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 1]),
+         [credits_of([t])[0].hash for t in block.txs if address_to_shard(t.payee, THREE) == 1]),
         (2, "relay_ctx",
-         [inter_from_intra(t).hash for t in block.txs if address_to_shard(t.payee, THREE) == 2]),
+         [credits_of([t])[0].hash for t in block.txs if address_to_shard(t.payee, THREE) == 2]),
     ]
     assert [len(h) for _, _, h in expected] == [2, 2]
     replicas = [FakeNode(0, THREE, index=i, leader=i == 0) for i in range(4)]
@@ -1022,8 +1056,8 @@ def test_replicas_route_shared_halves_under_their_own_map():
 
 def test_relay_run_builds_one_credit_half_per_split(monkeypatch, tmp_path):
     # Halves are built straight from their checked original or debit half
-    # (``relay_split``, ``inter_from_intra``), so count the mechanism
-    # module's own ``Transaction`` constructions.
+    # (``debits_of``, ``credits_of``), so count the mechanism module's own
+    # ``Transaction`` constructions.
     built = {TxKind.INTRA_RELAY: 0, TxKind.INTER_RELAY: 0}
     real_tx = mechanisms.Transaction
 

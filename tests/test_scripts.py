@@ -163,24 +163,28 @@ def test_ab_bench_compares_the_raw_walls_of_the_measured_line(monkeypatch):
     monkeypatch.setattr(ab, "_python", lambda tree, *args: subprocess.CompletedProcess(
         args, 0, printed, ""))
     got = ab.run_perfbench(Path("tree"), "w", 1, 1.0)
-    assert got["raw"] == {"raw_setup_s": 0.0839, "raw_run_s": 0.6781, "raw_report_s": 0.2155}
+    assert got["raw"] == {"raw_setup_s": 0.0839, "raw_run_s": 0.6781, "raw_report_s": 0.2155,
+                          "raw_reference_s": 0.1019}
     assert (got["metrics"], got["fingerprint"], got["correct"]) == ({"run_s": 0.9}, "ab12", True)
     assert ab.raw_walls(["  run_s 0.9 s", "  measured: nothing"]) == {}
 
     # A leaner heap speeds the reference up, so scaled run_s rises while
-    # the raw wall falls; the summary shows both.
-    def side(run_s, raw_run_s):
+    # the raw wall falls; the summary shows all three.
+    def side(run_s, raw_run_s, reference_s):
         return {"perfbench": {"w": {"correct": True, "metrics": {"run_s": run_s},
-                                    "raw": {"raw_run_s": raw_run_s}}}}
+                                    "raw": {"raw_run_s": raw_run_s,
+                                            "raw_reference_s": reference_s}}}}
 
-    pairs = [{"base": side(1.0, 0.60), "head": side(1.1, 0.55)},
-             {"base": side(1.0, 0.62), "head": side(1.2, 0.58)},
-             {"base": side(1.0, 0.61), "head": side(1.1, 0.57)}]
+    pairs = [{"base": side(1.0, 0.60, 0.100), "head": side(1.1, 0.55, 0.090)},
+             {"base": side(1.0, 0.62, 0.102), "head": side(1.2, 0.58, 0.092)},
+             {"base": side(1.0, 0.61, 0.101), "head": side(1.1, 0.57, 0.091)}]
     summary = ab.summarize(pairs, {"run_s": "lower"}, desk=False)
-    assert list(summary) == ["w run_s", "w raw_run_s"]
+    assert list(summary) == ["w run_s", "w raw_run_s", "w raw_reference_s"]
     assert (summary["w run_s"]["won"], summary["w run_s"]["lost"]) == (0, 3)
     assert (summary["w raw_run_s"]["won"], summary["w raw_run_s"]["lost"]) == (3, 0)
     assert summary["w raw_run_s"]["head_median"] == 0.57
+    assert (summary["w raw_reference_s"]["won"], summary["w raw_reference_s"]["head_median"]) \
+        == (3, 0.091)
 
 
 def test_ab_bench_compares_same_bytes_lines_on_the_keys_both_print():

@@ -5,12 +5,19 @@ import json
 
 import pytest
 
-from helpers import addr, build_cfg, committed_block, exec_home_shard, hashed_tx
+from helpers import (
+    addr,
+    broker_pair,
+    build_cfg,
+    committed_block,
+    crosses,
+    exec_home_shard,
+    hashed_tx,
+)
 from shardemu.core import (
     BlockKind,
     PartitionMap,
     TxKind,
-    crosses_shards,
     make_transaction,
     tx_digest,
 )
@@ -24,7 +31,6 @@ from shardemu.dataset import (
     load_dataset,
 )
 from shardemu.harness import build_nodes
-from shardemu.mechanisms import broker_transform
 from shardemu.metrics import MetricsLedger
 from shardemu.supervisor import QUIET_INTERVALS, PendingMigration, Supervisor
 from shardemu.transport import BlockInfo, Envelope
@@ -123,17 +129,18 @@ def test_stamp_rows_broker_routing():
 
 def _reference_stamp(rows, pmap, brokered, now):
     """Stamping by the reference definitions, one row at a time: the kind
-    from ``crosses_shards``, the original from ``make_transaction``, one
-    ``record_injection`` per row, and each result queued at its
-    ``exec_home_shard`` (the per-transaction oracle in ``helpers``)."""
+    from ``crosses``, the original from ``make_transaction``, one
+    ``record_injection`` per row, the halves from ``broker_pair`` through
+    the lowest broker, and each result queued at its ``exec_home_shard``
+    (the per-transaction oracles in ``helpers``)."""
     per_shard = {}
     ledger = MetricsLedger(pmap.n_shards, 500)
     for row in rows:
-        cross = crosses_shards(row.payer, row.payee, pmap)
+        cross = crosses(row.payer, row.payee, pmap)
         kind = TxKind.ORIGINAL_CTX if cross else TxKind.REGULAR
         original = make_transaction(row.payer, row.payee, row.value, row.nonce, kind, None, now)
         ledger.record_injection(original.hash, original.kind, row.payer, row.payee, now)
-        routed = broker_transform(original, pmap) if cross and brokered else (original,)
+        routed = broker_pair(original, min(pmap.brokers)) if cross and brokered else (original,)
         for tx in routed:
             per_shard.setdefault(exec_home_shard(tx, pmap), []).append(tx)
     return per_shard, ledger

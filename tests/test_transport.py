@@ -20,7 +20,7 @@ from shardemu.core import (
     TxKind,
 )
 from shardemu import transport
-from shardemu.mechanisms import inter_from_intra, relay_split
+from shardemu.mechanisms import credits_of, debits_of
 from shardemu.transport import (
     AccountMigrate,
     BadJson,
@@ -68,8 +68,8 @@ def _relay_block() -> Block:
     one credit half arriving, next to a whole transfer."""
     out = make_transaction(A, B, 6, 0, kind=TxKind.ORIGINAL_CTX, inject_time=20)
     inbound = make_transaction(B, A, 2, 1, kind=TxKind.ORIGINAL_CTX, inject_time=30)
-    debit = relay_split(out)
-    credit = inter_from_intra(relay_split(inbound))
+    debit, = debits_of([out])
+    credit, = credits_of(debits_of([inbound]))
     return Block(
         shard_id=0, height=5, parent_hash=b"\x01" * 32, state_root=b"\x02" * 32,
         proposer="0.1", block_kind=BlockKind.TX,
