@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, Collection, Iterable, Optional, Sequence
 
 from .config import ClpaConfig
@@ -527,13 +527,13 @@ class BaseMechanism:
         # once, and placed in packing order.
         pmap, me = node.pmap, node.shard_id
         homes = home_shards(packed, pmap)
-        strays = [home == me and not tx_local_to_shard(tx, me, pmap)
+        astray = [home == me and not tx_local_to_shard(tx, me, pmap)
                   for tx, home in zip(packed, homes)]
-        splits = iter(self._split_strays([tx for tx, stray in zip(packed, strays) if stray],
-                                         pmap) if any(strays) else ())
+        splits = iter(self._split_strays(list(compress(packed, astray)), pmap)
+                      if any(astray) else ())
         chosen: list[Transaction] = []
         forwards: dict[int, list[Transaction]] = {}
-        for tx, home, stray in zip(packed, homes, strays):
+        for tx, home, stray in zip(packed, homes, astray):
             if stray:
                 half, route = next(splits)
                 chosen.append(half)
