@@ -61,7 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Desk-row metrics and which way is better.
 DESK_METRICS = {"wall_s": "lower", "setup_s": "lower", "rows_per_s": "higher",
-                "peak_rss_mb": "lower"}
+                "peak_rss_mb": "lower", "report_s": "lower"}
 # The unscaled mean phase walls of a perfbench invocation and its mean
 # reference time, from its ``measured:`` line. Scaled times divide by the
 # reference workload's time, which itself moves with the emulator's heap;

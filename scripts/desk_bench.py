@@ -7,15 +7,19 @@ interval 1000 ms, relay over the static map, prefilled pools, drain, over
 the simulated transport at its default latency: once with an
 ``output_dir`` and once without. Each run is a new Python process that
 times ``Emulation.setup`` (wiring and the prefill) and ``execute`` (the
-run and its reports), and reads its own peak RSS. One JSON row per run
-goes to stdout: raw wall seconds (set-up plus execute), set-up seconds,
-committed rows, rows per wall-second, peak RSS and exit code.
+run and its reports), and reads its own peak RSS. A run with an
+``output_dir`` then rebuilds its reports from its block files
+(``report_from_blocks``), timed on its own, after the peak RSS is read.
+One JSON row per run goes to stdout: raw wall seconds (set-up plus
+execute), set-up seconds, committed rows, rows per wall-second, peak RSS,
+exit code and, with ``output_dir``, the rebuild's seconds (``report_s``).
 
 A single run per configuration cannot back a claim on a host whose speed
 drifts, so ``--repeat N`` runs each shard count N times, alternating the
 runs with and without ``output_dir``. After them, one summary row per
 configuration gives the number of good runs and the first quartile,
-median and third quartile of ``wall_s``, ``setup_s`` and ``peak_rss_mb``.
+median and third quartile of ``wall_s``, ``setup_s`` and ``peak_rss_mb``,
+and of ``report_s`` with ``output_dir``.
 The script exits 1 if any run failed or did not drain.
 
 Usage:
@@ -42,7 +46,7 @@ SRC = str(ROOT / "src")
 CHILD = """
 import json, resource, sys, time
 from shardemu.config import parse_config
-from shardemu.harness import Emulation
+from shardemu.harness import Emulation, report_from_blocks
 cfg = parse_config(json.loads(sys.argv[1]))
 t0 = time.perf_counter()
 emu = Emulation(cfg)
@@ -50,13 +54,18 @@ emu.setup()
 t1 = time.perf_counter()
 result = emu.execute()
 wall = time.perf_counter() - t0
-print(json.dumps({
+got = {
     "wall_s": wall,
     "setup_s": t1 - t0,
     "rows": result.summary["counters"]["W"],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "exit": result.exit_code,
-}))
+}
+if cfg.output_dir:
+    t2 = time.perf_counter()
+    report_from_blocks(cfg.output_dir)
+    got["report_s"] = time.perf_counter() - t2
+print(json.dumps(got))
 """
 
 
@@ -83,6 +92,8 @@ def run_one(n_shards: int, txs_per_shard: int, dataset: Path, out_base: Path,
                    rows=got["rows"],
                    rows_per_s=round(got["rows"] / got["wall_s"], 1),
                    peak_rss_mb=round(got["peak_rss_mb"], 1), exit=got["exit"])
+        if "report_s" in got:
+            row["report_s"] = round(got["report_s"], 3)
     return row
 
 
@@ -113,8 +124,9 @@ def bench_one(n_shards: int, txs_per_shard: int, out_base: Path, repeat: int) ->
         summary = {"shards": n_shards, "txs": txs_per_shard * n_shards,
                    "output_dir": with_output, "runs": len(good)}
         if good:
-            for key in ("wall_s", "setup_s", "peak_rss_mb"):
-                summary[key] = quartiles([r[key] for r in good])
+            for key in ("wall_s", "setup_s", "peak_rss_mb", "report_s"):
+                if key in good[0]:
+                    summary[key] = quartiles([r[key] for r in good])
         print(json.dumps(summary), flush=True)
     return rows
 

@@ -13,10 +13,10 @@ running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
 per node.
 
 ``report_from_blocks`` rebuilds a run's reports from its block files. It
-decodes them in parallel, in forked children, when the host gives the
-process more than one CPU and the run has more than one shard, and stays
-in one process otherwise, or where it cannot fork or other threads run
-(``_block_columns``).
+decodes them in parallel, in forked children each pinned to its own CPU,
+when the host gives the process more than one CPU and the run has more
+than one shard, and stays in one process otherwise, or where it cannot
+fork or other threads run (``_block_columns``).
 
 ``Emulation.setup``, ``Emulation.execute`` and ``report_from_blocks`` run
 with the cyclic garbage collector paused (``_gc_paused``); the rebuild's
@@ -343,6 +343,16 @@ def _slices(paths: list[str], parts: int) -> list[list[Piece]]:
     return runs
 
 
+def _pin(cpus: set[int]) -> None:
+    """Restrict the calling thread to ``cpus``, where the host allows it. An
+    offline CPU, or a container that refuses the call, leaves the thread
+    where it was: placement only speeds a rebuild up."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _line_start(path: str, at: int) -> int:
     """The first offset at or after ``at`` (> 0) where a line of the file
     starts, or its size; 0 if the file cannot be read, so that it lies
@@ -368,7 +378,9 @@ class _Decoder:
         self.pieces, self.pid, self.fd = pieces, pid, fd
 
     @classmethod
-    def start(cls, pieces: list[Piece]) -> "_Decoder":
+    def start(cls, pieces: list[Piece], cpu: int) -> "_Decoder":
+        """Fork a child that pins itself to ``cpu`` (``_pin``) and decodes
+        ``pieces``."""
         # ``pickle`` and ``signal`` load on a parallel rebuild's first use,
         # so a run, and a rebuild in one process, pay neither their import
         # time nor their memory.
@@ -387,6 +399,7 @@ class _Decoder:
             code = 1
             try:
                 os.close(r)
+                _pin({cpu})
                 data = pickle.dumps(_decode_files(pieces, AddressTable(), {}, {}),
                                     pickle.HIGHEST_PROTOCOL)
                 with open(w, "wb") as fh:
@@ -442,8 +455,13 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     bytes, at line starts, inside a file where the share ends there
     (``_slices``). Forked children decode every slice but the first, which
     this process decodes meanwhile; each child's columns are appended in
-    shard and line order. With one decoder (one usable CPU, a single shard, no ``fork``,
-    or other threads running) this process decodes every file itself.
+    shard and line order. Each decoder runs on its own usable CPU: the i-th
+    child pins itself to the i-th, this process to the first for its own
+    slice, after which it restores the mask it had, also when the slice
+    raises. Left to the scheduler, a child often starts on its parent's CPU
+    and the slices run one after the other. With one decoder (one usable
+    CPU, a single shard, no ``fork``, or other threads running) this
+    process decodes every file itself and pins nothing.
     A slice whose child fails is decoded here, so every error is raised by
     this process, in shard order, as a one-process pass raises it; on any
     error, and on an interrupt, the remaining children are killed and reaped
@@ -462,9 +480,18 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     first, *rest = _slices(paths, _decoders(n_shards))
     decoders: list[_Decoder] = []
     try:
-        for part in rest:
-            decoders.append(_Decoder.start(part))
-        columns = _decode_files(first, addresses, originals, times)
+        if rest:
+            mask = os.sched_getaffinity(0)
+            cpus = sorted(mask)
+            for i, part in enumerate(rest, 1):
+                decoders.append(_Decoder.start(part, cpus[i]))
+            _pin({cpus[0]})
+            try:
+                columns = _decode_files(first, addresses, originals, times)
+            finally:
+                _pin(mask)
+        else:
+            columns = _decode_files(first, addresses, originals, times)
         for decoder in decoders:
             got = decoder.result()
             if got is None:

@@ -127,7 +127,8 @@ def relay_bodies(block: Block, pmap: PartitionMap) -> tuple[tuple[int, RelayCtx]
     Kept on the block (``Block.relays``) with the map object they were
     routed under, so every replica that commits the same block object under
     the same map object sends the same bodies, and a replica under another
-    map object routes afresh. Nothing writes to a body once it is built."""
+    map object routes afresh. Nothing but the receivers' memo
+    (``RelayCtx.taken``) writes to a body once it is built."""
     routed = block.relays
     if routed is None or routed[0] is not pmap:
         by_dest: dict[int, list[Transaction]] = {}
@@ -620,7 +621,16 @@ class BaseMechanism:
             raise ValueError(f"not an inter-shard message: {env.msg_type}")
 
     def _on_relay(self, node: Any, env: Envelope, now: int) -> None:
-        problem = relay_validate(env.body, env.sender)
+        body = env.body
+        seen, bit = node.relay_seen, node.relay_bit
+        # A batch this replica took whole has nothing left for it: bits in
+        # the record are never cleared. The sender is still checked, so a
+        # sender outside the batch's shard is warned about as before.
+        taken = body.taken
+        if (taken is not None and taken[0] is seen and taken[1] & bit
+                and shard_of(env.sender) == body.source_shard):
+            return
+        problem = relay_validate(body, env.sender)
         if problem is not None:
             log.warning("%s rejects relay batch: %s", node.nid, problem)
             return
@@ -630,10 +640,9 @@ class BaseMechanism:
         # A half is new to this replica when its bit in the shard's record
         # is clear; the guard keeps each check and set exact between the
         # replicas' threads over TCP.
-        seen, bit = node.relay_seen, node.relay_bit
         get = seen.get
         with seen.guard:
-            for tx in env.body.txs:
+            for tx in body.txs:
                 origin = tx.origin_hash
                 bits = get(origin, 0)
                 if bits & bit:
@@ -646,6 +655,13 @@ class BaseMechanism:
                     accept.append(tx)
                 else:
                     misrouted.setdefault(home, []).append(tx)
+            if not misrouted:
+                # A misrouted half is walked, and forwarded by the leader,
+                # on every delivery, so only a whole take is remembered. A
+                # memo naming another shard's record is replaced.
+                taken = body.taken
+                body.taken = (seen, taken[1] | bit if taken is not None and taken[0] is seen
+                              else bit)
         if accept:
             node.pool.append_relays(accept, pmap)
         if node.is_leader:

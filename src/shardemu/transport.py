@@ -14,7 +14,7 @@ import json
 import socket
 import struct
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import (
@@ -113,8 +113,18 @@ class NewView:
 
 @dataclass(slots=True)
 class RelayCtx:
+    """A batch of credit halves for one shard. ``taken`` is the receivers'
+    memo, never encoded: None, or the shard's relay-dedupe record
+    (``pbft.RelaySeen``) with a bitmask of its replicas that took the batch
+    whole, every half new to them queued and none misrouted. One body
+    object reaches every replica of its shard from every sender over the
+    sim transport; a replica whose bit is set has nothing left to take from
+    it (``BaseMechanism._on_relay``)."""
+
     source_shard: int
     txs: list[Transaction]
+    taken: Optional[tuple[dict, int]] = field(default=None, init=False, compare=False,
+                                              repr=False)
 
 
 @dataclass(slots=True)
@@ -183,13 +193,14 @@ def _plain(name: str, hint: Any) -> tuple[Callable, Callable]:
 
 
 def _record(cls, **codecs) -> tuple[Callable, Callable]:
-    """(encode, decode) for one payload dataclass. Fields go out as JSON
-    keys in declaration order; the fields named in ``codecs`` pass through
-    their own (encode, decode) pair, the rest are JSON scalars checked
-    against their annotations (see ``_plain``)."""
+    """(encode, decode) for one payload dataclass. Its ``init`` fields go
+    out as JSON keys in declaration order; the fields named in ``codecs``
+    pass through their own (encode, decode) pair, the rest are JSON scalars
+    checked against their annotations (see ``_plain``). A field outside
+    ``__init__`` is local state and does not travel."""
     hints = get_type_hints(cls)
     pairs = [(f.name, codecs[f.name] if f.name in codecs else _plain(f.name, hints[f.name]))
-             for f in fields(cls)]
+             for f in fields(cls) if f.init]
 
     def encode(obj: Any) -> dict:
         return {n: enc(getattr(obj, n)) for n, (enc, _) in pairs}

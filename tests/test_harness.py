@@ -1,5 +1,6 @@
 """End-to-end runs over the simulated transport: wiring, outputs, reruns."""
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -124,6 +125,19 @@ def test_pool_and_workload_accounting(tiny_run):
         _, shard, size = row.split(",")
         last_by_shard[shard] = int(size)
     assert set(last_by_shard.values()) == {0}, "a drained run ends with empty pools"
+
+
+@pytest.fixture(autouse=True)
+def _real_cpu_mask_kept():
+    """A rebuild on a host faked by ``_on_cpus`` restores the faked mask,
+    which on a host with more CPUs than faked differs from the real one:
+    put the real one back after each test."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    mask, pin = os.sched_getaffinity(0), os.sched_setaffinity
+    yield
+    pin(0, mask)
 
 
 def _on_cpus(monkeypatch, cpus):
@@ -308,20 +322,165 @@ def test_a_failed_child_leaves_its_slice_to_the_parent(three_shard_run, monkeypa
     _assert_no_child_left(capfd)
 
 
-def test_an_interrupted_rebuild_kills_and_reaps_its_children(three_shard_run, monkeypatch,
-                                                             capfd):
-    _, out = three_shard_run
+def _interrupted_here(monkeypatch, run_dir):
+    """Interrupt this process as it starts decoding; children decode."""
     parent, decode = os.getpid(), harness._decode_files
 
-    def interrupted_here(*args):
+    def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return decode(*args)
 
-    monkeypatch.setattr(harness, "_decode_files", interrupted_here)
+    monkeypatch.setattr(harness, "_decode_files", interrupted)
+    return pytest.raises(KeyboardInterrupt)
+
+
+def test_an_interrupted_rebuild_kills_and_reaps_its_children(three_shard_run, monkeypatch,
+                                                             capfd):
+    _, out = three_shard_run
     capfd.readouterr()
-    with pytest.raises(KeyboardInterrupt):
+    with _interrupted_here(monkeypatch, out):
         _rebuild_on(out, monkeypatch, 3)
+    _assert_no_child_left(capfd)
+
+
+def _record_pins(monkeypatch, path):
+    """Record each ``os.sched_setaffinity`` call, of this process and of its
+    forked children, as a line of ``path``; no call changes a mask. Returns
+    a reader giving this process's masks in call order, and each child's
+    masks, sorted by child."""
+    def record(pid, cpus):
+        line = f"{os.getpid()} {pid} {','.join(map(str, sorted(cpus)))}\n"
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, line.encode())
+        finally:
+            os.close(fd)
+
+    def read():
+        here, children = [], {}
+        lines = path.read_text().splitlines() if path.exists() else []
+        for line in lines:
+            caller, pid, cpus = line.split(" ")
+            assert pid == "0", "a decoder pins only itself"
+            mask = {int(c) for c in cpus.split(",")}
+            if int(caller) == os.getpid():
+                here.append(mask)
+            else:
+                children.setdefault(int(caller), []).append(mask)
+        return here, sorted(children.values(), key=lambda masks: sorted(masks[0]))
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    return read
+
+
+# A usable set that is not 0..n-1, so a decoder placed by index, not by
+# the CPUs the host offers, shows.
+_USABLE = {3, 5, 8}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_decoder_runs_on_its_own_usable_cpu(three_shard_run, tmp_path, monkeypatch,
+                                                 capfd, cpus):
+    """The i-th child pins itself to the i-th usable CPU before it decodes,
+    and this process to the first for its own slice, then restores its
+    mask."""
+    _, out = three_shard_run
+    usable = set(sorted(_USABLE)[:cpus])
+    capfd.readouterr()
+    serial = _rebuild_on(out, monkeypatch, 1)
+    with monkeypatch.context() as m:
+        forks = _on_cpus(m, cpus)
+        m.setattr(os, "sched_getaffinity", lambda pid: set(usable))
+        pins = _record_pins(m, tmp_path / "pins")
+        summary = report_from_blocks(str(out))
+    here, children = pins()
+    first, *others = sorted(usable)
+    assert len(forks) == cpus - 1
+    assert here == [{first}, usable]
+    assert children == [[{cpu}] for cpu in others]
+    assert (summary, _recomputed_files(out)) == serial[:2]
+    _assert_no_child_left(capfd)
+
+
+def _ends_cleanly(monkeypatch, run_dir):
+    return contextlib.nullcontext()
+
+
+def _a_child_fails(monkeypatch, run_dir):
+    _fail_in_a_child(monkeypatch)
+    return contextlib.nullcontext()
+
+
+def _bad_first_line_of(shard):
+    """Corrupt the first line of ``shard``'s block file, which lies in this
+    process's slice for shard 0 and in a child's for shard 2."""
+    def damage(monkeypatch, run_dir):
+        _corrupt_lines((shard, 0))(run_dir)
+        return pytest.raises(harness.BadBlockFile)
+    return damage
+
+
+@pytest.mark.parametrize("ending", [_ends_cleanly, _a_child_fails, _bad_first_line_of(0),
+                                    _bad_first_line_of(2), _interrupted_here],
+                         ids=["clean", "failed_child", "bad_own_slice", "bad_child_slice",
+                              "interrupt"])
+def test_the_parent_restores_its_mask_however_the_rebuild_ends(three_shard_run, tmp_path,
+                                                               monkeypatch, capfd, ending):
+    _, out = three_shard_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    capfd.readouterr()
+    with monkeypatch.context() as m:
+        forks = _on_cpus(m, 3)
+        pins = _record_pins(m, tmp_path / "pins")
+        with ending(m, run_dir):
+            report_from_blocks(str(run_dir))
+    here, children = pins()
+    assert len(forks) == 2
+    assert here == [{0}, {0, 1, 2}]
+    assert children == [[{1}], [{2}]]
+    _assert_no_child_left(capfd)
+
+
+def test_a_refused_pin_leaves_the_rebuild_as_it_was(three_shard_run, monkeypatch, capfd):
+    """Where ``sched_setaffinity`` fails, every process decodes unpinned:
+    the same reports from as many children, none of which fails, so this
+    process decodes its own slice only."""
+    _, out = three_shard_run
+    capfd.readouterr()
+    serial = _rebuild_on(out, monkeypatch, 1)
+    plain = _rebuild_on(out, monkeypatch, 3)
+    parent, decode = os.getpid(), harness._decode_files
+    calls = []
+
+    def counting_decode(*args):
+        if os.getpid() == parent:
+            calls.append(1)
+        return decode(*args)
+
+    def refused(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_setaffinity", refused)
+        m.setattr(harness, "_decode_files", counting_decode)
+        refused_run = _rebuild_on(out, monkeypatch, 3)
+    assert refused_run == plain
+    assert refused_run[:2] == serial[:2] and refused_run[2] == 2
+    assert len(calls) == 1
+    _assert_no_child_left(capfd)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no os.sched_getaffinity")
+def test_a_rebuild_leaves_the_real_cpu_mask_as_it_found_it(three_shard_run, monkeypatch,
+                                                            capfd):
+    _, out = three_shard_run
+    monkeypatch.setattr(harness.threading, "active_count", lambda: 1)
+    capfd.readouterr()
+    before = os.sched_getaffinity(0)
+    report_from_blocks(str(out))
+    assert os.sched_getaffinity(0) == before
     _assert_no_child_left(capfd)
 
 

@@ -1,5 +1,6 @@
 """Cross-shard mechanisms: splits, brokers, label propagation, migration."""
 
+import json
 import random
 import sys
 import threading
@@ -32,6 +33,7 @@ from shardemu.core import (
     genesis_block,
     home_shards,
     make_transaction,
+    tx_to_json,
     BlockKind,
     RejectReason,
     Transaction,
@@ -837,6 +839,119 @@ def test_leader_forwards_misrouted_relays():
     assert follower.net.sent == []
 
 
+# --- the relay memo: a replica takes each batch once ---
+
+
+def _count_walks(monkeypatch):
+    """Count the relay batches walked (``relay_validate`` calls) and the
+    batches queued (``TxPool.append_relays`` calls), in that order."""
+    counts = [0, 0]
+    validate, append = mechanisms.relay_validate, TxPool.append_relays
+
+    def counting_validate(body, sender):
+        counts[0] += 1
+        return validate(body, sender)
+
+    def counting_append(pool, relays, pmap):
+        counts[1] += 1
+        return append(pool, relays, pmap)
+
+    monkeypatch.setattr(mechanisms, "relay_validate", counting_validate)
+    monkeypatch.setattr(TxPool, "append_relays", counting_append)
+    return counts
+
+
+# Credit halves from shard 0 whose payees live on shard 1 of TWO.
+_BOUND_FOR_1 = [_credit(ctx_tx(Q0, P1 if i % 2 else Q1, nonce=i)) for i in range(4)]
+
+
+def test_a_replica_walks_a_relay_body_once_from_all_four_senders(monkeypatch):
+    counts = _count_walks(monkeypatch)
+    mech = RelayMechanism()
+    record = RelaySeen()
+    leader, follower = (FakeNode(1, TWO, index=i, leader=i == 0, seen=record) for i in (0, 1))
+    body = RelayCtx(source_shard=0, txs=list(_BOUND_FOR_1))
+    for node in (leader, follower):
+        for sender in range(4):
+            mech.handle_inter_shard_msg(node, Envelope("relay_ctx", f"0.{sender}", body), now=0)
+    assert counts == [2, 2], "each replica walks and queues the body once"
+    for node in (leader, follower):
+        assert [tx.hash for tx in node.pool.snapshot()] == [tx.hash for tx in _BOUND_FOR_1]
+        assert node.net.sent == []
+    assert body.taken == (record, 0b11)
+    assert set(record.values()) == {0b11}
+
+
+def test_a_body_with_a_misrouted_half_is_walked_and_forwarded_on_every_delivery(monkeypatch):
+    counts = _count_walks(monkeypatch)
+    mech = RelayMechanism()
+    moved = TWO.updated(1, {P1: 0})
+    leader = FakeNode(1, moved)
+    body = RelayCtx(source_shard=0, txs=list(_BOUND_FOR_1))
+    stay = [tx.hash for tx in _BOUND_FOR_1 if tx.payee != P1]
+    away = [tx.hash for tx in _BOUND_FOR_1 if tx.payee == P1]
+    for sender in range(4):
+        mech.handle_inter_shard_msg(leader, Envelope("relay_ctx", f"0.{sender}", body), now=0)
+        outs = leader.net.take()
+        assert [d for d, _ in outs] == [0]
+        assert [tx.hash for tx in outs[0][1].body.txs] == away
+    assert counts == [4, 1], "walked every time, the staying halves queued once"
+    assert [tx.hash for tx in leader.pool.snapshot()] == stay
+    assert body.taken is None
+
+
+def test_a_bad_sender_is_warned_about_after_the_body_was_taken(monkeypatch, caplog):
+    counts = _count_walks(monkeypatch)
+    mech = RelayMechanism()
+    node = FakeNode(1, TWO)
+    body = RelayCtx(source_shard=0, txs=list(_BOUND_FOR_1))
+    mech.handle_inter_shard_msg(node, Envelope("relay_ctx", "0.2", body), now=0)
+    assert body.taken == (node.relay_seen, 0b1)
+    with caplog.at_level("WARNING", logger="shardemu.mechanisms"):
+        mech.handle_inter_shard_msg(node, Envelope("relay_ctx", "1.3", body), now=0)
+    assert "sender 1.3 does not belong to claimed shard 0" in caplog.text
+    assert counts == [2, 1]
+    assert len(node.pool) == len(_BOUND_FOR_1)
+
+
+def test_one_body_handed_to_two_shards_is_taken_by_both(monkeypatch):
+    """Replicas of shards 1 and 0, each shard with its own record, where
+    the payees live on the replica's own shard under its map: each takes
+    the body whole. A memo naming the other shard's record is replaced, so
+    each delivery after a switch walks the body again, and queues nothing
+    new."""
+    counts = _count_walks(monkeypatch)
+    mech = RelayMechanism()
+    ones = FakeNode(1, TWO)
+    zeros = FakeNode(0, TWO.updated(1, {tx.payee: 0 for tx in _BOUND_FOR_1}), index=2)
+    body = RelayCtx(source_shard=0, txs=list(_BOUND_FOR_1))
+    for node in (ones, zeros, ones, zeros, zeros):
+        mech.handle_inter_shard_msg(node, Envelope("relay_ctx", "0.1", body), now=0)
+        assert body.taken == (node.relay_seen, node.relay_bit)
+    assert counts == [4, 2]
+    for node in (ones, zeros):
+        assert [tx.hash for tx in node.pool.snapshot()] == [tx.hash for tx in _BOUND_FOR_1]
+        assert set(node.relay_seen.values()) == {node.relay_bit}
+        assert node.net.sent == []
+
+
+def test_a_taken_relay_frame_encodes_as_before():
+    """The memo stays off the wire: a frame carries ``source_shard`` and
+    ``txs`` only, and decodes to a body with no memo."""
+    body = RelayCtx(source_shard=0, txs=list(_BOUND_FOR_1))
+    env = Envelope("relay_ctx", "0.1", body)
+    fresh = encode_frame(env)
+    body.taken = (RelaySeen(), 0b101)
+    payload = json.dumps({"type": "relay_ctx", "sender": "0.1",
+                          "body": {"source_shard": 0,
+                                   "txs": [tx_to_json(tx) for tx in _BOUND_FOR_1]}},
+                         separators=(",", ":")).encode("utf-8")
+    assert encode_frame(env) == fresh == len(payload).to_bytes(4, "big") + payload
+    decoded = decode_frame(fresh)
+    assert decoded.body == body and decoded.body.taken is None
+    assert "taken" not in repr(body)
+
+
 # --- the relay-dedupe record: one per shard, a bit per replica ---
 
 # Credit halves bound for shard 0 of TWO, and two whose payee lives on
@@ -919,17 +1034,26 @@ for _n in (1, 4, 7):
     globals()[f"TestRelayRecord{_n}Replicas"] = _machine.TestCase
 
 
-def test_replica_threads_lose_no_bit_of_the_shared_record():
+def _replica_threads_take_the_same_credits(shared):
     """Over TCP the replicas of a shard are threads of one process. Four of
     them take the same credit halves, in the same order so that they meet
     on the same entries, through the real intake; with the interpreter
     switching threads every microsecond, an unguarded read-modify-write of
-    one entry loses a bit in most rounds."""
+    one entry loses a bit in most rounds. With ``shared``, each thread is
+    handed every body object twice, as the sim transport hands one body to
+    a replica from each sender, so the replicas also meet on each body's
+    memo."""
     credits = credits_of(debits_of([ctx_tx(Q1, Q0, nonce=i) for i in range(10000)]))
     mech = RelayMechanism()
+    bodies = [_relay_env(credits[start:start + 3]) for start in range(0, len(credits), 3)]
 
     def intake(node, start_line):
         start_line.wait(timeout=30)
+        if shared:
+            for env in bodies:
+                mech.handle_inter_shard_msg(node, env, now=0)
+                mech.handle_inter_shard_msg(node, env, now=0)
+            return
         for start in range(0, len(credits), 3):
             mech.handle_inter_shard_msg(node, _relay_env(credits[start:start + 3]), now=0)
 
@@ -950,8 +1074,20 @@ def test_replica_threads_lose_no_bit_of_the_shared_record():
             lost = sum(1 for bits in record.values() if bits != 0b1111)
             assert (len(record), lost) == (len(credits), 0), f"{lost} entries lost a bit"
             assert all(len(node.pool) == len(credits) for node in nodes)
+            if shared:
+                assert all(env.body.taken == (record, 0b1111) for env in bodies)
+                for env in bodies:
+                    env.body.taken = None
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_replica_threads_lose_no_bit_of_the_shared_record():
+    _replica_threads_take_the_same_credits(shared=False)
+
+
+def test_replica_threads_lose_no_bit_of_a_shared_body_memo():
+    _replica_threads_take_the_same_credits(shared=True)
 
 
 # --- credit halves: built once per block, routed per replica ---

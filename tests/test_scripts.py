@@ -44,16 +44,22 @@ def test_desk_bench_smoke(tmp_path):
         assert row["shards"] == 2 and row["exit"] == 0
         assert row["rows"] > 0 and row["wall_s"] > 0 and row["peak_rss_mb"] > 0
         assert 0 < row["setup_s"] <= row["wall_s"]
+        # The rebuild is timed on its own, on runs that wrote block files.
+        assert ("report_s" in row) is row["output_dir"]
+        assert row.get("report_s", 1) > 0
     assert len({row["rows"] for row in rows}) == 1
     assert [s["output_dir"] for s in summaries] == [True, False]
     for summary in summaries:
         assert summary["shards"] == 2 and summary["runs"] == 2
-        for key in ("wall_s", "setup_s", "peak_rss_mb"):
+        keys = ["wall_s", "setup_s", "peak_rss_mb"] + ["report_s"] * summary["output_dir"]
+        assert ("report_s" in summary) is summary["output_dir"]
+        for key in keys:
             runs = sorted(r[key] for r in rows if r["output_dir"] is summary["output_dir"])
             got = summary[key]
             assert got["median"] == pytest.approx(sum(runs) / 2, abs=0.001)
             assert runs[0] <= got["q1"] <= got["median"] <= got["q3"] <= runs[1]
     assert (tmp_path / "run_2" / "summary.json").exists()
+    assert (tmp_path / "run_2" / "recomputed" / "summary.json").exists()
 
 
 def test_same_bytes_smoke(tmp_path):
