@@ -13,12 +13,21 @@ replica checks or applies would show:
   50 ms batches, the same stop rule; the last one settles through brokers
   ``top:3`` instead of relays.
 
-Each config prints one JSON line: its name, its exit code, a sha256 over
-its block files and report CSVs, by file name (``summary.json`` is left
-out, since it echoes the run's paths), and under ``recomputed`` the same
-digest over the CSVs ``report_from_blocks`` rebuilds from those block
-files. Several of these runs cannot finish and exit 3; that is part of
-what is compared.
+Each config prints one JSON line: its name, its exit code and four
+SHA-256 digests, each over files by file name (``summary.json`` is left
+out, since it echoes the run's paths):
+
+- ``sha256``: the block files and the report CSVs;
+- ``reports``: the report CSVs alone;
+- ``chain``: each block line's ``(shard_id, height, hash, commit_time)``,
+  what the run committed and when, which a change to how lines encode
+  their transactions or accounts cannot move;
+- ``recomputed``: the CSVs ``report_from_blocks`` rebuilds from the block
+  files.
+
+A change of the block-file layout alone keeps every digest but
+``sha256``. Several of these runs cannot finish and exit 3; that is part
+of what is compared.
 
 Usage:
     python scripts/same_bytes.py --out /tmp/same_bytes
@@ -84,16 +93,34 @@ def config(name: str, dataset: Path, out_dir: Path) -> dict:
     return raw
 
 
-def digest_outputs(run_dir: Path) -> str:
-    """SHA-256 over the block files and report CSVs, each preceded by its
-    name and length."""
+def _is_block_file(name: str) -> bool:
+    return name.startswith("blocks_shard") and name.endswith(".jsonl")
+
+
+def digest_outputs(run_dir: Path, blocks: bool = True) -> str:
+    """SHA-256 over the report CSVs, and the block files unless ``blocks``
+    is false, each preceded by its name and length."""
     names = sorted(n for n in os.listdir(run_dir)
-                   if n.endswith(".csv") or (n.startswith("blocks_shard") and n.endswith(".jsonl")))
+                   if n.endswith(".csv") or (blocks and _is_block_file(n)))
     h = hashlib.sha256()
     for name in names:
         data = (run_dir / name).read_bytes()
         h.update(f"{name}\0{len(data)}\0".encode())
         h.update(data)
+    return h.hexdigest()
+
+
+def digest_chain(run_dir: Path) -> str:
+    """SHA-256 over each block file's name and, line by line, the line's
+    ``[shard_id, height, hash, commit_time]`` as JSON."""
+    h = hashlib.sha256()
+    for name in sorted(filter(_is_block_file, os.listdir(run_dir))):
+        h.update(f"{name}\0".encode())
+        with open(run_dir / name, encoding="utf-8") as fh:
+            for line in fh:
+                obj = json.loads(line)
+                key = [obj["shard_id"], obj["height"], obj["hash"], obj["commit_time"]]
+                h.update(f"{json.dumps(key)}\n".encode())
     return h.hexdigest()
 
 
@@ -119,6 +146,8 @@ def main(argv=None) -> int:
         report_from_blocks(str(run_dir))
         print(json.dumps({"config": name, "exit": result.exit_code,
                           "sha256": digest_outputs(run_dir),
+                          "reports": digest_outputs(run_dir, blocks=False),
+                          "chain": digest_chain(run_dir),
                           "recomputed": digest_outputs(run_dir / "recomputed")}), flush=True)
     return 0
 

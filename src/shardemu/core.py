@@ -750,26 +750,32 @@ def verify_block(
 # --- canonical JSON layouts (wire and disk share these) ---
 
 
-def tx_to_json(tx: Transaction, confirm_time: Optional[int] = None) -> dict:
-    """Values are decimal strings so parsers without big integers survive."""
-    return {
-        "hash": tx.hash.hex(),
-        "payer": address_to_hex(tx.payer),
-        "payee": address_to_hex(tx.payee),
-        "value": str(tx.value),
-        "nonce": tx.nonce,
-        "kind": tx.kind.value,
-        "origin_hash": tx.origin_hash.hex() if tx.origin_hash else None,
-        "fee": 0,
-        "inject_time": tx.inject_time,
-        "confirm_time": confirm_time,
-    }
-
-
-# Value -> member tables for decoding: a dict hit instead of ``Enum``'s
-# call, once per transaction line.
+# The columns of an encoded transaction list, in the order they are written.
+TX_COLUMNS = ("hash", "payer", "payee", "value", "nonce", "kind", "origin_hash", "inject_time")
+_TX_COLUMN_KEYS = dict.fromkeys(TX_COLUMNS).keys()
+# Each kind's JSON value, and the member each value decodes to.
+_KIND_VALUE = {k: k.value for k in TxKind}
 _TX_KIND_OF = {k.value: k for k in TxKind}
 _BLOCK_KIND_OF = {k.value: k for k in BlockKind}
+
+
+def txs_to_json(txs: Sequence[Transaction]) -> dict:
+    """A transaction list as one object of equal-length arrays, one per
+    ``TX_COLUMNS`` entry: hashes and origin hashes as ``bytes.hex`` writes
+    them (a null origin for an injected kind), addresses as
+    ``address_to_hex`` writes them, values as decimal strings, so parsers
+    without big integers survive, nonces and inject times (or null) as
+    integers, kinds by value. A block's commit time is its own field."""
+    return {
+        "hash": [tx.hash.hex() for tx in txs],
+        "payer": [f"0x{tx.payer.hex()}" for tx in txs],
+        "payee": [f"0x{tx.payee.hex()}" for tx in txs],
+        "value": [str(tx.value) for tx in txs],
+        "nonce": [tx.nonce for tx in txs],
+        "kind": [_KIND_VALUE[tx.kind] for tx in txs],
+        "origin_hash": [o.hex() if (o := tx.origin_hash) else None for tx in txs],
+        "inject_time": [tx.inject_time for tx in txs],
+    }
 
 
 def _member(table: dict, raw):
@@ -809,74 +815,114 @@ def _digest(raw, name: str) -> bytes:
     raise ValueError(f"{name} must be {2 * DIGEST_SIZE} lowercase hex digits, not {raw!r}")
 
 
-def txs_from_json(objs: Iterable[dict], addresses: Optional[AddressTable] = None
-                  ) -> list[Transaction]:
-    """Decode and hash-check a list of transactions in ``tx_to_json``'s
+def _refuse(check, column: list, name: str):
+    """Raise what ``check(raw, name)`` raises for the first entry of
+    ``column`` it refuses: the message of a batch check that failed."""
+    for raw in column:
+        check(raw, name)
+    raise ValueError(f"{name} column refused")
+
+
+def _inject_time(raw, name: str) -> None:
+    if raw is not None and type(raw) is not int:
+        raise ValueError(f"{name} must be an integer or null, not {raw!r}")
+
+
+def _origin(raw, name: str) -> None:
+    if raw is not None:
+        _digest(raw, name)
+
+
+_NULL_OR_INT = {int, type(None)}
+_NULL_OR_STR = {str, type(None)}
+
+
+def _digests_of(texts: list[str]) -> Optional[list[bytes]]:
+    """The digests ``texts`` spell, each as ``bytes.hex`` writes it, or None
+    where any is not: one length test, one parse and one re-encoding over
+    the joined column."""
+    if not set(map(len, texts)) <= {2 * DIGEST_SIZE}:
+        return None
+    joined = "".join(texts)
+    try:
+        raw = bytes.fromhex(joined)
+    except ValueError:
+        return None
+    if raw.hex() != joined:  # fromhex takes upper case and skips spaces
+        return None
+    return list(map(bytes.fromhex, texts))
+
+
+def txs_from_json(obj: dict, addresses: Optional[AddressTable] = None) -> list[Transaction]:
+    """Decode and hash-check a transaction list in ``txs_to_json``'s
     layout: the one transaction decoder, for block files and wire frames.
 
     ``addresses``, an ``AddressTable`` shared by one parse pass, maps each
     address literal to the pass's object for that account; without it the
-    list gets a table of its own. ``value`` is taken only as ``str(int)``
-    writes it, ``nonce`` only as a JSON integer, ``origin_hash`` only as
-    null or a digest as ``bytes.hex`` writes it, ``inject_time`` only as an
-    integer or null, and ``fee`` only as the integer 0. The fields are
-    decoded line by line into columns, which are then hashed once, in one
-    ``tx_digests`` call; each hash must equal its line's, and each
-    transaction is built with it. Anything else raises ``ValueError``."""
+    list gets a table of its own. The object must hold exactly the
+    ``TX_COLUMNS`` keys, each a list, all of one length. ``value`` is taken
+    only as ``str(int)`` writes it, ``nonce`` only as a JSON integer,
+    ``origin_hash`` only as null or a digest as ``bytes.hex`` writes it,
+    ``inject_time`` only as an integer or null. Every check runs over a
+    whole column in C loops; only a column that fails one is walked to name
+    its first bad entry. The columns are hashed in one ``tx_digests`` call,
+    and the hash column must spell those hashes. Anything else raises
+    ``ValueError``."""
+    if type(obj) is not dict:
+        raise ValueError(f"txs must be an object of columns, not {type(obj).__name__}")
+    if obj.keys() != _TX_COLUMN_KEYS:
+        missing = [name for name in TX_COLUMNS if name not in obj]
+        extra = [name for name in obj if name not in _TX_COLUMN_KEYS]
+        raise ValueError(f"txs columns must be {list(TX_COLUMNS)}: "
+                         f"missing {missing}, unknown {extra}")
+    columns = list(map(obj.__getitem__, TX_COLUMNS))
+    if set(map(type, columns)) != {list}:
+        raise ValueError("every txs column must be a list")
+    if len(set(map(len, columns))) != 1:
+        raise ValueError(f"txs columns differ in length: {dict(zip(TX_COLUMNS, map(len, columns)))}")
+    hashes, payers, payees, values, nonces, kinds, origins, injects = columns
     if addresses is None:
         addresses = AddressTable()
-    # Bound once per list: the loop body runs per transaction.
-    kind_of = _TX_KIND_OF
-    payers: list[bytes] = []
-    payees: list[bytes] = []
-    values: list[int] = []
-    nonces: list[int] = []
-    kinds: list[TxKind] = []
-    origins: list[Optional[bytes]] = []
-    injects: list[Optional[int]] = []
-    hashes: list = []
     try:
-        for obj in objs:
-            inject_time = obj.get("inject_time")
-            if inject_time is not None and type(inject_time) is not int:
-                raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
-            # The layout keeps a fee slot that is always 0, so decoding then
-            # encoding gives back the same bytes.
-            fee = obj.get("fee", 0)
-            if type(fee) is not int or fee != 0:
-                raise ValueError(f"fee must be the integer 0, not {fee!r}")
-            try:
-                payers.append(addresses[obj["payer"]])
-                payees.append(addresses[obj["payee"]])
-            except TypeError:  # an unhashable literal
-                raise ValueError(f"bad address literal in {obj!r}") from None
-            value = obj["value"]
-            # ``_decimal``'s unsigned test, inlined.
-            if (type(value) is str and value.isdigit() and value.isascii()
-                    and (value[0] != "0" or len(value) == 1)):
-                values.append(int(value))
-            else:
-                _decimal(value, "value")  # raises
-            nonce = obj["nonce"]
-            if type(nonce) is not int:
-                _int(nonce, "nonce")  # raises
-            nonces.append(nonce)
-            kind = obj["kind"]
-            try:
-                kinds.append(kind_of[kind])
-            except (KeyError, TypeError):
-                _member(kind_of, kind)  # raises
-            origin = obj.get("origin_hash")
-            origins.append(None if origin is None else _digest(origin, "origin_hash"))
-            injects.append(inject_time)
-            hashes.append(obj["hash"])
-        keys = tx_digests(payers, payees, values, nonces, kinds,
-                          [origin or b"" for origin in origins])
+        payers = list(map(addresses.__getitem__, payers))
+        payees = list(map(addresses.__getitem__, payees))
+    except TypeError:  # an unhashable literal
+        raise ValueError("bad address literal in the payer or payee column") from None
+    if not set(map(type, values)) <= {str}:
+        _refuse(_decimal, values, "value")
+    try:
+        numbers = list(map(int, values))
+    except ValueError:
+        _refuse(_decimal, values, "value")
+    # ``str`` gives back only the canonical form; a minus sign stays.
+    if list(map(str, numbers)) != values or "-" in "".join(values):
+        _refuse(_decimal, values, "value")
+    if not set(map(type, nonces)) <= {int}:
+        _refuse(_int, nonces, "nonce")
+    try:
+        kinds = list(map(_TX_KIND_OF.__getitem__, kinds))
+    except (KeyError, TypeError):
+        _refuse(lambda raw, _: _member(_TX_KIND_OF, raw), kinds, "kind")
+    if not set(map(type, injects)) <= _NULL_OR_INT:
+        _refuse(_inject_time, injects, "inject_time")
+    if not set(map(type, origins)) <= _NULL_OR_STR:
+        _refuse(_origin, origins, "origin_hash")
+    texts = list(filter(None, origins))
+    digests = _digests_of(texts)
+    # ``filter`` also drops "", which only the count tells from a null.
+    if digests is None or len(texts) + origins.count(None) != len(origins):
+        _refuse(_origin, origins, "origin_hash")
+    origin_of = dict(zip(texts, digests))
+    try:
+        keys = tx_digests(payers, payees, numbers, nonces, kinds,
+                          map(origin_of.get, origins, repeat(b"")))
     except OverflowError as exc:  # a value or nonce too wide for its hashed field
         raise ValueError(f"transaction field out of range: {exc}") from None
-    if list(map(bytes.hex, keys)) != hashes:
+    if (not set(map(type, hashes)) <= {str} or not set(map(len, hashes)) <= {2 * DIGEST_SIZE}
+            or "".join(hashes) != b"".join(keys).hex()):
         raise ValueError("transaction hash mismatch in serialized form")
-    return list(map(Transaction, payers, payees, values, nonces, kinds, origins, injects, keys))
+    return list(map(Transaction, payers, payees, numbers, nonces, kinds,
+                    map(origin_of.get, origins), injects, keys))
 
 
 def account_to_json(acct: AccountState) -> dict:
@@ -904,7 +950,7 @@ def block_to_json(block: Block, confirm_time: Optional[int] = None) -> dict:
         "state_root": block.state_root.hex(),
         "proposer": block.proposer,
         "block_kind": block.block_kind.value,
-        "txs": [tx_to_json(tx, confirm_time) for tx in block.txs],
+        "txs": txs_to_json(block.txs),
         "migration_installs": [account_to_json(a) for a in block.migration_installs],
         "migration_departures": [address_to_hex(a) for a in block.migration_departures],
         "timestamp": block.timestamp,
@@ -913,8 +959,31 @@ def block_to_json(block: Block, confirm_time: Optional[int] = None) -> dict:
     }
 
 
-# Each kind's JSON token, quotes included, for ``block_line``.
+# JSON tokens for ``block_line``: each kind's value, quotes included, and
+# the separators between quoted column entries.
 _KIND_TOKEN = {k: f'"{k.value}"' for k in TxKind}
+_QUOTED = '", "'
+_ADDRESSES = '", "0x'
+
+
+def _txs_line(txs: Sequence[Transaction]) -> str:
+    """``json.dumps(txs_to_json(txs))``, built column by column: one
+    comprehension reads each field, and its entries are formatted and
+    joined with their separators in C. None of the entries needs escaping;
+    a list of ints and None prints as JSON once None reads null."""
+    if not txs:
+        return json.dumps(txs_to_json(txs))
+    origins = ", ".join([f'"{o.hex()}"' if (o := tx.origin_hash) else "null" for tx in txs])
+    return (
+        f'{{"hash": ["{_QUOTED.join([tx.hash.hex() for tx in txs])}"], '
+        f'"payer": ["0x{_ADDRESSES.join([tx.payer.hex() for tx in txs])}"], '
+        f'"payee": ["0x{_ADDRESSES.join([tx.payee.hex() for tx in txs])}"], '
+        f'"value": ["{_QUOTED.join([str(tx.value) for tx in txs])}"], '
+        f'"nonce": {[tx.nonce for tx in txs]}, '
+        f'"kind": [{", ".join([_KIND_TOKEN[tx.kind] for tx in txs])}], '
+        f'"origin_hash": [{origins}], '
+        f'"inject_time": {str([tx.inject_time for tx in txs]).replace("None", "null")}}}'
+    )
 
 
 def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
@@ -924,24 +993,11 @@ def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
     Every block and transaction field is a digest, an address, an int or
     an enum value, whose JSON form needs no escaping; ``proposer``, the one
     free-form string, and ``confirm_time``, taken as the caller gives it,
-    go through ``json.dumps``. Values and balances are quoted decimals, as
-    in ``tx_to_json`` and ``account_to_json``.
+    go through ``json.dumps``. The transactions are written as
+    ``txs_to_json``'s columns (``_txs_line``); balances are quoted
+    decimals, as in ``account_to_json``.
     """
     confirm = json.dumps(confirm_time)
-    end = f', "confirm_time": {confirm}}}'
-    kind_token = _KIND_TOKEN
-    txs = []
-    for tx in block.txs:
-        origin = tx.origin_hash
-        origin = f'"{origin.hex()}"' if origin else "null"
-        inject = tx.inject_time
-        inject = "null" if inject is None else inject
-        txs.append(
-            f'{{"hash": "{tx.hash.hex()}", "payer": "0x{tx.payer.hex()}", '
-            f'"payee": "0x{tx.payee.hex()}", "value": "{tx.value}", "nonce": {tx.nonce}, '
-            f'"kind": {kind_token[tx.kind]}, "origin_hash": {origin}, "fee": 0, '
-            f'"inject_time": {inject}{end}'
-        )
     installs = ", ".join([
         f'{{"address": "0x{a.address.hex()}", "balance": "{a.balance}", "nonce": {a.nonce}}}'
         for a in block.migration_installs
@@ -951,7 +1007,7 @@ def block_line(block: Block, confirm_time: Optional[int] = None) -> str:
         f'{{"shard_id": {block.shard_id}, "height": {block.height}, '
         f'"parent_hash": "{block.parent_hash.hex()}", "state_root": "{block.state_root.hex()}", '
         f'"proposer": {json.dumps(block.proposer)}, "block_kind": "{block.block_kind.value}", '
-        f'"txs": [{", ".join(txs)}], "migration_installs": [{installs}], '
+        f'"txs": {_txs_line(block.txs)}, "migration_installs": [{installs}], '
         f'"migration_departures": [{departures}], "timestamp": {block.timestamp}, '
         f'"commit_time": {confirm}, "hash": "{block.hash.hex()}"}}'
     )

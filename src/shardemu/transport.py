@@ -28,8 +28,8 @@ from .core import (
     address_to_hex,
     block_from_json,
     block_to_json,
-    tx_to_json,
     txs_from_json,
+    txs_to_json,
 )
 
 SUPERVISOR_ID = "supervisor"
@@ -223,7 +223,7 @@ _ADDR_MAP = (
     lambda m: {address_to_hex(a): s for a, s in m.items()},
     lambda m: {address_from_hex(a): _SHARD(s) for a, s in m.items()},
 )
-_TXS = ((lambda txs: [tx_to_json(tx) for tx in txs]), txs_from_json)
+_TXS = (txs_to_json, txs_from_json)
 
 # One entry per message type: the codec of its payload dataclass.
 _BLOCK = (block_to_json, block_from_json)

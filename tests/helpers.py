@@ -9,8 +9,8 @@ brute-force oracles, and an independent
 copy of the execution-home, locality and cross-shard rules, one
 transaction at a time, as the oracle for the batch rules in ``core``, the
 split halves and the packing placement, one transaction at a time, as the
-oracle for the batch splits in ``mechanisms``, and the per-field
-transaction decoder, as the oracle for ``core.txs_from_json``. Nothing
+oracle for the batch splits in ``mechanisms``, and a per-field decoder of
+one transaction, as the oracle for ``core.txs_from_json``. Nothing
 here asserts; helpers stay dumb so failures point at the code under test.
 """
 
@@ -167,17 +167,15 @@ _KIND_OF = {k.value: k for k in TxKind}
 
 
 def reference_tx_from_json(obj: dict) -> Transaction:
-    """Oracle: the per-field transaction decoder that ``core.txs_from_json``
-    replaced, as it was. It parses each address afresh, takes ``value``
-    only if ``str(int(value))`` gives it back, and lets ``Transaction``
-    hash. It reads a falsy ``origin_hash`` ("", false, 0, [], {}) as null,
-    which the batch decoder refuses."""
+    """Oracle: a per-field decoder of one transaction, given as one entry
+    of each column keyed by the column's name, as the decoder of the row
+    layout read it. It parses each address afresh, takes ``value`` only if
+    ``str(int(value))`` gives it back, and lets ``Transaction`` hash. It
+    reads a falsy ``origin_hash`` ("", false, 0, [], {}) as null, which the
+    column decoder refuses."""
     inject_time = obj.get("inject_time")
     if inject_time is not None and type(inject_time) is not int:
         raise ValueError(f"inject_time must be an integer or null, not {inject_time!r}")
-    fee = obj.get("fee", 0)
-    if type(fee) is not int or fee != 0:
-        raise ValueError(f"fee must be the integer 0, not {fee!r}")
     value = obj["value"]
     if type(value) is not str or value[:1] == "-":
         raise ValueError(f"value must be a decimal string, not {value!r}")

@@ -12,6 +12,7 @@ from helpers import cfg_dict
 from shardemu import cli
 from shardemu.cli import main
 from shardemu.core import block_from_json, block_line
+from shardemu.harness import BadBlockFile, report_from_blocks
 
 
 def write_cfg(path, **over):
@@ -116,25 +117,32 @@ def _truncate_last(lines):
 
 def _edit_tx_hash(lines):
     obj = json.loads(lines[0])
-    obj["txs"][0]["hash"] = "00" * 32
+    obj["txs"]["hash"][0] = "00" * 32
     lines[0] = json.dumps(obj)
 
 
 def _text_inject_time(lines):
     obj = json.loads(lines[-1])
-    obj["txs"][-1]["inject_time"] = "soon"
+    obj["txs"]["inject_time"][-1] = "soon"
     lines[-1] = json.dumps(obj)
 
 
 def _signed_value(lines):
     obj = json.loads(lines[-1])
-    obj["txs"][-1]["value"] = "+" + obj["txs"][-1]["value"]
+    obj["txs"]["value"][-1] = "+" + obj["txs"]["value"][-1]
     lines[-1] = json.dumps(obj)
 
 
-def _nonzero_fee(lines):
+def _fee_column(lines):
+    # The layout has no fee; a column the writer never writes is refused.
     obj = json.loads(lines[-1])
-    obj["txs"][-1]["fee"] = 1
+    obj["txs"]["fee"] = [0] * len(obj["txs"]["hash"])
+    lines[-1] = json.dumps(obj)
+
+
+def _ragged_columns(lines):
+    obj = json.loads(lines[-1])
+    obj["txs"]["nonce"].pop()
     lines[-1] = json.dumps(obj)
 
 
@@ -162,17 +170,18 @@ def _short_parent(lines):
     (_edit_tx_hash, "transaction hash mismatch"),
     (_text_inject_time, "inject_time must be an integer or null"),
     (_signed_value, "value must be a decimal string"),
-    (_nonzero_fee, "fee must be the integer 0"),
+    (_fee_column, "unknown ['fee']"),
+    (_ragged_columns, "txs columns differ in length"),
     (_fractional_height, "height must be an integer"),
     (_text_commit_time, "commit_time must be an integer or null"),
     (_short_parent, "parent_hash must be 64 lowercase hex digits"),
-], ids=["truncated", "tx_hash", "inject_time", "value", "fee", "height", "commit_time",
-        "parent_hash"])
+], ids=["truncated", "tx_hash", "inject_time", "value", "fee", "ragged", "height",
+        "commit_time", "parent_hash"])
 def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, cause):
     run_dir = _finished_run(tmp_path)
     path = run_dir / "blocks_shard1.jsonl"
     lines = path.read_text().splitlines()
-    assert len(lines) > 1 and all(json.loads(line)["txs"] for line in (lines[0], lines[-1]))
+    assert len(lines) > 1 and all(json.loads(line)["txs"]["hash"] for line in (lines[0], lines[-1]))
     line_no = 1 if damage is _edit_tx_hash else len(lines)
     damage(lines)
     path.write_text("\n".join(lines) + "\n")
@@ -181,6 +190,34 @@ def test_report_names_the_damaged_block_file_line(tmp_path, capsys, damage, caus
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"blocks_shard1.jsonl line {line_no}: " in err and cause in err
+
+
+# The row layout block files had before transactions were written as
+# columns: one object per transaction, with an always-zero fee and the
+# block's commit time repeated.
+_ROW_KEYS = ("hash", "payer", "payee", "value", "nonce", "kind", "origin_hash", "fee",
+             "inject_time", "confirm_time")
+
+
+def test_report_refuses_a_row_layout_block_file(tmp_path, capsys):
+    """No reader of the row layout is kept: its first line is refused."""
+    run_dir = _finished_run(tmp_path)
+    path = run_dir / "blocks_shard0.jsonl"
+    rows = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        n = len(obj["txs"]["hash"])
+        cols = {**obj["txs"], "fee": [0] * n, "confirm_time": [obj["commit_time"]] * n}
+        obj["txs"] = [dict(zip(_ROW_KEYS, row)) for row in zip(*map(cols.get, _ROW_KEYS))]
+        rows.append(json.dumps(obj) + "\n")
+    assert json.loads(rows[0])["txs"], "line 1 carries transactions"
+    path.write_text("".join(rows))
+    with pytest.raises(BadBlockFile, match="blocks_shard0.jsonl line 1: ValueError: "
+                                            "txs must be an object of columns, not list"):
+        report_from_blocks(str(run_dir))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 2
+    assert "blocks_shard0.jsonl line 1: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv_builder", [

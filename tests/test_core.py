@@ -66,8 +66,9 @@ from shardemu.core import (
     replace_tx_list,
     tx_digest,
     tx_local_to_shard,
-    tx_to_json,
+    TX_COLUMNS,
     txs_from_json,
+    txs_to_json,
     verify_block,
 )
 from shardemu.transport import BlockInfo, Envelope, decode_frame, encode_frame
@@ -1033,18 +1034,34 @@ def test_apply_txs_matches_per_transaction_application(seed):
 def test_tx_json_round_trip():
     original = make_transaction(A, C, 12345, 3, kind=TxKind.ORIGINAL_CTX,
                                 inject_time=77)
-    back = txs_from_json([tx_to_json(original)])[0]
+    back = txs_from_json(txs_to_json([original]))[0]
     assert back == original
-    tampered = tx_to_json(original)
-    tampered["value"] = "99999"
+    tampered = txs_to_json([original])
+    tampered["value"][0] = "99999"
     with pytest.raises(ValueError):
-        txs_from_json([tampered])
+        txs_from_json(tampered)
 
 
-def test_tx_json_confirm_time_override():
-    tx = regular_tx(A, B)
-    obj = tx_to_json(tx, confirm_time=500)
-    assert obj["confirm_time"] == 500
+def test_txs_json_leaves_the_commit_time_to_the_block():
+    """A transaction list is the ``TX_COLUMNS`` arrays alone: no fee and no
+    confirm time, which the block's own ``commit_time`` gives."""
+    txs = [regular_tx(A, B), make_transaction(A, C, 4, 1, kind=TxKind.INTER_RELAY,
+                                              origin_hash=b"\x07" * 32)]
+    assert txs_to_json(txs) == {
+        "hash": [tx.hash.hex() for tx in txs],
+        "payer": [address_to_hex(A)] * 2,
+        "payee": [address_to_hex(B), address_to_hex(C)],
+        "value": ["1", "4"],
+        "nonce": [0, 1],
+        "kind": ["regular", "inter_relay"],
+        "origin_hash": [None, "07" * 32],
+        "inject_time": [0, None],
+    }
+    assert list(txs_to_json([])) == list(TX_COLUMNS)
+    block = Block(shard_id=0, height=1, parent_hash=ZERO_DIGEST, state_root=ZERO_DIGEST,
+                  proposer="0.0", block_kind=BlockKind.TX, txs=txs)
+    obj = block_to_json(block, confirm_time=500)
+    assert obj["commit_time"] == 500 and obj["txs"] == txs_to_json(txs)
 
 
 def test_block_json_round_trip():
@@ -1082,25 +1099,33 @@ def test_digest_takes_only_what_hex_writes(raw):
     assert _digest(good.hex(), "origin_hash") == good
     with pytest.raises(ValueError, match="origin_hash must be 64 lowercase hex digits"):
         _digest(raw, "origin_hash")
+    # The origin column is checked whole, in one parse of the joined
+    # entries; it refuses each form too, where a null stands for none.
+    relay = make_transaction(A, C, 1, 0, kind=TxKind.INTER_RELAY, origin_hash=good)
+    obj = txs_to_json([regular_tx(A, B), relay])
+    assert txs_from_json(obj)[1].origin_hash == good
+    if raw is not None:
+        with pytest.raises(ValueError, match="origin_hash must be 64 lowercase hex digits"):
+            txs_from_json({**obj, "origin_hash": [None, raw]})
 
 
 def test_txs_from_json_refuses_a_short_origin_hash():
     # The hash covers the 2-byte origin, so only the digest check refuses it.
-    obj = tx_to_json(make_transaction(A, C, 1, 0, kind=TxKind.INTER_RELAY,
-                                      origin_hash=b"\x0a\x0b"))
+    obj = txs_to_json([make_transaction(A, C, 1, 0, kind=TxKind.INTER_RELAY,
+                                        origin_hash=b"\x0a\x0b")])
     for raw in ("0a0b", "0a 0b"):
         with pytest.raises(ValueError, match="origin_hash"):
-            txs_from_json([{**obj, "origin_hash": raw}])
+            txs_from_json({**obj, "origin_hash": [raw]})
 
 
 @pytest.mark.parametrize("raw", ["", False, 0, [], {}])
 def test_txs_from_json_refuses_a_falsy_origin_hash(raw):
     # An injected original hashes no origin, so only the origin check
     # refuses these; a digest is null or 64 lowercase hex digits.
-    obj = tx_to_json(regular_tx(A, B))
-    assert txs_from_json([obj])[0].origin_hash is None
+    obj = txs_to_json([regular_tx(A, B)])
+    assert txs_from_json(obj)[0].origin_hash is None
     with pytest.raises(ValueError, match="origin_hash"):
-        txs_from_json([{**obj, "origin_hash": raw}])
+        txs_from_json({**obj, "origin_hash": [raw]})
 
 
 @pytest.mark.parametrize("field", ["parent_hash", "state_root"])
@@ -1114,18 +1139,19 @@ def test_block_from_json_refuses_a_short_digest(field):
 
 @pytest.mark.parametrize("bad", ["soon", True, 1.5, [3]])
 def test_txs_from_json_requires_an_integer_inject_time(bad):
-    obj = tx_to_json(regular_tx(A, B))
-    obj["inject_time"] = bad
-    with pytest.raises(ValueError):
-        txs_from_json([obj])
+    obj = txs_to_json([regular_tx(A, B)])
+    obj["inject_time"] = [bad]
+    with pytest.raises(ValueError, match="inject_time must be an integer or null"):
+        txs_from_json(obj)
 
 
 def _strict_tx():
-    return tx_to_json(make_transaction(A, C, 10, 3, kind=TxKind.ORIGINAL_CTX))
+    return txs_to_json([make_transaction(A, C, 10, 3, kind=TxKind.ORIGINAL_CTX)])
 
 
 # The hash check alone would pass each form: a value or nonce form decodes,
-# under int(), to the field's true value, and the fee is not hashed.
+# under int(), to the field's true value. The layout has no fee, so a fee
+# column is refused whatever it holds.
 @pytest.mark.parametrize("field, raw", [
     ("value", "1_0"), ("value", " 10"), ("value", "10 "), ("value", "+10"),
     ("value", "010"), ("value", "\u0661\u0660"), ("value", 10), ("value", 10.0),
@@ -1134,9 +1160,9 @@ def _strict_tx():
 ])
 def test_txs_from_json_refuses_coerced_numbers(field, raw):
     obj = _strict_tx()
-    assert txs_from_json([obj])[0].nonce == 3
+    assert txs_from_json(obj)[0].nonce == 3
     with pytest.raises(ValueError):
-        txs_from_json([{**obj, field: raw}])
+        txs_from_json({**obj, field: [raw]})
 
 
 @pytest.mark.parametrize("field, raw", [
@@ -1144,7 +1170,33 @@ def test_txs_from_json_refuses_coerced_numbers(field, raw):
 ])
 def test_txs_from_json_refuses_numbers_out_of_range(field, raw):
     with pytest.raises(ValueError):
-        txs_from_json([{**_strict_tx(), field: raw}])
+        txs_from_json({**_strict_tx(), field: [raw]})
+
+
+def _rows(obj):
+    return [dict(zip(obj, row)) for row in zip(*obj.values())]
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda obj: {**obj, "nonce": obj["nonce"][:1]}, "differ in length"),
+    (lambda obj: {**obj, "hash": obj["hash"] + ["00" * 32]}, "differ in length"),
+    (lambda obj: {k: v for k, v in obj.items() if k != "kind"}, "missing ['kind']"),
+    (lambda obj: {**obj, "fee": [0, 0]}, "unknown ['fee']"),
+    (lambda obj: {**obj, "confirm_time": [5, 5]}, "unknown ['confirm_time']"),
+    (lambda obj: {**obj, "value": tuple(obj["value"])}, "must be a list"),
+    (lambda obj: {**obj, "inject_time": None}, "must be a list"),
+    (_rows, "txs must be an object of columns, not list"),
+    (lambda obj: [], "txs must be an object of columns, not list"),
+    (lambda obj: None, "txs must be an object of columns, not NoneType"),
+], ids=["short_column", "long_column", "missing", "fee", "confirm_time", "tuple_column",
+        "null_column", "rows", "empty_rows", "null"])
+def test_txs_from_json_refuses_a_list_off_the_column_layout(edit, why):
+    """Only columns have these faults: ragged columns, a missing or unknown
+    column, a column that is not a list, and transactions given as rows."""
+    obj = txs_to_json([regular_tx(A, B, 1, n) for n in range(2)])
+    assert len(txs_from_json(obj)) == 2
+    with pytest.raises(ValueError, match=re.escape(why)):
+        txs_from_json(edit(obj))
 
 
 def test_block_from_json_refuses_coerced_numbers():
@@ -1194,10 +1246,10 @@ def test_block_from_json_shares_one_object_per_account():
 
 
 def test_json_decoding_rejects_unknown_kinds():
-    tx = tx_to_json(regular_tx(A, B))
+    tx = txs_to_json([regular_tx(A, B)])
     for kind in ("relay", None, ["regular"]):
-        with pytest.raises(ValueError):
-            txs_from_json([{**tx, "kind": kind}])
+        with pytest.raises(ValueError, match="unknown kind"):
+            txs_from_json({**tx, "kind": [kind]})
     obj = block_to_json(genesis_block(0))
     with pytest.raises(ValueError):
         block_from_json({**obj, "block_kind": "checkpoint"})
@@ -1325,8 +1377,6 @@ _MUTATIONS = [
     ("origin_hash", lambda o: o and o.upper()),
     ("origin_hash", lambda o: o and o[:63]),
     ("inject_time", lambda t: float(t or 0)),
-    ("fee", lambda f: 0.0),
-    ("fee", lambda f: "0"),
     ("hash", _swap_digit),
     ("payer", lambda a: [a]),
 ] + [("origin_hash", lambda o, raw=raw: raw) for raw in _FALSY]
@@ -1343,19 +1393,20 @@ def _decoded(decode):
 @given(st.lists(_txs, min_size=1, max_size=4), st.none() | st.sampled_from(_MUTATIONS),
        st.data())
 def test_batch_decoder_matches_the_per_field_reference(txs, mutation, data):
-    """``txs_from_json`` accepts what the per-field decoder it replaced
-    accepts, with equal transactions, and refuses the rest with
-    ``ValueError``. The one difference: a falsy origin_hash, which the old
-    decoder read as null."""
-    objs = [tx_to_json(tx) for tx in txs]
+    """``txs_from_json`` accepts what a per-field decoder of one row at a
+    time accepts, with equal transactions, and refuses the rest with
+    ``ValueError``. The one difference: a falsy origin_hash, which the
+    per-field decoder reads as null."""
+    obj = txs_to_json(txs)
     falsy_origin = False
     if mutation is not None:
         field, rewrite = mutation
-        i = data.draw(st.integers(0, len(objs) - 1))
-        objs[i] = {**objs[i], field: rewrite(objs[i][field])}
-        falsy_origin = field == "origin_hash" and objs[i][field] in _FALSY
-    want = _decoded(lambda: [reference_tx_from_json(obj) for obj in objs])
-    got = _decoded(lambda: txs_from_json(objs))
+        i = data.draw(st.integers(0, len(txs) - 1))
+        obj[field][i] = rewrite(obj[field][i])
+        falsy_origin = field == "origin_hash" and obj[field][i] in _FALSY
+    rows = _rows(obj)
+    want = _decoded(lambda: [reference_tx_from_json(row) for row in rows])
+    got = _decoded(lambda: txs_from_json(obj))
     if falsy_origin:
         assert got is None
         assert want is None or want[i].origin_hash is None
@@ -1364,7 +1415,36 @@ def test_batch_decoder_matches_the_per_field_reference(txs, mutation, data):
     if mutation is None:
         assert got == txs
     if got is not None:
-        assert [txs_from_json([obj])[0] for obj in objs] == got
+        assert [txs_from_json({k: [v] for k, v in row.items()})[0] for row in rows] == got
+
+
+# Values and nonces as wide as their hashed fields (16 and 8 bytes), with
+# both ends drawn often; null origins and inject times.
+_VALUE_MAX = (1 << 128) - 1
+_NONCE_MAX = (1 << 64) - 1
+_edge_txs = st.builds(
+    Transaction,
+    payer=_addresses,
+    payee=_addresses,
+    value=st.sampled_from([0, _VALUE_MAX]) | st.integers(0, _VALUE_MAX),
+    nonce=st.sampled_from([0, _NONCE_MAX]) | st.integers(0, _NONCE_MAX),
+    kind=st.sampled_from(TxKind),
+    origin_hash=st.none() | _digests,
+    inject_time=st.none() | st.just(0) | st.integers(0, 1 << 62),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_edge_txs, max_size=6), st.none() | st.integers(0, 1 << 40))
+def test_txs_json_round_trips_through_json_text(txs, confirm_time):
+    """A list, empty or not, comes back equal from its columns' JSON text,
+    and a block of it writes the line ``block_to_json`` gives."""
+    assert txs_from_json(json.loads(json.dumps(txs_to_json(txs)))) == txs
+    block = Block(shard_id=2, height=7, parent_hash=ZERO_DIGEST, state_root=ZERO_DIGEST,
+                  proposer="2.1", block_kind=BlockKind.TX, txs=txs, timestamp=9)
+    line = block_line(block, confirm_time)
+    assert line == json.dumps(block_to_json(block, confirm_time))
+    assert block_from_json(json.loads(line)).txs == txs
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
 
@@ -344,12 +345,26 @@ def test_an_interrupted_rebuild_kills_and_reaps_its_children(three_shard_run, mo
     _assert_no_child_left(capfd)
 
 
-def _record_pins(monkeypatch, path):
+def _record_pins(monkeypatch, path, children=0):
     """Record each ``os.sched_setaffinity`` call, of this process and of its
     forked children, as a line of ``path``; no call changes a mask. Returns
     a reader giving this process's masks in call order, and each child's
-    masks, sorted by child."""
+    masks, sorted by child. This process's first call, made once every
+    child is forked, waits (up to 10 s) until ``children`` children have
+    recorded theirs: a rebuild that ends on its first line would otherwise
+    kill a child before the child pins, and which one it reaches first
+    would depend on the scheduler."""
+    parent = os.getpid()
+
+    def pinned_children():
+        lines = path.read_text().splitlines() if path.exists() else []
+        return {line.split(" ")[0] for line in lines} - {str(parent)}
+
     def record(pid, cpus):
+        if os.getpid() == parent and children:
+            deadline = time.monotonic() + 10
+            while len(pinned_children()) < children and time.monotonic() < deadline:
+                time.sleep(0.005)
         line = f"{os.getpid()} {pid} {','.join(map(str, sorted(cpus)))}\n"
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         try:
@@ -433,7 +448,7 @@ def test_the_parent_restores_its_mask_however_the_rebuild_ends(three_shard_run, 
     capfd.readouterr()
     with monkeypatch.context() as m:
         forks = _on_cpus(m, 3)
-        pins = _record_pins(m, tmp_path / "pins")
+        pins = _record_pins(m, tmp_path / "pins", children=2)
         with ending(m, run_dir):
             report_from_blocks(str(run_dir))
     here, children = pins()
@@ -588,8 +603,7 @@ def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp
     shutil.copytree(out, run_dir)
     path = run_dir / "blocks_shard0.jsonl"
     objs = [json.loads(line) for line in path.read_text().splitlines()]
-    last = max(i for i, obj in enumerate(objs)
-               if any(tx["kind"] == "regular" for tx in obj["txs"]))
+    last = max(i for i, obj in enumerate(objs) if "regular" in obj["txs"]["kind"])
     objs[last]["commit_time"] = None
     path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
 
@@ -611,7 +625,8 @@ def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp
     assert len(rows) == len(first_commit)
     times = [first_commit[row[0]] for row in rows]
     assert times == sorted(times)
-    nulled = {tx["hash"] for tx in objs[last]["txs"] if tx["kind"] == "regular"}
+    txs = objs[last]["txs"]
+    nulled = {h for h, kind in zip(txs["hash"], txs["kind"]) if kind == "regular"}
     assert {int(row[3]) for row in rows if row[0] in nulled} == {objs[last]["timestamp"]}
 
 
@@ -650,7 +665,7 @@ def _swap_two_lines(lines):
 def _second_line_for_one_height(lines):
     """A different block at the height of a block with transactions, committed
     later, written ahead of the first: only the earlier one may settle."""
-    i = next(i for i, line in enumerate(lines) if len(json.loads(line)["txs"]) > 1)
+    i = next(i for i, line in enumerate(lines) if len(json.loads(line)["txs"]["hash"]) > 1)
     obj = json.loads(lines[i])
     first = block_from_json(obj)
     other = dataclasses.replace(first, txs=first.txs[1:], hash=b"")

@@ -33,7 +33,7 @@ from shardemu.core import (
     genesis_block,
     home_shards,
     make_transaction,
-    tx_to_json,
+    txs_to_json,
     BlockKind,
     RejectReason,
     Transaction,
@@ -944,7 +944,7 @@ def test_a_taken_relay_frame_encodes_as_before():
     body.taken = (RelaySeen(), 0b101)
     payload = json.dumps({"type": "relay_ctx", "sender": "0.1",
                           "body": {"source_shard": 0,
-                                   "txs": [tx_to_json(tx) for tx in _BOUND_FOR_1]}},
+                                   "txs": txs_to_json(_BOUND_FOR_1)}},
                          separators=(",", ":")).encode("utf-8")
     assert encode_frame(env) == fresh == len(payload).to_bytes(4, "big") + payload
     decoded = decode_frame(fresh)

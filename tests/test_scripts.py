@@ -68,12 +68,19 @@ def test_same_bytes_smoke(tmp_path):
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(line["config"], line["exit"]) for line in lines] == [
         ("relay_50_s4", 0), ("clpa2_5_s0", 3), ("relay_50_s4", 0)]
-    assert all(len(line["sha256"]) == 64 for line in lines)
-    assert lines[0]["sha256"] == lines[2]["sha256"] != lines[1]["sha256"]
-    assert all(len(line["recomputed"]) == 64 for line in lines)
-    assert lines[0]["recomputed"] == lines[2]["recomputed"] != lines[1]["recomputed"]
+    for key in ("sha256", "reports", "chain", "recomputed"):
+        assert all(len(line[key]) == 64 for line in lines), key
+        assert lines[0][key] == lines[2][key] != lines[1][key], key
     assert (tmp_path / "clpa2_5_s0" / "recomputed" / "tcl.csv").exists()
     assert (tmp_path / "clpa2_5_s0" / "blocks_shard1.jsonl").exists()
+    # Re-encoding every block line moves sha256 alone.
+    same_bytes, run_dir = _load_script("same_bytes"), tmp_path / "relay_50_s4"
+    for path in run_dir.glob("blocks_shard*.jsonl"):
+        objs = map(json.loads, path.read_text().splitlines())
+        path.write_text("".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs))
+    assert same_bytes.digest_outputs(run_dir) != lines[2]["sha256"]
+    assert same_bytes.digest_outputs(run_dir, blocks=False) == lines[2]["reports"]
+    assert same_bytes.digest_chain(run_dir) == lines[2]["chain"]
 
 
 def _load_script(name):

@@ -154,7 +154,7 @@ def test_codec_preprepare_block():
 
 @pytest.mark.parametrize("tamper", [
     lambda blk: blk.update(timestamp=blk["timestamp"] + 1),
-    lambda blk: blk["txs"].pop(),
+    lambda blk: [column.pop() for column in blk["txs"].values()],
 ], ids=["timestamp", "dropped_tx"])
 def test_codec_block_info_rejects_a_block_off_its_hash(tamper):
     frame = encode_frame(Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)))
@@ -170,7 +170,7 @@ def test_codec_block_info_rejects_a_non_integer_inject_time(inject_time):
     # inject_time is outside the transaction hash, so only its type guards it.
     frame = encode_frame(Envelope("block_info", "0.1", BlockInfo(_relay_block(), 750, 3, 2)))
     obj = json.loads(frame[4:])
-    obj["body"]["block"]["txs"][0]["inject_time"] = inject_time
+    obj["body"]["block"]["txs"]["inject_time"][0] = inject_time
     payload = json.dumps(obj).encode("utf-8")
     with pytest.raises(BadJson):
         decode_frame(len(payload).to_bytes(4, "big") + payload)
@@ -240,6 +240,14 @@ def test_plain_fields_decode_only_as_annotated():
             decode({**good, field: raw})
 
 
+def _first_entry(field, raw):
+    """An edit setting the first entry of the ``field`` column to ``raw``; a
+    column the layout lacks (``fee``) is added, holding ``raw`` alone."""
+    def edit(body):
+        body["txs"].setdefault(field, [None])[0] = raw
+    return edit
+
+
 @pytest.mark.parametrize("field, raw", [
     ("value", "1_0"), ("value", " 10"), ("nonce", 3.9), ("nonce", "3"), ("fee", True),
 ])
@@ -248,7 +256,7 @@ def test_codec_refuses_coerced_transaction_numbers(field, raw):
     frame = encode_frame(Envelope("inject_txs", "supervisor", InjectTxs(txs=[tx])))
     assert decode_frame(frame).body.txs == [tx]
     with pytest.raises(BadJson):
-        decode_frame(_reframe(frame, lambda body: body["txs"][0].update({field: raw})))
+        decode_frame(_reframe(frame, _first_entry(field, raw)))
 
 
 def test_codec_large_frame():
