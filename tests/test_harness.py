@@ -349,11 +349,11 @@ def _record_pins(monkeypatch, path, children=0):
     """Record each ``os.sched_setaffinity`` call, of this process and of its
     forked children, as a line of ``path``; no call changes a mask. Returns
     a reader giving this process's masks in call order, and each child's
-    masks, sorted by child. This process's first call, made once every
-    child is forked, waits (up to 10 s) until ``children`` children have
-    recorded theirs: a rebuild that ends on its first line would otherwise
-    kill a child before the child pins, and which one it reaches first
-    would depend on the scheduler."""
+    masks, sorted by child. Each call of this process, the first made once
+    every child is forked, waits (up to 10 s) until ``children`` children
+    have recorded theirs: a rebuild that ends on its first line would
+    otherwise kill a child before the child pins, and which one it reaches
+    first would depend on the scheduler."""
     parent = os.getpid()
 
     def pinned_children():
