@@ -30,8 +30,11 @@ better except where ``BENCHMARK.json`` or the desk row says higher), each
 side's interquartile range, and whether the medians lie apart in the
 head's favour by more than the base's interquartile range. It also says
 whether each workload's output fingerprints and the ``same_bytes.py``
-lines match between the trees. ``--json`` writes the raw values per pair
-with the summary.
+lines match between the trees; where either differs, it lists for each
+config which keys of its ``same_bytes.py`` line differ
+(``same_bytes_keys``), so a block-layout change, which moves ``sha256``
+alone, shows apart from a changed result. ``--json`` writes the raw
+values per pair with the summary.
 
 Usage:
 
@@ -204,6 +207,38 @@ def same_bytes_match(base: list[str], head: list[str]) -> bool:
     return True
 
 
+def same_bytes_keys(base: list[str], head: list[str]) -> list[str]:
+    """Per config, which keys of two trees' ``same_bytes.py`` lines differ,
+    compared on the keys both print, as ``relay_50_s4: sha256 only; exit,
+    reports, chain, recomputed match``: a block-layout change moves
+    ``sha256`` alone, a changed result the other digests too. Lines that
+    are not JSON objects are compared as text."""
+    out = []
+    for b, h in zip(base, head):
+        try:
+            b_obj, h_obj = json.loads(b), json.loads(h)
+        except json.JSONDecodeError:
+            b_obj = h_obj = None
+        if not (isinstance(b_obj, dict) and isinstance(h_obj, dict)):
+            out.append(f"{h}: {'same' if b == h else 'differs from ' + b}")
+            continue
+        name = b_obj.get("config")
+        if h_obj.get("config") != name:
+            name = f"{name} / {h_obj.get('config')}"
+        shared = [k for k in b_obj if k in h_obj and k != "config"]
+        differ = [k for k in shared if b_obj[k] != h_obj[k]]
+        same = ", ".join(k for k in shared if k not in differ)
+        if not differ:
+            out.append(f"{name}: {same} match")
+        elif same:
+            out.append(f"{name}: {', '.join(differ)} only; {same} match")
+        else:
+            out.append(f"{name}: {', '.join(differ)} differ")
+    if len(base) != len(head):
+        out.append(f"{len(base)} lines base, {len(head)} head")
+    return out
+
+
 def chosen_workloads(spec: dict, names: Optional[list[str]]) -> list[str]:
     """The workloads to run: every one ``spec`` (a ``BENCHMARK.json``)
     lists, in its order, or ``names`` in the order given, each once."""
@@ -348,6 +383,10 @@ def main(argv=None) -> int:
               f"(base {fingerprints[w]['base']}, head {fingerprints[w]['head']})")
     print(f"same_bytes.py: {'match' if same_match else 'DIFFER'} "
           f"({len(same['base'])} lines base, {len(same['head'])} head)")
+    keys = same_bytes_keys(same["base"], same["head"])
+    if not (same_match and all(prints_match.values())):
+        for line in keys:
+            print(f"  {line}")
     for f in failures:
         print(f"FAILED: {f}")
     if args.json:
@@ -356,7 +395,8 @@ def main(argv=None) -> int:
             "seconds": args.seconds, "workloads": workloads, "desk_shards": args.desk_shards,
             "pairs": pairs,
             "summary": summary, "fingerprints": fingerprints, "same_bytes": same,
-            "same_bytes_match": same_match, "failures": failures,
+            "same_bytes_match": same_match, "same_bytes_keys": keys,
+            "failures": failures,
         }, indent=1) + "\n")
     return 0 if not failures and all(prints_match.values()) and same_match else 1
 

@@ -13,21 +13,9 @@ import sys
 from typing import Optional
 
 from .config import ConfigError, load_config
-from .dataset import BadRow, gen_dataset, parse_skew
+from .dataset import BadRow, DatasetReader, gen_dataset, parse_skew
 from .harness import BadBlockFile, BadSummary, report_from_blocks, run
 from .oracle import AnalyticInput, expected_metrics
-
-
-def _count_rows(path: str, limit: Optional[int]) -> int:
-    n = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            if line.strip():
-                n += 1
-                if limit is not None and n >= limit:
-                    break
-    return n
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -45,7 +33,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.dataset_path is None:
         raise ConfigError("oracle needs dataset_path to size the workload")
-    n_txs = _count_rows(cfg.dataset_path, cfg.dataset_limit)
+    n_txs = len(DatasetReader(cfg.dataset_path, cfg.dataset_limit).read())
     if n_txs == 0:
         raise ConfigError("dataset is empty")
     exp = expected_metrics(

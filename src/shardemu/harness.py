@@ -13,10 +13,12 @@ running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
 per node.
 
 ``report_from_blocks`` rebuilds a run's reports from its block files. It
-decodes them in parallel, in forked children each pinned to its own CPU,
-when the host gives the process more than one CPU and the run has more
-than one shard, and stays in one process otherwise, or where it cannot
-fork or other threads run (``_block_columns``).
+decodes them in parallel, whole files in groups of about equal bytes, one
+group per process, each pinned to its own CPU, when the host gives the
+process more than one CPU and the run has more than one shard, and stays
+in one process otherwise, or where it cannot fork or other threads run
+(``_block_columns``). Any error of the parallel pass has the decode redone
+in one process, so a damaged file raises what it raises there.
 
 ``Emulation.setup``, ``Emulation.execute`` and ``report_from_blocks`` run
 with the cyclic garbage collector paused (``_gc_paused``); the rebuild's
@@ -250,25 +252,16 @@ def _config_echo(run_dir: str) -> dict:
     return echo
 
 
-# A byte range of a block file: (path, first byte, end byte or None for the
-# end of the file). Ranges start at the start of a line.
-Piece = tuple[str, int, Optional[int]]
-
-
-def _decode_files(pieces: list[Piece], addresses: AddressTable, originals: dict[bytes, bytes],
-                  times: dict[int, int]) -> list[tuple]:
-    """Decode and check every line of the given byte ranges of block files,
-    in order, into ``_block_columns``' columns, interning through the given
-    tables. An error names its line's number within the whole file."""
-    columns: list[tuple] = []
-    for path, start, end in pieces:
+def _decode_files(paths: list[str]) -> list[list[tuple]]:
+    """Decode and check every line of the given block files into
+    ``_block_columns``' columns, one list per file in line order, parsing
+    address literals through one table. An error names its file and line."""
+    addresses = AddressTable()
+    files = []
+    for path in paths:
+        columns: list[tuple] = []
         with open(path, "rb") as fh:
-            fh.seek(start)
-            at = start
-            for i, line in enumerate(fh):
-                if end is not None and at >= end:
-                    break
-                at += len(line)
+            for line_no, line in enumerate(fh, 1):
                 try:
                     obj = json.loads(line.decode("utf-8"))
                     commit_time = obj["commit_time"]
@@ -277,22 +270,19 @@ def _decode_files(pieces: list[Piece], addresses: AddressTable, originals: dict[
                                          f"not {commit_time!r}")
                     block = block_from_json(obj, addresses)
                 except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                    if start:
-                        fh.seek(0)
-                        i += fh.read(start).count(b"\n")
-                    raise BadBlockFile(path, i + 1, exc) from None
+                    raise BadBlockFile(path, line_no, exc) from None
                 txs = block.txs
-                injects = [tx.inject_time or 0 for tx in txs]
                 columns.append((
                     block.timestamp if commit_time is None else commit_time,
                     block.shard_id, block.height, block.block_kind,
                     tuple([tx.kind for tx in txs]),
-                    tuple([originals.setdefault(key, key) for key in original_hashes(txs)]),
+                    tuple(original_hashes(txs)),
                     tuple([tx.payer for tx in txs]),
                     tuple([tx.payee for tx in txs]),
-                    tuple([times.setdefault(t, t) for t in injects]),
+                    tuple([tx.inject_time or 0 for tx in txs]),
                 ))
-    return columns
+        files.append(columns)
+    return files
 
 
 def _decoders(n_shards: int) -> int:
@@ -306,41 +296,26 @@ def _decoders(n_shards: int) -> int:
     return min(n_shards, len(os.sched_getaffinity(0)))
 
 
-def _slices(paths: list[str], parts: int) -> list[list[Piece]]:
-    """The files ``paths``, in order, cut into at most ``parts`` contiguous
-    runs of about equal bytes, each given as the byte ranges it covers. A
-    cut falls at the first line start at or after its share, so it may fall
-    inside a file, and cuts that fall together merge. A file that cannot be
-    sized counts as empty and lies whole in one run: its decoder raises
-    what it raises."""
+def _groups(paths: list[str], n: int) -> list[list[str]]:
+    """The files ``paths`` placed whole into ``n`` (at most ``len(paths)``)
+    groups: each file, largest first, into the group holding the fewest
+    bytes, of those the one holding the fewest files, so no group is empty.
+    The groups come lightest first, each one's files in the order of
+    ``paths``. A file that cannot be sized counts as 0 bytes: its decoder
+    raises what it raises."""
     sizes = []
     for path in paths:
         try:
             sizes.append(os.path.getsize(path))
         except OSError:
             sizes.append(0)
-    total = sum(sizes)
-    # Each cut as (file index, offset), (len(paths), 0) being the end.
-    cuts = [(0, 0)]
-    for j in range(1, parts):
-        f, at = 0, total * j // parts
-        while f < len(paths) and at >= sizes[f]:
-            at -= sizes[f]
-            f += 1
-        if f < len(paths) and at:
-            at = _line_start(paths[f], at)
-            if at >= sizes[f]:
-                f, at = f + 1, 0
-        if (f, at) > cuts[-1]:
-            cuts.append((f, at))
-    if cuts[-1] != (len(paths), 0):
-        cuts.append((len(paths), 0))
-    runs = []
-    for (fa, a), (fb, b) in zip(cuts, cuts[1:]):
-        last = fb if b else fb - 1
-        runs.append([(paths[f], a if f == fa else 0, b if f == fb else None)
-                     for f in range(fa, last + 1)])
-    return runs
+    groups: list[list] = [[0, []] for _ in range(n)]  # [bytes, file indices]
+    for k in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
+        group = min(groups, key=lambda g: (g[0], len(g[1])))
+        group[0] += sizes[k]
+        group[1].append(k)
+    groups.sort(key=lambda g: g[0])
+    return [[paths[k] for k in sorted(files)] for _, files in groups]
 
 
 def _pin(cpus: set[int]) -> None:
@@ -353,34 +328,15 @@ def _pin(cpus: set[int]) -> None:
         pass
 
 
-def _line_start(path: str, at: int) -> int:
-    """The first offset at or after ``at`` (> 0) where a line of the file
-    starts, or its size; 0 if the file cannot be read, so that it lies
-    whole in the next run."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(at - 1)
-            fh.readline()
-            return fh.tell()
-    except OSError:
-        return 0
-
-
 class _Decoder:
-    """A forked child decoding ``pieces`` into columns, which it sends back
-    pickled through the pipe ``fd``. ``pid`` and ``fd`` are None once the
-    child is reaped and the pipe closed, or when the fork failed."""
+    """A forked child, pinned to its own CPU (``_pin``), decoding whole block
+    files into columns, which it sends back pickled through the pipe
+    ``fd``. ``pid`` and ``fd`` are None once the child is reaped and the
+    pipe closed. A refused fork raises its ``OSError``."""
 
-    __slots__ = ("pieces", "pid", "fd")
+    __slots__ = ("pid", "fd")
 
-    def __init__(self, pieces: list[Piece], pid: Optional[int] = None,
-                 fd: Optional[int] = None) -> None:
-        self.pieces, self.pid, self.fd = pieces, pid, fd
-
-    @classmethod
-    def start(cls, pieces: list[Piece], cpu: int) -> "_Decoder":
-        """Fork a child that pins itself to ``cpu`` (``_pin``) and decodes
-        ``pieces``."""
+    def __init__(self, paths: list[str], cpu: int) -> None:
         # ``pickle`` and ``signal`` load on a parallel rebuild's first use,
         # so a run, and a rebuild in one process, pay neither their import
         # time nor their memory.
@@ -392,7 +348,7 @@ class _Decoder:
         except OSError:
             os.close(r)
             os.close(w)
-            return cls(pieces)
+            raise
         if pid == 0:
             # The child never returns, raises, prints or runs exit handlers:
             # its exit code and the bytes in the pipe are all it leaves.
@@ -400,35 +356,30 @@ class _Decoder:
             try:
                 os.close(r)
                 _pin({cpu})
-                data = pickle.dumps(_decode_files(pieces, AddressTable(), {}, {}),
-                                    pickle.HIGHEST_PROTOCOL)
+                data = pickle.dumps(_decode_files(paths), pickle.HIGHEST_PROTOCOL)
                 with open(w, "wb") as fh:
                     fh.write(data)
                 code = 0
             finally:
                 os._exit(code)
         os.close(w)
-        return cls(pieces, pid, r)
+        self.pid, self.fd = pid, r
 
-    def result(self) -> Optional[list[tuple]]:
-        """The child's columns, or None if it failed: it was never forked,
-        exited non-zero or sent a pickle that does not load."""
+    def result(self) -> list[list[tuple]]:
+        """The child's columns; raises if it sent a pickle that does not
+        load or exited non-zero."""
         import pickle
 
-        if self.pid is None:
-            return None
-        fh = open(self.fd, "rb")
-        self.fd = None
-        with fh:
-            try:
-                # Loaded from the pipe as it arrives; the pickle's bytes are
-                # never held whole.
-                got = pickle.load(fh)
-            except Exception:
-                got = None
+        with open(self.fd, "rb") as fh:
+            self.fd = None
+            # Loaded from the pipe as it arrives; the pickle's bytes are
+            # never held whole.
+            got = pickle.load(fh)
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        return None if status else got
+        if status:
+            raise ChildProcessError(f"a block-file decoder ended with status {status}")
+        return got
 
     def stop(self) -> None:
         """Close the pipe, then kill and reap the child."""
@@ -451,67 +402,44 @@ def _block_columns(run_dir: str, n_shards: int) -> list[tuple]:
     commit_time, or the block's own timestamp where the line gives none.
     The columns come in shard order, each file's in line order.
 
-    The files are cut into ``_decoders`` contiguous slices of about equal
-    bytes, at line starts, inside a file where the share ends there
-    (``_slices``). Forked children decode every slice but the first, which
-    this process decodes meanwhile; each child's columns are appended in
-    shard and line order. Each decoder runs on its own usable CPU: the i-th
-    child pins itself to the i-th, this process to the first for its own
-    slice, after which it restores the mask it had, also when the slice
-    raises. Left to the scheduler, a child often starts on its parent's CPU
-    and the slices run one after the other. With one decoder (one usable
-    CPU, a single shard, no ``fork``, or other threads running) this
-    process decodes every file itself and pins nothing.
-    A slice whose child fails is decoded here, so every error is raised by
-    this process, in shard order, as a one-process pass raises it; on any
-    error, and on an interrupt, the remaining children are killed and reaped
-    before it propagates.
-
-    One table for the whole pass hands out one bytes object per account,
-    and one object per original's hash and per injection time: a child's
-    columns are re-interned through this process's tables. Each decoded
-    block is let go once its columns are taken."""
-    addresses = AddressTable()
-    originals: dict[bytes, bytes] = {}
-    times: dict[int, int] = {}
+    The files are placed whole into ``_decoders`` groups (``_groups``).
+    Forked children decode every group but the first, the lightest, which
+    this process decodes meanwhile, since it also unpickles the children's
+    columns afterwards. The i-th child pins itself to the i-th usable CPU,
+    this process to the first for its own group, after which it restores
+    the mask it had: left to the scheduler, a child often starts on its
+    parent's CPU and the groups run one after the other. With one decoder
+    (one usable CPU, a single shard, no ``fork``, or other threads running)
+    this process decodes every file itself and pins nothing.
+    Any error of the parallel pass, in a child or here, kills and reaps the
+    children, and the whole decode is redone in this process, which raises
+    what a one-process pass raises; an interrupt kills and reaps them too,
+    then propagates. Each decoded block is let go once its columns are
+    taken."""
     paths = [os.path.join(run_dir, f"blocks_shard{k}.jsonl") for k in range(n_shards)]
-    intern_key, intern_account, intern_time = (
-        originals.setdefault, addresses.setdefault, times.setdefault)
-    first, *rest = _slices(paths, _decoders(n_shards))
-    decoders: list[_Decoder] = []
-    try:
-        if rest:
-            mask = os.sched_getaffinity(0)
-            cpus = sorted(mask)
-            for i, part in enumerate(rest, 1):
-                decoders.append(_Decoder.start(part, cpus[i]))
+    own, *rest = _groups(paths, _decoders(n_shards))
+    if rest:
+        decoders: list[_Decoder] = []
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        try:
+            for group, cpu in zip(rest, cpus[1:]):
+                decoders.append(_Decoder(group, cpu))
             _pin({cpus[0]})
             try:
-                columns = _decode_files(first, addresses, originals, times)
+                files = _decode_files(own)
             finally:
                 _pin(mask)
-        else:
-            columns = _decode_files(first, addresses, originals, times)
-        for decoder in decoders:
-            got = decoder.result()
-            if got is None:
-                columns += _decode_files(decoder.pieces, addresses, originals, times)
-                continue
-            # In place, so each block's copies from the child are freed as
-            # its interned columns replace them.
-            for i, (at, shard, height, block_kind, kinds, keys, payers, payees,
-                    injects) in enumerate(got):
-                got[i] = (at, shard, height, block_kind, kinds,
-                          tuple(map(intern_key, keys, keys)),
-                          tuple(map(intern_account, payers, payers)),
-                          tuple(map(intern_account, payees, payees)),
-                          tuple(map(intern_time, injects, injects)))
-            columns += got
-    except BaseException:
-        for decoder in decoders:
-            decoder.stop()
-        raise
-    return columns
+            for decoder in decoders:
+                files += decoder.result()
+            by_path = dict(zip([path for group in (own, *rest) for path in group], files))
+            return [cols for path in paths for cols in by_path[path]]
+        except Exception:
+            pass
+        finally:
+            for decoder in decoders:
+                decoder.stop()
+    return [cols for columns in _decode_files(paths) for cols in columns]
 
 
 @_gc_paused()

@@ -251,6 +251,23 @@ def test_config_problems_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_ROW = "0x" + "11" * 20 + ",0x" + "22" * 20 + ",5\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("payer,payee,amount\n" + _ROW, "dataset line 1: expected header"),
+    ("from,to,value\n" + _ROW + "not,a row\n" + _ROW, "dataset line 3: expected 3 columns"),
+], ids=["bad_header", "bad_row"])
+def test_oracle_refuses_a_dataset_a_run_would_refuse(tmp_path, capsys, text, named):
+    """``oracle`` sizes the workload with the dataset parser a run reads
+    with: a bad header or a bad row exits 2 and names its line."""
+    data = tmp_path / "transfers.csv"
+    data.write_text(text)
+    cfg_path = write_cfg(tmp_path / "c.json", dataset_path=str(data))
+    assert main(["oracle", "--config", cfg_path]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_module_is_executable():
     # Run from the directory that holds the package, so the child finds it
     # whether or not it is installed.

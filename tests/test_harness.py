@@ -428,8 +428,7 @@ def _a_child_fails(monkeypatch, run_dir):
 
 
 def _bad_first_line_of(shard):
-    """Corrupt the first line of ``shard``'s block file, which lies in this
-    process's slice for shard 0 and in a child's for shard 2."""
+    """Corrupt the first line of ``shard``'s block file."""
     def damage(monkeypatch, run_dir):
         _corrupt_lines((shard, 0))(run_dir)
         return pytest.raises(harness.BadBlockFile)
@@ -515,84 +514,73 @@ def test_one_decoder_per_usable_cpu_and_shard_unless_it_cannot_fork(monkeypatch)
             assert harness._decoders(8) == 1, f"no os.{name}"
 
 
-def test_slices_are_contiguous_and_balanced_by_file_size(tmp_path):
-    """Runs of about equal bytes, each cut at the first line start at or
-    after its share, inside a file where the share ends there; cuts that
-    fall together merge, and a file that cannot be sized lies whole in one
-    run."""
-    def sliced(files, parts):
-        # Each file as its line lengths, newline included; None: missing.
-        paths = []
+def test_groups_place_each_file_whole_lightest_group_first(tmp_path):
+    """Each file lies whole in one group, largest first into the group
+    holding the fewest bytes; the groups come lightest first, each in file
+    order, and a file that cannot be sized counts as 0 bytes."""
+    def grouped(sizes, n):
+        # Each file as its size in bytes; None: missing.
         where = tmp_path / str(len(list(tmp_path.iterdir())))
         where.mkdir()
-        for k, lines in enumerate(files):
+        paths = []
+        for k, size in enumerate(sizes):
             path = where / f"f{k}"
-            if lines is not None:
-                path.write_bytes(b"".join(b"x" * (n - 1) + b"\n" for n in lines))
+            if size is not None:
+                path.write_bytes(b"x" * size)
             paths.append(str(path))
-        return [[(paths.index(p), a, b) for p, a, b in run]
-                for run in harness._slices(paths, parts)]
+        groups = harness._groups(paths, n)
+        assert sorted(p for group in groups for p in group) == sorted(paths), "each file once"
+        return [[paths.index(p) for p in group] for group in groups]
 
-    assert sliced([[2] * 10], 2) == [[(0, 0, 10)], [(0, 10, None)]]
-    assert sliced([[3] * 4], 3) == [[(0, 0, 6)], [(0, 6, 9)], [(0, 9, None)]], "cut at a line start"
-    assert sliced([[3], [3], [4], [5]], 2) == [[(0, 0, None), (1, 0, None), (2, 0, None)],
-                                              [(3, 0, None)]], "one-line files stay whole"
-    assert sliced([[10], [1] * 10], 3) == [[(0, 0, None)], [(1, 0, 3)], [(1, 3, None)]]
-    assert sliced([[4, 4], [4, 4]], 2) == [[(0, 0, None)], [(1, 0, None)]]
-    assert sliced([[2] * 5, [2] * 5, [2] * 5], 2) == [[(0, 0, None), (1, 0, 6)],
-                                                      [(1, 6, None), (2, 0, None)]]
-    assert sliced([[20], [1]], 3) == [[(0, 0, None)], [(1, 0, None)]], "cuts merge"
-    assert sliced([[5], [5], None], 2) == [[(0, 0, None)], [(1, 0, None), (2, 0, None)]], \
-        "a missing file counts as empty"
-    assert sliced([[2, 2], [2]], 1) == [[(0, 0, None), (1, 0, None)]]
+    # Broker's skew, 2.0 / 2.0 / 2.35 / 3.4 MB: 4.35 | 5.4, where cuts
+    # between whole files in shard order could do no better than 4.0 | 5.75.
+    assert grouped([200, 200, 235, 340], 2) == [[0, 2], [1, 3]]
+    assert grouped([200, 200, 235, 340], 4) == [[0], [1], [2], [3]]
+    assert grouped([30, 10, 15], 2) == [[1, 2], [0]], "lightest group first, in file order"
+    assert grouped([5, 5, 5], 1) == [[0, 1, 2]]
+    assert grouped([8, None, 4], 2) == [[1, 2], [0]], "a missing file counts as 0 bytes"
+    assert grouped([None, None, 4], 3) == [[0], [1], [2]], "no group is left empty"
 
 
-def _cut_inside_a_file(run_dir, decoders):
-    """The (shard, line index) on each side of the first cut that falls
-    inside a block file when ``decoders`` decode the run."""
-    paths = [str(run_dir / f"blocks_shard{k}.jsonl") for k in range(3)]
-    for run in harness._slices(paths, decoders)[1:]:
-        path, start, _ = run[0]
-        if start:
-            shard = paths.index(path)
-            with open(path, "rb") as fh:
-                before = fh.read(start).count(b"\n")
-            return (shard, before - 1), (shard, before)
-    raise AssertionError("no cut falls inside a file")
-
-
-def test_a_file_split_between_two_decoders_rebuilds_the_same(three_shard_run, monkeypatch,
-                                                             capfd):
+def test_block_columns_are_the_same_at_every_cpu_count(three_shard_run, monkeypatch, capfd):
+    """Decoded in one process, or in groups over two or three, the columns
+    are one list: shard order, each file in line order."""
     _, out = three_shard_run
-    _cut_inside_a_file(out, 2)
+    paths = [str(out / f"blocks_shard{k}.jsonl") for k in range(3)]
+    serial = [cols for columns in harness._decode_files(paths) for cols in columns]
+    assert [cols[1] for cols in serial] == sorted(cols[1] for cols in serial)
     capfd.readouterr()
-    serial = _rebuild_on(out, monkeypatch, 1)
-    parallel = _rebuild_on(out, monkeypatch, 2)
-    assert parallel[2] == 1 and parallel[:2] == serial[:2]
-    _assert_no_child_left(capfd)
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as m:
+            forks = _on_cpus(m, cpus)
+            assert harness._block_columns(str(out), 3) == serial, f"{cpus} CPUs"
+        assert len(forks) == cpus - 1
+        _assert_no_child_left(capfd)
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["line_before_the_cut", "line_after_the_cut"])
-def test_a_corrupt_line_beside_a_cut_raises_as_one_process_does(three_shard_run, tmp_path,
-                                                                monkeypatch, capfd, side):
-    """The line just before a cut is the parent's last, the one just after
-    it the child's first; the child's failure leaves its range to the
-    parent, which names the line by its number in the whole file."""
+def test_damage_in_two_groups_raises_the_lower_shards_error(three_shard_run, tmp_path,
+                                                            monkeypatch, capfd):
+    """One damaged file in this process's group and a lower shard's in a
+    child's: the rebuild raises the lower shard's ``BadBlockFile``, as one
+    process raises it, and leaves no child behind."""
     _, out = three_shard_run
     run_dir = tmp_path / "run"
     shutil.copytree(out, run_dir)
-    where = _cut_inside_a_file(run_dir, 2)[side]
-    _corrupt_lines(where)(run_dir)
+    paths = [str(run_dir / f"blocks_shard{k}.jsonl") for k in range(3)]
+    own, *rest = harness._groups(paths, 3)
+    high = max(paths.index(p) for p in own)
+    low = min(paths.index(p) for group in rest for p in group)
+    assert low < high, "the lower shard's file lies in a child's group"
+    _corrupt_lines((high, 1), (low, 2))(run_dir)
     capfd.readouterr()
     raised = []
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         with pytest.raises(harness.BadBlockFile) as info:
             _rebuild_on(run_dir, monkeypatch, cpus)
         raised.append(str(info.value))
         _assert_no_child_left(capfd)
-    shard, index = where
-    assert f"blocks_shard{shard}.jsonl line {index + 1}: " in raised[0]
-    assert raised[1] == raised[0]
+    assert f"blocks_shard{low}.jsonl line 3: " in raised[0]
+    assert raised == [raised[0]] * 3
 
 
 def test_rebuild_banks_a_line_without_commit_time_at_its_timestamp(tiny_run, tmp_path):
@@ -725,25 +713,6 @@ def test_rebuild_keeps_no_decoded_transactions_while_writing(tiny_run, monkeypat
     assert result.summary["counters"]["W"] > 2 * result.summary["config"]["block_size"]
     assert len(during) == 1
     assert during[0] - before <= result.summary["config"]["block_size"]
-
-
-def test_report_hands_out_one_object_per_account(tiny_run, monkeypatch):
-    """The columns the rebuild decodes, here in two processes, hold one
-    object per account, per original's hash and per injection time: a
-    child's columns are re-interned through the parent's tables."""
-    _, out = tiny_run
-    forks = _on_cpus(monkeypatch, 2)
-    columns = harness._block_columns(str(out), 2)
-    assert len(forks) == 1
-    objects: dict[object, set[int]] = {}
-    by_shard: dict[int, set] = {0: set(), 1: set()}
-    for cols in columns:
-        for column in cols[5:]:
-            for value in column:
-                objects.setdefault(value, set()).add(id(value))
-                by_shard[cols[1]].add(value)
-    assert by_shard[0] & by_shard[1], "the two slices share accounts and originals"
-    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_rerun_is_byte_identical(dataset, tmp_path):

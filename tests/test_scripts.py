@@ -210,3 +210,24 @@ def test_ab_bench_compares_same_bytes_lines_on_the_keys_both_print():
     assert not ab.same_bytes_match([old], [])
     assert ab.same_bytes_match(["same_bytes.py exited 1: x"], ["same_bytes.py exited 1: x"])
     assert not ab.same_bytes_match([old], ["same_bytes.py exited 1: x"])
+
+
+def test_ab_bench_lists_which_same_bytes_keys_differ_per_config():
+    ab = _load_script("ab_bench")
+    base = ['{"config": "a", "exit": 0, "sha256": "1", "reports": "2", "chain": "3"}',
+            '{"config": "b", "exit": 3, "sha256": "4", "reports": "5"}',
+            '{"config": "c", "exit": 0, "sha256": "6"}']
+    head = ['{"config": "a", "exit": 0, "sha256": "9", "reports": "2", "chain": "3"}',
+            '{"config": "b", "exit": 0, "sha256": "4", "reports": "8", "recomputed": "7"}',
+            '{"config": "c", "exit": 1, "sha256": "0"}']
+    assert ab.same_bytes_keys(base, head) == [
+        "a: sha256 only; exit, reports, chain match",
+        "b: exit, reports only; sha256 match",
+        "c: exit, sha256 differ",
+    ]
+    assert not ab.same_bytes_match(base, head)
+    assert ab.same_bytes_keys(base[:1], base[:1]) == ["a: exit, sha256, reports, chain match"]
+    assert ab.same_bytes_keys(base[:2], head[:1]) == [
+        "a: sha256 only; exit, reports, chain match", "2 lines base, 1 head"]
+    assert ab.same_bytes_keys(["same_bytes.py exited 1: x"], ["same_bytes.py exited 1: x"]) \
+        == ["same_bytes.py exited 1: x: same"]
