@@ -13,7 +13,7 @@ replica checks or applies would show:
   50 ms batches, the same stop rule; the last one settles through brokers
   ``top:3`` instead of relays.
 
-Each config prints one JSON line: its name, its exit code and four
+Each config prints one JSON line: its name, its exit code and five
 SHA-256 digests, each over files by file name (``summary.json`` is left
 out, since it echoes the run's paths):
 
@@ -22,12 +22,17 @@ out, since it echoes the run's paths):
 - ``chain``: each block line's ``(shard_id, height, hash, commit_time)``,
   what the run committed and when, which a change to how lines encode
   their transactions or accounts cannot move;
+- ``schedule``: each block line without its commitment fields
+  (``state_root``, ``parent_hash`` and ``hash``), keys sorted: every
+  block's content, height and times, which a change to how the state or
+  a block is hashed cannot move;
 - ``recomputed``: the CSVs ``report_from_blocks`` rebuilds from the block
   files.
 
 A change of the block-file layout alone keeps every digest but
-``sha256``. Several of these runs cannot finish and exit 3; that is part
-of what is compared.
+``sha256``; a change of the state-tree layout keeps every digest but
+``sha256`` and ``chain``. Several of these runs cannot finish and exit 3;
+that is part of what is compared.
 
 Usage:
     python scripts/same_bytes.py --out /tmp/same_bytes
@@ -110,18 +115,34 @@ def digest_outputs(run_dir: Path, blocks: bool = True) -> str:
     return h.hexdigest()
 
 
-def digest_chain(run_dir: Path) -> str:
-    """SHA-256 over each block file's name and, line by line, the line's
-    ``[shard_id, height, hash, commit_time]`` as JSON."""
+# The fields of a block line that commit to its state and its chain.
+COMMITMENT = ("state_root", "parent_hash", "hash")
+
+
+def _digest_lines(run_dir: Path, project) -> str:
+    """SHA-256 over each block file's name and, line by line, ``project``
+    of the line's object as JSON with sorted keys."""
     h = hashlib.sha256()
     for name in sorted(filter(_is_block_file, os.listdir(run_dir))):
         h.update(f"{name}\0".encode())
         with open(run_dir / name, encoding="utf-8") as fh:
             for line in fh:
-                obj = json.loads(line)
-                key = [obj["shard_id"], obj["height"], obj["hash"], obj["commit_time"]]
-                h.update(f"{json.dumps(key)}\n".encode())
+                h.update(f"{json.dumps(project(json.loads(line)), sort_keys=True)}\n".encode())
     return h.hexdigest()
+
+
+def digest_chain(run_dir: Path) -> str:
+    """``_digest_lines`` over each line's ``[shard_id, height, hash,
+    commit_time]``."""
+    return _digest_lines(run_dir, lambda obj: [obj["shard_id"], obj["height"], obj["hash"],
+                                                obj["commit_time"]])
+
+
+def digest_schedule(run_dir: Path) -> str:
+    """``_digest_lines`` over each line's object without the ``COMMITMENT``
+    fields."""
+    return _digest_lines(run_dir, lambda obj: {k: v for k, v in obj.items()
+                                               if k not in COMMITMENT})
 
 
 def main(argv=None) -> int:
@@ -148,6 +169,7 @@ def main(argv=None) -> int:
                           "sha256": digest_outputs(run_dir),
                           "reports": digest_outputs(run_dir, blocks=False),
                           "chain": digest_chain(run_dir),
+                          "schedule": digest_schedule(run_dir),
                           "recomputed": digest_outputs(run_dir / "recomputed")}), flush=True)
     return 0
 

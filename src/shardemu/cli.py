@@ -12,14 +12,26 @@ import json
 import sys
 from typing import Optional
 
-from .config import ConfigError, load_config
+from .config import ConfigError, RunConfig, load_config
 from .dataset import BadRow, DatasetReader, gen_dataset, parse_skew
 from .harness import BadBlockFile, BadSummary, report_from_blocks, run
 from .oracle import AnalyticInput, expected_metrics
 
 
+def _load(path: str) -> RunConfig:
+    """The config at ``path``, with its dataset, if it names one, checked to
+    open: a run reads it only once it starts injecting."""
+    cfg = load_config(path)
+    if cfg.dataset_path is not None:
+        try:
+            open(cfg.dataset_path, "rb").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot read dataset: {exc}") from exc
+    return cfg
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     if cfg.output_dir is None:
         raise ConfigError("run needs output_dir in the config")
     result = run(cfg)
@@ -30,7 +42,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     if cfg.dataset_path is None:
         raise ConfigError("oracle needs dataset_path to size the workload")
     n_txs = len(DatasetReader(cfg.dataset_path, cfg.dataset_limit).read())
@@ -51,8 +63,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         summary = report_from_blocks(args.run_dir)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"not a run directory: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot rebuild reports in {args.run_dir}: {exc}") from exc
     print(json.dumps(summary["counters"], indent=2, sort_keys=True))
     print(f"recomputed reports in {args.run_dir}/recomputed")
     return 0

@@ -337,7 +337,8 @@ def genesis_block(shard_id: int) -> Block:
 
 
 class StateTree:
-    """Account states of one shard with a Merkle root over sorted entries.
+    """Account states of one shard, committed to by 256 address buckets
+    under a two-level tree (``compute_state_root``).
 
     Instances are immutable snapshots once shared: transition functions
     copy, mutate the copy before anyone else sees it, and return it, so
@@ -346,22 +347,24 @@ class StateTree:
     (see ``apply_block_to_state``), so nothing may write to a tree after it
     has been returned, except ``compute_state_root``.
 
-    Rooting sets, once, the root, the addresses in sorted order (``_keys``)
-    and every level of the Merkle tree (``_levels``, leaves first, each one
-    byte string of 32-byte digests, the last holding the root). A tree that
-    ``apply_txs`` or ``apply_migration`` derived from a rooted tree carries
-    that base and the addresses it wrote (``_delta``) until it is rooted
-    itself, which rehashes only what the base does not already hold and
-    then drops both. Nothing is written to a rooted tree.
+    Rooting sets, once, the 256 buckets (``_buckets``), the 16 middle
+    digests (``_middles``) and then the root. Bucket ``i`` holds the
+    accounts whose address starts with byte ``i`` as a tuple of their
+    addresses in order, one ``bytes`` of their leaf digests joined in that
+    order, and its digest. A tree that ``apply_txs`` or ``apply_migration``
+    derived from a rooted tree carries that base and the addresses it wrote
+    (``_delta``) until it is rooted itself, which rebuilds only the buckets
+    those addresses fall in and then drops both. Nothing is written to a
+    rooted tree or to a bucket.
     """
 
-    __slots__ = ("entries", "_root", "_keys", "_levels", "_delta")
+    __slots__ = ("entries", "_root", "_buckets", "_middles", "_delta")
 
     def __init__(self, entries: Optional[dict[bytes, AccountState]] = None) -> None:
         self.entries: dict[bytes, AccountState] = entries if entries is not None else {}
         self._root: Optional[bytes] = None
-        self._keys: list[bytes] = []
-        self._levels: list = []
+        self._buckets: Sequence[tuple[tuple[bytes, ...], bytes, bytes]] = ()
+        self._middles: Sequence[bytes] = ()
         self._delta: Optional[tuple[StateTree, set[bytes]]] = None
 
     def get(self, addr: bytes) -> AccountState:
@@ -376,7 +379,7 @@ def _derived(base: StateTree, entries: dict[bytes, AccountState],
              written: set[bytes]) -> StateTree:
     """A tree of ``entries``, which differ from ``base``'s only at
     ``written``. It remembers a rooted base, so that rooting it reuses the
-    base's tree; a child of an unrooted tree is rooted from scratch."""
+    base's buckets; a child of an unrooted tree is rooted from scratch."""
     out = StateTree(entries)
     if base._root is not None:
         out._delta = (base, written)
@@ -391,85 +394,58 @@ def _leaf_hash(acct: AccountState) -> bytes:
     ).digest()
 
 
-def _merkle_levels(leaves) -> list:
-    """Every level of the tree over ``leaves``, leaves first: each node
-    hashes its two children, and a last, unpaired node is promoted
-    unchanged."""
-    levels = [leaves]
-    while len(levels[-1]) > DIGEST_SIZE:
-        below = memoryview(levels[-1])
-        end = len(below)
-        above = b"".join([_sha256(below[i:i + 2 * DIGEST_SIZE]).digest()
-                          for i in range(0, end - DIGEST_SIZE, 2 * DIGEST_SIZE)])
-        if end % (2 * DIGEST_SIZE):
-            above += below[end - DIGEST_SIZE:]
-        levels.append(above)
-    return levels
-
-
-def _splice(keys: list[bytes], leaves, added: list[bytes]) -> tuple[list[bytes], bytearray]:
-    """``keys`` with the sorted new addresses ``added`` inserted, and
-    ``leaves`` with a zero placeholder at each insertion, so that every
-    other leaf stays next to its key."""
-    out_keys: list[bytes] = []
-    out_leaves = bytearray()
-    view = memoryview(leaves)
-    prev = 0
-    for addr in added:
-        at = bisect_left(keys, addr, prev)
-        out_keys += keys[prev:at]
-        out_keys.append(addr)
-        out_leaves += view[prev * DIGEST_SIZE:at * DIGEST_SIZE]
-        out_leaves += ZERO_DIGEST
-        prev = at
-    out_keys += keys[prev:]
-    out_leaves += view[prev * DIGEST_SIZE:]
-    return out_keys, out_leaves
+# The buckets and middle digests of a tree with no accounts: an empty
+# bucket hashes ``b""``, a middle node the 16 bucket digests below it.
+_EMPTY_BUCKETS = (((), b"", digest(b"")),) * 256
+_EMPTY_MIDDLES = (digest(digest(b"") * 16),) * 16
 
 
 def compute_state_root(state: StateTree) -> bytes:
-    """Merkle root over entries sorted by address; an odd node is promoted
-    unchanged to the next level. The empty tree hashes the empty string.
+    """The root of a two-level tree over 256 address buckets. Bucket ``i``
+    holds the accounts whose address starts with byte ``i``; its digest
+    hashes their leaf digests joined in address order. Each of 16 middle
+    digests hashes 16 consecutive bucket digests, and the root hashes the
+    16 middle digests. A tree with no accounts has ``EMPTY_TREE_ROOT``.
 
-    A tree derived from a rooted base starts from the base's tree. If it
-    adds no address, it copies the base's levels and rehashes the written
-    leaves and their ancestors. If it does, the new addresses are inserted
-    into the base's keys and leaves, the written leaves are rehashed, and
-    the inner levels are rebuilt. Any other tree is hashed from scratch."""
+    One loop roots every tree. It starts from a rooted base's buckets with
+    the addresses the tree wrote, or else from empty buckets with every
+    address it holds. In each bucket a written address falls in, its leaf
+    is inserted or rewritten, or dropped if ``entries`` no longer holds it
+    (a departure). Then those buckets, their middle digests and the root
+    are hashed."""
     if state._root is not None:
         return state._root
     entries = state.entries
     delta = state._delta
     if delta is None:
-        keys = sorted(entries)
-        levels = _merkle_levels(b"".join([_leaf_hash(entries[a]) for a in keys]))
+        base_buckets, base_middles, written = _EMPTY_BUCKETS, _EMPTY_MIDDLES, entries
     else:
         base, written = delta
-        added = sorted(a for a in written if a not in base.entries)
-        if added:
-            keys, leaves = _splice(base._keys, base._levels[0], added)
-            for addr in written:
-                at = bisect_left(keys, addr) * DIGEST_SIZE
-                leaves[at:at + DIGEST_SIZE] = _leaf_hash(entries[addr])
-            levels = _merkle_levels(leaves)
-        else:
-            keys = base._keys
-            levels = [bytearray(level) for level in base._levels]
-            dirty = sorted({bisect_left(keys, addr) for addr in written})
-            leaves = levels[0]
-            for i in dirty:
-                leaves[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] = _leaf_hash(entries[keys[i]])
-            for below, above in zip(levels, levels[1:]):
-                dirty = sorted({i >> 1 for i in dirty})
-                end = len(below)
-                for i in dirty:
-                    at = 2 * i * DIGEST_SIZE
-                    pair = below[at:at + 2 * DIGEST_SIZE]
-                    above[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] = (
-                        _sha256(pair).digest() if len(pair) > DIGEST_SIZE else pair)
-    state._keys = keys
-    state._levels = levels
-    state._root = bytes(levels[-1]) if keys else EMPTY_TREE_ROOT
+        base_buckets, base_middles = base._buckets, base._middles
+    dirty: dict[int, list[bytes]] = {}
+    for addr in written:
+        dirty.setdefault(addr[0], []).append(addr)
+    buckets, middles = list(base_buckets), list(base_middles)
+    for i, addrs in dirty.items():
+        keys, leaves, _ = buckets[i]
+        keys, leaves = list(keys), bytearray(leaves)
+        for addr in addrs:
+            at = bisect_left(keys, addr)
+            held = at < len(keys) and keys[at] == addr
+            acct = entries.get(addr)
+            if acct is not None:
+                leaves[at * DIGEST_SIZE:(at + held) * DIGEST_SIZE] = _leaf_hash(acct)
+                if not held:
+                    keys.insert(at, addr)
+            elif held:
+                del keys[at]
+                del leaves[at * DIGEST_SIZE:(at + 1) * DIGEST_SIZE]
+        buckets[i] = (tuple(keys), bytes(leaves), _sha256(leaves).digest())
+    for m in {i >> 4 for i in dirty}:
+        middles[m] = _sha256(b"".join([b[2] for b in buckets[16 * m:16 * m + 16]])).digest()
+    state._buckets = buckets
+    state._middles = middles
+    state._root = _sha256(b"".join(middles)).digest() if entries else EMPTY_TREE_ROOT
     state._delta = None
     return state._root
 
@@ -655,16 +631,15 @@ def apply_migration(
     installs: Iterable[AccountState],
     departures: Iterable[bytes],
 ) -> StateTree:
-    """Install inbound account states verbatim and drop departing ones. A
-    post-state that lost an account is rooted from scratch."""
+    """Install inbound account states verbatim and drop departing ones."""
     entries = dict(state.entries)
     written: set[bytes] = set()
     for acct in installs:
         entries[acct.address] = acct
         written.add(acct.address)
-    departed = [a for a in departures if entries.pop(a, None) is not None]
-    if departed:
-        return StateTree(entries)
+    for addr in departures:
+        entries.pop(addr, None)
+        written.add(addr)
     return _derived(state, entries, written)
 
 

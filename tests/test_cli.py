@@ -233,6 +233,18 @@ def test_bad_invocations_exit_two(tmp_path, capsys, argv_builder):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv_builder", [
+    lambda d: ["run", "--config", write_cfg(d / "c.json", dataset_path=str(d / "none.csv"),
+                                            output_dir=str(d / "out"))],
+    lambda d: ["oracle", "--config", write_cfg(d / "c.json", dataset_path=str(d / "none.csv"))],
+    lambda d: ["report", "--run-dir", write_cfg(d / "a_file.json")],
+], ids=["run_missing_dataset", "oracle_missing_dataset", "report_run_dir_is_a_file"])
+def test_unreadable_inputs_exit_two_with_one_line(tmp_path, capsys, argv_builder):
+    assert main(argv_builder(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_config_problems_exit_two(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps(cfg_dict(typo_key=1)))

@@ -524,25 +524,6 @@ def test_root_insertion_order_independent():
     assert compute_state_root(fwd) == compute_state_root(rev)
 
 
-def test_root_odd_leaf_promotion():
-    accounts = sorted(
-        (AccountState(addr(f"odd{i}"), balance=i) for i in range(3)),
-        key=lambda a: a.address,
-    )
-
-    def leaf(acct):
-        return digest(
-            acct.address
-            + acct.balance.to_bytes(32, "big", signed=True)
-            + acct.nonce.to_bytes(8, "big")
-        )
-
-    l0, l1, l2 = (leaf(a) for a in accounts)
-    expected = digest(digest(l0 + l1) + l2)
-    tree = StateTree({a.address: a for a in accounts})
-    assert compute_state_root(tree) == expected
-
-
 def test_root_changes_with_balance():
     tree = StateTree({A: AccountState(A, balance=1)})
     r1 = compute_state_root(tree)
@@ -628,20 +609,25 @@ def test_apply_migration_installs_and_departs():
 
 
 def _reference_root(state):
-    """The root hashed from scratch: every leaf in address order, paired
-    level by level, a last unpaired node promoted unchanged."""
-    level = [
-        digest(a.address + a.balance.to_bytes(32, "big", signed=True) + a.nonce.to_bytes(8, "big"))
-        for _, a in sorted(state.entries.items())
-    ]
-    if not level:
+    """The root hashed from scratch: every leaf put in the bucket of its
+    address's first byte, each bucket sorted by address and hashed over
+    its leaves joined (an empty one over the empty string), each of 16
+    middle nodes hashed over 16 consecutive bucket digests, the root over
+    the 16 middles. A tree with no accounts hashes the empty string."""
+    if not state.entries:
         return digest(b"")
-    while len(level) > 1:
-        nxt = [digest(level[i] + level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    buckets = [[] for _ in range(256)]
+    for a in state.entries.values():
+        buckets[a.address[0]].append(a)
+    bucket_digests = [
+        digest(b"".join(
+            digest(a.address + a.balance.to_bytes(32, "big", signed=True)
+                   + a.nonce.to_bytes(8, "big"))
+            for a in sorted(bucket, key=lambda a: a.address)))
+        for bucket in buckets
+    ]
+    middles = [digest(b"".join(bucket_digests[16 * m:16 * m + 16])) for m in range(16)]
+    return digest(b"".join(middles))
 
 
 EXECUTABLE_KINDS = (TxKind.REGULAR, TxKind.INTRA_RELAY, TxKind.BROKER_PAYER_HALF,
@@ -679,8 +665,7 @@ def _credit(payee):
 
 def _snapshot(tree):
     """Everything a rooted tree holds, by value."""
-    return (tree._root, list(tree._keys), [bytes(level) for level in tree._levels],
-            dict(tree.entries))
+    return (tree._root, list(tree._buckets), list(tree._middles), dict(tree.entries))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -786,6 +771,38 @@ def test_children_of_one_parent_are_rooted_safely_between_threads():
     for out in got:
         assert out == expected
     assert _snapshot(parent) == before
+
+
+# Twelve accounts in three buckets (first bytes 0x00, 0x07 and 0xff), two
+# of them under one middle node, so that writes share buckets.
+_BUCKETED = [bytes([first]) + bytes([i]) * (ADDRESS_SIZE - 1)
+             for first in (0x00, 0x07, 0xFF) for i in range(4)]
+_bucketed = st.integers(0, len(_BUCKETED) - 1)
+_tx_step = st.lists(st.tuples(st.sampled_from(EXECUTABLE_KINDS), _bucketed, _bucketed,
+                              st.integers(0, 50)), max_size=8)
+_migration_step = st.tuples(
+    st.lists(st.tuples(_bucketed, st.integers(-50, 50), st.integers(0, 5)), max_size=4),
+    st.lists(_bucketed, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_tx_step, _migration_step), min_size=1, max_size=12))
+def test_derived_root_matches_scratch_over_inserts_updates_and_departures(steps):
+    state = _rooted()
+    for step in steps:
+        if isinstance(step, list):
+            state = apply_txs(state, [
+                make_transaction(_BUCKETED[p], _BUCKETED[q], value, 0, kind=kind,
+                                 origin_hash=None if kind is TxKind.REGULAR else b"\x05" * 32)
+                for kind, p, q, value in step])
+        else:
+            installs, departures = step
+            state = apply_migration(
+                state, [AccountState(_BUCKETED[i], balance, nonce)
+                        for i, balance, nonce in installs],
+                [_BUCKETED[i] for i in departures])
+        scratch = StateTree(dict(state.entries))
+        assert compute_state_root(state) == compute_state_root(scratch) == _reference_root(state)
 
 
 # --- blocks and verification ---
@@ -1311,7 +1328,7 @@ def test_state_root_known_answer():
         third: AccountState(third, 0, 3),
     })
     assert compute_state_root(tree).hex() == (
-        "1fae26ad6b8068a8916a4384deb14aa8c2547da1860e1d2271d17e63054c3de8")
+        "f275e026238c94a4e79d96253e6bb5b604cc94cba2487cecc75ce4b31d8878e8")
 
 
 # --- block-file lines ---

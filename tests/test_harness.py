@@ -901,6 +901,32 @@ def test_each_shard_keeps_one_relay_record_with_a_bit_per_replica(dataset, tmp_p
         assert all(r.relay_seen for r in result.replicas.values()), "every shard took relays"
 
 
+@pytest.mark.parametrize("make_cfg", [_broker_crash_cfg, _fixed_latency_clpa_cfg],
+                         ids=["broker_crash", "clpa_fixed_latency"])
+def test_block_files_replay_to_their_state_roots(dataset, tmp_path, make_cfg):
+    """Each shard's block file, applied line by line from its genesis
+    block, reaches the state root every line records, migration
+    departures and installs included."""
+    out = tmp_path / "run"
+    cfg = dataclasses.replace(make_cfg(dataset, tmp_path), output_dir=str(out))
+    assert run(cfg).exit_code == 0
+    departures = 0
+    for k in range(cfg.n_shards):
+        head, state = core.genesis_block(k), core.StateTree()
+        with open(out / f"blocks_shard{k}.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                block = block_from_json(json.loads(line))
+                assert (block.shard_id, block.height, block.parent_hash) == (
+                    k, head.height + 1, head.hash)
+                state = core.apply_block_to_state(state, block)
+                assert compute_state_root(state) == block.state_root
+                departures += len(block.migration_departures)
+                head = block
+        assert head.height > 0, "every shard committed something"
+    if cfg.partition == "clpa":
+        assert departures > 0, "the run must move accounts out of a shard"
+
+
 def test_recomputed_latencies_match_live_under_jitter_and_crash(tmp_path):
     """Replicas commit a block at different times under jitter; the block
     files carry the commit time the live ledger counted, so the rebuilt

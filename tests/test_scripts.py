@@ -68,7 +68,7 @@ def test_same_bytes_smoke(tmp_path):
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(line["config"], line["exit"]) for line in lines] == [
         ("relay_50_s4", 0), ("clpa2_5_s0", 3), ("relay_50_s4", 0)]
-    for key in ("sha256", "reports", "chain", "recomputed"):
+    for key in ("sha256", "reports", "chain", "schedule", "recomputed"):
         assert all(len(line[key]) == 64 for line in lines), key
         assert lines[0][key] == lines[2][key] != lines[1][key], key
     assert (tmp_path / "clpa2_5_s0" / "recomputed" / "tcl.csv").exists()
@@ -81,6 +81,19 @@ def test_same_bytes_smoke(tmp_path):
     assert same_bytes.digest_outputs(run_dir) != lines[2]["sha256"]
     assert same_bytes.digest_outputs(run_dir, blocks=False) == lines[2]["reports"]
     assert same_bytes.digest_chain(run_dir) == lines[2]["chain"]
+    assert same_bytes.digest_schedule(run_dir) == lines[2]["schedule"]
+    # A doctored block file: new commitment fields move chain, not schedule;
+    # a new timestamp moves schedule.
+    path = run_dir / "blocks_shard0.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    for field in same_bytes.COMMITMENT:
+        objs[0][field] = "ab" * 32
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert same_bytes.digest_chain(run_dir) != lines[2]["chain"]
+    assert same_bytes.digest_schedule(run_dir) == lines[2]["schedule"]
+    objs[0]["timestamp"] += 1
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert same_bytes.digest_schedule(run_dir) != lines[2]["schedule"]
 
 
 def _load_script(name):
