@@ -418,14 +418,13 @@ def compute_state_root(state: StateTree) -> bytes:
     entries = state.entries
     delta = state._delta
     if delta is None:
-        base_buckets, base_middles, written = _EMPTY_BUCKETS, _EMPTY_MIDDLES, entries
+        buckets, middles, written = list(_EMPTY_BUCKETS), list(_EMPTY_MIDDLES), entries
     else:
         base, written = delta
-        base_buckets, base_middles = base._buckets, base._middles
+        buckets, middles = list(base._buckets), list(base._middles)
     dirty: dict[int, list[bytes]] = {}
     for addr in written:
         dirty.setdefault(addr[0], []).append(addr)
-    buckets, middles = list(base_buckets), list(base_middles)
     for i, addrs in dirty.items():
         keys, leaves, _ = buckets[i]
         keys, leaves = list(keys), bytearray(leaves)
@@ -434,6 +433,7 @@ def compute_state_root(state: StateTree) -> bytes:
             held = at < len(keys) and keys[at] == addr
             acct = entries.get(addr)
             if acct is not None:
+                # Over an empty slice for a new address: an insertion.
                 leaves[at * DIGEST_SIZE:(at + held) * DIGEST_SIZE] = _leaf_hash(acct)
                 if not held:
                     keys.insert(at, addr)
