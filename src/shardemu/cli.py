@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -34,6 +35,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
     if cfg.output_dir is None:
         raise ConfigError("run needs output_dir in the config")
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir: {exc}") from exc
     result = run(cfg)
     print(f"exit={result.exit_code} out_dir={result.out_dir}")
     for key, val in result.summary["counters"].items():

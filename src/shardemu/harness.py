@@ -25,7 +25,9 @@ with the cyclic garbage collector paused (``_gc_paused``); the rebuild's
 children inherit the pause. What they drop, reference counting frees at
 once: they build no garbage cycles beyond the few objects of each indented
 ``json.dump``. The collector's passes over their live transactions, blocks
-and state entries would free nothing.
+and state entries would free nothing. Set-up ends by promoting what it
+built to the oldest generation, so no young collection walks it after the
+pause.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def build_nodes(
 
     replicas: dict[str, Replica] = {}
     for k in range(cfg.n_shards):
-        # One prefilled queue per shard; each replica gets its own copy.
+        # One prefilled queue per shard; each replica gets a copy, which
+        # shares the queue until its first write (``TxPool.copy``).
         # The shard's relay-dedupe record is one object, each replica
         # holding its own bit in it.
         pool = TxPool(k)
@@ -181,6 +184,11 @@ class Emulation:
                 net.schedule_crash(fault.node, fault.at_ms)
             else:
                 self.replicas[fault.node].invalid_heights.add(fault.height)
+        # What set-up built lives for the whole run. Promoted to the oldest
+        # generation, it is not walked by the young collection that the
+        # first allocations after the pause would otherwise start.
+        gc.freeze()
+        gc.unfreeze()
 
     @_gc_paused()
     def execute(self) -> RunResult:
@@ -255,8 +263,11 @@ def _config_echo(run_dir: str) -> dict:
 def _decode_files(paths: list[str]) -> list[list[tuple]]:
     """Decode and check every line of the given block files into
     ``_block_columns``' columns, one list per file in line order, parsing
-    address literals through one table. An error names its file and line."""
+    address literals through one table and keeping one object per
+    original's hash, so the two halves of a relayed original share it. An
+    error names its file and line."""
     addresses = AddressTable()
+    originals: dict[bytes, bytes] = {}
     files = []
     for path in paths:
         columns: list[tuple] = []
@@ -276,7 +287,7 @@ def _decode_files(paths: list[str]) -> list[list[tuple]]:
                     block.timestamp if commit_time is None else commit_time,
                     block.shard_id, block.height, block.block_kind,
                     tuple([tx.kind for tx in txs]),
-                    tuple(original_hashes(txs)),
+                    tuple([originals.setdefault(h, h) for h in original_hashes(txs)]),
                     tuple([tx.payer for tx in txs]),
                     tuple([tx.payee for tx in txs]),
                     tuple([tx.inject_time or 0 for tx in txs]),

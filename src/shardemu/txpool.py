@@ -12,13 +12,17 @@ entries followed by the eviction of what the new map re-homes. The copies
 of one pool (``TxPool.copy``) share a record of the last such pass per rule
 (``TxPool.split``), and a copy whose queue, key and requeued entries equal
 the record's adopts its result instead of running the pass again.
+
+A shard's replicas start from one prefilled queue: the copies of a pool
+share its queue dict until each first writes to it (``TxPool.copy``).
 """
 
 from __future__ import annotations
 
 import copy
+import threading
 from itertools import islice
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     CREDIT_KINDS,
@@ -70,10 +74,17 @@ class Split:
 
 
 class Splits(dict):
-    """The last ``Split`` per rule, shared by the copies of one pool, and
-    how many copies share it (``copies``)."""
+    """The last ``Split`` per rule, shared by the copies of one pool, how
+    many copies share it (``copies``), and the lock (``guard``) under which
+    a copy takes up or gives up its hold on a shared queue. Over TCP the
+    replicas are threads of one process, and two of them may write their
+    first entries at once; a sim run takes it uncontended."""
 
     copies = 1
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.guard = threading.Lock()
 
 
 class TxPool:
@@ -90,6 +101,9 @@ class TxPool:
         self.shard_id = shard_id
         self.locked = False
         self._queue: dict[bytes, Transaction] = {}
+        # How many copies hold ``_queue``, a one-item list they share; None
+        # while the queue is this pool's own.
+        self._holders: Optional[list[int]] = None
         # Accounting counters; size must always equal
         # injected + appended - packed - extracted - removed.
         self.injected = 0
@@ -108,7 +122,23 @@ class TxPool:
         change while the iterator is in use."""
         return iter(self._queue.values())
 
+    def _unshare(self, keep: bool = True) -> None:
+        """Give up this pool's hold on a queue it shares with other copies,
+        if it holds one, before it writes to or replaces its queue. With
+        ``keep`` it keeps the entries: the last holder takes the dict
+        itself, any other a copy, made before its hold is given up, so no
+        later holder takes the dict while it is being copied."""
+        holders = self._holders
+        if holders is None:
+            return
+        self._holders = None
+        with self._splits.guard:
+            if keep and holders[0] > 1:
+                self._queue = self._queue.copy()
+            holders[0] -= 1
+
     def _add(self, txs: Iterable[Transaction]) -> int:
+        self._unshare()
         queue = self._queue
         before = len(queue)
         for tx in txs:
@@ -116,6 +146,7 @@ class TxPool:
         return len(queue) - before
 
     def _pop(self, hashes: Iterable[bytes]) -> int:
+        self._unshare()
         queue = self._queue
         before = len(queue)
         for h in hashes:
@@ -135,12 +166,17 @@ class TxPool:
 
     def copy(self) -> "TxPool":
         """A pool with this one's queue, order, lock and counters: a
-        replica's own copy of its shard's prefill. It shares with this pool
-        only the record of the last ``split`` per rule."""
-        other = copy.copy(self)
-        other._queue = self._queue.copy()
-        self._splits.copies += 1
-        return other
+        replica's copy of its shard's prefill. The two share the queue dict
+        until each first writes to it (``_add``, ``_pop`` or ``split``),
+        when it takes a copy of its own, or the dict itself if no other
+        pool holds it any more; reads share it. Every copy shares the
+        record of the last ``split`` per rule."""
+        with self._splits.guard:
+            if self._holders is None:
+                self._holders = [1]
+            self._holders[0] += 1
+            self._splits.copies += 1
+        return copy.copy(self)
 
     def append_relays(self, relays: list[Transaction], pmap: PartitionMap) -> int:
         """Queue inbound credit halves behind everything already waiting.
@@ -204,6 +240,7 @@ class TxPool:
         done = splits.get(rule)
         if (done is not None and done.key == key and done.requeued == requeue
                 and done.before == before):
+            self._unshare(keep=False)
             self._queue = done.kept.copy()
             done.adopted += 1
             if done.adopted + 1 >= splits.copies and splits.get(rule) is done:

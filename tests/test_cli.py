@@ -12,11 +12,18 @@ from helpers import cfg_dict
 from shardemu import cli
 from shardemu.cli import main
 from shardemu.core import block_from_json, block_line
+from shardemu.dataset import gen_dataset
 from shardemu.harness import BadBlockFile, report_from_blocks
 
 
 def write_cfg(path, **over):
     path.write_text(json.dumps(cfg_dict(**over)))
+    return str(path)
+
+
+def write_dataset(directory):
+    path = directory / "transfers.csv"
+    gen_dataset(str(path), accounts=20, txs=40, skew="uniform", seed=1)
     return str(path)
 
 
@@ -238,7 +245,10 @@ def test_bad_invocations_exit_two(tmp_path, capsys, argv_builder):
                                             output_dir=str(d / "out"))],
     lambda d: ["oracle", "--config", write_cfg(d / "c.json", dataset_path=str(d / "none.csv"))],
     lambda d: ["report", "--run-dir", write_cfg(d / "a_file.json")],
-], ids=["run_missing_dataset", "oracle_missing_dataset", "report_run_dir_is_a_file"])
+    lambda d: ["run", "--config", write_cfg(d / "c.json", dataset_path=write_dataset(d),
+                                            output_dir=write_cfg(d / "a_file.json"))],
+], ids=["run_missing_dataset", "oracle_missing_dataset", "report_run_dir_is_a_file",
+        "run_output_dir_is_a_file"])
 def test_unreadable_inputs_exit_two_with_one_line(tmp_path, capsys, argv_builder):
     assert main(argv_builder(tmp_path)) == 2
     err = capsys.readouterr().err

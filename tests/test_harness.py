@@ -715,6 +715,16 @@ def test_rebuild_keeps_no_decoded_transactions_while_writing(tiny_run, monkeypat
     assert during[0] - before <= result.summary["config"]["block_size"]
 
 
+def test_a_rebuild_in_one_process_holds_one_hash_object_per_original(tiny_run, monkeypatch):
+    """The two halves of a relayed original, in two shards' files, share
+    one object for their original's hash in the decoded columns."""
+    _, out = tiny_run
+    monkeypatch.setattr(harness, "_decoders", lambda n_shards: 1)
+    keys = [key for cols in harness._block_columns(str(out), 2) for key in cols[5]]
+    assert len(set(keys)) < len(keys), "a relay run commits both halves of an original"
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
 def test_rerun_is_byte_identical(dataset, tmp_path):
     outputs = []
     for name in ("first", "second"):
@@ -1042,6 +1052,33 @@ def test_run_and_report_pause_the_collector_and_restore_it(dataset, tmp_path, mo
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [("build_nodes", False), ("write_reports", False), ("write_reports", False)]
+
+
+def test_setup_leaves_no_young_collection_behind(dataset):
+    """Set-up promotes what it built to the oldest generation before its
+    pause ends: the collector is back on with nothing young to count, and
+    the next allocations start no collection."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    emu = Emulation(parse_config(cfg_dict(dataset_path=dataset)))
+    gc.callbacks.append(note)
+    try:
+        emu.setup()
+        young = gc.get_count()[0]
+        fresh = [[] for _ in range(gc.get_threshold()[0] // 2)]
+        enabled = gc.isenabled()
+    finally:
+        gc.callbacks.remove(note)
+        if not was_enabled:
+            gc.disable()
+    assert enabled and young == 0 and len(fresh) > 0
+    assert started == []
 
 
 # Indented ``json.dump`` runs the standard library's pure-Python encoder,

@@ -96,6 +96,21 @@ def test_same_bytes_smoke(tmp_path):
     assert same_bytes.digest_schedule(run_dir) != lines[2]["schedule"]
 
 
+def test_rss_phases_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "rss_phases.py"), "clpa_rate_4", "--seed", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line["phase"] for line in lines] == [
+        "start", "setup", "reference", "run", "reference", "report", "reference"]
+    peaks = [line["hwm_mb"] for line in lines]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    for line in lines:
+        assert line["rss_mb"] is None or 0 < line["rss_mb"] <= line["hwm_mb"]
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -188,6 +189,68 @@ def test_drained_pool_hands_its_table_back(drain):
     assert sys.getsizeof(pool._queue) == sys.getsizeof(TxPool(0)._queue)
     pool.preload(txs[:3])
     assert pool.snapshot() == txs[:3]
+
+
+def test_copies_share_one_queue_until_each_first_writes_it():
+    """Reads share the dict; each holder's first write (``_add``, ``_pop``,
+    either path of ``split``) gives it up, a copy for every holder but the
+    last, which keeps that very object. The dict is never written while
+    shared."""
+    first = TxPool(0)
+    txs = _txs(6)
+    first.preload(txs)
+    shared = first._queue
+    pools = [first] + [first.copy() for _ in range(4)]
+    for pool in pools:
+        assert len(pool) == 6 and list(pool) == pool.snapshot() == txs
+    assert all(pool._queue is shared for pool in pools)
+
+    pools[1].pack_block_txs(2)
+    assert pools[1].snapshot() == txs[2:] and pools[1]._queue is not shared
+    pools[2].split(_keep_all, None, [regular_tx(B0, A0, nonce=9)])
+    pools[3].split(_keep_all, None, [regular_tx(B0, A0, nonce=9)])
+    assert first._splits[_keep_all].adopted == 1
+    assert pools[3].snapshot() == pools[2].snapshot() and pools[3]._queue is not shared
+    assert pools[0]._queue is pools[4]._queue is shared and list(shared.values()) == txs
+    pools[4].remove_committed({b"\x00" * 32})
+    assert pools[4]._queue is not shared and pools[4].snapshot() == txs
+    pools[0].preload(txs[:1])
+    assert pools[0]._queue is shared, "the last holder takes the dict itself"
+    assert len({id(pool._queue) for pool in pools}) == 5
+
+
+def test_a_threaded_first_write_leaves_one_dict_per_copy():
+    """Over TCP a shard's replicas are threads: four copies writing their
+    first entries at once end with four distinct dicts, the last holder
+    with the shared one, and every copy's queue as its own writes left it."""
+    txs = _txs(2_000)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            first = TxPool(0)
+            first.preload(txs)
+            shared = first._queue
+            pools = [first] + [first.copy() for _ in range(3)]
+            start = threading.Barrier(len(pools))
+
+            def write(i, pool):
+                start.wait(timeout=10)
+                pool.remove_committed({txs[i].hash})
+
+            threads = [threading.Thread(target=write, args=(i, pool))
+                       for i, pool in enumerate(pools)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len({id(pool._queue) for pool in pools}) == 4
+            assert [pool._queue is shared for pool in pools].count(True) == 1
+            for i, pool in enumerate(pools):
+                assert pool.snapshot() == txs[:i] + txs[i + 1:] and pool.removed == 1
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,3 +554,63 @@ def test_copies_sharing_splits_match_the_unshared_algorithm(data):
             assert {k: getattr(pool, k) for k in COUNTERS} == model.counts
             assert len(pool) == pool.injected + pool.appended - pool.packed \
                 - pool.extracted - pool.removed
+
+
+_POOL_OPS = st.one_of(
+    st.tuples(st.just("preload"), st.lists(st.integers(0, 11), min_size=1, max_size=4)),
+    st.tuples(st.just("append"), st.lists(st.integers(0, 11), min_size=1, max_size=3)),
+    st.tuples(st.just("pack"), st.integers(1, 4)),
+    st.tuples(st.just("remove"), st.frozensets(st.integers(0, 11), max_size=4)),
+    st.tuples(st.just("split"), st.frozensets(st.integers(0, 11), max_size=3),
+              st.lists(st.integers(0, 11), max_size=2)),
+    st.tuples(st.just("lock"), st.booleans()),
+)
+_POOL_TXS = [regular_tx(A0, B0, nonce=i) for i in range(12)]
+_POOL_HALVES = [_credit(A1, nonce=i) for i in range(12)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_copies_of_one_pool_match_pools_built_apart(data):
+    """Four copies of one preloaded pool and four pools preloaded apart run
+    the same random per-pool operations, one pool at a time per step: copy
+    i and pool i see equal results, queues and counters at every step,
+    whichever copy writes its shared queue first."""
+    shared = data.draw(st.lists(_POOL_OPS, max_size=12), label="common ops")
+    plans = [shared if data.draw(st.booleans(), label=f"pool {i} runs the common ops")
+             else data.draw(st.lists(_POOL_OPS, max_size=12), label=f"pool {i} ops")
+             for i in range(4)]
+    first = TxPool(1)
+    first.preload(_POOL_TXS[:6])
+    copies = [first] + [first.copy() for _ in range(3)]
+    apart = []
+    for _ in range(4):
+        pool = TxPool(1)
+        pool.preload(_POOL_TXS[:6])
+        apart.append(pool)
+    for step in range(max(map(len, plans))):
+        for plan, mine, theirs in zip(plans, copies, apart):
+            if step >= len(plan):
+                continue
+            what, *args = plan[step]
+            got = []
+            for pool in (mine, theirs):
+                if what == "preload":
+                    got.append(pool.preload([_POOL_TXS[i] for i in args[0]]))
+                elif what == "append":
+                    got.append(pool.append_relays([_POOL_HALVES[i] for i in args[0]], PMAP))
+                elif what == "pack":
+                    got.append(None if pool.locked else pool.pack_block_txs(args[0]))
+                elif what == "remove":
+                    got.append(pool.remove_committed({_POOL_TXS[i].hash for i in args[0]}))
+                elif what == "split":
+                    hashes = frozenset(_POOL_TXS[i].hash for i in args[0])
+                    got.append(pool.split(_take_hashes, hashes,
+                                          [_POOL_TXS[i] for i in args[1]]))
+                else:
+                    got.append(pool.lock() if args[0] else pool.unlock())
+            assert got[0] == got[1]
+            for mine, theirs in zip(copies, apart):
+                assert mine.snapshot() == theirs.snapshot() and mine.locked == theirs.locked
+                assert [getattr(mine, c) for c in COUNTERS] == \
+                    [getattr(theirs, c) for c in COUNTERS]
