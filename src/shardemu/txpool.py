@@ -80,10 +80,9 @@ class Splits(dict):
     replicas are threads of one process, and two of them may write their
     first entries at once; a sim run takes it uncontended."""
 
-    copies = 1
-
     def __init__(self) -> None:
         super().__init__()
+        self.copies = 1
         self.guard = threading.Lock()
 
 
