@@ -264,12 +264,11 @@ class Block:
     ``post`` holds (pre-state root, post-state) once the block has been
     applied (see ``apply_block_to_state``), ``verdict`` the outcome of the
     checks ``verify_block`` makes on the block's content alone, with the
-    map and size limit they ran under, ``halves`` the credit halves of its
-    debit halves once a replica has committed it (see
-    ``mechanisms.credit_halves``), ``relays`` those halves batched per
-    destination shard as ``relay_ctx`` bodies, with the map they were
-    routed under (see ``mechanisms.relay_bodies``), and ``pruned`` the
-    hashes a commit drops from a pool (see ``pbft.Replica._commit_block``).
+    map and size limit they ran under, ``relays`` the credit halves of its
+    debit halves batched per destination shard as ``relay_ctx`` bodies,
+    with the map they were routed under (see ``mechanisms.relay_bodies``),
+    and ``pruned`` the hashes a commit drops from a pool (see
+    ``pbft.Replica._commit_block``).
     None of these is hashed, compared, encoded or copied by ``replace``: a
     block decoded from a frame, or a copy of one, starts without them.
     """
@@ -288,8 +287,6 @@ class Block:
     post: Optional[tuple[bytes, StateTree]] = field(
         default=None, init=False, compare=False, repr=False)
     verdict: Optional[tuple[PartitionMap, int, Optional[RejectReason]]] = field(
-        default=None, init=False, compare=False, repr=False)
-    halves: Optional[tuple[Transaction, ...]] = field(
         default=None, init=False, compare=False, repr=False)
     relays: Optional[tuple[PartitionMap, tuple]] = field(
         default=None, init=False, compare=False, repr=False)
@@ -483,16 +480,13 @@ class PartitionMap:
     ``ShardTable``, read only by this module); ``updated`` seeds a child's
     table from its parent's. It is correct only because nothing writes a
     map, or its ``overrides``, after construction: a new version is a new
-    map. Replicas of one process may share a map across threads; a lookup
-    and an insertion are each atomic under the interpreter lock and every
-    entry is a pure function of the map, so a race only resolves an account
-    twice.
+    map.
 
     ``_children`` keeps, per version, the last child ``updated`` built and
     the assignments it pinned, so every holder of this map that adopts the
     same move gets the same object, and followers share ``Block.verdict``
     and one table. A map therefore keeps the later versions built from it
-    alive; a race between threads only builds a child twice.
+    alive.
     """
 
     n_shards: int

@@ -9,8 +9,8 @@ through the network interface that ``net_of(node id)`` gives it.
 it registers them, schedules scripted faults, runs the event loop and has
 the supervisor finalize the run. ``setup()`` and ``execute()`` are
 separate so callers can inspect pools and state between wiring and
-running. ``TcpRunner`` runs the same wiring over TCP, one driver thread
-per node.
+running. ``TcpRunner`` runs the same wiring over TCP, every node on the
+one thread that calls it.
 
 ``report_from_blocks`` rebuilds a run's reports from its block files. It
 decodes them in parallel, whole files in groups of about equal bytes, one
@@ -51,7 +51,8 @@ from .mechanisms import make_mechanism
 from .metrics import MetricsLedger, original_hashes
 from .pbft import RelaySeen, Replica
 from .supervisor import Supervisor
-from .transport import SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, node_id
+from .transport import (SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, close_meshes,
+                        node_id)
 from .txpool import TxPool
 
 log = logging.getLogger(__name__)
@@ -497,80 +498,86 @@ def report_from_blocks(run_dir: str) -> dict:
 # -- real-network runner --
 
 
-class _TcpNodeDriver(Fanout):
-    """Thread that gives one node real timers and a real inbox.
+class _TcpLoop(Fanout):
+    """Every node of a TCP run on the one thread that calls ``run``.
 
-    The node logic is written against the sim network interface; this
-    adapter reimplements the ``send`` and ``schedule`` calls over a TCP
-    mesh and a monotonic millisecond clock, and broadcasts as the sim does.
+    The loop is every node's ``net``: ``send`` queues an envelope a node
+    sends itself and sends any other through the sender's own mesh, and
+    ``schedule`` arms a timer on the loop's heap, in milliseconds of a
+    monotonic clock since ``t0``. The meshes' reader threads only decode
+    frames and queue them with their receiver's id, so no two nodes' logic
+    ever runs at once. Broadcasts go as the sim's do (``Fanout``).
     """
 
-    def __init__(
-        self,
-        nid: str,
-        ip_table: dict[str, str],
-        shard_members: dict[int, list[str]],
-        t0: float,
-    ) -> None:
-        self.nid = nid
+    def __init__(self, ip_table: dict[str, str], shard_members: dict[int, list[str]],
+                 t0: float) -> None:
         self.peers = ip_table
-        self.t0 = t0
-        self.inbox: "queue.Queue[Envelope]" = queue.Queue()
-        self.timers: list[tuple[int, int, str, Any]] = []
-        self._timer_seq = 0
-        self.node: Any = None  # Replica or Supervisor, set by TcpRunner
-        self.mesh: Optional[TcpMesh] = None
-        self.thread = threading.Thread(target=self._loop, name=f"node-{nid}", daemon=True)
         self.shard_members = shard_members
-
-    # network interface used by the node logic
+        self.t0 = t0
+        self.inbox: "queue.SimpleQueue[tuple[str, Envelope]]" = queue.SimpleQueue()
+        self.timers: list[tuple[int, int, str, str, Any]] = []
+        self._seq = 0
+        self.nodes: dict[str, Any] = {}  # Replica or Supervisor, set by TcpRunner
+        self.meshes: dict[str, TcpMesh] = {}
 
     def send(self, to: str, env: Envelope) -> None:
-        if to == self.nid:
-            self.inbox.put(env)
+        if to == env.sender:
+            self.inbox.put((to, env))
         else:
-            self.mesh.send(to, env)
+            self.meshes[env.sender].send(to, env)
 
     def schedule(self, nid: str, at: int, tag: str, data: Any = None) -> None:
-        assert nid == self.nid, "tcp nodes arm only their own timers"
-        self._timer_seq += 1
-        heapq.heappush(self.timers, (at, self._timer_seq, tag, data))
+        self._seq += 1
+        heapq.heappush(self.timers, (at, self._seq, nid, tag, data))
 
     def now_ms(self) -> int:
         return int((time.monotonic() - self.t0) * 1000)
 
-    # thread body
-
-    def start(self) -> None:
-        self.thread.start()
-
-    def _loop(self) -> None:
-        self.node.on_start(self.now_ms())
+    def run(self, deadline: float) -> list[str]:
+        """Start every node, then hand each queued envelope and each due
+        timer to its node, one at a time, until every node has stopped and
+        nothing is queued, or until the monotonic ``deadline``. Returns the
+        ids of the nodes still running then. A handler's error is logged
+        and the run goes on."""
+        nodes, timers, inbox = self.nodes, self.timers, self.inbox
+        for node in nodes.values():
+            node.on_start(self.now_ms())
         while True:
-            if getattr(self.node, "stopped", False) and self.inbox.empty():
-                return
-            timeout = 0.05
-            if self.timers:
-                timeout = max(0.0, min(timeout, (self.timers[0][0] - self.now_ms()) / 1000))
+            while timers and timers[0][0] <= self.now_ms():
+                _, _, nid, tag, data = heapq.heappop(timers)
+                try:
+                    nodes[nid].on_timer(tag, data, self.now_ms())
+                except Exception:
+                    log.exception("%s failed on timer %s", nid, tag)
+            running = [nid for nid, node in nodes.items() if not node.stopped]
+            if not running and inbox.empty():
+                return []
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                return running
+            if timers:
+                wait = min(wait, self.t0 + timers[0][0] / 1000 - time.monotonic())
             try:
-                env = self.inbox.get(timeout=timeout)
+                nid, env = inbox.get(timeout=max(0.0, wait))
             except queue.Empty:
-                env = None
-            if env is not None:
-                try:
-                    self.node.on_envelope(env, self.now_ms())
-                except Exception:
-                    log.exception("%s failed handling %s", self.nid, env.msg_type)
-            while self.timers and self.timers[0][0] <= self.now_ms():
-                _, _, tag, data = heapq.heappop(self.timers)
-                try:
-                    self.node.on_timer(tag, data, self.now_ms())
-                except Exception:
-                    log.exception("%s failed on timer %s", self.nid, tag)
+                continue
+            try:
+                nodes[nid].on_envelope(env, self.now_ms())
+            except Exception:
+                log.exception("%s failed handling %s", nid, env.msg_type)
+
+
+def _is_address(value: Any) -> bool:
+    """Whether ``value`` is a ``"host:port"`` string a mesh can listen on."""
+    host, _, port = value.rpartition(":") if isinstance(value, str) else ("", "", "")
+    return bool(host) and port.isascii() and port.isdigit() and int(port) < 65536
 
 
 class TcpRunner:
-    """Whole-run orchestration over loopback/LAN TCP."""
+    """Whole-run orchestration over loopback/LAN TCP, every node on the
+    calling thread (``_TcpLoop``). The ip table must be a JSON object that
+    maps the supervisor and every replica, and nothing else, to a
+    ``"host:port"`` string; any other table is a ``ConfigError``."""
 
     def __init__(self, cfg: RunConfig) -> None:
         if cfg.tcp is None:
@@ -578,34 +585,38 @@ class TcpRunner:
         if cfg.dataset_path is None:
             raise MissingKey("dataset_path")
         self.cfg = cfg
-        with open(cfg.tcp.ip_table, "r", encoding="utf-8") as fh:
-            self.ip_table: dict[str, str] = json.load(fh)
+        self.members = {k: [node_id(k, i) for i in range(cfg.nodes_per_shard)]
+                        for k in range(cfg.n_shards)}
+        path = cfg.tcp.ip_table
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                table = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read ip_table {path}: {exc}") from None
+        if not isinstance(table, dict) or not all(map(_is_address, table.values())):
+            raise ConfigError(f'ip_table {path} is not a JSON object of "host:port" strings')
+        nids = {SUPERVISOR_ID}.union(*self.members.values())
+        if table.keys() != nids:
+            raise ConfigError(f"ip_table {path} must name exactly the supervisor and every "
+                              f"replica: missing {sorted(nids - table.keys())}, "
+                              f"unknown {sorted(table.keys() - nids)}")
+        self.ip_table: dict[str, str] = table
 
     def execute(self) -> RunResult:
         cfg = self.cfg
-        t0 = time.monotonic()
-        members = {
-            k: [node_id(k, i) for i in range(cfg.nodes_per_shard)]
-            for k in range(cfg.n_shards)
-        }
-        drivers = {nid: _TcpNodeDriver(nid, self.ip_table, members, t0) for nid in self.ip_table}
-        supervisor, replicas = build_nodes(cfg, lambda nid: drivers[nid])
-        for nid, node in [(SUPERVISOR_ID, supervisor), *replicas.items()]:
-            drivers[nid].node = node
-
-        for nid, driver in drivers.items():
-            driver.mesh = TcpMesh(nid, self.ip_table, driver.inbox.put)
-        for driver in drivers.values():
-            driver.start()
-
+        loop = _TcpLoop(self.ip_table, self.members, time.monotonic())
+        supervisor, replicas = build_nodes(cfg, lambda _: loop)
+        loop.nodes = {SUPERVISOR_ID: supervisor, **replicas}
+        put = loop.inbox.put
         wall_s = (cfg.stop.wall_ms / 1000 + 5) if cfg.stop.wall_ms else 120
-        deadline = time.monotonic() + wall_s
-        for driver in drivers.values():
-            driver.thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        hung = [d.nid for d in drivers.values() if d.thread.is_alive()]
+        try:
+            for nid in self.ip_table:
+                loop.meshes[nid] = TcpMesh(nid, self.ip_table,
+                                           lambda env, nid=nid: put((nid, env)))
+            hung = loop.run(time.monotonic() + wall_s)
+        finally:
+            close_meshes(loop.meshes.values())
         if hung:
             supervisor.ledger.degraded = True
             supervisor.ledger.notes.append(f"tcp nodes still running at teardown: {hung}")
-        for driver in drivers.values():
-            driver.mesh.close()
         return _finish(cfg, supervisor, replicas)

@@ -87,7 +87,7 @@ def debits_of(originals: Sequence[Transaction]) -> list[Transaction]:
     """The debit half of each original, for its payer's shard, in order.
     Each inherits value, nonce and inject_time and points back at its
     original through origin_hash. Its credit half is built only once the
-    block carrying it commits (``credit_halves``)."""
+    block carrying it commits (``relay_bodies``)."""
     return _halves([tx.payer for tx in originals], [tx.payee for tx in originals],
                    [tx.value for tx in originals], [tx.nonce for tx in originals],
                    TxKind.INTRA_RELAY, [tx.hash for tx in originals],
@@ -102,37 +102,23 @@ def credits_of(debits: Sequence[Transaction]) -> list[Transaction]:
                    [tx.inject_time for tx in debits])
 
 
-def credit_halves(block: Block) -> tuple[Transaction, ...]:
-    """The credit half of every debit half in ``block``, in block order.
-
-    The one place a credit half is built: the first replica to commit a
-    block object builds its halves and keeps them on it, so every replica
-    that holds the same object commits from that one build, and a block
-    decoded from a frame gets its own. The halves are a pure function of
-    the block's transactions, timing fields included; ``relay_bodies``
-    routes them under a replica's map. Every committed block passes
-    through here, a broker block too, so the enum member is looked up once,
-    not per transaction."""
-    if block.halves is None:
-        debit = TxKind.INTRA_RELAY
-        block.halves = tuple(credits_of([tx for tx in block.txs if tx.kind is debit]))
-    return block.halves
-
-
 def relay_bodies(block: Block, pmap: PartitionMap) -> tuple[tuple[int, RelayCtx], ...]:
     """The ``relay_ctx`` bodies a commit of ``block`` sends under ``pmap``:
-    its credit halves batched by their payees' shards, as (shard, body) in
-    ascending shard order, each batch in block order.
+    the credit half of each of its debit halves (``credits_of``, the one
+    place a credit half is built), batched by their payees' shards, as
+    (shard, body) in ascending shard order, each batch in block order.
 
     Kept on the block (``Block.relays``) with the map object they were
     routed under, so every replica that commits the same block object under
     the same map object sends the same bodies, and a replica under another
-    map object routes afresh. Nothing but the receivers' memo
-    (``RelayCtx.taken``) writes to a body once it is built."""
+    map object, or holding a block decoded from a frame, builds and routes
+    its own. Nothing but the receivers' memo (``RelayCtx.taken``) writes to
+    a body once it is built."""
     routed = block.relays
     if routed is None or routed[0] is not pmap:
+        debit = TxKind.INTRA_RELAY
         by_dest: dict[int, list[Transaction]] = {}
-        for inter in credit_halves(block):
+        for inter in credits_of([tx for tx in block.txs if tx.kind is debit]):
             by_dest.setdefault(address_to_shard(inter.payee, pmap), []).append(inter)
         bodies = tuple((dest, RelayCtx(source_shard=block.shard_id, txs=by_dest[dest]))
                        for dest in sorted(by_dest))
@@ -487,10 +473,9 @@ class MigrationController:
         # shard's record, so a straggling duplicate of the same relay is
         # dropped rather than double-queued.
         seen, bit = node.relay_seen, node.relay_bit
-        with seen.guard:
-            for tx in requeue:
-                if tx.kind in CREDIT_KINDS and tx.origin_hash:
-                    seen[tx.origin_hash] = seen.get(tx.origin_hash, 0) | bit
+        for tx in requeue:
+            if tx.kind in CREDIT_KINDS and tx.origin_hash:
+                seen[tx.origin_hash] = seen.get(tx.origin_hash, 0) | bit
         mech.evict_misplaced(node, now, requeue)
         self.session = None
 
@@ -638,30 +623,27 @@ class BaseMechanism:
         misrouted: dict[int, list[Transaction]] = {}
         pmap, me = node.pmap, node.shard_id
         # A half is new to this replica when its bit in the shard's record
-        # is clear; the guard keeps each check and set exact between the
-        # replicas' threads over TCP.
+        # is clear.
         get = seen.get
-        with seen.guard:
-            for tx in body.txs:
-                origin = tx.origin_hash
-                bits = get(origin, 0)
-                if bits & bit:
-                    continue
-                # A credit half (relay_validate checked the kind) executes
-                # where its payee lives.
-                home = address_to_shard(tx.payee, pmap)
-                if home == me:
-                    seen[origin] = bits | bit
-                    accept.append(tx)
-                else:
-                    misrouted.setdefault(home, []).append(tx)
-            if not misrouted:
-                # A misrouted half is walked, and forwarded by the leader,
-                # on every delivery, so only a whole take is remembered. A
-                # memo naming another shard's record is replaced.
-                taken = body.taken
-                body.taken = (seen, taken[1] | bit if taken is not None and taken[0] is seen
-                              else bit)
+        for tx in body.txs:
+            origin = tx.origin_hash
+            bits = get(origin, 0)
+            if bits & bit:
+                continue
+            # A credit half (relay_validate checked the kind) executes where
+            # its payee lives.
+            home = address_to_shard(tx.payee, pmap)
+            if home == me:
+                seen[origin] = bits | bit
+                accept.append(tx)
+            else:
+                misrouted.setdefault(home, []).append(tx)
+        if not misrouted:
+            # A misrouted half is walked, and forwarded by the leader, on
+            # every delivery, so only a whole take is remembered. A memo
+            # naming another shard's record is replaced.
+            body.taken = (seen, taken[1] | bit if taken is not None and taken[0] is seen
+                          else bit)
         if accept:
             node.pool.append_relays(accept, pmap)
         if node.is_leader:

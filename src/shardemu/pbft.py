@@ -24,7 +24,6 @@ the replica's ``net`` themselves.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -70,16 +69,9 @@ class RelaySeen(dict):
     the replicas that accepted it, replica ``i`` owning bit ``1 << i``.
 
     A replica's bits are what its own set of accepted origins was, stored
-    once per shard instead of once per replica. A check and set of a bit
-    happen under ``guard``: over TCP the replicas are threads of one
-    process, and two of them may update one entry at once. A sim run takes
-    it uncontended."""
+    once per shard instead of once per replica."""
 
-    __slots__ = ("guard",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.guard = threading.Lock()
+    __slots__ = ()
 
 
 class Replica:

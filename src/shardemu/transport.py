@@ -15,7 +15,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import (
     AccountState,
@@ -444,7 +444,8 @@ class TcpMesh:
     peers lazily on first send, keeping the socket open afterwards.
     Inbound envelopes are decoded by reader threads and handed to a
     callback; ordering is per-connection FIFO as TCP provides. ``close``
-    closes every socket, the accepted ones included.
+    closes every socket, the accepted ones included, and joins the threads
+    the mesh started (``close_meshes`` does so for many meshes at once).
     """
 
     def __init__(self, nid: str, ip_table: dict[str, str], on_envelope: Callable[[Envelope], None]) -> None:
@@ -457,6 +458,7 @@ class TcpMesh:
         self._in: set[socket.socket] = set()
         self._lock = threading.Lock()
         self._closing = False
+        self._readers: list[threading.Thread] = []  # written by the accept thread only
         host, port = self._split(ip_table[nid])
         self._server = socket.create_server((host, port))
         self._server.settimeout(0.2)
@@ -481,7 +483,9 @@ class TcpMesh:
                     conn.close()
                     return
                 self._in.add(conn)
-            threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
+            reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
+            self._readers.append(reader)
+            reader.start()
 
     def _read_loop(self, conn: socket.socket) -> None:
         try:
@@ -518,11 +522,15 @@ class TcpMesh:
                     raise PeerDown(f"{to}: {exc}") from None
 
     def close(self) -> None:
+        close_meshes([self])
+
+    def _shut(self) -> None:
         self._closing = True
         try:
-            self._server.close()
+            self._server.shutdown(socket.SHUT_RDWR)  # wakes a waiting accept, where it can
         except OSError:
             pass
+        self._server.close()
         with self._lock:
             for sock in self._out.values():
                 try:
@@ -537,3 +545,17 @@ class TcpMesh:
                     pass
                 conn.close()
             self._in.clear()
+
+
+def close_meshes(meshes: Iterable[TcpMesh]) -> None:
+    """Close every mesh, then join the threads each started: the accept
+    thread first, so that its list of readers is complete. An accept loop
+    that its socket's shutdown does not wake notices the closed socket
+    within one accept timeout, all of them together."""
+    meshes = list(meshes)
+    for mesh in meshes:
+        mesh._shut()
+    for mesh in meshes:
+        mesh._accept_thread.join()
+        for reader in mesh._readers:
+            reader.join()

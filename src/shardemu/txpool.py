@@ -20,7 +20,6 @@ share its queue dict until each first writes to it (``TxPool.copy``).
 from __future__ import annotations
 
 import copy
-import threading
 from itertools import islice
 from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -74,16 +73,12 @@ class Split:
 
 
 class Splits(dict):
-    """The last ``Split`` per rule, shared by the copies of one pool, how
-    many copies share it (``copies``), and the lock (``guard``) under which
-    a copy takes up or gives up its hold on a shared queue. Over TCP the
-    replicas are threads of one process, and two of them may write their
-    first entries at once; a sim run takes it uncontended."""
+    """The last ``Split`` per rule, shared by the copies of one pool, and
+    how many copies share it (``copies``)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.copies = 1
-        self.guard = threading.Lock()
 
 
 class TxPool:
@@ -125,16 +120,14 @@ class TxPool:
         """Give up this pool's hold on a queue it shares with other copies,
         if it holds one, before it writes to or replaces its queue. With
         ``keep`` it keeps the entries: the last holder takes the dict
-        itself, any other a copy, made before its hold is given up, so no
-        later holder takes the dict while it is being copied."""
+        itself, any other a copy."""
         holders = self._holders
         if holders is None:
             return
         self._holders = None
-        with self._splits.guard:
-            if keep and holders[0] > 1:
-                self._queue = self._queue.copy()
-            holders[0] -= 1
+        if keep and holders[0] > 1:
+            self._queue = self._queue.copy()
+        holders[0] -= 1
 
     def _add(self, txs: Iterable[Transaction]) -> int:
         self._unshare()
@@ -170,11 +163,10 @@ class TxPool:
         when it takes a copy of its own, or the dict itself if no other
         pool holds it any more; reads share it. Every copy shares the
         record of the last ``split`` per rule."""
-        with self._splits.guard:
-            if self._holders is None:
-                self._holders = [1]
-            self._holders[0] += 1
-            self._splits.copies += 1
+        if self._holders is None:
+            self._holders = [1]
+        self._holders[0] += 1
+        self._splits.copies += 1
         return copy.copy(self)
 
     def append_relays(self, relays: list[Transaction], pmap: PartitionMap) -> int:
@@ -230,8 +222,7 @@ class TxPool:
         any other runs the rule and records its own split. The key and the
         result are shared with every adopter, so nothing may write to them.
         Once every other copy has adopted a split, it is let go, so a
-        finished migration keeps no entries alive. Copies in other threads
-        that race on a split can at worst miss it, and run the rule.
+        finished migration keeps no entries alive.
         """
         requeue = list(requeue)
         before = list(self._queue.values())

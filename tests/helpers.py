@@ -317,8 +317,8 @@ class CreditIntake:
     relay batch it accepts (``TxPool.append_relays``, by pool) and the
     credit halves a migration requeues (``BaseMechanism.evict_misplaced``,
     by node). Install it through ``monkeypatch`` before the run is wired;
-    ``of(replica)`` gives one replica's origins. Safe under TCP's node
-    threads: each pool and node is updated by its own thread only."""
+    ``of(replica)`` gives one replica's origins. Both transports run every
+    node on one thread, so the sets are never written at once."""
 
     def __init__(self, monkeypatch) -> None:
         self._by_pool: dict[int, set[bytes]] = {}

@@ -240,6 +240,24 @@ def test_bad_invocations_exit_two(tmp_path, capsys, argv_builder):
     assert "error:" in capsys.readouterr().err
 
 
+def _table():
+    """An ip table naming the supervisor and every replica of ``cfg_dict``'s
+    two shards of four."""
+    nids = ["supervisor"] + [f"{k}.{i}" for k in range(2) for i in range(4)]
+    return {nid: f"127.0.0.1:{9000 + n}" for n, nid in enumerate(nids)}
+
+
+def _tcp_run(directory, table_text):
+    """``run`` argv for a TCP config whose ip table holds ``table_text``, or
+    is missing when it is None."""
+    table = directory / "ip_table.json"
+    if table_text is not None:
+        table.write_text(table_text)
+    cfg = write_cfg(directory / "c.json", dataset_path=write_dataset(directory),
+                    output_dir=str(directory / "out"), transport={"tcp": {"ip_table": str(table)}})
+    return ["run", "--config", cfg]
+
+
 @pytest.mark.parametrize("argv_builder", [
     lambda d: ["run", "--config", write_cfg(d / "c.json", dataset_path=str(d / "none.csv"),
                                             output_dir=str(d / "out"))],
@@ -247,8 +265,16 @@ def test_bad_invocations_exit_two(tmp_path, capsys, argv_builder):
     lambda d: ["report", "--run-dir", write_cfg(d / "a_file.json")],
     lambda d: ["run", "--config", write_cfg(d / "c.json", dataset_path=write_dataset(d),
                                             output_dir=write_cfg(d / "a_file.json"))],
+    lambda d: _tcp_run(d, None),
+    lambda d: _tcp_run(d, "{not json"),
+    lambda d: _tcp_run(d, json.dumps(["127.0.0.1:1"])),
+    lambda d: _tcp_run(d, json.dumps({**_table(), "0.0": "127.0.0.1"})),
+    lambda d: _tcp_run(d, json.dumps({k: v for k, v in _table().items() if k != "0.0"})),
+    lambda d: _tcp_run(d, json.dumps({**_table(), "2.0": "127.0.0.1:9"})),
 ], ids=["run_missing_dataset", "oracle_missing_dataset", "report_run_dir_is_a_file",
-        "run_output_dir_is_a_file"])
+        "run_output_dir_is_a_file", "run_ip_table_missing", "run_ip_table_not_json",
+        "run_ip_table_not_an_object", "run_ip_table_address_without_port",
+        "run_ip_table_lacks_a_replica", "run_ip_table_names_an_unknown_node"])
 def test_unreadable_inputs_exit_two_with_one_line(tmp_path, capsys, argv_builder):
     assert main(argv_builder(tmp_path)) == 2
     err = capsys.readouterr().err

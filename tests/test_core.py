@@ -1588,3 +1588,49 @@ def test_nothing_in_the_package_writes_a_transaction_or_account_field():
 def test_the_field_write_scan_flags_a_planted_write(planted):
     assert len(_field_writes(planted)) == 1
     assert _field_writes("class Block:\n    def __post_init__(self):\n        self.hash = b''") == []
+
+
+# --- node logic stays on one thread ---
+
+_THREAD_MODULES = {"threading", "_thread", "queue", "concurrent"}
+
+
+def _thread_imports(source: str) -> list[str]:
+    """Each import in ``source``, at any depth, of a module that starts or
+    coordinates threads (``_THREAD_MODULES``, or a submodule of one)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in _THREAD_MODULES for name in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_transports_import_thread_modules():
+    """Every node's logic runs on one thread under both transports (the sim
+    loop, ``harness._TcpLoop``), so no record replicas share needs a lock.
+    Only ``transport`` (the mesh's accept and reader threads) and ``harness``
+    (the TCP loop's inbox, and the rebuild's check for other threads) may
+    import a thread module."""
+    package = Path(shardemu.__file__).parent
+    imports = {path.stem: _thread_imports(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    assert {name for name, lines in imports.items() if lines} == {"transport", "harness"}
+
+
+@pytest.mark.parametrize("planted", [
+    "import threading",
+    "import os, _thread",
+    "from queue import SimpleQueue",
+    "import concurrent.futures as cf",
+    "from concurrent.futures import ThreadPoolExecutor",
+    "def later():\n    from threading import Lock\n    return Lock()",
+])
+def test_the_thread_import_scan_flags_a_planted_import(planted):
+    assert len(_thread_imports(planted)) == 1
+    assert _thread_imports("import queueing\nfrom .queue import x\nimport os") == []

@@ -2,8 +2,6 @@
 
 import json
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -1034,62 +1032,6 @@ for _n in (1, 4, 7):
     globals()[f"TestRelayRecord{_n}Replicas"] = _machine.TestCase
 
 
-def _replica_threads_take_the_same_credits(shared):
-    """Over TCP the replicas of a shard are threads of one process. Four of
-    them take the same credit halves, in the same order so that they meet
-    on the same entries, through the real intake; with the interpreter
-    switching threads every microsecond, an unguarded read-modify-write of
-    one entry loses a bit in most rounds. With ``shared``, each thread is
-    handed every body object twice, as the sim transport hands one body to
-    a replica from each sender, so the replicas also meet on each body's
-    memo."""
-    credits = credits_of(debits_of([ctx_tx(Q1, Q0, nonce=i) for i in range(10000)]))
-    mech = RelayMechanism()
-    bodies = [_relay_env(credits[start:start + 3]) for start in range(0, len(credits), 3)]
-
-    def intake(node, start_line):
-        start_line.wait(timeout=30)
-        if shared:
-            for env in bodies:
-                mech.handle_inter_shard_msg(node, env, now=0)
-                mech.handle_inter_shard_msg(node, env, now=0)
-            return
-        for start in range(0, len(credits), 3):
-            mech.handle_inter_shard_msg(node, _relay_env(credits[start:start + 3]), now=0)
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            record = RelaySeen()
-            nodes = [FakeNode(0, TWO, index=i, leader=False, seen=record) for i in range(4)]
-            start_line = threading.Barrier(len(nodes))
-            threads = [threading.Thread(target=intake, args=(node, start_line))
-                       for node in nodes]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            lost = sum(1 for bits in record.values() if bits != 0b1111)
-            assert (len(record), lost) == (len(credits), 0), f"{lost} entries lost a bit"
-            assert all(len(node.pool) == len(credits) for node in nodes)
-            if shared:
-                assert all(env.body.taken == (record, 0b1111) for env in bodies)
-                for env in bodies:
-                    env.body.taken = None
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def test_replica_threads_lose_no_bit_of_the_shared_record():
-    _replica_threads_take_the_same_credits(shared=False)
-
-
-def test_replica_threads_lose_no_bit_of_a_shared_body_memo():
-    _replica_threads_take_the_same_credits(shared=True)
-
-
 # --- credit halves: built once per block, routed per replica ---
 
 THREE = PartitionMap(n_shards=3)
@@ -1136,9 +1078,10 @@ def test_commit_emits_the_same_halves_from_the_memo_or_a_rebuild():
     ]
     assert [len(h) for _, _, h in expected] == [2, 2]
     replicas = [FakeNode(0, THREE, index=i, leader=i == 0) for i in range(4)]
-    seeded = mechanisms.credit_halves(block)
     assert [_emitted(node, block) for node in replicas] == [expected] * 4
-    assert mechanisms.credit_halves(block) is seeded, "every replica read the first build"
+    routed = block.relays
+    assert routed[0] is THREE
+    assert mechanisms.relay_bodies(block, THREE) is routed[1], "every replica sent one build"
 
 
 def test_decoded_block_rebuilds_the_proposers_halves():
@@ -1149,19 +1092,21 @@ def test_decoded_block_rebuilds_the_proposers_halves():
         make_transaction(T0, T1, 3, 1, kind=TxKind.ORIGINAL_CTX, inject_time=55),
     ])
     block = RelayMechanism().op_mining(proposer, now=60)
-    assert block.post is not None and block.halves is None, "mining builds no credit half"
+    assert block.post is not None and block.relays is None, "mining builds no credit half"
 
     frame = encode_frame(Envelope("preprepare", proposer.nid, PrePrepare(block=block)))
     decoded = decode_frame(frame).body.block
     assert decoded.hash == block.hash
-    assert decoded.post is None and decoded.halves is None
+    assert decoded.post is None and decoded.relays is None
     assert verify_block(decoded, genesis_block(0), StateTree(), THREE, theta=10) is None
-    halves = mechanisms.credit_halves(block)
-    assert [t.inject_time for t in halves] == [40, 55]
-    assert [(t.hash, t.inject_time) for t in mechanisms.credit_halves(decoded)] == \
-        [(t.hash, t.inject_time) for t in halves]
-    assert mechanisms.credit_halves(block) is halves
-    assert mechanisms.credit_halves(decoded) is decoded.halves
+
+    def halves(b):
+        return [(t.hash, t.inject_time) for _, body in mechanisms.relay_bodies(b, THREE)
+                for t in body.txs]
+
+    assert [t for _, t in halves(block)] == [55, 40], "shard 1's batch, then shard 2's"
+    assert halves(decoded) == halves(block)
+    assert decoded.relays[1] is not block.relays[1], "a decoded block builds its own"
     assert _emitted(FakeNode(0, THREE), decoded) == _emitted(FakeNode(0, THREE), block)
 
 
@@ -1185,7 +1130,8 @@ def test_replicas_route_shared_halves_under_their_own_map():
     b = _emitted(FakeNode(0, moved, index=1, leader=False), block)
     a = [(dest, env.msg_type, [t.hash for t in env.body.txs]) for dest, env in sent_a]
     assert sorted(h for _, _, hs in a for h in hs) == sorted(h for _, _, hs in b for h in hs)
-    moved_half = next(t.hash for t in mechanisms.credit_halves(block) if t.payee == T1)
+    debits = [t for t in block.txs if t.kind is TxKind.INTRA_RELAY]
+    moved_half = next(t.hash for t in credits_of(debits) if t.payee == T1)
     assert [d for d, _, hs in a if moved_half in hs] == [1]
     assert [d for d, _, hs in b if moved_half in hs] == [2]
 

@@ -344,7 +344,7 @@ def test_forged_copy_carries_nothing_of_the_honest_block():
     leader.hooks.op_mining = mine_and_verify
     leader.maybe_propose(0)
     (forged,) = leader.rounds[1].blocks.values()
-    assert forged.post is None and forged.halves is None and forged.verdict is None
+    assert forged.post is None and forged.relays is None and forged.verdict is None
     assert core.verify_block(forged, follower.head, follower.state, follower.pmap,
                              follower.theta) is core.RejectReason.BAD_STATE_ROOT
 

@@ -42,6 +42,7 @@ from shardemu.transport import (
     UnknownType,
     MSG_TYPES,
     ViewChange,
+    close_meshes,
     decode_frame,
     encode_frame,
     node_id,
@@ -492,6 +493,26 @@ def test_tcp_mesh_close_closes_accepted_sockets():
     finally:
         mesh_a.close()
         mesh_b.close()
+
+
+def test_closing_meshes_joins_their_threads():
+    """``close_meshes`` and ``TcpMesh.close`` return only once every accept
+    and reader thread of their meshes has ended."""
+    before = threading.active_count()
+    ports = free_ports(3)
+    table = {f"0.{i}": f"127.0.0.1:{port}" for i, port in enumerate(ports)}
+    got = threading.Semaphore(0)
+    meshes = [TcpMesh(nid, table, lambda env: got.release()) for nid in table]
+    try:
+        for i, mesh in enumerate(meshes):
+            mesh.send(f"0.{(i + 1) % 3}", Envelope("commit", mesh.nid, Commit(i, 0, b"\x04" * 32)))
+        assert all(got.acquire(timeout=5.0) for _ in meshes), "a frame never arrived"
+        assert threading.active_count() == before + 2 * len(meshes)  # accept + one reader
+        meshes[0].close()
+        assert not any(t.is_alive() for t in [meshes[0]._accept_thread, *meshes[0]._readers])
+    finally:
+        close_meshes(meshes)
+    assert threading.active_count() == before
 
 
 def test_tcp_mesh_requires_own_entry():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import sys
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -217,40 +216,6 @@ def test_copies_share_one_queue_until_each_first_writes_it():
     pools[0].preload(txs[:1])
     assert pools[0]._queue is shared, "the last holder takes the dict itself"
     assert len({id(pool._queue) for pool in pools}) == 5
-
-
-def test_a_threaded_first_write_leaves_one_dict_per_copy():
-    """Over TCP a shard's replicas are threads: four copies writing their
-    first entries at once end with four distinct dicts, the last holder
-    with the shared one, and every copy's queue as its own writes left it."""
-    txs = _txs(2_000)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            first = TxPool(0)
-            first.preload(txs)
-            shared = first._queue
-            pools = [first] + [first.copy() for _ in range(3)]
-            start = threading.Barrier(len(pools))
-
-            def write(i, pool):
-                start.wait(timeout=10)
-                pool.remove_committed({txs[i].hash})
-
-            threads = [threading.Thread(target=write, args=(i, pool))
-                       for i, pool in enumerate(pools)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len({id(pool._queue) for pool in pools}) == 4
-            assert [pool._queue is shared for pool in pools].count(True) == 1
-            for i, pool in enumerate(pools):
-                assert pool.snapshot() == txs[:i] + txs[i + 1:] and pool.removed == 1
-    finally:
-        sys.setswitchinterval(switch)
 
 
 @settings(max_examples=60, deadline=None)
