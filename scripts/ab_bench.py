@@ -1,8 +1,8 @@
 """Paired benchmark of two revisions, in alternating fresh processes on one host.
 
-Both revisions are checked out with ``git worktree add`` into a temporary
-directory (local only; the worktrees are removed at exit, also on an error
-or an interrupt). Each pair then runs both trees, one after the other: the
+Both revisions are extracted with ``git archive`` into one temporary
+directory, which is removed at exit, also on an error or an interrupt; the
+repository itself is left as it was. Each pair then runs both trees, one after the other: the
 base first in even pairs (0, 2, ...), the head first in odd ones. Per tree,
 a pair runs
 
@@ -50,12 +50,14 @@ the same ``same_bytes.py`` lines, compared on the keys both trees print.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -114,6 +116,16 @@ def _git(*args: str) -> str:
     if proc.returncode != 0:
         raise SystemExit(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def _extract(rev: str, tree: Path) -> None:
+    """The committed files of ``rev``, written into ``tree``."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git archive {rev} failed: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(tree, filter="data")
 
 
 def _python(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -337,28 +349,20 @@ def main(argv=None) -> int:
         parser.error("--desk-shards must be 0 (no desk run) or more")
     revs = {"base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}"),
             "head": _git("rev-parse", "--verify", f"{args.head}^{{commit}}")}
-    # A terminated run still removes its worktrees.
+    # A terminated run still removes its temporary directory.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         trees = {side: Path(tmp) / side for side in revs}
-        added = []
-        try:
-            for side, rev in revs.items():
-                _git("worktree", "add", "--detach", str(trees[side]), rev)
-                added.append(trees[side])
-            spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-            workloads = chosen_workloads(spec, args.workload)
-            directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-            pairs = run_pairs(trees, workloads, args.pairs, args.seed, args.seconds,
-                              args.desk_shards, Path(tmp))
-            same = {side: same_bytes_lines(trees[side], Path(tmp) / f"same-{side}")
-                    for side in revs}
-        finally:
-            for tree in added:
-                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                                str(tree)], capture_output=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        for side, rev in revs.items():
+            _extract(rev, trees[side])
+        spec = json.loads((trees["base"] / "BENCHMARK.json").read_text())
+        workloads = chosen_workloads(spec, args.workload)
+        directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        pairs = run_pairs(trees, workloads, args.pairs, args.seed, args.seconds,
+                          args.desk_shards, Path(tmp))
+        same = {side: same_bytes_lines(trees[side], Path(tmp) / f"same-{side}")
+                for side in revs}
 
     summary = summarize(pairs, directions, bool(args.desk_shards))
     failures = []

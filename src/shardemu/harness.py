@@ -2,15 +2,16 @@
 
 ``build_nodes`` is the one wiring of a run, shared by both transports. It
 picks the brokers, builds the partition map, constructs the supervisor and
-one replica per (shard, node), and pre-fills the pools. Each node talks
-through the network interface that ``net_of(node id)`` gives it.
+one replica per (shard, node), registering each on the run's network, and
+pre-fills the pools.
 
 ``Emulation`` runs the wired nodes over one deterministic ``SimNetwork``:
-it registers them, schedules scripted faults, runs the event loop and has
-the supervisor finalize the run. ``setup()`` and ``execute()`` are
+it schedules scripted faults, starts the nodes, runs the event loop and
+has the supervisor finalize the run. ``setup()`` and ``execute()`` are
 separate so callers can inspect pools and state between wiring and
-running. ``TcpRunner`` runs the same wiring over TCP, every node on the
-one thread that calls it.
+running. ``TcpRunner`` runs the same wiring over TCP, on a ``TcpLoop``,
+the same event loop on a wall clock, every node on the one thread that
+calls it.
 
 ``report_from_blocks`` rebuilds a run's reports from its block files. It
 decodes them in parallel, whole files in groups of about equal bytes, one
@@ -33,16 +34,13 @@ pause.
 from __future__ import annotations
 
 import gc
-import heapq
 import json
-import logging
 import os
-import queue
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .config import ConfigError, MissingKey, RunConfig
 from .core import AddressTable, PartitionMap, block_from_json
@@ -51,11 +49,8 @@ from .mechanisms import make_mechanism
 from .metrics import MetricsLedger, original_hashes
 from .pbft import RelaySeen, Replica
 from .supervisor import Supervisor
-from .transport import (SUPERVISOR_ID, Envelope, Fanout, SimNetwork, TcpMesh, close_meshes,
-                        node_id)
+from .transport import SUPERVISOR_ID, SimNetwork, TcpLoop, TcpMesh, close_meshes, node_id
 from .txpool import TxPool
-
-log = logging.getLogger(__name__)
 
 # Hard ceiling on virtual time; a healthy run stops itself well before.
 VIRTUAL_TIME_CAP_MS = 3_000_000
@@ -92,10 +87,10 @@ def _gc_paused() -> Iterator[None]:
 # -- wiring --
 
 
-def build_nodes(
-    cfg: RunConfig, net_of: Callable[[str], Any]
-) -> tuple[Supervisor, dict[str, Replica]]:
-    """The supervisor and the replicas (shard-major) of one run. A
+def build_nodes(cfg: RunConfig, net: SimNetwork) -> tuple[Supervisor, dict[str, Replica]]:
+    """The supervisor and the replicas (shard-major) of one run, each
+    registered on ``net`` as it is built. Registration order is start and
+    broadcast order, which decides the latency draws under jitter. A
     prefilled run reads the whole dataset here, in one call; a live run's
     supervisor reads each batch when it injects it."""
     rows = DatasetReader(cfg.dataset_path, cfg.dataset_limit)
@@ -112,7 +107,8 @@ def build_nodes(
     pmap = PartitionMap(
         n_shards=cfg.n_shards, version=0, overrides={}, brokers=frozenset(brokers)
     )
-    supervisor = Supervisor(cfg, pmap, net_of(SUPERVISOR_ID), rows)
+    supervisor = Supervisor(cfg, pmap, net, rows)
+    net.register(SUPERVISOR_ID, supervisor)
     per_shard = supervisor.prepare_prefill(prefill) if prefill is not None else {}
 
     replicas: dict[str, Replica] = {}
@@ -127,7 +123,7 @@ def build_nodes(
         seen = RelaySeen()
         for i in range(cfg.nodes_per_shard):
             nid = node_id(k, i)
-            replicas[nid] = Replica(
+            replicas[nid] = replica = Replica(
                 shard_id=k,
                 index=i,
                 n_nodes=cfg.nodes_per_shard,
@@ -137,9 +133,10 @@ def build_nodes(
                 pool=pool.copy() if i else pool,
                 pmap=pmap,
                 hooks=make_mechanism(cfg.mechanism),
-                net=net_of(nid),
+                net=net,
                 relay_seen=seen,
             )
+            net.register(nid, replica, shard=k)
     return supervisor, replicas
 
 
@@ -174,12 +171,7 @@ class Emulation:
     def setup(self) -> None:
         cfg = self.cfg
         net = self.net = SimNetwork(latency_ms=cfg.sim.latency_ms, seed=cfg.sim.seed)
-        self.supervisor, self.replicas = build_nodes(cfg, lambda _: net)
-        # Registration order is broadcast order, which decides the latency
-        # draws under jitter: supervisor first, then replicas shard-major.
-        net.register(SUPERVISOR_ID, self.supervisor)
-        for nid, replica in self.replicas.items():
-            net.register(nid, replica, shard=replica.shard_id)
+        self.supervisor, self.replicas = build_nodes(cfg, net)
         for fault in cfg.faults:
             if fault.kind == "crash":
                 net.schedule_crash(fault.node, fault.at_ms)
@@ -198,9 +190,7 @@ class Emulation:
         assert not self._ran, "an Emulation instance runs once"
         self._ran = True
         sup = self.supervisor
-        sup.on_start(0)
-        for replica in self.replicas.values():
-            replica.on_start(0)
+        self.net.start()
         self.net.run(until=VIRTUAL_TIME_CAP_MS)
         if self.net._heap:
             sup.ledger.degraded = True
@@ -498,75 +488,6 @@ def report_from_blocks(run_dir: str) -> dict:
 # -- real-network runner --
 
 
-class _TcpLoop(Fanout):
-    """Every node of a TCP run on the one thread that calls ``run``.
-
-    The loop is every node's ``net``: ``send`` queues an envelope a node
-    sends itself and sends any other through the sender's own mesh, and
-    ``schedule`` arms a timer on the loop's heap, in milliseconds of a
-    monotonic clock since ``t0``. The meshes' reader threads only decode
-    frames and queue them with their receiver's id, so no two nodes' logic
-    ever runs at once. Broadcasts go as the sim's do (``Fanout``).
-    """
-
-    def __init__(self, ip_table: dict[str, str], shard_members: dict[int, list[str]],
-                 t0: float) -> None:
-        self.peers = ip_table
-        self.shard_members = shard_members
-        self.t0 = t0
-        self.inbox: "queue.SimpleQueue[tuple[str, Envelope]]" = queue.SimpleQueue()
-        self.timers: list[tuple[int, int, str, str, Any]] = []
-        self._seq = 0
-        self.nodes: dict[str, Any] = {}  # Replica or Supervisor, set by TcpRunner
-        self.meshes: dict[str, TcpMesh] = {}
-
-    def send(self, to: str, env: Envelope) -> None:
-        if to == env.sender:
-            self.inbox.put((to, env))
-        else:
-            self.meshes[env.sender].send(to, env)
-
-    def schedule(self, nid: str, at: int, tag: str, data: Any = None) -> None:
-        self._seq += 1
-        heapq.heappush(self.timers, (at, self._seq, nid, tag, data))
-
-    def now_ms(self) -> int:
-        return int((time.monotonic() - self.t0) * 1000)
-
-    def run(self, deadline: float) -> list[str]:
-        """Start every node, then hand each queued envelope and each due
-        timer to its node, one at a time, until every node has stopped and
-        nothing is queued, or until the monotonic ``deadline``. Returns the
-        ids of the nodes still running then. A handler's error is logged
-        and the run goes on."""
-        nodes, timers, inbox = self.nodes, self.timers, self.inbox
-        for node in nodes.values():
-            node.on_start(self.now_ms())
-        while True:
-            while timers and timers[0][0] <= self.now_ms():
-                _, _, nid, tag, data = heapq.heappop(timers)
-                try:
-                    nodes[nid].on_timer(tag, data, self.now_ms())
-                except Exception:
-                    log.exception("%s failed on timer %s", nid, tag)
-            running = [nid for nid, node in nodes.items() if not node.stopped]
-            if not running and inbox.empty():
-                return []
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                return running
-            if timers:
-                wait = min(wait, self.t0 + timers[0][0] / 1000 - time.monotonic())
-            try:
-                nid, env = inbox.get(timeout=max(0.0, wait))
-            except queue.Empty:
-                continue
-            try:
-                nodes[nid].on_envelope(env, self.now_ms())
-            except Exception:
-                log.exception("%s failed handling %s", nid, env.msg_type)
-
-
 def _is_address(value: Any) -> bool:
     """Whether ``value`` is a ``"host:port"`` string a mesh can listen on."""
     host, _, port = value.rpartition(":") if isinstance(value, str) else ("", "", "")
@@ -575,7 +496,7 @@ def _is_address(value: Any) -> bool:
 
 class TcpRunner:
     """Whole-run orchestration over loopback/LAN TCP, every node on the
-    calling thread (``_TcpLoop``). The ip table must be a JSON object that
+    calling thread (``TcpLoop``). The ip table must be a JSON object that
     maps the supervisor and every replica, and nothing else, to a
     ``"host:port"`` string; any other table is a ``ConfigError``."""
 
@@ -585,8 +506,6 @@ class TcpRunner:
         if cfg.dataset_path is None:
             raise MissingKey("dataset_path")
         self.cfg = cfg
-        self.members = {k: [node_id(k, i) for i in range(cfg.nodes_per_shard)]
-                        for k in range(cfg.n_shards)}
         path = cfg.tcp.ip_table
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -595,7 +514,8 @@ class TcpRunner:
             raise ConfigError(f"cannot read ip_table {path}: {exc}") from None
         if not isinstance(table, dict) or not all(map(_is_address, table.values())):
             raise ConfigError(f'ip_table {path} is not a JSON object of "host:port" strings')
-        nids = {SUPERVISOR_ID}.union(*self.members.values())
+        nids = {SUPERVISOR_ID, *(node_id(k, i) for k in range(cfg.n_shards)
+                                 for i in range(cfg.nodes_per_shard))}
         if table.keys() != nids:
             raise ConfigError(f"ip_table {path} must name exactly the supervisor and every "
                               f"replica: missing {sorted(nids - table.keys())}, "
@@ -604,19 +524,20 @@ class TcpRunner:
 
     def execute(self) -> RunResult:
         cfg = self.cfg
-        loop = _TcpLoop(self.ip_table, self.members, time.monotonic())
-        supervisor, replicas = build_nodes(cfg, lambda _: loop)
-        loop.nodes = {SUPERVISOR_ID: supervisor, **replicas}
+        loop = TcpLoop()
+        supervisor, replicas = build_nodes(cfg, loop)
         put = loop.inbox.put
         wall_s = (cfg.stop.wall_ms / 1000 + 5) if cfg.stop.wall_ms else 120
         try:
             for nid in self.ip_table:
                 loop.meshes[nid] = TcpMesh(nid, self.ip_table,
                                            lambda env, nid=nid: put((nid, env)))
-            hung = loop.run(time.monotonic() + wall_s)
+            hung = loop.serve(time.monotonic() + wall_s)
         finally:
             close_meshes(loop.meshes.values())
         if hung:
             supervisor.ledger.degraded = True
             supervisor.ledger.notes.append(f"tcp nodes still running at teardown: {hung}")
-        return _finish(cfg, supervisor, replicas)
+        result = _finish(cfg, supervisor, replicas)
+        loop.release()
+        return result

@@ -325,16 +325,27 @@ class Supervisor:
         for fh in self.block_files:
             fh.close()
         # Wall-only runs legitimately stop mid-stream; a drain run that
-        # still has unconfirmed originals did not actually drain.
-        if self.cfg.stop.drain and not self.ledger.degraded:
-            unconfirmed = self.ledger.unconfirmed
+        # still has unconfirmed originals did not actually drain, and one
+        # that drained must satisfy the conservation identities.
+        ledger = self.ledger
+        if self.cfg.stop.drain and not ledger.degraded:
+            y, unconfirmed = ledger.settled()
             if unconfirmed:
-                self.ledger.degraded = True
-                self.ledger.notes.append(f"{unconfirmed} originals unconfirmed at stop")
+                ledger.degraded = True
+                ledger.notes.append(f"{unconfirmed} originals unconfirmed at stop")
+            else:
+                z = ledger.z
+                for identity, sides in (("Z+Y==X", {"Z+Y": z + y, "X": ledger.x}),
+                                        ("Z+2Y==W", {"Z+2Y": z + 2 * y, "W": ledger.w}),
+                                        ("Y==U==V", {"Y": y, "U": ledger.u, "V": ledger.v})):
+                    if len(set(sides.values())) > 1:
+                        ledger.degraded = True
+                        ledger.notes.append(f"drained run breaks {identity}: " + ", ".join(
+                            f"{side}={value}" for side, value in sides.items()))
         if out_dir is None:
-            summary = self.ledger.summary(self.cfg.echo())
+            summary = ledger.summary(self.cfg.echo())
         else:
-            summary = self.ledger.write_reports(out_dir, self.cfg.echo(), self._oracle)
+            summary = ledger.write_reports(out_dir, self.cfg.echo(), self._oracle)
         exit_code = 3 if summary["degraded"] else 0
         return exit_code, summary
 

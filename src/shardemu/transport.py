@@ -4,16 +4,21 @@ Every message is an envelope ``{"type", "sender", "body"}`` serialized as
 UTF-8 JSON behind a 4-byte big-endian length prefix. The simulated backend
 delivers envelopes through a deterministic event heap on a virtual
 millisecond clock; the TCP backend pushes the same frames over keep-alive
-sockets. Node logic sees the same interface either way.
+sockets, its ``TcpLoop`` running the sim's event loop on a wall clock.
+Node logic sees the same interface and the same ``SimNetwork.step`` either
+way.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import logging
+import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -31,6 +36,8 @@ from .core import (
     txs_from_json,
     txs_to_json,
 )
+
+log = logging.getLogger(__name__)
 
 SUPERVISOR_ID = "supervisor"
 
@@ -286,30 +293,6 @@ def decode_frame(data: bytes) -> Envelope:
     return Envelope(msg_type=msg_type, sender=obj["sender"], body=body)
 
 
-# --- broadcast ---
-
-
-class Fanout:
-    """Shard and whole-run broadcasts as one ``send`` per recipient, shared
-    by both backends. A backend provides ``send``, ``shard_members`` (each
-    shard's node ids) and ``peers`` (keyed by every node id, in broadcast
-    order). A broadcast skips its sender unless ``include_self`` is set."""
-
-    shard_members: dict[int, list[str]]
-    peers: dict[str, Any]
-
-    def broadcast_shard(self, shard: int, env: Envelope, include_self: bool = False) -> None:
-        for nid in self.shard_members.get(shard, ()):
-            if not include_self and nid == env.sender:
-                continue
-            self.send(nid, env)
-
-    def broadcast_all(self, env: Envelope) -> None:
-        for nid in self.peers:
-            if nid != env.sender:
-                self.send(nid, env)
-
-
 # --- simulated backend ---
 
 _EV_MSG = 0
@@ -317,13 +300,15 @@ _EV_TIMER = 1
 _EV_CRASH = 2
 
 
-class SimNetwork(Fanout):
+class SimNetwork:
     """Deterministic discrete-event delivery on a virtual millisecond clock.
 
     Events are ordered by (time, enqueue sequence), so equal-time events
     fire in the order they were scheduled. Latency is either a fixed value
     or an inclusive uniform integer range drawn from a seeded generator.
     Envelopes travel by reference; handlers must treat them as read-only.
+    Registration order is start and broadcast order; a broadcast is one
+    ``send`` per recipient and skips its sender unless ``include_self``.
     """
 
     def __init__(
@@ -376,6 +361,22 @@ class SimNetwork(Fanout):
         if env.sender in self.crashed:
             return
         self._put(self.now + self._latency(), _EV_MSG, to, env)
+
+    def broadcast_shard(self, shard: int, env: Envelope, include_self: bool = False) -> None:
+        for nid in self.shard_members.get(shard, ()):
+            if not include_self and nid == env.sender:
+                continue
+            self.send(nid, env)
+
+    def broadcast_all(self, env: Envelope) -> None:
+        for nid in self.peers:
+            if nid != env.sender:
+                self.send(nid, env)
+
+    def start(self) -> None:
+        """Start every registered node at ``now``, in registration order."""
+        for node in self.peers.values():
+            node.on_start(self.now)
 
     def schedule(self, nid: str, at: int, tag: str, data: Any = None) -> None:
         """Arm a timer for a node at absolute virtual time ``at``."""
@@ -559,3 +560,61 @@ def close_meshes(meshes: Iterable[TcpMesh]) -> None:
         mesh._accept_thread.join()
         for reader in mesh._readers:
             reader.join()
+
+
+class TcpLoop(SimNetwork):
+    """The sim's event loop on a wall clock (milliseconds since ``t0``),
+    every node of a TCP run on the one thread that calls ``serve``. A send
+    to self goes onto the heap with no latency, any other through the
+    sender's mesh. The meshes' reader threads only decode frames and queue
+    them in ``inbox`` with their receiver's id."""
+
+    def __init__(self) -> None:
+        super().__init__(latency_ms=0)
+        self.t0 = time.monotonic()
+        self.inbox: "queue.SimpleQueue[tuple[str, Envelope]]" = queue.SimpleQueue()
+        self.meshes: dict[str, TcpMesh] = {}
+
+    def send(self, to: str, env: Envelope) -> None:
+        if to == env.sender:
+            super().send(to, env)
+        else:
+            self.meshes[env.sender].send(to, env)
+
+    def wall_ms(self) -> int:
+        return int((time.monotonic() - self.t0) * 1000)
+
+    def serve(self, deadline: float) -> list[str]:
+        """Start every node, then in each pass move the inbox onto the
+        heap, due at the wall time each item is taken, and ``step`` every
+        due event, until every node has stopped and nothing is queued, or
+        until the monotonic ``deadline``. Returns the ids of the nodes
+        still running then. A handler's error is logged and the run goes on."""
+        heap, inbox = self._heap, self.inbox
+        self.now = self.wall_ms()
+        self.start()
+        wait = 0.0
+        while True:
+            try:
+                item = inbox.get(timeout=wait)
+                while True:
+                    self._put(self.wall_ms(), _EV_MSG, *item)
+                    item = inbox.get_nowait()
+            except queue.Empty:
+                pass
+            now = self.wall_ms()
+            while heap and heap[0][0] <= now:
+                _, _, kind, nid, payload = heap[0]
+                try:
+                    self.step()
+                except Exception:
+                    log.exception("%s failed handling %s", nid, payload.msg_type
+                                  if kind == _EV_MSG else f"timer {payload[0]}")
+            running = [nid for nid, node in self.peers.items() if not node.stopped]
+            if not running and inbox.empty():
+                return []
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                return running
+            if heap:
+                wait = max(0.0, min(wait, self.t0 + heap[0][0] / 1000 - time.monotonic()))

@@ -1612,10 +1612,11 @@ def _thread_imports(source: str) -> list[str]:
 
 
 def test_only_the_transports_import_thread_modules():
-    """Every node's logic runs on one thread under both transports (the sim
-    loop, ``harness._TcpLoop``), so no record replicas share needs a lock.
-    Only ``transport`` (the mesh's accept and reader threads) and ``harness``
-    (the TCP loop's inbox, and the rebuild's check for other threads) may
+    """Every node's logic runs on one thread under both transports (the one
+    event loop, ``SimNetwork.step``, which ``transport.TcpLoop`` runs on a
+    wall clock), so no record replicas share needs a lock. Only
+    ``transport`` (the mesh's accept and reader threads, and the TCP loop's
+    inbox) and ``harness`` (the rebuild's check for other threads) may
     import a thread module."""
     package = Path(shardemu.__file__).parent
     imports = {path.stem: _thread_imports(path.read_text(encoding="utf-8"))

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 import shardemu
-from helpers import CreditIntake, cfg_dict, relay_record_problems
+from helpers import CreditIntake, addr, cfg_dict, relay_record_problems
 from shardemu.checks import final_state_problems
 from shardemu.config import ConfigError, MissingKey, parse_config
 from shardemu import core, harness, mechanisms, txpool
@@ -760,6 +760,39 @@ def test_wall_cutting_a_drain_run_short_degrades(dataset, tmp_path):
     assert result.summary["degraded"]
     assert any("wall stop" in n for n in result.summary["notes"])
     assert result.summary["unconfirmed"] > 0
+
+
+def test_a_drained_run_that_commits_a_minted_credit_exits_three(tmp_path):
+    """Leader 0.0 appends a credit half worth 10**9, with a made-up origin,
+    to its block at height 5, and its shard commits it. Every original
+    settles, so the run drains, but U and W count the minted half: the run
+    is degraded and exits 3, naming each broken identity and its sides."""
+    path = tmp_path / "transfers.csv"
+    gen_dataset(str(path), accounts=60, txs=200, skew="uniform", seed=4)
+    emu = Emulation(parse_config(cfg_dict(block_size=25, dataset_path=str(path))))
+    emu.setup()
+    leader = emu.replicas["0.0"]
+    pack = leader.pool.pack_block_txs
+    minted = core.make_transaction(addr("mint-payer", shard=1), addr("mint-payee", shard=0),
+                                   10**9, 0, TxKind.INTER_RELAY, origin_hash=b"\x5a" * 32)
+
+    def minting_pack(theta):
+        packed = pack(theta)
+        if leader.next_height == 5:
+            assert len(packed) < theta
+            packed.append(minted)
+        return packed
+
+    leader.pool.pack_block_txs = minting_pack
+    result = emu.execute()
+
+    assert [r.state.get(minted.payee).balance for r in result.shard_replicas(0)] == [10**9] * 4
+    assert result.summary["counters"] == {"X": 200, "Y": 105, "Z": 95, "U": 106, "V": 105,
+                                          "W": 306}
+    assert result.summary["unconfirmed"] == 0
+    assert result.exit_code == 3 and result.summary["degraded"]
+    assert result.summary["notes"] == ["drained run breaks Z+2Y==W: Z+2Y=305, W=306",
+                                       "drained run breaks Y==U==V: Y=105, U=106, V=105"]
 
 
 def test_rate_injection_run_drains(dataset, tmp_path):

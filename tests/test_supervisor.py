@@ -47,6 +47,9 @@ class StubNet:
         self.all_casts = []
         self.timers = []
 
+    def register(self, nid, node, shard=None):
+        pass
+
     def broadcast_shard(self, shard, env, include_self=False):
         self.shard_casts.append((shard, env))
 
@@ -201,7 +204,7 @@ def test_stamp_rows_routes_every_read_row_to_its_exec_home(tmp_path, brokers):
     assert list(rows) == reference_rows and len(rows) == limit
 
     chosen = busiest_accounts(rows.payers, rows.payees, 2) if brokers else []
-    built, _ = build_nodes(cfg, lambda nid: StubNet())
+    built, _ = build_nodes(cfg, StubNet())
     assert built.pmap.brokers == frozenset(chosen)
     assert built.ledger.x == limit
     pmap = PartitionMap(n_shards=cfg.n_shards, brokers=frozenset(chosen))
@@ -225,7 +228,7 @@ def test_each_tick_reads_the_next_rows_of_the_dataset(tmp_path):
     want = list(load_dataset(str(path), limit=50))
     cfg = build_cfg(dataset_path=str(path), epoch_ms=10_000,
                     injection={"base_rate": 30, "batch_interval_ms": 250})
-    sup, replicas = build_nodes(cfg, lambda nid: StubNet())
+    sup, replicas = build_nodes(cfg, StubNet())
     assert sup.ledger.x == 0 and all(len(r.pool) == 0 for r in replicas.values())
     batches = []
     stamp = sup.stamp_rows

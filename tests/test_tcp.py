@@ -1,4 +1,4 @@
-"""The TCP backend: broadcast order against the sim's, and whole runs over real loopback TCP.
+"""The TCP loop: its own send routing and handler errors, and whole runs over real loopback TCP.
 
 Over TCP every replica decodes each transaction list and block it receives
 from a frame (``core.txs_from_json``, ``core.block_from_json``); the nodes
@@ -9,20 +9,20 @@ halves each queued."""
 
 import json
 import threading
+import time
 
 from helpers import CreditIntake, cfg_dict, free_ports, relay_record_problems
 from shardemu.checks import final_state_problems
 from shardemu.config import parse_config
 from shardemu.dataset import gen_dataset, load_dataset
-from shardemu.harness import _TcpLoop, report_from_blocks, run
+from shardemu.harness import report_from_blocks, run
 from shardemu.pbft import Replica
 from shardemu.supervisor import Supervisor
-from shardemu.transport import SUPERVISOR_ID, Envelope, SimNetwork, Stop, node_id, shard_of
+from shardemu.transport import SUPERVISOR_ID, Envelope, Stop, TcpLoop, node_id, shard_of
 
 
-class _Wire:
-    """Stands in for the sender's mesh and the loop's inbox; logs each
-    recipient."""
+class _Mesh:
+    """Stands in for a node's mesh; logs each recipient."""
 
     def __init__(self):
         self.to = []
@@ -30,42 +30,75 @@ class _Wire:
     def send(self, to, env):
         self.to.append(to)
 
-    def put(self, item):
-        self.to.append(item[0])
+
+def test_the_loop_keeps_a_send_to_self_and_meshes_every_other_send():
+    """A node's envelope to itself goes onto the loop's heap, due at once;
+    any other goes out through the sender's own mesh, broadcasts in
+    registration order. No socket is opened."""
+    loop = TcpLoop()
+    for nid in [SUPERVISOR_ID, *(node_id(k, i) for k in range(2) for i in range(3))]:
+        loop.register(nid, None, shard=shard_of(nid))
+    loop.meshes = {nid: _Mesh() for nid in loop.peers}
+    loop.now = 7
+    loop.broadcast_shard(1, Envelope("stop", "1.1", Stop()), include_self=True)
+    loop.broadcast_all(Envelope("stop", "1.1", Stop()))
+    loop.send(SUPERVISOR_ID, Envelope("stop", "0.0", Stop()))
+
+    assert [(at, target) for at, _, _, target, _ in loop._heap] == [(7, "1.1")]
+    assert loop.inbox.empty()
+    assert {nid: mesh.to for nid, mesh in loop.meshes.items() if mesh.to} == {
+        "1.1": ["1.0", "1.2", SUPERVISOR_ID, "0.0", "0.1", "0.2", "1.0", "1.2"],
+        "0.0": [SUPERVISOR_ID],
+    }
 
 
-def test_both_backends_fan_out_to_the_same_ids_in_the_same_order():
-    members = {k: [node_id(k, i) for i in range(3)] for k in range(2)}
-    nids = [SUPERVISOR_ID, *members[0], *members[1]]
-    sender = "1.1"
-    broadcasts = [
-        lambda net: net.broadcast_shard(1, Envelope("stop", sender, Stop())),
-        lambda net: net.broadcast_shard(1, Envelope("stop", sender, Stop()), include_self=True),
-        lambda net: net.broadcast_shard(0, Envelope("stop", sender, Stop())),
-        lambda net: net.broadcast_all(Envelope("stop", sender, Stop())),
-    ]
+class _Node:
+    """A node of a socket-free loop. It arms ``timers`` ({tag: delay}) at
+    start, logs each input with its ``now``, stops at its first input and
+    fails on each input whose message type or timer tag is in ``fail``."""
 
-    sim = SimNetwork(latency_ms=1)
-    for nid in nids:
-        sim.register(nid, None, shard=shard_of(nid))
-    loop = _TcpLoop({nid: "127.0.0.1:0" for nid in nids}, members, t0=0.0)
-    loop.inbox = wire = _Wire()
-    loop.meshes = {sender: wire}
-    sim_to, tcp_to = [], []
-    for broadcast in broadcasts:
-        broadcast(sim)
-        sim_to.append([target for _, _, _, target, _ in sorted(sim._heap)])
-        sim._heap.clear()
-        broadcast(loop)
-        tcp_to.append(wire.to)
-        wire.to = []
+    def __init__(self, loop, nid, timers=(), fail=()):
+        self.loop, self.nid, self.timers, self.fail = loop, nid, dict(timers), fail
+        self.stopped = False
+        self.got = []
+        loop.register(nid, self, shard=shard_of(nid))
 
-    assert tcp_to == sim_to == [
-        ["1.0", "1.2"],
-        ["1.0", "1.1", "1.2"],
-        ["0.0", "0.1", "0.2"],
-        [SUPERVISOR_ID, "0.0", "0.1", "0.2", "1.0", "1.2"],
-    ]
+    def on_start(self, now):
+        self.got.append(("start", now))
+        for tag, delay in self.timers.items():
+            self.loop.schedule(self.nid, now + delay, tag)
+
+    def _take(self, what, now):
+        self.got.append((what, now))
+        self.stopped = True
+        if what in self.fail:
+            raise RuntimeError(f"{self.nid} fails on {what}")
+
+    def on_timer(self, tag, data, now):
+        self._take(tag, now)
+
+    def on_envelope(self, env, now):
+        self._take(env.msg_type, now)
+
+
+def test_a_failing_handler_is_logged_and_the_loop_goes_on(caplog):
+    """Over TCP a handler's error is logged, naming the node and the
+    message type or timer tag, and the other nodes run on: a later timer
+    still fires, and gets its due time as ``now``."""
+    loop = TcpLoop()
+    bad_msg = _Node(loop, "0.0", fail={"stop"})
+    bad_timer = _Node(loop, "0.1", timers={"boom": 0}, fail={"boom"})
+    good = _Node(loop, "0.2", timers={"tick": 30})
+    loop.inbox.put(("0.0", Envelope("stop", SUPERVISOR_ID, Stop())))
+    with caplog.at_level("ERROR", logger="shardemu.transport"):
+        assert loop.serve(time.monotonic() + 10) == []
+
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        "0.0 failed handling stop", "0.1 failed handling timer boom"]
+    assert all(r.exc_info for r in caplog.records)
+    assert [what for what, _ in bad_msg.got + bad_timer.got] == ["start", "stop", "start", "boom"]
+    (_, start), (tag, now) = good.got
+    assert tag == "tick" and now == start + 30
 
 
 def _state_problems(result, cfg):

@@ -423,6 +423,41 @@ def test_sim_schedule_clamps_to_now():
     assert [t for t, *_ in r.events] == [10, 10]
 
 
+class Starter:
+    """A node that logs every input it gets and, at start, arms a timer
+    due at once."""
+
+    def __init__(self, nid, net, log):
+        self.nid, self.net, self.log = nid, net, log
+
+    def on_start(self, now):
+        self.log.append(("start", self.nid, now))
+        self.net.schedule(self.nid, now, "first")
+
+    def on_timer(self, tag, data, now):
+        self.log.append((tag, self.nid, now))
+
+    def on_envelope(self, env, now):
+        self.log.append((env.msg_type, self.nid, now))
+
+
+def test_sim_starts_and_broadcasts_in_registration_order():
+    """Registration order, not id order, is start order. It sets the
+    sequence of the first timers, so equal-time timers fire in it, and it
+    is the order of a whole-run broadcast."""
+    nids = ["supervisor", "1.0", "0.1", "0.0"]
+    net = SimNetwork(latency_ms=1)
+    log = []
+    for nid in nids:
+        net.register(nid, Starter(nid, net, log), shard=shard_of(nid))
+    net.start()
+    net.run()
+    net.broadcast_all(Envelope("stop", "0.1", Stop()))
+    net.run()
+    assert log == ([("start", nid, 0) for nid in nids] + [("first", nid, 0) for nid in nids]
+                   + [("stop", nid, 1) for nid in nids if nid != "0.1"])
+
+
 # --- TCP backend ---
 
 
